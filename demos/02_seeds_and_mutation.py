@@ -2,8 +2,9 @@
 
 A seed couples the exchange matrix B with a skew form Lambda so that
 B^T Lambda = (D 0) for a positive diagonal D. Mutation rewrites both
-matrices; D never changes. When only B is given, a compatible Lambda
-is synthesized by an integer lattice solve.
+matrices; D never changes. When only B is given, D is fixed by the
+closed-form skew-symmetrizer of B's principal part and Lambda by one
+integer lattice solve; a D given without Lambda is solved for as is.
 """
 from qcluster import (
     check_compatible,
@@ -25,6 +26,8 @@ print()
 
 lam, d = find_compatible_lambda(((0, -2), (1, 0)))
 print("B2 exchange matrix gets Lambda =", lam, "with D =", d)
+b2 = make_seed(((0, -2), (1, 0)), d=(2, 4))
+print("asking for D = (2, 4) instead gives Lambda =", b2.Lambda)
 
 a3p = principal_framing(((0, -1, 0), (1, 0, -1), (0, 1, 0)))
 print("principal three-vertex chain: n =", a3p.n, "frozen =", a3p.frozen, "D =", a3p.D)

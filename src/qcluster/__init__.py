@@ -10,6 +10,7 @@ and shift seeds (tropical), and the product-structure verifier
 
 from .qtorus import NotDivisible, QTElem, VCoeff, exact_divide, twisted_mul
 from .seed import (
+    IncompatiblePair,
     IncompatibleResult,
     NoCompatibleLambda,
     QuantumSeed,
@@ -71,7 +72,6 @@ from .tropical import (
 )
 from .leclerc import (
     CandidateBasis,
-    DuplicateDegreeConflict,
     LeclercReport,
     LeclercVerdict,
     check_codegree_triangular,

@@ -32,7 +32,6 @@ def _row_reduce(mat, rhs_cols):
     m = len(mat)
     n = len(mat[0]) if m else 0
     aug = [[Fraction(x) for x in mat[i]] + [Fraction(x) for x in rhs_cols[i]] for i in range(m)]
-    width = n + (len(rhs_cols[0]) if m and rhs_cols else 0)
     pivots = []
     r = 0
     for c in range(n):
@@ -50,7 +49,6 @@ def _row_reduce(mat, rhs_cols):
         r += 1
         if r == m:
             break
-    del width
     return aug, pivots
 
 

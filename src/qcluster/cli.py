@@ -4,7 +4,9 @@ Seed files are JSON with 1-based vertex labels:
     {"n": 2, "unfrozen": [1, 2], "B": [[0,-1],[1,0]],
      "Lambda": [[0,-1],[1,0]], "D": [1, 1]}
 B is row-major with one column per unfrozen vertex; Lambda and D are
-optional and synthesized when absent.
+optional. Without either, both are synthesized; a D given without Lambda
+is honored (Lambda is solved for exactly that D); a Lambda given without
+D determines D.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
 3 internal assertion failure.
@@ -18,20 +20,19 @@ import sys
 
 from . import leclerc, tropical
 from .expansion import apply_word, build_exchange_graph, emit_dot, initial_tracked
-from .seed import (
-    NoCompatibleLambda,
-    QuantumSeed,
-    check_compatible,
-    find_compatible_lambda,
-    mutate_seed,
-)
+from .seed import IncompatiblePair, NoCompatibleLambda, make_seed, mutate_seed
 
 
 class UsageError(Exception):
     pass
 
 
-def load_seed(path, require_compatible=True):
+class IncompatibleFile(UsageError):
+    """The file's pair fails B^T Lambda = (D 0): exit 1 from check, 2 elsewhere."""
+
+
+def load_seed(path):
+    """Parse a seed file into (seed, Lambda synthesized?) via make_seed."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -44,34 +45,19 @@ def load_seed(path, require_compatible=True):
         unfrozen = tuple(int(k) - 1 for k in data.get("unfrozen", range(1, n + 1)))
         b = tuple(tuple(int(x) for x in row) for row in data["B"])
         lam = data.get("Lambda")
+        lam = None if lam is None else tuple(tuple(int(x) for x in row) for row in lam)
         d = data.get("D")
+        d = None if d is None else tuple(int(x) for x in d)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"seed file field error: {exc}")
-    if lam is None:
-        try:
-            lam, found_d = find_compatible_lambda(b, unfrozen)
-        except (ValueError, NoCompatibleLambda) as exc:
-            raise UsageError(f"cannot synthesize a compatible skew form: {exc}")
-        d = d or found_d
-        synthesized = True
-    else:
-        lam = tuple(tuple(int(x) for x in row) for row in lam)
-        synthesized = False
-        if d is None:
-            bt_lam = [
-                [sum(b[i][r] * lam[i][j] for i in range(n)) for j in range(n)]
-                for r in range(len(unfrozen))
-            ]
-            d = [bt_lam[r][k] for r, k in enumerate(unfrozen)]
+    if len(b) != n:
+        raise UsageError(f"B has {len(b)} rows, expected n = {n}")
     try:
-        seed = QuantumSeed(n, unfrozen, b, lam, tuple(int(x) for x in d))
-    except ValueError as exc:
+        return make_seed(b, lam, unfrozen, d), lam is None
+    except IncompatiblePair as exc:
+        raise IncompatibleFile(f"seed file is not a compatible pair: {exc}") from exc
+    except (ValueError, NoCompatibleLambda) as exc:
         raise UsageError(f"bad seed data: {exc}")
-    if require_compatible:
-        ok, diag = check_compatible(seed)
-        if not ok:
-            raise UsageError(f"seed file is not a compatible pair: {diag}")
-    return seed, synthesized
 
 
 def parse_word(text, seed):
@@ -95,13 +81,16 @@ def print_seed(seed):
 
 
 def cmd_check(args):
-    seed, synthesized = load_seed(args.seed_file, require_compatible=False)
-    ok, diag = check_compatible(seed)
+    try:
+        seed, synthesized = load_seed(args.seed_file)
+    except IncompatibleFile as exc:
+        print(f"incompatible: {exc.__cause__}")
+        return 1
     if synthesized:
         print("Lambda synthesized:")
         print_seed(seed)
-    print("compatible" if ok else f"incompatible: {diag}")
-    return 0 if ok else 1
+    print("compatible")
+    return 0
 
 
 def cmd_mutate(args):

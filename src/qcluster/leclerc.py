@@ -27,10 +27,6 @@ from .pointed import Bidegree, PointedSet
 from .qtorus import QTElem, VCoeff, twisted_mul, unit_vec, vec_add
 
 
-class DuplicateDegreeConflict(RuntimeError):
-    """Two distinct candidate elements claimed the same (co)degree key."""
-
-
 _MISS = object()
 
 
@@ -87,12 +83,6 @@ class CandidateBasis:
 
     def degree_keys(self):
         return sorted(self.by_degree)
-
-    def pointed_set(self):
-        return PointedSet(dict(self.by_degree))
-
-    def copointed_set(self):
-        return PointedSet(dict(self.by_codegree))
 
     # -- on-demand resolution of elements by (co)degree in any torus --
 

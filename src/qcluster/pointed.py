@@ -125,20 +125,6 @@ def bidegree(seed, z):
     return Bidegree(d, c)
 
 
-def is_pointed(seed, z, g=None):
-    d = degree(seed, z)
-    if d is None or (g is not None and d != g):
-        return False
-    return z.terms[d].is_one()
-
-
-def is_copointed(seed, z, eta=None):
-    c = codegree(seed, z)
-    if c is None or (eta is not None and c != eta):
-        return False
-    return z.terms[c].is_one()
-
-
 def normalize_deg(seed, z):
     """Divide by the leading coefficient, which must be a unit +-v**a."""
     g = degree(seed, z)

@@ -99,9 +99,6 @@ class VCoeff:
     def min_exp(self):
         return min(self._c)
 
-    def max_exp(self):
-        return max(self._c)
-
     def exact_div(self, other):
         """Quotient self/other in the coefficient ring, or None if inexact."""
         if not other:
@@ -167,14 +164,6 @@ def vec_add(a, b):
 
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_neg(a):
-    return tuple(-x for x in a)
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 def unit_vec(n, i):
@@ -317,15 +306,6 @@ def twisted_mul(a, b, lam):
             c = (c1 * c2).shift(lam_pair(lam, m1, m2))
             t[m] = t.get(m, VCoeff.zero()) + c
     return QTElem(a.dim, t)
-
-
-def twisted_power(a, k, lam):
-    if k < 0:
-        raise ValueError("negative twisted power")
-    acc = QTElem.one(a.dim)
-    for _ in range(k):
-        acc = twisted_mul(acc, a, lam)
-    return acc
 
 
 def exact_divide(numerator, divisor, lam):

@@ -12,8 +12,9 @@ Vertices are 0-based throughout the library; the CLI converts to the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from . import _linalg
 from .qtorus import QTElem, unit_vec
@@ -25,6 +26,14 @@ class IncompatibleResult(RuntimeError):
 
 class NoCompatibleLambda(LookupError):
     """No skew form completing the exchange matrix was found in the search bound."""
+
+
+class IncompatiblePair(ValueError):
+    """B^T Lambda = (D 0) fails; the message is check_compatible's diagnostic."""
+
+
+# Largest diagonal entry of D that Lambda synthesis tries.
+D_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -161,66 +170,124 @@ def opposite_seed(seed):
     return QuantumSeed(seed.n, seed.unfrozen, negb, negl, seed.D)
 
 
-@lru_cache(maxsize=None)
-def _skew_basis(n):
-    """Index pairs (i, j), i < j, parametrizing skew n x n matrices."""
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+def _lambda_solver(btilde, unfrozen):
+    """dvec -> integer skew Lambda with B^T Lambda = (diag(dvec) 0), or None.
+
+    Raises ValueError if btilde is not n x |unfrozen| over distinct
+    vertices, or not of full column rank.
+    """
+    n = len(btilde)
+    nuf = len(unfrozen)
+    if (len(set(unfrozen)) != nuf or any(not 0 <= k < n for k in unfrozen)
+            or any(len(row) != nuf for row in btilde)):
+        raise ValueError("B must be n x |unfrozen| over distinct unfrozen vertices")
+    if _linalg.rank(btilde) != nuf:
+        raise ValueError("exchange matrix must have full column rank")
+    # unknowns: Lambda[a][b] = -Lambda[b][a] for a < b; one equation per
+    # (unfrozen column r, vertex j) of B^T Lambda = (D 0)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    mat = tuple(
+        tuple((btilde[a][r] if b == j else 0) - (btilde[b][r] if a == j else 0)
+              for a, b in pairs)
+        for r in range(nuf) for j in range(n))
+
+    def solve(dvec):
+        rhs = tuple(dvec[r] if j == unfrozen[r] else 0 for r in range(nuf) for j in range(n))
+        x = _linalg.solve_integer(mat, rhs)
+        if x is None:
+            return None
+        upper = dict(zip(pairs, x))
+        return tuple(tuple(upper.get((i, j), 0) - upper.get((j, i), 0) for j in range(n))
+                     for i in range(n))
+
+    return solve
 
 
-def find_compatible_lambda(btilde, unfrozen=None, d_max=8):
-    """Search a skew integer Lambda and positive diagonal D for btilde.
+def _minimal_symmetrizers(principal):
+    """Minimal positive integer d with d_i b_ij = -d_j b_ji, per component.
 
-    Candidate diagonals are scanned in lexicographic order with entries
-    in 1..d_max; for each one the linear system on the skew entries is
-    solved over the integers. Returns (Lambda, D) for the first hit.
+    Returns one (vertices, d0 over those vertices) per connected
+    component of the principal part, in order of smallest vertex.
+    Raises NoCompatibleLambda when no positive symmetrizer exists.
+    """
+    nuf = len(principal)
+    ratio = [None] * nuf
+    components = []
+    for root in range(nuf):
+        if ratio[root] is not None:
+            continue
+        ratio[root], members = Fraction(1), [root]
+        for i in members:
+            for j in range(nuf):
+                bij, bji = principal[i][j], principal[j][i]
+                if bij == bji == 0:
+                    continue
+                want = ratio[i] * -bij / bji if bij * bji < 0 else None
+                if want is not None and ratio[j] is None:
+                    ratio[j] = want
+                    members.append(j)
+                elif want is None or ratio[j] != want:
+                    raise NoCompatibleLambda(
+                        f"principal part is not skew-symmetrizable at ({i}, {j})")
+        scale = lcm(*(ratio[i].denominator for i in members))
+        d0 = [int(ratio[i] * scale) for i in members]
+        components.append((members, [x // gcd(*d0) for x in d0]))
+    return components
 
-    Raises ValueError if btilde is not of full column rank, and
-    NoCompatibleLambda when the bounded search is exhausted.
+
+def find_compatible_lambda(btilde, unfrozen=None):
+    """Synthesize a skew integer Lambda and positive diagonal D for btilde.
+
+    B^T Lambda = (D 0) forces D times the principal part of btilde (its
+    rows at the unfrozen vertices) to be skew-symmetric, which fixes D
+    up to one positive integer multiple of a minimal symmetrizer per
+    connected component. Those multiples with every entry <= D_MAX are
+    tried in lexicographic order of D, one integer solve each, and the
+    first hit is returned as (Lambda, D).
+
+    Raises ValueError if btilde is malformed or not of full column rank,
+    and NoCompatibleLambda when the principal part is not skew-symmetrizable
+    or no multiple within the bound admits an integer Lambda.
+    """
+    nuf = len(btilde[0]) if btilde else 0
+    unfrozen = tuple(range(nuf)) if unfrozen is None else tuple(unfrozen)
+    solve = _lambda_solver(btilde, unfrozen)
+    components = _minimal_symmetrizers([btilde[k] for k in unfrozen])
+    ranges = [range(1, D_MAX // max(d0) + 1) for _, d0 in components]
+    for multiples in product(*ranges):
+        dvec = [0] * nuf
+        for (members, d0), c in zip(components, multiples):
+            for i, x in zip(members, d0):
+                dvec[i] = c * x
+        lam = solve(dvec)
+        if lam is not None:
+            return lam, tuple(dvec)
+    raise NoCompatibleLambda(f"no compatible skew form with diagonal entries <= {D_MAX}")
+
+
+def make_seed(btilde, lam=None, unfrozen=None, d=None):
+    """Construct a checked QuantumSeed; the one place Lambda and D are derived.
+
+    Without lam and d, both are synthesized by find_compatible_lambda.
+    With d alone, Lambda is solved for exactly that D (NoCompatibleLambda
+    if there is none). With lam alone, D is read off B^T Lambda.
+
+    Raises IncompatiblePair when the resulting pair fails
+    check_compatible, and ValueError on malformed input.
     """
     n = len(btilde)
     nuf = len(btilde[0]) if n else 0
     unfrozen = tuple(range(nuf)) if unfrozen is None else tuple(unfrozen)
-    if _linalg.rank(btilde) != nuf:
-        raise ValueError("exchange matrix must have full column rank")
-    pairs = _skew_basis(n)
-    # rows: one equation per (unfrozen row r, vertex j) of B^T Lambda = (D 0)
-    rows = []
-    targets = []
-    for r in range(nuf):
-        for j in range(n):
-            row = [0] * len(pairs)
-            for idx, (a, b) in enumerate(pairs):
-                # Lambda[a][b] = x_idx, Lambda[b][a] = -x_idx
-                if b == j:
-                    row[idx] += btilde[a][r]
-                if a == j:
-                    row[idx] -= btilde[b][r]
-            rows.append(tuple(row))
-            targets.append((r, j))
-    mat = tuple(rows)
-    for dvec in product(range(1, d_max + 1), repeat=nuf):
-        rhs = tuple(
-            dvec[r] if j == unfrozen[r] else 0 for (r, j) in targets
-        )
-        x = _linalg.solve_integer(mat, rhs)
-        if x is None:
-            continue
-        lam = [[0] * n for _ in range(n)]
-        for idx, (a, b) in enumerate(pairs):
-            lam[a][b] = x[idx]
-            lam[b][a] = -x[idx]
-        return tuple(tuple(row) for row in lam), dvec
-    raise NoCompatibleLambda(f"no compatible skew form with diagonal entries <= {d_max}")
-
-
-def make_seed(btilde, lam=None, unfrozen=None, d=None):
-    """Construct a checked QuantumSeed, synthesizing Lambda/D when absent."""
-    n = len(btilde)
-    nuf = len(btilde[0]) if n else 0
-    unfrozen = tuple(range(nuf)) if unfrozen is None else tuple(unfrozen)
     btilde = tuple(tuple(row) for row in btilde)
-    if lam is None:
+    if lam is None and d is None:
         lam, d = find_compatible_lambda(btilde, unfrozen)
+    elif lam is None:
+        d = tuple(d)
+        if len(d) != len(unfrozen):
+            raise ValueError("D must have one entry per unfrozen vertex")
+        lam = _lambda_solver(btilde, unfrozen)(d)
+        if lam is None:
+            raise NoCompatibleLambda(f"no compatible skew form for D = {list(d)}")
     else:
         lam = tuple(tuple(row) for row in lam)
         if d is None:
@@ -229,7 +296,7 @@ def make_seed(btilde, lam=None, unfrozen=None, d=None):
     seed = QuantumSeed(n, unfrozen, btilde, lam, tuple(d))
     ok, diag = check_compatible(seed)
     if not ok:
-        raise ValueError(f"not a compatible pair: {diag}")
+        raise IncompatiblePair(diag)
     return seed
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from . import pointed
 from .expansion import ExchangeGraph
 from .qtorus import QTElem, pos_part, twisted_mul, unit_vec, vec_sub
-from .seed import mutate_seed
 
 
 class FrozenFactorNotFrozen(RuntimeError):
@@ -58,20 +57,6 @@ def trop_codeg(seed, k, g):
         bik = seed.B[i][ck]
         out.append(g[i] - bik * max(gk, 0) if bik <= 0 else g[i] - bik * max(-gk, 0))
     return tuple(out)
-
-
-def trop_deg_word(seed, word, g):
-    for k in word:
-        g = trop_deg(seed, k, g)
-        seed = mutate_seed(seed, k)
-    return g
-
-
-def trop_codeg_word(seed, word, g):
-    for k in word:
-        g = trop_codeg(seed, k, g)
-        seed = mutate_seed(seed, k)
-    return g
 
 
 def phi(graph: ExchangeGraph, a_key, b_key, g):
@@ -272,21 +257,17 @@ def proj_element(graph: ExchangeGraph, sd: ShiftData, eta) -> QTElem:
     return pointed.normalize_codeg(s, twisted_mul(body, QTElem.monomial(u), lam))
 
 
-@dataclass(frozen=True)
-class DistinguishedSet:
-    kind: str
-    elements: dict
+def distinguished_set(graph, sd, kind, keys):
+    """Materialize Inj/Proj elements for finitely many (co)degrees.
 
-
-def distinguished_set(graph, sd, kind, keys) -> DistinguishedSet:
-    """Materialize Inj/Proj elements for finitely many (co)degrees."""
+    Returns {(co)degree: element}."""
     if kind == "inj":
         elems = {tuple(g): inj_element(graph, sd, tuple(g)) for g in keys}
     elif kind == "proj":
         elems = {tuple(g): proj_element(graph, sd, tuple(g)) for g in keys}
     else:
         raise ValueError("kind must be 'inj' or 'proj'")
-    return DistinguishedSet(kind=kind, elements=elems)
+    return elems
 
 
 def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:

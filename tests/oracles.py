@@ -2,13 +2,19 @@
 
 Everything here deliberately avoids the library's own solvers: dominance
 is brute-forced over a bounded exponent box, and cluster expansions are
-recomputed classically (v = 1) with sympy rational arithmetic.
+recomputed classically (v = 1) with sympy rational arithmetic. The one
+exception is the Lambda reference search, which reuses the library's
+integer solver so that it picks the same particular solution: what it
+checks is which diagonals D are tried, and in which order.
 """
 from __future__ import annotations
 
 from itertools import product
 
 import sympy as sp
+
+from qcluster import _linalg
+from qcluster.seed import NoCompatibleLambda
 
 
 def brute_dominance_leq(b_matrix, unfrozen, gp, g, bound=6):
@@ -125,3 +131,41 @@ def v1_dict(elem):
         if total:
             out[m] = total
     return out
+
+
+def scan_compatible_lambda(btilde, unfrozen=None, d_max=8):
+    """Reference Lambda synthesis: try every diagonal D in 1..d_max.
+
+    Scans all d_max**|unfrozen| diagonals in lexicographic order and
+    solves B^T Lambda = (D 0) over the integers for each; returns
+    (Lambda, D) for the first hit. Raises ValueError if btilde is not of
+    full column rank and NoCompatibleLambda when the scan is exhausted.
+    """
+    n = len(btilde)
+    nuf = len(btilde[0]) if n else 0
+    unfrozen = tuple(range(nuf)) if unfrozen is None else tuple(unfrozen)
+    if _linalg.rank(btilde) != nuf:
+        raise ValueError("exchange matrix must have full column rank")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rows, targets = [], []
+    for r in range(nuf):
+        for j in range(n):
+            row = [0] * len(pairs)
+            for idx, (a, b) in enumerate(pairs):
+                if b == j:
+                    row[idx] += btilde[a][r]
+                if a == j:
+                    row[idx] -= btilde[b][r]
+            rows.append(tuple(row))
+            targets.append((r, j))
+    for dvec in product(range(1, d_max + 1), repeat=nuf):
+        rhs = tuple(dvec[r] if j == unfrozen[r] else 0 for (r, j) in targets)
+        x = _linalg.solve_integer(tuple(rows), rhs)
+        if x is None:
+            continue
+        lam = [[0] * n for _ in range(n)]
+        for idx, (a, b) in enumerate(pairs):
+            lam[a][b] = x[idx]
+            lam[b][a] = -x[idx]
+        return tuple(tuple(row) for row in lam), dvec
+    raise NoCompatibleLambda(f"no compatible skew form with diagonal entries <= {d_max}")

@@ -5,14 +5,13 @@ lines. Every assertion is exact equality; the budgets are wall-clock.
 """
 import random
 import time
-from itertools import product
 
 import pytest
 
 from conftest import a2_gold
 from qcluster import opposite_seed
 from qcluster.expansion import mutate_tracked
-from qcluster.leclerc import CandidateBasis, default_r_specs, verify_theorem
+from qcluster.leclerc import CandidateBasis, default_r_specs, monomial_r_specs, verify_theorem
 from qcluster.pointed import (
     Bidegree,
     bidegree,
@@ -133,26 +132,11 @@ def test_criterion_3_structural_suites(a2_graph, b2_graph, a3_graph, pa2_graph):
     _report(3, "structural suites on A2/B2/A3/principal-A2", t0, 30.0)
 
 
-def _distinct_monomial_specs(graph, cap):
-    specs = {}
-    uf = graph.reference.unfrozen
-    for key in graph.order:
-        ts = graph.nodes[key]
-        for mu in product(range(cap + 1), repeat=len(uf)):
-            m = [0] * ts.seed.n
-            for k, e in zip(uf, mu):
-                m[k] = e
-            m = tuple(m)
-            d = degree(graph.reference, graph.monomial_in(key, m, graph.order[0]))
-            specs.setdefault(d, (key, m))
-    return list(specs.values())
-
-
 def test_criterion_4_tropical_suites(a2_graph, b2_graph, a3_graph):
     t0 = time.perf_counter()
     rng = random.Random(2024)
     for graph in (a2_graph, b2_graph, a3_graph):
-        for key, m in _distinct_monomial_specs(graph, 2):
+        for key, m in monomial_r_specs(graph, 2):
             assert check_compatibly_pointed(graph, key, m)
             assert check_compatibly_copointed(graph, key, m)
         down = detect_shift(graph, graph.order[0], -1)

@@ -48,6 +48,21 @@ def test_check_synthesizes_lambda(b2_file_no_lambda, capsys):
     assert "D=[1, 2]" in out
 
 
+def test_check_honors_d_without_lambda(tmp_path, capsys):
+    p = tmp_path / "b2d.json"
+    p.write_text(json.dumps({"n": 2, "B": [[0, -2], [1, 0]], "D": [2, 4]}))
+    assert main(["check", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "Lambda=[[0, -2], [2, 0]]" in out
+    assert "D=[2, 4]" in out
+
+
+def test_check_unsolvable_d_is_usage_error(tmp_path):
+    p = tmp_path / "b2d.json"
+    p.write_text(json.dumps({"n": 2, "B": [[0, -2], [1, 0]], "D": [5, 5]}))
+    assert main(["check", str(p)]) == 2
+
+
 def test_mutate(a2_file, capsys):
     assert main(["mutate", a2_file, "--word", "1"]) == 0
     out = capsys.readouterr().out
@@ -168,6 +183,17 @@ def test_unsynthesizable_lambda_is_usage_error(tmp_path):
                       "B": [[0, -1, 0], [1, 0, -1], [0, 1, 0]]}
     p = tmp_path / "a3free.json"
     p.write_text(json.dumps(rank_deficient))
+    assert main(["check", str(p)]) == 2
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 3, "B": [[0, -1], [1, 0]]},                  # n disagrees with B
+    {"n": 2, "unfrozen": [1, 3], "B": [[0, -1], [1, 0]]},  # vertex out of range
+    {"n": 2, "B": [[0, -1], [1]]},                      # ragged B
+])
+def test_malformed_seed_is_usage_error(tmp_path, data):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
     assert main(["check", str(p)]) == 2
 
 

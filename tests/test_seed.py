@@ -1,7 +1,11 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import A2_B, A2_LAMBDA, A3_B, B2_B, B2_LAMBDA
 from qcluster import (
     QuantumSeed,
@@ -11,10 +15,11 @@ from qcluster import (
     mutate_seed,
     opposite_seed,
     p_star,
+    principal_framing,
     y_variable,
 )
 from qcluster.qtorus import QTElem, unit_vec
-from qcluster.seed import NoCompatibleLambda
+from qcluster.seed import IncompatiblePair, NoCompatibleLambda
 
 
 def test_a2_compatible(a2_seed):
@@ -144,3 +149,92 @@ class TestFindCompatibleLambda:
     def test_make_seed_synthesizes(self):
         s = make_seed(B2_B)
         assert s.Lambda == B2_LAMBDA and s.D == (1, 2)
+
+    def test_non_symmetrizable_rejected(self):
+        # b_01 and b_10 share a sign, so no positive D makes D B skew
+        with pytest.raises(NoCompatibleLambda):
+            find_compatible_lambda(((0, 1), (1, 0), (1, 0), (0, 1)))
+
+    def test_frozen_rows_force_a_multiple(self):
+        # the minimal symmetrizer is (1,), but B^T Lambda = (D 0) needs D even
+        lam, d = find_compatible_lambda(((0,), (2,)))
+        assert d == (2,) and lam == ((0, -1), (1, 0))
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_c_chain_principal_framing(self, m):
+        b = [[0] * m for _ in range(m)]
+        for i in range(m - 1):
+            b[i + 1][i], b[i][i + 1] = 1, -1
+        b[m - 1][m - 2] = 2
+        t0 = time.perf_counter()
+        s = principal_framing(b)
+        assert time.perf_counter() - t0 < 5.0
+        assert s.D == (2,) * (m - 1) + (1,)
+
+
+class TestMakeSeed:
+    def test_honors_given_d(self):
+        s = make_seed(B2_B, d=(2, 4))
+        assert s.D == (2, 4)
+        assert s.Lambda == ((0, -2), (2, 0))
+
+    def test_unsolvable_d(self):
+        with pytest.raises(NoCompatibleLambda):
+            make_seed(B2_B, d=(5, 5))
+
+    def test_d_of_wrong_length(self):
+        with pytest.raises(ValueError):
+            make_seed(B2_B, d=(1,))
+
+    def test_derives_d_from_lambda(self):
+        assert make_seed(B2_B, B2_LAMBDA).D == (1, 2)
+
+    def test_incompatible_pair(self):
+        with pytest.raises(IncompatiblePair):
+            make_seed(A2_B, ((0, 0), (0, 0)), d=(1, 1))
+
+
+@st.composite
+def exchange_matrices(draw):
+    """(btilde, unfrozen) with at most three unfrozen vertices.
+
+    The principal part is either skew-symmetrizable by a drawn D or
+    arbitrary; the frozen rows are either a principal framing or
+    arbitrary; the vertices are then shuffled.
+    """
+    nuf = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    if draw(st.booleans()):
+        d = draw(st.lists(st.integers(1, 3), min_size=nuf, max_size=nuf))
+        principal = [[0] * nuf for _ in range(nuf)]
+        for i in range(nuf):
+            for j in range(i + 1, nuf):
+                # (D B)_ij = s = -(D B)_ji, with s a multiple of lcm(d_i, d_j)
+                s = draw(small) * d[i] * d[j]
+                principal[i][j], principal[j][i] = s // d[i], -s // d[j]
+    else:
+        principal = draw(st.lists(st.lists(small, min_size=nuf, max_size=nuf),
+                                  min_size=nuf, max_size=nuf))
+    if draw(st.booleans()):
+        frozen = [list(unit_vec(nuf, i)) for i in range(nuf)]
+    else:
+        frozen = draw(st.lists(st.lists(small, min_size=nuf, max_size=nuf), max_size=2))
+    rows = principal + frozen
+    order = draw(st.permutations(range(len(rows))))
+    btilde = [None] * len(rows)
+    for old, new in enumerate(order):
+        btilde[new] = tuple(rows[old])
+    return tuple(btilde), tuple(order[:nuf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(exchange_matrices())
+def test_synthesis_matches_exhaustive_scan(case):
+    btilde, unfrozen = case
+    try:
+        want = oracles.scan_compatible_lambda(btilde, unfrozen)
+    except (ValueError, NoCompatibleLambda) as exc:
+        with pytest.raises(type(exc)):
+            find_compatible_lambda(btilde, unfrozen)
+    else:
+        assert find_compatible_lambda(btilde, unfrozen) == want

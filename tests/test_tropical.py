@@ -187,9 +187,9 @@ def test_distinguished_sets(a2_graph):
     keys = list(product(range(-1, 2), repeat=2))
     inj = distinguished_set(a2_graph, up, "inj", keys)
     proj = distinguished_set(a2_graph, down, "proj", keys)
-    assert inj.kind == "inj" and len(inj.elements) == 9
-    assert inj.elements[(-1, 0)] == a2_gold("I1")
-    assert proj.elements[(0, -1)] == a2_gold("P2")
+    assert len(inj) == 9
+    assert inj[(-1, 0)] == a2_gold("I1")
+    assert proj[(0, -1)] == a2_gold("P2")
     with pytest.raises(ValueError):
         distinguished_set(a2_graph, up, "nope", keys)
 
