@@ -164,24 +164,50 @@ def _verdict_json(v):
     return out
 
 
+def parse_scope(text):
+    """'all' -> None, 'sample:N' -> N (an int), 'i,j,...' -> set of indices."""
+    if text == "all":
+        return None
+    sample = text.startswith("sample:")
+    try:
+        if sample:
+            value = int(text.split(":", 1)[1])
+        else:
+            value = {int(x) for x in text.split(",")}
+    except ValueError:
+        raise UsageError(f"bad --scope {text!r}: expected 'all', 'sample:N' or R indices")
+    if sample and value < 1:
+        raise UsageError(f"bad --scope {text!r}: sample size must be positive")
+    return value
+
+
+def select_r_specs(r_specs, scope, rng_seed):
+    """The R specs a parsed --scope asks for; every index must exist."""
+    if scope is None:
+        return r_specs
+    if isinstance(scope, int):
+        rng = random.Random(rng_seed)
+        return rng.sample(r_specs, min(scope, len(r_specs)))
+    bad = sorted(i for i in scope if not 0 <= i < len(r_specs))
+    if bad:
+        raise UsageError(f"R index {bad[0]} out of range: there are {len(r_specs)} R specs "
+                         f"(0..{len(r_specs) - 1})")
+    return [rs for i, rs in enumerate(r_specs) if i in scope]
+
+
 def cmd_leclerc(args):
+    for flag, value in (("--cap", args.cap), ("--frozen-window", args.frozen_window)):
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
+    scope = parse_scope(args.scope)
     seed, _ = load_seed(args.seed_file)
     graph = build_exchange_graph(seed, node_cap=args.node_cap)
     if graph.truncated:
         print(f"not finite type within cap {args.node_cap}; no report written")
         return 1
+    r_specs = select_r_specs(leclerc.default_r_specs(graph), scope, args.rng_seed)
     basis = leclerc.CandidateBasis(graph, unfrozen_cap=args.cap,
                                    frozen_window=args.frozen_window)
-    r_specs = leclerc.default_r_specs(graph)
-    if args.scope == "all":
-        pass
-    elif args.scope.startswith("sample:"):
-        rng = random.Random(args.rng_seed)
-        count = int(args.scope.split(":", 1)[1])
-        r_specs = rng.sample(r_specs, min(count, len(r_specs)))
-    else:
-        wanted = {int(x) for x in args.scope.split(",")}
-        r_specs = [rs for i, rs in enumerate(r_specs) if i in wanted]
     report = leclerc.verify_theorem(basis, r_specs=r_specs)
     node_ids = {key: i for i, key in enumerate(graph.order)}
     pairs = []

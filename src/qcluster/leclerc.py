@@ -3,10 +3,14 @@
 The candidate basis of a finite-type graph is the set of normalized
 localized cluster monomials, keyed by degree (and, mirrored, by
 codegree). Eager enumeration up to an exponent cap supplies the sweep
-lists; decompositions additionally resolve basis elements on demand for
-any degree inside a finite dominance window, by inverting the linear
-map that sends a node's exponent vectors to degrees. Two distinct
-elements sharing a key are recorded as conflicts, never merged.
+lists. Past the cap, elements are resolved on lookup: window_set hands
+decompositions a lazy view of a dominance window, and an element is
+resolved only when a decomposition pivot or a codegree lookup reaches
+its key, through the integer inverse of the linear map that sends a
+node's exponent vectors to (co)degrees. Two distinct elements sharing a
+key are recorded as conflicts, never merged; conflicts are recorded for
+every enumerated key and every resolved key, so window points that no
+lookup reaches are never checked.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -20,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import lcm
 
 from . import _linalg, pointed
 from .expansion import ExchangeGraph, cluster_monomial
-from .pointed import Bidegree, PointedSet
+from .pointed import Bidegree
 from .qtorus import QTElem, VCoeff, twisted_mul, unit_vec, vec_add
 
 
@@ -86,16 +91,25 @@ class CandidateBasis:
 
     # -- on-demand resolution of elements by (co)degree in any torus --
 
-    def _inverse_map(self, cache, home_key, torus_key, extremal):
-        hit = cache.get((home_key, torus_key))
-        if hit is not None:
-            return hit
+    def _inverse_map(self, home_key, torus_key, co):
+        """Integer inverse of m -> (co)degree of home's X^m in torus_key.
+
+        Returns (num, den) with num = den * M^-1 and den > 0, where column
+        j of M is the (co)degree of home's j-th variable in the torus; None
+        when M is singular. Computed once per (home, torus) pair.
+        """
+        cache = self._codeg_inv if co else self._deg_inv
+        key = (home_key, torus_key)
+        if key in cache:
+            return cache[key]
+        extremal = pointed.codegree if co else pointed.degree
         torus_seed = self.graph.nodes[torus_key].seed
         cols = [extremal(torus_seed, z) for z in self.graph.vars_in(home_key, torus_key)]
-        n = torus_seed.n
-        mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        inv = _linalg.invert(mat)
-        cache[(home_key, torus_key)] = inv
+        inv = _linalg.invert(_linalg.transpose(cols))
+        if inv is not None:
+            den = lcm(*(f.denominator for row in inv for f in row))
+            inv = (tuple(tuple(int(f * den) for f in row) for row in inv), den)
+        cache[key] = inv
         return inv
 
     def _resolve(self, torus_key, g, co):
@@ -104,17 +118,17 @@ class CandidateBasis:
         if hit is not None:
             return None if hit is _MISS else hit
         extremal = pointed.codegree if co else pointed.degree
-        inv_cache = self._codeg_inv if co else self._deg_inv
         torus_seed = self.graph.nodes[torus_key].seed
         found = None
         for home_key in self.graph.order:
-            inv = self._inverse_map(inv_cache, home_key, torus_key, extremal)
+            inv = self._inverse_map(home_key, torus_key, co)
             if inv is None:
                 continue
-            m = [sum(row[j] * g[j] for j in range(len(g))) for row in inv]
-            if any(x.denominator != 1 for x in m):
+            num, den = inv
+            m = _linalg.mat_vec(num, g)
+            if any(x % den for x in m):
                 continue
-            m = tuple(int(x) for x in m)
+            m = tuple(x // den for x in m)
             home_seed = self.graph.nodes[home_key].seed
             if any(m[i] < 0 for i in home_seed.unfrozen):
                 continue
@@ -138,15 +152,35 @@ class CandidateBasis:
         hit = self._resolve(torus_key, tuple(eta), co=True)
         return None if hit is None else hit[1]
 
-    def window_set(self, torus_key, window: Bidegree, co=False) -> PointedSet:
-        """Every resolvable element keyed inside the dominance window."""
-        torus_seed = self.graph.nodes[torus_key].seed
-        elems = {}
-        for g in pointed.interval(torus_seed, window.codeg, window.deg):
-            got = self.element_at_codegree(torus_key, g) if co else self.element_at_degree(torus_key, g)
-            if got is not None:
-                elems[g] = got
-        return PointedSet(elems)
+    def window_set(self, torus_key, window: Bidegree, co=False) -> WindowView:
+        """The elements keyed inside the dominance window, as a lazy view.
+
+        Nothing is resolved here: the view's get(g) is None for g outside
+        [window.codeg, window.deg] and otherwise resolves g on the spot
+        (by codegree when co), so only the keys a decomposition or a
+        codegree lookup reaches are ever resolved.
+        """
+        return WindowView(self, torus_key, window, co)
+
+
+@dataclass(frozen=True)
+class WindowView:
+    """Degree- (or codegree-) keyed basis elements of one torus inside a
+    dominance window, resolved on lookup; a drop-in for a PointedSet."""
+
+    basis: CandidateBasis
+    torus_key: object
+    window: Bidegree
+    co: bool = False
+
+    def get(self, g):
+        seed = self.basis.graph.nodes[self.torus_key].seed
+        if not (pointed.dominance_leq(seed, self.window.codeg, g)
+                and pointed.dominance_leq(seed, g, self.window.deg)):
+            return None
+        if self.co:
+            return self.basis.element_at_codegree(self.torus_key, g)
+        return self.basis.element_at_degree(self.torus_key, g)
 
 
 @dataclass

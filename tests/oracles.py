@@ -5,7 +5,9 @@ is brute-forced over a bounded exponent box, and cluster expansions are
 recomputed classically (v = 1) with sympy rational arithmetic. The one
 exception is the Lambda reference search, which reuses the library's
 integer solver so that it picks the same particular solution: what it
-checks is which diagonals D are tried, and in which order.
+checks is which diagonals D are tried, and in which order. Likewise the
+eager window reuses the basis's own lookups: what it checks is which
+keys a lazy window answers for.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from itertools import product
 
 import sympy as sp
 
-from qcluster import _linalg
+from qcluster import _linalg, pointed
 from qcluster.seed import NoCompatibleLambda
 
 
@@ -169,3 +171,21 @@ def scan_compatible_lambda(btilde, unfrozen=None, d_max=8):
             lam[b][a] = -x[idx]
         return tuple(tuple(row) for row in lam), dvec
     raise NoCompatibleLambda(f"no compatible skew form with diagonal entries <= {d_max}")
+
+
+def eager_window(basis, torus_key, window, co=False):
+    """Reference window: every interval point resolved up front.
+
+    Returns {key: element} over the points of [window.codeg, window.deg]
+    that resolve to a basis element, looked up by degree (by codegree
+    when co). This is the dict CandidateBasis.window_set materialized
+    before its lookups became lazy.
+    """
+    seed = basis.graph.nodes[torus_key].seed
+    lookup = basis.element_at_codegree if co else basis.element_at_degree
+    out = {}
+    for g in pointed.interval(seed, window.codeg, window.deg):
+        elem = lookup(torus_key, g)
+        if elem is not None:
+            out[g] = elem
+    return out

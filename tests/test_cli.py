@@ -199,3 +199,24 @@ def test_malformed_seed_is_usage_error(tmp_path, data):
 
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("options", [
+    ["--cap", "-1"],                      # would build an empty basis
+    ["--frozen-window", "-1"],
+    ["--scope", "99"],                    # A2 has five R specs: no pair would run
+    ["--scope", "0,-1"],
+    ["--scope", "sample:-1"],             # used to exit 3 from random.sample
+    ["--scope", "sample:0"],
+    ["--scope", "first"],                 # used to exit 3 from int()
+    ["--scope", "sample:two"],
+])
+def test_leclerc_bad_options_are_usage_errors(a2_file, options, capsys):
+    assert main(["leclerc", a2_file, *options]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_leclerc_cap_zero_and_index_scope_ok(a2_file, capsys):
+    assert main(["leclerc", a2_file, "--cap", "0"]) == 0
+    assert "basis 1 elements" in capsys.readouterr().out
+    assert main(["leclerc", a2_file, "--cap", "1", "--scope", "4,0"]) == 0

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import A2_LAMBDA, a2_gold, elem
 from qcluster.qtorus import (
@@ -188,3 +190,45 @@ class TestExactDivide:
                 continue
             num = twisted_mul(q, d, A2_LAMBDA)
             assert exact_divide(num, d, A2_LAMBDA) == q
+
+
+@st.composite
+def torus_case(draw, count):
+    """A random skew form Lambda of dimension 2-4 and `count` elements."""
+    n = draw(st.integers(2, 4))
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lam[i][j] = draw(st.integers(-3, 3))
+            lam[j][i] = -lam[i][j]
+    exponent = st.tuples(*[st.integers(-2, 2)] * n)
+    coeff = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3)
+    elems = [
+        QTElem(n, {m: VCoeff(c) for m, c in draw(
+            st.dictionaries(exponent, coeff, max_size=3)).items()})
+        for _ in range(count)
+    ]
+    return tuple(tuple(row) for row in lam), elems
+
+
+class TestTwistedProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(torus_case(3))
+    def test_associative(self, case):
+        lam, (a, b, c) = case
+        assert twisted_mul(twisted_mul(a, b, lam), c, lam) == twisted_mul(
+            a, twisted_mul(b, c, lam), lam
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(torus_case(2))
+    def test_bar_reverses_products(self, case):
+        lam, (a, b) = case
+        assert twisted_mul(a, b, lam).bar() == twisted_mul(b.bar(), a.bar(), lam)
+
+    @settings(max_examples=80, deadline=None)
+    @given(torus_case(2))
+    def test_exact_divide_roundtrip(self, case):
+        lam, (q, d) = case
+        assume(d)
+        assert exact_divide(twisted_mul(q, d, lam), d, lam) == q
