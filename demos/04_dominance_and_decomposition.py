@@ -8,7 +8,6 @@ elements inside a finite window.
 """
 from qcluster import (
     Bidegree,
-    PointedSet,
     bidegree,
     build_exchange_graph,
     decompose,
@@ -37,10 +36,10 @@ x1 = QTElem.monomial((1, 0))
 prod = normalize_deg(a2, twisted_mul(x1, i2, a2.Lambda))
 print("normalized product [x1 * i2] =", prod)
 
-basis = PointedSet({
+basis = {
     (0, 0): QTElem.one(2),
     (1, -1): QTElem.monomial((1, -1)) + QTElem.monomial((0, -1)),
-})
+}
 window = Bidegree(deg=degree(a2, prod), codeg=(-1, 0))
 dec = decompose(a2, prod, basis, window)
 print("decomposition terms:")

@@ -37,7 +37,6 @@ from .pointed import (
     Bidegree,
     Decomposition,
     NonUnitLeading,
-    PointedSet,
     bidegree,
     codegree,
     decompose,

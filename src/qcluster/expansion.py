@@ -201,9 +201,6 @@ class ExchangeGraph:
                     nxt.append(key2)
             frontier = nxt
 
-    def node(self, key) -> TrackedSeed:
-        return self.nodes[key]
-
     def key_of_path(self, word):
         ts = apply_word(initial_tracked(self.reference), word)
         return degree_key(ts)

@@ -35,6 +35,15 @@ from .qtorus import QTElem, VCoeff, twisted_mul, unit_vec, vec_add
 _MISS = object()
 
 
+def _exponent_box(seed, cap, frozen_window):
+    """Exponent vectors with unfrozen entries in [0, cap] and frozen
+    entries in [-frozen_window, frozen_window], in lexicographic order."""
+    return product(*(
+        range(cap + 1) if i in seed.unfrozen else range(-frozen_window, frozen_window + 1)
+        for i in range(seed.n)
+    ))
+
+
 class CandidateBasis:
     """Normalized localized cluster monomials of a closed exchange graph."""
 
@@ -54,20 +63,11 @@ class CandidateBasis:
         self._resolved_co: dict = {}
         self._enumerate()
 
-    def _exponents(self, seed):
-        ranges = []
-        for i in range(seed.n):
-            if i in seed.unfrozen:
-                ranges.append(range(self.unfrozen_cap + 1))
-            else:
-                ranges.append(range(-self.frozen_window, self.frozen_window + 1))
-        return product(*ranges)
-
     def _enumerate(self):
         ref = self.graph.reference
         for key in self.graph.order:
             ts = self.graph.nodes[key]
-            for m in self._exponents(ts.seed):
+            for m in _exponent_box(ts.seed, self.unfrozen_cap, self.frozen_window):
                 elem = cluster_monomial(ts, m)
                 g = pointed.degree(ref, elem)
                 eta = pointed.codegree(ref, elem)
@@ -166,7 +166,8 @@ class CandidateBasis:
 @dataclass(frozen=True)
 class WindowView:
     """Degree- (or codegree-) keyed basis elements of one torus inside a
-    dominance window, resolved on lookup; a drop-in for a PointedSet."""
+    dominance window, resolved on lookup; decompose and decompose_co read
+    it through get, like a dict."""
 
     basis: CandidateBasis
     torus_key: object
@@ -407,12 +408,7 @@ def monomial_r_specs(graph: ExchangeGraph, cap, frozen_window=0):
     specs = {}
     for key in graph.order:
         ts = graph.nodes[key]
-        ranges = [
-            range(cap + 1) if i in ts.seed.unfrozen
-            else range(-frozen_window, frozen_window + 1)
-            for i in range(ts.seed.n)
-        ]
-        for m in product(*ranges):
+        for m in _exponent_box(ts.seed, cap, frozen_window):
             g = pointed.degree(graph.reference, cluster_monomial(ts, m))
             specs.setdefault(g, (key, m))
     return list(specs.values())

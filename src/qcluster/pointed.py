@@ -5,15 +5,17 @@ for some nonnegative integer vector n on the unfrozen vertices. Since B
 has full column rank, membership is decided by solving for the unique
 rational candidate n and checking integrality and sign.
 
-The degree (codegree) of a torus element is the unique dominance-maximal
-(minimal) exponent of its support, when there is one. An element is
-pointed (copointed) when the extremal coefficient is 1; normalization
-divides by a unit extremal coefficient.
+The degree of a torus element is the unique dominance-maximal exponent
+of its support, when there is one. An element is pointed when the
+leading coefficient is 1; normalization divides by a unit leading
+coefficient. decompose() peels a pointed element against a degree-keyed
+set of pointed elements, greedily eliminating a maximal support degree
+per step.
 
-decompose() peels a pointed element against a degree-keyed set of
-pointed elements, greedily eliminating a maximal support degree per
-step; the mirror decompose_co() works from the bottom against a
-codegree-keyed set.
+Only the degree side is implemented. Negating B and Lambda
+(seed.opposite_seed) reverses the dominance order, so codegrees,
+normalize_codeg and decompose_co are the degree-side computations in
+the opposite seed.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ from itertools import product
 from math import lcm
 
 from . import _linalg
-from .qtorus import QTElem, VCoeff, vec_add, vec_sub
+from .qtorus import QTElem, vec_add, vec_sub
+from .seed import opposite_seed
 
 
 class NonUnitLeading(ArithmeticError):
@@ -83,30 +86,30 @@ def _w_value(seed, m):
 
 def degree(seed, z):
     """Unique dominance-maximal support exponent, or None if not unique."""
-    return _extremal(seed, z, top=True)
+    return _extremal(seed, z)
 
 
 def codegree(seed, z):
-    """Unique dominance-minimal support exponent, or None if not unique."""
-    return _extremal(seed, z, top=False)
+    """Unique dominance-minimal support exponent, or None if not unique.
+
+    The degree in the opposite seed, computed without going through
+    degree() so that a codegree never counts as a degree call.
+    """
+    return _extremal(opposite_seed(seed), z)
 
 
-def _extremal(seed, z, top):
+def _extremal(seed, z):
     if not z:
         raise ValueError("zero element has no degree")
     supp = list(z.terms)
     vals = [_w_value(seed, m) for m in supp]
-    best = max(vals) if top else min(vals)
+    best = max(vals)
     cands = [m for m, v in zip(supp, vals) if v == best]
     if len(cands) > 1:
         return None
     g = cands[0]
-    for m in supp:
-        if m == g:
-            continue
-        ok = dominance_leq(seed, m, g) if top else dominance_leq(seed, g, m)
-        if not ok:
-            return None
+    if any(m != g and not dominance_leq(seed, m, g) for m in supp):
+        return None
     return g
 
 
@@ -138,13 +141,7 @@ def normalize_deg(seed, z):
 
 def normalize_codeg(seed, z):
     """Divide by the trailing coefficient, which must be a unit +-v**a."""
-    eta = codegree(seed, z)
-    if eta is None:
-        raise NonUnitLeading("element has no codegree to normalize at")
-    c = z.terms[eta]
-    if not c.is_unit():
-        raise NonUnitLeading(f"trailing coefficient {c} is not a unit")
-    return z.scale(c.unit_inverse())
+    return normalize_deg(opposite_seed(seed), z)
 
 
 def interval(seed, lo, hi):
@@ -161,16 +158,6 @@ def interval(seed, lo, hi):
     return sorted(set(out))
 
 
-@dataclass(frozen=True)
-class PointedSet:
-    """Finitely materialized degree-keyed (or codegree-keyed) elements."""
-
-    elements: dict
-
-    def get(self, g):
-        return self.elements.get(g)
-
-
 @dataclass
 class Decomposition:
     terms: list = field(default_factory=list)
@@ -181,54 +168,30 @@ class Decomposition:
     def is_exact(self):
         return self.status == "exact"
 
-    def coefficient(self, g):
-        for key, c in self.terms:
-            if key == g:
-                return c
-        return VCoeff.zero()
+
+def _maximal_support(seed, supp):
+    """Dominance-maximal elements of a finite exponent set."""
+    return [m for m in supp
+            if not any(mp != m and dominance_leq(seed, m, mp) for mp in supp)]
 
 
-def _maximal_support(seed, supp, top):
-    """Dominance-maximal (or minimal) elements of a finite exponent set."""
-    out = []
-    for m in supp:
-        beaten = False
-        for mp in supp:
-            if mp == m:
-                continue
-            if (top and dominance_leq(seed, m, mp)) or (not top and dominance_leq(seed, mp, m)):
-                beaten = True
-                break
-        if not beaten:
-            out.append(m)
-    return out
+def decompose(seed, z, basis, window: Bidegree, tie_break=None):
+    """Unitriangular expansion of z over degree-keyed pointed elements.
 
-
-def decompose(seed, z, basis: PointedSet, window: Bidegree, tie_break=None):
-    """Unitriangular expansion of z over a degree-keyed pointed set.
-
-    Greedy elimination from the top: each step removes one maximal
+    basis is any mapping whose get(g) returns the element keyed at g, or
+    None. Greedy elimination from the top: each step removes one maximal
     support degree, which must carry a basis element and stay inside
     [window.codeg, window.deg]. Ties between incomparable maxima break
     to the lexicographically smallest (tie_break overrides the choice;
     the resulting term multiset is order-independent). Failures are
     reported in the status, never raised.
     """
-    return _decompose(seed, z, basis, window, co=False, tie_break=tie_break)
-
-
-def decompose_co(seed, z, basis: PointedSet, window: Bidegree, tie_break=None):
-    """Mirror of decompose: eliminates minimal support codegrees."""
-    return _decompose(seed, z, basis, window, co=True, tie_break=tie_break)
-
-
-def _decompose(seed, z, basis, window, co, tie_break=None):
     terms = []
     r = z
     for _ in range(DECOMPOSE_ITERATION_CAP):
         if not r:
             return Decomposition(terms=terms, status="exact")
-        pivots = _maximal_support(seed, list(r.terms), top=not co)
+        pivots = _maximal_support(seed, list(r.terms))
         g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
         inside = dominance_leq(seed, window.codeg, g) and dominance_leq(seed, g, window.deg)
         if not inside:
@@ -248,6 +211,14 @@ def _decompose(seed, z, basis, window, co, tie_break=None):
     return Decomposition(terms=terms, status="indeterminate", reason="iteration cap hit")
 
 
+def decompose_co(seed, z, basis, window: Bidegree, tie_break=None):
+    """Mirror of decompose: eliminates minimal support codegrees against
+    codegree-keyed copointed elements. It is decompose in the opposite
+    seed, where the window's two ends trade places."""
+    flipped = Bidegree(deg=window.codeg, codeg=window.deg)
+    return decompose(opposite_seed(seed), z, basis, flipped, tie_break)
+
+
 def is_m_unitriangular(decomp: Decomposition, pivot):
     """Pivot coefficient 1 and every other coefficient with v-exponents <= -1."""
     if not decomp.is_exact:
@@ -263,7 +234,7 @@ def is_m_unitriangular(decomp: Decomposition, pivot):
     return seen_pivot
 
 
-def recompose(decomp: Decomposition, basis: PointedSet, dim):
+def recompose(decomp: Decomposition, basis, dim):
     """Sum coefficient * basis element; the oracle inverse of decompose."""
     acc = QTElem.zero(dim)
     for g, c in decomp.terms:

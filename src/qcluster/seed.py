@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
 from . import _linalg
-from .qtorus import QTElem, unit_vec
+from .qtorus import QTElem, lam_pair, unit_vec
 
 
 class IncompatibleResult(RuntimeError):
@@ -77,9 +78,7 @@ class QuantumSeed:
         return self.D[self.col(k)]
 
     def lam(self, m, mp):
-        return sum(
-            mi * sum(l * mj for l, mj in zip(row, mp)) for mi, row in zip(m, self.Lambda)
-        )
+        return lam_pair(self.Lambda, m, mp)
 
 
 def check_compatible(seed):
@@ -163,8 +162,13 @@ def y_variable(seed, nvec) -> QTElem:
     return QTElem.monomial(p_star(seed, nvec))
 
 
+@lru_cache(maxsize=None)
 def opposite_seed(seed):
-    """Negate both matrices; compatibility is preserved with the same D."""
+    """Negate both matrices; compatibility is preserved with the same D.
+
+    The dominance order of the result is the reverse of the seed's, so
+    it carries every codegree-side computation; cached per seed.
+    """
     negb = tuple(tuple(-x for x in row) for row in seed.B)
     negl = tuple(tuple(-x for x in row) for row in seed.Lambda)
     return QuantumSeed(seed.n, seed.unfrozen, negb, negl, seed.D)

@@ -3,9 +3,10 @@
 trop_deg / trop_codeg are the piecewise-linear coordinate changes that
 degrees and codegrees of well-behaved elements undergo across one
 mutation; composing them along a route between two graph nodes gives
-the general transformation. psi_matrix is the linear map sending each
-unit vector to the degree of the matching variable expanded in the
-other node's torus.
+the general transformation. Codegrees are degrees in the opposite seed
+(seed.opposite_seed), so trop_codeg is trop_deg there. psi_matrix is
+the linear map sending each unit vector to the degree of the matching
+variable expanded in the other node's torus.
 
 A node t is shift-detectable in direction +1 when some node t' carries,
 for every unfrozen k, a variable whose expansion in t's torus has
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import pointed
+from . import _linalg, pointed
 from .expansion import ExchangeGraph
 from .qtorus import QTElem, pos_part, twisted_mul, unit_vec, vec_sub
+from .seed import opposite_seed
 
 
 class FrozenFactorNotFrozen(RuntimeError):
@@ -46,17 +48,9 @@ def trop_deg(seed, k, g):
 
 
 def trop_codeg(seed, k, g):
-    """Codegree tropical transformation across the mutation at k."""
-    ck = seed.col(k)
-    gk = g[k]
-    out = []
-    for i in range(seed.n):
-        if i == k:
-            out.append(-gk)
-            continue
-        bik = seed.B[i][ck]
-        out.append(g[i] - bik * max(gk, 0) if bik <= 0 else g[i] - bik * max(-gk, 0))
-    return tuple(out)
+    """Codegree tropical transformation across the mutation at k: the
+    degree transformation of the opposite seed."""
+    return trop_deg(opposite_seed(seed), k, g)
 
 
 def phi(graph: ExchangeGraph, a_key, b_key, g):
@@ -81,10 +75,6 @@ def psi_matrix(graph: ExchangeGraph, a_key, b_key):
         raise RuntimeError("cross-expansion without a degree")
     n = graph.reference.n
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def apply_matrix(mat, g):
-    return tuple(sum(row[j] * g[j] for j in range(len(g))) for row in mat)
 
 
 @dataclass(frozen=True)
@@ -286,7 +276,7 @@ def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:
     pointed_side = d is not None and z_s.terms[d].is_one()
     if not copointed:
         return not pointed_side
-    return pointed_side and d == apply_matrix(psi, eta)
+    return pointed_side and d == _linalg.mat_vec(psi, eta)
 
 
 def check_swap_order(graph: ExchangeGraph, sd: ShiftData, eta, g) -> bool:
@@ -297,7 +287,7 @@ def check_swap_order(graph: ExchangeGraph, sd: ShiftData, eta, g) -> bool:
     s_seed = graph.nodes[sd.target].seed
     psi = psi_matrix(graph, sd.base, sd.target)
     lhs = pointed.dominance_leq(t_seed, eta, g)
-    rhs = pointed.dominance_leq(s_seed, apply_matrix(psi, g), apply_matrix(psi, eta))
+    rhs = pointed.dominance_leq(s_seed, _linalg.mat_vec(psi, g), _linalg.mat_vec(psi, eta))
     return lhs == rhs
 
 
@@ -312,8 +302,8 @@ def check_trop_commute(graph: ExchangeGraph, t_key, tp_key, samples) -> bool:
     psi_t = psi_matrix(graph, sd_t.target, t_key)
     psi_tp = psi_matrix(graph, sd_tp.target, tp_key)
     for g in samples:
-        lhs = phi(graph, t_key, tp_key, apply_matrix(psi_t, g))
-        rhs = apply_matrix(psi_tp, phi_op(graph, sd_t.target, sd_tp.target, g))
+        lhs = phi(graph, t_key, tp_key, _linalg.mat_vec(psi_t, g))
+        rhs = _linalg.mat_vec(psi_tp, phi_op(graph, sd_t.target, sd_tp.target, g))
         if lhs != rhs:
             return False
     return True
@@ -321,31 +311,20 @@ def check_trop_commute(graph: ExchangeGraph, t_key, tp_key, samples) -> bool:
 
 def check_compatibly_pointed(graph: ExchangeGraph, home_key, m) -> bool:
     """Degrees of one cluster monomial transform by phi between all nodes."""
-    degs = {}
-    for key in graph.order:
-        z = graph.monomial_in(home_key, m, key)
-        d = pointed.degree(graph.nodes[key].seed, z)
-        if d is None:
-            return False
-        degs[key] = d
-    for a in graph.order:
-        for b in graph.order:
-            if degs[b] != phi(graph, a, b, degs[a]):
-                return False
-    return True
+    return _transforms_between_nodes(graph, home_key, m, pointed.degree, phi)
 
 
 def check_compatibly_copointed(graph: ExchangeGraph, home_key, m) -> bool:
     """Codegrees of one cluster monomial transform by phi_op between nodes."""
-    cods = {}
+    return _transforms_between_nodes(graph, home_key, m, pointed.codegree, phi_op)
+
+
+def _transforms_between_nodes(graph, home_key, m, extremal, transport):
+    ends = {}
     for key in graph.order:
-        z = graph.monomial_in(home_key, m, key)
-        c = pointed.codegree(graph.nodes[key].seed, z)
-        if c is None:
+        e = extremal(graph.nodes[key].seed, graph.monomial_in(home_key, m, key))
+        if e is None:
             return False
-        cods[key] = c
-    for a in graph.order:
-        for b in graph.order:
-            if cods[b] != phi_op(graph, a, b, cods[a]):
-                return False
-    return True
+        ends[key] = e
+    return all(ends[b] == transport(graph, a, b, ends[a])
+               for a in graph.order for b in graph.order)

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from qcluster import build_exchange_graph, make_seed, principal_framing
+from qcluster import build_exchange_graph, make_seed, mutate_seed, principal_framing
 from qcluster.qtorus import QTElem, VCoeff
 
 A2_B = ((0, -1), (1, 0))
@@ -78,3 +79,27 @@ def pa2_graph(pa2_seed):
 @pytest.fixture(scope="session")
 def a3_graph(a3_seed):
     return build_exchange_graph(a3_seed)
+
+
+@st.composite
+def skew_symmetrizable_matrices(draw, nuf):
+    """A nuf x nuf integer matrix B with D B skew-symmetric for a drawn
+    positive diagonal D with entries up to 3."""
+    d = draw(st.lists(st.integers(1, 3), min_size=nuf, max_size=nuf))
+    principal = [[0] * nuf for _ in range(nuf)]
+    for i in range(nuf):
+        for j in range(i + 1, nuf):
+            # (D B)_ij = s = -(D B)_ji, with s a multiple of lcm(d_i, d_j)
+            s = draw(st.integers(-2, 2)) * d[i] * d[j]
+            principal[i][j], principal[j][i] = s // d[i], -s // d[j]
+    return principal
+
+
+@st.composite
+def principal_framings(draw, max_rank=3, max_word=2):
+    """The principal framing of a random skew-symmetrizable matrix of
+    rank 1..max_rank, mutated along a random word of length <= max_word."""
+    seed = principal_framing(draw(skew_symmetrizable_matrices(draw(st.integers(1, max_rank)))))
+    for k in draw(st.lists(st.sampled_from(seed.unfrozen), max_size=max_word)):
+        seed = mutate_seed(seed, k)
+    return seed

@@ -7,7 +7,10 @@ exception is the Lambda reference search, which reuses the library's
 integer solver so that it picks the same particular solution: what it
 checks is which diagonals D are tried, and in which order. Likewise the
 eager window reuses the basis's own lookups: what it checks is which
-keys a lazy window answers for.
+keys a lazy window answers for, and the codegree-side references reuse
+the dominance test in the seed itself: what they check is that the
+library's codegree side, computed in the opposite seed, matches a
+direct scan from the bottom.
 """
 from __future__ import annotations
 
@@ -189,3 +192,65 @@ def eager_window(basis, torus_key, window, co=False):
         if elem is not None:
             out[g] = elem
     return out
+
+
+def minimal_support(seed, supp):
+    """Dominance-minimal elements of a finite exponent set, in seed itself."""
+    return [m for m in supp
+            if not any(mp != m and pointed.dominance_leq(seed, mp, m) for mp in supp)]
+
+
+def direct_codegree(seed, z):
+    """Reference codegree: the unique dominance-minimal support exponent.
+
+    A finite poset with exactly one minimal element has it as its
+    minimum, so this is None exactly when there is no minimum.
+    """
+    lows = minimal_support(seed, list(z.terms))
+    return lows[0] if len(lows) == 1 else None
+
+
+def direct_decompose_co(seed, z, basis, window, tie_break=None):
+    """Reference co-decomposition, scanned from the bottom in seed itself.
+
+    Each step removes one minimal support exponent, which must stay inside
+    [window.codeg, window.deg] and carry a codegree-keyed basis element;
+    ties break to the lexicographically smallest (or to tie_break).
+    """
+    terms = []
+    r = z
+    for _ in range(pointed.DECOMPOSE_ITERATION_CAP):
+        if not r:
+            return pointed.Decomposition(terms=terms, status="exact")
+        lows = minimal_support(seed, list(r.terms))
+        g = min(lows) if tie_break is None else tie_break(sorted(lows))
+        if not (pointed.dominance_leq(seed, window.codeg, g)
+                and pointed.dominance_leq(seed, g, window.deg)):
+            return pointed.Decomposition(
+                terms=terms, status="indeterminate",
+                reason=f"support degree {g} escapes the window")
+        elem = basis.get(g)
+        if elem is None:
+            return pointed.Decomposition(
+                terms=terms, status="indeterminate",
+                reason=f"no basis element keyed at {g}")
+        c = r.terms[g]
+        terms.append((g, c))
+        r = r - elem.scale(c)
+    return pointed.Decomposition(
+        terms=terms, status="indeterminate", reason="iteration cap hit")
+
+
+def direct_trop_codeg(seed, k, g):
+    """Reference codegree tropical transformation across the mutation at k."""
+    ck = seed.col(k)
+    out = []
+    for i in range(seed.n):
+        bik = seed.B[i][ck]
+        if i == k:
+            out.append(-g[k])
+        elif bik <= 0:
+            out.append(g[i] - bik * max(g[k], 0))
+        else:
+            out.append(g[i] - bik * max(-g[k], 0))
+    return tuple(out)

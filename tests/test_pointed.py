@@ -1,14 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import a2_gold, elem
+from conftest import a2_gold, elem, principal_framings
 from qcluster import opposite_seed
+from qcluster._linalg import mat_vec
 from qcluster.pointed import (
     Bidegree,
     NonUnitLeading,
-    PointedSet,
     bidegree,
     codegree,
     decompose,
@@ -22,7 +24,7 @@ from qcluster.pointed import (
     normalize_deg,
     recompose,
 )
-from qcluster.qtorus import QTElem, VCoeff, twisted_mul
+from qcluster.qtorus import QTElem, VCoeff, twisted_mul, vec_add, vec_sub
 
 
 def rand_vec(rng, n, lo=-4, hi=4):
@@ -143,25 +145,25 @@ def test_normalize_non_unit_leading(a2_seed):
 
 
 def _a2_basis():
-    return PointedSet({
+    return {
         (0, 0): QTElem.one(2),
         (1, 0): a2_gold("X1"),
         (0, 1): a2_gold("X2"),
         (1, -1): a2_gold("P2"),
         (0, -1): a2_gold("P1"),
         (-1, 0): a2_gold("I1"),
-    })
+    }
 
 
 def _a2_cobasis():
-    return PointedSet({
+    return {
         (0, 0): QTElem.one(2),
         (1, 0): a2_gold("X1"),
         (0, 1): a2_gold("X2"),
         (0, -1): a2_gold("P2"),
         (-1, 0): a2_gold("P1"),
         (-1, 1): a2_gold("I1"),
-    })
+    }
 
 
 def test_decompose_golden(a2_seed):
@@ -197,7 +199,7 @@ def test_decompose_co_golden(a2_seed):
 
 
 def test_decompose_missing_basis_element(a2_seed):
-    basis = PointedSet({(1, -1): a2_gold("P2")})
+    basis = {(1, -1): a2_gold("P2")}
     z = a2_gold("[X1*I2]")
     d = decompose(a2_seed, z, basis, Bidegree(deg=(1, -1), codeg=(-1, 0)))
     assert not d.is_exact
@@ -231,3 +233,95 @@ def test_is_m_unitriangular_rejects_positive_exponents():
     assert not is_m_unitriangular(d, (1, 0))
     d2 = Decomposition(terms=[((1, 0), VCoeff.one())])
     assert is_m_unitriangular(d2, (1, 0))
+
+
+# -- the codegree side, computed in the opposite seed, against direct scans --
+
+_COEFF = st.builds(
+    lambda e, c: VCoeff({e: c}), st.integers(-2, 2), st.sampled_from((-2, -1, 1, 2)))
+
+
+def _exponents(seed):
+    return st.tuples(*[st.integers(-2, 2)] * seed.n)
+
+
+def _steps(seed):
+    return st.tuples(*[st.integers(0, 2)] * len(seed.unfrozen))
+
+
+@st.composite
+def seeded_elements(draw):
+    """A random principal framing and a small element of its torus: a few
+    exponents on one side of a base point in dominance order, plus at
+    most one arbitrary exponent."""
+    seed = draw(principal_framings())
+    base = draw(_exponents(seed))
+    side = draw(st.sampled_from((1, -1)))
+    exps = [base]
+    for n in draw(st.lists(_steps(seed), max_size=3)):
+        exps.append(vec_add(base, tuple(side * x for x in mat_vec(seed.B, n))))
+    exps += draw(st.lists(_exponents(seed), max_size=1))
+    return seed, QTElem(seed.n, {m: draw(_COEFF) for m in exps})
+
+
+class CopointedFamily:
+    """Codegree-keyed copointed elements X^g + v^-1 X^(g - B e_k), with the
+    unfrozen column k picked from g, and none at the missing keys;
+    resolved on lookup, like a window."""
+
+    def __init__(self, seed, missing=()):
+        self.seed = seed
+        self.missing = set(missing)
+
+    def member(self, g):
+        col = sum(g) % len(self.seed.unfrozen)
+        tail = tuple(x - row[col] for x, row in zip(g, self.seed.B))
+        return QTElem(self.seed.n, {g: VCoeff.one(), tail: VCoeff({-1: 1})})
+
+    def get(self, g):
+        return None if g in self.missing else self.member(g)
+
+
+@st.composite
+def co_decompositions(draw):
+    """(seed, z, basis, window): z combines family members keyed inside the
+    window, with coefficient 1 at its bottom, plus at most one stray
+    monomial; at most one of those keys may be missing from the basis."""
+    seed = draw(principal_framings())
+    codeg = draw(_exponents(seed))
+    box = draw(_steps(seed))
+    window = Bidegree(deg=vec_sub(codeg, mat_vec(seed.B, box)), codeg=codeg)
+    inside = st.tuples(*(st.integers(0, b) for b in box))
+    keys = [codeg] + [vec_sub(codeg, mat_vec(seed.B, n))
+                      for n in draw(st.lists(inside, max_size=3))]
+    basis = CopointedFamily(seed, draw(st.sets(st.sampled_from(keys), max_size=1)))
+    z = basis.member(codeg)
+    for g in keys[1:]:
+        z = z + basis.member(g).scale(draw(_COEFF))
+    for m in draw(st.lists(_exponents(seed), max_size=1)):
+        z = z + QTElem.monomial(m, draw(_COEFF))
+    return seed, z, basis, window
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_elements())
+def test_codegree_matches_direct_scan(case):
+    seed, z = case
+    eta = oracles.direct_codegree(seed, z)
+    assert codegree(seed, z) == eta
+    if eta is not None and z.terms[eta].is_unit():
+        assert normalize_codeg(seed, z) == z.scale(z.terms[eta].unit_inverse())
+    else:
+        with pytest.raises(NonUnitLeading):
+            normalize_codeg(seed, z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(co_decompositions(), st.booleans())
+def test_decompose_co_matches_direct_scan(case, largest_first):
+    seed, z, basis, window = case
+    tie_break = (lambda keys: keys[-1]) if largest_first else None
+    got = decompose_co(seed, z, basis, window, tie_break)
+    assert got == oracles.direct_decompose_co(seed, z, basis, window, tie_break)
+    if got.is_exact:
+        assert recompose(got, basis, seed.n) == z

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import A2_B, A2_LAMBDA, A3_B, B2_B, B2_LAMBDA
+from conftest import (
+    A2_B,
+    A2_LAMBDA,
+    A3_B,
+    B2_B,
+    B2_LAMBDA,
+    principal_framings,
+    skew_symmetrizable_matrices,
+)
 from qcluster import (
     QuantumSeed,
     check_compatible,
@@ -205,13 +213,7 @@ def exchange_matrices(draw):
     nuf = draw(st.integers(1, 3))
     small = st.integers(-2, 2)
     if draw(st.booleans()):
-        d = draw(st.lists(st.integers(1, 3), min_size=nuf, max_size=nuf))
-        principal = [[0] * nuf for _ in range(nuf)]
-        for i in range(nuf):
-            for j in range(i + 1, nuf):
-                # (D B)_ij = s = -(D B)_ji, with s a multiple of lcm(d_i, d_j)
-                s = draw(small) * d[i] * d[j]
-                principal[i][j], principal[j][i] = s // d[i], -s // d[j]
+        principal = draw(skew_symmetrizable_matrices(nuf))
     else:
         principal = draw(st.lists(st.lists(small, min_size=nuf, max_size=nuf),
                                   min_size=nuf, max_size=nuf))
@@ -238,3 +240,25 @@ def test_synthesis_matches_exhaustive_scan(case):
             find_compatible_lambda(btilde, unfrozen)
     else:
         assert find_compatible_lambda(btilde, unfrozen) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(principal_framings(), st.data())
+def test_mutation_is_an_involution(seed, data):
+    k = data.draw(st.sampled_from(seed.unfrozen))
+    assert mutate_seed(mutate_seed(seed, k), k) == seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(principal_framings(), st.data())
+def test_mutation_commutes_with_opposite(seed, data):
+    k = data.draw(st.sampled_from(seed.unfrozen))
+    assert opposite_seed(mutate_seed(seed, k)) == mutate_seed(opposite_seed(seed), k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(principal_framings())
+def test_opposite_is_an_involution(seed):
+    op = opposite_seed(seed)
+    assert op != seed and opposite_seed(op) == seed
+    assert check_compatible(op)[0]

@@ -2,15 +2,18 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import a2_gold
+import oracles
+from conftest import a2_gold, principal_framings
 from qcluster import opposite_seed
+from qcluster._linalg import mat_vec
 from qcluster.expansion import build_exchange_graph
 from qcluster.pointed import Bidegree, codegree, decompose, degree, is_m_unitriangular
 from qcluster.qtorus import QTElem, twisted_mul, unit_vec
 from qcluster.tropical import (
     ShiftNotFound,
-    apply_matrix,
     check_compatibly_copointed,
     check_compatibly_pointed,
     check_swap,
@@ -66,6 +69,14 @@ def test_trop_codeg_is_conjugated_trop_deg(a2_seed, b2_seed, a3_seed):
             assert trop_codeg(s, k, g) == trop_deg(op, k, g)
 
 
+@settings(max_examples=100, deadline=None)
+@given(principal_framings(), st.data())
+def test_trop_codeg_matches_direct_formula(seed, data):
+    k = data.draw(st.sampled_from(seed.unfrozen))
+    g = data.draw(st.tuples(*[st.integers(-4, 4)] * seed.n))
+    assert trop_codeg(seed, k, g) == oracles.direct_trop_codeg(seed, k, g)
+
+
 def test_psi_identity_and_invertibility(a2_graph, b2_graph):
     from qcluster import _linalg
 
@@ -91,7 +102,7 @@ def test_psi_adjacent_composition(a2_graph, b2_graph):
             fwd = psi_matrix(graph, t0, b)
             back = psi_matrix(graph, b, t0)
             for i in range(s.n):
-                got = apply_matrix(back, apply_matrix(fwd, unit_vec(s.n, i)))
+                got = mat_vec(back, mat_vec(fwd, unit_vec(s.n, i)))
                 if i != k:
                     assert got == unit_vec(s.n, i)
                 else:
@@ -149,7 +160,7 @@ def test_psi_sends_shift_units_to_negatives(a2_graph):
     up = detect_shift(a2_graph, t0, 1)
     psi = psi_matrix(a2_graph, up.target, t0)
     for k in a2_graph.reference.unfrozen:
-        img = apply_matrix(psi, unit_vec(2, up.sigma[k]))
+        img = mat_vec(psi, unit_vec(2, up.sigma[k]))
         assert img == tuple(-x for x in unit_vec(2, k))
 
 
