@@ -21,7 +21,6 @@ from .seed import (
     opposite_seed,
     p_star,
     principal_framing,
-    y_variable,
 )
 from .expansion import (
     ExchangeGraph,

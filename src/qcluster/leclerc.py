@@ -4,13 +4,18 @@ The candidate basis of a finite-type graph is the set of normalized
 localized cluster monomials, keyed by degree (and, mirrored, by
 codegree). Eager enumeration up to an exponent cap supplies the sweep
 lists. Past the cap, elements are resolved on lookup: window_set hands
-decompositions a lazy view of a dominance window, and an element is
-resolved only when a decomposition pivot or a codegree lookup reaches
-its key, through the integer inverse of the linear map that sends a
-node's exponent vectors to (co)degrees. Two distinct elements sharing a
-key are recorded as conflicts, never merged; conflicts are recorded for
-every enumerated key and every resolved key, so window points that no
-lookup reaches are never checked.
+decompositions a lazy view of one torus's keys, which decompose keeps
+inside its dominance window, and an element is resolved only when a
+decomposition pivot or a codegree lookup reaches its key, through the
+integer inverse of the linear map that sends a node's exponent vectors
+to (co)degrees. A cluster monomial on a face
+shared by several nodes' g-vector cones is found from each of them; it
+is identified by the reference degrees and exponents of its factors and
+expanded once, and the other nodes' factors are compared with the first
+node's instead. Two distinct elements sharing a key, or a repeated
+identity whose factors differ, are recorded as conflicts, never merged;
+conflicts are recorded for every enumerated key and every resolved key,
+so window points that no lookup reaches are never checked.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -61,6 +66,7 @@ class CandidateBasis:
         self._codeg_inv: dict = {}
         self._resolved: dict = {}
         self._resolved_co: dict = {}
+        self._ref_degs: dict = {}
         self._enumerate()
 
     def _enumerate(self):
@@ -112,14 +118,39 @@ class CandidateBasis:
         cache[key] = inv
         return inv
 
+    def _reference_degrees(self, key):
+        """Reference-torus degrees of a node's variables, in its order."""
+        degs = self._ref_degs.get(key)
+        if degs is None:
+            degs = self._ref_degs[key] = self.graph.variable_degrees(key)
+        return degs
+
+    def _factors(self, home_key, m, torus_key):
+        """home's variables at m's nonzero positions, expanded in the torus
+        and keyed by reference degree."""
+        degs = self._reference_degrees(home_key)
+        xs = self.graph.vars_in(home_key, torus_key)
+        return {degs[i]: xs[i] for i, x in enumerate(m) if x}
+
     def _resolve(self, torus_key, g, co):
+        """The element keyed at g in the torus, with its provenance.
+
+        Every home whose integer inverse gives a valid m names a candidate
+        cluster monomial. Its identity is the sorted (reference degree,
+        exponent) pairs over m's nonzero entries; only a new identity is
+        expanded. A repeated identity is the same product of the same
+        factors, which is checked instead of the expansion: a factor that
+        differs is a conflict, as is a distinct element at the key.
+        """
         cache = self._resolved_co if co else self._resolved
         hit = cache.get((torus_key, g))
         if hit is not None:
             return None if hit is _MISS else hit
+        kind = "codegree" if co else "degree"
         extremal = pointed.codegree if co else pointed.degree
         torus_seed = self.graph.nodes[torus_key].seed
         found = None
+        seen = {}
         for home_key in self.graph.order:
             inv = self._inverse_map(home_key, torus_key, co)
             if inv is None:
@@ -132,15 +163,21 @@ class CandidateBasis:
             home_seed = self.graph.nodes[home_key].seed
             if any(m[i] < 0 for i in home_seed.unfrozen):
                 continue
+            degs = self._reference_degrees(home_key)
+            identity = tuple(sorted((degs[i], x) for i, x in enumerate(m) if x))
+            first = seen.get(identity)
+            if first is not None:
+                if self._factors(*first, torus_key) != self._factors(home_key, m, torus_key):
+                    self.conflicts.append((kind, g, first, (home_key, m)))
+                continue
+            seen[identity] = (home_key, m)
             elem = self.graph.monomial_in(home_key, m, torus_key)
             if extremal(torus_seed, elem) != g:
                 continue
             if found is None:
                 found = ((home_key, m), elem)
             elif found[1] != elem:
-                self.conflicts.append(
-                    ("codegree" if co else "degree", g, found[0], (home_key, m))
-                )
+                self.conflicts.append((kind, g, found[0], (home_key, m)))
         cache[(torus_key, g)] = _MISS if found is None else found
         return found
 
@@ -152,33 +189,28 @@ class CandidateBasis:
         hit = self._resolve(torus_key, tuple(eta), co=True)
         return None if hit is None else hit[1]
 
-    def window_set(self, torus_key, window: Bidegree, co=False) -> WindowView:
-        """The elements keyed inside the dominance window, as a lazy view.
+    def window_set(self, torus_key, co=False) -> WindowView:
+        """The elements keyed in one torus, as a lazy view for decompose.
 
-        Nothing is resolved here: the view's get(g) is None for g outside
-        [window.codeg, window.deg] and otherwise resolves g on the spot
+        Nothing is resolved here: the view's get(g) resolves g on the spot
         (by codegree when co), so only the keys a decomposition or a
-        codegree lookup reaches are ever resolved.
+        codegree lookup reaches are ever resolved. The view does not test
+        the window: decompose's n-box test keeps every lookup inside it.
         """
-        return WindowView(self, torus_key, window, co)
+        return WindowView(self, torus_key, co)
 
 
 @dataclass(frozen=True)
 class WindowView:
-    """Degree- (or codegree-) keyed basis elements of one torus inside a
-    dominance window, resolved on lookup; decompose and decompose_co read
-    it through get, like a dict."""
+    """Degree- (or codegree-) keyed basis elements of one torus, resolved
+    on lookup; decompose and decompose_co read it through get, like a
+    dict."""
 
     basis: CandidateBasis
     torus_key: object
-    window: Bidegree
     co: bool = False
 
     def get(self, g):
-        seed = self.basis.graph.nodes[self.torus_key].seed
-        if not (pointed.dominance_leq(seed, self.window.codeg, g)
-                and pointed.dominance_leq(seed, g, self.window.deg)):
-            return None
         if self.co:
             return self.basis.element_at_codegree(self.torus_key, g)
         return self.basis.element_at_degree(self.torus_key, g)
@@ -231,7 +263,7 @@ def _check_triangular(basis, t_key, co):
                 deg=vec_add(bid.deg, unit_vec(t_seed.n, i)),
                 codeg=vec_add(bid.codeg, unit_vec(t_seed.n, i)),
             )
-            pset = basis.window_set(t_key, window, co=co)
+            pset = basis.window_set(t_key, co=co)
             if co:
                 decomp = pointed.decompose_co(t_seed, prod, pset, window)
             else:
@@ -290,7 +322,7 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
         "h_matches_lambda": prod.coeff(bottom) == VCoeff.v_power(h),
     }
     window = Bidegree(deg=top, codeg=bottom)
-    pset = basis.window_set(r_home, window)
+    pset = basis.window_set(r_home)
     normalized = prod.vshift(-s)
     decomp = pointed.decompose(t_seed, normalized, pset, window)
     if not decomp.is_exact:

@@ -12,6 +12,13 @@ coefficient. decompose() peels a pointed element against a degree-keyed
 set of pointed elements, greedily eliminating a maximal support degree
 per step.
 
+decompose() works in n-coordinates, the separation-formula view X^g F(Y)
+of a pointed element (Fomin-Zelevinsky, Cluster algebras IV): every
+exponent at or below the window's top is top + B n for a unique n >= 0,
+and below the top g' <= g iff n(g') >= n(g) componentwise. So each
+support exponent is projected once per call, the maximal ones are the
+Pareto-minimal n, and the window is the box 0 <= n <= n(window bottom).
+
 Only the degree side is implemented. Negating B and Lambda
 (seed.opposite_seed) reverses the dominance order, so codegrees,
 normalize_codeg and decompose_co are the degree-side computations in
@@ -169,10 +176,25 @@ class Decomposition:
         return self.status == "exact"
 
 
-def _maximal_support(seed, supp):
-    """Dominance-maximal elements of a finite exponent set."""
-    return [m for m in supp
-            if not any(mp != m and dominance_leq(seed, m, mp) for mp in supp)]
+def _maximal_support(seed, supp, n_of):
+    """Dominance-maximal elements of a finite exponent set.
+
+    n_of maps each exponent to its n-coordinates below a common top, or
+    to None when it is not below the top. Below the top the maxima are
+    the Pareto-minimal n. An exponent not below the top is never
+    dominated by one below it, so only those few are compared pairwise:
+    among themselves, and against the maxima below the top.
+    """
+    below = sorted((sum(n_of[m]), n_of[m], m) for m in supp if n_of[m] is not None)
+    minima = []
+    for _, n, m in below:
+        # only a smaller sum can lie componentwise below n
+        if not any(all(a <= b for a, b in zip(o, n)) for o, _ in minima):
+            minima.append((n, m))
+    above = [m for m in supp if n_of[m] is None]
+    out = [m for _, m in minima if not any(dominance_leq(seed, m, q) for q in above)]
+    out += [q for q in above if not any(p != q and dominance_leq(seed, q, p) for p in above)]
+    return out
 
 
 def decompose(seed, z, basis, window: Bidegree, tie_break=None):
@@ -185,16 +207,26 @@ def decompose(seed, z, basis, window: Bidegree, tie_break=None):
     to the lexicographically smallest (tie_break overrides the choice;
     the resulting term multiset is order-independent). Failures are
     reported in the status, never raised.
+
+    Each support exponent is projected once per call onto its
+    n-coordinates below window.deg (residual terms persist across steps,
+    so the projections are kept); a pivot is inside the window iff its
+    n lies in the box [0, n_total], n_total the n of window.codeg.
     """
+    n_total = dominance_n(seed, window.codeg, window.deg)
+    n_of = {}
     terms = []
     r = z
     for _ in range(DECOMPOSE_ITERATION_CAP):
         if not r:
             return Decomposition(terms=terms, status="exact")
-        pivots = _maximal_support(seed, list(r.terms))
+        for m in r.terms:
+            if m not in n_of:
+                n_of[m] = dominance_n(seed, m, window.deg)
+        pivots = _maximal_support(seed, r.terms, n_of)
         g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
-        inside = dominance_leq(seed, window.codeg, g) and dominance_leq(seed, g, window.deg)
-        if not inside:
+        n = n_of[g]
+        if n is None or n_total is None or any(a > b for a, b in zip(n, n_total)):
             return Decomposition(
                 terms=terms, status="indeterminate",
                 reason=f"support degree {g} escapes the window",

@@ -14,6 +14,8 @@ coefficients are pruned at every step: equality is structural.
 """
 from __future__ import annotations
 
+from . import _linalg
+
 
 class NotDivisible(ArithmeticError):
     """Exact division in the quantum torus failed."""
@@ -297,13 +299,18 @@ class QTElem:
 
 
 def twisted_mul(a, b, lam):
-    """Twisted product for the skew form lam: bilinear in both arguments."""
+    """Twisted product for the skew form lam: bilinear in both arguments.
+
+    lam m2 is formed once per term of b, so each pairing lam_pair(lam,
+    m1, m2) is the single dot product m1 . (lam m2).
+    """
     a._check_dim(b)
+    right = [(m2, c2, _linalg.mat_vec(lam, m2)) for m2, c2 in b.terms.items()]
     t = {}
     for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+        for m2, c2, lam_m2 in right:
             m = vec_add(m1, m2)
-            c = (c1 * c2).shift(lam_pair(lam, m1, m2))
+            c = (c1 * c2).shift(sum(x * y for x, y in zip(m1, lam_m2)))
             t[m] = t.get(m, VCoeff.zero()) + c
     return QTElem(a.dim, t)
 

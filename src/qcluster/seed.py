@@ -18,7 +18,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import _linalg
-from .qtorus import QTElem, lam_pair, unit_vec
+from .qtorus import lam_pair, unit_vec
 
 
 class IncompatibleResult(RuntimeError):
@@ -156,10 +156,6 @@ def p_star(seed, nvec):
         raise ValueError("vector not supported on unfrozen vertices")
     restricted = tuple(nvec[k] for k in seed.unfrozen)
     return _linalg.mat_vec(seed.B, restricted)
-
-
-def y_variable(seed, nvec) -> QTElem:
-    return QTElem.monomial(p_star(seed, nvec))
 
 
 @lru_cache(maxsize=None)

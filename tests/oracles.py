@@ -10,7 +10,8 @@ eager window reuses the basis's own lookups: what it checks is which
 keys a lazy window answers for, and the codegree-side references reuse
 the dominance test in the seed itself: what they check is that the
 library's codegree side, computed in the opposite seed, matches a
-direct scan from the bottom.
+direct scan from the bottom, and that decomposition in n-coordinates
+matches the pairwise dominance scan it replaced.
 """
 from __future__ import annotations
 
@@ -194,6 +195,13 @@ def eager_window(basis, torus_key, window, co=False):
     return out
 
 
+def maximal_support(seed, supp):
+    """Dominance-maximal elements of a finite exponent set, by the pairwise
+    scan: one dominance test per ordered pair."""
+    return [m for m in supp
+            if not any(mp != m and pointed.dominance_leq(seed, m, mp) for mp in supp)]
+
+
 def minimal_support(seed, supp):
     """Dominance-minimal elements of a finite exponent set, in seed itself."""
     return [m for m in supp
@@ -210,20 +218,19 @@ def direct_codegree(seed, z):
     return lows[0] if len(lows) == 1 else None
 
 
-def direct_decompose_co(seed, z, basis, window, tie_break=None):
-    """Reference co-decomposition, scanned from the bottom in seed itself.
-
-    Each step removes one minimal support exponent, which must stay inside
-    [window.codeg, window.deg] and carry a codegree-keyed basis element;
-    ties break to the lexicographically smallest (or to tie_break).
-    """
+def _pairwise_decompose(seed, z, basis, window, tie_break, extremes):
+    """Greedy elimination by pairwise scans: each step removes one of the
+    extremes(seed, support) exponents, which must stay inside
+    [window.codeg, window.deg] (two dominance tests) and carry a basis
+    element; ties break to the lexicographically smallest (or to
+    tie_break)."""
     terms = []
     r = z
     for _ in range(pointed.DECOMPOSE_ITERATION_CAP):
         if not r:
             return pointed.Decomposition(terms=terms, status="exact")
-        lows = minimal_support(seed, list(r.terms))
-        g = min(lows) if tie_break is None else tie_break(sorted(lows))
+        pivots = extremes(seed, list(r.terms))
+        g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
         if not (pointed.dominance_leq(seed, window.codeg, g)
                 and pointed.dominance_leq(seed, g, window.deg)):
             return pointed.Decomposition(
@@ -239,6 +246,17 @@ def direct_decompose_co(seed, z, basis, window, tie_break=None):
         r = r - elem.scale(c)
     return pointed.Decomposition(
         terms=terms, status="indeterminate", reason="iteration cap hit")
+
+
+def direct_decompose(seed, z, basis, window, tie_break=None):
+    """Reference decomposition from the top, by pairwise dominance scans
+    (the elimination loop before it moved to n-coordinates)."""
+    return _pairwise_decompose(seed, z, basis, window, tie_break, maximal_support)
+
+
+def direct_decompose_co(seed, z, basis, window, tie_break=None):
+    """Reference co-decomposition, scanned from the bottom in seed itself."""
+    return _pairwise_decompose(seed, z, basis, window, tie_break, minimal_support)
 
 
 def direct_trop_codeg(seed, k, g):

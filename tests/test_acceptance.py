@@ -241,7 +241,7 @@ def test_criterion_6_oracle_cross_checks(a2_graph, b2_graph, a3_graph):
                     deg=tuple(a + b for a, b in zip(r_m, gamma)),
                     codeg=tuple(a + b for a, b in zip(r_m, eta)),
                 )
-                pset = basis.window_set(r_home, window)
+                pset = basis.window_set(r_home)
                 s_pow = t_seed.lam(r_m, gamma)
                 dec = decompose(t_seed, prod.vshift(-s_pow), pset, window)
                 assert dec.is_exact
@@ -260,7 +260,7 @@ def test_criterion_6_oracle_cross_checks(a2_graph, b2_graph, a3_graph):
         ("{P2*X2}", Bidegree(deg=(1, 0), codeg=(0, 0))),
     ):
         z = a2_gold(name)
-        pset = basis.window_set(t0_key, window, co=True)
+        pset = basis.window_set(t0_key, co=True)
         dec = decompose_co(ref, z, pset, window)
         assert dec.is_exact
         assert recompose(dec, pset, ref.n) == z

@@ -5,7 +5,7 @@ import oracles
 from qcluster import _linalg, pointed
 from qcluster.leclerc import CandidateBasis, default_r_specs
 from qcluster.pointed import Bidegree
-from qcluster.qtorus import unit_vec, vec_add, vec_sub
+from qcluster.qtorus import QTElem, unit_vec, vec_add, vec_sub
 
 
 def _sweep_windows(graph, basis):
@@ -35,20 +35,28 @@ def _codegree_windows(graph, basis):
     return sorted(windows, key=lambda w: (w[0], w[1].deg, w[1].codeg))
 
 
+def _assert_escapes(seed, z, g, view, window, co):
+    """z, whose first pivot is g, is refused before any lookup."""
+    decomp = (pointed.decompose_co if co else pointed.decompose)(seed, z, view, window)
+    assert decomp.terms == []
+    assert decomp.reason == f"support degree {g} escapes the window"
+
+
 def _assert_view_matches_eager(basis, windows, co):
     graph = basis.graph
     points = 0
     for torus_key, window in windows:
         seed = graph.nodes[torus_key].seed
-        view = basis.window_set(torus_key, window, co=co)
+        view = basis.window_set(torus_key, co=co)
         eager = oracles.eager_window(basis, torus_key, window, co=co)
         for g in pointed.interval(seed, window.codeg, window.deg):
             assert view.get(g) == eager.get(g), (torus_key, window, g)
             points += 1
-        # one step above the top and one step below the bottom
+        # decompose keeps the view inside the window: one step above the
+        # top and one step below the bottom escape it
         for col in zip(*seed.B):
-            assert view.get(vec_sub(window.deg, col)) is None
-            assert view.get(vec_add(window.codeg, col)) is None
+            for g in (vec_sub(window.deg, col), vec_add(window.codeg, col)):
+                _assert_escapes(seed, QTElem.monomial(g), g, view, window, co)
     assert not basis.conflicts
     return points
 
@@ -70,14 +78,15 @@ def test_lazy_codegree_window_matches_eager_a2(a2_graph):
 
 
 def test_outside_points_resolve_yet_stay_hidden(a2_graph):
-    # the point above the window is a basis degree: the view hides it
+    # the point above the window is a basis degree: decompose hides it
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
     t0 = a2_graph.order[0]
     seed = a2_graph.nodes[t0].seed
     window = Bidegree(deg=(1, -1), codeg=(0, -1))
     above = vec_sub(window.deg, next(zip(*seed.B)))
-    assert basis.element_at_degree(t0, above) is not None
-    assert basis.window_set(t0, window).get(above) is None
+    view = basis.window_set(t0)
+    assert view.get(above) is not None
+    _assert_escapes(seed, view.get(above), above, view, window, co=False)
 
 
 def test_integer_inverse_maps_a3(a3_graph):

@@ -56,6 +56,52 @@ def test_window_resolution_beyond_cap(a2_graph):
     assert basis.element_at_codegree(t0, (0, -1)) == a2_gold("P2")
 
 
+def _shared_variable(graph, torus):
+    """A variable held by two nodes: (its degree in the torus, and for each
+    of the two homes in graph order, (home, exponent of the variable))."""
+    degs = {key: graph.variable_degrees(key) for key in graph.order}
+    x = next(d for d in degs[graph.order[-1]]
+             if sum(d in row for row in degs.values()) == 2)
+    homes = [(key, unit_vec(len(degs[key]), degs[key].index(x)))
+             for key in graph.order if x in degs[key]]
+    first_home, first_m = homes[0]
+    elem = graph.monomial_in(first_home, first_m, torus)
+    return degree(graph.nodes[torus].seed, elem), homes
+
+
+def test_repeated_identity_is_expanded_once(a2_graph, monkeypatch):
+    t0 = a2_graph.order[0]
+    g, homes = _shared_variable(a2_graph, t0)
+    basis = CandidateBasis(a2_graph, unfrozen_cap=0)
+    calls = []
+    real = a2_graph.monomial_in
+    monkeypatch.setattr(a2_graph, "monomial_in", lambda *a: calls.append(a) or real(*a))
+    assert basis.element_at_degree(t0, g) is not None
+    assert calls == [(*homes[0], t0)]
+    assert not basis.conflicts
+
+
+def test_repeated_identity_factor_mismatch_is_a_conflict(a2_graph, monkeypatch):
+    t0 = a2_graph.order[0]
+    g, homes = _shared_variable(a2_graph, t0)
+    basis = CandidateBasis(a2_graph, unfrozen_cap=0)
+    for key in a2_graph.order:
+        basis._inverse_map(key, t0, co=False)
+    second, second_m = homes[1]
+    i = second_m.index(1)
+    real = a2_graph.vars_in
+
+    def skewed(home, torus):
+        xs = real(home, torus)
+        if home != second:
+            return xs
+        return tuple(x.vshift(1) if j == i else x for j, x in enumerate(xs))
+
+    monkeypatch.setattr(a2_graph, "vars_in", skewed)
+    assert basis.element_at_degree(t0, g) is not None
+    assert basis.conflicts == [("degree", g, homes[0], homes[1])]
+
+
 def test_degree_triangular_a2(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
     report = check_degree_triangular(basis, a2_graph.order[0])

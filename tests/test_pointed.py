@@ -24,7 +24,7 @@ from qcluster.pointed import (
     normalize_deg,
     recompose,
 )
-from qcluster.qtorus import QTElem, VCoeff, twisted_mul, vec_add, vec_sub
+from qcluster.qtorus import QTElem, VCoeff, twisted_mul, vec_add
 
 
 def rand_vec(rng, n, lo=-4, hi=4):
@@ -264,18 +264,20 @@ def seeded_elements(draw):
     return seed, QTElem(seed.n, {m: draw(_COEFF) for m in exps})
 
 
-class CopointedFamily:
-    """Codegree-keyed copointed elements X^g + v^-1 X^(g - B e_k), with the
-    unfrozen column k picked from g, and none at the missing keys;
-    resolved on lookup, like a window."""
+class ExtremalFamily:
+    """Keyed elements X^g + v^-1 X^(g + side B e_k), with the unfrozen
+    column k picked from g: pointed and keyed by degree for side 1,
+    copointed and keyed by codegree for side -1; none at the missing
+    keys. Resolved on lookup, like a window."""
 
-    def __init__(self, seed, missing=()):
+    def __init__(self, seed, side, missing=()):
         self.seed = seed
+        self.side = side
         self.missing = set(missing)
 
     def member(self, g):
         col = sum(g) % len(self.seed.unfrozen)
-        tail = tuple(x - row[col] for x, row in zip(g, self.seed.B))
+        tail = tuple(x + self.side * row[col] for x, row in zip(g, self.seed.B))
         return QTElem(self.seed.n, {g: VCoeff.one(), tail: VCoeff({-1: 1})})
 
     def get(self, g):
@@ -283,22 +285,30 @@ class CopointedFamily:
 
 
 @st.composite
-def co_decompositions(draw):
-    """(seed, z, basis, window): z combines family members keyed inside the
-    window, with coefficient 1 at its bottom, plus at most one stray
-    monomial; at most one of those keys may be missing from the basis."""
+def decompositions(draw, side):
+    """(seed, z, basis, window) for elimination from the top (side 1) or
+    from the bottom (side -1): z combines family members keyed inside the
+    window, with coefficient 1 at the end the elimination starts from,
+    plus at most one stray monomial anywhere and at most one beyond that
+    end; at most one of the keys may be missing from the basis."""
     seed = draw(principal_framings())
-    codeg = draw(_exponents(seed))
+    start = draw(_exponents(seed))
     box = draw(_steps(seed))
-    window = Bidegree(deg=vec_sub(codeg, mat_vec(seed.B, box)), codeg=codeg)
+
+    def step(n, sign=1):
+        return vec_add(start, tuple(sign * side * x for x in mat_vec(seed.B, n)))
+
+    far = step(box)
+    window = Bidegree(deg=start, codeg=far) if side == 1 else Bidegree(deg=far, codeg=start)
     inside = st.tuples(*(st.integers(0, b) for b in box))
-    keys = [codeg] + [vec_sub(codeg, mat_vec(seed.B, n))
-                      for n in draw(st.lists(inside, max_size=3))]
-    basis = CopointedFamily(seed, draw(st.sets(st.sampled_from(keys), max_size=1)))
-    z = basis.member(codeg)
+    keys = [start] + [step(n) for n in draw(st.lists(inside, max_size=3))]
+    basis = ExtremalFamily(seed, side, draw(st.sets(st.sampled_from(keys), max_size=1)))
+    z = basis.member(start)
     for g in keys[1:]:
         z = z + basis.member(g).scale(draw(_COEFF))
-    for m in draw(st.lists(_exponents(seed), max_size=1)):
+    strays = draw(st.lists(_exponents(seed), max_size=1))
+    strays += [step(n, -1) for n in draw(st.lists(_steps(seed), max_size=1))]
+    for m in strays:
         z = z + QTElem.monomial(m, draw(_COEFF))
     return seed, z, basis, window
 
@@ -317,11 +327,22 @@ def test_codegree_matches_direct_scan(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(co_decompositions(), st.booleans())
+@given(decompositions(-1), st.booleans())
 def test_decompose_co_matches_direct_scan(case, largest_first):
     seed, z, basis, window = case
     tie_break = (lambda keys: keys[-1]) if largest_first else None
     got = decompose_co(seed, z, basis, window, tie_break)
     assert got == oracles.direct_decompose_co(seed, z, basis, window, tie_break)
+    if got.is_exact:
+        assert recompose(got, basis, seed.n) == z
+
+
+@settings(max_examples=200, deadline=None)
+@given(decompositions(1), st.booleans())
+def test_decompose_matches_pairwise_scan(case, largest_first):
+    seed, z, basis, window = case
+    tie_break = (lambda keys: keys[-1]) if largest_first else None
+    got = decompose(seed, z, basis, window, tie_break)
+    assert got == oracles.direct_decompose(seed, z, basis, window, tie_break)
     if got.is_exact:
         assert recompose(got, basis, seed.n) == z

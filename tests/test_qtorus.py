@@ -211,7 +211,24 @@ def torus_case(draw, count):
     return tuple(tuple(row) for row in lam), elems
 
 
+def _reference_twisted_mul(a, b, lam):
+    """The twisted product as the double loop over term pairs, pairing
+    each through lam_pair."""
+    t = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            t[m] = t.get(m, VCoeff.zero()) + (c1 * c2).shift(lam_pair(lam, m1, m2))
+    return QTElem(a.dim, t)
+
+
 class TestTwistedProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(torus_case(2))
+    def test_matches_lam_pair_double_loop(self, case):
+        lam, (a, b) = case
+        assert twisted_mul(a, b, lam) == _reference_twisted_mul(a, b, lam)
+
     @settings(max_examples=80, deadline=None)
     @given(torus_case(3))
     def test_associative(self, case):

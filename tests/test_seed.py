@@ -24,9 +24,8 @@ from qcluster import (
     opposite_seed,
     p_star,
     principal_framing,
-    y_variable,
 )
-from qcluster.qtorus import QTElem, unit_vec
+from qcluster.qtorus import unit_vec
 from qcluster.seed import IncompatiblePair, NoCompatibleLambda
 
 
@@ -95,12 +94,6 @@ def test_p_star_examples(a2_seed):
 def test_p_star_support_violation(pa2_seed):
     with pytest.raises(ValueError):
         p_star(pa2_seed, (0, 0, 1, 0))
-
-
-def test_y_variables(a2_seed):
-    assert y_variable(a2_seed, (1, 0)) == QTElem.monomial((0, 1))
-    assert y_variable(a2_seed, (0, 1)) == QTElem.monomial((-1, 0))
-    assert y_variable(a2_seed, (0, 0)) == QTElem.one(2)
 
 
 def test_lambda_pairing_lemma(a2_seed, b2_seed, pa2_seed, a3_seed):

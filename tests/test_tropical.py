@@ -299,7 +299,7 @@ def test_substitution_smoke(a2_graph, b2_graph):
                 top = degree(s, z)
                 bot = codegree(s, z)
                 window = Bidegree(deg=top, codeg=bot)
-                pset = basis.window_set(t0, window)
+                pset = basis.window_set(t0)
                 dec = decompose(s, z, pset, window)
                 assert dec.is_exact
                 assert is_m_unitriangular(dec, top)
