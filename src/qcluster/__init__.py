@@ -19,7 +19,6 @@ from .seed import (
     make_seed,
     mutate_seed,
     opposite_seed,
-    p_star,
     principal_framing,
 )
 from .expansion import (
@@ -75,7 +74,6 @@ from .leclerc import (
     check_codegree_triangular,
     check_degree_triangular,
     default_r_specs,
-    monomial_r_specs,
     verify_pair,
     verify_theorem,
 )

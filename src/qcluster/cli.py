@@ -73,6 +73,12 @@ def parse_word(text, seed):
     return word
 
 
+def require_at_least(flag, value, low):
+    """A numeric option below its least meaningful value is a usage error."""
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
+
+
 def print_seed(seed):
     print(f"n={seed.n} unfrozen={[k + 1 for k in seed.unfrozen]}")
     print("B=" + json.dumps([list(r) for r in seed.B]))
@@ -112,6 +118,7 @@ def cmd_expand(args):
 
 
 def cmd_graph(args):
+    require_at_least("--cap", args.cap, 1)
     seed, _ = load_seed(args.seed_file)
     graph = build_exchange_graph(seed, node_cap=args.cap)
     nvars = len(graph.distinct_variables())
@@ -129,6 +136,7 @@ def cmd_graph(args):
 
 
 def cmd_shift(args):
+    require_at_least("--cap", args.cap, 1)
     seed, _ = load_seed(args.seed_file)
     graph = build_exchange_graph(seed, node_cap=args.cap)
     sd = tropical.detect_shift(graph, graph.order[0], args.direction)
@@ -196,9 +204,9 @@ def select_r_specs(r_specs, scope, rng_seed):
 
 
 def cmd_leclerc(args):
-    for flag, value in (("--cap", args.cap), ("--frozen-window", args.frozen_window)):
-        if value < 0:
-            raise UsageError(f"{flag} must be >= 0, got {value}")
+    require_at_least("--cap", args.cap, 0)
+    require_at_least("--frozen-window", args.frozen_window, 0)
+    require_at_least("--node-cap", args.node_cap, 1)
     scope = parse_scope(args.scope)
     seed, _ = load_seed(args.seed_file)
     graph = build_exchange_graph(seed, node_cap=args.node_cap)

@@ -2,17 +2,20 @@
 
 A TrackedSeed carries, next to the mutated seed matrices, the expansion
 of each of its cluster variables inside the quantum torus of a fixed
-reference seed. Mutating at k rewrites variable k through the exchange
-relation: the two exchange monomials are expanded in reference
-coordinates and the twisted sum is divided exactly by the old variable.
-Exactness of that division is the Laurent phenomenon; a failure is an
-internal error, not a user condition.
+reference seed, and the degree of each variable there. Mutating at k
+rewrites variable k through the exchange relation: the two exchange
+monomials are expanded in reference coordinates and the twisted sum is
+divided exactly by the old variable. Exactness of that division is the
+Laurent phenomenon; a failure is an internal error, not a user
+condition. The new variable's degree (its g-vector) is measured once,
+where it is normalized, and recorded; nothing measures it again.
 
 The exchange graph deduplicates tracked seeds by the unordered set of
 variable degrees in the reference torus (a seed is determined by those
 up to permutation). Whenever two routes meet at one node, the stored
 and recomputed expansions are matched under the degree permutation and
-must agree exactly.
+must agree exactly. A node re-tracked into another node's torus is a
+TrackedSeed too, so its degrees there come with it.
 """
 from __future__ import annotations
 
@@ -25,15 +28,20 @@ from .seed import QuantumSeed, mutate_seed
 
 @dataclass(frozen=True)
 class TrackedSeed:
+    """seed's variables expanded in the torus of ref, with their degrees
+    there (degs[i] is the degree of vars[i]), reached from ref by path."""
+
     seed: QuantumSeed
     vars: tuple[QTElem, ...]
+    degs: tuple[tuple[int, ...], ...]
     ref: QuantumSeed
     path: tuple[int, ...]
 
 
 def initial_tracked(seed) -> TrackedSeed:
-    xs = tuple(QTElem.monomial(unit_vec(seed.n, i)) for i in range(seed.n))
-    return TrackedSeed(seed=seed, vars=xs, ref=seed, path=())
+    degs = tuple(unit_vec(seed.n, i) for i in range(seed.n))
+    xs = tuple(QTElem.monomial(g) for g in degs)
+    return TrackedSeed(seed=seed, vars=xs, degs=degs, ref=seed, path=())
 
 
 def _image_monomial(ts: TrackedSeed, a) -> QTElem:
@@ -74,7 +82,8 @@ def mutate_tracked(ts: TrackedSeed, k) -> TrackedSeed:
         z * X_k = v^lam(a-, f_k) X^(a-) + v^lam(a+, f_k) X^(a+),
     where a+/a- collect the positive/negative parts of column k. The
     relation is pushed to reference coordinates and solved for z by
-    exact division, then degree-normalized to leading coefficient 1.
+    exact division, then degree-normalized to leading coefficient 1; the
+    degree it is normalized at is recorded as z's degree.
     """
     s = ts.seed
     if k not in s.unfrozen:
@@ -88,10 +97,14 @@ def mutate_tracked(ts: TrackedSeed, k) -> TrackedSeed:
         ts, aplus
     ).vshift(s.lam(aplus, fk))
     z = exact_divide(num, ts.vars[k], ts.ref.Lambda)
-    z = pointed.normalize_deg(ts.ref, z)
-    newvars = tuple(z if i == k else x for i, x in enumerate(ts.vars))
+    g = pointed.degree(ts.ref, z)
+    z = pointed.normalize_at(z, g)
     return TrackedSeed(
-        seed=mutate_seed(s, k), vars=newvars, ref=ts.ref, path=ts.path + (k,)
+        seed=mutate_seed(s, k),
+        vars=ts.vars[:k] + (z,) + ts.vars[k + 1:],
+        degs=ts.degs[:k] + (g,) + ts.degs[k + 1:],
+        ref=ts.ref,
+        path=ts.path + (k,),
     )
 
 
@@ -115,27 +128,19 @@ def cluster_monomial(ts: TrackedSeed, m) -> QTElem:
 
 def degree_key(ts: TrackedSeed):
     """Canonical node key: sorted tuple of reference-torus variable degrees."""
-    degs = []
-    for z in ts.vars:
-        g = pointed.degree(ts.ref, z)
-        if g is None:
-            raise RuntimeError("tracked variable without a degree")
-        degs.append(g)
-    if len(set(degs)) != len(degs):
-        raise RuntimeError(f"repeated variable degrees in one seed: {degs}")
-    return tuple(sorted(degs))
+    if len(set(ts.degs)) != len(ts.degs):
+        raise RuntimeError(f"repeated variable degrees in one seed: {list(ts.degs)}")
+    return tuple(sorted(ts.degs))
 
 
-def _match_permutation(stored: TrackedSeed, other: TrackedSeed, ref):
+def _match_permutation(stored: TrackedSeed, other: TrackedSeed):
     """perm with other position i playing stored position perm[i]."""
-    stored_deg = [pointed.degree(ref, z) for z in stored.vars]
-    other_deg = [pointed.degree(ref, z) for z in other.vars]
-    return tuple(stored_deg.index(g) for g in other_deg)
+    return tuple(stored.degs.index(g) for g in other.degs)
 
 
-def _assert_same_node(stored: TrackedSeed, other: TrackedSeed, ref):
+def _assert_same_node(stored: TrackedSeed, other: TrackedSeed):
     """Two routes reached one degree class: everything must match under perm."""
-    perm = _match_permutation(stored, other, ref)
+    perm = _match_permutation(stored, other)
     for i, z in enumerate(other.vars):
         if stored.vars[perm[i]] != z:
             raise RuntimeError(
@@ -191,7 +196,7 @@ class ExchangeGraph:
                     key2 = degree_key(ts2)
                     self.edges.append((key, k, key2))
                     if key2 in self.nodes:
-                        _assert_same_node(self.nodes[key2], ts2, self.reference)
+                        _assert_same_node(self.nodes[key2], ts2)
                         continue
                     if len(self.nodes) >= self.node_cap:
                         self.truncated = True
@@ -226,37 +231,31 @@ class ExchangeGraph:
         return steps
 
     def vars_in(self, home_key, torus_key):
-        """Expansions of home's variables in the torus of another node."""
+        """Expansions of home's variables in the torus of another node.
+
+        Every re-tracking happens here; the re-tracked seed is cached
+        whole, and tracked_in reads it back through this method.
+        """
         hit = self._cross.get((home_key, torus_key))
-        if hit is not None:
-            return hit
-        if home_key == torus_key:
+        if hit is None:
             # a node's variables in its own torus are the unit monomials
-            out = initial_tracked(self.nodes[home_key].seed).vars
-        else:
-            start = initial_tracked(self.nodes[torus_key].seed)
-            ts = apply_word(start, self.route(torus_key, home_key))
-            if ts.seed != self.nodes[home_key].seed:
-                raise RuntimeError("re-tracking did not reproduce the labeled seed")
-            out = ts.vars
-        self._cross[(home_key, torus_key)] = out
-        return out
+            hit = initial_tracked(self.nodes[torus_key].seed)
+            if home_key != torus_key:
+                hit = apply_word(hit, self.route(torus_key, home_key))
+                if hit.seed != self.nodes[home_key].seed:
+                    raise RuntimeError("re-tracking did not reproduce the labeled seed")
+            self._cross[(home_key, torus_key)] = hit
+        return hit.vars
+
+    def tracked_in(self, home_key, torus_key) -> TrackedSeed:
+        """home's labeled seed re-tracked into the torus of torus_key: its
+        vars and degs are home's variables and their degrees there."""
+        self.vars_in(home_key, torus_key)
+        return self._cross[(home_key, torus_key)]
 
     def monomial_in(self, home_key, m, torus_key) -> QTElem:
         """Expansion of home's normalized cluster monomial X^m in a torus."""
-        home = self.nodes[home_key]
-        torus_seed = self.nodes[torus_key].seed
-        shadow = TrackedSeed(
-            seed=home.seed,
-            vars=self.vars_in(home_key, torus_key),
-            ref=torus_seed,
-            path=(),
-        )
-        return cluster_monomial(shadow, m)
-
-    def variable_degrees(self, key):
-        ts = self.nodes[key]
-        return tuple(pointed.degree(self.reference, z) for z in ts.vars)
+        return cluster_monomial(self.tracked_in(home_key, torus_key), m)
 
     def distinct_variables(self, include_frozen=False):
         """Distinct cluster variables over all nodes, as expansions."""
@@ -265,7 +264,7 @@ class ExchangeGraph:
             ts = self.nodes[key]
             for i, z in enumerate(ts.vars):
                 if include_frozen or i in ts.seed.unfrozen:
-                    seen[pointed.degree(self.reference, z)] = z
+                    seen[ts.degs[i]] = z
         return seen
 
     def undirected_edges(self):

@@ -66,7 +66,6 @@ class CandidateBasis:
         self._codeg_inv: dict = {}
         self._resolved: dict = {}
         self._resolved_co: dict = {}
-        self._ref_degs: dict = {}
         self._enumerate()
 
     def _enumerate(self):
@@ -102,15 +101,19 @@ class CandidateBasis:
 
         Returns (num, den) with num = den * M^-1 and den > 0, where column
         j of M is the (co)degree of home's j-th variable in the torus; None
-        when M is singular. Computed once per (home, torus) pair.
+        when M is singular. Computed once per (home, torus) pair; the
+        degrees are the ones recorded when home was re-tracked there.
         """
         cache = self._codeg_inv if co else self._deg_inv
         key = (home_key, torus_key)
         if key in cache:
             return cache[key]
-        extremal = pointed.codegree if co else pointed.degree
-        torus_seed = self.graph.nodes[torus_key].seed
-        cols = [extremal(torus_seed, z) for z in self.graph.vars_in(home_key, torus_key)]
+        if co:
+            torus_seed = self.graph.nodes[torus_key].seed
+            xs = self.graph.vars_in(home_key, torus_key)
+            cols = [pointed.codegree(torus_seed, z) for z in xs]
+        else:
+            cols = self.graph.tracked_in(home_key, torus_key).degs
         inv = _linalg.invert(_linalg.transpose(cols))
         if inv is not None:
             den = lcm(*(f.denominator for row in inv for f in row))
@@ -118,17 +121,10 @@ class CandidateBasis:
         cache[key] = inv
         return inv
 
-    def _reference_degrees(self, key):
-        """Reference-torus degrees of a node's variables, in its order."""
-        degs = self._ref_degs.get(key)
-        if degs is None:
-            degs = self._ref_degs[key] = self.graph.variable_degrees(key)
-        return degs
-
     def _factors(self, home_key, m, torus_key):
         """home's variables at m's nonzero positions, expanded in the torus
         and keyed by reference degree."""
-        degs = self._reference_degrees(home_key)
+        degs = self.graph.nodes[home_key].degs
         xs = self.graph.vars_in(home_key, torus_key)
         return {degs[i]: xs[i] for i, x in enumerate(m) if x}
 
@@ -160,11 +156,10 @@ class CandidateBasis:
             if any(x % den for x in m):
                 continue
             m = tuple(x // den for x in m)
-            home_seed = self.graph.nodes[home_key].seed
-            if any(m[i] < 0 for i in home_seed.unfrozen):
+            home = self.graph.nodes[home_key]
+            if any(m[i] < 0 for i in home.seed.unfrozen):
                 continue
-            degs = self._reference_degrees(home_key)
-            identity = tuple(sorted((degs[i], x) for i, x in enumerate(m) if x))
+            identity = tuple(sorted((home.degs[i], x) for i, x in enumerate(m) if x))
             first = seen.get(identity)
             if first is not None:
                 if self._factors(*first, torus_key) != self._factors(home_key, m, torus_key):
@@ -427,23 +422,12 @@ def default_r_specs(graph: ExchangeGraph, include_frozen=True):
         for i in range(ts.seed.n):
             if not include_frozen and i not in ts.seed.unfrozen:
                 continue
-            g = pointed.degree(graph.reference, ts.vars[i])
+            g = ts.degs[i]
             if g in seen:
                 continue
             seen.add(g)
             specs.append((key, unit_vec(ts.seed.n, i)))
     return specs
-
-
-def monomial_r_specs(graph: ExchangeGraph, cap, frozen_window=0):
-    """Distinct localized cluster monomials as R specs, capped exponents."""
-    specs = {}
-    for key in graph.order:
-        ts = graph.nodes[key]
-        for m in _exponent_box(ts.seed, cap, frozen_window):
-            g = pointed.degree(graph.reference, cluster_monomial(ts, m))
-            specs.setdefault(g, (key, m))
-    return list(specs.values())
 
 
 def verify_theorem(basis: CandidateBasis, r_specs=None) -> LeclercReport:

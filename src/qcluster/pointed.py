@@ -137,7 +137,12 @@ def bidegree(seed, z):
 
 def normalize_deg(seed, z):
     """Divide by the leading coefficient, which must be a unit +-v**a."""
-    g = degree(seed, z)
+    return normalize_at(z, degree(seed, z))
+
+
+def normalize_at(z, g):
+    """Divide by the coefficient at an already measured (co)degree g,
+    which must be a unit +-v**a."""
     if g is None:
         raise NonUnitLeading("element has no degree to normalize at")
     c = z.terms[g]

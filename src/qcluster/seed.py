@@ -150,14 +150,6 @@ def mutate_seed(seed, k):
     return out
 
 
-def p_star(seed, nvec):
-    """B applied to a vector supported on the unfrozen vertices."""
-    if any(nvec[i] != 0 for i in seed.frozen):
-        raise ValueError("vector not supported on unfrozen vertices")
-    restricted = tuple(nvec[k] for k in seed.unfrozen)
-    return _linalg.mat_vec(seed.B, restricted)
-
-
 @lru_cache(maxsize=None)
 def opposite_seed(seed):
     """Negate both matrices; compatibility is preserved with the same D.

@@ -69,10 +69,7 @@ def phi_op(graph: ExchangeGraph, a_key, b_key, g):
 
 def psi_matrix(graph: ExchangeGraph, a_key, b_key):
     """Linear map as columns: unit vector i of a to deg_b of a's variable i."""
-    torus_seed = graph.nodes[b_key].seed
-    cols = [pointed.degree(torus_seed, z) for z in graph.vars_in(a_key, b_key)]
-    if any(c is None for c in cols):
-        raise RuntimeError("cross-expansion without a degree")
+    cols = graph.tracked_in(a_key, b_key).degs
     n = graph.reference.n
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
@@ -99,13 +96,9 @@ def _shift_pattern(graph, home_key, torus_key):
     """Match degrees of home's variables in torus against -f_k + frozen."""
     s = graph.nodes[torus_key].seed
     uf = set(s.unfrozen)
-    cross = graph.vars_in(home_key, torus_key)
     sigma = {}
     u = {}
-    for j in range(s.n):
-        d = pointed.degree(s, cross[j])
-        if d is None:
-            return None
+    for j, d in enumerate(graph.tracked_in(home_key, torus_key).degs):
         if j not in uf:
             if d != unit_vec(s.n, j):
                 return None
@@ -224,8 +217,9 @@ def inj_element(graph: ExchangeGraph, sd: ShiftData, g) -> QTElem:
     body = twisted_mul(
         QTElem.monomial(pos_part(g)), _power_product(s, ivs, dminus, lam), lam
     )
-    body = pointed.normalize_deg(s, body)
-    u = vec_sub(g, pointed.degree(s, body))
+    d = pointed.degree(s, body)
+    body = pointed.normalize_at(body, d)
+    u = vec_sub(g, d)
     if any(u[i] != 0 for i in s.unfrozen):
         raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
     return pointed.normalize_deg(s, twisted_mul(QTElem.monomial(u), body, lam))
@@ -240,24 +234,12 @@ def proj_element(graph: ExchangeGraph, sd: ShiftData, eta) -> QTElem:
     dminus = tuple(max(-eta[k], 0) for k in s.unfrozen)
     ppart = _power_product(s, pvs, dminus, lam)
     body = twisted_mul(ppart, QTElem.monomial(pos_part(eta)), lam)
-    body = pointed.normalize_codeg(s, body)
-    u = vec_sub(eta, pointed.codegree(s, body))
+    c = pointed.codegree(s, body)
+    body = pointed.normalize_at(body, c)
+    u = vec_sub(eta, c)
     if any(u[i] != 0 for i in s.unfrozen):
         raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
     return pointed.normalize_codeg(s, twisted_mul(body, QTElem.monomial(u), lam))
-
-
-def distinguished_set(graph, sd, kind, keys):
-    """Materialize Inj/Proj elements for finitely many (co)degrees.
-
-    Returns {(co)degree: element}."""
-    if kind == "inj":
-        elems = {tuple(g): inj_element(graph, sd, tuple(g)) for g in keys}
-    elif kind == "proj":
-        elems = {tuple(g): proj_element(graph, sd, tuple(g)) for g in keys}
-    else:
-        raise ValueError("kind must be 'inj' or 'proj'")
-    return elems
 
 
 def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:

@@ -11,7 +11,9 @@ keys a lazy window answers for, and the codegree-side references reuse
 the dominance test in the seed itself: what they check is that the
 library's codegree side, computed in the opposite seed, matches a
 direct scan from the bottom, and that decomposition in n-coordinates
-matches the pairwise dominance scan it replaced.
+matches the pairwise dominance scan it replaced. The fresh degree scan
+reuses degree() too: what it checks is that the degrees an exchange
+graph records at mutation are the ones a scan of each expansion finds.
 """
 from __future__ import annotations
 
@@ -192,6 +194,35 @@ def eager_window(basis, torus_key, window, co=False):
         elem = lookup(torus_key, g)
         if elem is not None:
             out[g] = elem
+    return out
+
+
+def fresh_degrees(graph):
+    """Every variable degree an exchange graph records, measured again.
+
+    Returns {(home, None): degrees of home's variables in the reference
+    torus, (home, torus): degrees of home's variables re-tracked into the
+    torus}, each by one degree() scan per expansion.
+    """
+    out = {}
+    for home in graph.order:
+        out[(home, None)] = tuple(
+            pointed.degree(graph.reference, z) for z in graph.nodes[home].vars)
+        for torus in graph.order:
+            seed = graph.nodes[torus].seed
+            out[(home, torus)] = tuple(
+                pointed.degree(seed, z) for z in graph.vars_in(home, torus))
+    return out
+
+
+def recorded_degrees(graph):
+    """The degrees fresh_degrees measures, as the graph recorded them at
+    mutation: the nodes' own, and those of vars_in's re-tracked seeds."""
+    out = {}
+    for home in graph.order:
+        out[(home, None)] = graph.nodes[home].degs
+        for torus in graph.order:
+            out[(home, torus)] = graph.tracked_in(home, torus).degs
     return out
 
 

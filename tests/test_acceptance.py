@@ -11,7 +11,7 @@ import pytest
 from conftest import a2_gold
 from qcluster import opposite_seed
 from qcluster.expansion import mutate_tracked
-from qcluster.leclerc import CandidateBasis, default_r_specs, monomial_r_specs, verify_theorem
+from qcluster.leclerc import CandidateBasis, default_r_specs, verify_theorem
 from qcluster.pointed import (
     Bidegree,
     bidegree,
@@ -136,7 +136,7 @@ def test_criterion_4_tropical_suites(a2_graph, b2_graph, a3_graph):
     t0 = time.perf_counter()
     rng = random.Random(2024)
     for graph in (a2_graph, b2_graph, a3_graph):
-        for key, m in monomial_r_specs(graph, 2):
+        for key, m in CandidateBasis(graph, unfrozen_cap=2).provenance.values():
             assert check_compatibly_pointed(graph, key, m)
             assert check_compatibly_copointed(graph, key, m)
         down = detect_shift(graph, graph.order[0], -1)

@@ -204,6 +204,8 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("options", [
     ["--cap", "-1"],                      # would build an empty basis
     ["--frozen-window", "-1"],
+    ["--node-cap", "-1"],                 # used to exit 1: "not finite type within cap -1"
+    ["--node-cap", "0"],
     ["--scope", "99"],                    # A2 has five R specs: no pair would run
     ["--scope", "0,-1"],
     ["--scope", "sample:-1"],             # used to exit 3 from random.sample
@@ -214,6 +216,19 @@ def test_usage_error_exit_code():
 def test_leclerc_bad_options_are_usage_errors(a2_file, options, capsys):
     assert main(["leclerc", a2_file, *options]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["graph"],                            # used to exit 0 with a 1-node "truncated" graph
+    ["shift"],                            # used to exit 3: "internal error: no +1 shift"
+    ["shift", "--direction", "-1"],
+])
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_node_cap_below_one_is_a_usage_error(a2_file, command, cap, capsys):
+    assert main([command[0], a2_file, *command[1:], "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --cap must be >= 1")
+    assert captured.out == ""
 
 
 def test_leclerc_cap_zero_and_index_scope_ok(a2_file, capsys):

@@ -74,6 +74,15 @@ def test_graph_counts(a2_graph, b2_graph, a3_graph):
     assert len(a3_graph.distinct_variables()) == 9
 
 
+def test_recorded_degrees_match_a_fresh_scan(a2_graph, b2_graph, a3_graph, pa2_graph):
+    # degrees are measured once, at mutation: in every node's torus they
+    # must equal a scan of the expansion
+    for graph in (a2_graph, b2_graph, a3_graph, pa2_graph):
+        fresh = oracles.fresh_degrees(graph)
+        assert oracles.recorded_degrees(graph) == fresh
+        assert len(fresh) == len(graph.order) * (len(graph.order) + 1)
+
+
 def test_principal_a2_graph(pa2_graph):
     assert len(pa2_graph.order) == 5
     assert len(pa2_graph.distinct_variables()) == 5
@@ -182,7 +191,7 @@ def test_opposite_graph_word_identity(a2_seed):
 def test_key_of_path(a2_graph):
     key = a2_graph.key_of_path((1, 0, 1))
     assert key in a2_graph.nodes
-    assert set(a2_graph.variable_degrees(key)) == {(0, -1), (-1, 0)}
+    assert set(a2_graph.nodes[key].degs) == {(0, -1), (-1, 0)}
 
 
 def test_node_cap_truncates(a2_seed):

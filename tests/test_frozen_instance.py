@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+import oracles
 from qcluster import make_seed
 from qcluster.expansion import build_exchange_graph
 from qcluster.leclerc import CandidateBasis, verify_theorem
@@ -43,6 +44,10 @@ def test_graph_shape(graph):
     for key in graph.order:
         ts = graph.nodes[key]
         assert ts.vars[2] == QTElem.monomial(unit_vec(3, 2))
+
+
+def test_recorded_degrees_match_a_fresh_scan(graph):
+    assert oracles.recorded_degrees(graph) == oracles.fresh_degrees(graph)
 
 
 def test_psi_fixes_frozen_units_at_shift(graph, seed):

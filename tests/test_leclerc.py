@@ -8,7 +8,6 @@ from qcluster.leclerc import (
     check_codegree_triangular,
     check_degree_triangular,
     default_r_specs,
-    monomial_r_specs,
     verify_pair,
     verify_theorem,
 )
@@ -59,7 +58,7 @@ def test_window_resolution_beyond_cap(a2_graph):
 def _shared_variable(graph, torus):
     """A variable held by two nodes: (its degree in the torus, and for each
     of the two homes in graph order, (home, exponent of the variable))."""
-    degs = {key: graph.variable_degrees(key) for key in graph.order}
+    degs = {key: graph.nodes[key].degs for key in graph.order}
     x = next(d for d in degs[graph.order[-1]]
              if sum(d in row for row in degs.values()) == 2)
     homes = [(key, unit_vec(len(degs[key]), degs[key].index(x)))
@@ -211,7 +210,7 @@ def test_verify_theorem_monomial_r(a2_graph):
     # the product structure holds with R any cluster monomial, not just
     # single variables
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
-    specs = monomial_r_specs(a2_graph, cap=1)
+    specs = list(CandidateBasis(a2_graph, unfrozen_cap=1).provenance.values())
     assert len(specs) == 11
     report = verify_theorem(basis, r_specs=specs)
     assert report.ok

@@ -22,7 +22,6 @@ from qcluster import (
     make_seed,
     mutate_seed,
     opposite_seed,
-    p_star,
     principal_framing,
 )
 from qcluster.qtorus import unit_vec
@@ -85,23 +84,13 @@ def test_compat_along_random_words(a2_seed, b2_seed, pa2_seed, a3_seed):
             assert cur.D == s.D
 
 
-def test_p_star_examples(a2_seed):
-    assert p_star(a2_seed, (0, 1)) == (-1, 0)
-    assert p_star(a2_seed, (1, 0)) == (0, 1)
-    assert p_star(a2_seed, (0, 0)) == (0, 0)
-
-
-def test_p_star_support_violation(pa2_seed):
-    with pytest.raises(ValueError):
-        p_star(pa2_seed, (0, 0, 1, 0))
-
-
 def test_lambda_pairing_lemma(a2_seed, b2_seed, pa2_seed, a3_seed):
     # lam(f_i, B e_k) = -delta_ik * d_k
     for s in (a2_seed, b2_seed, pa2_seed, a3_seed):
         for i in range(s.n):
             for k in s.unfrozen:
-                val = s.lam(unit_vec(s.n, i), p_star(s, unit_vec(s.n, k)))
+                b_ek = tuple(row[s.col(k)] for row in s.B)
+                val = s.lam(unit_vec(s.n, i), b_ek)
                 want = -s.delta(k) if i == k else 0
                 assert val == want
 

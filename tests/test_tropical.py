@@ -190,19 +190,17 @@ def test_proj_elements(a2_graph):
 
 
 def test_distinguished_sets(a2_graph):
-    from qcluster.tropical import distinguished_set
-
     t0 = a2_graph.order[0]
+    s = a2_graph.nodes[t0].seed
     up = detect_shift(a2_graph, t0, 1)
     down = detect_shift(a2_graph, t0, -1)
     keys = list(product(range(-1, 2), repeat=2))
-    inj = distinguished_set(a2_graph, up, "inj", keys)
-    proj = distinguished_set(a2_graph, down, "proj", keys)
-    assert len(inj) == 9
+    inj = {g: inj_element(a2_graph, up, g) for g in keys}
+    proj = {eta: proj_element(a2_graph, down, eta) for eta in keys}
+    assert {degree(s, z) for z in inj.values()} == set(keys)
+    assert {codegree(s, z) for z in proj.values()} == set(keys)
     assert inj[(-1, 0)] == a2_gold("I1")
     assert proj[(0, -1)] == a2_gold("P2")
-    with pytest.raises(ValueError):
-        distinguished_set(a2_graph, up, "nope", keys)
 
 
 def test_iota_swaps_proj_and_inj(a2_graph, a2_seed):
@@ -234,11 +232,11 @@ def test_swap_on_p2(a2_graph):
     home = next(
         key
         for key in a2_graph.order
-        if (0, -1) in set(a2_graph.variable_degrees(key))
-        and (1, -1) in set(a2_graph.variable_degrees(key))
+        if (0, -1) in a2_graph.nodes[key].degs
+        and (1, -1) in a2_graph.nodes[key].degs
     )
     ts = a2_graph.nodes[home]
-    pos = a2_graph.variable_degrees(home).index((1, -1))
+    pos = ts.degs.index((1, -1))
     assert check_swap(a2_graph, down, home, unit_vec(ts.seed.n, pos))
 
 
