@@ -186,6 +186,7 @@ class ExchangeGraph:
         key0 = degree_key(ts0)
         self.nodes[key0] = ts0
         self.order.append(key0)
+        self._cross[(key0, key0)] = ts0
         frontier = [key0]
         while frontier:
             nxt = []
@@ -203,6 +204,7 @@ class ExchangeGraph:
                         continue
                     self.nodes[key2] = ts2
                     self.order.append(key2)
+                    self._cross[(key2, key0)] = ts2  # what vars_in(key2, key0) would re-track
                     nxt.append(key2)
             frontier = nxt
 
@@ -234,7 +236,9 @@ class ExchangeGraph:
         """Expansions of home's variables in the torus of another node.
 
         Every re-tracking happens here; the re-tracked seed is cached
-        whole, and tracked_in reads it back through this method.
+        whole, and tracked_in reads it back through this method. A node's
+        tracked seed is its re-tracking into the reference torus (the same
+        word from the same start), so _build caches it when found.
         """
         hit = self._cross.get((home_key, torus_key))
         if hit is None:

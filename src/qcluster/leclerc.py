@@ -2,20 +2,20 @@
 
 The candidate basis of a finite-type graph is the set of normalized
 localized cluster monomials, keyed by degree (and, mirrored, by
-codegree). Eager enumeration up to an exponent cap supplies the sweep
-lists. Past the cap, elements are resolved on lookup: window_set hands
-decompositions a lazy view of one torus's keys, which decompose keeps
-inside its dominance window, and an element is resolved only when a
-decomposition pivot or a codegree lookup reaches its key, through the
-integer inverse of the linear map that sends a node's exponent vectors
-to (co)degrees. A cluster monomial on a face
+codegree). The sweep keys are the degrees of an exponent box up to a
+cap, read off the nodes' recorded degrees. Every element, a sweep key's
+too, is resolved on lookup: window_set hands decompositions a lazy view
+of one torus's keys, which decompose keeps inside its dominance window,
+and an element is resolved only when a lookup reaches its key, through
+the integer inverse of the linear map that sends a node's exponent
+vectors to (co)degrees. A cluster monomial on a face
 shared by several nodes' g-vector cones is found from each of them; it
 is identified by the reference degrees and exponents of its factors and
 expanded once, and the other nodes' factors are compared with the first
 node's instead. Two distinct elements sharing a key, or a repeated
 identity whose factors differ, are recorded as conflicts, never merged;
-conflicts are recorded for every enumerated key and every resolved key,
-so window points that no lookup reaches are never checked.
+conflicts are recorded for every resolved key, so window points that no
+lookup reaches are never checked.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -32,12 +32,15 @@ from itertools import product
 from math import lcm
 
 from . import _linalg, pointed
-from .expansion import ExchangeGraph, cluster_monomial
+from .expansion import ExchangeGraph
 from .pointed import Bidegree
 from .qtorus import QTElem, VCoeff, twisted_mul, unit_vec, vec_add
+from .seed import opposite_seed
 
 
 _MISS = object()
+
+ENUMERATION_LIMIT = 10 ** 5  # (node, m) pairs the leclerc command will key
 
 
 def _exponent_box(seed, cap, frozen_window):
@@ -47,6 +50,13 @@ def _exponent_box(seed, cap, frozen_window):
         range(cap + 1) if i in seed.unfrozen else range(-frozen_window, frozen_window + 1)
         for i in range(seed.n)
     ))
+
+
+def enumeration_size(graph, unfrozen_cap, frozen_window):
+    """The number of (node, m) pairs CandidateBasis keys, not enumerated."""
+    nuf = len(graph.reference.unfrozen)
+    frozen = graph.reference.n - nuf
+    return len(graph.order) * (unfrozen_cap + 1) ** nuf * (2 * frozen_window + 1) ** frozen
 
 
 class CandidateBasis:
@@ -69,27 +79,26 @@ class CandidateBasis:
         self._enumerate()
 
     def _enumerate(self):
-        ref = self.graph.reference
+        """Key each node's exponent box by its recorded degrees (g-vectors
+        add over factors), the first (node, m) per key its provenance, and
+        resolve the keys in the reference torus. Every node's degree map
+        must be invertible there, so that _resolve reaches every (node, m)."""
+        t0 = self.graph.order[0]
         for key in self.graph.order:
+            if self._inverse_map(key, t0, co=False) is None:
+                raise RuntimeError(f"degree map of node {key} is singular")
             ts = self.graph.nodes[key]
+            cols = _linalg.transpose(ts.degs)
             for m in _exponent_box(ts.seed, self.unfrozen_cap, self.frozen_window):
-                elem = cluster_monomial(ts, m)
-                g = pointed.degree(ref, elem)
-                eta = pointed.codegree(ref, elem)
-                if g is None or eta is None:
-                    raise RuntimeError(f"cluster monomial {m} of {key} not bipointed")
-                prior = self.by_degree.get(g)
-                if prior is None:
-                    self.by_degree[g] = elem
-                    self.provenance[g] = (key, m)
-                elif prior != elem:
-                    self.conflicts.append(("degree", g, self.provenance[g], (key, m)))
-                    continue
-                prior_co = self.by_codegree.get(eta)
-                if prior_co is None:
-                    self.by_codegree[eta] = elem
-                elif prior_co != elem:
-                    self.conflicts.append(("codegree", eta, None, (key, m)))
+                self.provenance.setdefault(_linalg.mat_vec(cols, m), (key, m))
+        for g, (key, m) in self.provenance.items():
+            elem = self.element_at_degree(t0, g)
+            eta = None if elem is None else pointed.codegree(self.graph.reference, elem)
+            if eta is None:
+                raise RuntimeError(f"cluster monomial {m} of {key} not bipointed")
+            self.by_degree[g] = elem
+            if self.by_codegree.setdefault(eta, elem) != elem:
+                self.conflicts.append(("codegree", eta, None, (key, m)))
 
     def degree_keys(self):
         return sorted(self.by_degree)
@@ -235,37 +244,28 @@ def check_codegree_triangular(basis: CandidateBasis, t_key) -> TriangularReport:
 
 
 def _check_triangular(basis, t_key, co):
+    """The degree-side check; when co, in the opposite seed, where the left
+    product is the right one and each degree step its codegree mirror."""
     graph = basis.graph
-    t_seed = graph.nodes[t_key].seed
-    lam = t_seed.Lambda
+    seed = graph.nodes[t_key].seed
+    if co:
+        seed = opposite_seed(seed)
+    pset = basis.window_set(t_key, co=co)
     report = TriangularReport()
     for g_ref in basis.degree_keys():
         home, m = basis.provenance[g_ref]
         elem = graph.monomial_in(home, m, t_key)
-        bid = pointed.bidegree(t_seed, elem)
-        for i in range(t_seed.n):
-            xi = QTElem.monomial(unit_vec(t_seed.n, i))
+        bid = pointed.bidegree(seed, elem)
+        for i in range(seed.n):
+            fi = unit_vec(seed.n, i)
+            prod = twisted_mul(QTElem.monomial(fi), elem, seed.Lambda)
+            prod = pointed.normalize_deg(seed, prod)
+            window = Bidegree(deg=vec_add(bid.deg, fi), codeg=vec_add(bid.codeg, fi))
+            decomp = pointed.decompose(seed, prod, pset, window)
             label = (tuple(g_ref), i)
-            if co:
-                prod = twisted_mul(elem, xi, lam)
-                prod = pointed.normalize_codeg(t_seed, prod)
-                pivot = vec_add(bid.codeg, unit_vec(t_seed.n, i))
-            else:
-                prod = twisted_mul(xi, elem, lam)
-                prod = pointed.normalize_deg(t_seed, prod)
-                pivot = vec_add(bid.deg, unit_vec(t_seed.n, i))
-            window = Bidegree(
-                deg=vec_add(bid.deg, unit_vec(t_seed.n, i)),
-                codeg=vec_add(bid.codeg, unit_vec(t_seed.n, i)),
-            )
-            pset = basis.window_set(t_key, co=co)
-            if co:
-                decomp = pointed.decompose_co(t_seed, prod, pset, window)
-            else:
-                decomp = pointed.decompose(t_seed, prod, pset, window)
             if not decomp.is_exact:
                 report.indeterminates.append((label, decomp.reason))
-            elif pointed.is_m_unitriangular(decomp, pivot):
+            elif pointed.is_m_unitriangular(decomp, window.deg):
                 report.passes += 1
             else:
                 report.failures.append((label, decomp.terms))

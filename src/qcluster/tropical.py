@@ -13,7 +13,8 @@ for every unfrozen k, a variable whose expansion in t's torus has
 degree -f_k plus a frozen correction; direction -1 asks for the node
 whose torus sees t's own variables that way. The resulting injective
 and projective elements index the distinguished pointed and copointed
-products.
+products; a copointed product is the pointed construction from the
+projectives, run in the opposite seed.
 """
 from __future__ import annotations
 
@@ -187,59 +188,45 @@ def p_vars(graph: ExchangeGraph, sd: ShiftData):
     return [by_k[k] for k in s.unfrozen]
 
 
-def normalized_product(seed, factors, lam) -> QTElem:
-    """Degree normalization of the ordered twisted product of factors."""
+def _power_product(seed, elems, exps) -> QTElem:
+    """Degree normalization of the ordered twisted product of elems to the
+    powers exps."""
     acc = QTElem.one(seed.n)
-    for f in factors:
-        acc = twisted_mul(acc, f, lam)
+    for z, e in zip(elems, exps):
+        for _ in range(e):
+            acc = twisted_mul(acc, z, seed.Lambda)
     return pointed.normalize_deg(seed, acc)
 
 
-def _power_product(seed, base_elems, exps, lam):
-    factors = []
-    for z, e in zip(base_elems, exps):
-        factors.extend([z] * e)
-    return normalized_product(seed, factors, lam)
-
-
-def inj_element(graph: ExchangeGraph, sd: ShiftData, g) -> QTElem:
-    """Distinguished pointed element at g: frozen factor times cluster
-    monomial times injective power, degree-normalized.
+def _distinguished(seed, factors, g) -> QTElem:
+    """The element pointed at g: frozen factor times cluster monomial
+    X^(g+) times factors to the powers -g_k for g_k < 0, degree-normalized.
 
     The frozen factor is pinned by forcing the total degree to g; if the
     forced correction is not frozen-supported something upstream broke.
     """
-    node = graph.nodes[sd.base]
-    s = node.seed
-    lam = s.Lambda
-    ivs = i_vars(graph, sd)
-    dminus = tuple(max(-g[k], 0) for k in s.unfrozen)
-    body = twisted_mul(
-        QTElem.monomial(pos_part(g)), _power_product(s, ivs, dminus, lam), lam
-    )
-    d = pointed.degree(s, body)
+    lam = seed.Lambda
+    dminus = tuple(max(-g[k], 0) for k in seed.unfrozen)
+    body = twisted_mul(QTElem.monomial(pos_part(g)), _power_product(seed, factors, dminus), lam)
+    d = pointed.degree(seed, body)
     body = pointed.normalize_at(body, d)
     u = vec_sub(g, d)
-    if any(u[i] != 0 for i in s.unfrozen):
+    if any(u[i] != 0 for i in seed.unfrozen):
         raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
-    return pointed.normalize_deg(s, twisted_mul(QTElem.monomial(u), body, lam))
+    return pointed.normalize_deg(seed, twisted_mul(QTElem.monomial(u), body, lam))
+
+
+def inj_element(graph: ExchangeGraph, sd: ShiftData, g) -> QTElem:
+    """Distinguished pointed element at g, built from the injectives."""
+    return _distinguished(graph.nodes[sd.base].seed, i_vars(graph, sd), g)
 
 
 def proj_element(graph: ExchangeGraph, sd: ShiftData, eta) -> QTElem:
-    """Distinguished copointed element at eta, the mirror of inj_element."""
-    node = graph.nodes[sd.base]
-    s = node.seed
-    lam = s.Lambda
-    pvs = p_vars(graph, sd)
-    dminus = tuple(max(-eta[k], 0) for k in s.unfrozen)
-    ppart = _power_product(s, pvs, dminus, lam)
-    body = twisted_mul(ppart, QTElem.monomial(pos_part(eta)), lam)
-    c = pointed.codegree(s, body)
-    body = pointed.normalize_at(body, c)
-    u = vec_sub(eta, c)
-    if any(u[i] != 0 for i in s.unfrozen):
-        raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
-    return pointed.normalize_codeg(s, twisted_mul(body, QTElem.monomial(u), lam))
+    """Distinguished copointed element at eta: inj_element's construction
+    from the projectives in the opposite seed, where products run in the
+    reverse order (for quasi-commuting factors, a unit it normalizes away)."""
+    base = graph.nodes[sd.base].seed
+    return _distinguished(opposite_seed(base), p_vars(graph, sd), eta)
 
 
 def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:

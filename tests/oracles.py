@@ -14,6 +14,12 @@ direct scan from the bottom, and that decomposition in n-coordinates
 matches the pairwise dominance scan it replaced. The fresh degree scan
 reuses degree() too: what it checks is that the degrees an exchange
 graph records at mutation are the ones a scan of each expansion finds.
+The eager enumeration reuses the library's expansions and scans: what
+it checks is that keying a basis by recorded degrees and resolving each
+key finds the elements, keys and provenance that expanding every
+cluster monomial of the exponent box found. The direct projective
+element reuses the library's arithmetic: what it checks is that building
+it as the injective construction in the opposite seed changes nothing.
 """
 from __future__ import annotations
 
@@ -22,7 +28,10 @@ from itertools import product
 import sympy as sp
 
 from qcluster import _linalg, pointed
+from qcluster.expansion import cluster_monomial
+from qcluster.qtorus import QTElem, pos_part, twisted_mul, vec_sub
 from qcluster.seed import NoCompatibleLambda
+from qcluster.tropical import FrozenFactorNotFrozen, p_vars
 
 
 def brute_dominance_leq(b_matrix, unfrozen, gp, g, bound=6):
@@ -303,3 +312,50 @@ def direct_trop_codeg(seed, k, g):
         else:
             out.append(g[i] - bik * max(-g[k], 0))
     return tuple(out)
+
+
+def eager_enumeration(graph, cap, frozen_window):
+    """Reference basis: every cluster monomial of the exponent box expanded
+    in the reference torus and keyed by a degree and a codegree scan.
+
+    Returns (by_degree, by_codegree, provenance), the first element and
+    (node, m) per key, as CandidateBasis built them before its keys came
+    from recorded degrees.
+    """
+    ref = graph.reference
+    by_degree, by_codegree, provenance = {}, {}, {}
+    for key in graph.order:
+        ts = graph.nodes[key]
+        boxes = [range(cap + 1) if i in ts.seed.unfrozen
+                 else range(-frozen_window, frozen_window + 1) for i in range(ts.seed.n)]
+        for m in product(*boxes):
+            elem = cluster_monomial(ts, m)
+            g = pointed.degree(ref, elem)
+            eta = pointed.codegree(ref, elem)
+            if g not in by_degree:
+                by_degree[g] = elem
+                provenance[g] = (key, m)
+            elif by_degree[g] != elem:
+                continue  # a degree conflict: the codegree is not keyed
+            by_codegree.setdefault(eta, elem)
+    return by_degree, by_codegree, provenance
+
+
+def direct_proj_element(graph, sd, eta):
+    """Reference projective distinguished element: the projectives' power
+    times the cluster monomial X^(eta+), then the frozen factor, each
+    product taken from the right and normalized from the bottom."""
+    s = graph.nodes[sd.base].seed
+    lam = s.Lambda
+    ppart = QTElem.one(s.n)
+    for z, k in zip(p_vars(graph, sd), s.unfrozen):
+        for _ in range(max(-eta[k], 0)):
+            ppart = twisted_mul(ppart, z, lam)
+    ppart = pointed.normalize_deg(s, ppart)
+    body = twisted_mul(ppart, QTElem.monomial(pos_part(eta)), lam)
+    c = pointed.codegree(s, body)
+    body = pointed.normalize_at(body, c)
+    u = vec_sub(eta, c)
+    if any(u[i] != 0 for i in s.unfrozen):
+        raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
+    return pointed.normalize_codeg(s, twisted_mul(body, QTElem.monomial(u), lam))

@@ -218,6 +218,17 @@ def test_leclerc_bad_options_are_usage_errors(a2_file, options, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_leclerc_refuses_an_oversized_enumeration(tmp_path, capsys):
+    # A3-principal has 14 nodes: 14 * (10**6 + 1)**3 (node, m) pairs
+    p = tmp_path / "a3p.json"
+    p.write_text(json.dumps({"n": 6, "unfrozen": [1, 2, 3], "B": [
+        [0, -1, 0], [1, 0, -1], [0, 1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    assert main(["leclerc", str(p), "--cap", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --cap 1000000 with --frozen-window 0 keys ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [
     ["graph"],                            # used to exit 0 with a 1-node "truncated" graph
     ["shift"],                            # used to exit 3: "internal error: no +1 shift"

@@ -83,6 +83,7 @@ def test_inj_and_proj_with_frozen_factor(graph, seed):
         assert degree(seed, z) == g and z.terms[g].is_one()
         w = proj_element(graph, down, g)
         assert codegree(seed, w) == g and w.terms[g].is_one()
+        assert w == oracles.direct_proj_element(graph, down, g)
 
 
 def test_compatibility_with_frozen_exponents(graph):
@@ -109,6 +110,10 @@ def test_swap_with_frozen_vertex(graph):
 def test_product_sweep_with_frozen_window(graph):
     basis = CandidateBasis(graph, unfrozen_cap=2, frozen_window=1)
     assert not basis.conflicts
+    by_degree, by_codegree, provenance = oracles.eager_enumeration(graph, 2, 1)
+    assert basis.by_degree == by_degree
+    assert basis.by_codegree == by_codegree
+    assert list(basis.provenance.items()) == list(provenance.items())
     # frozen exponents enlarge the basis beyond the coefficient-free count
     assert len(basis.by_degree) == 3 * len(
         CandidateBasis(graph, unfrozen_cap=2).by_degree

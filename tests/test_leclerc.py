@@ -2,12 +2,14 @@ from itertools import product
 
 import pytest
 
+import oracles
 from conftest import a2_gold
 from qcluster.leclerc import (
     CandidateBasis,
     check_codegree_triangular,
     check_degree_triangular,
     default_r_specs,
+    enumeration_size,
     verify_pair,
     verify_theorem,
 )
@@ -24,6 +26,38 @@ def test_enumeration_counts(a2_graph):
     basis2 = CandidateBasis(a2_graph, unfrozen_cap=2)
     assert len(basis2.by_degree) == len(basis2.by_codegree)
     assert not basis2.conflicts
+
+
+@pytest.mark.parametrize("graph_name, cap", [
+    ("a2_graph", 2), ("b2_graph", 2), ("pa2_graph", 1), ("a3_graph", 1),
+])
+def test_enumeration_matches_eager_expansion(graph_name, cap, request):
+    graph = request.getfixturevalue(graph_name)
+    basis = CandidateBasis(graph, unfrozen_cap=cap)
+    by_degree, by_codegree, provenance = oracles.eager_enumeration(graph, cap, 0)
+    assert basis.by_degree == by_degree
+    assert basis.by_codegree == by_codegree
+    assert list(basis.provenance.items()) == list(provenance.items())
+    assert not basis.conflicts
+
+
+def test_enumeration_size(a3_graph, pa2_graph):
+    assert len(a3_graph.order) == 14
+    assert enumeration_size(a3_graph, 1, 0) == 14 * 2 ** 3
+    assert enumeration_size(a3_graph, 3, 5) == 14 * 4 ** 3 * 11 ** 3
+    assert enumeration_size(pa2_graph, 1, 1) == len(pa2_graph.order) * 2 ** 2 * 3 ** 2
+
+
+def test_singular_degree_map_is_refused(a2_graph, monkeypatch):
+    real = CandidateBasis._inverse_map
+    last = a2_graph.order[-1]
+
+    def singular(self, home_key, torus_key, co):
+        return None if home_key == last else real(self, home_key, torus_key, co)
+
+    monkeypatch.setattr(CandidateBasis, "_inverse_map", singular)
+    with pytest.raises(RuntimeError, match="singular"):
+        CandidateBasis(a2_graph, unfrozen_cap=1)
 
 
 def test_basis_elements_bipointed_and_bar_invariant(a2_graph):
@@ -112,6 +146,7 @@ def test_codegree_triangular_a2(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
     report = check_codegree_triangular(basis, a2_graph.order[0])
     assert report.ok, (report.failures, report.indeterminates)
+    assert report.passes == 2 * len(basis.by_degree)
 
 
 def test_triangular_away_from_reference(a2_graph):

@@ -187,6 +187,7 @@ def test_proj_elements(a2_graph):
         z = proj_element(a2_graph, down, eta)
         assert codegree(s, z) == eta
         assert z.terms[eta].is_one()
+        assert z == oracles.direct_proj_element(a2_graph, down, eta)
 
 
 def test_distinguished_sets(a2_graph):
