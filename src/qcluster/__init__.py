@@ -38,13 +38,11 @@ from .pointed import (
     bidegree,
     codegree,
     decompose,
-    decompose_co,
     degree,
     dominance_leq,
     dominance_n,
     interval,
     is_m_unitriangular,
-    normalize_codeg,
     normalize_deg,
 )
 from .tropical import (

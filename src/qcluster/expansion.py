@@ -261,13 +261,13 @@ class ExchangeGraph:
         """Expansion of home's normalized cluster monomial X^m in a torus."""
         return cluster_monomial(self.tracked_in(home_key, torus_key), m)
 
-    def distinct_variables(self, include_frozen=False):
-        """Distinct cluster variables over all nodes, as expansions."""
+    def distinct_variables(self):
+        """Distinct unfrozen cluster variables over all nodes, as expansions."""
         seen = {}
         for key in self.order:
             ts = self.nodes[key]
             for i, z in enumerate(ts.vars):
-                if include_frozen or i in ts.seed.unfrozen:
+                if i in ts.seed.unfrozen:
                     seen[ts.degs[i]] = z
         return seen
 

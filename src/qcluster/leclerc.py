@@ -2,20 +2,23 @@
 
 The candidate basis of a finite-type graph is the set of normalized
 localized cluster monomials, keyed by degree (and, mirrored, by
-codegree). The sweep keys are the degrees of an exponent box up to a
-cap, read off the nodes' recorded degrees. Every element, a sweep key's
-too, is resolved on lookup: window_set hands decompositions a lazy view
-of one torus's keys, which decompose keeps inside its dominance window,
-and an element is resolved only when a lookup reaches its key, through
-the integer inverse of the linear map that sends a node's exponent
-vectors to (co)degrees. A cluster monomial on a face
-shared by several nodes' g-vector cones is found from each of them; it
-is identified by the reference degrees and exponents of its factors and
+codegree). A provenance (node, m) names its element's degree in any
+torus without an expansion, psi_matrix applied to m, since g-vectors add
+over a cluster monomial's factors; the sweep keys are those of an
+exponent box up to a cap. Every element in every torus (a sweep key, a
+point of the lazy window_set view that decompose keeps inside its
+dominance window, verify_pair's V, an element of a triangularity sweep)
+is looked up by (co)degree through one resolver, which inverts the
+linear map sending a node's exponent vectors to (co)degrees and alone
+expands cluster monomials. A cluster monomial on a face shared by
+several nodes' g-vector cones is found from each of them; it is
+identified by the reference degrees and exponents of its factors and
 expanded once, and the other nodes' factors are compared with the first
 node's instead. Two distinct elements sharing a key, or a repeated
-identity whose factors differ, are recorded as conflicts, never merged;
-conflicts are recorded for every resolved key, so window points that no
-lookup reaches are never checked.
+identity whose factors differ, are recorded as conflicts, never merged,
+and the lookup returns the first home's element; conflicts are recorded
+for every resolved key, so window points that no lookup reaches are
+never checked.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -36,6 +39,7 @@ from .expansion import ExchangeGraph
 from .pointed import Bidegree
 from .qtorus import QTElem, VCoeff, twisted_mul, unit_vec, vec_add
 from .seed import opposite_seed
+from .tropical import psi_matrix
 
 
 _MISS = object()
@@ -87,10 +91,10 @@ class CandidateBasis:
         for key in self.graph.order:
             if self._inverse_map(key, t0, co=False) is None:
                 raise RuntimeError(f"degree map of node {key} is singular")
-            ts = self.graph.nodes[key]
-            cols = _linalg.transpose(ts.degs)
-            for m in _exponent_box(ts.seed, self.unfrozen_cap, self.frozen_window):
-                self.provenance.setdefault(_linalg.mat_vec(cols, m), (key, m))
+            seed = self.graph.nodes[key].seed
+            psi = psi_matrix(self.graph, key, t0)
+            for m in _exponent_box(seed, self.unfrozen_cap, self.frozen_window):
+                self.provenance.setdefault(_linalg.mat_vec(psi, m), (key, m))
         for g, (key, m) in self.provenance.items():
             elem = self.element_at_degree(t0, g)
             eta = None if elem is None else pointed.codegree(self.graph.reference, elem)
@@ -110,8 +114,8 @@ class CandidateBasis:
 
         Returns (num, den) with num = den * M^-1 and den > 0, where column
         j of M is the (co)degree of home's j-th variable in the torus; None
-        when M is singular. Computed once per (home, torus) pair; the
-        degrees are the ones recorded when home was re-tracked there.
+        when M is singular. Computed once per (home, torus) pair; on the
+        degree side M is psi_matrix(home, torus).
         """
         cache = self._codeg_inv if co else self._deg_inv
         key = (home_key, torus_key)
@@ -120,10 +124,10 @@ class CandidateBasis:
         if co:
             torus_seed = self.graph.nodes[torus_key].seed
             xs = self.graph.vars_in(home_key, torus_key)
-            cols = [pointed.codegree(torus_seed, z) for z in xs]
+            mat = _linalg.transpose([pointed.codegree(torus_seed, z) for z in xs])
         else:
-            cols = self.graph.tracked_in(home_key, torus_key).degs
-        inv = _linalg.invert(_linalg.transpose(cols))
+            mat = psi_matrix(self.graph, home_key, torus_key)
+        inv = _linalg.invert(mat)
         if inv is not None:
             den = lcm(*(f.denominator for row in inv for f in row))
             inv = (tuple(tuple(int(f * den) for f in row) for row in inv), den)
@@ -145,7 +149,8 @@ class CandidateBasis:
         exponent) pairs over m's nonzero entries; only a new identity is
         expanded. A repeated identity is the same product of the same
         factors, which is checked instead of the expansion: a factor that
-        differs is a conflict, as is a distinct element at the key.
+        differs is a conflict, as is a distinct element at the key. With
+        conflicts present the first home's element is the one returned.
         """
         cache = self._resolved_co if co else self._resolved
         hit = cache.get((torus_key, g))
@@ -207,8 +212,8 @@ class CandidateBasis:
 @dataclass(frozen=True)
 class WindowView:
     """Degree- (or codegree-) keyed basis elements of one torus, resolved
-    on lookup; decompose and decompose_co read it through get, like a
-    dict."""
+    on lookup; decompose reads it through get, like a dict (in the
+    opposite seed when co)."""
 
     basis: CandidateBasis
     torus_key: object
@@ -254,7 +259,8 @@ def _check_triangular(basis, t_key, co):
     report = TriangularReport()
     for g_ref in basis.degree_keys():
         home, m = basis.provenance[g_ref]
-        elem = graph.monomial_in(home, m, t_key)
+        g = _linalg.mat_vec(psi_matrix(graph, home, t_key), m)
+        elem = basis.element_at_degree(t_key, g)
         bid = pointed.bidegree(seed, elem)
         for i in range(seed.n):
             fi = unit_vec(seed.n, i)
@@ -294,15 +300,16 @@ class LeclercVerdict:
 
 def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdict:
     """Classify the twisted product of a localized cluster monomial with a
-    basis element, working in the torus of R's home node."""
+    basis element V, working in the torus of R's home node, where V is
+    looked up at its degree psi_matrix(v_home, r_home) v_m."""
     graph = basis.graph
     t_seed = graph.nodes[r_home].seed
     r_m = tuple(r_m)
     r_spec = (r_home, r_m)
-    z_v = graph.monomial_in(v_home, v_m, r_home)
-    gamma = pointed.degree(t_seed, z_v)
-    eta = pointed.codegree(t_seed, z_v)
-    if gamma is None or eta is None:
+    gamma = _linalg.mat_vec(psi_matrix(graph, v_home, r_home), v_m)
+    z_v = basis.element_at_degree(r_home, gamma)
+    eta = None if z_v is None else pointed.codegree(t_seed, z_v)
+    if eta is None:
         return LeclercVerdict(
             case="indeterminate", r_spec=r_spec, v_degree=(),
             reason="factor V is not bipointed in the working torus",
@@ -413,15 +420,13 @@ class LeclercReport:
         }
 
 
-def default_r_specs(graph: ExchangeGraph, include_frozen=True):
-    """Distinct single variables over all nodes, as (node key, exponent)."""
+def default_r_specs(graph: ExchangeGraph):
+    """Distinct single variables, frozen too, over all nodes, as (key, m)."""
     specs = []
     seen = set()
     for key in graph.order:
         ts = graph.nodes[key]
         for i in range(ts.seed.n):
-            if not include_frozen and i not in ts.seed.unfrozen:
-                continue
             g = ts.degs[i]
             if g in seen:
                 continue

@@ -20,9 +20,10 @@ support exponent is projected once per call, the maximal ones are the
 Pareto-minimal n, and the window is the box 0 <= n <= n(window bottom).
 
 Only the degree side is implemented. Negating B and Lambda
-(seed.opposite_seed) reverses the dominance order, so codegrees,
-normalize_codeg and decompose_co are the degree-side computations in
-the opposite seed.
+(seed.opposite_seed) reverses the dominance order, so codegrees are
+degrees in the opposite seed, and normalizing at the codegree or
+decomposing against codegree-keyed copointed elements is normalize_deg
+or decompose there, with the window's two ends traded.
 """
 from __future__ import annotations
 
@@ -151,11 +152,6 @@ def normalize_at(z, g):
     return z.scale(c.unit_inverse())
 
 
-def normalize_codeg(seed, z):
-    """Divide by the trailing coefficient, which must be a unit +-v**a."""
-    return normalize_deg(opposite_seed(seed), z)
-
-
 def interval(seed, lo, hi):
     """All g with lo <= g <= hi in dominance order, sorted lexicographically.
 
@@ -246,14 +242,6 @@ def decompose(seed, z, basis, window: Bidegree, tie_break=None):
         terms.append((g, c))
         r = r - elem.scale(c)
     return Decomposition(terms=terms, status="indeterminate", reason="iteration cap hit")
-
-
-def decompose_co(seed, z, basis, window: Bidegree, tie_break=None):
-    """Mirror of decompose: eliminates minimal support codegrees against
-    codegree-keyed copointed elements. It is decompose in the opposite
-    seed, where the window's two ends trade places."""
-    flipped = Bidegree(deg=window.codeg, codeg=window.deg)
-    return decompose(opposite_seed(seed), z, basis, flipped, tie_break)
 
 
 def is_m_unitriangular(decomp: Decomposition, pivot):

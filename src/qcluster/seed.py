@@ -85,6 +85,9 @@ def check_compatible(seed):
     """Verify B^T Lambda = (D 0) against the stored D.
 
     Returns (ok, diagnostic); the diagnostic names the first bad entry.
+    A passing pair also has B of full column rank: the unfrozen columns
+    of B^T Lambda form the invertible diagonal D > 0, so no separate rank
+    test is needed.
     """
     bt_lam = _linalg.mat_mul(_linalg.transpose(seed.B), seed.Lambda)
     for r, k in enumerate(seed.unfrozen):
@@ -95,8 +98,6 @@ def check_compatible(seed):
                 return False, (
                     f"(B^T Lambda)[{r}][{j}] = {got}, expected {want}"
                 )
-    if _linalg.rank(seed.B) != len(seed.unfrozen):
-        return False, "B does not have full column rank"
     return True, ""
 
 

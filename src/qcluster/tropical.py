@@ -6,7 +6,9 @@ mutation; composing them along a route between two graph nodes gives
 the general transformation. Codegrees are degrees in the opposite seed
 (seed.opposite_seed), so trop_codeg is trop_deg there. psi_matrix is
 the linear map sending each unit vector to the degree of the matching
-variable expanded in the other node's torus.
+variable expanded in the other node's torus, and so an exponent vector m
+to the degree of the cluster monomial X^m there (g-vectors add over
+factors); it is the one degree map, and leclerc keys its lookups by it.
 
 A node t is shift-detectable in direction +1 when some node t' carries,
 for every unfrozen k, a variable whose expansion in t's torus has
@@ -69,10 +71,9 @@ def phi_op(graph: ExchangeGraph, a_key, b_key, g):
 
 
 def psi_matrix(graph: ExchangeGraph, a_key, b_key):
-    """Linear map as columns: unit vector i of a to deg_b of a's variable i."""
-    cols = graph.tracked_in(a_key, b_key).degs
-    n = graph.reference.n
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    """Linear map as columns: unit vector i of a to deg_b of a's variable i,
+    so m to the degree of a's X^m in b's torus."""
+    return _linalg.transpose(graph.tracked_in(a_key, b_key).degs)
 
 
 @dataclass(frozen=True)

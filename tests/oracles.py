@@ -30,7 +30,7 @@ import sympy as sp
 from qcluster import _linalg, pointed
 from qcluster.expansion import cluster_monomial
 from qcluster.qtorus import QTElem, pos_part, twisted_mul, vec_sub
-from qcluster.seed import NoCompatibleLambda
+from qcluster.seed import NoCompatibleLambda, opposite_seed
 from qcluster.tropical import FrozenFactorNotFrozen, p_vars
 
 
@@ -358,4 +358,4 @@ def direct_proj_element(graph, sd, eta):
     u = vec_sub(eta, c)
     if any(u[i] != 0 for i in s.unfrozen):
         raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
-    return pointed.normalize_codeg(s, twisted_mul(body, QTElem.monomial(u), lam))
+    return pointed.normalize_deg(opposite_seed(s), twisted_mul(body, QTElem.monomial(u), lam))

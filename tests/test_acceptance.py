@@ -19,7 +19,6 @@ from qcluster.pointed import (
     decompose,
     degree,
     dominance_leq,
-    normalize_codeg,
     normalize_deg,
     recompose,
 )
@@ -71,15 +70,16 @@ def test_criterion_1_a2_golden_suite():
     assert bidegree(ref, i1) == Bidegree((-1, 0), (-1, 1))
 
     x1, x2 = QTElem.monomial((1, 0)), QTElem.monomial((0, 1))
+    op = opposite_seed(ref)
     golden = {
         "[X1*I1]": normalize_deg(ref, twisted_mul(x1, i1, lam)),
         "[X1*I2]": normalize_deg(ref, twisted_mul(x1, i2, lam)),
         "[X2*I1]": normalize_deg(ref, twisted_mul(x2, i1, lam)),
         "[X2*I2]": normalize_deg(ref, twisted_mul(x2, i2, lam)),
-        "{P1*X1}": normalize_codeg(ref, twisted_mul(p1, x1, lam)),
-        "{P1*X2}": normalize_codeg(ref, twisted_mul(p1, x2, lam)),
-        "{P2*X1}": normalize_codeg(ref, twisted_mul(p2, x1, lam)),
-        "{P2*X2}": normalize_codeg(ref, twisted_mul(p2, x2, lam)),
+        "{P1*X1}": normalize_deg(op, twisted_mul(p1, x1, lam)),
+        "{P1*X2}": normalize_deg(op, twisted_mul(p1, x2, lam)),
+        "{P2*X1}": normalize_deg(op, twisted_mul(p2, x1, lam)),
+        "{P2*X2}": normalize_deg(op, twisted_mul(p2, x2, lam)),
     }
     for name, got in golden.items():
         assert got == a2_gold(name), name
@@ -248,20 +248,19 @@ def test_criterion_6_oracle_cross_checks(a2_graph, b2_graph, a3_graph):
                 assert recompose(dec, pset, n) == prod.vshift(-s_pow)
                 checked += 1
     assert checked > 200
-    from qcluster.pointed import decompose_co
-
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
     t0_key = a2_graph.order[0]
-    ref = a2_graph.reference
+    op = opposite_seed(a2_graph.reference)
+    # co-decomposition: decompose in the opposite seed, window ends traded
     for name, window in (
-        ("{P1*X1}", Bidegree(deg=(1, -1), codeg=(0, 0))),
-        ("{P1*X2}", Bidegree(deg=(0, 0), codeg=(-1, 1))),
-        ("{P2*X1}", Bidegree(deg=(2, -1), codeg=(1, -1))),
-        ("{P2*X2}", Bidegree(deg=(1, 0), codeg=(0, 0))),
+        ("{P1*X1}", Bidegree(deg=(0, 0), codeg=(1, -1))),
+        ("{P1*X2}", Bidegree(deg=(-1, 1), codeg=(0, 0))),
+        ("{P2*X1}", Bidegree(deg=(1, -1), codeg=(2, -1))),
+        ("{P2*X2}", Bidegree(deg=(0, 0), codeg=(1, 0))),
     ):
         z = a2_gold(name)
         pset = basis.window_set(t0_key, co=True)
-        dec = decompose_co(ref, z, pset, window)
+        dec = decompose(op, z, pset, window)
         assert dec.is_exact
-        assert recompose(dec, pset, ref.n) == z
+        assert recompose(dec, pset, op.n) == z
     _report(6, "oracle cross-checks: dominance, division, decomposition", t0, 30.0)

@@ -11,7 +11,8 @@ import pytest
 import oracles
 from qcluster import make_seed
 from qcluster.expansion import build_exchange_graph
-from qcluster.leclerc import CandidateBasis, verify_theorem
+from qcluster._linalg import mat_vec
+from qcluster.leclerc import CandidateBasis, default_r_specs, verify_pair, verify_theorem
 from qcluster.pointed import codegree, degree
 from qcluster.qtorus import QTElem, unit_vec
 from qcluster.tropical import (
@@ -24,6 +25,7 @@ from qcluster.tropical import (
     p_vars,
     phi,
     proj_element,
+    psi_matrix,
 )
 
 
@@ -51,9 +53,6 @@ def test_recorded_degrees_match_a_fresh_scan(graph):
 
 
 def test_psi_fixes_frozen_units_at_shift(graph, seed):
-    from qcluster._linalg import mat_vec
-    from qcluster.tropical import psi_matrix
-
     up = detect_shift(graph, graph.order[0], 1)
     psi = psi_matrix(graph, up.target, graph.order[0])
     for i in seed.frozen:
@@ -125,3 +124,15 @@ def test_product_sweep_with_frozen_window(graph):
     for v in report.verdicts:
         if v.case == "two_tail":
             assert v.s > v.h
+
+
+def test_lookup_by_degree_returns_v(graph):
+    basis = CandidateBasis(graph, unfrozen_cap=2, frozen_window=1)
+    for r_home, r_m in default_r_specs(graph):
+        for home, m in basis.provenance.values():
+            z = graph.monomial_in(home, m, r_home)
+            g = mat_vec(psi_matrix(graph, home, r_home), m)
+            assert basis.element_at_degree(r_home, g) == z
+            v = verify_pair(basis, r_home, r_m, home, m)
+            assert v.v_degree == degree(graph.nodes[r_home].seed, z)
+    assert not basis.conflicts

@@ -2,7 +2,7 @@
 import pytest
 
 import oracles
-from qcluster import _linalg, pointed
+from qcluster import _linalg, opposite_seed, pointed
 from qcluster.leclerc import CandidateBasis, default_r_specs
 from qcluster.pointed import Bidegree
 from qcluster.qtorus import QTElem, unit_vec, vec_add, vec_sub
@@ -36,8 +36,11 @@ def _codegree_windows(graph, basis):
 
 
 def _assert_escapes(seed, z, g, view, window, co):
-    """z, whose first pivot is g, is refused before any lookup."""
-    decomp = (pointed.decompose_co if co else pointed.decompose)(seed, z, view, window)
+    """z, whose first pivot is g, is refused before any lookup; when co,
+    decompose runs in the opposite seed with the window's ends traded."""
+    if co:
+        seed, window = opposite_seed(seed), Bidegree(deg=window.codeg, codeg=window.deg)
+    decomp = pointed.decompose(seed, z, view, window)
     assert decomp.terms == []
     assert decomp.reason == f"support degree {g} escapes the window"
 

@@ -13,8 +13,10 @@ from qcluster.leclerc import (
     verify_pair,
     verify_theorem,
 )
+from qcluster._linalg import mat_vec
 from qcluster.pointed import codegree, degree, dominance_n
 from qcluster.qtorus import QTElem, unit_vec
+from qcluster.tropical import psi_matrix
 
 
 def test_enumeration_counts(a2_graph):
@@ -157,9 +159,13 @@ def test_triangular_away_from_reference(a2_graph):
 
 
 def test_triangular_with_frozen_vertices(pa2_graph):
+    # in every torus: with frozen rows, elements of the wrong torus fail
     basis = CandidateBasis(pa2_graph, unfrozen_cap=1)
-    report = check_degree_triangular(basis, pa2_graph.order[0])
-    assert report.ok, (report.failures, report.indeterminates)
+    for t_key in pa2_graph.order:
+        for check in (check_degree_triangular, check_codegree_triangular):
+            report = check(basis, t_key)
+            assert report.ok, (report.failures, report.indeterminates)
+            assert report.passes == pa2_graph.reference.n * len(basis.by_degree)
 
 
 def test_b2_triangular(b2_graph):
@@ -202,6 +208,49 @@ def test_verify_pair_records_n_criterion(a2_graph):
     z = a2_graph.monomial_in(*_prov_at_degree(basis, (1, 0)), t0)
     n = dominance_n(s, codegree(s, z), degree(s, z))
     assert n[s.col(1)] == 0
+
+
+@pytest.mark.parametrize("graph_name, cap", [
+    ("a2_graph", 2), ("b2_graph", 2), ("pa2_graph", 1),
+])
+def test_lookup_by_degree_returns_v(graph_name, cap, request):
+    # V's key in R's torus is psi . m, the element there is V itself, and
+    # verify_pair reports V's degree in that torus
+    graph = request.getfixturevalue(graph_name)
+    basis = CandidateBasis(graph, unfrozen_cap=cap)
+    for r_home, r_m in default_r_specs(graph):
+        for home, m in basis.provenance.values():
+            z = graph.monomial_in(home, m, r_home)
+            g = mat_vec(psi_matrix(graph, home, r_home), m)
+            assert basis.element_at_degree(r_home, g) == z
+            v = verify_pair(basis, r_home, r_m, home, m)
+            assert v.v_degree == degree(graph.nodes[r_home].seed, z)
+    assert not basis.conflicts
+
+
+def test_verify_pair_v_not_found_is_indeterminate(a2_graph, monkeypatch):
+    basis = CandidateBasis(a2_graph, unfrozen_cap=1)
+    t0 = a2_graph.order[0]
+    v_home, v_m = _prov_at_degree(basis, (1, 0))
+    monkeypatch.setattr(basis, "element_at_degree", lambda torus_key, g: None)
+    v = verify_pair(basis, t0, (1, 0), v_home, v_m)
+    assert v.case == "indeterminate" and not v.passed
+    assert v.reason == "factor V is not bipointed in the working torus"
+    assert v.v_degree == ()
+
+
+@pytest.mark.parametrize("graph_name, cap", [("a2_graph", 2), ("pa2_graph", 1)])
+def test_sweep_expands_each_monomial_once_per_torus(graph_name, cap, request, monkeypatch):
+    graph = request.getfixturevalue(graph_name)
+    t0 = graph.order[0]
+    specs = [spec for spec in default_r_specs(graph) if spec[0] == t0]
+    assert len(specs) >= 2
+    calls = []
+    real = graph.monomial_in
+    monkeypatch.setattr(graph, "monomial_in", lambda *a: calls.append(a) or real(*a))
+    report = verify_theorem(CandidateBasis(graph, unfrozen_cap=cap), r_specs=specs)
+    assert report.ok and report.counts()["indeterminate"] == 0
+    assert len(calls) == len(set(calls))
 
 
 def test_verify_theorem_a2(a2_graph):

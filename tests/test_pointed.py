@@ -14,13 +14,11 @@ from qcluster.pointed import (
     bidegree,
     codegree,
     decompose,
-    decompose_co,
     degree,
     dominance_leq,
     dominance_n,
     interval,
     is_m_unitriangular,
-    normalize_codeg,
     normalize_deg,
     recompose,
 )
@@ -130,7 +128,8 @@ def test_normalize_golden_products(a2_seed):
     x1, x2 = QTElem.monomial((1, 0)), QTElem.monomial((0, 1))
     i2, p1, p2 = a2_gold("P1"), a2_gold("P1"), a2_gold("P2")
     assert normalize_deg(a2_seed, twisted_mul(x1, i2, lam)) == a2_gold("[X1*I2]")
-    assert normalize_codeg(a2_seed, twisted_mul(p1, x1, lam)) == a2_gold("{P1*X1}")
+    # copointed normalization is normalize_deg in the opposite seed
+    assert normalize_deg(opposite_seed(a2_seed), twisted_mul(p1, x1, lam)) == a2_gold("{P1*X1}")
     m = QTElem.monomial((3, 1))
     assert normalize_deg(a2_seed, m.vshift(4)) == m
 
@@ -141,7 +140,7 @@ def test_normalize_non_unit_leading(a2_seed):
         normalize_deg(a2_seed, z)
     z2 = QTElem.monomial((0, 1), VCoeff({0: 2})) + QTElem.monomial((1, 0))
     with pytest.raises(NonUnitLeading):
-        normalize_codeg(a2_seed, z2)
+        normalize_deg(opposite_seed(a2_seed), z2)
 
 
 def _a2_basis():
@@ -187,13 +186,15 @@ def test_decompose_basis_element_is_single_term(a2_seed):
 
 
 def test_decompose_co_golden(a2_seed):
+    # co-decomposition is decompose in the opposite seed, window ends traded
+    op = opposite_seed(a2_seed)
     z = a2_gold("{P1*X2}")
-    d = decompose_co(a2_seed, z, _a2_cobasis(), Bidegree(deg=(0, 0), codeg=(-1, 1)))
+    d = decompose(op, z, _a2_cobasis(), Bidegree(deg=(-1, 1), codeg=(0, 0)))
     assert d.is_exact
     assert sorted(d.terms) == [((-1, 1), VCoeff.one()), ((0, 0), VCoeff({-1: 1}))]
     assert is_m_unitriangular(d, (-1, 1))
     z2 = a2_gold("{P2*X2}")
-    d2 = decompose_co(a2_seed, z2, _a2_cobasis(), Bidegree(deg=(1, 0), codeg=(0, 0)))
+    d2 = decompose(op, z2, _a2_cobasis(), Bidegree(deg=(0, 0), codeg=(1, 0)))
     assert sorted(d2.terms) == [((0, 0), VCoeff.one()), ((1, 0), VCoeff({-1: 1}))]
     assert is_m_unitriangular(d2, (0, 0))
 
@@ -320,10 +321,10 @@ def test_codegree_matches_direct_scan(case):
     eta = oracles.direct_codegree(seed, z)
     assert codegree(seed, z) == eta
     if eta is not None and z.terms[eta].is_unit():
-        assert normalize_codeg(seed, z) == z.scale(z.terms[eta].unit_inverse())
+        assert normalize_deg(opposite_seed(seed), z) == z.scale(z.terms[eta].unit_inverse())
     else:
         with pytest.raises(NonUnitLeading):
-            normalize_codeg(seed, z)
+            normalize_deg(opposite_seed(seed), z)
 
 
 @settings(max_examples=100, deadline=None)
@@ -331,7 +332,8 @@ def test_codegree_matches_direct_scan(case):
 def test_decompose_co_matches_direct_scan(case, largest_first):
     seed, z, basis, window = case
     tie_break = (lambda keys: keys[-1]) if largest_first else None
-    got = decompose_co(seed, z, basis, window, tie_break)
+    flipped = Bidegree(deg=window.codeg, codeg=window.deg)
+    got = decompose(opposite_seed(seed), z, basis, flipped, tie_break)
     assert got == oracles.direct_decompose_co(seed, z, basis, window, tie_break)
     if got.is_exact:
         assert recompose(got, basis, seed.n) == z

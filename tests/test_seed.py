@@ -17,6 +17,7 @@ from conftest import (
 )
 from qcluster import (
     QuantumSeed,
+    _linalg,
     check_compatible,
     find_compatible_lambda,
     make_seed,
@@ -244,3 +245,40 @@ def test_opposite_is_an_involution(seed):
     op = opposite_seed(seed)
     assert op != seed and opposite_seed(op) == seed
     assert check_compatible(op)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(principal_framings(max_word=4))
+def test_accepted_seeds_have_full_column_rank(seed):
+    ok, diag = check_compatible(seed)
+    assert ok, diag
+    assert _linalg.rank(seed.B) == len(seed.unfrozen)
+
+
+@st.composite
+def rank_deficient_pairs(draw):
+    """A seed whose B is a product (n x r)(r x nuf) with r < nuf, with any
+    skew-symmetric Lambda and positive D."""
+    nuf = draw(st.integers(1, 3))
+    n = draw(st.integers(nuf, 4))
+    r = draw(st.integers(0, nuf - 1))
+    small = st.integers(-2, 2)
+    left = draw(st.lists(st.lists(small, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(small, min_size=nuf, max_size=nuf), min_size=r, max_size=r))
+    b = tuple(tuple(sum(left[i][j] * right[j][k] for j in range(r)) for k in range(nuf))
+              for i in range(n))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(n) for j in range(i + 1, n)}
+    lam = tuple(tuple(upper.get((i, j), -upper.get((j, i), 0)) for j in range(n))
+                for i in range(n))
+    unfrozen = tuple(sorted(draw(st.permutations(range(n)))[:nuf]))
+    d = tuple(draw(st.lists(st.integers(1, 3), min_size=nuf, max_size=nuf)))
+    return QuantumSeed(n, unfrozen, b, lam, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_deficient_pairs())
+def test_rank_deficient_b_is_rejected_at_an_entry(seed):
+    assert _linalg.rank(seed.B) < len(seed.unfrozen)
+    ok, diag = check_compatible(seed)
+    assert not ok
+    assert diag.startswith("(B^T Lambda)[") and "expected" in diag
