@@ -8,6 +8,7 @@ No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 def transpose(mat):
@@ -16,11 +17,20 @@ def transpose(mat):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def dot(a, b):
+    return sum(map(mul, a, b))
 
 
 def mat_vec(mat, vec):
-    return tuple(sum(x * y for x, y in zip(row, vec)) for row in mat)
+    return tuple(dot(row, vec) for row in mat)
+
+
+def vec_mat(vec, mat):
+    """The row vector vec^T mat."""
+    return tuple(dot(vec, col) for col in zip(*mat))
 
 
 def identity(n):

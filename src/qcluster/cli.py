@@ -139,7 +139,13 @@ def cmd_shift(args):
     require_at_least("--cap", args.cap, 1)
     seed, _ = load_seed(args.seed_file)
     graph = build_exchange_graph(seed, node_cap=args.cap)
-    sd = tropical.detect_shift(graph, graph.order[0], args.direction)
+    try:
+        sd = tropical.detect_shift(graph, graph.order[0], args.direction)
+    except tropical.ShiftNotFound:
+        if not graph.truncated:
+            raise
+        print(f"not finite type within cap {args.cap}; no {args.direction:+d} shift found")
+        return 1
     out = {
         "direction": sd.direction,
         "word": [k + 1 for k in sd.word],

@@ -14,6 +14,8 @@ coefficients are pruned at every step: equality is structural.
 """
 from __future__ import annotations
 
+from operator import add, sub
+
 from . import _linalg
 
 
@@ -161,11 +163,11 @@ class VCoeff:
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def unit_vec(n, i):
@@ -182,7 +184,7 @@ def pos_part(a):
 
 def lam_pair(lam, m, mp):
     """Evaluate the skew form: m^T lam m'."""
-    return sum(mi * sum(l * mj for l, mj in zip(row, mp)) for mi, row in zip(m, lam))
+    return _linalg.dot(m, _linalg.mat_vec(lam, mp))
 
 
 class QTElem:
@@ -274,11 +276,6 @@ class QTElem:
         """Bar involution: v -> 1/v on every coefficient, exponents fixed."""
         return QTElem(self.dim, {m: c.bar() for m, c in self.terms.items()})
 
-    def lex_leading(self):
-        """(exponent, coefficient) of the lexicographically largest term."""
-        m = max(self.terms)
-        return m, self.terms[m]
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -298,21 +295,41 @@ class QTElem:
         return f"QTElem({self})"
 
 
+def _add_product(acc, c1, c2, e, sign=1):
+    """acc += sign * v**e * c1 * c2 on a {v-exponent: int} dict, in place;
+    coefficients that cancel are removed."""
+    for e1, x1 in c1._c.items():
+        for e2, x2 in c2._c.items():
+            k = e1 + e2 + e
+            x = acc.get(k, 0) + sign * x1 * x2
+            if x:
+                acc[k] = x
+            else:
+                del acc[k]
+
+
 def twisted_mul(a, b, lam):
     """Twisted product for the skew form lam: bilinear in both arguments.
 
-    lam m2 is formed once per term of b, so each pairing lam_pair(lam,
-    m1, m2) is the single dot product m1 . (lam m2).
+    The pairing lam_pair(lam, m1, m2) = m1^T lam m2 is formed on the side
+    with fewer terms: m1^T lam once per term of a when a has at most as
+    many terms as b, else lam m2 once per term of b. Each term pair then
+    costs one dot product. Terms of a are the outer loop either way, so
+    the result is built in the same order. Each coefficient is summed in
+    place and made a VCoeff once.
     """
     a._check_dim(b)
-    right = [(m2, c2, _linalg.mat_vec(lam, m2)) for m2, c2 in b.terms.items()]
+    if len(a.terms) <= len(b.terms):
+        left = [(m1, c1, _linalg.vec_mat(m1, lam)) for m1, c1 in a.terms.items()]
+        right = [(m2, c2, m2) for m2, c2 in b.terms.items()]
+    else:
+        left = [(m1, c1, m1) for m1, c1 in a.terms.items()]
+        right = [(m2, c2, _linalg.mat_vec(lam, m2)) for m2, c2 in b.terms.items()]
     t = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2, lam_m2 in right:
-            m = vec_add(m1, m2)
-            c = (c1 * c2).shift(sum(x * y for x, y in zip(m1, lam_m2)))
-            t[m] = t.get(m, VCoeff.zero()) + c
-    return QTElem(a.dim, t)
+    for m1, c1, p1 in left:
+        for m2, c2, p2 in right:
+            _add_product(t.setdefault(vec_add(m1, m2), {}), c1, c2, _linalg.dot(p1, p2))
+    return QTElem(a.dim, {m: VCoeff(c) for m, c in t.items()})
 
 
 def exact_divide(numerator, divisor, lam):
@@ -322,6 +339,9 @@ def exact_divide(numerator, divisor, lam):
     confined to the per-coordinate box forced by the extremes of the
     two supports (supports of exact factors add at the extremes of any
     linear functional), which both bounds the loop and detects failure.
+    lam m' is formed once per divisor term, and the remainder is one
+    dict from which each quotient term's product is subtracted in
+    place, dropping the terms that cancel.
 
     Raises NotDivisible when no quotient exists in the torus.
     """
@@ -336,17 +356,24 @@ def exact_divide(numerator, divisor, lam):
     hi = tuple(max(m[i] for m in ns) - max(m[i] for m in ds) for i in range(dim))
     if any(l > h for l, h in zip(lo, hi)):
         raise NotDivisible("incompatible support boxes")
-    md, cd = divisor.lex_leading()
+    right = [(m2, c2, _linalg.mat_vec(lam, m2)) for m2, c2 in divisor.terms.items()]
+    md, cd, lam_md = max(right)  # exponents are distinct, so only they are compared
     q = {}
-    r = numerator
+    r = {m: dict(c._c) for m, c in numerator.terms.items()}
     while r:
-        mr, cr = r.lex_leading()
+        mr = max(r)
+        cr = VCoeff(r[mr])
         mq = vec_sub(mr, md)
         if any(not (l <= x <= h) for x, l, h in zip(mq, lo, hi)):
             raise NotDivisible(f"quotient term {mq} escapes the support box")
-        cq = cr.exact_div(cd.shift(lam_pair(lam, mq, md)))
+        cq = cr.exact_div(cd.shift(_linalg.dot(mq, lam_md)))
         if cq is None:
             raise NotDivisible(f"coefficient {cr} not divisible at {mr}")
         q[mq] = cq
-        r = r - twisted_mul(QTElem.monomial(mq, cq), divisor, lam)
+        for m2, c2, lam_m2 in right:
+            m = vec_add(mq, m2)
+            rm = r.setdefault(m, {})
+            _add_product(rm, cq, c2, _linalg.dot(mq, lam_m2), -1)
+            if not rm:
+                del r[m]
     return QTElem(dim, q)

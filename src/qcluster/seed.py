@@ -101,28 +101,35 @@ def check_compatible(seed):
     return True, ""
 
 
-def _mutation_matrix(seed, k, eps):
-    """Elementary n x n matrix of the mutation at k with sign choice eps.
+def _conjugated_lambda(seed, k, eps):
+    """E^T Lambda E for the elementary matrix E of the mutation at k with
+    sign choice eps.
 
-    Identity except in column k, which holds -1 on the diagonal and
-    max(0, -eps * b_ik) elsewhere.
+    E is the identity except in column k, which is e: -1 at k and
+    max(0, -eps * b_ik) elsewhere. So E^T Lambda E is Lambda except in
+    row k, which is e^T Lambda, and column k, which is Lambda e; they
+    meet in e^T Lambda e. No symmetry of Lambda is assumed.
     """
     ck = seed.col(k)
-    rows = []
-    for i in range(seed.n):
-        row = list(unit_vec(seed.n, i))
-        row[k] = -1 if i == k else max(0, -eps * seed.B[i][ck])
-        rows.append(tuple(row))
-    return tuple(rows)
+    e = tuple(-1 if i == k else max(0, -eps * seed.B[i][ck]) for i in range(seed.n))
+    col = _linalg.mat_vec(seed.Lambda, e)
+    rows = [list(row) for row in seed.Lambda]
+    for row, x in zip(rows, col):
+        row[k] = x
+    rows[k] = list(_linalg.vec_mat(e, seed.Lambda))
+    rows[k][k] = _linalg.dot(e, col)
+    return tuple(tuple(row) for row in rows)
 
 
 def mutate_seed(seed, k):
     """Seed mutation at an unfrozen vertex k; an involution.
 
     B mutates by the standard matrix rule. Lambda is conjugated by the
-    elementary matrix of the mutation; both sign conventions are
-    computed and must agree, and compatibility with the unchanged D is
-    re-checked, so convention drift shows up as a hard error.
+    elementary matrix of the mutation, of which only row and column k
+    differ from Lambda and are formed (O(n^2) per sign convention).
+    Both sign conventions are computed and must agree, and
+    compatibility with the unchanged D is re-checked, so convention
+    drift shows up as a hard error.
     """
     if k not in seed.unfrozen:
         raise ValueError(f"vertex {k} is not unfrozen")
@@ -138,10 +145,7 @@ def mutate_seed(seed, k):
                 bkj = seed.B[k][cj]
                 row.append(seed.B[i][cj] + max(bik, 0) * bkj + bik * max(-bkj, 0))
         newb.append(tuple(row))
-    lams = []
-    for eps in (1, -1):
-        e = _mutation_matrix(seed, k, eps)
-        lams.append(_linalg.mat_mul(_linalg.mat_mul(_linalg.transpose(e), seed.Lambda), e))
+    lams = [_conjugated_lambda(seed, k, eps) for eps in (1, -1)]
     if lams[0] != lams[1]:
         raise IncompatibleResult(f"Lambda mutation at {k}: sign conventions disagree")
     out = QuantumSeed(seed.n, seed.unfrozen, tuple(newb), lams[0], seed.D)

@@ -20,6 +20,10 @@ key finds the elements, keys and provenance that expanding every
 cluster monomial of the exponent box found. The direct projective
 element reuses the library's arithmetic: what it checks is that building
 it as the injective construction in the opposite seed changes nothing.
+The dense Lambda mutation and the subtractive division reuse the
+library's matrix product and twisted product: what they check is that
+forming only row and column k of E^T Lambda E, and dividing with one
+remainder updated in place, give the results of the whole products.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ import sympy as sp
 
 from qcluster import _linalg, pointed
 from qcluster.expansion import cluster_monomial
-from qcluster.qtorus import QTElem, pos_part, twisted_mul, vec_sub
+from qcluster.qtorus import NotDivisible, QTElem, lam_pair, pos_part, twisted_mul, vec_sub
 from qcluster.seed import NoCompatibleLambda, opposite_seed
 from qcluster.tropical import FrozenFactorNotFrozen, p_vars
 
@@ -77,6 +81,51 @@ def _mutate_b(b, unfrozen, k):
                 sign = (bik > 0) - (bik < 0)
                 new[i][cj] = b[i][cj] + sign * max(bik * bkj, 0)
     return new
+
+
+def dense_mutated_lambda(seed, k, eps):
+    """Reference Lambda mutation: E^T Lambda E by two dense matrix products,
+    E the elementary n x n matrix of the mutation at k with sign choice
+    eps (the identity except in column k, which holds -1 on the diagonal
+    and max(0, -eps * b_ik) elsewhere)."""
+    ck = seed.col(k)
+    e = [list(row) for row in _linalg.identity(seed.n)]
+    for i in range(seed.n):
+        e[i][k] = -1 if i == k else max(0, -eps * seed.B[i][ck])
+    return _linalg.mat_mul(_linalg.mat_mul(_linalg.transpose(e), seed.Lambda), e)
+
+
+def subtractive_exact_divide(numerator, divisor, lam):
+    """Reference exact division: cancel the lexicographically leading term
+    of the remainder by subtracting the whole twisted product of the
+    quotient term and the divisor, inside the same support box and with
+    the same NotDivisible messages as qtorus.exact_divide."""
+    if not divisor:
+        raise ZeroDivisionError("division by zero")
+    if not numerator:
+        return QTElem.zero(numerator.dim)
+    dim = numerator.dim
+    ns, ds = numerator.support(), divisor.support()
+    lo = tuple(min(m[i] for m in ns) - min(m[i] for m in ds) for i in range(dim))
+    hi = tuple(max(m[i] for m in ns) - max(m[i] for m in ds) for i in range(dim))
+    if any(l > h for l, h in zip(lo, hi)):
+        raise NotDivisible("incompatible support boxes")
+    md = max(divisor.terms)
+    cd = divisor.terms[md]
+    q = {}
+    r = numerator
+    while r:
+        mr = max(r.terms)
+        cr = r.terms[mr]
+        mq = vec_sub(mr, md)
+        if any(not (l <= x <= h) for x, l, h in zip(mq, lo, hi)):
+            raise NotDivisible(f"quotient term {mq} escapes the support box")
+        cq = cr.exact_div(cd.shift(lam_pair(lam, mq, md)))
+        if cq is None:
+            raise NotDivisible(f"coefficient {cr} not divisible at {mr}")
+        q[mq] = cq
+        r = r - twisted_mul(QTElem.monomial(mq, cq), divisor, lam)
+    return QTElem(dim, q)
 
 
 def laurent_dict(expr, gens):

@@ -124,6 +124,15 @@ def test_shift(a2_file, capsys):
     assert data["direction"] == -1
 
 
+@pytest.mark.parametrize("direction", ["1", "-1"])
+def test_shift_on_a_truncated_graph_is_a_check_failure(a2_file, direction, capsys):
+    # used to exit 3: "internal error: no +1 shift for node in graph (graph truncated)"
+    assert main(["shift", a2_file, "--cap", "1", "--direction", direction]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"not finite type within cap 1; no {int(direction):+d} shift found\n"
+    assert captured.err == ""
+
+
 def test_leclerc_report(a2_file, capsys, tmp_path):
     out_path = tmp_path / "report.json"
     assert main(["leclerc", a2_file, "--cap", "2", "--json", str(out_path)]) == 0

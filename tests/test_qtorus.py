@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import A2_LAMBDA, a2_gold, elem
 from qcluster.qtorus import (
     NotDivisible,
@@ -168,9 +169,23 @@ class TestExactDivide:
         assert exact_divide(a, QTElem.one(2), A2_LAMBDA) == a
 
     def test_not_divisible(self):
+        # (X1 + 1) - (X1 - 1) leaves 2 at exponent 0, whose quotient term
+        # (-1, 0) lies outside the box {(0, 0)}
         num = QTElem.monomial((1, 0)) + QTElem.one(2)
         den = QTElem.monomial((1, 0)) - QTElem.one(2)
-        with pytest.raises(NotDivisible):
+        with pytest.raises(NotDivisible, match=r"quotient term \(-1, 0\) escapes"):
+            exact_divide(num, den, A2_LAMBDA)
+
+    def test_not_divisible_coefficient(self):
+        num = QTElem.monomial((1, 0), VCoeff({0: 3}))
+        den = QTElem.one(2).scale(2)
+        with pytest.raises(NotDivisible, match=r"coefficient 3 not divisible at \(1, 0\)"):
+            exact_divide(num, den, A2_LAMBDA)
+
+    def test_not_divisible_empty_box(self):
+        num = QTElem.monomial((1, 0))
+        den = QTElem.one(2) + QTElem.monomial((2, 0))
+        with pytest.raises(NotDivisible, match="incompatible support boxes"):
             exact_divide(num, den, A2_LAMBDA)
 
     def test_zero_divisor(self):
@@ -193,8 +208,12 @@ class TestExactDivide:
 
 
 @st.composite
-def torus_case(draw, count):
-    """A random skew form Lambda of dimension 2-4 and `count` elements."""
+def torus_case(draw, count, sizes=None):
+    """A random skew form Lambda of dimension 2-4 and `count` elements.
+
+    With sizes, element i has exactly sizes[i] terms, each with a
+    nonzero coefficient; otherwise each has at most 3 terms.
+    """
     n = draw(st.integers(2, 4))
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -202,13 +221,38 @@ def torus_case(draw, count):
             lam[i][j] = draw(st.integers(-3, 3))
             lam[j][i] = -lam[i][j]
     exponent = st.tuples(*[st.integers(-2, 2)] * n)
-    coeff = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3)
+    coeff = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
+                            min_size=0 if sizes is None else 1, max_size=3)
+    if sizes is not None:
+        coeff = coeff.filter(lambda c: any(c.values()))
     elems = [
-        QTElem(n, {m: VCoeff(c) for m, c in draw(
-            st.dictionaries(exponent, coeff, max_size=3)).items()})
-        for _ in range(count)
+        QTElem(n, {m: VCoeff(c) for m, c in draw(st.dictionaries(
+            exponent, coeff, min_size=0 if sizes is None else sizes[i],
+            max_size=3 if sizes is None else sizes[i])).items()})
+        for i in range(count)
     ]
     return tuple(tuple(row) for row in lam), elems
+
+
+@st.composite
+def lopsided_case(draw):
+    """A skew form and two elements of 1 x k, k x 1 or k x k terms."""
+    k = draw(st.integers(1, 6))
+    sizes = draw(st.sampled_from([(1, k), (k, 1), (k, k)]))
+    lam, (a, b) = draw(torus_case(2, sizes))
+    assert (len(a.terms), len(b.terms)) == sizes
+    return lam, (a, b)
+
+
+@st.composite
+def division_case(draw):
+    """A skew form, a nonzero divisor d and a numerator that is a twisted
+    multiple of d or an arbitrary element."""
+    lam, (a, d) = draw(torus_case(2))
+    assume(d)
+    if draw(st.booleans()):
+        a = twisted_mul(a, d, lam)
+    return lam, a, d
 
 
 def _reference_twisted_mul(a, b, lam):
@@ -223,9 +267,10 @@ def _reference_twisted_mul(a, b, lam):
 
 
 class TestTwistedProperties:
-    @settings(max_examples=80, deadline=None)
-    @given(torus_case(2))
+    @settings(max_examples=160, deadline=None)
+    @given(st.one_of(torus_case(2), lopsided_case()))
     def test_matches_lam_pair_double_loop(self, case):
+        # 1 x k products pair on the left factor, k x 1 on the right one
         lam, (a, b) = case
         assert twisted_mul(a, b, lam) == _reference_twisted_mul(a, b, lam)
 
@@ -249,3 +294,16 @@ class TestTwistedProperties:
         lam, (q, d) = case
         assume(d)
         assert exact_divide(twisted_mul(q, d, lam), d, lam) == q
+
+    @settings(max_examples=120, deadline=None)
+    @given(division_case())
+    def test_exact_divide_matches_subtractive_division(self, case):
+        lam, num, d = case
+        try:
+            want = oracles.subtractive_exact_divide(num, d, lam)
+        except NotDivisible as exc:
+            with pytest.raises(NotDivisible) as got:
+                exact_divide(num, d, lam)
+            assert str(got.value) == str(exc)
+        else:
+            assert exact_divide(num, d, lam) == want

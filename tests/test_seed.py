@@ -26,7 +26,7 @@ from qcluster import (
     principal_framing,
 )
 from qcluster.qtorus import unit_vec
-from qcluster.seed import IncompatiblePair, NoCompatibleLambda
+from qcluster.seed import IncompatiblePair, IncompatibleResult, NoCompatibleLambda
 
 
 def test_a2_compatible(a2_seed):
@@ -65,6 +65,20 @@ def test_mutate_involution_everywhere(a2_seed, b2_seed, pa2_seed, a3_seed):
 def test_mutate_frozen_rejected(pa2_seed):
     with pytest.raises(ValueError):
         mutate_seed(pa2_seed, 2)
+
+
+@pytest.mark.parametrize("b, lam, message", [
+    # compatible with neither sign: both conjugations agree, the check fails
+    (A2_B, ((0, 0), (0, 0)), "broke compatibility"),
+    # B^T Lambda = (1 1 -2) is not (D 0), and the two conjugations differ
+    (((0,), (1,), (1,)), ((0, -1, -1), (1, 0, -1), (1, 1, 0)), "sign conventions disagree"),
+])
+def test_mutating_an_incompatible_seed_raises(b, lam, message):
+    # built directly, bypassing make_seed's compatibility check
+    seed = QuantumSeed(len(b), tuple(range(len(b[0]))), b, lam, (1,) * len(b[0]))
+    assert not check_compatible(seed)[0]
+    with pytest.raises(IncompatibleResult, match=message):
+        mutate_seed(seed, 0)
 
 
 def test_principal_mutation_keeps_rank_and_compat(pa2_seed):
@@ -230,6 +244,16 @@ def test_synthesis_matches_exhaustive_scan(case):
 def test_mutation_is_an_involution(seed, data):
     k = data.draw(st.sampled_from(seed.unfrozen))
     assert mutate_seed(mutate_seed(seed, k), k) == seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(principal_framings(), st.data())
+def test_mutated_lambda_matches_dense_conjugation(seed, data):
+    for k in data.draw(st.lists(st.sampled_from(seed.unfrozen), min_size=1, max_size=4)):
+        want = oracles.dense_mutated_lambda(seed, k, 1)
+        assert oracles.dense_mutated_lambda(seed, k, -1) == want
+        seed = mutate_seed(seed, k)
+        assert seed.Lambda == want
 
 
 @settings(max_examples=60, deadline=None)
