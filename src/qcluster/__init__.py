@@ -67,6 +67,7 @@ from .tropical import (
 )
 from .leclerc import (
     CandidateBasis,
+    EnumerationTooLarge,
     LeclercReport,
     LeclercVerdict,
     check_codegree_triangular,

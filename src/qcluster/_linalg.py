@@ -69,24 +69,6 @@ def rank(mat):
     return len(pivots)
 
 
-def solve_any(mat, rhs):
-    """One rational solution x of mat @ x = rhs, or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug, pivots = _row_reduce(mat, [[v] for v in rhs])
-    # consistency: zero rows must have zero rhs
-    for i in range(len(pivots), m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][n]
-    return tuple(x)
-
-
 def invert(mat):
     """Rational inverse of a square matrix, or None if singular."""
     n = len(mat)

@@ -219,13 +219,13 @@ def cmd_leclerc(args):
     if graph.truncated:
         print(f"not finite type within cap {args.node_cap}; no report written")
         return 1
-    size = leclerc.enumeration_size(graph, args.cap, args.frozen_window)
-    if size > leclerc.ENUMERATION_LIMIT:
-        raise UsageError(f"--cap {args.cap} with --frozen-window {args.frozen_window} keys "
-                         f"{size} (node, m) pairs, over {leclerc.ENUMERATION_LIMIT}")
     r_specs = select_r_specs(leclerc.default_r_specs(graph), scope, args.rng_seed)
-    basis = leclerc.CandidateBasis(graph, unfrozen_cap=args.cap,
-                                   frozen_window=args.frozen_window)
+    try:
+        basis = leclerc.CandidateBasis(graph, unfrozen_cap=args.cap,
+                                       frozen_window=args.frozen_window)
+    except leclerc.EnumerationTooLarge as exc:
+        raise UsageError(f"--cap {args.cap} with --frozen-window {args.frozen_window} keys "
+                         f"{exc.size} (node, m) pairs, over {leclerc.ENUMERATION_LIMIT}")
     report = leclerc.verify_theorem(basis, r_specs=r_specs)
     node_ids = {key: i for i, key in enumerate(graph.order)}
     pairs = []

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pointed
+from ._linalg import vec_mat
 from .qtorus import QTElem, exact_divide, pos_part, twisted_mul, unit_vec
 from .seed import QuantumSeed, mutate_seed
 
@@ -119,11 +120,13 @@ def cluster_monomial(ts: TrackedSeed, m) -> QTElem:
 
     Unfrozen exponents must be nonnegative; frozen exponents may be any
     integers. Degree normalization makes the result independent of the
-    multiplication order of the quasi-commuting factors.
+    multiplication order of the quasi-commuting factors. Degrees add over
+    the factors, so the degree is sum m_i degs_i and is not measured
+    again.
     """
     if any(m[i] < 0 for i in ts.seed.unfrozen):
         raise ValueError("unfrozen exponents must be nonnegative")
-    return pointed.normalize_deg(ts.ref, _image_monomial(ts, m))
+    return pointed.normalize_at(_image_monomial(ts, m), vec_mat(m, ts.degs))
 
 
 def degree_key(ts: TrackedSeed):
@@ -207,10 +210,6 @@ class ExchangeGraph:
                     self._cross[(key2, key0)] = ts2  # what vars_in(key2, key0) would re-track
                     nxt.append(key2)
             frontier = nxt
-
-    def key_of_path(self, word):
-        ts = apply_word(initial_tracked(self.reference), word)
-        return degree_key(ts)
 
     def route(self, a_key, b_key):
         """Mutation word turning node a's labeled seed into node b's."""

@@ -8,17 +8,36 @@ over a cluster monomial's factors; the sweep keys are those of an
 exponent box up to a cap. Every element in every torus (a sweep key, a
 point of the lazy window_set view that decompose keeps inside its
 dominance window, verify_pair's V, an element of a triangularity sweep)
-is looked up by (co)degree through one resolver, which inverts the
-linear map sending a node's exponent vectors to (co)degrees and alone
-expands cluster monomials. A cluster monomial on a face shared by
-several nodes' g-vector cones is found from each of them; it is
-identified by the reference degrees and exponents of its factors and
-expanded once, and the other nodes' factors are compared with the first
-node's instead. Two distinct elements sharing a key, or a repeated
-identity whose factors differ, are recorded as conflicts, never merged,
-and the lookup returns the first home's element; conflicts are recorded
-for every resolved key, so window points that no lookup reaches are
-never checked.
+is looked up by (co)degree through one resolver, which alone expands
+cluster monomials.
+
+In one torus, the (co)degree cones of the nodes, each spanned by its
+variables' (co)degrees, form a complete simplicial fan (the g-vector fan
+of a finite type; Hohlweg-Pilaud-Stella, arXiv:1703.09551). The
+resolver walks it: from the torus's own node it reads a key g in a
+node's coordinates, lambda = num . g through the integer inverse of the
+node's (co)degree map, and while some unfrozen lambda_k < 0 it steps
+across wall k along the graph edge (node, k, node'). In a polytopal fan
+each step improves <g, .> at the polytope's vertices, so no node
+repeats. The walk ends at a node whose cone holds g; the variables with
+nonzero lambda there span the face g lies in, and the nodes holding all
+of them (the face homes) are the only cones holding g. Before the first
+lookup in a (torus, side), a certificate checks that the cones do form
+such a fan: every node's map is invertible, every edge's new variable
+lies strictly across the wall (lambda_k < 0 in the coordinates of the
+node it leaves), and an interior point of the torus's own cone lies in
+no other cone. A failed certificate, or a walk longer than the node
+count, is an internal error, never a fallback to trying every node.
+
+The face homes are tried in graph order. A cluster monomial on a face
+is found from each of its homes; it is identified by the reference
+degrees and exponents of its factors and expanded once, and the other
+homes' factors are compared with the first home's instead. Two distinct
+elements sharing a key, or a repeated identity whose factors differ,
+are recorded as conflicts, never merged, and the lookup returns the
+first home's element; conflicts are recorded for every resolved key,
+so window points that no lookup reaches are never checked. The
+resolver keeps each element's codegree, measured once.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -44,7 +63,16 @@ from .tropical import psi_matrix
 
 _MISS = object()
 
-ENUMERATION_LIMIT = 10 ** 5  # (node, m) pairs the leclerc command will key
+ENUMERATION_LIMIT = 10 ** 5  # (node, m) pairs a CandidateBasis will key
+
+
+class EnumerationTooLarge(ValueError):
+    """The exponent box keys more (node, m) pairs than ENUMERATION_LIMIT."""
+
+    def __init__(self, size):
+        super().__init__(f"the exponent box keys {size} (node, m) pairs, "
+                         f"over {ENUMERATION_LIMIT}")
+        self.size = size
 
 
 def _exponent_box(seed, cap, frozen_window):
@@ -64,11 +92,18 @@ def enumeration_size(graph, unfrozen_cap, frozen_window):
 
 
 class CandidateBasis:
-    """Normalized localized cluster monomials of a closed exchange graph."""
+    """Normalized localized cluster monomials of a closed exchange graph.
+
+    walk_steps and face_homes count, over every new key resolved, the fan
+    walk's steps and the face homes tried.
+    """
 
     def __init__(self, graph: ExchangeGraph, unfrozen_cap=3, frozen_window=0):
         if graph.truncated:
             raise ValueError("exchange graph is truncated; basis needs a closed graph")
+        size = enumeration_size(graph, unfrozen_cap, frozen_window)
+        if size > ENUMERATION_LIMIT:
+            raise EnumerationTooLarge(size)
         self.graph = graph
         self.unfrozen_cap = unfrozen_cap
         self.frozen_window = frozen_window
@@ -76,28 +111,45 @@ class CandidateBasis:
         self.by_codegree: dict = {}
         self.provenance: dict = {}
         self.conflicts: list = []
+        self.walk_steps = 0
+        self.face_homes = 0
         self._deg_inv: dict = {}
         self._codeg_inv: dict = {}
+        self._codeg_cols: dict = {}
         self._resolved: dict = {}
         self._resolved_co: dict = {}
+        self._codeg_of: dict = {}
+        self._certified: set = set()
+        # the nodes holding each variable, by reference degree, in graph order
+        self._holders: dict = {}
+        for key in graph.order:
+            for d in graph.nodes[key].degs:
+                self._holders.setdefault(d, {})[key] = None
+        # each edge (a, k, b) as (b, position of b's new variable)
+        self._walls = {}
+        for a, k, b in graph.edges:
+            new = set(graph.nodes[b].degs) - set(graph.nodes[a].degs)
+            if len(new) != 1:
+                raise RuntimeError(f"fan certificate fails: edge ({a}, {k}, {b}) "
+                                   f"exchanges {len(new)} variables")
+            self._walls[(a, k)] = (b, graph.nodes[b].degs.index(new.pop()))
         self._enumerate()
 
     def _enumerate(self):
         """Key each node's exponent box by its recorded degrees (g-vectors
         add over factors), the first (node, m) per key its provenance, and
-        resolve the keys in the reference torus. Every node's degree map
-        must be invertible there, so that _resolve reaches every (node, m)."""
+        resolve the keys in the reference torus, whose fan certificate
+        makes every node's degree map invertible there, so that _resolve
+        reaches every (node, m)."""
         t0 = self.graph.order[0]
         for key in self.graph.order:
-            if self._inverse_map(key, t0, co=False) is None:
-                raise RuntimeError(f"degree map of node {key} is singular")
             seed = self.graph.nodes[key].seed
             psi = psi_matrix(self.graph, key, t0)
             for m in _exponent_box(seed, self.unfrozen_cap, self.frozen_window):
                 self.provenance.setdefault(_linalg.mat_vec(psi, m), (key, m))
         for g, (key, m) in self.provenance.items():
             elem = self.element_at_degree(t0, g)
-            eta = None if elem is None else pointed.codegree(self.graph.reference, elem)
+            eta = self.codegree_at(t0, g)
             if eta is None:
                 raise RuntimeError(f"cluster monomial {m} of {key} not bipointed")
             self.by_degree[g] = elem
@@ -108,6 +160,19 @@ class CandidateBasis:
         return sorted(self.by_degree)
 
     # -- on-demand resolution of elements by (co)degree in any torus --
+
+    def _columns(self, home_key, torus_key, co):
+        """(Co)degrees in the torus of home's variables, in home's order."""
+        if not co:
+            return self.graph.tracked_in(home_key, torus_key).degs
+        key = (home_key, torus_key)
+        cols = self._codeg_cols.get(key)
+        if cols is None:
+            torus_seed = self.graph.nodes[torus_key].seed
+            cols = tuple(pointed.codegree(torus_seed, z)
+                         for z in self.graph.vars_in(home_key, torus_key))
+            self._codeg_cols[key] = cols
+        return cols
 
     def _inverse_map(self, home_key, torus_key, co):
         """Integer inverse of m -> (co)degree of home's X^m in torus_key.
@@ -121,18 +186,73 @@ class CandidateBasis:
         key = (home_key, torus_key)
         if key in cache:
             return cache[key]
-        if co:
-            torus_seed = self.graph.nodes[torus_key].seed
-            xs = self.graph.vars_in(home_key, torus_key)
-            mat = _linalg.transpose([pointed.codegree(torus_seed, z) for z in xs])
-        else:
-            mat = psi_matrix(self.graph, home_key, torus_key)
-        inv = _linalg.invert(mat)
+        inv = _linalg.invert(_linalg.transpose(self._columns(home_key, torus_key, co)))
         if inv is not None:
             den = lcm(*(f.denominator for row in inv for f in row))
             inv = (tuple(tuple(int(f * den) for f in row) for row in inv), den)
         cache[key] = inv
         return inv
+
+    def _certify(self, torus_key, co):
+        """Check once per (torus, side) that the nodes' (co)degree cones
+        form a complete simplicial fan, so that the walk ends and the face
+        homes are the only cones holding a key.
+
+        Every node's map must be invertible; across every edge (a, k, b),
+        b's new variable must have lambda_k < 0 in a's coordinates, so the
+        two cones lie strictly on opposite sides of their shared wall; and
+        the interior point sum_k f_k of the torus's own cone must lie in
+        no other cone. Those are the conditions for a pseudomanifold of
+        cones covering space exactly once. Raises RuntimeError otherwise.
+        """
+        if (torus_key, co) in self._certified:
+            return
+        kind = "codegree" if co else "degree"
+        graph = self.graph
+        for key in graph.order:
+            if self._inverse_map(key, torus_key, co) is None:
+                raise RuntimeError(f"{kind} map of node {key} is singular in torus {torus_key}")
+        for (a, k), (b, j) in self._walls.items():
+            num, _ = self._inverse_map(a, torus_key, co)
+            if _linalg.dot(num[k], self._columns(b, torus_key, co)[j]) >= 0:
+                raise RuntimeError(f"{kind} fan certificate fails in torus {torus_key}: "
+                                   f"edge ({a}, {k}, {b}) does not cross its wall")
+        unfrozen = graph.reference.unfrozen
+        inner = tuple(int(i in unfrozen) for i in range(graph.reference.n))
+        covering = [key for key in graph.order if all(
+            x >= 0 for i, x in enumerate(
+                _linalg.mat_vec(self._inverse_map(key, torus_key, co)[0], inner))
+            if i in unfrozen)]
+        if covering != [torus_key]:
+            raise RuntimeError(f"{kind} fan certificate fails in torus {torus_key}: "
+                               f"an interior point of its cone lies in {len(covering)} cones")
+        self._certified.add((torus_key, co))
+
+    def _walk(self, torus_key, g, co):
+        """The node whose cone holds g, reached from the torus's own node,
+        with g's coordinates there (den times the exponents)."""
+        self._certify(torus_key, co)
+        unfrozen = self.graph.reference.unfrozen
+        home = torus_key
+        for _ in self.graph.order:
+            lam = _linalg.mat_vec(self._inverse_map(home, torus_key, co)[0], g)
+            k = next((k for k in unfrozen if lam[k] < 0), None)
+            if k is None:
+                return home, lam
+            home = self._walls[(home, k)][0]
+            self.walk_steps += 1
+        raise RuntimeError(f"fan walk to {g} in torus {torus_key} is longer than "
+                           f"{len(self.graph.order)} nodes")
+
+    def _face_homes(self, home_key, lam):
+        """The nodes holding every unfrozen variable of home with nonzero
+        lambda, in graph order: the cones holding the key."""
+        degs = self.graph.nodes[home_key].degs
+        holders = sorted((self._holders[degs[i]] for i in self.graph.reference.unfrozen
+                          if lam[i]), key=len)
+        if not holders:
+            return self.graph.order
+        return [key for key in holders[0] if all(key in h for h in holders[1:])]
 
     def _factors(self, home_key, m, torus_key):
         """home's variables at m's nonzero positions, expanded in the torus
@@ -144,13 +264,14 @@ class CandidateBasis:
     def _resolve(self, torus_key, g, co):
         """The element keyed at g in the torus, with its provenance.
 
-        Every home whose integer inverse gives a valid m names a candidate
-        cluster monomial. Its identity is the sorted (reference degree,
-        exponent) pairs over m's nonzero entries; only a new identity is
-        expanded. A repeated identity is the same product of the same
-        factors, which is checked instead of the expansion: a factor that
-        differs is a conflict, as is a distinct element at the key. With
-        conflicts present the first home's element is the one returned.
+        The fan walk finds the face g lies in, and each face home whose
+        integer inverse gives a valid m names a candidate cluster
+        monomial. Its identity is the sorted (reference degree, exponent)
+        pairs over m's nonzero entries; only a new identity is expanded.
+        A repeated identity is the same product of the same factors, which
+        is checked instead of the expansion: a factor that differs is a
+        conflict, as is a distinct element at the key. With conflicts
+        present the first home's element is the one returned.
         """
         cache = self._resolved_co if co else self._resolved
         hit = cache.get((torus_key, g))
@@ -159,13 +280,12 @@ class CandidateBasis:
         kind = "codegree" if co else "degree"
         extremal = pointed.codegree if co else pointed.degree
         torus_seed = self.graph.nodes[torus_key].seed
+        homes = self._face_homes(*self._walk(torus_key, g, co))
+        self.face_homes += len(homes)
         found = None
         seen = {}
-        for home_key in self.graph.order:
-            inv = self._inverse_map(home_key, torus_key, co)
-            if inv is None:
-                continue
-            num, den = inv
+        for home_key in homes:
+            num, den = self._inverse_map(home_key, torus_key, co)
             m = _linalg.mat_vec(num, g)
             if any(x % den for x in m):
                 continue
@@ -197,6 +317,17 @@ class CandidateBasis:
     def element_at_codegree(self, torus_key, eta):
         hit = self._resolve(torus_key, tuple(eta), co=True)
         return None if hit is None else hit[1]
+
+    def codegree_at(self, torus_key, g):
+        """Codegree in the torus of the element keyed at degree g there,
+        or None when there is none or it is not copointed; measured once
+        per element and kept."""
+        key = (torus_key, tuple(g))
+        if key not in self._codeg_of:
+            elem = self.element_at_degree(torus_key, g)
+            self._codeg_of[key] = None if elem is None else pointed.codegree(
+                self.graph.nodes[torus_key].seed, elem)
+        return self._codeg_of[key]
 
     def window_set(self, torus_key, co=False) -> WindowView:
         """The elements keyed in one torus, as a lazy view for decompose.
@@ -308,7 +439,7 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
     r_spec = (r_home, r_m)
     gamma = _linalg.mat_vec(psi_matrix(graph, v_home, r_home), v_m)
     z_v = basis.element_at_degree(r_home, gamma)
-    eta = None if z_v is None else pointed.codegree(t_seed, z_v)
+    eta = None if z_v is None else basis.codegree_at(r_home, gamma)
     if eta is None:
         return LeclercVerdict(
             case="indeterminate", r_spec=r_spec, v_degree=(),
@@ -348,10 +479,7 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
         checks["s_minus_h_matches_b_n"] = s - h == -t_seed.lam(r_m, b_n)
     head = None
     mids = []
-    codeg_of = {}
-    for g, c in decomp.terms:
-        elem = pset.get(g)
-        codeg_of[g] = pointed.codegree(t_seed, elem)
+    codeg_of = {g: basis.codegree_at(r_home, g) for g, _ in decomp.terms}
     heads = [g for g, _ in decomp.terms if codeg_of[g] == bottom]
     checks["unique_head"] = len(heads) == 1
     if len(heads) == 1:

@@ -2,22 +2,34 @@
 
 For a seed t, an exponent vector g' is dominated by g when g' = g + B n
 for some nonnegative integer vector n on the unfrozen vertices. Since B
-has full column rank, membership is decided by solving for the unique
-rational candidate n and checking integrality and sign.
+has full column rank, that n is unique when it exists.
+
+Every dominance test goes through one projection per seed, read off
+the compatible pair in closed form: B^T Lambda = (D 0) makes
+P = D^-1 Lambda[:, U]^T a left inverse of B (P B = I), kept as the
+integer rows p_num = p_den P with p_den = lcm(D), and K is an integer
+basis of B's left kernel. An exponent m projects once to (p_num m, K m).
+Then g' is dominated by g exactly when K g' = K g (g' - g lies in the
+column space of B), p_num (g' - g) is divisible by p_den (the rational
+n is integral) and the quotient n is >= 0. The functional
+w = -p_den P^T 1 has B^T w = -p_den 1, so w . m = -sum(p_num m) is
+strictly larger at a degree than at any exponent it dominates.
 
 The degree of a torus element is the unique dominance-maximal exponent
-of its support, when there is one. An element is pointed when the
+of its support, when there is one: the unique maximizer of w that also
+dominates every other support exponent. An element is pointed when the
 leading coefficient is 1; normalization divides by a unit leading
 coefficient. decompose() peels a pointed element against a degree-keyed
 set of pointed elements, greedily eliminating a maximal support degree
-per step.
+per step. Both scan the support with each exponent projected once per
+call.
 
 decompose() works in n-coordinates, the separation-formula view X^g F(Y)
 of a pointed element (Fomin-Zelevinsky, Cluster algebras IV): every
 exponent at or below the window's top is top + B n for a unique n >= 0,
-and below the top g' <= g iff n(g') >= n(g) componentwise. So each
-support exponent is projected once per call, the maximal ones are the
-Pareto-minimal n, and the window is the box 0 <= n <= n(window bottom).
+and below the top g' <= g iff n(g') >= n(g) componentwise. So the
+maximal ones are the Pareto-minimal n, and the window is the box
+0 <= n <= n(window bottom).
 
 Only the degree side is implemented. Negating B and Lambda
 (seed.opposite_seed) reverses the dominance order, so codegrees are
@@ -31,9 +43,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from operator import sub
 
 from . import _linalg
-from .qtorus import QTElem, vec_add, vec_sub
+from .qtorus import QTElem, vec_add
 from .seed import opposite_seed
 
 
@@ -44,52 +57,69 @@ class NonUnitLeading(ArithmeticError):
 DECOMPOSE_ITERATION_CAP = 10 ** 5
 
 
-@lru_cache(maxsize=None)
-def _dominance_data(seed):
-    """Per-seed exact helpers for dominance tests.
+@dataclass(frozen=True)
+class _Projection:
+    """One seed's dominance coordinates: p_num / p_den is a left inverse
+    of B and kernel an integer basis of B's left kernel."""
 
-    Returns (w, p_num, p_den):
-      w      integer functional with w . (B n) < 0 for every n >= 0, n != 0,
-             so the degree of a pointed element strictly maximizes w;
-      p_num / p_den   integer left inverse of B: n = p_num (g'-g) / p_den.
+    p_num: tuple
+    p_den: int
+    kernel: tuple
+
+    def project(self, m):
+        """m -> (p_num m, K m)."""
+        return _linalg.mat_vec(self.p_num, m), _linalg.mat_vec(self.kernel, m)
+
+    def n_between(self, pgp, pg):
+        """The n >= 0 with gp = g + B n, from the projections of gp and g,
+        or None when gp is not dominated by g."""
+        if pgp[1] != pg[1]:
+            return None
+        n = tuple(map(sub, pgp[0], pg[0]))
+        if n and min(n) < 0:
+            return None
+        if self.p_den == 1:
+            return n
+        if any(x % self.p_den for x in n):
+            return None
+        return tuple(x // self.p_den for x in n)
+
+
+@lru_cache(maxsize=None)
+def _dominance_data(seed) -> _Projection:
+    """The seed's projection, in closed form from B^T Lambda = (D 0).
+
+    Row r of p_num is (p_den / D_r) times column U_r of Lambda; the
+    kernel basis is the last n - |unfrozen| columns of V in an integer
+    diagonalization U B^T V = S. Raises ValueError when P B = I fails,
+    that is, when the seed is not a compatible pair.
     """
-    bt = _linalg.transpose(seed.B)
     nuf = len(seed.unfrozen)
-    w_frac = _linalg.solve_any(bt, (-1,) * nuf)
-    gram_inv = _linalg.invert(_linalg.mat_mul(bt, seed.B))
-    if w_frac is None or gram_inv is None:
-        raise ValueError("exchange matrix lacks full column rank")
-    den = lcm(*(f.denominator for f in w_frac))
-    w = tuple(int(f * den) for f in w_frac)
-    pinv = _linalg.mat_mul(gram_inv, bt)
-    p_den = lcm(*(f.denominator for row in pinv for f in row))
-    p_num = tuple(tuple(int(f * p_den) for f in row) for row in pinv)
-    return w, p_num, p_den
+    p_den = lcm(*seed.D)
+    p_num = tuple(
+        tuple(p_den // d * row[k] for row in seed.Lambda)
+        for k, d in zip(seed.unfrozen, seed.D)
+    )
+    if _linalg.mat_mul(p_num, seed.B) != tuple(
+            tuple(p_den * x for x in row) for row in _linalg.identity(nuf)):
+        raise ValueError("B^T Lambda = (D 0) fails: no left inverse of B from the pair")
+    if nuf:
+        _, _, v = _linalg.diagonalize(_linalg.transpose(seed.B))
+        kernel = _linalg.transpose(v)[nuf:]
+    else:
+        kernel = _linalg.identity(seed.n)
+    return _Projection(p_num, p_den, kernel)
 
 
 def dominance_n(seed, gp, g):
     """The n >= 0 with gp = g + B n, or None when gp is not dominated by g."""
-    diff = vec_sub(gp, g)
-    _, p_num, p_den = _dominance_data(seed)
-    num = _linalg.mat_vec(p_num, diff)
-    if any(x % p_den for x in num):
-        return None
-    n = tuple(x // p_den for x in num)
-    if any(x < 0 for x in n):
-        return None
-    if _linalg.mat_vec(seed.B, n) != diff:
-        return None
-    return n
+    dom = _dominance_data(seed)
+    return dom.n_between(dom.project(gp), dom.project(g))
 
 
 def dominance_leq(seed, gp, g):
     """True iff gp is dominated by g in the seed's dominance order."""
     return dominance_n(seed, gp, g) is not None
-
-
-def _w_value(seed, m):
-    w, _, _ = _dominance_data(seed)
-    return sum(a * b for a, b in zip(w, m))
 
 
 def degree(seed, z):
@@ -107,16 +137,20 @@ def codegree(seed, z):
 
 
 def _extremal(seed, z):
+    """The unique maximizer of w over z's support when it dominates every
+    other support exponent, else None; each exponent projected once."""
     if not z:
         raise ValueError("zero element has no degree")
-    supp = list(z.terms)
-    vals = [_w_value(seed, m) for m in supp]
-    best = max(vals)
-    cands = [m for m, v in zip(supp, vals) if v == best]
+    dom = _dominance_data(seed)
+    proj = {m: dom.project(m) for m in z.terms}
+    ranks = {m: sum(p[0]) for m, p in proj.items()}  # -(w . m)
+    best = min(ranks.values())
+    cands = [m for m, r in ranks.items() if r == best]
     if len(cands) > 1:
         return None
     g = cands[0]
-    if any(m != g and not dominance_leq(seed, m, g) for m in supp):
+    pg = proj[g]
+    if any(m != g and dom.n_between(p, pg) is None for m, p in proj.items()):
         return None
     return g
 
@@ -146,7 +180,9 @@ def normalize_at(z, g):
     which must be a unit +-v**a."""
     if g is None:
         raise NonUnitLeading("element has no degree to normalize at")
-    c = z.terms[g]
+    c = z.terms.get(g)
+    if c is None:
+        raise NonUnitLeading(f"element has no term at {g} to normalize at")
     if not c.is_unit():
         raise NonUnitLeading(f"leading coefficient {c} is not a unit")
     return z.scale(c.unit_inverse())
@@ -177,14 +213,15 @@ class Decomposition:
         return self.status == "exact"
 
 
-def _maximal_support(seed, supp, n_of):
+def _maximal_support(dom, supp, proj, n_of):
     """Dominance-maximal elements of a finite exponent set.
 
-    n_of maps each exponent to its n-coordinates below a common top, or
-    to None when it is not below the top. Below the top the maxima are
-    the Pareto-minimal n. An exponent not below the top is never
-    dominated by one below it, so only those few are compared pairwise:
-    among themselves, and against the maxima below the top.
+    proj maps each exponent to its projection, and n_of to its
+    n-coordinates below a common top, or to None when it is not below
+    the top. Below the top the maxima are the Pareto-minimal n. An
+    exponent not below the top is never dominated by one below it, so
+    only those few are compared pairwise: among themselves, and against
+    the maxima below the top.
     """
     below = sorted((sum(n_of[m]), n_of[m], m) for m in supp if n_of[m] is not None)
     minima = []
@@ -193,8 +230,12 @@ def _maximal_support(seed, supp, n_of):
         if not any(all(a <= b for a, b in zip(o, n)) for o, _ in minima):
             minima.append((n, m))
     above = [m for m in supp if n_of[m] is None]
-    out = [m for _, m in minima if not any(dominance_leq(seed, m, q) for q in above)]
-    out += [q for q in above if not any(p != q and dominance_leq(seed, q, p) for p in above)]
+
+    def leq(a, b):
+        return dom.n_between(proj[a], proj[b]) is not None
+
+    out = [m for _, m in minima if not any(leq(m, q) for q in above)]
+    out += [q for q in above if not any(p != q and leq(q, p) for p in above)]
     return out
 
 
@@ -209,12 +250,16 @@ def decompose(seed, z, basis, window: Bidegree, tie_break=None):
     the resulting term multiset is order-independent). Failures are
     reported in the status, never raised.
 
-    Each support exponent is projected once per call onto its
-    n-coordinates below window.deg (residual terms persist across steps,
-    so the projections are kept); a pivot is inside the window iff its
-    n lies in the box [0, n_total], n_total the n of window.codeg.
+    Each support exponent is projected once per call, and its
+    n-coordinates below window.deg taken from the projection (residual
+    terms persist across steps, so both are kept); a pivot is inside the
+    window iff its n lies in the box [0, n_total], n_total the n of
+    window.codeg.
     """
-    n_total = dominance_n(seed, window.codeg, window.deg)
+    dom = _dominance_data(seed)
+    top = dom.project(window.deg)
+    n_total = dom.n_between(dom.project(window.codeg), top)
+    proj = {}
     n_of = {}
     terms = []
     r = z
@@ -223,8 +268,9 @@ def decompose(seed, z, basis, window: Bidegree, tie_break=None):
             return Decomposition(terms=terms, status="exact")
         for m in r.terms:
             if m not in n_of:
-                n_of[m] = dominance_n(seed, m, window.deg)
-        pivots = _maximal_support(seed, r.terms, n_of)
+                proj[m] = dom.project(m)
+                n_of[m] = dom.n_between(proj[m], top)
+        pivots = _maximal_support(dom, r.terms, proj, n_of)
         g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
         n = n_of[g]
         if n is None or n_total is None or any(a > b for a, b in zip(n, n_total)):

@@ -24,10 +24,20 @@ The dense Lambda mutation and the subtractive division reuse the
 library's matrix product and twisted product: what they check is that
 forming only row and column k of E^T Lambda E, and dividing with one
 remainder updated in place, give the results of the whole products.
+The Fraction dominance data reuses the library's rational elimination:
+what it checks is that the closed-form projection read off the
+compatible pair decides dominance and finds degrees as the rational
+solves of B^T w = -1 and of the normal equations did. The scan lookup
+reuses the basis's inverse maps and expansions: what it checks is that
+walking the g-vector fan to a degree's home and scanning only the nodes
+of its face finds the element, provenance and conflicts that trying
+every node found.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import sympy as sp
 
@@ -408,3 +418,104 @@ def direct_proj_element(graph, sd, eta):
     if any(u[i] != 0 for i in s.unfrozen):
         raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
     return pointed.normalize_deg(opposite_seed(s), twisted_mul(body, QTElem.monomial(u), lam))
+
+
+def _fraction_solve_any(mat, rhs):
+    """One rational solution x of mat @ x = rhs (free variables zero), or
+    None if inconsistent."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    aug, pivots = _linalg._row_reduce(mat, [[v] for v in rhs])
+    if any(aug[i][n] != 0 for i in range(len(pivots), m)):
+        return None
+    x = [Fraction(0)] * n
+    for r, c in enumerate(pivots):
+        x[c] = aug[r][n]
+    return tuple(x)
+
+
+def fraction_dominance_data(seed):
+    """Reference dominance data, by rational elimination: (w, p_num, p_den)
+    with w an integer multiple of a solution of B^T w = -1 and p_num /
+    p_den the left inverse (B^T B)^-1 B^T of B."""
+    bt = _linalg.transpose(seed.B)
+    w_frac = _fraction_solve_any(bt, (-1,) * len(seed.unfrozen))
+    pinv = _linalg.mat_mul(_linalg.invert(_linalg.mat_mul(bt, seed.B)), bt)
+    den = lcm(*(f.denominator for f in w_frac))
+    p_den = lcm(*(f.denominator for row in pinv for f in row))
+    return (tuple(int(f * den) for f in w_frac),
+            tuple(tuple(int(f * p_den) for f in row) for row in pinv), p_den)
+
+
+def fraction_dominance_n(seed, gp, g):
+    """Reference dominance: n = p_num (gp - g) / p_den, checked integral,
+    nonnegative and with B n = gp - g."""
+    diff = vec_sub(gp, g)
+    _, p_num, p_den = fraction_dominance_data(seed)
+    num = _linalg.mat_vec(p_num, diff)
+    if any(x % p_den for x in num):
+        return None
+    n = tuple(x // p_den for x in num)
+    if any(x < 0 for x in n) or _linalg.mat_vec(seed.B, n) != diff:
+        return None
+    return n
+
+
+def fraction_degree(seed, z):
+    """Reference degree: the unique maximizer of the rational w, when it
+    dominates every other support exponent."""
+    w, _, _ = fraction_dominance_data(seed)
+    vals = {m: _linalg.dot(w, m) for m in z.terms}
+    best = max(vals.values())
+    cands = [m for m, v in vals.items() if v == best]
+    if len(cands) > 1:
+        return None
+    g = cands[0]
+    if any(m != g and fraction_dominance_n(seed, m, g) is None for m in z.terms):
+        return None
+    return g
+
+
+def scan_resolve(basis, torus_key, g, co):
+    """Reference lookup at a (co)degree: every node of the graph tried in
+    order, as CandidateBasis resolved keys before the fan walk.
+
+    Returns (found, conflicts): found is ((home, m), element) for the
+    first home whose candidate has extremal exponent g, or None; conflicts
+    lists what the lookup would record, in order. The basis's caches of
+    resolved keys and conflicts are left alone.
+    """
+    graph = basis.graph
+    kind = "codegree" if co else "degree"
+    extremal = pointed.codegree if co else pointed.degree
+    torus_seed = graph.nodes[torus_key].seed
+    found = None
+    conflicts = []
+    seen = {}
+    for home_key in graph.order:
+        inv = basis._inverse_map(home_key, torus_key, co)
+        if inv is None:
+            continue
+        num, den = inv
+        m = _linalg.mat_vec(num, g)
+        if any(x % den for x in m):
+            continue
+        m = tuple(x // den for x in m)
+        home = graph.nodes[home_key]
+        if any(m[i] < 0 for i in home.seed.unfrozen):
+            continue
+        identity = tuple(sorted((home.degs[i], x) for i, x in enumerate(m) if x))
+        first = seen.get(identity)
+        if first is not None:
+            if basis._factors(*first, torus_key) != basis._factors(home_key, m, torus_key):
+                conflicts.append((kind, g, first, (home_key, m)))
+            continue
+        seen[identity] = (home_key, m)
+        elem = graph.monomial_in(home_key, m, torus_key)
+        if extremal(torus_seed, elem) != g:
+            continue
+        if found is None:
+            found = ((home_key, m), elem)
+        elif found[1] != elem:
+            conflicts.append((kind, g, found[0], (home_key, m)))
+    return found, conflicts

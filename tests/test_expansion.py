@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,8 @@ from qcluster import (
     initial_tracked,
     mutate_tracked,
 )
+from qcluster import expansion, pointed
+from qcluster.expansion import degree_key
 from qcluster.pointed import bidegree, degree
 from qcluster.qtorus import QTElem, lam_pair, twisted_mul, unit_vec
 
@@ -160,6 +163,19 @@ def test_cluster_monomial(a2_seed, a2_graph):
         cluster_monomial(ts, (-1, 0))
 
 
+def test_cluster_monomial_normalizes_at_the_recorded_degree(pa2_graph, monkeypatch):
+    # degrees add over factors: the normalization reads them and scans nothing
+    cases = []
+    for key in pa2_graph.order:
+        ts = pa2_graph.nodes[key]
+        for m in product(range(2), range(2), range(-1, 2), range(-1, 2)):
+            want = pointed.normalize_deg(ts.ref, expansion._image_monomial(ts, m))
+            cases.append((ts, m, want))
+    monkeypatch.setattr(pointed, "degree", lambda *a: pytest.fail("degree scanned"))
+    for ts, m, want in cases:
+        assert cluster_monomial(ts, m) == want
+
+
 def test_monomial_in_own_torus(a2_graph):
     key = a2_graph.order[1]
     assert a2_graph.monomial_in(key, (1, 1), key) == QTElem.monomial((1, 1))
@@ -189,7 +205,7 @@ def test_opposite_graph_word_identity(a2_seed):
 
 
 def test_key_of_path(a2_graph):
-    key = a2_graph.key_of_path((1, 0, 1))
+    key = degree_key(apply_word(initial_tracked(a2_graph.reference), (1, 0, 1)))
     assert key in a2_graph.nodes
     assert set(a2_graph.nodes[key].degs) == {(0, -1), (-1, 0)}
 

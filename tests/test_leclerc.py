@@ -4,8 +4,11 @@ import pytest
 
 import oracles
 from conftest import a2_gold
+from qcluster import pointed
 from qcluster.leclerc import (
+    ENUMERATION_LIMIT,
     CandidateBasis,
+    EnumerationTooLarge,
     check_codegree_triangular,
     check_degree_triangular,
     default_r_specs,
@@ -48,6 +51,14 @@ def test_enumeration_size(a3_graph, pa2_graph):
     assert enumeration_size(a3_graph, 1, 0) == 14 * 2 ** 3
     assert enumeration_size(a3_graph, 3, 5) == 14 * 4 ** 3 * 11 ** 3
     assert enumeration_size(pa2_graph, 1, 1) == len(pa2_graph.order) * 2 ** 2 * 3 ** 2
+
+
+def test_library_enumeration_is_bounded(a3_graph):
+    # 14 * 101**3 (node, m) pairs: refused before anything is keyed
+    with pytest.raises(EnumerationTooLarge, match=f"over {ENUMERATION_LIMIT}") as exc:
+        CandidateBasis(a3_graph, unfrozen_cap=100)
+    assert exc.value.size == enumeration_size(a3_graph, 100, 0) > ENUMERATION_LIMIT
+    assert isinstance(exc.value, ValueError)
 
 
 def test_singular_degree_map_is_refused(a2_graph, monkeypatch):
@@ -251,6 +262,18 @@ def test_sweep_expands_each_monomial_once_per_torus(graph_name, cap, request, mo
     report = verify_theorem(CandidateBasis(graph, unfrozen_cap=cap), r_specs=specs)
     assert report.ok and report.counts()["indeterminate"] == 0
     assert len(calls) == len(set(calls))
+
+
+def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
+    # V's eta and every two-tail term's codegree come from the resolver
+    calls = []
+    real = pointed.codegree
+    monkeypatch.setattr(pointed, "codegree", lambda *a: calls.append(a) or real(*a))
+    basis = CandidateBasis(a3_graph, unfrozen_cap=1)
+    report = verify_theorem(basis)
+    assert report.ok and report.counts()["two_tail_pass"] > 0
+    assert len(calls) == len(basis._codeg_of)
+    assert len(calls) < sum(len(v.middle) + 2 for v in report.verdicts)
 
 
 def test_verify_theorem_a2(a2_graph):

@@ -8,7 +8,6 @@ from qcluster._linalg import (
     mat_mul,
     mat_vec,
     rank,
-    solve_any,
     solve_integer,
     transpose,
 )
@@ -60,18 +59,6 @@ def test_invert_roundtrip():
         assert all(
             prod[i][j] == (1 if i == j else 0) for i in range(3) for j in range(3)
         )
-
-
-def test_solve_any_consistent_and_inconsistent():
-    rng = random.Random(42)
-    for _ in range(30):
-        a = rand_mat(rng, 4, 3)
-        x = tuple(rng.randint(-5, 5) for _ in range(3))
-        b = mat_vec(a, x)
-        sol = solve_any(a, b)
-        assert sol is not None
-        assert mat_vec(a, sol) == b
-    assert solve_any(((1, 0), (1, 0)), (0, 1)) is None
 
 
 def test_diagonalize_unimodular():

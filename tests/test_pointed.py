@@ -348,3 +348,16 @@ def test_decompose_matches_pairwise_scan(case, largest_first):
     assert got == oracles.direct_decompose(seed, z, basis, window, tie_break)
     if got.is_exact:
         assert recompose(got, basis, seed.n) == z
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_elements())
+def test_dominance_matches_fraction_data(case):
+    # the closed-form projection against the rational solves it replaced,
+    # on both sides of the order
+    seed, z = case
+    for s in (seed, opposite_seed(seed)):
+        assert degree(s, z) == oracles.fraction_degree(s, z)
+        for gp in z.terms:
+            for g in z.terms:
+                assert dominance_n(s, gp, g) == oracles.fraction_dominance_n(s, gp, g)
