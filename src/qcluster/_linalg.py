@@ -1,13 +1,18 @@
 """Exact linear algebra on small integer matrices.
 
-Matrices are tuples of row tuples; vectors are tuples. Solvers work
-over the rationals (fractions.Fraction) or over the integers (via a
-Smith-style diagonalization with unimodular row/column operations).
+Matrices are tuples of row tuples; vectors are tuples. Everything is
+over the integers, through one elimination: a Smith-style
+diagonalization U @ mat @ V = S with unimodular row and column
+operations. rank counts S's nonzero diagonal entries, solve_integer
+reads its solution off S, and invert returns the integer inverse V S U
+of a unimodular matrix. Those are the only matrices the library
+inverts: the (co)degree maps of a cluster's variables, whose g-vectors
+form a Z-basis of the lattice (Fomin-Zelevinsky, Cluster algebras IV,
+arXiv:math/0602259; Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394).
 No floating point anywhere.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 
@@ -35,47 +40,6 @@ def vec_mat(vec, mat):
 
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _row_reduce(mat, rhs_cols):
-    """Gaussian elimination over Q on [mat | rhs_cols]; returns (rows, pivots)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [[Fraction(x) for x in mat[i]] + [Fraction(x) for x in rhs_cols[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return aug, pivots
-
-
-def rank(mat):
-    if not mat:
-        return 0
-    _, pivots = _row_reduce(mat, [[] for _ in mat])
-    return len(pivots)
-
-
-def invert(mat):
-    """Rational inverse of a square matrix, or None if singular."""
-    n = len(mat)
-    aug, pivots = _row_reduce(mat, [list(row) for row in identity(n)])
-    if len(pivots) < n:
-        return None
-    return tuple(tuple(aug[i][n:]) for i in range(n))
 
 
 def diagonalize(mat):
@@ -128,6 +92,24 @@ def diagonalize(mat):
                         clean = False
         t += 1
     return tuple(map(tuple, u)), tuple(map(tuple, s)), tuple(map(tuple, v))
+
+
+def _diagonal(s):
+    return [s[t][t] for t in range(min(len(s), len(s[0]) if s else 0))]
+
+
+def rank(mat):
+    return sum(1 for x in _diagonal(diagonalize(mat)[1]) if x)
+
+
+def invert(mat):
+    """Integer inverse of a square integer matrix, or None unless its
+    determinant is +-1: with U @ mat @ V = S = diag(+-1), the inverse is
+    V @ S @ U."""
+    u, s, v = diagonalize(mat)
+    if any(abs(x) != 1 for x in _diagonal(s)):
+        return None
+    return mat_mul(mat_mul(v, s), u)
 
 
 def solve_integer(mat, rhs):

@@ -3,10 +3,11 @@
 Seed files are JSON with 1-based vertex labels:
     {"n": 2, "unfrozen": [1, 2], "B": [[0,-1],[1,0]],
      "Lambda": [[0,-1],[1,0]], "D": [1, 1]}
-B is row-major with one column per unfrozen vertex; Lambda and D are
-optional. Without either, both are synthesized; a D given without Lambda
-is honored (Lambda is solved for exactly that D); a Lambda given without
-D determines D.
+B is row-major with one column per unfrozen vertex; every number is a
+JSON integer (a float or a boolean is refused, never truncated). Lambda
+and D are optional. Without either, both are synthesized; a D given
+without Lambda is honored (Lambda is solved for exactly that D); a
+Lambda given without D determines D.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
 3 internal assertion failure.
@@ -31,6 +32,13 @@ class IncompatibleFile(UsageError):
     """The file's pair fails B^T Lambda = (D 0): exit 1 from check, 2 elsewhere."""
 
 
+def _integer(x):
+    """A JSON integer: an int that is not a bool; no float is truncated."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {json.dumps(x)}")
+    return x
+
+
 def load_seed(path):
     """Parse a seed file into (seed, Lambda synthesized?) via make_seed."""
     try:
@@ -41,13 +49,13 @@ def load_seed(path):
     except json.JSONDecodeError as exc:
         raise UsageError(f"seed file is not valid JSON: {exc}")
     try:
-        n = int(data["n"])
-        unfrozen = tuple(int(k) - 1 for k in data.get("unfrozen", range(1, n + 1)))
-        b = tuple(tuple(int(x) for x in row) for row in data["B"])
+        n = _integer(data["n"])
+        unfrozen = tuple(_integer(k) - 1 for k in data.get("unfrozen", range(1, n + 1)))
+        b = tuple(tuple(_integer(x) for x in row) for row in data["B"])
         lam = data.get("Lambda")
-        lam = None if lam is None else tuple(tuple(int(x) for x in row) for row in lam)
+        lam = None if lam is None else tuple(tuple(_integer(x) for x in row) for row in lam)
         d = data.get("D")
-        d = None if d is None else tuple(int(x) for x in d)
+        d = None if d is None else tuple(_integer(x) for x in d)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"seed file field error: {exc}")
     if len(b) != n:
@@ -71,6 +79,15 @@ def parse_word(text, seed):
         if k not in seed.unfrozen:
             raise UsageError(f"vertex {k + 1} is not unfrozen")
     return word
+
+
+def write_file(path, text):
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def require_at_least(flag, value, low):
@@ -130,8 +147,7 @@ def cmd_graph(args):
         if args.dot == "-":
             sys.stdout.write(text)
         else:
-            with open(args.dot, "w") as fh:
-                fh.write(text)
+            write_file(args.dot, text)
     return 0
 
 
@@ -244,8 +260,7 @@ def cmd_leclerc(args):
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
+        write_file(args.json_out, text + "\n")
     c = report.counts()
     print(f"basis {doc['basis_size']} elements; "
           f"in_basis {c['in_basis']}, two_tail_pass {c['two_tail_pass']}, "

@@ -15,18 +15,23 @@ In one torus, the (co)degree cones of the nodes, each spanned by its
 variables' (co)degrees, form a complete simplicial fan (the g-vector fan
 of a finite type; Hohlweg-Pilaud-Stella, arXiv:1703.09551). The
 resolver walks it: from the torus's own node it reads a key g in a
-node's coordinates, lambda = num . g through the integer inverse of the
-node's (co)degree map, and while some unfrozen lambda_k < 0 it steps
-across wall k along the graph edge (node, k, node'). In a polytopal fan
-each step improves <g, .> at the polytope's vertices, so no node
-repeats. The walk ends at a node whose cone holds g; the variables with
-nonzero lambda there span the face g lies in, and the nodes holding all
-of them (the face homes) are the only cones holding g. Before the first
-lookup in a (torus, side), a certificate checks that the cones do form
-such a fan: every node's map is invertible, every edge's new variable
-lies strictly across the wall (lambda_k < 0 in the coordinates of the
-node it leaves), and an interior point of the torus's own cone lies in
-no other cone. A failed certificate, or a walk longer than the node
+node's coordinates, lambda = M^-1 g through the integer inverse of the
+node's (co)degree map M, and while some unfrozen lambda_k < 0 it steps
+across wall k along the graph edge (node, k, node'). Each M is
+unimodular: the g-vectors of a cluster form a Z-basis of the lattice
+(conjectured in Fomin-Zelevinsky, Cluster algebras IV,
+arXiv:math/0602259, and proved there in finite type; in general by
+Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394), and frozen variables
+add unit columns. So every key has integer coordinates in every node,
+and no lookup divides. In a polytopal fan each step improves <g, .> at
+the polytope's vertices, so no node repeats. The walk ends at a node
+whose cone holds g; the variables with nonzero lambda there span the
+face g lies in, and the nodes holding all of them (the face homes) are
+the only cones holding g. Before the first lookup in a (torus, side), a
+certificate checks that the cones do form such a fan: every node's map
+is unimodular, every edge's new variable lies strictly across the wall
+(lambda_k < 0 in the coordinates of the node it leaves), and an
+interior point of the torus's own cone lies in no other cone. A failed certificate, or a walk longer than the node
 count, is an internal error, never a fallback to trying every node.
 
 The face homes are tried in graph order. A cluster monomial on a face
@@ -51,7 +56,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import lcm
 
 from . import _linalg, pointed
 from .expansion import ExchangeGraph
@@ -113,8 +117,7 @@ class CandidateBasis:
         self.conflicts: list = []
         self.walk_steps = 0
         self.face_homes = 0
-        self._deg_inv: dict = {}
-        self._codeg_inv: dict = {}
+        self._inv: dict = {}
         self._codeg_cols: dict = {}
         self._resolved: dict = {}
         self._resolved_co: dict = {}
@@ -175,30 +178,26 @@ class CandidateBasis:
         return cols
 
     def _inverse_map(self, home_key, torus_key, co):
-        """Integer inverse of m -> (co)degree of home's X^m in torus_key.
+        """Integer inverse M^-1 of m -> (co)degree of home's X^m in torus_key.
 
-        Returns (num, den) with num = den * M^-1 and den > 0, where column
-        j of M is the (co)degree of home's j-th variable in the torus; None
-        when M is singular. Computed once per (home, torus) pair; on the
-        degree side M is psi_matrix(home, torus).
+        Column j of M is the (co)degree of home's j-th variable in the
+        torus; on the degree side M is psi_matrix(home, torus). M is
+        unimodular, the g-vectors of a cluster being a Z-basis; None when
+        it is not, which the fan certificate refuses. Computed once per
+        (home, torus, side).
         """
-        cache = self._codeg_inv if co else self._deg_inv
-        key = (home_key, torus_key)
-        if key in cache:
-            return cache[key]
-        inv = _linalg.invert(_linalg.transpose(self._columns(home_key, torus_key, co)))
-        if inv is not None:
-            den = lcm(*(f.denominator for row in inv for f in row))
-            inv = (tuple(tuple(int(f * den) for f in row) for row in inv), den)
-        cache[key] = inv
-        return inv
+        key = (home_key, torus_key, co)
+        if key not in self._inv:
+            self._inv[key] = _linalg.invert(
+                _linalg.transpose(self._columns(home_key, torus_key, co)))
+        return self._inv[key]
 
     def _certify(self, torus_key, co):
         """Check once per (torus, side) that the nodes' (co)degree cones
         form a complete simplicial fan, so that the walk ends and the face
         homes are the only cones holding a key.
 
-        Every node's map must be invertible; across every edge (a, k, b),
+        Every node's map must be unimodular; across every edge (a, k, b),
         b's new variable must have lambda_k < 0 in a's coordinates, so the
         two cones lie strictly on opposite sides of their shared wall; and
         the interior point sum_k f_k of the torus's own cone must lie in
@@ -211,17 +210,18 @@ class CandidateBasis:
         graph = self.graph
         for key in graph.order:
             if self._inverse_map(key, torus_key, co) is None:
-                raise RuntimeError(f"{kind} map of node {key} is singular in torus {torus_key}")
+                raise RuntimeError(f"{kind} map of node {key} is not unimodular (singular over "
+                                   f"the integers) in torus {torus_key}")
         for (a, k), (b, j) in self._walls.items():
-            num, _ = self._inverse_map(a, torus_key, co)
-            if _linalg.dot(num[k], self._columns(b, torus_key, co)[j]) >= 0:
+            inv = self._inverse_map(a, torus_key, co)
+            if _linalg.dot(inv[k], self._columns(b, torus_key, co)[j]) >= 0:
                 raise RuntimeError(f"{kind} fan certificate fails in torus {torus_key}: "
                                    f"edge ({a}, {k}, {b}) does not cross its wall")
         unfrozen = graph.reference.unfrozen
         inner = tuple(int(i in unfrozen) for i in range(graph.reference.n))
         covering = [key for key in graph.order if all(
             x >= 0 for i, x in enumerate(
-                _linalg.mat_vec(self._inverse_map(key, torus_key, co)[0], inner))
+                _linalg.mat_vec(self._inverse_map(key, torus_key, co), inner))
             if i in unfrozen)]
         if covering != [torus_key]:
             raise RuntimeError(f"{kind} fan certificate fails in torus {torus_key}: "
@@ -230,12 +230,12 @@ class CandidateBasis:
 
     def _walk(self, torus_key, g, co):
         """The node whose cone holds g, reached from the torus's own node,
-        with g's coordinates there (den times the exponents)."""
+        with g's exponents there."""
         self._certify(torus_key, co)
         unfrozen = self.graph.reference.unfrozen
         home = torus_key
         for _ in self.graph.order:
-            lam = _linalg.mat_vec(self._inverse_map(home, torus_key, co)[0], g)
+            lam = _linalg.mat_vec(self._inverse_map(home, torus_key, co), g)
             k = next((k for k in unfrozen if lam[k] < 0), None)
             if k is None:
                 return home, lam
@@ -265,9 +265,10 @@ class CandidateBasis:
         """The element keyed at g in the torus, with its provenance.
 
         The fan walk finds the face g lies in, and each face home whose
-        integer inverse gives a valid m names a candidate cluster
-        monomial. Its identity is the sorted (reference degree, exponent)
-        pairs over m's nonzero entries; only a new identity is expanded.
+        integer inverse gives an m with unfrozen entries >= 0 names a
+        candidate cluster monomial. Its identity is the sorted (reference
+        degree, exponent) pairs over m's nonzero entries; only a new
+        identity is expanded.
         A repeated identity is the same product of the same factors, which
         is checked instead of the expansion: a factor that differs is a
         conflict, as is a distinct element at the key. With conflicts
@@ -285,11 +286,7 @@ class CandidateBasis:
         found = None
         seen = {}
         for home_key in homes:
-            num, den = self._inverse_map(home_key, torus_key, co)
-            m = _linalg.mat_vec(num, g)
-            if any(x % den for x in m):
-                continue
-            m = tuple(x // den for x in m)
+            m = _linalg.mat_vec(self._inverse_map(home_key, torus_key, co), g)
             home = self.graph.nodes[home_key]
             if any(m[i] < 0 for i in home.seed.unfrozen):
                 continue

@@ -24,18 +24,17 @@ The dense Lambda mutation and the subtractive division reuse the
 library's matrix product and twisted product: what they check is that
 forming only row and column k of E^T Lambda E, and dividing with one
 remainder updated in place, give the results of the whole products.
-The Fraction dominance data reuses the library's rational elimination:
-what it checks is that the closed-form projection read off the
-compatible pair decides dominance and finds degrees as the rational
-solves of B^T w = -1 and of the normal equations did. The scan lookup
-reuses the basis's inverse maps and expansions: what it checks is that
-walking the g-vector fan to a degree's home and scanning only the nodes
-of its face finds the element, provenance and conflicts that trying
-every node found.
+The rational dominance data comes from sympy's elimination (rref and
+inverse), independent of the library's integer one: what it checks is
+that the closed-form projection read off the compatible pair decides
+dominance and finds degrees as the rational solves of B^T w = -1 and of
+the normal equations did. The scan lookup reuses the basis's inverse
+maps and expansions: what it checks is that walking the g-vector fan to
+a degree's home and scanning only the nodes of its face finds the
+element, provenance and conflicts that trying every node found.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import lcm
 
@@ -421,30 +420,30 @@ def direct_proj_element(graph, sd, eta):
 
 
 def _fraction_solve_any(mat, rhs):
-    """One rational solution x of mat @ x = rhs (free variables zero), or
-    None if inconsistent."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug, pivots = _linalg._row_reduce(mat, [[v] for v in rhs])
-    if any(aug[i][n] != 0 for i in range(len(pivots), m)):
+    """One rational solution x of the sympy system mat @ x = rhs (free
+    variables zero), or None if inconsistent, read off the reduced row
+    echelon form."""
+    n = mat.cols
+    aug, pivots = mat.row_join(sp.Matrix(rhs)).rref()
+    if n in pivots:
         return None
-    x = [Fraction(0)] * n
+    x = [sp.Integer(0)] * n
     for r, c in enumerate(pivots):
-        x[c] = aug[r][n]
+        x[c] = aug[r, n]
     return tuple(x)
 
 
 def fraction_dominance_data(seed):
-    """Reference dominance data, by rational elimination: (w, p_num, p_den)
-    with w an integer multiple of a solution of B^T w = -1 and p_num /
-    p_den the left inverse (B^T B)^-1 B^T of B."""
-    bt = _linalg.transpose(seed.B)
-    w_frac = _fraction_solve_any(bt, (-1,) * len(seed.unfrozen))
-    pinv = _linalg.mat_mul(_linalg.invert(_linalg.mat_mul(bt, seed.B)), bt)
-    den = lcm(*(f.denominator for f in w_frac))
-    p_den = lcm(*(f.denominator for row in pinv for f in row))
+    """Reference dominance data, by sympy's rational elimination: (w,
+    p_num, p_den) with w an integer multiple of a solution of B^T w = -1
+    and p_num / p_den the left inverse (B^T B)^-1 B^T of B."""
+    b = sp.Matrix(seed.B)
+    w_frac = _fraction_solve_any(b.T, [-1] * len(seed.unfrozen))
+    pinv = (b.T * b).inv() * b.T
+    den = lcm(*(int(f.q) for f in w_frac))
+    p_den = lcm(*(int(f.q) for f in pinv))
     return (tuple(int(f * den) for f in w_frac),
-            tuple(tuple(int(f * p_den) for f in row) for row in pinv), p_den)
+            tuple(tuple(int(f * p_den) for f in row) for row in pinv.tolist()), p_den)
 
 
 def fraction_dominance_n(seed, gp, g):
@@ -496,11 +495,7 @@ def scan_resolve(basis, torus_key, g, co):
         inv = basis._inverse_map(home_key, torus_key, co)
         if inv is None:
             continue
-        num, den = inv
-        m = _linalg.mat_vec(num, g)
-        if any(x % den for x in m):
-            continue
-        m = tuple(x // den for x in m)
+        m = _linalg.mat_vec(inv, g)
         home = graph.nodes[home_key]
         if any(m[i] < 0 for i in home.seed.unfrozen):
             continue

@@ -199,11 +199,26 @@ def test_unsynthesizable_lambda_is_usage_error(tmp_path):
     {"n": 3, "B": [[0, -1], [1, 0]]},                  # n disagrees with B
     {"n": 2, "unfrozen": [1, 3], "B": [[0, -1], [1, 0]]},  # vertex out of range
     {"n": 2, "B": [[0, -1], [1]]},                      # ragged B
+    {"n": 2, "B": [[0, -1.5], [1.9, 0]]},               # used to truncate to a compatible B
+    {"n": 2, "B": [[0, -1], [1, 0]], "Lambda": [[0, -1.0], [1, 0]]},
+    {"n": 2, "B": [[0, -1], [1, 0]], "D": [True, 1]},   # used to read as 1
+    {"n": 2.0, "B": [[0, -1], [1, 0]]},
 ])
 def test_malformed_seed_is_usage_error(tmp_path, data):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))
     assert main(["check", str(p)]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["graph", "--dot"],
+    ["leclerc", "--cap", "0", "--json"],
+])
+def test_unwritable_output_is_usage_error(a2_file, tmp_path, command, capsys):
+    # used to exit 1 with a traceback, leclerc only after the whole sweep
+    path = tmp_path / "missing" / "x"
+    assert main([command[0], a2_file, *command[1:], str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -70,6 +71,23 @@ def test_singular_degree_map_is_refused(a2_graph, monkeypatch):
 
     monkeypatch.setattr(CandidateBasis, "_inverse_map", singular)
     with pytest.raises(RuntimeError, match="singular"):
+        CandidateBasis(a2_graph, unfrozen_cap=1)
+
+
+def test_non_unimodular_degree_map_is_refused(a2_graph, monkeypatch):
+    # doubling one variable's degree keeps every cone but gives its node a
+    # map of determinant 2, which no cluster's g-vectors have
+    real = CandidateBasis._columns
+    last = a2_graph.order[-1]
+
+    def doubled(self, home_key, torus_key, co):
+        cols = real(self, home_key, torus_key, co)
+        if home_key != last:
+            return cols
+        return (tuple(2 * x for x in cols[0]),) + cols[1:]
+
+    monkeypatch.setattr(CandidateBasis, "_columns", doubled)
+    with pytest.raises(RuntimeError, match=re.escape(f"map of node {last} is not unimodular")):
         CandidateBasis(a2_graph, unfrozen_cap=1)
 
 

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qcluster._linalg import (
     diagonalize,
     identity,
@@ -15,6 +19,19 @@ from qcluster._linalg import (
 
 def rand_mat(rng, m, n, lo=-4, hi=4):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(m))
+
+
+def rand_unimodular(rng, n, steps=8):
+    """The identity after row additions, a row permutation and row sign
+    flips: a product of elementary integer operations."""
+    mat = [list(row) for row in identity(n)]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
+    rng.shuffle(mat)
+    signs = [rng.choice((1, -1)) for _ in mat]
+    return tuple(tuple(sign * x for x in row) for sign, row in zip(signs, mat))
 
 
 def det(mat):
@@ -51,14 +68,12 @@ def test_invert_roundtrip():
     rng = random.Random(41)
     for _ in range(30):
         m = rand_mat(rng, 3, 3)
-        inv = invert(m)
-        if det(m) == 0:
-            assert inv is None
-            continue
-        prod = mat_mul(inv, m)
-        assert all(
-            prod[i][j] == (1 if i == j else 0) for i in range(3) for j in range(3)
-        )
+        assert (invert(m) is None) == (abs(det(m)) != 1)
+        u = rand_unimodular(rng, 3)
+        inv = invert(u)
+        assert mat_mul(inv, u) == identity(3) == mat_mul(u, inv)
+    assert invert(((2, 0), (0, 1))) is None
+    assert invert(()) == ()
 
 
 def test_diagonalize_unimodular():
@@ -89,3 +104,54 @@ def test_solve_integer():
     # rational solution exists but no integral one
     assert solve_integer(((2, 0), (0, 3)), (1, 3)) is None
     assert solve_integer(((2, 0), (0, 3)), (4, 3)) == (2, 1)
+
+
+def _entries(draw, rows, cols):
+    return draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@st.composite
+def rank_cases(draw):
+    """m x n integer matrices, m, n <= 5: arbitrary, zero, or a product
+    through r <= 3 columns, so rank deficiency is common."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(("any", "zero", "thin")))
+    if kind == "zero":
+        return tuple((0,) * n for _ in range(m))
+    if kind == "thin":
+        r = draw(st.integers(1, 3))
+        return mat_mul(_entries(draw, m, r), _entries(draw, r, n))
+    return _as_tuple(_entries(draw, m, n))
+
+
+def _as_tuple(mat):
+    return tuple(tuple(row) for row in mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 12), st.randoms(use_true_random=False))
+def test_invert_matches_sympy_on_unimodular(n, steps, rng):
+    mat = rand_unimodular(rng, n, steps)
+    inv = invert(mat)
+    assert inv == _as_tuple(sp.Matrix(mat).inv().tolist())
+    assert all(type(x) is int for row in inv for x in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_invert_is_none_unless_unimodular(mat):
+    mat = _as_tuple(mat)
+    inv = invert(mat)
+    if abs(sp.Matrix(mat).det()) != 1:
+        assert inv is None
+    else:
+        assert inv == _as_tuple(sp.Matrix(mat).inv().tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_cases())
+def test_rank_matches_sympy(mat):
+    cols = len(mat[0]) if mat else 0
+    assert rank(mat) == sp.Matrix(len(mat), cols, [x for row in mat for x in row]).rank()
