@@ -81,10 +81,15 @@ def parse_word(text, seed):
     return word
 
 
-def write_file(path, text):
-    """Write an output file; a path that cannot be written is a usage error."""
+def write_file(path, text, mode="w"):
+    """Write an output file; a path that cannot be written is a usage error.
+
+    Appending nothing (text "", mode "a") checks a path before a long
+    computation: it creates a missing file and leaves an existing one
+    as it was.
+    """
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
@@ -242,6 +247,8 @@ def cmd_leclerc(args):
     except leclerc.EnumerationTooLarge as exc:
         raise UsageError(f"--cap {args.cap} with --frozen-window {args.frozen_window} keys "
                          f"{exc.size} (node, m) pairs, over {leclerc.ENUMERATION_LIMIT}")
+    if args.json_out:
+        write_file(args.json_out, "", mode="a")  # fail now, not after the sweep
     report = leclerc.verify_theorem(basis, r_specs=r_specs)
     node_ids = {key: i for i, key in enumerate(graph.order)}
     pairs = []

@@ -16,6 +16,15 @@ up to permutation). Whenever two routes meet at one node, the stored
 and recomputed expansions are matched under the degree permutation and
 must agree exactly. A node re-tracked into another node's torus is a
 TrackedSeed too, so its degrees there come with it.
+
+Each node's path extends the path of the node it was found from, so
+the paths form a tree rooted at the reference. Re-tracking a node into
+a torus follows that tree: up from the torus's node to the lowest
+common ancestor, then down to the node, starting from the last node of
+the way that is already re-tracked into the torus. Mutation is an
+involution on labeled seeds, and an expansion does not depend on the
+route, so the shorter way gives the same seed and variables as the
+route through the reference.
 """
 from __future__ import annotations
 
@@ -170,7 +179,8 @@ class ExchangeGraph:
     nodes maps a degree-set key to the first TrackedSeed that reached
     it; order lists keys in discovery order; edges holds directed
     (key, vertex, key) mutation triples. truncated is set when the
-    node cap stopped the search. Cross-torus expansions are cached.
+    node cap stopped the search. Cross-torus expansions are cached, one
+    per requested (home, torus) pair.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -182,6 +192,7 @@ class ExchangeGraph:
         self.truncated = False
         self._cross: dict = {}
         self._steps: dict = {}
+        self._by_path: dict = {}
         self._build()
 
     def _build(self):
@@ -189,6 +200,7 @@ class ExchangeGraph:
         key0 = degree_key(ts0)
         self.nodes[key0] = ts0
         self.order.append(key0)
+        self._by_path[ts0.path] = key0
         self._cross[(key0, key0)] = ts0
         frontier = [key0]
         while frontier:
@@ -207,6 +219,7 @@ class ExchangeGraph:
                         continue
                     self.nodes[key2] = ts2
                     self.order.append(key2)
+                    self._by_path[ts2.path] = key2
                     self._cross[(key2, key0)] = ts2  # what vars_in(key2, key0) would re-track
                     nxt.append(key2)
             frontier = nxt
@@ -234,21 +247,43 @@ class ExchangeGraph:
     def vars_in(self, home_key, torus_key):
         """Expansions of home's variables in the torus of another node.
 
-        Every re-tracking happens here; the re-tracked seed is cached
-        whole, and tracked_in reads it back through this method. A node's
-        tracked seed is its re-tracking into the reference torus (the same
-        word from the same start), so _build caches it when found.
+        Every re-tracking happens here, along the path tree: up from the
+        torus's node to the lowest common ancestor of the two paths, then
+        down to home, from the last node of that way already re-tracked
+        into the torus (the torus's own node, at worst). Only the
+        requested pair is cached, whole; tracked_in reads it back through
+        this method. A node's tracked seed is its re-tracking into the
+        reference torus (the same word from the same start), so _build
+        caches it when found.
         """
         hit = self._cross.get((home_key, torus_key))
         if hit is None:
-            # a node's variables in its own torus are the unit monomials
-            hit = initial_tracked(self.nodes[torus_key].seed)
-            if home_key != torus_key:
-                hit = apply_word(hit, self.route(torus_key, home_key))
-                if hit.seed != self.nodes[home_key].seed:
-                    raise RuntimeError("re-tracking did not reproduce the labeled seed")
+            hit = self._retrack(home_key, torus_key)
             self._cross[(home_key, torus_key)] = hit
         return hit.vars
+
+    def _retrack(self, home_key, torus_key) -> TrackedSeed:
+        """home's labeled seed re-tracked into the torus along the path tree."""
+        up = self.nodes[torus_key].path
+        down = self.nodes[home_key].path
+        common = 0
+        while common < min(len(up), len(down)) and up[common] == down[common]:
+            common += 1
+        # stops[j] is the node reached after word[:j]: the torus's node first, home last
+        word = tuple(reversed(up[common:])) + down[common:]
+        stops = [self._by_path[up[:i]] for i in range(len(up), common - 1, -1)]
+        stops += [self._by_path[down[:i]] for i in range(common + 1, len(down) + 1)]
+        start = next((j for j in range(len(stops) - 2, 0, -1)
+                      if (stops[j], torus_key) in self._cross), 0)
+        if start:
+            ts = self._cross[(stops[start], torus_key)]
+        else:
+            # a node's variables in its own torus are the unit monomials
+            ts = initial_tracked(self.nodes[torus_key].seed)
+        ts = apply_word(ts, word[start:])
+        if ts.seed != self.nodes[home_key].seed:
+            raise RuntimeError("re-tracking did not reproduce the labeled seed")
+        return ts
 
     def tracked_in(self, home_key, torus_key) -> TrackedSeed:
         """home's labeled seed re-tracked into the torus of torus_key: its

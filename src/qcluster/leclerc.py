@@ -41,8 +41,10 @@ homes' factors are compared with the first home's instead. Two distinct
 elements sharing a key, or a repeated identity whose factors differ,
 are recorded as conflicts, never merged, and the lookup returns the
 first home's element; conflicts are recorded for every resolved key,
-so window points that no lookup reaches are never checked. The
-resolver keeps each element's codegree, measured once.
+so window points that no lookup reaches are never checked. On the
+degree side, each new expansion's codegree is measured in the same pass
+as the check that its degree is the key, from one projection of its
+support, and the resolver keeps it; nothing measures it again.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -272,14 +274,16 @@ class CandidateBasis:
         A repeated identity is the same product of the same factors, which
         is checked instead of the expansion: a factor that differs is a
         conflict, as is a distinct element at the key. With conflicts
-        present the first home's element is the one returned.
+        present the first home's element is the one returned. On the
+        degree side an expansion's degree and codegree come from one pass
+        (pointed.extremes), and the returned element's codegree is kept
+        for codegree_at.
         """
         cache = self._resolved_co if co else self._resolved
         hit = cache.get((torus_key, g))
         if hit is not None:
             return None if hit is _MISS else hit
         kind = "codegree" if co else "degree"
-        extremal = pointed.codegree if co else pointed.degree
         torus_seed = self.graph.nodes[torus_key].seed
         homes = self._face_homes(*self._walk(torus_key, g, co))
         self.face_homes += len(homes)
@@ -298,10 +302,16 @@ class CandidateBasis:
                 continue
             seen[identity] = (home_key, m)
             elem = self.graph.monomial_in(home_key, m, torus_key)
-            if extremal(torus_seed, elem) != g:
+            if co:
+                measured, codeg = pointed.codegree(torus_seed, elem), None
+            else:
+                measured, codeg = pointed.extremes(torus_seed, elem)
+            if measured != g:
                 continue
             if found is None:
                 found = ((home_key, m), elem)
+                if not co:
+                    self._codeg_of[(torus_key, g)] = codeg
             elif found[1] != elem:
                 self.conflicts.append((kind, g, found[0], (home_key, m)))
         cache[(torus_key, g)] = _MISS if found is None else found
@@ -317,14 +327,12 @@ class CandidateBasis:
 
     def codegree_at(self, torus_key, g):
         """Codegree in the torus of the element keyed at degree g there,
-        or None when there is none or it is not copointed; measured once
-        per element and kept."""
-        key = (torus_key, tuple(g))
-        if key not in self._codeg_of:
-            elem = self.element_at_degree(torus_key, g)
-            self._codeg_of[key] = None if elem is None else pointed.codegree(
-                self.graph.nodes[torus_key].seed, elem)
-        return self._codeg_of[key]
+        or None when there is none or it is not copointed; measured by
+        _resolve in the same pass as its degree check, and kept."""
+        g = tuple(g)
+        if (torus_key, g) not in self._codeg_of:
+            self.element_at_degree(torus_key, g)
+        return self._codeg_of.get((torus_key, g))
 
     def window_set(self, torus_key, co=False) -> WindowView:
         """The elements keyed in one torus, as a lazy view for decompose.

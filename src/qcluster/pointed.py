@@ -29,13 +29,17 @@ of a pointed element (Fomin-Zelevinsky, Cluster algebras IV): every
 exponent at or below the window's top is top + B n for a unique n >= 0,
 and below the top g' <= g iff n(g') >= n(g) componentwise. So the
 maximal ones are the Pareto-minimal n, and the window is the box
-0 <= n <= n(window bottom).
+0 <= n <= n(window bottom). Its residual is one dict of integer
+coefficient dicts, from which each step subtracts its coefficient times
+the basis element in place, dropping the terms that cancel.
 
 Only the degree side is implemented. Negating B and Lambda
 (seed.opposite_seed) reverses the dominance order, so codegrees are
 degrees in the opposite seed, and normalizing at the codegree or
 decomposing against codegree-keyed copointed elements is normalize_deg
-or decompose there, with the window's two ends traded.
+or decompose there, with the window's two ends traded. The opposite
+seed's projection is the seed's with p_num negated, so extremes() reads
+both ends of a support off one projection.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ from math import lcm
 from operator import sub
 
 from . import _linalg
-from .qtorus import QTElem, vec_add
+from .qtorus import VCoeff, _add_product, vec_add
 from .seed import opposite_seed
 
 
@@ -137,22 +141,47 @@ def codegree(seed, z):
 
 
 def _extremal(seed, z):
-    """The unique maximizer of w over z's support when it dominates every
-    other support exponent, else None; each exponent projected once."""
+    """The degree of z in the seed, each exponent projected once."""
+    return _end(*_projected_support(seed, z), top=True)
+
+
+def extremes(seed, z):
+    """(degree, codegree) of z, each None when not unique, from one
+    projection of its support.
+
+    The codegree is the degree in the opposite seed, whose projection is
+    the seed's with p_num negated (the same kernel): the unique maximizer
+    of sum(p_num m) when every other support exponent dominates it.
+    """
+    projected = _projected_support(seed, z)
+    return _end(*projected, top=True), _end(*projected, top=False)
+
+
+def _projected_support(seed, z):
+    """The seed's projection, each support exponent projected once, and
+    each exponent's rank sum(p_num m) = -(w . m)."""
     if not z:
         raise ValueError("zero element has no degree")
     dom = _dominance_data(seed)
     proj = {m: dom.project(m) for m in z.terms}
-    ranks = {m: sum(p[0]) for m, p in proj.items()}  # -(w . m)
-    best = min(ranks.values())
+    return dom, proj, {m: sum(p[0]) for m, p in proj.items()}
+
+
+def _end(dom, proj, ranks, top):
+    """The degree (top) or the codegree of a projected support, or None:
+    the unique exponent of least rank when it dominates every other one,
+    or of largest rank when every other one dominates it."""
+    best = (min if top else max)(ranks.values())
     cands = [m for m, r in ranks.items() if r == best]
     if len(cands) > 1:
         return None
     g = cands[0]
     pg = proj[g]
-    if any(m != g and dom.n_between(p, pg) is None for m, p in proj.items()):
-        return None
-    return g
+    if top:
+        ns = (dom.n_between(p, pg) for m, p in proj.items() if m != g)
+    else:
+        ns = (dom.n_between(pg, p) for m, p in proj.items() if m != g)
+    return None if any(n is None for n in ns) else g
 
 
 @dataclass(frozen=True)
@@ -163,8 +192,7 @@ class Bidegree:
 
 def bidegree(seed, z):
     """Bidegree (degree, codegree) or None when either end is ambiguous."""
-    d = degree(seed, z)
-    c = codegree(seed, z)
+    d, c = extremes(seed, z)
     if d is None or c is None:
         return None
     return Bidegree(d, c)
@@ -254,7 +282,9 @@ def decompose(seed, z, basis, window: Bidegree, tie_break=None):
     n-coordinates below window.deg taken from the projection (residual
     terms persist across steps, so both are kept); a pivot is inside the
     window iff its n lies in the box [0, n_total], n_total the n of
-    window.codeg.
+    window.codeg. The residual is one {exponent: {v-exponent: int}} dict
+    from which each step subtracts its coefficient times the element in
+    place, dropping the terms that cancel.
     """
     dom = _dominance_data(seed)
     top = dom.project(window.deg)
@@ -262,15 +292,15 @@ def decompose(seed, z, basis, window: Bidegree, tie_break=None):
     proj = {}
     n_of = {}
     terms = []
-    r = z
+    r = {m: dict(c._c) for m, c in z.terms.items()}
     for _ in range(DECOMPOSE_ITERATION_CAP):
         if not r:
             return Decomposition(terms=terms, status="exact")
-        for m in r.terms:
+        for m in r:
             if m not in n_of:
                 proj[m] = dom.project(m)
                 n_of[m] = dom.n_between(proj[m], top)
-        pivots = _maximal_support(dom, r.terms, proj, n_of)
+        pivots = _maximal_support(dom, r, proj, n_of)
         g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
         n = n_of[g]
         if n is None or n_total is None or any(a > b for a, b in zip(n, n_total)):
@@ -284,9 +314,13 @@ def decompose(seed, z, basis, window: Bidegree, tie_break=None):
                 terms=terms, status="indeterminate",
                 reason=f"no basis element keyed at {g}",
             )
-        c = r.terms[g]
+        c = VCoeff(r[g])
         terms.append((g, c))
-        r = r - elem.scale(c)
+        for m, ce in elem.terms.items():
+            rm = r.setdefault(m, {})
+            _add_product(rm, c, ce, 0, -1)
+            if not rm:
+                del r[m]
     return Decomposition(terms=terms, status="indeterminate", reason="iteration cap hit")
 
 
@@ -303,11 +337,3 @@ def is_m_unitriangular(decomp: Decomposition, pivot):
         elif not c.in_m():
             return False
     return seen_pivot
-
-
-def recompose(decomp: Decomposition, basis, dim):
-    """Sum coefficient * basis element; the oracle inverse of decompose."""
-    acc = QTElem.zero(dim)
-    for g, c in decomp.terms:
-        acc = acc + basis.get(g).scale(c)
-    return acc

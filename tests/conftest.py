@@ -9,6 +9,7 @@ A2_LAMBDA = ((0, -1), (1, 0))
 B2_B = ((0, -2), (1, 0))
 B2_LAMBDA = ((0, -1), (1, 0))
 A3_B = ((0, -1, 0), (1, 0, -1), (0, 1, 0))
+B3_B = ((0, -1, 0), (1, 0, -1), (0, 2, 0))
 
 
 def elem(dim, terms):

@@ -31,7 +31,15 @@ dominance and finds degrees as the rational solves of B^T w = -1 and of
 the normal equations did. The scan lookup reuses the basis's inverse
 maps and expansions: what it checks is that walking the g-vector fan to
 a degree's home and scanning only the nodes of its face finds the
-element, provenance and conflicts that trying every node found.
+element, provenance and conflicts that trying every node found. The
+re-tracking through the reference reuses the library's mutation: what
+it checks is that re-tracking along the path tree, from whatever is
+already re-tracked, gives the variables of the route through the
+reference. The subtracting decomposition reuses the library's pivot
+choice and arithmetic: what it checks is that one residual dict updated
+in place gives the terms and reasons of a new residual per step.
+Recomposition reuses the library's arithmetic: what it checks is that
+an exact decomposition sums back to its input.
 """
 from __future__ import annotations
 
@@ -41,7 +49,7 @@ from math import lcm
 import sympy as sp
 
 from qcluster import _linalg, pointed
-from qcluster.expansion import cluster_monomial
+from qcluster.expansion import apply_word, cluster_monomial, initial_tracked
 from qcluster.qtorus import NotDivisible, QTElem, lam_pair, pos_part, twisted_mul, vec_sub
 from qcluster.seed import NoCompatibleLambda, opposite_seed
 from qcluster.tropical import FrozenFactorNotFrozen, p_vars
@@ -514,3 +522,58 @@ def scan_resolve(basis, torus_key, g, co):
         elif found[1] != elem:
             conflicts.append((kind, g, found[0], (home_key, m)))
     return found, conflicts
+
+
+def recompose(decomp, basis, dim):
+    """Sum coefficient * basis element; the inverse of decompose."""
+    acc = QTElem.zero(dim)
+    for g, c in decomp.terms:
+        acc = acc + basis.get(g).scale(c)
+    return acc
+
+
+def route_vars_in(graph, home_key, torus_key):
+    """home's variables re-tracked into the torus along graph.route, which
+    passes through the reference node, with no cache read or written."""
+    ts = apply_word(initial_tracked(graph.nodes[torus_key].seed),
+                    graph.route(torus_key, home_key))
+    if ts.seed != graph.nodes[home_key].seed:
+        raise RuntimeError("re-tracking did not reproduce the labeled seed")
+    return ts.vars
+
+
+def subtracting_decompose(seed, z, basis, window, tie_break=None):
+    """pointed.decompose with a new QTElem residual r - c * element per step."""
+    dom = pointed._dominance_data(seed)
+    top = dom.project(window.deg)
+    n_total = dom.n_between(dom.project(window.codeg), top)
+    proj = {}
+    n_of = {}
+    terms = []
+    r = z
+    for _ in range(pointed.DECOMPOSE_ITERATION_CAP):
+        if not r:
+            return pointed.Decomposition(terms=terms, status="exact")
+        for m in r.terms:
+            if m not in n_of:
+                proj[m] = dom.project(m)
+                n_of[m] = dom.n_between(proj[m], top)
+        pivots = pointed._maximal_support(dom, r.terms, proj, n_of)
+        g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
+        n = n_of[g]
+        if n is None or n_total is None or any(a > b for a, b in zip(n, n_total)):
+            return pointed.Decomposition(
+                terms=terms, status="indeterminate",
+                reason=f"support degree {g} escapes the window",
+            )
+        elem = basis.get(g)
+        if elem is None:
+            return pointed.Decomposition(
+                terms=terms, status="indeterminate",
+                reason=f"no basis element keyed at {g}",
+            )
+        c = r.terms[g]
+        terms.append((g, c))
+        r = r - elem.scale(c)
+    return pointed.Decomposition(terms=terms, status="indeterminate",
+                                 reason="iteration cap hit")

@@ -20,7 +20,6 @@ from qcluster.pointed import (
     degree,
     dominance_leq,
     normalize_deg,
-    recompose,
 )
 from qcluster.qtorus import QTElem, VCoeff, exact_divide, twisted_mul, unit_vec
 from qcluster.seed import mutate_seed
@@ -245,7 +244,7 @@ def test_criterion_6_oracle_cross_checks(a2_graph, b2_graph, a3_graph):
                 s_pow = t_seed.lam(r_m, gamma)
                 dec = decompose(t_seed, prod.vshift(-s_pow), pset, window)
                 assert dec.is_exact
-                assert recompose(dec, pset, n) == prod.vshift(-s_pow)
+                assert oracles.recompose(dec, pset, n) == prod.vshift(-s_pow)
                 checked += 1
     assert checked > 200
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
@@ -262,5 +261,5 @@ def test_criterion_6_oracle_cross_checks(a2_graph, b2_graph, a3_graph):
         pset = basis.window_set(t0_key, co=True)
         dec = decompose(op, z, pset, window)
         assert dec.is_exact
-        assert recompose(dec, pset, op.n) == z
+        assert oracles.recompose(dec, pset, op.n) == z
     _report(6, "oracle cross-checks: dominance, division, decomposition", t0, 30.0)

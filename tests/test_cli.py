@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qcluster import leclerc
 from qcluster.cli import main
 
 A2_FILE = {
@@ -215,10 +216,20 @@ def test_malformed_seed_is_usage_error(tmp_path, data):
     ["leclerc", "--cap", "0", "--json"],
 ])
 def test_unwritable_output_is_usage_error(a2_file, tmp_path, command, capsys):
-    # used to exit 1 with a traceback, leclerc only after the whole sweep
+    # used to exit 1 with a traceback
     path = tmp_path / "missing" / "x"
     assert main([command[0], a2_file, *command[1:], str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+
+def test_leclerc_unwritable_output_fails_before_the_sweep(a2_file, tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.setattr(leclerc, "verify_theorem", lambda *a, **k: pytest.fail("swept"))
+    path = tmp_path / "missing" / "report.json"
+    assert main(["leclerc", a2_file, "--cap", "1", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.out == ""
 
 
 def test_usage_error_exit_code():

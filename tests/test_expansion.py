@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import A2_B, A3_B, B2_B, a2_gold, elem
+from conftest import A2_B, A3_B, B2_B, B3_B, a2_gold, elem
 from qcluster import (
     apply_word,
     build_exchange_graph,
@@ -12,6 +12,7 @@ from qcluster import (
     emit_dot,
     initial_tracked,
     mutate_tracked,
+    principal_framing,
 )
 from qcluster import expansion, pointed
 from qcluster.expansion import degree_key
@@ -240,3 +241,32 @@ def test_degrees_are_g_vectors(a2_graph):
     # the five degree vectors of the worked example
     degs = {degree(a2_graph.reference, z) for z in a2_graph.distinct_variables().values()}
     assert degs == {(1, 0), (0, 1), (1, -1), (0, -1), (-1, 0)}
+
+
+@pytest.mark.parametrize("principal, order_seed", [(A3_B, 1), (B3_B, 2)], ids=["A3p", "B3p"])
+def test_path_tree_retracking_matches_the_route_through_the_reference(principal,
+                                                                       order_seed):
+    # a fresh graph, so each request starts from whatever earlier requests
+    # in the shuffled order left re-tracked
+    graph = build_exchange_graph(principal_framing(principal))
+    pairs = list(product(graph.order, repeat=2))
+    random.Random(order_seed).shuffle(pairs)
+    for home, torus in pairs:
+        assert graph.vars_in(home, torus) == oracles.route_vars_in(graph, home, torus)
+        assert graph.tracked_in(home, torus).seed == graph.nodes[home].seed
+
+
+def test_retracking_a_torus_in_graph_order_costs_one_step_per_node(a3_graph, monkeypatch):
+    # one step per node, since each node's tree parent is re-tracked before
+    # it; the torus's ancestors are reached upward from the torus instead,
+    # the one at depth j in depth - j steps
+    graph = build_exchange_graph(a3_graph.reference)
+    torus = max(graph.order, key=lambda key: len(graph.nodes[key].path))
+    depth = len(graph.nodes[torus].path)
+    calls = []
+    real = expansion.mutate_tracked
+    monkeypatch.setattr(expansion, "mutate_tracked", lambda *a: calls.append(a) or real(*a))
+    for key in graph.order:
+        graph.vars_in(key, torus)
+    assert depth >= 2
+    assert len(calls) == len(graph.order) - 1 + depth * (depth - 1) // 2

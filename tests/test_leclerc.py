@@ -283,14 +283,16 @@ def test_sweep_expands_each_monomial_once_per_torus(graph_name, cap, request, mo
 
 
 def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
-    # V's eta and every two-tail term's codegree come from the resolver
+    # each resolved element's degree and codegree come from one pass, and
+    # V's eta and every two-tail term's codegree are read from the resolver
     calls = []
-    real = pointed.codegree
-    monkeypatch.setattr(pointed, "codegree", lambda *a: calls.append(a) or real(*a))
+    real = pointed.extremes
+    monkeypatch.setattr(pointed, "extremes", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(pointed, "codegree", lambda *a: pytest.fail("codegree measured again"))
     basis = CandidateBasis(a3_graph, unfrozen_cap=1)
     report = verify_theorem(basis)
     assert report.ok and report.counts()["two_tail_pass"] > 0
-    assert len(calls) == len(basis._codeg_of)
+    assert len(calls) == len(basis._codeg_of) == len(basis._resolved)
     assert len(calls) < sum(len(v.middle) + 2 for v in report.verdicts)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import a2_gold, elem, principal_framings
-from qcluster import opposite_seed
+from qcluster import opposite_seed, pointed
 from qcluster._linalg import mat_vec
 from qcluster.pointed import (
     Bidegree,
@@ -17,10 +17,10 @@ from qcluster.pointed import (
     degree,
     dominance_leq,
     dominance_n,
+    extremes,
     interval,
     is_m_unitriangular,
     normalize_deg,
-    recompose,
 )
 from qcluster.qtorus import QTElem, VCoeff, twisted_mul, vec_add
 
@@ -220,7 +220,7 @@ def test_decompose_roundtrip_and_uniqueness(a2_seed):
     z = a2_gold("[X1*I2]")
     window = Bidegree(deg=(1, -1), codeg=(-1, 0))
     base = decompose(a2_seed, z, basis, window)
-    assert recompose(base, basis, 2) == z
+    assert oracles.recompose(base, basis, 2) == z
     for _ in range(10):
         d = decompose(a2_seed, z, basis, window, tie_break=rng.choice)
         assert d.is_exact
@@ -336,7 +336,7 @@ def test_decompose_co_matches_direct_scan(case, largest_first):
     got = decompose(opposite_seed(seed), z, basis, flipped, tie_break)
     assert got == oracles.direct_decompose_co(seed, z, basis, window, tie_break)
     if got.is_exact:
-        assert recompose(got, basis, seed.n) == z
+        assert oracles.recompose(got, basis, seed.n) == z
 
 
 @settings(max_examples=200, deadline=None)
@@ -346,8 +346,9 @@ def test_decompose_matches_pairwise_scan(case, largest_first):
     tie_break = (lambda keys: keys[-1]) if largest_first else None
     got = decompose(seed, z, basis, window, tie_break)
     assert got == oracles.direct_decompose(seed, z, basis, window, tie_break)
+    assert got == oracles.subtracting_decompose(seed, z, basis, window, tie_break)
     if got.is_exact:
-        assert recompose(got, basis, seed.n) == z
+        assert oracles.recompose(got, basis, seed.n) == z
 
 
 @settings(max_examples=100, deadline=None)
@@ -361,3 +362,45 @@ def test_dominance_matches_fraction_data(case):
         for gp in z.terms:
             for g in z.terms:
                 assert dominance_n(s, gp, g) == oracles.fraction_dominance_n(s, gp, g)
+
+
+# -- one-pass measures and the in-place residual, against what they replaced --
+
+class _DoubledAt:
+    """2 X^g at every key: a residual term at g never cancels."""
+
+    def get(self, g):
+        return QTElem.monomial(g, VCoeff({0: 2}))
+
+
+@pytest.mark.parametrize("basis, window, reason", [
+    ({(1, -1): a2_gold("P2")}, Bidegree(deg=(1, -1), codeg=(-1, 0)), "no basis element keyed"),
+    (_a2_basis(), Bidegree(deg=(1, -1), codeg=(1, -1)), "escapes the window"),
+    (_DoubledAt(), Bidegree(deg=(1, -1), codeg=(-1, 0)), "iteration cap hit"),
+], ids=["missing", "window", "cap"])
+def test_each_indeterminate_reason_matches_the_subtracting_residual(
+        a2_seed, basis, window, reason, monkeypatch):
+    monkeypatch.setattr(pointed, "DECOMPOSE_ITERATION_CAP", 7)
+    z = a2_gold("[X1*I2]")
+    for tie_break in (None, lambda keys: keys[-1]):
+        got = decompose(a2_seed, z, basis, window, tie_break)
+        assert not got.is_exact and reason in got.reason
+        assert got == oracles.subtracting_decompose(a2_seed, z, basis, window, tie_break)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_elements())
+def test_extremes_match_separate_degree_and_codegree(case):
+    seed, z = case
+    d, c = degree(seed, z), codegree(seed, z)
+    assert extremes(seed, z) == (d, c)
+    assert bidegree(seed, z) == (None if d is None or c is None else Bidegree(d, c))
+
+
+def test_extremes_with_one_end_ambiguous(a2_seed):
+    # two incomparable exponents above (0, 0), then below it
+    below = elem(2, {(0, -1): 1, (1, 0): 1, (0, 0): 1})
+    above = elem(2, {(0, 1): 1, (-1, 0): 1, (0, 0): 1})
+    for z, want in ((below, (None, (0, 0))), (above, ((0, 0), None))):
+        assert extremes(a2_seed, z) == want == (degree(a2_seed, z), codegree(a2_seed, z))
+        assert bidegree(a2_seed, z) is None
