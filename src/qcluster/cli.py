@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 check failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
 
@@ -81,18 +83,29 @@ def parse_word(text, seed):
     return word
 
 
-def write_file(path, text, mode="w"):
-    """Write an output file; a path that cannot be written is a usage error.
-
-    Appending nothing (text "", mode "a") checks a path before a long
-    computation: it creates a missing file and leaves an existing one
-    as it was.
-    """
+def write_file(path, text):
+    """Write an output file; a path that cannot be written is a usage error."""
     try:
-        with open(path, mode) as fh:
+        with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def check_writable(path):
+    """Raise write_file's usage error before a long computation, for a
+    path that could not be written after it; nothing is created."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif os.path.exists(path):
+        err = None if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        err = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if err is not None:
+        raise UsageError(f"cannot write {path}: {os.strerror(err)}")
 
 
 def require_at_least(flag, value, low):
@@ -248,7 +261,7 @@ def cmd_leclerc(args):
         raise UsageError(f"--cap {args.cap} with --frozen-window {args.frozen_window} keys "
                          f"{exc.size} (node, m) pairs, over {leclerc.ENUMERATION_LIMIT}")
     if args.json_out:
-        write_file(args.json_out, "", mode="a")  # fail now, not after the sweep
+        check_writable(args.json_out)  # fail now, not after the sweep
     report = leclerc.verify_theorem(basis, r_specs=r_specs)
     node_ids = {key: i for i, key in enumerate(graph.order)}
     pairs = []

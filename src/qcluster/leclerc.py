@@ -274,10 +274,10 @@ class CandidateBasis:
         A repeated identity is the same product of the same factors, which
         is checked instead of the expansion: a factor that differs is a
         conflict, as is a distinct element at the key. With conflicts
-        present the first home's element is the one returned. On the
-        degree side an expansion's degree and codegree come from one pass
-        (pointed.extremes), and the returned element's codegree is kept
-        for codegree_at.
+        present the first home's element is the one returned. Each
+        expansion's support is projected once (pointed.Support); on the
+        degree side the returned element's codegree is read off the same
+        projection and kept for codegree_at.
         """
         cache = self._resolved_co if co else self._resolved
         hit = cache.get((torus_key, g))
@@ -302,16 +302,13 @@ class CandidateBasis:
                 continue
             seen[identity] = (home_key, m)
             elem = self.graph.monomial_in(home_key, m, torus_key)
-            if co:
-                measured, codeg = pointed.codegree(torus_seed, elem), None
-            else:
-                measured, codeg = pointed.extremes(torus_seed, elem)
-            if measured != g:
+            support = pointed.Support(torus_seed, elem)
+            if (support.bottom() if co else support.top()) != g:
                 continue
             if found is None:
                 found = ((home_key, m), elem)
                 if not co:
-                    self._codeg_of[(torus_key, g)] = codeg
+                    self._codeg_of[(torus_key, g)] = support.bottom()
             elif found[1] != elem:
                 self.conflicts.append((kind, g, found[0], (home_key, m)))
         cache[(torus_key, g)] = _MISS if found is None else found

@@ -33,13 +33,14 @@ maximal ones are the Pareto-minimal n, and the window is the box
 coefficient dicts, from which each step subtracts its coefficient times
 the basis element in place, dropping the terms that cancel.
 
-Only the degree side is implemented. Negating B and Lambda
-(seed.opposite_seed) reverses the dominance order, so codegrees are
-degrees in the opposite seed, and normalizing at the codegree or
-decomposing against codegree-keyed copointed elements is normalize_deg
-or decompose there, with the window's two ends traded. The opposite
-seed's projection is the seed's with p_num negated, so extremes() reads
-both ends of a support off one projection.
+Normalization and decomposition are implemented on the degree side
+only. Negating B and Lambda (seed.opposite_seed) reverses the dominance
+order, so codegrees are degrees in the opposite seed, and normalizing at
+the codegree or decomposing against codegree-keyed copointed elements is
+normalize_deg or decompose there, with the window's two ends traded.
+The opposite seed's projection is the seed's with p_num negated, so a
+Support reads both ends, the degree and the codegree, off one projection
+in the seed itself.
 """
 from __future__ import annotations
 
@@ -51,7 +52,6 @@ from operator import sub
 
 from . import _linalg
 from .qtorus import VCoeff, _add_product, vec_add
-from .seed import opposite_seed
 
 
 class NonUnitLeading(ArithmeticError):
@@ -128,60 +128,55 @@ def dominance_leq(seed, gp, g):
 
 def degree(seed, z):
     """Unique dominance-maximal support exponent, or None if not unique."""
-    return _extremal(seed, z)
+    return Support(seed, z).top()
 
 
 def codegree(seed, z):
-    """Unique dominance-minimal support exponent, or None if not unique.
-
-    The degree in the opposite seed, computed without going through
-    degree() so that a codegree never counts as a degree call.
-    """
-    return _extremal(opposite_seed(seed), z)
+    """Unique dominance-minimal support exponent, or None if not unique."""
+    return Support(seed, z).bottom()
 
 
-def _extremal(seed, z):
-    """The degree of z in the seed, each exponent projected once."""
-    return _end(*_projected_support(seed, z), top=True)
-
-
-def extremes(seed, z):
-    """(degree, codegree) of z, each None when not unique, from one
-    projection of its support.
+class Support:
+    """A nonzero element's support in one seed's dominance coordinates:
+    each exponent projected once, with its rank sum(p_num m) = -(w . m).
+    Both ends are read off it.
 
     The codegree is the degree in the opposite seed, whose projection is
-    the seed's with p_num negated (the same kernel): the unique maximizer
-    of sum(p_num m) when every other support exponent dominates it.
+    this one with p_num negated (the same kernel): the unique exponent of
+    largest rank when every other support exponent dominates it.
     """
-    projected = _projected_support(seed, z)
-    return _end(*projected, top=True), _end(*projected, top=False)
 
+    def __init__(self, seed, z):
+        if not z:
+            raise ValueError("zero element has no degree")
+        self._dom = _dominance_data(seed)
+        self._proj = {m: self._dom.project(m) for m in z.terms}
+        self._ranks = {m: sum(p[0]) for m, p in self._proj.items()}
 
-def _projected_support(seed, z):
-    """The seed's projection, each support exponent projected once, and
-    each exponent's rank sum(p_num m) = -(w . m)."""
-    if not z:
-        raise ValueError("zero element has no degree")
-    dom = _dominance_data(seed)
-    proj = {m: dom.project(m) for m in z.terms}
-    return dom, proj, {m: sum(p[0]) for m, p in proj.items()}
+    def top(self):
+        """The degree, or None."""
+        return self._end(top=True)
 
+    def bottom(self):
+        """The codegree, or None."""
+        return self._end(top=False)
 
-def _end(dom, proj, ranks, top):
-    """The degree (top) or the codegree of a projected support, or None:
-    the unique exponent of least rank when it dominates every other one,
-    or of largest rank when every other one dominates it."""
-    best = (min if top else max)(ranks.values())
-    cands = [m for m, r in ranks.items() if r == best]
-    if len(cands) > 1:
-        return None
-    g = cands[0]
-    pg = proj[g]
-    if top:
-        ns = (dom.n_between(p, pg) for m, p in proj.items() if m != g)
-    else:
-        ns = (dom.n_between(pg, p) for m, p in proj.items() if m != g)
-    return None if any(n is None for n in ns) else g
+    def _end(self, top):
+        """The unique exponent of least rank when it dominates every other
+        one (top), or of largest rank when every other one dominates it;
+        None when there is no such exponent."""
+        best = (min if top else max)(self._ranks.values())
+        cands = [m for m, r in self._ranks.items() if r == best]
+        if len(cands) > 1:
+            return None
+        g = cands[0]
+        pg = self._proj[g]
+        between = self._dom.n_between
+        if top:
+            ns = (between(p, pg) for m, p in self._proj.items() if m != g)
+        else:
+            ns = (between(pg, p) for m, p in self._proj.items() if m != g)
+        return None if any(n is None for n in ns) else g
 
 
 @dataclass(frozen=True)
@@ -191,8 +186,10 @@ class Bidegree:
 
 
 def bidegree(seed, z):
-    """Bidegree (degree, codegree) or None when either end is ambiguous."""
-    d, c = extremes(seed, z)
+    """Bidegree (degree, codegree) or None when either end is ambiguous,
+    from one projection of the support."""
+    support = Support(seed, z)
+    d, c = support.top(), support.bottom()
     if d is None or c is None:
         return None
     return Bidegree(d, c)

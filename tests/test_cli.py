@@ -222,14 +222,32 @@ def test_unwritable_output_is_usage_error(a2_file, tmp_path, command, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("missing/report.json", "No such file or directory"),
+    ("seed.json/report.json", "Not a directory"),
+    (".", "Is a directory"),
+])
 def test_leclerc_unwritable_output_fails_before_the_sweep(a2_file, tmp_path, monkeypatch,
-                                                         capsys):
+                                                         capsys, name, reason):
     monkeypatch.setattr(leclerc, "verify_theorem", lambda *a, **k: pytest.fail("swept"))
-    path = tmp_path / "missing" / "report.json"
+    (tmp_path / "seed.json").write_text("{}")
+    path = tmp_path / name
     assert main(["leclerc", a2_file, "--cap", "1", "--json", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
     assert captured.out == ""
+
+
+def test_leclerc_output_is_written_only_after_the_sweep(a2_file, tmp_path, monkeypatch):
+    # checking the path first creates nothing an interrupted sweep would leave
+    path = tmp_path / "report.json"
+    existed = []
+    real = leclerc.verify_theorem
+    monkeypatch.setattr(leclerc, "verify_theorem",
+                        lambda *a, **k: existed.append(path.exists()) or real(*a, **k))
+    assert main(["leclerc", a2_file, "--cap", "1", "--json", str(path)]) == 0
+    assert existed == [False]
+    assert json.loads(path.read_text())["pairs"]
 
 
 def test_usage_error_exit_code():

@@ -256,10 +256,14 @@ def test_path_tree_retracking_matches_the_route_through_the_reference(principal,
         assert graph.tracked_in(home, torus).seed == graph.nodes[home].seed
 
 
-def test_retracking_a_torus_in_graph_order_costs_one_step_per_node(a3_graph, monkeypatch):
-    # one step per node, since each node's tree parent is re-tracked before
-    # it; the torus's ancestors are reached upward from the torus instead,
-    # the one at depth j in depth - j steps
+def test_retracking_a_torus_in_graph_order_stays_within_the_path_tree_bound(a3_graph,
+                                                                             monkeypatch):
+    # at most one step per node, since each node's tree parent is
+    # re-tracked before it, plus d(d-1)/2 for a torus at depth d: its
+    # ancestors are reached upward from the torus, the one at depth j in
+    # d - j steps, an overhead that starting from the nearest re-tracked
+    # node of the whole tree would remove. The route through the reference
+    # node costs far more.
     graph = build_exchange_graph(a3_graph.reference)
     torus = max(graph.order, key=lambda key: len(graph.nodes[key].path))
     depth = len(graph.nodes[torus].path)
@@ -269,4 +273,4 @@ def test_retracking_a_torus_in_graph_order_costs_one_step_per_node(a3_graph, mon
     for key in graph.order:
         graph.vars_in(key, torus)
     assert depth >= 2
-    assert len(calls) == len(graph.order) - 1 + depth * (depth - 1) // 2
+    assert len(graph.order) - 1 <= len(calls) <= len(graph.order) - 1 + depth * (depth - 1) // 2

@@ -283,11 +283,13 @@ def test_sweep_expands_each_monomial_once_per_torus(graph_name, cap, request, mo
 
 
 def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
-    # each resolved element's degree and codegree come from one pass, and
-    # V's eta and every two-tail term's codegree are read from the resolver
+    # each resolved element's codegree is read off the projection its degree
+    # was checked on, and V's eta and every two-tail term's codegree are
+    # read from the resolver
     calls = []
-    real = pointed.extremes
-    monkeypatch.setattr(pointed, "extremes", lambda *a: calls.append(a) or real(*a))
+    real = pointed.Support.bottom
+    monkeypatch.setattr(pointed.Support, "bottom",
+                        lambda self: calls.append(self) or real(self))
     monkeypatch.setattr(pointed, "codegree", lambda *a: pytest.fail("codegree measured again"))
     basis = CandidateBasis(a3_graph, unfrozen_cap=1)
     report = verify_theorem(basis)

@@ -17,7 +17,6 @@ from qcluster.pointed import (
     degree,
     dominance_leq,
     dominance_n,
-    extremes,
     interval,
     is_m_unitriangular,
     normalize_deg,
@@ -236,7 +235,7 @@ def test_is_m_unitriangular_rejects_positive_exponents():
     assert is_m_unitriangular(d2, (1, 0))
 
 
-# -- the codegree side, computed in the opposite seed, against direct scans --
+# -- the codegree side against direct scans (normalize, decompose: opposite seed) --
 
 _COEFF = st.builds(
     lambda e, c: VCoeff({e: c}), st.integers(-2, 2), st.sampled_from((-2, -1, 1, 2)))
@@ -390,17 +389,25 @@ def test_each_indeterminate_reason_matches_the_subtracting_residual(
 
 @settings(max_examples=200, deadline=None)
 @given(seeded_elements())
-def test_extremes_match_separate_degree_and_codegree(case):
+def test_one_projection_matches_each_end_measured_apart(case):
+    # the codegree off the seed's own projection against the degree in the
+    # opposite seed, and both ends against the pairwise scans
     seed, z = case
-    d, c = degree(seed, z), codegree(seed, z)
-    assert extremes(seed, z) == (d, c)
+    support = pointed.Support(seed, z)
+    d, c = support.top(), support.bottom()
+    highs = oracles.maximal_support(seed, list(z.terms))
+    assert d == degree(seed, z) == (highs[0] if len(highs) == 1 else None)
+    assert c == codegree(seed, z) == degree(opposite_seed(seed), z)
+    assert c == oracles.direct_codegree(seed, z)
     assert bidegree(seed, z) == (None if d is None or c is None else Bidegree(d, c))
 
 
-def test_extremes_with_one_end_ambiguous(a2_seed):
+def test_one_projection_with_one_end_ambiguous(a2_seed):
     # two incomparable exponents above (0, 0), then below it
     below = elem(2, {(0, -1): 1, (1, 0): 1, (0, 0): 1})
     above = elem(2, {(0, 1): 1, (-1, 0): 1, (0, 0): 1})
     for z, want in ((below, (None, (0, 0))), (above, ((0, 0), None))):
-        assert extremes(a2_seed, z) == want == (degree(a2_seed, z), codegree(a2_seed, z))
+        support = pointed.Support(a2_seed, z)
+        assert (support.top(), support.bottom()) == want
+        assert want == (degree(a2_seed, z), degree(opposite_seed(a2_seed), z))
         assert bidegree(a2_seed, z) is None
