@@ -20,15 +20,31 @@ TrackedSeed too, so its degrees there come with it.
 Each node's path extends the path of the node it was found from, so
 the paths form a tree rooted at the reference. Re-tracking a node into
 a torus follows that tree: up from the torus's node to the lowest
-common ancestor, then down to the node, starting from the last node of
-the way that is already re-tracked into the torus. Mutation is an
+common ancestor, then down to the node, starting from the nearest node
+already re-tracked into the torus: the last such node of that way, or
+the node's own tree parent, one mutation away. Mutation is an
 involution on labeled seeds, and an expansion does not depend on the
 route, so the shorter way gives the same seed and variables as the
 route through the reference.
+
+Each torus keeps a variable table, one entry per reference degree:
+every variable re-tracked into the torus is compared with its entry
+once, when its node is, and the entry object is stored in its place
+when the two are equal (a differing variable keeps its own object). So
+two nodes' re-trackings share one object for each variable they hold
+in common, and a caller can check a factor by identity.
+
+Each torus also keeps the cluster monomials returned in it, by their
+identity, the sorted (reference degree, exponent) pairs of their
+factors. A new one is built, when a stored one is a single factor x_j
+short of it (m_j >= 1), as that one times x_j, normalized at the new
+degree (the factors quasi-commute, so normalization makes the order
+irrelevant); otherwise from the full ordered product. Only returned
+monomials are stored, not the prefixes of a product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import pointed
 from ._linalg import vec_mat
@@ -138,6 +154,14 @@ def cluster_monomial(ts: TrackedSeed, m) -> QTElem:
     return pointed.normalize_at(_image_monomial(ts, m), vec_mat(m, ts.degs))
 
 
+def monomial_identity(ref_degs, m):
+    """The identity of a node's cluster monomial X^m: the sorted
+    (reference degree, exponent) pairs over m's nonzero entries, ref_degs
+    being the reference degrees of the node's variables. Two nodes' X^m
+    with one identity are the same product of the same variables."""
+    return tuple(sorted((d, x) for d, x in zip(ref_degs, m) if x))
+
+
 def degree_key(ts: TrackedSeed):
     """Canonical node key: sorted tuple of reference-torus variable degrees."""
     if len(set(ts.degs)) != len(ts.degs):
@@ -180,7 +204,9 @@ class ExchangeGraph:
     it; order lists keys in discovery order; edges holds directed
     (key, vertex, key) mutation triples. truncated is set when the
     node cap stopped the search. Cross-torus expansions are cached, one
-    per requested (home, torus) pair.
+    per requested (home, torus) pair, with each variable the torus's
+    table object when equal to it; so are the cluster monomials returned
+    in each torus, by identity.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -193,11 +219,14 @@ class ExchangeGraph:
         self._cross: dict = {}
         self._steps: dict = {}
         self._by_path: dict = {}
+        self._table: dict = {}
+        self._monomials: dict = {}
         self._build()
 
     def _build(self):
         ts0 = initial_tracked(self.reference)
         key0 = degree_key(ts0)
+        ts0 = self._intern(ts0, key0, ts0.degs)
         self.nodes[key0] = ts0
         self.order.append(key0)
         self._by_path[ts0.path] = key0
@@ -217,6 +246,7 @@ class ExchangeGraph:
                     if len(self.nodes) >= self.node_cap:
                         self.truncated = True
                         continue
+                    ts2 = self._intern(ts2, key0, ts2.degs)
                     self.nodes[key2] = ts2
                     self.order.append(key2)
                     self._by_path[ts2.path] = key2
@@ -249,21 +279,35 @@ class ExchangeGraph:
 
         Every re-tracking happens here, along the path tree: up from the
         torus's node to the lowest common ancestor of the two paths, then
-        down to home, from the last node of that way already re-tracked
-        into the torus (the torus's own node, at worst). Only the
-        requested pair is cached, whole; tracked_in reads it back through
-        this method. A node's tracked seed is its re-tracking into the
-        reference torus (the same word from the same start), so _build
-        caches it when found.
+        down to home, from the nearest node already re-tracked into the
+        torus (the torus's own node, at worst). Only the requested pair is
+        cached, whole, its variables interned in the torus's table;
+        tracked_in reads it back through this method. A node's tracked
+        seed is its re-tracking into the reference torus (the same word
+        from the same start), so _build caches it when found.
         """
         hit = self._cross.get((home_key, torus_key))
         if hit is None:
-            hit = self._retrack(home_key, torus_key)
+            hit = self._intern(self._retrack(home_key, torus_key), torus_key,
+                               self.nodes[home_key].degs)
             self._cross[(home_key, torus_key)] = hit
         return hit.vars
 
+    def _intern(self, ts: TrackedSeed, torus_key, ref_degs) -> TrackedSeed:
+        """ts with each variable replaced by the torus's table entry for
+        its reference degree (ref_degs, in ts's order) when the two are
+        equal; the first variable seen at a reference degree becomes its
+        entry, and one that differs from its entry keeps its own object."""
+        xs = []
+        for d, x in zip(ref_degs, ts.vars):
+            entry = self._table.setdefault((torus_key, d), x)
+            xs.append(entry if entry is x or entry == x else x)
+        return replace(ts, vars=tuple(xs))
+
     def _retrack(self, home_key, torus_key) -> TrackedSeed:
-        """home's labeled seed re-tracked into the torus along the path tree."""
+        """home's labeled seed re-tracked into the torus along the path
+        tree, from the nearest node already re-tracked into it: the last
+        such node of the way, or home's tree parent."""
         up = self.nodes[torus_key].path
         down = self.nodes[home_key].path
         common = 0
@@ -280,7 +324,13 @@ class ExchangeGraph:
         else:
             # a node's variables in its own torus are the unit monomials
             ts = initial_tracked(self.nodes[torus_key].seed)
-        ts = apply_word(ts, word[start:])
+        rest = word[start:]
+        if len(rest) > 1 and down:
+            # home's tree parent, when re-tracked already, is one step away
+            parent = self._cross.get((self._by_path[down[:-1]], torus_key))
+            if parent is not None:
+                ts, rest = parent, down[-1:]
+        ts = apply_word(ts, rest)
         if ts.seed != self.nodes[home_key].seed:
             raise RuntimeError("re-tracking did not reproduce the labeled seed")
         return ts
@@ -292,8 +342,35 @@ class ExchangeGraph:
         return self._cross[(home_key, torus_key)]
 
     def monomial_in(self, home_key, m, torus_key) -> QTElem:
-        """Expansion of home's normalized cluster monomial X^m in a torus."""
-        return cluster_monomial(self.tracked_in(home_key, torus_key), m)
+        """Expansion of home's normalized cluster monomial X^m in a torus.
+
+        Kept by (torus, identity), the identity being the sorted
+        (reference degree, exponent) pairs over m's nonzero entries. A new
+        identity one unit above a kept one in some factor x_j (m_j >= 1)
+        is that monomial times x_j, normalized at X^m's degree; any other
+        is the full product (cluster_monomial, which also refuses negative
+        unfrozen exponents: no identity holding one is ever kept).
+        """
+        ts = self.tracked_in(home_key, torus_key)
+        degs = self.nodes[home_key].degs
+        identity = monomial_identity(degs, m)
+        z = self._monomials.get((torus_key, identity))
+        if z is not None:
+            return z
+        for at, (d, x) in enumerate(identity):
+            if x < 1:
+                continue
+            rest = ((d, x - 1),) if x > 1 else ()
+            below = self._monomials.get((torus_key, identity[:at] + rest + identity[at + 1:]))
+            if below is not None:
+                z = pointed.normalize_at(
+                    twisted_mul(below, ts.vars[degs.index(d)], ts.ref.Lambda),
+                    vec_mat(m, ts.degs))
+                break
+        else:
+            z = cluster_monomial(ts, m)
+        self._monomials[(torus_key, identity)] = z
+        return z
 
     def distinct_variables(self):
         """Distinct unfrozen cluster variables over all nodes, as expansions."""

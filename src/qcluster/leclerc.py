@@ -34,10 +34,18 @@ is unimodular, every edge's new variable lies strictly across the wall
 interior point of the torus's own cone lies in no other cone. A failed certificate, or a walk longer than the node
 count, is an internal error, never a fallback to trying every node.
 
-The face homes are tried in graph order. A cluster monomial on a face
-is found from each of its homes; it is identified by the reference
-degrees and exponents of its factors and expanded once, and the other
-homes' factors are compared with the first home's instead. Two distinct
+The face homes are tried in graph order. The g-vectors of each cluster
+being a Z-basis, every face home of a key names the same cluster
+monomial, identified by the reference degrees and exponents of its
+factors; after the first home's element is found, each later home only
+cross-checks that the route does not matter. The graph keeps one object
+per variable and torus (ExchangeGraph.vars_in), so a later home that
+holds every factor of the found element, frozen ones included, as the
+very same object is passed over after one identity test per factor:
+its m names the same identity and its factors are equal. Any other home
+gets the full check: its m through its inverse map, m >= 0, its
+identity, and, for a repeated identity, its factors compared with the
+first home's by value; a new identity is expanded. Two distinct
 elements sharing a key, or a repeated identity whose factors differ,
 are recorded as conflicts, never merged, and the lookup returns the
 first home's element; conflicts are recorded for every resolved key,
@@ -60,7 +68,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import _linalg, pointed
-from .expansion import ExchangeGraph
+from .expansion import ExchangeGraph, monomial_identity
 from .pointed import Bidegree
 from .qtorus import QTElem, VCoeff, twisted_mul, unit_vec, vec_add
 from .seed import opposite_seed
@@ -125,11 +133,12 @@ class CandidateBasis:
         self._resolved_co: dict = {}
         self._codeg_of: dict = {}
         self._certified: set = set()
-        # the nodes holding each variable, by reference degree, in graph order
+        # the nodes holding each variable, by reference degree, in graph
+        # order, each with the variable's position there
         self._holders: dict = {}
         for key in graph.order:
-            for d in graph.nodes[key].degs:
-                self._holders.setdefault(d, {})[key] = None
+            for i, d in enumerate(graph.nodes[key].degs):
+                self._holders.setdefault(d, {})[key] = i
         # each edge (a, k, b) as (b, position of b's new variable)
         self._walls = {}
         for a, k, b in graph.edges:
@@ -263,6 +272,18 @@ class CandidateBasis:
         xs = self.graph.vars_in(home_key, torus_key)
         return {degs[i]: xs[i] for i, x in enumerate(m) if x}
 
+    def _same_factors(self, home_key, torus_key, factors):
+        """True when home holds every one of factors (keyed by reference
+        degree, as _factors gives them) as the very same object in the
+        torus: then home's m names the same cluster monomial, its (co)degree
+        map being invertible, and its factors are equal."""
+        xs = self.graph.vars_in(home_key, torus_key)
+        for d, x in factors.items():
+            i = self._holders[d].get(home_key)
+            if i is None or xs[i] is not x:
+                return False
+        return True
+
     def _resolve(self, torus_key, g, co):
         """The element keyed at g in the torus, with its provenance.
 
@@ -274,10 +295,12 @@ class CandidateBasis:
         A repeated identity is the same product of the same factors, which
         is checked instead of the expansion: a factor that differs is a
         conflict, as is a distinct element at the key. With conflicts
-        present the first home's element is the one returned. Each
-        expansion's support is projected once (pointed.Support); on the
-        degree side the returned element's codegree is read off the same
-        projection and kept for codegree_at.
+        present the first home's element is the one returned. Once an
+        element is found, a later home holding each of its factors as the
+        same object is passed over (_same_factors) before any of this.
+        Each expansion's support is projected once (pointed.Support); on
+        the degree side the returned element's codegree is read off the
+        same projection and kept for codegree_at.
         """
         cache = self._resolved_co if co else self._resolved
         hit = cache.get((torus_key, g))
@@ -288,13 +311,17 @@ class CandidateBasis:
         homes = self._face_homes(*self._walk(torus_key, g, co))
         self.face_homes += len(homes)
         found = None
+        found_factors = None
         seen = {}
         for home_key in homes:
+            if found_factors is not None and self._same_factors(home_key, torus_key,
+                                                                found_factors):
+                continue
             m = _linalg.mat_vec(self._inverse_map(home_key, torus_key, co), g)
             home = self.graph.nodes[home_key]
             if any(m[i] < 0 for i in home.seed.unfrozen):
                 continue
-            identity = tuple(sorted((home.degs[i], x) for i, x in enumerate(m) if x))
+            identity = monomial_identity(home.degs, m)
             first = seen.get(identity)
             if first is not None:
                 if self._factors(*first, torus_key) != self._factors(home_key, m, torus_key):
@@ -307,6 +334,7 @@ class CandidateBasis:
                 continue
             if found is None:
                 found = ((home_key, m), elem)
+                found_factors = self._factors(home_key, m, torus_key)
                 if not co:
                     self._codeg_of[(torus_key, g)] = support.bottom()
             elif found[1] != elem:

@@ -15,6 +15,12 @@ n is integral) and the quotient n is >= 0. The functional
 w = -p_den P^T 1 has B^T w = -p_den 1, so w . m = -sum(p_num m) is
 strictly larger at a degree than at any exponent it dominates.
 
+Each seed's projection keeps a memo of the exponents it has projected,
+since one torus's decompositions and measures meet the same exponents
+again and again. The memo is bounded: it is cleared whenever it reaches
+PROJECTION_MEMO_LIMIT entries, so it never holds more than that many
+per seed.
+
 The degree of a torus element is the unique dominance-maximal exponent
 of its support, when there is one: the unique maximizer of w that also
 dominates every other support exponent. An element is pointed when the
@@ -60,19 +66,31 @@ class NonUnitLeading(ArithmeticError):
 
 DECOMPOSE_ITERATION_CAP = 10 ** 5
 
+PROJECTION_MEMO_LIMIT = 4096  # projections a seed keeps before it forgets them all
+
 
 @dataclass(frozen=True)
 class _Projection:
     """One seed's dominance coordinates: p_num / p_den is a left inverse
-    of B and kernel an integer basis of B's left kernel."""
+    of B and kernel an integer basis of B's left kernel. memo keeps the
+    projections made, up to PROJECTION_MEMO_LIMIT, and takes no part in
+    equality or hashing."""
 
     p_num: tuple
     p_den: int
     kernel: tuple
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def project(self, m):
-        """m -> (p_num m, K m)."""
-        return _linalg.mat_vec(self.p_num, m), _linalg.mat_vec(self.kernel, m)
+        """m -> (p_num m, K m), from the memo when m was projected since
+        it was last cleared; the memo is cleared when full."""
+        hit = self.memo.get(m)
+        if hit is None:
+            if len(self.memo) >= PROJECTION_MEMO_LIMIT:
+                self.memo.clear()
+            hit = self.memo[m] = (_linalg.mat_vec(self.p_num, m),
+                                  _linalg.mat_vec(self.kernel, m))
+        return hit
 
     def n_between(self, pgp, pg):
         """The n >= 0 with gp = g + B n, from the projections of gp and g,

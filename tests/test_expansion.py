@@ -11,11 +11,13 @@ from qcluster import (
     cluster_monomial,
     emit_dot,
     initial_tracked,
+    make_seed,
     mutate_tracked,
     principal_framing,
 )
 from qcluster import expansion, pointed
 from qcluster.expansion import degree_key
+from qcluster.leclerc import _exponent_box
 from qcluster.pointed import bidegree, degree
 from qcluster.qtorus import QTElem, lam_pair, twisted_mul, unit_vec
 
@@ -258,12 +260,11 @@ def test_path_tree_retracking_matches_the_route_through_the_reference(principal,
 
 def test_retracking_a_torus_in_graph_order_stays_within_the_path_tree_bound(a3_graph,
                                                                              monkeypatch):
-    # at most one step per node, since each node's tree parent is
-    # re-tracked before it, plus d(d-1)/2 for a torus at depth d: its
-    # ancestors are reached upward from the torus, the one at depth j in
-    # d - j steps, an overhead that starting from the nearest re-tracked
-    # node of the whole tree would remove. The route through the reference
-    # node costs far more.
+    # one step per node from its tree parent, which graph order re-tracks
+    # before it, except the torus's own node (none) and the reference,
+    # which has no parent and is d steps up from a torus at depth d: at
+    # most n - 2 + d in all. The route through the reference node costs
+    # far more.
     graph = build_exchange_graph(a3_graph.reference)
     torus = max(graph.order, key=lambda key: len(graph.nodes[key].path))
     depth = len(graph.nodes[torus].path)
@@ -273,4 +274,32 @@ def test_retracking_a_torus_in_graph_order_stays_within_the_path_tree_bound(a3_g
     for key in graph.order:
         graph.vars_in(key, torus)
     assert depth >= 2
-    assert len(graph.order) - 1 <= len(calls) <= len(graph.order) - 1 + depth * (depth - 1) // 2
+    assert len(graph.order) - 1 <= len(calls) <= len(graph.order) - 2 + depth
+
+
+FROZEN_B = ((0, -1), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("make, cap, window", [
+    (lambda: make_seed(FROZEN_B, unfrozen=(0, 1)), 2, 1),
+    (lambda: principal_framing(A3_B), 2, 0),
+], ids=["frozen-cap2-w1", "A3p-cap2"])
+def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
+    # every (node, m) of the box in two non-reference tori, in a shuffled
+    # order: a monomial one factor above a returned one is built from it,
+    # any other from the full product, and a repeat is read back
+    graph = build_exchange_graph(make())
+    tori = (graph.order[1], graph.order[-1])
+    requests = [(home, m, torus) for torus in tori for home in graph.order
+                for m in _exponent_box(graph.nodes[home].seed, cap, window)]
+    random.Random(3).shuffle(requests)
+    full = []
+    monkeypatch.setattr(expansion, "cluster_monomial",
+                        lambda ts, m: full.append(m) or cluster_monomial(ts, m))
+    identities = set()
+    for home, m, torus in requests:
+        want = cluster_monomial(graph.tracked_in(home, torus), m)
+        assert graph.monomial_in(home, m, torus) == want, (home, m, torus)
+        identities.add((torus, expansion.monomial_identity(graph.nodes[home].degs, m)))
+    assert any(min(m) < 0 for _, m, _ in requests) == (window > 0)
+    assert 0 < len(full) < len(identities) < len(requests)

@@ -14,6 +14,7 @@ from qcluster.leclerc import (
     check_degree_triangular,
     verify_theorem,
 )
+from qcluster.qtorus import QTElem
 
 LADDER = {
     "a2-cap3": (lambda: make_seed(A2_B, A2_LAMBDA), 3, 0),
@@ -62,14 +63,22 @@ def test_inverse_map_reads_per_key_are_bounded(a3_graph, monkeypatch):
     real = CandidateBasis._inverse_map
     monkeypatch.setattr(CandidateBasis, "_inverse_map",
                         lambda self, *a: reads.append(a) or real(self, *a))
+    passed = []
+    real_same = CandidateBasis._same_factors
+    monkeypatch.setattr(CandidateBasis, "_same_factors",
+                        lambda self, *a: passed.append(real_same(self, *a)) or passed[-1])
     steps, homes = basis.walk_steps, basis.face_homes
     assert check_degree_triangular(basis, torus).ok
     assert check_codegree_triangular(basis, torus).ok
     new_keys = sum(t == torus for t, _ in basis._resolved) + sum(
         t == torus for t, _ in basis._resolved_co)
     steps, homes = basis.walk_steps - steps, basis.face_homes - homes
-    assert new_keys > 0 and steps > 0
-    assert len(reads) <= steps + new_keys + homes
+    # one read per node the walk visits, and one per face home that is not
+    # passed over by identity: only each key's first home, here
+    slow = homes - sum(passed)
+    assert new_keys > 0 and steps > 0 and homes > new_keys
+    assert slow == new_keys
+    assert len(reads) <= steps + new_keys + slow
     assert homes < new_keys * len(a3_graph.order)
 
 
@@ -95,6 +104,56 @@ def test_planted_duplicate_home_is_a_conflict(a2_graph):
     assert found == want_found
     assert basis.conflicts == want_conflicts
     assert [c[:2] + (c[3][0],) for c in basis.conflicts] == [("degree", g, dup)]
+
+
+def _copy(x):
+    return QTElem(x.dim, dict(x.terms))
+
+
+def _skew(x):
+    return x.vshift(1)
+
+
+@pytest.mark.parametrize("factor", ["unfrozen", "frozen"])
+@pytest.mark.parametrize("plant, conflict", [(_copy, False), (_skew, True)],
+                         ids=["equal-copy", "skewed"])
+def test_interned_factors_keep_conflicts(factor, plant, conflict, monkeypatch):
+    # a key x * f in a non-reference torus, x an unfrozen variable held by
+    # several nodes and f frozen; the last of its face homes holds, in
+    # place of one factor, an equal object that is not the torus's table
+    # entry, or one off by a power of v. That home alone takes the
+    # per-home checks, and the lookup records what the scan over every
+    # node records.
+    graph = build_exchange_graph(principal_framing(A3_B))
+    basis = CandidateBasis(graph, unfrozen_cap=0)
+    torus = graph.order[-1]
+    basis._certify(torus, co=False)
+    degs = graph.nodes[torus].degs
+    unfrozen = graph.reference.unfrozen
+    i = max(unfrozen, key=lambda i: len(basis._holders[degs[i]]))
+    f = next(k for k in range(graph.reference.n) if k not in unfrozen)
+    # the torus's own variables have unit degrees there
+    g = tuple(int(k in (i, f)) for k in range(graph.reference.n))
+    homes = basis._face_homes(*basis._walk(torus, g, co=False))
+    assert len(homes) >= 3
+    last = homes[-1]
+    j = basis._holders[degs[i if factor == "unfrozen" else f]][last]
+    ts = graph.tracked_in(last, torus)
+    planted = plant(ts.vars[j])
+    assert planted is not ts.vars[j] and (planted == ts.vars[j]) != conflict
+    graph._cross[(last, torus)] = dataclasses.replace(
+        ts, vars=ts.vars[:j] + (planted,) + ts.vars[j + 1:])
+    assert not basis.conflicts
+    compared = []
+    real = CandidateBasis._factors
+    monkeypatch.setattr(CandidateBasis, "_factors",
+                        lambda self, home, *a: compared.append(home) or real(self, home, *a))
+    found = basis.element_at_degree(torus, g)
+    assert set(compared) == {homes[0], last}
+    want_found, want_conflicts = oracles.scan_resolve(basis, torus, g, co=False)
+    assert found == want_found[1]
+    assert basis.conflicts == want_conflicts
+    assert [c[3][0] for c in basis.conflicts] == ([last] if conflict else [])
 
 
 @pytest.fixture

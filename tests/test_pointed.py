@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -411,3 +412,18 @@ def test_one_projection_with_one_end_ambiguous(a2_seed):
         assert (support.top(), support.bottom()) == want
         assert want == (degree(a2_seed, z), degree(opposite_seed(a2_seed), z))
         assert bidegree(a2_seed, z) is None
+
+
+def test_projection_memo_stays_bounded_and_exact(a3_seed):
+    dom = pointed._dominance_data(a3_seed)
+    fresh = pointed._Projection(dom.p_num, dom.p_den, dom.kernel)
+    assert fresh == dom and hash(fresh) == hash(dom)
+    assert hash(dom) == hash((dom.p_num, dom.p_den, dom.kernel))
+    limit = pointed.PROJECTION_MEMO_LIMIT
+    exps = list(itertools.islice(itertools.product(range(-3, 4), repeat=a3_seed.n),
+                                 2 * limit + 17))
+    rng = random.Random(5)
+    for m in exps + rng.sample(exps, 500):
+        assert fresh.project(m) == (mat_vec(dom.p_num, m), mat_vec(dom.kernel, m))
+        assert 0 < len(fresh.memo) <= limit
+    assert fresh == dom and hash(fresh) == hash(dom)
