@@ -144,18 +144,34 @@ def cmd_mutate(args):
 
 def cmd_expand(args):
     seed, _ = load_seed(args.seed_file)
-    ts = apply_word(initial_tracked(seed), parse_word(args.word, seed))
     var = args.var - 1
     if not 0 <= var < seed.n:
         raise UsageError(f"variable index {args.var} out of range")
+    ts = apply_word(initial_tracked(seed), parse_word(args.word, seed))
     print(ts.vars[var])
     return 0
+
+
+def not_finite_type(graph, outcome):
+    """Print why a graph that failed the 2-finite test is infinite, and
+    True; False for any other graph."""
+    if graph.witness is None:
+        return False
+    path, i, j, prod = graph.witness
+    at = f"after mutation word {','.join(str(k + 1) for k in path)}" if path else "itself"
+    print(f"not finite type: b_{i + 1},{j + 1} * b_{j + 1},{i + 1} = {prod} < -3 "
+          f"in the seed {at}; {outcome}")
+    return True
 
 
 def cmd_graph(args):
     require_at_least("--cap", args.cap, 1)
     seed, _ = load_seed(args.seed_file)
+    if args.dot and args.dot != "-":
+        check_writable(args.dot)  # fail now, not after the build
     graph = build_exchange_graph(seed, node_cap=args.cap)
+    if not_finite_type(graph, "no graph written"):
+        return 1
     nvars = len(graph.distinct_variables())
     print(f"{len(graph.order)} nodes, {len(graph.undirected_edges())} edges, "
           f"{nvars} distinct cluster variables"
@@ -173,6 +189,8 @@ def cmd_shift(args):
     require_at_least("--cap", args.cap, 1)
     seed, _ = load_seed(args.seed_file)
     graph = build_exchange_graph(seed, node_cap=args.cap)
+    if not_finite_type(graph, f"no {args.direction:+d} shift found"):
+        return 1
     try:
         sd = tropical.detect_shift(graph, graph.order[0], args.direction)
     except tropical.ShiftNotFound:
@@ -250,6 +268,8 @@ def cmd_leclerc(args):
     scope = parse_scope(args.scope)
     seed, _ = load_seed(args.seed_file)
     graph = build_exchange_graph(seed, node_cap=args.node_cap)
+    if not_finite_type(graph, "no report written"):
+        return 1
     if graph.truncated:
         print(f"not finite type within cap {args.node_cap}; no report written")
         return 1

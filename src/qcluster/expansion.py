@@ -29,10 +29,16 @@ route through the reference.
 
 Each torus keeps a variable table, one entry per reference degree:
 every variable re-tracked into the torus is compared with its entry
-once, when its node is, and the entry object is stored in its place
-when the two are equal (a differing variable keeps its own object). So
-two nodes' re-trackings share one object for each variable they hold
-in common, and a caller can check a factor by identity.
+once, when its node is, and the entry object is stored in its place.
+An expansion does not depend on the route, so a variable that differs
+from its entry is an internal error (RuntimeError), as a disagreement
+between two routes to one node is in the build. So two nodes'
+re-trackings share one object for each variable they hold in common.
+
+The build refuses a seed that is not 2-finite, one with an unfrozen
+pair b_ij b_ji < -3: its graph is infinite (Fomin-Zelevinsky, Cluster
+algebras II, arXiv:math/0208229, Thm 1.8), so the search stops there,
+truncated, with the seed's path and the pair as the witness.
 
 Each torus also keeps the cluster monomials returned in it, by their
 identity, the sorted (reference degree, exponent) pairs of their
@@ -154,14 +160,6 @@ def cluster_monomial(ts: TrackedSeed, m) -> QTElem:
     return pointed.normalize_at(_image_monomial(ts, m), vec_mat(m, ts.degs))
 
 
-def monomial_identity(ref_degs, m):
-    """The identity of a node's cluster monomial X^m: the sorted
-    (reference degree, exponent) pairs over m's nonzero entries, ref_degs
-    being the reference degrees of the node's variables. Two nodes' X^m
-    with one identity are the same product of the same variables."""
-    return tuple(sorted((d, x) for d, x in zip(ref_degs, m) if x))
-
-
 def degree_key(ts: TrackedSeed):
     """Canonical node key: sorted tuple of reference-torus variable degrees."""
     if len(set(ts.degs)) != len(ts.degs):
@@ -203,10 +201,11 @@ class ExchangeGraph:
     nodes maps a degree-set key to the first TrackedSeed that reached
     it; order lists keys in discovery order; edges holds directed
     (key, vertex, key) mutation triples. truncated is set when the
-    node cap stopped the search. Cross-torus expansions are cached, one
-    per requested (home, torus) pair, with each variable the torus's
-    table object when equal to it; so are the cluster monomials returned
-    in each torus, by identity.
+    node cap or a seed that is not 2-finite stopped the search; witness
+    is (path, i, j, b_ij b_ji) for such a seed, else None. Cross-torus
+    expansions are cached, one per requested (home, torus) pair, with
+    each variable the torus's table object; so are the cluster
+    monomials returned in each torus, by identity.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -216,6 +215,7 @@ class ExchangeGraph:
         self.order: list = []
         self.edges: list = []
         self.truncated = False
+        self.witness = None
         self._cross: dict = {}
         self._steps: dict = {}
         self._by_path: dict = {}
@@ -231,7 +231,7 @@ class ExchangeGraph:
         self.order.append(key0)
         self._by_path[ts0.path] = key0
         self._cross[(key0, key0)] = ts0
-        frontier = [key0]
+        frontier = [key0] if self._two_finite(ts0) else []
         while frontier:
             nxt = []
             for key in frontier:
@@ -251,8 +251,21 @@ class ExchangeGraph:
                     self.order.append(key2)
                     self._by_path[ts2.path] = key2
                     self._cross[(key2, key0)] = ts2  # what vars_in(key2, key0) would re-track
+                    if not self._two_finite(ts2):
+                        return
                     nxt.append(key2)
             frontier = nxt
+
+    def _two_finite(self, ts: TrackedSeed):
+        """False, with truncated set and witness recorded, when ts's seed
+        has an unfrozen pair with b_ij b_ji < -3."""
+        s = ts.seed
+        self.witness = next(((ts.path, i, j, s.b(i, j) * s.b(j, i))
+                             for i in s.unfrozen for j in s.unfrozen
+                             if i < j and s.b(i, j) * s.b(j, i) < -3), None)
+        if self.witness is not None:
+            self.truncated = True
+        return self.witness is None
 
     def route(self, a_key, b_key):
         """Mutation word turning node a's labeled seed into node b's."""
@@ -295,13 +308,16 @@ class ExchangeGraph:
 
     def _intern(self, ts: TrackedSeed, torus_key, ref_degs) -> TrackedSeed:
         """ts with each variable replaced by the torus's table entry for
-        its reference degree (ref_degs, in ts's order) when the two are
-        equal; the first variable seen at a reference degree becomes its
-        entry, and one that differs from its entry keeps its own object."""
+        its reference degree (ref_degs, in ts's order); the first variable
+        seen at a reference degree becomes its entry. A variable that
+        differs from its entry raises RuntimeError: two routes disagree."""
         xs = []
         for d, x in zip(ref_degs, ts.vars):
             entry = self._table.setdefault((torus_key, d), x)
-            xs.append(entry if entry is x or entry == x else x)
+            if entry is not x and entry != x:
+                raise RuntimeError(f"path {ts.path}: variable at reference degree {d} "
+                                   f"disagrees with its entry in torus {torus_key}")
+            xs.append(entry)
         return replace(ts, vars=tuple(xs))
 
     def _retrack(self, home_key, torus_key) -> TrackedSeed:
@@ -353,7 +369,7 @@ class ExchangeGraph:
         """
         ts = self.tracked_in(home_key, torus_key)
         degs = self.nodes[home_key].degs
-        identity = monomial_identity(degs, m)
+        identity = tuple(sorted((d, x) for d, x in zip(degs, m) if x))
         z = self._monomials.get((torus_key, identity))
         if z is not None:
             return z

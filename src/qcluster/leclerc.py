@@ -25,34 +25,24 @@ Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394), and frozen variables
 add unit columns. So every key has integer coordinates in every node,
 and no lookup divides. In a polytopal fan each step improves <g, .> at
 the polytope's vertices, so no node repeats. The walk ends at a node
-whose cone holds g; the variables with nonzero lambda there span the
-face g lies in, and the nodes holding all of them (the face homes) are
-the only cones holding g. Before the first lookup in a (torus, side), a
-certificate checks that the cones do form such a fan: every node's map
-is unimodular, every edge's new variable lies strictly across the wall
+whose cone holds g, with g's exponents m there, and the key's element
+is that node's X^m: expanded once (ExchangeGraph.monomial_in), its
+support projected once (pointed.Support), and its extremal exponent
+checked to be g. Any other node whose cone holds g holds the variables
+spanning the face g lies in, and names the same X^m: the graph keeps
+one object per torus and reference degree for each variable, a
+re-tracking that disagrees with it being an internal error. So the
+route does not matter and no other node is tried. Before the first
+lookup in a (torus, side), a certificate checks that the cones do form
+such a fan: every node has a wall, an edge, for each unfrozen vertex
+(checked once, when the basis is built), every node's map is
+unimodular, every edge's new variable lies strictly across the wall
 (lambda_k < 0 in the coordinates of the node it leaves), and an
-interior point of the torus's own cone lies in no other cone. A failed certificate, or a walk longer than the node
-count, is an internal error, never a fallback to trying every node.
-
-The face homes are tried in graph order. The g-vectors of each cluster
-being a Z-basis, every face home of a key names the same cluster
-monomial, identified by the reference degrees and exponents of its
-factors; after the first home's element is found, each later home only
-cross-checks that the route does not matter. The graph keeps one object
-per variable and torus (ExchangeGraph.vars_in), so a later home that
-holds every factor of the found element, frozen ones included, as the
-very same object is passed over after one identity test per factor:
-its m names the same identity and its factors are equal. Any other home
-gets the full check: its m through its inverse map, m >= 0, its
-identity, and, for a repeated identity, its factors compared with the
-first home's by value; a new identity is expanded. Two distinct
-elements sharing a key, or a repeated identity whose factors differ,
-are recorded as conflicts, never merged, and the lookup returns the
-first home's element; conflicts are recorded for every resolved key,
-so window points that no lookup reaches are never checked. On the
-degree side, each new expansion's codegree is measured in the same pass
-as the check that its degree is the key, from one projection of its
-support, and the resolver keeps it; nothing measures it again.
+interior point of the torus's own cone lies in no other cone. A failed
+certificate, or a walk longer than the node count, is an internal
+error, never a fallback to trying every node. On the degree side, the
+element's codegree is read off the same projection as its degree, and
+the resolver keeps it; nothing measures it again.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -68,14 +58,11 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import _linalg, pointed
-from .expansion import ExchangeGraph, monomial_identity
+from .expansion import ExchangeGraph
 from .pointed import Bidegree
 from .qtorus import QTElem, VCoeff, twisted_mul, unit_vec, vec_add
 from .seed import opposite_seed
 from .tropical import psi_matrix
-
-
-_MISS = object()
 
 ENUMERATION_LIMIT = 10 ** 5  # (node, m) pairs a CandidateBasis will key
 
@@ -108,8 +95,7 @@ def enumeration_size(graph, unfrozen_cap, frozen_window):
 class CandidateBasis:
     """Normalized localized cluster monomials of a closed exchange graph.
 
-    walk_steps and face_homes count, over every new key resolved, the fan
-    walk's steps and the face homes tried.
+    walk_steps counts the fan walk's steps over every new key resolved.
     """
 
     def __init__(self, graph: ExchangeGraph, unfrozen_cap=3, frozen_window=0):
@@ -126,19 +112,12 @@ class CandidateBasis:
         self.provenance: dict = {}
         self.conflicts: list = []
         self.walk_steps = 0
-        self.face_homes = 0
         self._inv: dict = {}
         self._codeg_cols: dict = {}
         self._resolved: dict = {}
         self._resolved_co: dict = {}
         self._codeg_of: dict = {}
         self._certified: set = set()
-        # the nodes holding each variable, by reference degree, in graph
-        # order, each with the variable's position there
-        self._holders: dict = {}
-        for key in graph.order:
-            for i, d in enumerate(graph.nodes[key].degs):
-                self._holders.setdefault(d, {})[key] = i
         # each edge (a, k, b) as (b, position of b's new variable)
         self._walls = {}
         for a, k, b in graph.edges:
@@ -147,6 +126,10 @@ class CandidateBasis:
                 raise RuntimeError(f"fan certificate fails: edge ({a}, {k}, {b}) "
                                    f"exchanges {len(new)} variables")
             self._walls[(a, k)] = (b, graph.nodes[b].degs.index(new.pop()))
+        for key in graph.order:
+            for k in graph.reference.unfrozen:
+                if (key, k) not in self._walls:
+                    raise RuntimeError(f"fan certificate fails: node {key} has no wall {k}")
         self._enumerate()
 
     def _enumerate(self):
@@ -205,9 +188,10 @@ class CandidateBasis:
 
     def _certify(self, torus_key, co):
         """Check once per (torus, side) that the nodes' (co)degree cones
-        form a complete simplicial fan, so that the walk ends and the face
-        homes are the only cones holding a key.
+        form a complete simplicial fan, so that the walk ends in a cone
+        holding the key.
 
+        Every node has a wall per unfrozen vertex (checked in __init__).
         Every node's map must be unimodular; across every edge (a, k, b),
         b's new variable must have lambda_k < 0 in a's coordinates, so the
         two cones lie strictly on opposite sides of their shared wall; and
@@ -255,91 +239,27 @@ class CandidateBasis:
         raise RuntimeError(f"fan walk to {g} in torus {torus_key} is longer than "
                            f"{len(self.graph.order)} nodes")
 
-    def _face_homes(self, home_key, lam):
-        """The nodes holding every unfrozen variable of home with nonzero
-        lambda, in graph order: the cones holding the key."""
-        degs = self.graph.nodes[home_key].degs
-        holders = sorted((self._holders[degs[i]] for i in self.graph.reference.unfrozen
-                          if lam[i]), key=len)
-        if not holders:
-            return self.graph.order
-        return [key for key in holders[0] if all(key in h for h in holders[1:])]
-
-    def _factors(self, home_key, m, torus_key):
-        """home's variables at m's nonzero positions, expanded in the torus
-        and keyed by reference degree."""
-        degs = self.graph.nodes[home_key].degs
-        xs = self.graph.vars_in(home_key, torus_key)
-        return {degs[i]: xs[i] for i, x in enumerate(m) if x}
-
-    def _same_factors(self, home_key, torus_key, factors):
-        """True when home holds every one of factors (keyed by reference
-        degree, as _factors gives them) as the very same object in the
-        torus: then home's m names the same cluster monomial, its (co)degree
-        map being invertible, and its factors are equal."""
-        xs = self.graph.vars_in(home_key, torus_key)
-        for d, x in factors.items():
-            i = self._holders[d].get(home_key)
-            if i is None or xs[i] is not x:
-                return False
-        return True
-
     def _resolve(self, torus_key, g, co):
-        """The element keyed at g in the torus, with its provenance.
+        """The element keyed at g in the torus, with its provenance: the
+        node where the fan walk ends and g's exponents m there.
 
-        The fan walk finds the face g lies in, and each face home whose
-        integer inverse gives an m with unfrozen entries >= 0 names a
-        candidate cluster monomial. Its identity is the sorted (reference
-        degree, exponent) pairs over m's nonzero entries; only a new
-        identity is expanded.
-        A repeated identity is the same product of the same factors, which
-        is checked instead of the expansion: a factor that differs is a
-        conflict, as is a distinct element at the key. With conflicts
-        present the first home's element is the one returned. Once an
-        element is found, a later home holding each of its factors as the
-        same object is passed over (_same_factors) before any of this.
-        Each expansion's support is projected once (pointed.Support); on
-        the degree side the returned element's codegree is read off the
+        X^m is expanded once and its support projected once
+        (pointed.Support); it is the element when its degree (codegree
+        when co) is g. On the degree side its codegree is read off the
         same projection and kept for codegree_at.
         """
         cache = self._resolved_co if co else self._resolved
-        hit = cache.get((torus_key, g))
-        if hit is not None:
-            return None if hit is _MISS else hit
-        kind = "codegree" if co else "degree"
-        torus_seed = self.graph.nodes[torus_key].seed
-        homes = self._face_homes(*self._walk(torus_key, g, co))
-        self.face_homes += len(homes)
+        if (torus_key, g) in cache:
+            return cache[(torus_key, g)]
+        home_key, m = self._walk(torus_key, g, co)
+        elem = self.graph.monomial_in(home_key, m, torus_key)
+        support = pointed.Support(self.graph.nodes[torus_key].seed, elem)
         found = None
-        found_factors = None
-        seen = {}
-        for home_key in homes:
-            if found_factors is not None and self._same_factors(home_key, torus_key,
-                                                                found_factors):
-                continue
-            m = _linalg.mat_vec(self._inverse_map(home_key, torus_key, co), g)
-            home = self.graph.nodes[home_key]
-            if any(m[i] < 0 for i in home.seed.unfrozen):
-                continue
-            identity = monomial_identity(home.degs, m)
-            first = seen.get(identity)
-            if first is not None:
-                if self._factors(*first, torus_key) != self._factors(home_key, m, torus_key):
-                    self.conflicts.append((kind, g, first, (home_key, m)))
-                continue
-            seen[identity] = (home_key, m)
-            elem = self.graph.monomial_in(home_key, m, torus_key)
-            support = pointed.Support(torus_seed, elem)
-            if (support.bottom() if co else support.top()) != g:
-                continue
-            if found is None:
-                found = ((home_key, m), elem)
-                found_factors = self._factors(home_key, m, torus_key)
-                if not co:
-                    self._codeg_of[(torus_key, g)] = support.bottom()
-            elif found[1] != elem:
-                self.conflicts.append((kind, g, found[0], (home_key, m)))
-        cache[(torus_key, g)] = _MISS if found is None else found
+        if (support.bottom() if co else support.top()) == g:
+            found = ((home_key, m), elem)
+            if not co:
+                self._codeg_of[(torus_key, g)] = support.bottom()
+        cache[(torus_key, g)] = found
         return found
 
     def element_at_degree(self, torus_key, g):

@@ -29,9 +29,9 @@ inverse), independent of the library's integer one: what it checks is
 that the closed-form projection read off the compatible pair decides
 dominance and finds degrees as the rational solves of B^T w = -1 and of
 the normal equations did. The scan lookup reuses the basis's inverse
-maps and expansions: what it checks is that walking the g-vector fan to
-a degree's home and scanning only the nodes of its face finds the
-element, provenance and conflicts that trying every node found. The
+maps and expansions: what it checks is that the node where a walk of
+the g-vector fan ends names the element that trying every node found,
+and that trying every node finds no conflict. The
 re-tracking through the reference reuses the library's mutation: what
 it checks is that re-tracking along the path tree, from whatever is
 already re-tracked, gives the variables of the route through the
@@ -496,6 +496,14 @@ def scan_resolve(basis, torus_key, g, co):
     kind = "codegree" if co else "degree"
     extremal = pointed.codegree if co else pointed.degree
     torus_seed = graph.nodes[torus_key].seed
+
+    def factors(home_key, m):
+        """home's variables at m's nonzero positions, expanded in the
+        torus and keyed by reference degree."""
+        degs = graph.nodes[home_key].degs
+        xs = graph.vars_in(home_key, torus_key)
+        return {degs[i]: xs[i] for i, x in enumerate(m) if x}
+
     found = None
     conflicts = []
     seen = {}
@@ -510,7 +518,7 @@ def scan_resolve(basis, torus_key, g, co):
         identity = tuple(sorted((home.degs[i], x) for i, x in enumerate(m) if x))
         first = seen.get(identity)
         if first is not None:
-            if basis._factors(*first, torus_key) != basis._factors(home_key, m, torus_key):
+            if factors(*first) != factors(home_key, m):
                 conflicts.append((kind, g, first, (home_key, m)))
             continue
         seen[identity] = (home_key, m)

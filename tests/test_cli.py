@@ -1,9 +1,12 @@
 import json
+import pathlib
 
 import pytest
 
-from qcluster import leclerc
+from qcluster import cli, expansion, leclerc
 from qcluster.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 A2_FILE = {
     "n": 2,
@@ -88,6 +91,12 @@ def test_expand_bad_var(a2_file, capsys):
     assert main(["expand", a2_file, "--var", "7"]) == 2
 
 
+def test_expand_bad_var_fails_before_the_word(a2_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "apply_word", lambda *a: pytest.fail("word applied"))
+    assert main(["expand", a2_file, "--word", "1,2", "--var", "0"]) == 2
+    assert capsys.readouterr().err == "error: variable index 0 out of range\n"
+
+
 def test_bad_word(a2_file):
     assert main(["mutate", a2_file, "--word", "3"]) == 2
     assert main(["mutate", a2_file, "--word", "x"]) == 2
@@ -151,18 +160,51 @@ def test_leclerc_report(a2_file, capsys, tmp_path):
     assert two_tails and all("s" in p and "h" in p and "S" in p and "H" in p for p in two_tails)
 
 
+KRONECKER_FILE = {
+    "n": 2,
+    "unfrozen": [1, 2],
+    "B": [[0, 2], [-2, 0]],
+    "Lambda": [[0, 1], [-1, 0]],
+}
+
+
 def test_leclerc_infinite_type_message(tmp_path, capsys):
     # the Kronecker seed has a compatible pair but an infinite graph
-    kronecker = {
-        "n": 2,
-        "unfrozen": [1, 2],
-        "B": [[0, 2], [-2, 0]],
-        "Lambda": [[0, 1], [-1, 0]],
-    }
     p = tmp_path / "kronecker.json"
-    p.write_text(json.dumps(kronecker))
-    assert main(["leclerc", str(p), "--node-cap", "12"]) == 1
-    assert "not finite type within cap" in capsys.readouterr().out
+    p.write_text(json.dumps(KRONECKER_FILE))
+    assert main(["leclerc", str(p)]) == 1
+    assert capsys.readouterr().out == (
+        "not finite type: b_1,2 * b_2,1 = -4 < -3 in the seed itself; no report written\n")
+
+
+@pytest.mark.parametrize("command, outcome", [
+    (["leclerc"], "no report written"),
+    (["graph", "--dot", "-"], "no graph written"),
+    (["shift"], "no +1 shift found"),
+    (["shift", "--direction", "-1"], "no -1 shift found"),
+])
+@pytest.mark.parametrize("name, witness", [
+    ("kronecker", "b_1,2 * b_2,1 = -4 < -3 in the seed itself"),
+    ("at2p", "b_1,3 * b_3,1 = -4 < -3 in the seed after mutation word 2"),
+])
+def test_seeds_that_are_not_2_finite_are_refused_at_once(tmp_path, monkeypatch, capsys,
+                                                         command, outcome, name, witness):
+    # Kronecker and affine A2 with principal coefficients, at the default
+    # caps: the build stops at the first seed with b_ij b_ji < -3
+    if name == "kronecker":
+        path = tmp_path / "kronecker.json"
+        path.write_text(json.dumps(KRONECKER_FILE))
+    else:
+        path = DATA / "at2p.json"
+    mutations = []
+    real = expansion.mutate_tracked
+    monkeypatch.setattr(expansion, "mutate_tracked",
+                        lambda ts, k: mutations.append(k) or real(ts, k))
+    assert main([command[0], str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"not finite type: {witness}; {outcome}\n"
+    assert captured.err == ""
+    assert len(mutations) <= 3
 
 
 def test_leclerc_sample_scope(a2_file, capsys):
@@ -220,6 +262,15 @@ def test_unwritable_output_is_usage_error(a2_file, tmp_path, command, capsys):
     path = tmp_path / "missing" / "x"
     assert main([command[0], a2_file, *command[1:], str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+
+def test_graph_unwritable_dot_fails_before_the_build(a2_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_exchange_graph", lambda *a, **k: pytest.fail("built"))
+    path = tmp_path / "missing" / "a2.dot"
+    assert main(["graph", a2_file, "--dot", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("name, reason", [

