@@ -76,19 +76,14 @@ def test_inverse_map_reads_per_key_are_bounded(a3_graph, monkeypatch):
     assert len(reads) == steps + new_keys
 
 
-def _plant_duplicate(graph):
-    """A copy of the last node, under a new key and with no edges."""
+def test_planted_duplicate_home_has_no_wall(a2_graph):
+    # a copy of the last node, under a new key and with no edges: every
+    # key on the last node's cone has the copy among the nodes whose cones
+    # hold it, and no walk can leave it
+    graph = build_exchange_graph(a2_graph.reference)
     dup = ("planted",) + graph.order[-1]
     graph.nodes[dup] = graph.nodes[graph.order[-1]]
     graph.order.append(dup)
-    return dup
-
-
-def test_planted_duplicate_home_has_no_wall(a2_graph):
-    # the copy's cone is the last node's: every key on it has the copy
-    # among the nodes whose cones hold it, and no walk can leave it
-    graph = build_exchange_graph(a2_graph.reference)
-    dup = _plant_duplicate(graph)
     with pytest.raises(RuntimeError, match=re.escape(
             f"fan certificate fails: node {dup} has no wall 0")):
         CandidateBasis(graph, unfrozen_cap=1)
