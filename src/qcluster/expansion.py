@@ -18,14 +18,14 @@ must agree exactly. A node re-tracked into another node's torus is a
 TrackedSeed too, so its degrees there come with it.
 
 Each node's path extends the path of the node it was found from, so
-the paths form a tree rooted at the reference. Re-tracking a node into
-a torus follows that tree: up from the torus's node to the lowest
-common ancestor, then down to the node, starting from the nearest node
-already re-tracked into the torus: the last such node of that way, or
-the node's own tree parent, one mutation away. Mutation is an
+the paths form a tree rooted at the reference. Every cross-torus object
+is built one step from a stored neighbour: walk to the nearest one
+stored, then build back one step per object, storing each. A node
+re-tracked into a torus walks the path tree toward the torus's node
+and is its neighbour's re-tracking mutated once (mutation is an
 involution on labeled seeds, and an expansion does not depend on the
-route, so the shorter way gives the same seed and variables as the
-route through the reference.
+route). The torus's own node has the unit monomials as its variables
+there.
 
 Each torus keeps a variable table, one entry per reference degree:
 every variable re-tracked into the torus is compared with its entry
@@ -40,13 +40,13 @@ pair b_ij b_ji < -3: its graph is infinite (Fomin-Zelevinsky, Cluster
 algebras II, arXiv:math/0208229, Thm 1.8), so the search stops there,
 truncated, with the seed's path and the pair as the witness.
 
-Each torus also keeps the cluster monomials returned in it, by their
+Each torus also keeps the cluster monomials made in it, by their
 identity, the sorted (reference degree, exponent) pairs of their
-factors. A new one is built, when a stored one is a single factor x_j
-short of it (m_j >= 1), as that one times x_j, normalized at the new
-degree (the factors quasi-commute, so normalization makes the order
-irrelevant); otherwise from the full ordered product. Only returned
-monomials are stored, not the prefixes of a product.
+factors. A new one peels unfrozen factors, the one with the fewest
+terms first, down to a kept one or to its frozen part, a plain
+monomial. Each step back is one twisted product by a variable,
+normalized at its degree (the factors quasi-commute, so normalization
+makes the order irrelevant).
 """
 from __future__ import annotations
 
@@ -203,9 +203,9 @@ class ExchangeGraph:
     (key, vertex, key) mutation triples. truncated is set when the
     node cap or a seed that is not 2-finite stopped the search; witness
     is (path, i, j, b_ij b_ji) for such a seed, else None. Cross-torus
-    expansions are cached, one per requested (home, torus) pair, with
+    expansions are cached, one per re-tracked (home, torus) pair, with
     each variable the torus's table object; so are the cluster
-    monomials returned in each torus, by identity.
+    monomials made in each torus, by identity.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -290,21 +290,38 @@ class ExchangeGraph:
     def vars_in(self, home_key, torus_key):
         """Expansions of home's variables in the torus of another node.
 
-        Every re-tracking happens here, along the path tree: up from the
-        torus's node to the lowest common ancestor of the two paths, then
-        down to home, from the nearest node already re-tracked into the
-        torus (the torus's own node, at worst). Only the requested pair is
-        cached, whole, its variables interned in the torus's table;
-        tracked_in reads it back through this method. A node's tracked
-        seed is its re-tracking into the reference torus (the same word
-        from the same start), so _build caches it when found.
+        Every re-tracking happens here. Walk the path tree from home
+        toward the torus's node, to the first node already re-tracked
+        into the torus: a step goes to the tree parent, or, from an
+        ancestor of the torus's node, to its child on the torus's path.
+        Then build back, each node its neighbour mutated once, checked
+        against its labeled seed, interned and cached; tracked_in reads
+        it back through this method. A node's tracked seed is its
+        re-tracking into the reference torus, so _build caches it.
         """
-        hit = self._cross.get((home_key, torus_key))
-        if hit is None:
-            hit = self._intern(self._retrack(home_key, torus_key), torus_key,
-                               self.nodes[home_key].degs)
-            self._cross[(home_key, torus_key)] = hit
-        return hit.vars
+        key, path, way = home_key, self.nodes[home_key].path, []
+        up = self.nodes[torus_key].path
+        while (key, torus_key) not in self._cross:
+            if key == torus_key:
+                self._cross[(key, key)] = self._intern(
+                    initial_tracked(self.nodes[key].seed), key, self.nodes[key].degs)
+                break
+            if up[:len(path)] == path:  # an ancestor of the torus's node
+                k, path = up[len(path)], up[:len(path) + 1]
+            else:
+                k, path = path[-1], path[:-1]
+            way.append((key, k))
+            key = self._by_path[path]
+        ts = self._cross[(key, torus_key)]
+        for key, k in reversed(way):
+            node = self.nodes[key]
+            ts = mutate_tracked(ts, k)
+            if ts.seed != node.seed:
+                raise RuntimeError("re-tracking did not reproduce the labeled seed")
+            # keep the node's seed object, not an equal copy, for every cached pair
+            ts = self._cross[(key, torus_key)] = self._intern(
+                replace(ts, seed=node.seed), torus_key, node.degs)
+        return self._cross[(home_key, torus_key)].vars
 
     def _intern(self, ts: TrackedSeed, torus_key, ref_degs) -> TrackedSeed:
         """ts with each variable replaced by the torus's table entry for
@@ -320,37 +337,6 @@ class ExchangeGraph:
             xs.append(entry)
         return replace(ts, vars=tuple(xs))
 
-    def _retrack(self, home_key, torus_key) -> TrackedSeed:
-        """home's labeled seed re-tracked into the torus along the path
-        tree, from the nearest node already re-tracked into it: the last
-        such node of the way, or home's tree parent."""
-        up = self.nodes[torus_key].path
-        down = self.nodes[home_key].path
-        common = 0
-        while common < min(len(up), len(down)) and up[common] == down[common]:
-            common += 1
-        # stops[j] is the node reached after word[:j]: the torus's node first, home last
-        word = tuple(reversed(up[common:])) + down[common:]
-        stops = [self._by_path[up[:i]] for i in range(len(up), common - 1, -1)]
-        stops += [self._by_path[down[:i]] for i in range(common + 1, len(down) + 1)]
-        start = next((j for j in range(len(stops) - 2, 0, -1)
-                      if (stops[j], torus_key) in self._cross), 0)
-        if start:
-            ts = self._cross[(stops[start], torus_key)]
-        else:
-            # a node's variables in its own torus are the unit monomials
-            ts = initial_tracked(self.nodes[torus_key].seed)
-        rest = word[start:]
-        if len(rest) > 1 and down:
-            # home's tree parent, when re-tracked already, is one step away
-            parent = self._cross.get((self._by_path[down[:-1]], torus_key))
-            if parent is not None:
-                ts, rest = parent, down[-1:]
-        ts = apply_word(ts, rest)
-        if ts.seed != self.nodes[home_key].seed:
-            raise RuntimeError("re-tracking did not reproduce the labeled seed")
-        return ts
-
     def tracked_in(self, home_key, torus_key) -> TrackedSeed:
         """home's labeled seed re-tracked into the torus of torus_key: its
         vars and degs are home's variables and their degrees there."""
@@ -361,31 +347,34 @@ class ExchangeGraph:
         """Expansion of home's normalized cluster monomial X^m in a torus.
 
         Kept by (torus, identity), the identity being the sorted
-        (reference degree, exponent) pairs over m's nonzero entries. A new
-        identity one unit above a kept one in some factor x_j (m_j >= 1)
-        is that monomial times x_j, normalized at X^m's degree; any other
-        is the full product (cluster_monomial, which also refuses negative
-        unfrozen exponents: no identity holding one is ever kept).
+        (reference degree, exponent) pairs over the nonzero exponents.
+        Peel one unit of the positive unfrozen factor with the fewest
+        terms until the identity is kept or only frozen exponents are
+        left, whose monomial is the plain X^e (frozen variables are unit
+        monomials in every torus). Then build back, one twisted product
+        per step, normalized at its degree, and keep each step.
         """
         ts = self.tracked_in(home_key, torus_key)
-        degs = self.nodes[home_key].degs
-        identity = tuple(sorted((d, x) for d, x in zip(degs, m) if x))
-        z = self._monomials.get((torus_key, identity))
-        if z is not None:
-            return z
-        for at, (d, x) in enumerate(identity):
-            if x < 1:
-                continue
-            rest = ((d, x - 1),) if x > 1 else ()
-            below = self._monomials.get((torus_key, identity[:at] + rest + identity[at + 1:]))
-            if below is not None:
-                z = pointed.normalize_at(
-                    twisted_mul(below, ts.vars[degs.index(d)], ts.ref.Lambda),
-                    vec_mat(m, ts.degs))
+        if any(m[i] < 0 for i in ts.seed.unfrozen):
+            raise ValueError("unfrozen exponents must be nonnegative")
+        degs, e, way = self.nodes[home_key].degs, list(m), []
+        while True:
+            identity = tuple(sorted((d, x) for d, x in zip(degs, e) if x))
+            z = self._monomials.get((torus_key, identity))
+            if z is not None:
                 break
-        else:
-            z = cluster_monomial(ts, m)
-        self._monomials[(torus_key, identity)] = z
+            peel = [j for j in ts.seed.unfrozen if e[j] > 0]
+            if not peel:
+                z = QTElem.monomial(e)
+                break
+            j = min(peel, key=lambda j: (len(ts.vars[j].terms), j))
+            way.append((identity, j))
+            e[j] -= 1
+        for identity, j in reversed(way):
+            e[j] += 1
+            z = pointed.normalize_at(twisted_mul(z, ts.vars[j], ts.ref.Lambda),
+                                     vec_mat(e, ts.degs))
+            self._monomials[(torus_key, identity)] = z
         return z
 
     def distinct_variables(self):

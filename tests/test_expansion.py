@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -272,23 +274,32 @@ def test_path_tree_retracking_matches_the_route_through_the_reference(principal,
         assert graph.tracked_in(home, torus).seed == graph.nodes[home].seed
 
 
-def test_retracking_a_torus_in_graph_order_stays_within_the_path_tree_bound(a3_graph,
-                                                                             monkeypatch):
-    # one step per node from its tree parent, which graph order re-tracks
-    # before it, except the torus's own node (none) and the reference,
-    # which has no parent and is d steps up from a torus at depth d: at
-    # most n - 2 + d in all. The route through the reference node costs
-    # far more.
-    graph = build_exchange_graph(a3_graph.reference)
+D4_B = ((0, -1, 0, 0), (1, 0, -1, -1), (0, 1, 0, 0), (0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("principal", [A3_B, D4_B], ids=["A3p", "D4p"])
+@pytest.mark.parametrize("order", ["discovery", "reverse", "shuffled"])
+def test_each_retracked_pair_costs_one_mutation(principal, order, monkeypatch):
+    # whatever the request order, each (node, torus) pair is cached once,
+    # built by one mutation from a neighbour already cached, except the
+    # torus's own node, whose variables there are the unit monomials. The
+    # route through the reference node costs far more.
+    graph = build_exchange_graph(principal_framing(principal))
     torus = max(graph.order, key=lambda key: len(graph.nodes[key].path))
-    depth = len(graph.nodes[torus].path)
+    assert len(graph.nodes[torus].path) >= 2
+    homes = list(graph.order if order == "discovery" else reversed(graph.order))
+    if order == "shuffled":
+        random.Random(5).shuffle(homes)
+    want = {home: oracles.route_vars_in(graph, home, torus) for home in homes}
     calls = []
     real = expansion.mutate_tracked
     monkeypatch.setattr(expansion, "mutate_tracked", lambda *a: calls.append(a) or real(*a))
-    for key in graph.order:
-        graph.vars_in(key, torus)
-    assert depth >= 2
-    assert len(graph.order) - 1 <= len(calls) <= len(graph.order) - 2 + depth
+    before = len(graph._cross)
+    for home in homes:
+        assert graph.vars_in(home, torus) == want[home], home
+    cached = len(graph._cross) - before
+    assert cached == len(graph.order)
+    assert len(calls) == cached - 1
 
 
 FROZEN_B = ((0, -1), (1, 0), (1, 1))
@@ -300,21 +311,40 @@ FROZEN_B = ((0, -1), (1, 0), (1, 1))
 ], ids=["frozen-cap2-w1", "A3p-cap2"])
 def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
     # every (node, m) of the box in two non-reference tori, in a shuffled
-    # order: a monomial one factor above a returned one is built from it,
-    # any other from the full product, and a repeat is read back
+    # order: each new monomial is one twisted product from a kept one, the
+    # full product is never taken, and a repeat is read back
     graph = build_exchange_graph(make())
     tori = (graph.order[1], graph.order[-1])
     requests = [(home, m, torus) for torus in tori for home in graph.order
                 for m in _exponent_box(graph.nodes[home].seed, cap, window)]
     random.Random(3).shuffle(requests)
-    full = []
+    full, muls = [], []
     monkeypatch.setattr(expansion, "cluster_monomial",
                         lambda ts, m: full.append(m) or cluster_monomial(ts, m))
-    identities = set()
+    monkeypatch.setattr(expansion, "twisted_mul",
+                        lambda *a: muls.append(a) or twisted_mul(*a))
+    made = 0
     for home, m, torus in requests:
         want = cluster_monomial(graph.tracked_in(home, torus), m)
+        before = len(muls)
         assert graph.monomial_in(home, m, torus) == want, (home, m, torus)
-        identities.add((torus, tuple(sorted(
-            (d, x) for d, x in zip(graph.nodes[home].degs, m) if x))))
+        made += len(muls) - before
     assert any(min(m) < 0 for _, m, _ in requests) == (window > 0)
-    assert 0 < len(full) < len(identities) < len(requests)
+    assert full == []
+    assert made == len(graph._monomials)
+
+
+def test_monomial_in_does_not_recurse_on_the_exponent(a2_graph):
+    # 200 factors, each step one product, under a recursion limit only 40
+    # frames above the caller's depth
+    home, torus = a2_graph.order[1], a2_graph.order[0]
+    m = [0, 0]
+    m[1 - a2_graph.nodes[home].path[-1]] = 200  # the variable home shares with the torus
+    want = cluster_monomial(a2_graph.tracked_in(home, torus), m)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        got = a2_graph.monomial_in(home, tuple(m), torus)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
