@@ -12,9 +12,9 @@ where it is normalized, and recorded; nothing measures it again.
 
 The exchange graph deduplicates tracked seeds by the unordered set of
 variable degrees in the reference torus (a seed is determined by those
-up to permutation). Whenever two routes meet at one node, the stored
-and recomputed expansions are matched under the degree permutation and
-must agree exactly. A node re-tracked into another node's torus is a
+up to permutation). Whenever two routes meet at one node, the seeds
+must match under the degree permutation, and the variables the store
+(below), exactly. A node re-tracked into another node's torus is a
 TrackedSeed too, so its degrees there come with it.
 
 Each node's path extends the path of the node it was found from, so
@@ -27,26 +27,24 @@ involution on labeled seeds, and an expansion does not depend on the
 route). The torus's own node has the unit monomials as its variables
 there.
 
-Each torus keeps a variable table, one entry per reference degree:
-every variable re-tracked into the torus is compared with its entry
-once, when its node is, and the entry object is stored in its place.
-An expansion does not depend on the route, so a variable that differs
-from its entry is an internal error (RuntimeError), as a disagreement
-between two routes to one node is in the build. So two nodes'
-re-trackings share one object for each variable they hold in common.
+Each torus keeps the cluster monomials made in it in one store, by
+identity, the sorted (reference degree, exponent) pairs of their
+factors; a torus's variables, frozen ones too, are its one-factor
+cluster monomials, in the one store. A variable re-tracked into the
+torus, or met again in the build, is compared with the stored one once,
+and the stored object takes its place: an expansion does not depend on
+the route, so a difference is an internal error (RuntimeError). So two
+nodes' re-trackings share one object for each variable they hold in
+common. A new cluster monomial peels unfrozen factors, the one with the
+fewest terms first, down to a stored one (a variable at the latest) or
+to its frozen part, a plain monomial. Each step back is one twisted
+product by a variable, normalized at its degree (the factors
+quasi-commute, so normalization makes the order irrelevant).
 
 The build refuses a seed that is not 2-finite, one with an unfrozen
 pair b_ij b_ji < -3: its graph is infinite (Fomin-Zelevinsky, Cluster
 algebras II, arXiv:math/0208229, Thm 1.8), so the search stops there,
 truncated, with the seed's path and the pair as the witness.
-
-Each torus also keeps the cluster monomials made in it, by their
-identity, the sorted (reference degree, exponent) pairs of their
-factors. A new one peels unfrozen factors, the one with the fewest
-terms first, down to a kept one or to its frozen part, a plain
-monomial. Each step back is one twisted product by a variable,
-normalized at its degree (the factors quasi-commute, so normalization
-makes the order irrelevant).
 """
 from __future__ import annotations
 
@@ -167,19 +165,10 @@ def degree_key(ts: TrackedSeed):
     return tuple(sorted(ts.degs))
 
 
-def _match_permutation(stored: TrackedSeed, other: TrackedSeed):
-    """perm with other position i playing stored position perm[i]."""
-    return tuple(stored.degs.index(g) for g in other.degs)
-
-
 def _assert_same_node(stored: TrackedSeed, other: TrackedSeed):
-    """Two routes reached one degree class: everything must match under perm."""
-    perm = _match_permutation(stored, other)
-    for i, z in enumerate(other.vars):
-        if stored.vars[perm[i]] != z:
-            raise RuntimeError(
-                f"path {other.path}: variable {i} disagrees with path {stored.path}"
-            )
+    """Two routes reached one degree class: the seeds must match under
+    perm, with other's position i playing stored's position perm[i]."""
+    perm = tuple(stored.degs.index(g) for g in other.degs)
     a, b = stored.seed, other.seed
     for i in range(b.n):
         for j in range(b.n):
@@ -204,8 +193,8 @@ class ExchangeGraph:
     node cap or a seed that is not 2-finite stopped the search; witness
     is (path, i, j, b_ij b_ji) for such a seed, else None. Cross-torus
     expansions are cached, one per re-tracked (home, torus) pair, with
-    each variable the torus's table object; so are the cluster
-    monomials made in each torus, by identity.
+    each variable the torus's stored one-factor cluster monomial; every
+    cluster monomial made in a torus is kept there, by identity.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -217,9 +206,7 @@ class ExchangeGraph:
         self.truncated = False
         self.witness = None
         self._cross: dict = {}
-        self._steps: dict = {}
         self._by_path: dict = {}
-        self._table: dict = {}
         self._monomials: dict = {}
         self._build()
 
@@ -241,6 +228,7 @@ class ExchangeGraph:
                     key2 = degree_key(ts2)
                     self.edges.append((key, k, key2))
                     if key2 in self.nodes:
+                        self._intern(ts2, key0, ts2.degs)  # its variables must match the store
                         _assert_same_node(self.nodes[key2], ts2)
                         continue
                     if len(self.nodes) >= self.node_cap:
@@ -272,20 +260,14 @@ class ExchangeGraph:
         return tuple(reversed(self.nodes[a_key].path)) + self.nodes[b_key].path
 
     def route_steps(self, a_key, b_key):
-        """(seed, vertex) pairs along the route, with seeds premutated."""
-        hit = self._steps.get((a_key, b_key))
-        if hit is not None:
-            return hit
-        seed = self.nodes[a_key].seed
-        steps = []
-        for k in self.route(a_key, b_key):
-            steps.append((seed, k))
-            seed = mutate_seed(seed, k)
-        if seed != self.nodes[b_key].seed:
-            raise RuntimeError("route does not land on the target seed")
-        steps = tuple(steps)
-        self._steps[(a_key, b_key)] = steps
-        return steps
+        """(seed, vertex) pairs along the route, each seed the one stored
+        at a path-tree node the route passes: up from a, then down to b.
+        A node's seed is its parent's mutated at its path's last vertex,
+        and mutation is an involution on labeled seeds."""
+        up, down = self.nodes[a_key].path, self.nodes[b_key].path
+        steps = [(up[:i], up[i - 1]) for i in range(len(up), 0, -1)]
+        steps += [(down[:i], down[i]) for i in range(len(down))]
+        return tuple((self.nodes[self._by_path[path]].seed, k) for path, k in steps)
 
     def vars_in(self, home_key, torus_key):
         """Expansions of home's variables in the torus of another node.
@@ -324,13 +306,14 @@ class ExchangeGraph:
         return self._cross[(home_key, torus_key)].vars
 
     def _intern(self, ts: TrackedSeed, torus_key, ref_degs) -> TrackedSeed:
-        """ts with each variable replaced by the torus's table entry for
-        its reference degree (ref_degs, in ts's order); the first variable
-        seen at a reference degree becomes its entry. A variable that
-        differs from its entry raises RuntimeError: two routes disagree."""
+        """ts with each variable replaced by the torus's stored one-factor
+        cluster monomial (reference degree d, exponent 1), the first
+        variable seen at d (ref_degs, in ts's order) being stored. A
+        variable that differs from it raises RuntimeError: two routes
+        disagree."""
         xs = []
         for d, x in zip(ref_degs, ts.vars):
-            entry = self._table.setdefault((torus_key, d), x)
+            entry = self._monomials.setdefault((torus_key, ((d, 1),)), x)
             if entry is not x and entry != x:
                 raise RuntimeError(f"path {ts.path}: variable at reference degree {d} "
                                    f"disagrees with its entry in torus {torus_key}")
@@ -349,10 +332,11 @@ class ExchangeGraph:
         Kept by (torus, identity), the identity being the sorted
         (reference degree, exponent) pairs over the nonzero exponents.
         Peel one unit of the positive unfrozen factor with the fewest
-        terms until the identity is kept or only frozen exponents are
-        left, whose monomial is the plain X^e (frozen variables are unit
-        monomials in every torus). Then build back, one twisted product
-        per step, normalized at its degree, and keep each step.
+        terms until the identity is kept (a variable always is) or only
+        frozen exponents are left, whose monomial is the plain X^e
+        (frozen variables are unit monomials in every torus). Then build
+        back, one twisted product per step, normalized at its degree, and
+        keep each step.
         """
         ts = self.tracked_in(home_key, torus_key)
         if any(m[i] < 0 for i in ts.seed.unfrozen):

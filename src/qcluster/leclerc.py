@@ -30,7 +30,7 @@ is that node's X^m: expanded once (ExchangeGraph.monomial_in), its
 support projected once (pointed.Support), and its extremal exponent
 checked to be g. Any other node whose cone holds g holds the variables
 spanning the face g lies in, and names the same X^m: the graph keeps
-one object per torus and reference degree for each variable, a
+each variable once per torus, as its one-factor cluster monomial, a
 re-tracking that disagrees with it being an internal error. So the
 route does not matter and no other node is tried. Before the first
 lookup in a (torus, side), a certificate checks that the cones do form
@@ -40,9 +40,10 @@ unimodular, every edge's new variable lies strictly across the wall
 (lambda_k < 0 in the coordinates of the node it leaves), and an
 interior point of the torus's own cone lies in no other cone. A failed
 certificate, or a walk longer than the node count, is an internal
-error, never a fallback to trying every node. On the degree side, the
-element's codegree is read off the same projection as its degree, and
-the resolver keeps it; nothing measures it again.
+error, never a fallback to trying every node. The resolver keeps one
+record per (torus, key, side), with the element's codegree read off the
+projection its degree was checked on; codegree columns and windows are
+read off the records, so no element is measured twice.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -113,10 +114,7 @@ class CandidateBasis:
         self.conflicts: list = []
         self.walk_steps = 0
         self._inv: dict = {}
-        self._codeg_cols: dict = {}
         self._resolved: dict = {}
-        self._resolved_co: dict = {}
-        self._codeg_of: dict = {}
         self._certified: set = set()
         # each edge (a, k, b) as (b, position of b's new variable)
         self._walls = {}
@@ -159,17 +157,13 @@ class CandidateBasis:
     # -- on-demand resolution of elements by (co)degree in any torus --
 
     def _columns(self, home_key, torus_key, co):
-        """(Co)degrees in the torus of home's variables, in home's order."""
+        """(Co)degrees in the torus of home's variables, in home's order;
+        a codegree from its variable's record, whose lookup makes no
+        product and whose degree-side walk reads no codegree column."""
+        degs = self.graph.tracked_in(home_key, torus_key).degs
         if not co:
-            return self.graph.tracked_in(home_key, torus_key).degs
-        key = (home_key, torus_key)
-        cols = self._codeg_cols.get(key)
-        if cols is None:
-            torus_seed = self.graph.nodes[torus_key].seed
-            cols = tuple(pointed.codegree(torus_seed, z)
-                         for z in self.graph.vars_in(home_key, torus_key))
-            self._codeg_cols[key] = cols
-        return cols
+            return degs
+        return tuple(self.codegree_at(torus_key, d) for d in degs)
 
     def _inverse_map(self, home_key, torus_key, co):
         """Integer inverse M^-1 of m -> (co)degree of home's X^m in torus_key.
@@ -240,26 +234,24 @@ class CandidateBasis:
                            f"{len(self.graph.order)} nodes")
 
     def _resolve(self, torus_key, g, co):
-        """The element keyed at g in the torus, with its provenance: the
-        node where the fan walk ends and g's exponents m there.
+        """The record of key g in the torus, made once per side: ((home,
+        m), element, codegree), home the node where the fan walk ends and
+        m g's exponents there; None when there is no element.
 
         X^m is expanded once and its support projected once
         (pointed.Support); it is the element when its degree (codegree
-        when co) is g. On the degree side its codegree is read off the
-        same projection and kept for codegree_at.
+        when co) is g, and its codegree is read off the same projection.
         """
-        cache = self._resolved_co if co else self._resolved
-        if (torus_key, g) in cache:
-            return cache[(torus_key, g)]
+        key = (torus_key, g, co)
+        if key in self._resolved:
+            return self._resolved[key]
         home_key, m = self._walk(torus_key, g, co)
         elem = self.graph.monomial_in(home_key, m, torus_key)
         support = pointed.Support(self.graph.nodes[torus_key].seed, elem)
         found = None
         if (support.bottom() if co else support.top()) == g:
-            found = ((home_key, m), elem)
-            if not co:
-                self._codeg_of[(torus_key, g)] = support.bottom()
-        cache[(torus_key, g)] = found
+            found = ((home_key, m), elem, g if co else support.bottom())
+        self._resolved[key] = found
         return found
 
     def element_at_degree(self, torus_key, g):
@@ -272,12 +264,10 @@ class CandidateBasis:
 
     def codegree_at(self, torus_key, g):
         """Codegree in the torus of the element keyed at degree g there,
-        or None when there is none or it is not copointed; measured by
-        _resolve in the same pass as its degree check, and kept."""
-        g = tuple(g)
-        if (torus_key, g) not in self._codeg_of:
-            self.element_at_degree(torus_key, g)
-        return self._codeg_of.get((torus_key, g))
+        or None when there is none or it is not copointed; read off the
+        element's record."""
+        hit = self._resolve(torus_key, tuple(g), co=False)
+        return None if hit is None else hit[2]
 
     def window_set(self, torus_key, co=False) -> WindowView:
         """The elements keyed in one torus, as a lazy view for decompose.
@@ -342,7 +332,8 @@ def _check_triangular(basis, t_key, co):
         home, m = basis.provenance[g_ref]
         g = _linalg.mat_vec(psi_matrix(graph, home, t_key), m)
         elem = basis.element_at_degree(t_key, g)
-        bid = pointed.bidegree(seed, elem)
+        eta = basis.codegree_at(t_key, g)
+        bid = Bidegree(eta, g) if co else Bidegree(g, eta)
         for i in range(seed.n):
             fi = unit_vec(seed.n, i)
             prod = twisted_mul(QTElem.monomial(fi), elem, seed.Lambda)

@@ -35,9 +35,12 @@ and that trying every node finds no conflict. The
 re-tracking through the reference reuses the library's mutation: what
 it checks is that re-tracking along the path tree, from whatever is
 already re-tracked, gives the variables of the route through the
-reference. The subtracting decomposition reuses the library's pivot
-choice and arithmetic: what it checks is that one residual dict updated
-in place gives the terms and reasons of a new residual per step.
+reference. The premutated route steps reuse the library's mutation:
+what they check is that the seeds read off the path tree along a route
+are the ones mutating from its start finds. The subtracting
+decomposition reuses the library's pivot choice and arithmetic: what it
+checks is that one residual dict updated in place gives the terms and
+reasons of a new residual per step.
 Recomposition reuses the library's arithmetic: what it checks is that
 an exact decomposition sums back to its input.
 """
@@ -51,7 +54,7 @@ import sympy as sp
 from qcluster import _linalg, pointed
 from qcluster.expansion import apply_word, cluster_monomial, initial_tracked
 from qcluster.qtorus import NotDivisible, QTElem, lam_pair, pos_part, twisted_mul, vec_sub
-from qcluster.seed import NoCompatibleLambda, opposite_seed
+from qcluster.seed import NoCompatibleLambda, mutate_seed, opposite_seed
 from qcluster.tropical import FrozenFactorNotFrozen, p_vars
 
 
@@ -548,6 +551,19 @@ def route_vars_in(graph, home_key, torus_key):
     if ts.seed != graph.nodes[home_key].seed:
         raise RuntimeError("re-tracking did not reproduce the labeled seed")
     return ts.vars
+
+
+def premutated_route_steps(graph, a_key, b_key):
+    """(seed, vertex) pairs along graph.route, from node a's labeled seed,
+    each seed the one before it mutated; the end must be node b's."""
+    seed = graph.nodes[a_key].seed
+    steps = []
+    for k in graph.route(a_key, b_key):
+        steps.append((seed, k))
+        seed = mutate_seed(seed, k)
+    if seed != graph.nodes[b_key].seed:
+        raise RuntimeError("route does not land on the target seed")
+    return tuple(steps)
 
 
 def subtracting_decompose(seed, z, basis, window, tie_break=None):

@@ -323,15 +323,51 @@ def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
                         lambda ts, m: full.append(m) or cluster_monomial(ts, m))
     monkeypatch.setattr(expansion, "twisted_mul",
                         lambda *a: muls.append(a) or twisted_mul(*a))
-    made = 0
+    made = kept = 0
     for home, m, torus in requests:
         want = cluster_monomial(graph.tracked_in(home, torus), m)
-        before = len(muls)
+        before, stored = len(muls), len(graph._monomials)
         assert graph.monomial_in(home, m, torus) == want, (home, m, torus)
         made += len(muls) - before
+        kept += len(graph._monomials) - stored
     assert any(min(m) < 0 for _, m, _ in requests) == (window > 0)
     assert full == []
-    assert made == len(graph._monomials)
+    assert made == kept > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_seed(FROZEN_B, unfrozen=(0, 1)),
+    lambda: principal_framing(A3_B),
+], ids=["frozen", "A3p"])
+def test_every_retracked_variable_is_its_one_factor_monomial(make, monkeypatch):
+    # every (home, torus) pair, frozen variables too: monomial_in stops at
+    # the stored variable itself and takes no product
+    graph = build_exchange_graph(make())
+    n = graph.reference.n
+    pairs = [(home, torus) for torus in graph.order for home in graph.order]
+    for home, torus in pairs:
+        graph.vars_in(home, torus)
+    monkeypatch.setattr(expansion, "twisted_mul", lambda *a: pytest.fail("product taken"))
+    for home, torus in pairs:
+        xs = graph.vars_in(home, torus)
+        for j in range(n):
+            assert graph.monomial_in(home, unit_vec(n, j), torus) is xs[j], (home, torus, j)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: principal_framing(A3_B),
+    lambda: principal_framing(B3_B),
+    lambda: make_seed(FROZEN_B, unfrozen=(0, 1)),
+], ids=["A3p", "B3p", "frozen"])
+def test_route_steps_are_read_off_the_path_tree(make, monkeypatch):
+    # on every ordered pair, the seeds stored along the path tree are the
+    # premutated ones, and no seed is mutated to find them
+    graph = build_exchange_graph(make())
+    pairs = [(a, b) for a in graph.order for b in graph.order]
+    want = {pair: oracles.premutated_route_steps(graph, *pair) for pair in pairs}
+    monkeypatch.setattr(expansion, "mutate_seed", lambda *a: pytest.fail("seed mutated"))
+    for pair in pairs:
+        assert graph.route_steps(*pair) == want[pair], pair
 
 
 def test_monomial_in_does_not_recurse_on_the_exponent(a2_graph):

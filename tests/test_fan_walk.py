@@ -15,7 +15,7 @@ from qcluster.leclerc import (
     check_degree_triangular,
     verify_theorem,
 )
-from qcluster.qtorus import QTElem
+from qcluster.qtorus import QTElem, unit_vec
 
 LADDER = {
     "a2-cap3": (lambda: make_seed(A2_B, A2_LAMBDA), 3, 0),
@@ -43,12 +43,10 @@ def test_walk_matches_scan_on_every_ladder_key(name):
     # the element found where the walk ends is the scan's, whose first
     # home may be another node of the face; the scan records no conflict
     basis = _swept_basis(name)
-    keys = [(t, g, False) for t, g in basis._resolved] + [
-        (t, g, True) for t, g in basis._resolved_co]
+    keys = list(basis._resolved)
     assert any(co for _, _, co in keys) and len(keys) > len(basis.by_degree)
     for torus, g, co in keys:
-        cache = basis._resolved_co if co else basis._resolved
-        del cache[(torus, g)]
+        del basis._resolved[(torus, g, co)]
         got = basis._resolve(torus, g, co)
         found, conflicts = oracles.scan_resolve(basis, torus, g, co)
         assert got[1] == found[1], (torus, g, co)
@@ -61,6 +59,8 @@ def test_inverse_map_reads_per_key_are_bounded(a3_graph, monkeypatch):
     torus = a3_graph.order[-1]
     basis._certify(torus, co=False)
     basis._certify(torus, co=True)
+    # the codegree certificate has resolved the torus's variables already
+    keys = sum(t == torus for t, _, _ in basis._resolved)
     reads = []
     real = CandidateBasis._inverse_map
     monkeypatch.setattr(CandidateBasis, "_inverse_map",
@@ -68,8 +68,7 @@ def test_inverse_map_reads_per_key_are_bounded(a3_graph, monkeypatch):
     steps = basis.walk_steps
     assert check_degree_triangular(basis, torus).ok
     assert check_codegree_triangular(basis, torus).ok
-    new_keys = sum(t == torus for t, _ in basis._resolved) + sum(
-        t == torus for t, _ in basis._resolved_co)
+    new_keys = sum(t == torus for t, _, _ in basis._resolved) - keys
     steps = basis.walk_steps - steps
     # one read per node the walk visits: one per step, and the node it ends at
     assert new_keys > 0 and steps > 0
@@ -143,14 +142,14 @@ def test_retracked_factors_match_their_table_entry(factor, plant, error, monkeyp
     # the last node, a leaf of the path tree, re-tracked into a
     # non-reference torus after every other node, with one of its
     # variables replaced at the mutation that lands on its seed. An equal
-    # copy gives way to the torus's table entry; a variable off by a
-    # power of v is an internal error
+    # copy gives way to the torus's stored one-factor monomial; a
+    # variable off by a power of v is an internal error
     graph = build_exchange_graph(principal_framing(A3_B))
     torus, home = graph.order[1], graph.order[-1]
     for key in graph.order[:-1]:
         graph.vars_in(key, torus)
     planting, j = _planting(graph, torus, home, factor, plant)
-    entry = graph._table[(torus, graph.nodes[home].degs[j])]
+    entry = graph._monomials[(torus, ((graph.nodes[home].degs[j], 1),))]
     planted = []
     monkeypatch.setattr(expansion, "mutate_tracked",
                         lambda ts, k: planted.append(k) or planting(ts, k))
@@ -160,6 +159,30 @@ def test_retracked_factors_match_their_table_entry(factor, plant, error, monkeyp
     else:
         assert graph.vars_in(home, torus)[j] is entry
     assert planted == [graph.nodes[home].path[-1]]
+
+
+def test_a_build_landing_on_a_stored_node_checks_its_variables(monkeypatch):
+    # the mutation back across the reference's first edge lands on the
+    # reference node, with the variable it brings back off by a power of v
+    seed = principal_framing(A3_B)
+    k = seed.unfrozen[0]
+    real = expansion.mutate_tracked
+    planted = []
+
+    def planting(ts, j):
+        out = real(ts, j)
+        if out.path == (k, k):
+            planted.append(j)
+            out = dataclasses.replace(
+                out, vars=out.vars[:k] + (_skew(out.vars[k]),) + out.vars[k + 1:])
+        return out
+
+    monkeypatch.setattr(expansion, "mutate_tracked", planting)
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"path {(k, k)}: variable at reference degree {unit_vec(seed.n, k)} "
+            f"disagrees with its entry in torus")):
+        build_exchange_graph(seed)
+    assert planted == [k]
 
 
 @pytest.fixture

@@ -143,7 +143,7 @@ def test_repeated_identity_is_expanded_once(a2_graph, monkeypatch):
     real = a2_graph.monomial_in
     monkeypatch.setattr(a2_graph, "monomial_in", lambda *a: calls.append(a) or real(*a))
     assert basis.element_at_degree(t0, g) is not None
-    assert calls == [(*basis._resolved[(t0, g)][0], t0)]
+    assert calls == [(*basis._resolved[(t0, g, False)][0], t0)]
     assert calls[0][:2] in homes
     assert not basis.conflicts
 
@@ -177,6 +177,17 @@ def test_triangular_with_frozen_vertices(pa2_graph):
             report = check(basis, t_key)
             assert report.ok, (report.failures, report.indeterminates)
             assert report.passes == pa2_graph.reference.n * len(basis.by_degree)
+
+
+def test_triangularity_windows_are_read_off_the_records(a3_graph, monkeypatch):
+    # in two tori, each element's window and the codegree columns come
+    # from the resolver's records: nothing is measured again
+    basis = CandidateBasis(a3_graph, unfrozen_cap=1)
+    monkeypatch.setattr(pointed, "codegree", lambda *a: pytest.fail("codegree measured"))
+    monkeypatch.setattr(pointed, "bidegree", lambda *a: pytest.fail("bidegree measured"))
+    for torus in (a3_graph.order[0], a3_graph.order[-1]):
+        assert check_degree_triangular(basis, torus).ok
+        assert check_codegree_triangular(basis, torus).ok
 
 
 def test_b2_triangular(b2_graph):
@@ -276,7 +287,8 @@ def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
     basis = CandidateBasis(a3_graph, unfrozen_cap=1)
     report = verify_theorem(basis)
     assert report.ok and report.counts()["two_tail_pass"] > 0
-    assert len(calls) == len(basis._codeg_of) == len(basis._resolved)
+    assert len(calls) == len(basis._resolved)
+    assert all(hit is not None and hit[2] is not None for hit in basis._resolved.values())
     assert len(calls) < sum(len(v.middle) + 2 for v in report.verdicts)
 
 
