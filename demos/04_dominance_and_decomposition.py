@@ -3,20 +3,25 @@
 The support of a well-behaved element has a unique dominance-maximal
 exponent (the degree) and a unique minimal one (the codegree); an
 element is pointed/copointed when the extremal coefficient is 1.
-Decomposition peels a pointed element against degree-keyed basis
-elements inside a finite window.
+A pointed element is X^g F(Y): its exponents are g + B n with n >= 0,
+and in those n-coordinates (an NForm) twisted products need no
+dominance test. Decomposition peels a pointed n-form against
+degree-keyed basis elements inside a finite window, a box of n.
 """
 from qcluster import (
-    Bidegree,
+    NForm,
     bidegree,
     build_exchange_graph,
     decompose,
     degree,
     detect_shift,
     dominance_leq,
+    dominance_n,
     i_vars,
     make_seed,
     normalize_deg,
+    pointed,
+    to_nform,
     twisted_mul,
 )
 from qcluster.qtorus import QTElem
@@ -35,13 +40,17 @@ print()
 x1 = QTElem.monomial((1, 0))
 prod = normalize_deg(a2, twisted_mul(x1, i2, a2.Lambda))
 print("normalized product [x1 * i2] =", prod)
+# the same product in n-coordinates: normalizing is one v-shift
+n_i2 = to_nform(a2, i2, degree(a2, i2))
+n_prod = pointed.mul(a2, NForm.monomial((1, 0), 2), n_i2, normalize=True)
+print("as X^g F(Y): g =", n_prod.g, "F =", n_prod.terms)
+assert n_prod.expand(a2) == prod
 
 basis = {
-    (0, 0): QTElem.one(2),
-    (1, -1): QTElem.monomial((1, -1)) + QTElem.monomial((0, -1)),
+    (0, 0): NForm.monomial((0, 0), 2),
+    (1, -1): to_nform(a2, QTElem.monomial((1, -1)) + QTElem.monomial((0, -1)), (1, -1)),
 }
-window = Bidegree(deg=degree(a2, prod), codeg=(-1, 0))
-dec = decompose(a2, prod, basis, window)
+dec = decompose(a2, n_prod, basis, dominance_n(a2, (-1, 0), n_prod.g))
 print("decomposition terms:")
 for g, c in dec.terms:
     print(f"  degree {g}: coefficient {c}")

@@ -34,6 +34,7 @@ from .expansion import (
 from .pointed import (
     Bidegree,
     Decomposition,
+    NForm,
     NonUnitLeading,
     bidegree,
     codegree,
@@ -44,6 +45,7 @@ from .pointed import (
     interval,
     is_m_unitriangular,
     normalize_deg,
+    to_nform,
 )
 from .tropical import (
     FrozenFactorNotFrozen,

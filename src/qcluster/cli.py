@@ -83,11 +83,12 @@ def parse_word(text, seed):
     return word
 
 
-def write_file(path, text):
-    """Write an output file; a path that cannot be written is a usage error."""
+def write_file(path, write):
+    """Write an output file through write(fh); a path that cannot be
+    written is a usage error."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            write(fh)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -181,7 +182,7 @@ def cmd_graph(args):
         if args.dot == "-":
             sys.stdout.write(text)
         else:
-            write_file(args.dot, text)
+            write_file(args.dot, lambda fh: fh.write(text))
     return 0
 
 
@@ -228,6 +229,26 @@ def _verdict_json(v):
     if v.middle:
         out["middle"] = [[list(g), str(c)] for g, c in v.middle]
     return out
+
+
+def _report_json(graph, basis, report):
+    """The --json report document: its pairs sorted by R's node, R's m
+    and V's degree."""
+    node_ids = {key: i for i, key in enumerate(graph.order)}
+    pairs = []
+    for v in report.verdicts:
+        item = _verdict_json(v)
+        item["R"]["node"] = node_ids[v.r_spec[0]]
+        pairs.append(item)
+    pairs.sort(key=lambda p: (p["R"]["node"], p["R"]["m"], p["V"]))
+    return {
+        "nodes": len(graph.order),
+        "variables": len(graph.distinct_variables()),
+        "basis_size": len(basis.by_degree),
+        "counts": report.counts(),
+        "conflicts": [str(c) for c in report.conflicts],
+        "pairs": pairs,
+    }
 
 
 def parse_scope(text):
@@ -283,26 +304,16 @@ def cmd_leclerc(args):
     if args.json_out:
         check_writable(args.json_out)  # fail now, not after the sweep
     report = leclerc.verify_theorem(basis, r_specs=r_specs)
-    node_ids = {key: i for i, key in enumerate(graph.order)}
-    pairs = []
-    for v in report.verdicts:
-        item = _verdict_json(v)
-        item["R"]["node"] = node_ids[v.r_spec[0]]
-        pairs.append(item)
-    pairs.sort(key=lambda p: (p["R"]["node"], p["R"]["m"], p["V"]))
-    doc = {
-        "nodes": len(graph.order),
-        "variables": len(graph.distinct_variables()),
-        "basis_size": len(basis.by_degree),
-        "counts": report.counts(),
-        "conflicts": [str(c) for c in report.conflicts],
-        "pairs": pairs,
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
     if args.json_out:
-        write_file(args.json_out, text + "\n")
+        doc = _report_json(graph, basis, report)
+
+        def dump(fh):
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+        write_file(args.json_out, dump)
     c = report.counts()
-    print(f"basis {doc['basis_size']} elements; "
+    print(f"basis {len(basis.by_degree)} elements; "
           f"in_basis {c['in_basis']}, two_tail_pass {c['two_tail_pass']}, "
           f"two_tail_fail {c['two_tail_fail']}, indeterminate {c['indeterminate']}, "
           f"conflicts {len(report.conflicts)}")

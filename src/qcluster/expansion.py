@@ -29,17 +29,24 @@ there.
 
 Each torus keeps the cluster monomials made in it in one store, by
 identity, the sorted (reference degree, exponent) pairs of their
-factors; a torus's variables, frozen ones too, are its one-factor
-cluster monomials, in the one store. A variable re-tracked into the
-torus, or met again in the build, is compared with the stored one once,
-and the stored object takes its place: an expansion does not depend on
-the route, so a difference is an internal error (RuntimeError). So two
-nodes' re-trackings share one object for each variable they hold in
-common. A new cluster monomial peels unfrozen factors, the one with the
-fewest terms first, down to a stored one (a variable at the latest) or
-to its frozen part, a plain monomial. Each step back is one twisted
-product by a variable, normalized at its degree (the factors
-quasi-commute, so normalization makes the order irrelevant).
+factors, each in n-coordinates (pointed.NForm: X^g F(Y), exponents
+g + B n), so that products in the torus never project an exponent. A
+torus's variables, frozen ones too, are its one-factor cluster
+monomials, in the one store. The first variable seen at a reference
+degree in a torus is converted there once, with one projection per
+term, and must be pointed at its degree (no negative n, coefficient 1
+at n = 0); its torus element stays with it (NForm.source), which
+mutation divides by. A variable re-tracked into the torus, or met again
+in the build, is compared with that torus element once, and the stored
+object takes its place: an expansion does not depend on the route, so a
+difference is an internal error (RuntimeError), and so is a variable
+that is not pointed. So two nodes' re-trackings share one object for
+each variable they hold in common. A new cluster monomial peels unfrozen
+factors, the one with the fewest terms first, down to a stored one (a
+variable at the latest) or to its frozen part, a plain monomial. Each
+step back is one twisted product by a variable in n-coordinates,
+normalized at its degree by one v-shift (the factors quasi-commute, so
+normalization makes the order irrelevant).
 
 The build refuses a seed that is not 2-finite, one with an unfrozen
 pair b_ij b_ji < -3: its graph is infinite (Fomin-Zelevinsky, Cluster
@@ -193,8 +200,9 @@ class ExchangeGraph:
     node cap or a seed that is not 2-finite stopped the search; witness
     is (path, i, j, b_ij b_ji) for such a seed, else None. Cross-torus
     expansions are cached, one per re-tracked (home, torus) pair, with
-    each variable the torus's stored one-factor cluster monomial; every
-    cluster monomial made in a torus is kept there, by identity.
+    each variable the source of the torus's stored one-factor cluster
+    monomial; every cluster monomial made in a torus is kept there, by
+    identity, in n-coordinates.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -306,18 +314,29 @@ class ExchangeGraph:
         return self._cross[(home_key, torus_key)].vars
 
     def _intern(self, ts: TrackedSeed, torus_key, ref_degs) -> TrackedSeed:
-        """ts with each variable replaced by the torus's stored one-factor
-        cluster monomial (reference degree d, exponent 1), the first
-        variable seen at d (ref_degs, in ts's order) being stored. A
-        variable that differs from it raises RuntimeError: two routes
-        disagree."""
+        """ts with each variable replaced by the torus element of the
+        torus's stored one-factor cluster monomial (reference degree d,
+        exponent 1; ref_degs in ts's order). The first variable seen at d
+        is converted to n-coordinates below its degree in the torus
+        (pointed.to_nform, one projection per term, the variable kept as
+        the n-form's source) and stored, once it is checked pointed there
+        (no negative n, coefficient 1 at n = 0); a later one is compared
+        with the stored source. Either failure raises RuntimeError: a
+        broken expansion, or two routes that disagree."""
         xs = []
-        for d, x in zip(ref_degs, ts.vars):
-            entry = self._monomials.setdefault((torus_key, ((d, 1),)), x)
-            if entry is not x and entry != x:
+        for d, g, x in zip(ref_degs, ts.degs, ts.vars):
+            key = (torus_key, ((d, 1),))
+            entry = self._monomials.get(key)
+            if entry is None:
+                entry = pointed.to_nform(ts.ref, x, g)
+                if not entry.is_pointed():
+                    raise RuntimeError(f"path {ts.path}: variable at reference degree {d} is "
+                                       f"not pointed at {g} in torus {torus_key}")
+                self._monomials[key] = entry
+            elif entry.source is not x and entry.source != x:
                 raise RuntimeError(f"path {ts.path}: variable at reference degree {d} "
                                    f"disagrees with its entry in torus {torus_key}")
-            xs.append(entry)
+            xs.append(entry.source)
         return replace(ts, vars=tuple(xs))
 
     def tracked_in(self, home_key, torus_key) -> TrackedSeed:
@@ -326,8 +345,9 @@ class ExchangeGraph:
         self.vars_in(home_key, torus_key)
         return self._cross[(home_key, torus_key)]
 
-    def monomial_in(self, home_key, m, torus_key) -> QTElem:
-        """Expansion of home's normalized cluster monomial X^m in a torus.
+    def monomial_in(self, home_key, m, torus_key) -> pointed.NForm:
+        """Expansion of home's normalized cluster monomial X^m in a torus,
+        in n-coordinates there (NForm.expand gives the torus element).
 
         Kept by (torus, identity), the identity being the sorted
         (reference degree, exponent) pairs over the nonzero exponents.
@@ -335,8 +355,8 @@ class ExchangeGraph:
         terms until the identity is kept (a variable always is) or only
         frozen exponents are left, whose monomial is the plain X^e
         (frozen variables are unit monomials in every torus). Then build
-        back, one twisted product per step, normalized at its degree, and
-        keep each step.
+        back, one twisted product by the stored variable per step,
+        normalized at its degree, and keep each step.
         """
         ts = self.tracked_in(home_key, torus_key)
         if any(m[i] < 0 for i in ts.seed.unfrozen):
@@ -349,16 +369,15 @@ class ExchangeGraph:
                 break
             peel = [j for j in ts.seed.unfrozen if e[j] > 0]
             if not peel:
-                z = QTElem.monomial(e)
+                z = pointed.NForm.monomial(e, len(ts.seed.unfrozen))
                 break
             j = min(peel, key=lambda j: (len(ts.vars[j].terms), j))
             way.append((identity, j))
             e[j] -= 1
         for identity, j in reversed(way):
-            e[j] += 1
-            z = pointed.normalize_at(twisted_mul(z, ts.vars[j], ts.ref.Lambda),
-                                     vec_mat(e, ts.degs))
-            self._monomials[(torus_key, identity)] = z
+            x = self._monomials[(torus_key, ((degs[j], 1),))]
+            z = self._monomials[(torus_key, identity)] = pointed.mul(ts.ref, z, x,
+                                                                     normalize=True)
         return z
 
     def distinct_variables(self):

@@ -26,9 +26,11 @@ add unit columns. So every key has integer coordinates in every node,
 and no lookup divides. In a polytopal fan each step improves <g, .> at
 the polytope's vertices, so no node repeats. The walk ends at a node
 whose cone holds g, with g's exponents m there, and the key's element
-is that node's X^m: expanded once (ExchangeGraph.monomial_in), its
-support projected once (pointed.Support), and its extremal exponent
-checked to be g. Any other node whose cone holds g holds the variables
+is that node's X^m: expanded once (ExchangeGraph.monomial_in), in
+n-coordinates (pointed.NForm, exponents g' + B n), and checked pointed
+at its degree g' (no negative n, coefficient 1 at n = 0) with g' = g on
+the degree side, or its codegree g' + B n_max = g on the codegree side.
+Any other node whose cone holds g holds the variables
 spanning the face g lies in, and names the same X^m: the graph keeps
 each variable once per torus, as its one-factor cluster monomial, a
 re-tracking that disagrees with it being an internal error. So the
@@ -42,8 +44,8 @@ interior point of the torus's own cone lies in no other cone. A failed
 certificate, or a walk longer than the node count, is an internal
 error, never a fallback to trying every node. The resolver keeps one
 record per (torus, key, side), with the element's codegree read off the
-projection its degree was checked on; codegree columns and windows are
-read off the records, so no element is measured twice.
+n-form its degree was checked on; codegree columns and windows are read
+off the records, so no element is measured twice.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -51,7 +53,10 @@ element V and classifies the product: either it lands in v^Z times the
 basis, or it decomposes with a single term at the top degree, a single
 term at the bottom codegree, and middle coefficients confined to
 v-exponent window [h+1, s-1], where v^s and v^h are the extremal
-coefficients. Each claim is checked independently and recorded.
+coefficients. The products and their decompositions stay in
+n-coordinates and project nothing; the claims about them (the extremal
+coefficients, s - h, and both dominance chains) are checked
+independently, on exponents, and recorded.
 """
 from __future__ import annotations
 
@@ -60,8 +65,8 @@ from itertools import product
 
 from . import _linalg, pointed
 from .expansion import ExchangeGraph
-from .pointed import Bidegree
-from .qtorus import QTElem, VCoeff, twisted_mul, unit_vec, vec_add
+from .pointed import NForm
+from .qtorus import VCoeff, unit_vec, vec_add
 from .seed import opposite_seed
 from .tropical import psi_matrix
 
@@ -238,19 +243,24 @@ class CandidateBasis:
         m), element, codegree), home the node where the fan walk ends and
         m g's exponents there; None when there is no element.
 
-        X^m is expanded once and its support projected once
-        (pointed.Support); it is the element when its degree (codegree
-        when co) is g, and its codegree is read off the same projection.
+        X^m is expanded once, in n-coordinates; it is the element when it
+        is pointed at its degree (no negative n, coefficient 1 at n = 0)
+        and that degree (its codegree, when co) is g. The codegree,
+        g' + B n_max for the componentwise-largest n_max when that is a
+        term, is read off the same n-form by one mat_vec.
         """
         key = (torus_key, g, co)
         if key in self._resolved:
             return self._resolved[key]
         home_key, m = self._walk(torus_key, g, co)
         elem = self.graph.monomial_in(home_key, m, torus_key)
-        support = pointed.Support(self.graph.nodes[torus_key].seed, elem)
         found = None
-        if (support.bottom() if co else support.top()) == g:
-            found = ((home_key, m), elem, g if co else support.bottom())
+        if elem.is_pointed() and (co or elem.g == g):
+            top = elem.co_n()
+            eta = None if top is None else vec_add(
+                elem.g, _linalg.mat_vec(self.graph.nodes[torus_key].seed.B, top))
+            if (eta if co else elem.g) == g:
+                found = ((home_key, m), elem, eta)
         self._resolved[key] = found
         return found
 
@@ -259,6 +269,8 @@ class CandidateBasis:
         return None if hit is None else hit[1]
 
     def element_at_codegree(self, torus_key, eta):
+        """The element keyed at codegree eta in the torus, in its
+        n-coordinates there (based at its degree), or None."""
         hit = self._resolve(torus_key, tuple(eta), co=True)
         return None if hit is None else hit[1]
 
@@ -273,9 +285,10 @@ class CandidateBasis:
         """The elements keyed in one torus, as a lazy view for decompose.
 
         Nothing is resolved here: the view's get(g) resolves g on the spot
-        (by codegree when co), so only the keys a decomposition or a
-        codegree lookup reaches are ever resolved. The view does not test
-        the window: decompose's n-box test keeps every lookup inside it.
+        (by codegree when co, in the opposite seed's n-coordinates), so
+        only the keys a decomposition or a codegree lookup reaches are
+        ever resolved. The view does not test the window: decompose's
+        n-box test keeps every lookup inside it.
         """
         return WindowView(self, torus_key, co)
 
@@ -283,17 +296,21 @@ class CandidateBasis:
 @dataclass(frozen=True)
 class WindowView:
     """Degree- (or codegree-) keyed basis elements of one torus, resolved
-    on lookup; decompose reads it through get, like a dict (in the
-    opposite seed when co)."""
+    on lookup; decompose reads it through get, like a dict. When co, in
+    the opposite seed, each element is read from its codegree
+    (NForm.opposite), so that it is based at its key there."""
 
     basis: CandidateBasis
     torus_key: object
     co: bool = False
 
     def get(self, g):
-        if self.co:
-            return self.basis.element_at_codegree(self.torus_key, g)
-        return self.basis.element_at_degree(self.torus_key, g)
+        if not self.co:
+            return self.basis.element_at_degree(self.torus_key, g)
+        elem = self.basis.element_at_codegree(self.torus_key, g)
+        if elem is None:
+            return None
+        return elem.opposite(self.basis.graph.nodes[self.torus_key].seed)
 
 
 @dataclass
@@ -321,29 +338,31 @@ def check_codegree_triangular(basis: CandidateBasis, t_key) -> TriangularReport:
 
 def _check_triangular(basis, t_key, co):
     """The degree-side check; when co, in the opposite seed, where the left
-    product is the right one and each degree step its codegree mirror."""
+    product is the right one and each degree step its codegree mirror.
+
+    Each product X^(f_i) * elem is formed in n-coordinates, normalized by
+    one v-shift, and decomposed there: its window is elem's, the box up
+    to elem's codegree n, shifted by f_i."""
     graph = basis.graph
-    seed = graph.nodes[t_key].seed
-    if co:
-        seed = opposite_seed(seed)
+    t_seed = graph.nodes[t_key].seed
+    seed = opposite_seed(t_seed) if co else t_seed
     pset = basis.window_set(t_key, co=co)
     report = TriangularReport()
     for g_ref in basis.degree_keys():
         home, m = basis.provenance[g_ref]
         g = _linalg.mat_vec(psi_matrix(graph, home, t_key), m)
         elem = basis.element_at_degree(t_key, g)
-        eta = basis.codegree_at(t_key, g)
-        bid = Bidegree(eta, g) if co else Bidegree(g, eta)
+        box = elem.co_n()
+        if co:
+            elem = elem.opposite(t_seed)
         for i in range(seed.n):
-            fi = unit_vec(seed.n, i)
-            prod = twisted_mul(QTElem.monomial(fi), elem, seed.Lambda)
-            prod = pointed.normalize_deg(seed, prod)
-            window = Bidegree(deg=vec_add(bid.deg, fi), codeg=vec_add(bid.codeg, fi))
-            decomp = pointed.decompose(seed, prod, pset, window)
+            prod = pointed.mul(seed, NForm.monomial(unit_vec(seed.n, i), len(seed.unfrozen)),
+                               elem, normalize=True)
+            decomp = pointed.decompose(seed, prod, pset, box)
             label = (tuple(g_ref), i)
             if not decomp.is_exact:
                 report.indeterminates.append((label, decomp.reason))
-            elif pointed.is_m_unitriangular(decomp, window.deg):
+            elif pointed.is_m_unitriangular(decomp, prod.g):
                 report.passes += 1
             else:
                 report.failures.append((label, decomp.terms))
@@ -386,25 +405,27 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
             case="indeterminate", r_spec=r_spec, v_degree=(),
             reason="factor V is not bipointed in the working torus",
         )
-    prod = twisted_mul(QTElem.monomial(r_m), z_v, t_seed.Lambda)
+    prod = pointed.mul(t_seed, NForm.monomial(r_m, len(t_seed.unfrozen)), z_v)
     top = vec_add(r_m, gamma)
     bottom = vec_add(r_m, eta)
     s = t_seed.lam(r_m, gamma)
     h = t_seed.lam(r_m, eta)
+    # the n of V's codegree below its degree, on exponents: the window's
+    # box, and where the product's bottom coefficient sits
+    n_v = pointed.dominance_n(t_seed, eta, gamma)
     checks = {
-        "s_matches_lambda": prod.coeff(top) == VCoeff.v_power(s),
-        "h_matches_lambda": prod.coeff(bottom) == VCoeff.v_power(h),
+        "s_matches_lambda": prod.g == top and prod.terms.get(
+            (0,) * len(t_seed.unfrozen)) == VCoeff.v_power(s),
+        "h_matches_lambda": prod.terms.get(n_v) == VCoeff.v_power(h),
     }
-    window = Bidegree(deg=top, codeg=bottom)
     pset = basis.window_set(r_home)
     normalized = prod.vshift(-s)
-    decomp = pointed.decompose(t_seed, normalized, pset, window)
+    decomp = pointed.decompose(t_seed, normalized, pset, n_v)
     if not decomp.is_exact:
         return LeclercVerdict(
             case="indeterminate", r_spec=r_spec, v_degree=gamma,
             reason=decomp.reason, s=s, h=h, checks=checks,
         )
-    n_v = pointed.dominance_n(t_seed, eta, gamma)
     if len(decomp.terms) == 1:
         g0, c0 = decomp.terms[0]
         checks["pivot_is_one"] = g0 == top and c0.is_one()
@@ -444,7 +465,7 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
         )
     checks["coeff_window"] = all(c.in_window(h + 1, s - 1) for _, c in mids)
     bar_norm = prod.bar().vshift(s)
-    bar_decomp = pointed.decompose(t_seed, bar_norm, pset, window)
+    bar_decomp = pointed.decompose(t_seed, bar_norm, pset, n_v)
     checks["bar_consistency"] = bar_decomp.is_exact and sorted(
         (g, c.bar()) for g, c in decomp.terms
     ) == sorted(bar_decomp.terms)

@@ -1,43 +1,55 @@
-"""Dominance order, degrees/codegrees, normalization, decomposition.
+"""Dominance order, degrees/codegrees, n-forms, normalization, decomposition.
 
 For a seed t, an exponent vector g' is dominated by g when g' = g + B n
 for some nonnegative integer vector n on the unfrozen vertices. Since B
 has full column rank, that n is unique when it exists.
 
-Every dominance test goes through one projection per seed, read off
-the compatible pair in closed form: B^T Lambda = (D 0) makes
+Every dominance test on exponents goes through one projection per seed,
+read off the compatible pair in closed form: B^T Lambda = (D 0) makes
 P = D^-1 Lambda[:, U]^T a left inverse of B (P B = I), kept as the
 integer rows p_num = p_den P with p_den = lcm(D), and K is an integer
-basis of B's left kernel. An exponent m projects once to (p_num m, K m).
+basis of B's left kernel. An exponent m projects to (p_num m, K m).
 Then g' is dominated by g exactly when K g' = K g (g' - g lies in the
 column space of B), p_num (g' - g) is divisible by p_den (the rational
 n is integral) and the quotient n is >= 0. The functional
 w = -p_den P^T 1 has B^T w = -p_den 1, so w . m = -sum(p_num m) is
 strictly larger at a degree than at any exponent it dominates.
 
-Each seed's projection keeps a memo of the exponents it has projected,
-since one torus's decompositions and measures meet the same exponents
-again and again. The memo is bounded: it is cleared whenever it reaches
-PROJECTION_MEMO_LIMIT entries, so it never holds more than that many
-per seed.
-
 The degree of a torus element is the unique dominance-maximal exponent
 of its support, when there is one: the unique maximizer of w that also
 dominates every other support exponent. An element is pointed when the
 leading coefficient is 1; normalization divides by a unit leading
-coefficient. decompose() peels a pointed element against a degree-keyed
-set of pointed elements, greedily eliminating a maximal support degree
-per step. Both scan the support with each exponent projected once per
-call.
+coefficient. Support reads both ends of a torus element off one
+projection of its support.
 
-decompose() works in n-coordinates, the separation-formula view X^g F(Y)
-of a pointed element (Fomin-Zelevinsky, Cluster algebras IV): every
-exponent at or below the window's top is top + B n for a unique n >= 0,
-and below the top g' <= g iff n(g') >= n(g) componentwise. So the
-maximal ones are the Pareto-minimal n, and the window is the box
-0 <= n <= n(window bottom). Its residual is one dict of integer
-coefficient dicts, from which each step subtracts its coefficient times
-the basis element in place, dropping the terms that cancel.
+A pointed element is X^g F(Y), the separation formula of
+Fomin-Zelevinsky (Cluster algebras IV, arXiv:math/0602259; quantum
+F-polynomials: Tran, arXiv:0904.3291): its exponents are g + B n with
+n >= 0. An NForm keeps an element as (g, {n: coefficient}), n indexed
+by the unfrozen vertices, and nothing it does projects. By
+B^T Lambda = (D 0), the pairing of B n with any exponent m is
+
+    lambda(B n, m) = sum_k d_k n_k m[U_k],
+
+read off D and m's unfrozen entries, so twisted products (mul) stay in
+n-coordinates: the product of (g1, n1) and (g2, n2) is at (g1 + g2,
+n1 + n2) with v-exponent lambda(g1, g2) + sum_k d_k (n1_k g2[U_k] -
+n2_k g1[U_k]) + n1^T D B_U n2, B_U the unfrozen rows of B. The n = 0
+coefficient of a product of pointed elements is exactly
+v^lambda(g1, g2), so normalizing is one v-shift. An NForm's degree is g
+when no n is negative and n = 0 is a term, and its codegree is
+g + B n_max when the componentwise-largest n_max is a term. Converting
+a torus element (to_nform) projects each exponent once; expand reads
+g + B n back.
+
+decompose() peels an NForm against a degree-keyed set of pointed
+NForms, greedily eliminating a maximal support degree per step. Its
+residual is keyed by n below the window's top: g' <= g iff
+n(g') >= n(g) componentwise, so the maximal terms are the Pareto-minimal
+n, and the window is the box 0 <= n <= n(window bottom). The residual
+is one dict of integer coefficient dicts, from which each step
+subtracts its coefficient times the basis element in place, dropping
+the terms that cancel.
 
 Normalization and decomposition are implemented on the degree side
 only. Negating B and Lambda (seed.opposite_seed) reverses the dominance
@@ -45,8 +57,8 @@ order, so codegrees are degrees in the opposite seed, and normalizing at
 the codegree or decomposing against codegree-keyed copointed elements is
 normalize_deg or decompose there, with the window's two ends traded.
 The opposite seed's projection is the seed's with p_num negated, so a
-Support reads both ends, the degree and the codegree, off one projection
-in the seed itself.
+Support reads both ends in the seed itself, and an NForm in the opposite
+seed is the same element read from its codegree (NForm.opposite).
 """
 from __future__ import annotations
 
@@ -57,7 +69,7 @@ from math import lcm
 from operator import sub
 
 from . import _linalg
-from .qtorus import VCoeff, _add_product, vec_add
+from .qtorus import QTElem, VCoeff, _add_product, vec_add, vec_sub
 
 
 class NonUnitLeading(ArithmeticError):
@@ -66,45 +78,37 @@ class NonUnitLeading(ArithmeticError):
 
 DECOMPOSE_ITERATION_CAP = 10 ** 5
 
-PROJECTION_MEMO_LIMIT = 4096  # projections a seed keeps before it forgets them all
-
 
 @dataclass(frozen=True)
 class _Projection:
     """One seed's dominance coordinates: p_num / p_den is a left inverse
-    of B and kernel an integer basis of B's left kernel. memo keeps the
-    projections made, up to PROJECTION_MEMO_LIMIT, and takes no part in
-    equality or hashing."""
+    of B and kernel an integer basis of B's left kernel."""
 
     p_num: tuple
     p_den: int
     kernel: tuple
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def project(self, m):
-        """m -> (p_num m, K m), from the memo when m was projected since
-        it was last cleared; the memo is cleared when full."""
-        hit = self.memo.get(m)
-        if hit is None:
-            if len(self.memo) >= PROJECTION_MEMO_LIMIT:
-                self.memo.clear()
-            hit = self.memo[m] = (_linalg.mat_vec(self.p_num, m),
-                                  _linalg.mat_vec(self.kernel, m))
-        return hit
+        """m -> (p_num m, K m)."""
+        return _linalg.mat_vec(self.p_num, m), _linalg.mat_vec(self.kernel, m)
 
-    def n_between(self, pgp, pg):
-        """The n >= 0 with gp = g + B n, from the projections of gp and g,
-        or None when gp is not dominated by g."""
+    def offset(self, pgp, pg):
+        """The integer n with gp = g + B n, from the projections of gp and
+        g, or None when there is none."""
         if pgp[1] != pg[1]:
             return None
         n = tuple(map(sub, pgp[0], pg[0]))
-        if n and min(n) < 0:
-            return None
         if self.p_den == 1:
             return n
         if any(x % self.p_den for x in n):
             return None
         return tuple(x // self.p_den for x in n)
+
+    def n_between(self, pgp, pg):
+        """The n >= 0 with gp = g + B n, from the projections of gp and g,
+        or None when gp is not dominated by g."""
+        n = self.offset(pgp, pg)
+        return None if n is None or (n and min(n) < 0) else n
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +224,7 @@ def normalize_deg(seed, z):
 
 def normalize_at(z, g):
     """Divide by the coefficient at an already measured (co)degree g,
-    which must be a unit +-v**a."""
+    which must be a unit +-v**a; z itself when it is already 1."""
     if g is None:
         raise NonUnitLeading("element has no degree to normalize at")
     c = z.terms.get(g)
@@ -245,6 +249,148 @@ def interval(seed, lo, hi):
     return sorted(set(out))
 
 
+class NForm:
+    """The torus element sum_n c_n X^(g + B n) of one seed, kept as its
+    base exponent g and {n: VCoeff}, each n indexed by the seed's unfrozen
+    vertices (the separation formula X^g F(Y)). Immutable, like QTElem;
+    zero coefficients are never stored, so equality is structural.
+    source is the torus element to_nform converted, kept so that it is
+    shared rather than expanded again; None otherwise. It takes no part
+    in equality."""
+
+    __slots__ = ("g", "terms", "source")
+
+    def __init__(self, g, terms, source=None):
+        self.g = g
+        self.terms = terms
+        self.source = source
+
+    @classmethod
+    def monomial(cls, m, rank):
+        """X^m, for a seed with rank unfrozen vertices."""
+        return cls(tuple(m), _unit_terms(rank))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, NForm) and self.g == other.g and self.terms == other.terms
+
+    def __repr__(self):
+        return f"NForm({self.g}, {self.terms})"
+
+    def vshift(self, e):
+        """Multiply by v**e; self when e is 0."""
+        if e == 0:
+            return self
+        return NForm(self.g, {n: c.shift(e) for n, c in self.terms.items()})
+
+    def bar(self):
+        """Bar involution on every coefficient."""
+        return NForm(self.g, {n: c.bar() for n, c in self.terms.items()})
+
+    def is_pointed(self):
+        """Pointed at g: no n is negative and the coefficient at n = 0 is 1."""
+        zero = (0,) * len(next(iter(self.terms), ()))
+        c = self.terms.get(zero)
+        return c is not None and c.is_one() and all(min(n, default=0) >= 0 for n in self.terms)
+
+    def co_n(self):
+        """The componentwise-largest n when it is a term (the codegree's),
+        else None."""
+        if not self.terms:
+            return None
+        top = tuple(map(max, *self.terms)) if len(self.terms) > 1 else next(iter(self.terms))
+        return top if top in self.terms else None
+
+    def expand(self, seed):
+        """The torus element: exponent g + B n per term (source, when
+        there is one)."""
+        if self.source is not None:
+            return self.source
+        return QTElem(len(self.g), {vec_add(self.g, _linalg.mat_vec(seed.B, n)): c
+                                    for n, c in self.terms.items()})
+
+    def opposite(self, seed):
+        """The same element in the opposite seed's n-coordinates, read from
+        its codegree: (g + B n_max, {n_max - n: c}). Raises ValueError
+        when it has no codegree term."""
+        top = self.co_n()
+        if top is None:
+            raise ValueError("element has no codegree to read it from")
+        return NForm(vec_add(self.g, _linalg.mat_vec(seed.B, top)),
+                     {vec_sub(top, n): c for n, c in self.terms.items()})
+
+
+@lru_cache(maxsize=None)
+def _unit_terms(rank):
+    """{n = 0: 1}: one dict shared by the NForms of unit-coefficient
+    monomials, which never mutate their terms."""
+    return {(0,) * rank: VCoeff.one()}
+
+
+def to_nform(seed, z, g):
+    """The torus element z in n-coordinates below g, each exponent
+    projected once (a monomial at g is at n = 0 and projects nothing), z
+    kept as its source. Raises ValueError when an exponent is not g + B n
+    for an integer n."""
+    g = tuple(g)
+    if len(z.terms) == 1 and g in z.terms:
+        c = z.terms[g]
+        rank = len(seed.unfrozen)
+        return NForm(g, _unit_terms(rank) if c.is_one() else {(0,) * rank: c}, z)
+    dom = _dominance_data(seed)
+    pg = dom.project(g)
+    terms = {}
+    for m, c in z.terms.items():
+        n = dom.offset(dom.project(m), pg)
+        if n is None:
+            raise ValueError(f"exponent {m} is not {g} + B n for an integer n")
+        terms[n] = c
+    return NForm(g, terms, z)
+
+
+def mul(seed, a, b, normalize=False):
+    """Twisted product of two NForms of the seed, never projected.
+
+    The term pair (n1, n2) lands at n1 + n2 with v-exponent
+    s1 + s2 + p1 . p2: s1 = lambda(a.g, b.g) + sum_k d_k n1_k b.g[U_k],
+    s2 = -sum_k d_k n2_k a.g[U_k], and p1 . p2 = n1^T D B_U n2, formed
+    as n1^T D B_U once per term of a when a has at most as many terms as
+    b, else as D B_U n2 once per term of b. With normalize, the product
+    is divided by its n = 0 coefficient, a's times b's times
+    v^lambda(a.g, b.g), which must be a unit: the lambda term is dropped
+    and the rest folded into the same pass.
+    """
+    shift, sign = seed.lam(a.g, b.g), 1
+    if normalize:
+        zero = (0,) * len(seed.unfrozen)
+        ca, cb = a.terms.get(zero), b.terms.get(zero)
+        if ca is None or cb is None or not ca.is_unit() or not cb.is_unit():
+            raise NonUnitLeading("a factor's coefficient at n = 0 is not a unit")
+        (ea, sa), = ca._c.items()
+        (eb, sb), = cb._c.items()
+        shift, sign = -ea - eb, sa * sb
+    units = tuple(zip(seed.unfrozen, seed.D))
+    d_a = tuple(d * a.g[u] for u, d in units)
+    d_b = tuple(d * b.g[u] for u, d in units)
+    db = tuple(tuple(d * x for x in seed.B[u]) for u, d in units)
+    left = [(n1, c1, shift + _linalg.dot(d_b, n1)) for n1, c1 in a.terms.items()]
+    right = [(n2, c2, -_linalg.dot(d_a, n2)) for n2, c2 in b.terms.items()]
+    if len(left) <= len(right):
+        left = [(n1, c1, s1, _linalg.vec_mat(n1, db)) for n1, c1, s1 in left]
+        right = [(n2, c2, s2, n2) for n2, c2, s2 in right]
+    else:
+        left = [(n1, c1, s1, n1) for n1, c1, s1 in left]
+        right = [(n2, c2, s2, _linalg.mat_vec(db, n2)) for n2, c2, s2 in right]
+    t = {}
+    for n1, c1, s1, p1 in left:
+        for n2, c2, s2, p2 in right:
+            _add_product(t.setdefault(vec_add(n1, n2), {}), c1, c2,
+                         s1 + s2 + _linalg.dot(p1, p2), sign)
+    return NForm(vec_add(a.g, b.g), {n: VCoeff(c) for n, c in t.items() if c})
+
+
 @dataclass
 class Decomposition:
     terms: list = field(default_factory=list)
@@ -256,69 +402,46 @@ class Decomposition:
         return self.status == "exact"
 
 
-def _maximal_support(dom, supp, proj, n_of):
-    """Dominance-maximal elements of a finite exponent set.
-
-    proj maps each exponent to its projection, and n_of to its
-    n-coordinates below a common top, or to None when it is not below
-    the top. Below the top the maxima are the Pareto-minimal n. An
-    exponent not below the top is never dominated by one below it, so
-    only those few are compared pairwise: among themselves, and against
-    the maxima below the top.
-    """
-    below = sorted((sum(n_of[m]), n_of[m], m) for m in supp if n_of[m] is not None)
+def _maximal_support(ns):
+    """The dominance-maximal terms of a residual keyed by n below a common
+    top: its Pareto-minimal n."""
     minima = []
-    for _, n, m in below:
+    for n in sorted(ns, key=sum):
         # only a smaller sum can lie componentwise below n
-        if not any(all(a <= b for a, b in zip(o, n)) for o, _ in minima):
-            minima.append((n, m))
-    above = [m for m in supp if n_of[m] is None]
-
-    def leq(a, b):
-        return dom.n_between(proj[a], proj[b]) is not None
-
-    out = [m for _, m in minima if not any(leq(m, q) for q in above)]
-    out += [q for q in above if not any(p != q and leq(q, p) for p in above)]
-    return out
+        if not any(all(a <= b for a, b in zip(o, n)) for o in minima):
+            minima.append(n)
+    return minima
 
 
-def decompose(seed, z, basis, window: Bidegree, tie_break=None):
-    """Unitriangular expansion of z over degree-keyed pointed elements.
+def decompose(seed, z, basis, box, tie_break=None):
+    """Unitriangular expansion of the NForm z over degree-keyed pointed
+    NForms.
 
-    basis is any mapping whose get(g) returns the element keyed at g, or
-    None. Greedy elimination from the top: each step removes one maximal
-    support degree, which must carry a basis element and stay inside
-    [window.codeg, window.deg]. Ties between incomparable maxima break
-    to the lexicographically smallest (tie_break overrides the choice;
+    z's degree z.g is the window's top, and box the n of its bottom
+    below the top (None for an empty window). basis is any mapping whose
+    get(g) returns the NForm keyed, and based, at exponent g, or None.
+    Greedy elimination from the top: each step removes one maximal
+    support term, a Pareto-minimal n, which must lie in the box
+    0 <= n <= box and whose exponent z.g + B n must carry a basis
+    element. Ties between incomparable maxima break to the
+    lexicographically smallest exponent (tie_break overrides the choice;
     the resulting term multiset is order-independent). Failures are
     reported in the status, never raised.
 
-    Each support exponent is projected once per call, and its
-    n-coordinates below window.deg taken from the projection (residual
-    terms persist across steps, so both are kept); a pivot is inside the
-    window iff its n lies in the box [0, n_total], n_total the n of
-    window.codeg. The residual is one {exponent: {v-exponent: int}} dict
-    from which each step subtracts its coefficient times the element in
-    place, dropping the terms that cancel.
+    The residual is one {n: {v-exponent: int}} dict from which each step
+    subtracts its coefficient times the element in place (the element's
+    term n' lands at n + n'), dropping the terms that cancel. Only a
+    pivot's exponent is formed, by one mat_vec; nothing is projected.
     """
-    dom = _dominance_data(seed)
-    top = dom.project(window.deg)
-    n_total = dom.n_between(dom.project(window.codeg), top)
-    proj = {}
-    n_of = {}
+    r = {n: dict(c._c) for n, c in z.terms.items()}
     terms = []
-    r = {m: dict(c._c) for m, c in z.terms.items()}
     for _ in range(DECOMPOSE_ITERATION_CAP):
         if not r:
             return Decomposition(terms=terms, status="exact")
-        for m in r:
-            if m not in n_of:
-                proj[m] = dom.project(m)
-                n_of[m] = dom.n_between(proj[m], top)
-        pivots = _maximal_support(dom, r, proj, n_of)
+        pivots = {vec_add(z.g, _linalg.mat_vec(seed.B, n)): n for n in _maximal_support(r)}
         g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
-        n = n_of[g]
-        if n is None or n_total is None or any(a > b for a, b in zip(n, n_total)):
+        n = pivots[g]
+        if box is None or any(a < 0 or a > b for a, b in zip(n, box)):
             return Decomposition(
                 terms=terms, status="indeterminate",
                 reason=f"support degree {g} escapes the window",
@@ -329,13 +452,14 @@ def decompose(seed, z, basis, window: Bidegree, tie_break=None):
                 terms=terms, status="indeterminate",
                 reason=f"no basis element keyed at {g}",
             )
-        c = VCoeff(r[g])
+        c = VCoeff(r[n])
         terms.append((g, c))
         for m, ce in elem.terms.items():
-            rm = r.setdefault(m, {})
+            key = vec_add(n, m)
+            rm = r.setdefault(key, {})
             _add_product(rm, c, ce, 0, -1)
             if not rm:
-                del r[m]
+                del r[key]
     return Decomposition(terms=terms, status="indeterminate", reason="iteration cap hit")
 
 

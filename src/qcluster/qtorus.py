@@ -264,12 +264,17 @@ class QTElem:
     __rmul__ = __mul__
 
     def scale(self, c):
+        """Multiply by a scalar; self when it is 1 (elements are immutable)."""
         if isinstance(c, int):
             c = VCoeff({0: c})
+        if c.is_one():
+            return self
         return QTElem(self.dim, {m: c * cm for m, cm in self.terms.items()})
 
     def vshift(self, e):
-        """Multiply by v**e."""
+        """Multiply by v**e; self when e is 0."""
+        if e == 0:
+            return self
         return QTElem(self.dim, {m: c.shift(e) for m, c in self.terms.items()})
 
     def bar(self):

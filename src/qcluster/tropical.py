@@ -237,8 +237,8 @@ def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:
         raise ValueError("check_swap needs a -1 shift")
     t_seed = graph.nodes[sd.base].seed
     s_seed = graph.nodes[sd.target].seed
-    z_t = graph.monomial_in(home_key, m, sd.base)
-    z_s = graph.monomial_in(home_key, m, sd.target)
+    z_t = graph.monomial_in(home_key, m, sd.base).expand(t_seed)
+    z_s = graph.monomial_in(home_key, m, sd.target).expand(s_seed)
     eta = pointed.codegree(t_seed, z_t)
     psi = psi_matrix(graph, sd.base, sd.target)
     copointed = eta is not None and z_t.terms[eta].is_one()
@@ -292,7 +292,8 @@ def check_compatibly_copointed(graph: ExchangeGraph, home_key, m) -> bool:
 def _transforms_between_nodes(graph, home_key, m, extremal, transport):
     ends = {}
     for key in graph.order:
-        e = extremal(graph.nodes[key].seed, graph.monomial_in(home_key, m, key))
+        seed = graph.nodes[key].seed
+        e = extremal(seed, graph.monomial_in(home_key, m, key).expand(seed))
         if e is None:
             return False
         ends[key] = e

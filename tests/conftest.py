@@ -42,6 +42,16 @@ def a2_gold(name):
     return elem(2, A2_GOLD[name])
 
 
+# the benchmark's ladder-small rungs: (seed maker, unfrozen cap, frozen window)
+LADDER = {
+    "a2-cap3": (lambda: make_seed(A2_B, A2_LAMBDA), 3, 0),
+    "b2-cap2": (lambda: make_seed(B2_B, B2_LAMBDA), 2, 0),
+    "g2-cap1": (lambda: make_seed(((0, -3), (1, 0))), 1, 0),
+    "frozen-cap2-w1": (lambda: make_seed(((0, -1), (1, 0), (1, 1)), unfrozen=(0, 1)), 2, 1),
+    "a3p-cap1": (lambda: principal_framing(A3_B), 1, 0),
+}
+
+
 @pytest.fixture(scope="session")
 def a2_seed():
     return make_seed(A2_B, A2_LAMBDA)

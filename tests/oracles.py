@@ -38,9 +38,13 @@ already re-tracked, gives the variables of the route through the
 reference. The premutated route steps reuse the library's mutation:
 what they check is that the seeds read off the path tree along a route
 are the ones mutating from its start finds. The subtracting
-decomposition reuses the library's pivot choice and arithmetic: what it
-checks is that one residual dict updated in place gives the terms and
-reasons of a new residual per step.
+decomposition is the exponent-space decomposition the library ran
+before it moved to n-forms, each support exponent projected by the
+library's dominance data and a new residual per step: what it checks is
+that the n-form residual, updated in place, gives its terms and
+reasons. The n-form decomposition of torus elements reuses the
+library's conversion to n-coordinates, to run the library's
+decomposition on the inputs of the exponent-space references.
 Recomposition reuses the library's arithmetic: what it checks is that
 an exact decomposition sums back to its input.
 """
@@ -262,8 +266,8 @@ def eager_window(basis, torus_key, window, co=False):
 
     Returns {key: element} over the points of [window.codeg, window.deg]
     that resolve to a basis element, looked up by degree (by codegree
-    when co). This is the dict CandidateBasis.window_set materialized
-    before its lookups became lazy.
+    when co, read from its codegree). This is the dict
+    CandidateBasis.window_set materialized before its lookups became lazy.
     """
     seed = basis.graph.nodes[torus_key].seed
     lookup = basis.element_at_codegree if co else basis.element_at_degree
@@ -271,7 +275,7 @@ def eager_window(basis, torus_key, window, co=False):
     for g in pointed.interval(seed, window.codeg, window.deg):
         elem = lookup(torus_key, g)
         if elem is not None:
-            out[g] = elem
+            out[g] = elem.opposite(seed) if co else elem
     return out
 
 
@@ -387,9 +391,9 @@ def eager_enumeration(graph, cap, frozen_window):
     """Reference basis: every cluster monomial of the exponent box expanded
     in the reference torus and keyed by a degree and a codegree scan.
 
-    Returns (by_degree, by_codegree, provenance), the first element and
-    (node, m) per key, as CandidateBasis built them before its keys came
-    from recorded degrees.
+    Returns (by_degree, by_codegree, provenance), the first element, in
+    n-coordinates below its degree, and (node, m) per key, as
+    CandidateBasis built them before its keys came from recorded degrees.
     """
     ref = graph.reference
     by_degree, by_codegree, provenance = {}, {}, {}
@@ -401,6 +405,7 @@ def eager_enumeration(graph, cap, frozen_window):
             elem = cluster_monomial(ts, m)
             g = pointed.degree(ref, elem)
             eta = pointed.codegree(ref, elem)
+            elem = pointed.to_nform(ref, elem, g)
             if g not in by_degree:
                 by_degree[g] = elem
                 provenance[g] = (key, m)
@@ -526,7 +531,7 @@ def scan_resolve(basis, torus_key, g, co):
             continue
         seen[identity] = (home_key, m)
         elem = graph.monomial_in(home_key, m, torus_key)
-        if extremal(torus_seed, elem) != g:
+        if extremal(torus_seed, elem.expand(torus_seed)) != g:
             continue
         if found is None:
             found = ((home_key, m), elem)
@@ -535,11 +540,13 @@ def scan_resolve(basis, torus_key, g, co):
     return found, conflicts
 
 
-def recompose(decomp, basis, dim):
-    """Sum coefficient * basis element; the inverse of decompose."""
+def recompose(decomp, basis, dim, seed=None):
+    """Sum coefficient * basis element; the inverse of decompose. With a
+    seed, the elements are NForms of it, expanded first."""
     acc = QTElem.zero(dim)
     for g, c in decomp.terms:
-        acc = acc + basis.get(g).scale(c)
+        elem = basis.get(g)
+        acc = acc + (elem if seed is None else elem.expand(seed)).scale(c)
     return acc
 
 
@@ -566,8 +573,32 @@ def premutated_route_steps(graph, a_key, b_key):
     return tuple(steps)
 
 
+def _exponent_maximal_support(dom, supp, proj, n_of):
+    """Dominance-maximal elements of a finite exponent set. Below the top
+    (n_of[m] not None) the maxima are the Pareto-minimal n; the few
+    exponents not below it are compared pairwise: among themselves, and
+    against the maxima below the top."""
+    below = sorted((sum(n_of[m]), n_of[m], m) for m in supp if n_of[m] is not None)
+    minima = []
+    for _, n, m in below:
+        if not any(all(a <= b for a, b in zip(o, n)) for o, _ in minima):
+            minima.append((n, m))
+    above = [m for m in supp if n_of[m] is None]
+
+    def leq(a, b):
+        return dom.n_between(proj[a], proj[b]) is not None
+
+    out = [m for _, m in minima if not any(leq(m, q) for q in above)]
+    out += [q for q in above if not any(p != q and leq(q, p) for p in above)]
+    return out
+
+
 def subtracting_decompose(seed, z, basis, window, tie_break=None):
-    """pointed.decompose with a new QTElem residual r - c * element per step."""
+    """The exponent-space decomposition of a torus element over
+    degree-keyed torus elements, with a new QTElem residual r - c *
+    element per step: each support exponent projected once, its n below
+    window.deg taken from the projection, a pivot inside the window iff
+    its n lies in the box up to window.codeg's n."""
     dom = pointed._dominance_data(seed)
     top = dom.project(window.deg)
     n_total = dom.n_between(dom.project(window.codeg), top)
@@ -582,7 +613,7 @@ def subtracting_decompose(seed, z, basis, window, tie_break=None):
             if m not in n_of:
                 proj[m] = dom.project(m)
                 n_of[m] = dom.n_between(proj[m], top)
-        pivots = pointed._maximal_support(dom, r.terms, proj, n_of)
+        pivots = _exponent_maximal_support(dom, r.terms, proj, n_of)
         g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
         n = n_of[g]
         if n is None or n_total is None or any(a > b for a, b in zip(n, n_total)):
@@ -601,3 +632,31 @@ def subtracting_decompose(seed, z, basis, window, tie_break=None):
         r = r - elem.scale(c)
     return pointed.Decomposition(terms=terms, status="indeterminate",
                                  reason="iteration cap hit")
+
+
+class NFormBasis:
+    """A degree-keyed basis read in n-coordinates: each torus element
+    below its key, an NForm (a window view's) as it is."""
+
+    def __init__(self, seed, basis):
+        self.seed = seed
+        self.basis = basis
+
+    def get(self, g):
+        elem = self.basis.get(g)
+        if elem is None or isinstance(elem, pointed.NForm):
+            return elem
+        return pointed.to_nform(self.seed, elem, g)
+
+
+def n_form_decompose(seed, z, basis, window, tie_break=None):
+    """pointed.decompose on the inputs of the exponent-space references: z
+    in n-coordinates below window.deg, the basis read by NFormBasis, and
+    the box up to window.codeg's n. None when z has an exponent off
+    window.deg + B Z^k, which no n-form holds."""
+    try:
+        zn = pointed.to_nform(seed, z, window.deg)
+    except ValueError:
+        return None
+    box = pointed.dominance_n(seed, window.codeg, window.deg)
+    return pointed.decompose(seed, zn, NFormBasis(seed, basis), box, tie_break)

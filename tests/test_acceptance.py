@@ -16,7 +16,6 @@ from qcluster.pointed import (
     Bidegree,
     bidegree,
     codegree,
-    decompose,
     degree,
     dominance_leq,
     normalize_deg,
@@ -232,7 +231,7 @@ def test_criterion_6_oracle_cross_checks(a2_graph, b2_graph, a3_graph):
             t_seed = graph.nodes[r_home].seed
             for g_ref in basis.degree_keys():
                 v_home, v_m = basis.provenance[g_ref]
-                z_v = graph.monomial_in(v_home, v_m, r_home)
+                z_v = graph.monomial_in(v_home, v_m, r_home).expand(t_seed)
                 gamma = degree(t_seed, z_v)
                 eta = codegree(t_seed, z_v)
                 prod = twisted_mul(QTElem.monomial(r_m), z_v, t_seed.Lambda)
@@ -242,9 +241,9 @@ def test_criterion_6_oracle_cross_checks(a2_graph, b2_graph, a3_graph):
                 )
                 pset = basis.window_set(r_home)
                 s_pow = t_seed.lam(r_m, gamma)
-                dec = decompose(t_seed, prod.vshift(-s_pow), pset, window)
+                dec = oracles.n_form_decompose(t_seed, prod.vshift(-s_pow), pset, window)
                 assert dec.is_exact
-                assert oracles.recompose(dec, pset, n) == prod.vshift(-s_pow)
+                assert oracles.recompose(dec, pset, n, t_seed) == prod.vshift(-s_pow)
                 checked += 1
     assert checked > 200
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
@@ -259,7 +258,7 @@ def test_criterion_6_oracle_cross_checks(a2_graph, b2_graph, a3_graph):
     ):
         z = a2_gold(name)
         pset = basis.window_set(t0_key, co=True)
-        dec = decompose(op, z, pset, window)
+        dec = oracles.n_form_decompose(op, z, pset, window)
         assert dec.is_exact
-        assert oracles.recompose(dec, pset, op.n) == z
+        assert oracles.recompose(dec, pset, op.n, op) == z
     _report(6, "oracle cross-checks: dominance, division, decomposition", t0, 30.0)

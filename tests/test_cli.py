@@ -301,6 +301,26 @@ def test_leclerc_output_is_written_only_after_the_sweep(a2_file, tmp_path, monke
     assert json.loads(path.read_text())["pairs"]
 
 
+def test_leclerc_report_is_serialized_only_for_json(a2_file, tmp_path, monkeypatch, capsys):
+    # without --json no report document is built and nothing is
+    # serialized; with it, the file is the document as indented JSON
+    # streamed to it, byte for byte, and the summary line is the same
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_report_json", lambda *a: pytest.fail("document built"))
+        m.setattr(json, "dump", lambda *a, **k: pytest.fail("serialized"))
+        m.setattr(json, "dumps", lambda *a, **k: pytest.fail("serialized"))
+        assert main(["leclerc", a2_file, "--cap", "2"]) == 0
+    plain = capsys.readouterr().out
+    docs = []
+    real = cli._report_json
+    monkeypatch.setattr(cli, "_report_json", lambda *a: docs.append(real(*a)) or docs[-1])
+    path = tmp_path / "report.json"
+    assert main(["leclerc", a2_file, "--cap", "2", "--json", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+    assert len(docs) == 1
+    assert path.read_text() == json.dumps(docs[0], indent=2, sort_keys=True) + "\n"
+
+
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 2
 

@@ -183,7 +183,9 @@ def test_cluster_monomial_normalizes_at_the_recorded_degree(pa2_graph, monkeypat
 
 def test_monomial_in_own_torus(a2_graph):
     key = a2_graph.order[1]
-    assert a2_graph.monomial_in(key, (1, 1), key) == QTElem.monomial((1, 1))
+    got = a2_graph.monomial_in(key, (1, 1), key)
+    assert got == pointed.NForm.monomial((1, 1), 2)
+    assert got.expand(a2_graph.nodes[key].seed) == QTElem.monomial((1, 1))
 
 
 def test_path_independence_of_cross_expansion(a2_graph):
@@ -311,8 +313,9 @@ FROZEN_B = ((0, -1), (1, 0), (1, 1))
 ], ids=["frozen-cap2-w1", "A3p-cap2"])
 def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
     # every (node, m) of the box in two non-reference tori, in a shuffled
-    # order: each new monomial is one twisted product from a kept one, the
-    # full product is never taken, and a repeat is read back
+    # order: each new monomial is one twisted product, in n-coordinates,
+    # from a kept one, the full product is never taken, and a repeat is
+    # read back
     graph = build_exchange_graph(make())
     tori = (graph.order[1], graph.order[-1])
     requests = [(home, m, torus) for torus in tori for home in graph.order
@@ -321,13 +324,14 @@ def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
     full, muls = [], []
     monkeypatch.setattr(expansion, "cluster_monomial",
                         lambda ts, m: full.append(m) or cluster_monomial(ts, m))
-    monkeypatch.setattr(expansion, "twisted_mul",
-                        lambda *a: muls.append(a) or twisted_mul(*a))
+    real_mul = pointed.mul
+    monkeypatch.setattr(pointed, "mul", lambda *a, **k: muls.append(a) or real_mul(*a, **k))
     made = kept = 0
     for home, m, torus in requests:
         want = cluster_monomial(graph.tracked_in(home, torus), m)
         before, stored = len(muls), len(graph._monomials)
-        assert graph.monomial_in(home, m, torus) == want, (home, m, torus)
+        got = graph.monomial_in(home, m, torus)
+        assert got.expand(graph.nodes[torus].seed) == want, (home, m, torus)
         made += len(muls) - before
         kept += len(graph._monomials) - stored
     assert any(min(m) < 0 for _, m, _ in requests) == (window > 0)
@@ -341,17 +345,22 @@ def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
 ], ids=["frozen", "A3p"])
 def test_every_retracked_variable_is_its_one_factor_monomial(make, monkeypatch):
     # every (home, torus) pair, frozen variables too: monomial_in stops at
-    # the stored variable itself and takes no product
+    # the stored variable itself, whose torus element is the re-tracked
+    # one, and takes no product
     graph = build_exchange_graph(make())
     n = graph.reference.n
     pairs = [(home, torus) for torus in graph.order for home in graph.order]
     for home, torus in pairs:
         graph.vars_in(home, torus)
     monkeypatch.setattr(expansion, "twisted_mul", lambda *a: pytest.fail("product taken"))
+    monkeypatch.setattr(pointed, "mul", lambda *a, **k: pytest.fail("product taken"))
     for home, torus in pairs:
         xs = graph.vars_in(home, torus)
+        seed = graph.nodes[torus].seed
         for j in range(n):
-            assert graph.monomial_in(home, unit_vec(n, j), torus) is xs[j], (home, torus, j)
+            z = graph.monomial_in(home, unit_vec(n, j), torus)
+            assert z is graph._monomials[(torus, ((graph.nodes[home].degs[j], 1),))]
+            assert z.source is xs[j] and z.expand(seed) is xs[j], (home, torus, j)
 
 
 @pytest.mark.parametrize("make", [
@@ -383,4 +392,4 @@ def test_monomial_in_does_not_recurse_on_the_exponent(a2_graph):
         got = a2_graph.monomial_in(home, tuple(m), torus)
     finally:
         sys.setrecursionlimit(limit)
-    assert got == want
+    assert got.expand(a2_graph.nodes[torus].seed) == want

@@ -6,8 +6,8 @@ import re
 import pytest
 
 import oracles
-from conftest import A2_B, A2_LAMBDA, A3_B, B2_B, B2_LAMBDA
-from qcluster import _linalg, cli, expansion, make_seed, principal_framing
+from conftest import A3_B, LADDER
+from qcluster import _linalg, cli, expansion, principal_framing
 from qcluster.expansion import build_exchange_graph
 from qcluster.leclerc import (
     CandidateBasis,
@@ -16,15 +16,6 @@ from qcluster.leclerc import (
     verify_theorem,
 )
 from qcluster.qtorus import QTElem, unit_vec
-
-LADDER = {
-    "a2-cap3": (lambda: make_seed(A2_B, A2_LAMBDA), 3, 0),
-    "b2-cap2": (lambda: make_seed(B2_B, B2_LAMBDA), 2, 0),
-    "g2-cap1": (lambda: make_seed(((0, -3), (1, 0))), 1, 0),
-    "frozen-cap2-w1": (lambda: make_seed(((0, -1), (1, 0), (1, 1)), unfrozen=(0, 1)), 2, 1),
-    "a3p-cap1": (lambda: principal_framing(A3_B), 1, 0),
-}
-
 
 def _swept_basis(name):
     """The rung's basis after its full sweep, and a codegree-side
@@ -142,8 +133,9 @@ def test_retracked_factors_match_their_table_entry(factor, plant, error, monkeyp
     # the last node, a leaf of the path tree, re-tracked into a
     # non-reference torus after every other node, with one of its
     # variables replaced at the mutation that lands on its seed. An equal
-    # copy gives way to the torus's stored one-factor monomial; a
-    # variable off by a power of v is an internal error
+    # copy gives way to the torus element of the torus's stored
+    # one-factor monomial; a variable off by a power of v is an internal
+    # error
     graph = build_exchange_graph(principal_framing(A3_B))
     torus, home = graph.order[1], graph.order[-1]
     for key in graph.order[:-1]:
@@ -157,7 +149,7 @@ def test_retracked_factors_match_their_table_entry(factor, plant, error, monkeyp
         with pytest.raises(RuntimeError, match="disagrees with its entry in torus"):
             graph.vars_in(home, torus)
     else:
-        assert graph.vars_in(home, torus)[j] is entry
+        assert graph.vars_in(home, torus)[j] is entry.source
     assert planted == [graph.nodes[home].path[-1]]
 
 
@@ -202,6 +194,34 @@ def test_a_retracking_that_disagrees_exits_3(a3p_file, monkeypatch, capsys):
     assert cli.main(["leclerc", a3p_file, "--cap", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: path ") and "disagrees with its entry" in err
+
+
+@pytest.mark.parametrize("tamper", ["negative-n", "coefficient-v"])
+def test_a_variable_not_pointed_at_its_degree_exits_3(a3p_file, tamper, monkeypatch, capsys):
+    # the first node the build finds, its new variable tampered before it
+    # is stored in the reference torus: a term above its degree (n = -1 at
+    # the exchanged vertex), or the coefficient v at its degree (n = 0)
+    seed = cli.load_seed(a3p_file)[0]
+    k = seed.unfrozen[0]
+    real = expansion.mutate_tracked
+
+    def tampering(ts, j):
+        out = real(ts, j)
+        if out.path == (k,):
+            x, g = out.vars[k], out.degs[k]
+            if tamper == "negative-n":
+                above = tuple(gi - row[seed.col(k)] for gi, row in zip(g, seed.B))
+                x = x + QTElem.monomial(above)
+            else:
+                x = x.vshift(1)
+            out = dataclasses.replace(out, vars=out.vars[:k] + (x,) + out.vars[k + 1:])
+        return out
+
+    monkeypatch.setattr(expansion, "mutate_tracked", tampering)
+    assert cli.main(["leclerc", a3p_file, "--cap", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: path {(k,)}: variable at reference degree ")
+    assert "is not pointed at" in err
 
 
 def test_tampered_edge_fails_the_certificate(a3p_file, monkeypatch, capsys):

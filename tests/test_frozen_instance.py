@@ -134,5 +134,6 @@ def test_lookup_by_degree_returns_v(graph):
             g = mat_vec(psi_matrix(graph, home, r_home), m)
             assert basis.element_at_degree(r_home, g) == z
             v = verify_pair(basis, r_home, r_m, home, m)
-            assert v.v_degree == degree(graph.nodes[r_home].seed, z)
+            seed = graph.nodes[r_home].seed
+            assert v.v_degree == degree(seed, z.expand(seed))
     assert not basis.conflicts

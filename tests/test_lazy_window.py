@@ -14,7 +14,7 @@ def _sweep_windows(graph, basis):
     for r_home, r_m in default_r_specs(graph):
         t_seed = graph.nodes[r_home].seed
         for g_ref in basis.degree_keys():
-            z_v = graph.monomial_in(*basis.provenance[g_ref], r_home)
+            z_v = graph.monomial_in(*basis.provenance[g_ref], r_home).expand(t_seed)
             gamma = pointed.degree(t_seed, z_v)
             eta = pointed.codegree(t_seed, z_v)
             windows.add((r_home, Bidegree(vec_add(r_m, gamma), vec_add(r_m, eta))))
@@ -27,7 +27,7 @@ def _codegree_windows(graph, basis):
     for t_key in graph.order:
         t_seed = graph.nodes[t_key].seed
         for g_ref in basis.degree_keys():
-            elem = graph.monomial_in(*basis.provenance[g_ref], t_key)
+            elem = graph.monomial_in(*basis.provenance[g_ref], t_key).expand(t_seed)
             bid = pointed.bidegree(t_seed, elem)
             for i in range(t_seed.n):
                 e_i = unit_vec(t_seed.n, i)
@@ -40,7 +40,7 @@ def _assert_escapes(seed, z, g, view, window, co):
     decompose runs in the opposite seed with the window's ends traded."""
     if co:
         seed, window = opposite_seed(seed), Bidegree(deg=window.codeg, codeg=window.deg)
-    decomp = pointed.decompose(seed, z, view, window)
+    decomp = oracles.n_form_decompose(seed, z, view, window)
     assert decomp.terms == []
     assert decomp.reason == f"support degree {g} escapes the window"
 
@@ -89,7 +89,7 @@ def test_outside_points_resolve_yet_stay_hidden(a2_graph):
     above = vec_sub(window.deg, next(zip(*seed.B)))
     view = basis.window_set(t0)
     assert view.get(above) is not None
-    _assert_escapes(seed, view.get(above), above, view, window, co=False)
+    _assert_escapes(seed, view.get(above).expand(seed), above, view, window, co=False)
 
 
 def test_integer_inverse_maps_a3(a3_graph):

@@ -1,11 +1,13 @@
 import re
+import sys
+from collections import Counter
 from itertools import product
 
 import pytest
 
 import oracles
-from conftest import a2_gold
-from qcluster import pointed
+from conftest import A3_B, a2_gold
+from qcluster import build_exchange_graph, pointed, principal_framing
 from qcluster.leclerc import (
     ENUMERATION_LIMIT,
     CandidateBasis,
@@ -94,7 +96,8 @@ def test_non_unimodular_degree_map_is_refused(a2_graph, monkeypatch):
 def test_basis_elements_bipointed_and_bar_invariant(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
     ref = a2_graph.reference
-    for g, elem in basis.by_degree.items():
+    for g, nform in basis.by_degree.items():
+        elem = nform.expand(ref)
         assert degree(ref, elem) == g
         assert elem.terms[g].is_one()
         eta = codegree(ref, elem)
@@ -114,10 +117,11 @@ def test_window_resolution_beyond_cap(a2_graph):
     # cap-1 enumeration still resolves the degree of a cap-2 monomial
     basis = CandidateBasis(a2_graph, unfrozen_cap=1)
     t0 = a2_graph.order[0]
+    seed = a2_graph.nodes[t0].seed
     got = basis.element_at_degree(t0, (2, 1))
-    assert got == QTElem.monomial((2, 1))
+    assert got.expand(seed) == QTElem.monomial((2, 1))
     assert basis.element_at_degree(t0, (5, -7)) is not None
-    assert basis.element_at_codegree(t0, (0, -1)) == a2_gold("P2")
+    assert basis.element_at_codegree(t0, (0, -1)).expand(seed) == a2_gold("P2")
 
 
 def _shared_variable(graph, torus):
@@ -129,8 +133,8 @@ def _shared_variable(graph, torus):
     homes = [(key, unit_vec(len(degs[key]), degs[key].index(x)))
              for key in graph.order if x in degs[key]]
     first_home, first_m = homes[0]
-    elem = graph.monomial_in(first_home, first_m, torus)
-    return degree(graph.nodes[torus].seed, elem), homes
+    seed = graph.nodes[torus].seed
+    return degree(seed, graph.monomial_in(first_home, first_m, torus).expand(seed)), homes
 
 
 def test_repeated_identity_is_expanded_once(a2_graph, monkeypatch):
@@ -227,7 +231,7 @@ def test_verify_pair_records_n_criterion(a2_graph):
     v2 = verify_pair(basis, t0, (0, 1), *_prov_at_degree(basis, (1, 0)))
     assert v2.case == "in_basis"
     s = a2_graph.nodes[t0].seed
-    z = a2_graph.monomial_in(*_prov_at_degree(basis, (1, 0)), t0)
+    z = a2_graph.monomial_in(*_prov_at_degree(basis, (1, 0)), t0).expand(s)
     n = dominance_n(s, codegree(s, z), degree(s, z))
     assert n[s.col(1)] == 0
 
@@ -246,7 +250,8 @@ def test_lookup_by_degree_returns_v(graph_name, cap, request):
             g = mat_vec(psi_matrix(graph, home, r_home), m)
             assert basis.element_at_degree(r_home, g) == z
             v = verify_pair(basis, r_home, r_m, home, m)
-            assert v.v_degree == degree(graph.nodes[r_home].seed, z)
+            seed = graph.nodes[r_home].seed
+            assert v.v_degree == degree(seed, z.expand(seed))
     assert not basis.conflicts
 
 
@@ -276,12 +281,12 @@ def test_sweep_expands_each_monomial_once_per_torus(graph_name, cap, request, mo
 
 
 def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
-    # each resolved element's codegree is read off the projection its degree
+    # each resolved element's codegree is read off the n-form its degree
     # was checked on, and V's eta and every two-tail term's codegree are
     # read from the resolver
     calls = []
-    real = pointed.Support.bottom
-    monkeypatch.setattr(pointed.Support, "bottom",
+    real = pointed.NForm.co_n
+    monkeypatch.setattr(pointed.NForm, "co_n",
                         lambda self: calls.append(self) or real(self))
     monkeypatch.setattr(pointed, "codegree", lambda *a: pytest.fail("codegree measured again"))
     basis = CandidateBasis(a3_graph, unfrozen_cap=1)
@@ -290,6 +295,31 @@ def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
     assert len(calls) == len(basis._resolved)
     assert all(hit is not None and hit[2] is not None for hit in basis._resolved.values())
     assert len(calls) < sum(len(v.middle) + 2 for v in report.verdicts)
+
+
+def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
+    # a full A3-principal cap1 sweep, from the graph build on: products,
+    # lookups and decompositions stay in n-coordinates. An exponent is
+    # projected only where a variable is made (mutate_tracked measures its
+    # degree) or converted to n-coordinates (_intern), and by verify_pair's
+    # own checks on exponents: s - h and the two dominance chains
+    owners = ("_intern", "mutate_tracked", "verify_pair", "decompose", "mul",
+              "monomial_in", "_resolve", "_walk", "_certify", "_enumerate")
+    seen = Counter()
+    real = pointed._Projection.project
+
+    def spy(self, m):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in owners:
+            frame = frame.f_back
+        seen[None if frame is None else frame.f_code.co_name] += 1
+        return real(self, m)
+
+    monkeypatch.setattr(pointed._Projection, "project", spy)
+    graph = build_exchange_graph(principal_framing(A3_B))
+    report = verify_theorem(CandidateBasis(graph, unfrozen_cap=1))
+    assert report.ok and len(report.verdicts) == 540
+    assert set(seen) == {"_intern", "mutate_tracked", "verify_pair"}
 
 
 def test_verify_theorem_a2(a2_graph):

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import a2_gold, elem, principal_framings
-from qcluster import opposite_seed, pointed
+from conftest import B2_B, B2_LAMBDA, LADDER, a2_gold, elem, principal_framings
+from qcluster import build_exchange_graph, make_seed, opposite_seed, pointed
 from qcluster._linalg import mat_vec
+from qcluster.leclerc import CandidateBasis, verify_theorem
 from qcluster.pointed import (
     Bidegree,
+    NForm,
     NonUnitLeading,
     bidegree,
     codegree,
@@ -20,7 +22,9 @@ from qcluster.pointed import (
     dominance_n,
     interval,
     is_m_unitriangular,
+    normalize_at,
     normalize_deg,
+    to_nform,
 )
 from qcluster.qtorus import QTElem, VCoeff, twisted_mul, vec_add
 
@@ -168,17 +172,17 @@ def _a2_cobasis():
 def test_decompose_golden(a2_seed):
     z = a2_gold("[X1*I2]")
     window = Bidegree(deg=(1, -1), codeg=(-1, 0))
-    d = decompose(a2_seed, z, _a2_basis(), window)
+    d = oracles.n_form_decompose(a2_seed, z, _a2_basis(), window)
     assert d.is_exact
     assert sorted(d.terms) == [((0, 0), VCoeff({-1: 1})), ((1, -1), VCoeff.one())]
     assert is_m_unitriangular(d, (1, -1))
     z2 = a2_gold("[X2*I2]")
-    d2 = decompose(a2_seed, z2, _a2_basis(), Bidegree(deg=(0, 0), codeg=(-1, 1)))
+    d2 = oracles.n_form_decompose(a2_seed, z2, _a2_basis(), Bidegree(deg=(0, 0), codeg=(-1, 1)))
     assert sorted(d2.terms) == [((-1, 0), VCoeff({-1: 1})), ((0, 0), VCoeff.one())]
 
 
 def test_decompose_basis_element_is_single_term(a2_seed):
-    d = decompose(
+    d = oracles.n_form_decompose(
         a2_seed, a2_gold("P2"), _a2_basis(), Bidegree(deg=(1, -1), codeg=(0, -1))
     )
     assert d.is_exact and d.terms == [((1, -1), VCoeff.one())]
@@ -189,12 +193,12 @@ def test_decompose_co_golden(a2_seed):
     # co-decomposition is decompose in the opposite seed, window ends traded
     op = opposite_seed(a2_seed)
     z = a2_gold("{P1*X2}")
-    d = decompose(op, z, _a2_cobasis(), Bidegree(deg=(-1, 1), codeg=(0, 0)))
+    d = oracles.n_form_decompose(op, z, _a2_cobasis(), Bidegree(deg=(-1, 1), codeg=(0, 0)))
     assert d.is_exact
     assert sorted(d.terms) == [((-1, 1), VCoeff.one()), ((0, 0), VCoeff({-1: 1}))]
     assert is_m_unitriangular(d, (-1, 1))
     z2 = a2_gold("{P2*X2}")
-    d2 = decompose(op, z2, _a2_cobasis(), Bidegree(deg=(0, 0), codeg=(1, 0)))
+    d2 = oracles.n_form_decompose(op, z2, _a2_cobasis(), Bidegree(deg=(0, 0), codeg=(1, 0)))
     assert sorted(d2.terms) == [((0, 0), VCoeff.one()), ((1, 0), VCoeff({-1: 1}))]
     assert is_m_unitriangular(d2, (0, 0))
 
@@ -202,14 +206,14 @@ def test_decompose_co_golden(a2_seed):
 def test_decompose_missing_basis_element(a2_seed):
     basis = {(1, -1): a2_gold("P2")}
     z = a2_gold("[X1*I2]")
-    d = decompose(a2_seed, z, basis, Bidegree(deg=(1, -1), codeg=(-1, 0)))
+    d = oracles.n_form_decompose(a2_seed, z, basis, Bidegree(deg=(1, -1), codeg=(-1, 0)))
     assert not d.is_exact
     assert "no basis element" in d.reason
 
 
 def test_decompose_window_escape(a2_seed):
     z = a2_gold("[X1*I2]")
-    d = decompose(a2_seed, z, _a2_basis(), Bidegree(deg=(1, -1), codeg=(1, -1)))
+    d = oracles.n_form_decompose(a2_seed, z, _a2_basis(), Bidegree(deg=(1, -1), codeg=(1, -1)))
     assert not d.is_exact
     assert "window" in d.reason
 
@@ -219,10 +223,10 @@ def test_decompose_roundtrip_and_uniqueness(a2_seed):
     basis = _a2_basis()
     z = a2_gold("[X1*I2]")
     window = Bidegree(deg=(1, -1), codeg=(-1, 0))
-    base = decompose(a2_seed, z, basis, window)
+    base = oracles.n_form_decompose(a2_seed, z, basis, window)
     assert oracles.recompose(base, basis, 2) == z
     for _ in range(10):
-        d = decompose(a2_seed, z, basis, window, tie_break=rng.choice)
+        d = oracles.n_form_decompose(a2_seed, z, basis, window, tie_break=rng.choice)
         assert d.is_exact
         assert sorted(d.terms) == sorted(base.terms)
 
@@ -286,11 +290,12 @@ class ExtremalFamily:
 
 
 @st.composite
-def decompositions(draw, side):
+def decompositions(draw, side, coset=False):
     """(seed, z, basis, window) for elimination from the top (side 1) or
     from the bottom (side -1): z combines family members keyed inside the
     window, with coefficient 1 at the end the elimination starts from,
-    plus at most one stray monomial anywhere and at most one beyond that
+    plus at most one stray monomial anywhere (with coset, anywhere in
+    start + B Z^k, where an n-form holds it) and at most one beyond that
     end; at most one of the keys may be missing from the basis."""
     seed = draw(principal_framings())
     start = draw(_exponents(seed))
@@ -307,7 +312,11 @@ def decompositions(draw, side):
     z = basis.member(start)
     for g in keys[1:]:
         z = z + basis.member(g).scale(draw(_COEFF))
-    strays = draw(st.lists(_exponents(seed), max_size=1))
+    if coset:
+        anywhere = st.tuples(*[st.integers(-2, 2)] * len(seed.unfrozen)).map(step)
+    else:
+        anywhere = _exponents(seed)
+    strays = draw(st.lists(anywhere, max_size=1))
     strays += [step(n, -1) for n in draw(st.lists(_steps(seed), max_size=1))]
     for m in strays:
         z = z + QTElem.monomial(m, draw(_COEFF))
@@ -327,16 +336,23 @@ def test_codegree_matches_direct_scan(case):
             normalize_deg(opposite_seed(seed), z)
 
 
+# The exponent-space decomposition (oracles.subtracting_decompose) takes
+# any torus element; the n-form one takes those an n-form holds, and must
+# agree with it there.
+
 @settings(max_examples=100, deadline=None)
 @given(decompositions(-1), st.booleans())
 def test_decompose_co_matches_direct_scan(case, largest_first):
     seed, z, basis, window = case
     tie_break = (lambda keys: keys[-1]) if largest_first else None
     flipped = Bidegree(deg=window.codeg, codeg=window.deg)
-    got = decompose(opposite_seed(seed), z, basis, flipped, tie_break)
-    assert got == oracles.direct_decompose_co(seed, z, basis, window, tie_break)
-    if got.is_exact:
-        assert oracles.recompose(got, basis, seed.n) == z
+    want = oracles.direct_decompose_co(seed, z, basis, window, tie_break)
+    op = opposite_seed(seed)
+    assert oracles.subtracting_decompose(op, z, basis, flipped, tie_break) == want
+    got = oracles.n_form_decompose(op, z, basis, flipped, tie_break)
+    assert got is None or got == want
+    if want.is_exact:
+        assert oracles.recompose(want, basis, seed.n) == z
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,11 +360,27 @@ def test_decompose_co_matches_direct_scan(case, largest_first):
 def test_decompose_matches_pairwise_scan(case, largest_first):
     seed, z, basis, window = case
     tie_break = (lambda keys: keys[-1]) if largest_first else None
-    got = decompose(seed, z, basis, window, tie_break)
-    assert got == oracles.direct_decompose(seed, z, basis, window, tie_break)
+    want = oracles.direct_decompose(seed, z, basis, window, tie_break)
+    assert oracles.subtracting_decompose(seed, z, basis, window, tie_break) == want
+    got = oracles.n_form_decompose(seed, z, basis, window, tie_break)
+    assert got is None or got == want
+    if want.is_exact:
+        assert oracles.recompose(want, basis, seed.n) == z
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((1, -1)).flatmap(lambda side: st.tuples(
+    st.just(side), decompositions(side, coset=True))), st.booleans())
+def test_n_form_decompose_matches_the_exponent_space_one(case, largest_first):
+    # every stray in the coset, above the start and beyond the far end
+    # too: the n-form decomposition runs on every input and agrees
+    side, (seed, z, basis, window) = case
+    tie_break = (lambda keys: keys[-1]) if largest_first else None
+    if side == -1:
+        seed, window = opposite_seed(seed), Bidegree(deg=window.codeg, codeg=window.deg)
+    got = oracles.n_form_decompose(seed, z, basis, window, tie_break)
+    assert got is not None
     assert got == oracles.subtracting_decompose(seed, z, basis, window, tie_break)
-    if got.is_exact:
-        assert oracles.recompose(got, basis, seed.n) == z
 
 
 @settings(max_examples=100, deadline=None)
@@ -383,7 +415,7 @@ def test_each_indeterminate_reason_matches_the_subtracting_residual(
     monkeypatch.setattr(pointed, "DECOMPOSE_ITERATION_CAP", 7)
     z = a2_gold("[X1*I2]")
     for tie_break in (None, lambda keys: keys[-1]):
-        got = decompose(a2_seed, z, basis, window, tie_break)
+        got = oracles.n_form_decompose(a2_seed, z, basis, window, tie_break)
         assert not got.is_exact and reason in got.reason
         assert got == oracles.subtracting_decompose(a2_seed, z, basis, window, tie_break)
 
@@ -414,16 +446,159 @@ def test_one_projection_with_one_end_ambiguous(a2_seed):
         assert bidegree(a2_seed, z) is None
 
 
-def test_projection_memo_stays_bounded_and_exact(a3_seed):
-    dom = pointed._dominance_data(a3_seed)
-    fresh = pointed._Projection(dom.p_num, dom.p_den, dom.kernel)
-    assert fresh == dom and hash(fresh) == hash(dom)
-    assert hash(dom) == hash((dom.p_num, dom.p_den, dom.kernel))
-    limit = pointed.PROJECTION_MEMO_LIMIT
-    exps = list(itertools.islice(itertools.product(range(-3, 4), repeat=a3_seed.n),
-                                 2 * limit + 17))
-    rng = random.Random(5)
-    for m in exps + rng.sample(exps, 500):
-        assert fresh.project(m) == (mat_vec(dom.p_num, m), mat_vec(dom.kernel, m))
-        assert 0 < len(fresh.memo) <= limit
-    assert fresh == dom and hash(fresh) == hash(dom)
+def test_normalize_at_returns_a_pointed_element_itself(a2_seed):
+    # nothing is copied when the coefficient is already 1; a unit other
+    # than 1 still divides
+    for name in ("P1", "I1", "[X1*I2]"):
+        z = a2_gold(name)
+        assert normalize_at(z, degree(a2_seed, z)) is z
+        for c in (VCoeff({3: 1}), VCoeff({-1: -1})):
+            got = normalize_at(z.scale(c), degree(a2_seed, z))
+            assert got == z and got is not z
+
+
+# -- n-coordinates: products never projected, against the torus --
+
+# non-unit D (B2, G2) and a weighted frozen vertex, whose exponents may be
+# negative, next to random principal framings
+_NFORM_SEEDS = (
+    make_seed(B2_B, B2_LAMBDA),
+    make_seed(((0, -3), (1, 0))),
+    make_seed(((0, -1), (1, 0), (1, 1)), unfrozen=(0, 1)),
+)
+
+
+@st.composite
+def nform_products(draw, pointed_only):
+    """(seed, a, b): two small NForms of one seed. With pointed_only, no n
+    is negative and the coefficient at n = 0 is a unit."""
+    seed = draw(st.one_of(st.sampled_from(_NFORM_SEEDS), principal_framings()))
+    k = len(seed.unfrozen)
+    low = 0 if pointed_only else -1
+
+    def draw_nform():
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(low, 2)] * k), _COEFF,
+                                     min_size=1, max_size=4))
+        if pointed_only:
+            terms[(0,) * k] = draw(_COEFF.filter(VCoeff.is_unit))
+        return NForm(draw(_exponents(seed)), terms)
+
+    return seed, draw_nform(), draw_nform()
+
+
+@settings(max_examples=200, deadline=None)
+@given(nform_products(pointed_only=False))
+def test_n_form_product_maps_back_to_twisted_mul(case):
+    seed, a, b = case
+    want = twisted_mul(a.expand(seed), b.expand(seed), seed.Lambda)
+    got = pointed.mul(seed, a, b)
+    assert got.g == vec_add(a.g, b.g)
+    assert got.expand(seed) == want
+    # and the conversion projects each exponent back to its n
+    assert to_nform(seed, a.expand(seed), a.g) == a
+    assert to_nform(seed, want, got.g) == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(nform_products(pointed_only=True))
+def test_normalized_n_form_product_is_one_v_shift(case):
+    # the n = 0 coefficient of a product of pointed n-forms is the
+    # factors' times v^lambda(a.g, b.g): normalizing folds it away
+    seed, a, b = case
+    full = twisted_mul(a.expand(seed), b.expand(seed), seed.Lambda)
+    got = pointed.mul(seed, a, b, normalize=True)
+    assert got.expand(seed) == normalize_at(full, vec_add(a.g, b.g))
+    zero = (0,) * len(seed.unfrozen)
+    assert got.terms[zero].is_one() and got.is_pointed()
+    assert pointed.mul(seed, a, b).terms[zero] == (
+        a.terms[zero] * b.terms[zero]).shift(seed.lam(a.g, b.g))
+
+
+def test_n_form_ends(a2_seed, pa2_seed):
+    # I1 = X^(-1,0) (1 + Y_1), Y_1 = X^(B e_1) = X^(0,1): pointed at
+    # (-1, 0), its codegree at n = (1, 0); read in the opposite seed from
+    # there
+    i1 = to_nform(a2_seed, a2_gold("I1"), (-1, 0))
+    assert i1.terms == {(0, 0): VCoeff.one(), (1, 0): VCoeff.one()}
+    assert i1.is_pointed() and i1.co_n() == (1, 0)
+    op = opposite_seed(a2_seed)
+    flipped = i1.opposite(a2_seed)
+    assert flipped.g == codegree(a2_seed, a2_gold("I1")) == (-1, 1)
+    assert flipped.expand(op) == a2_gold("I1") and flipped.is_pointed()
+    # no componentwise-largest n: no codegree to read it from
+    split = NForm((0, 0), {(0, 0): VCoeff.one(), (1, 0): VCoeff.one(), (0, 1): VCoeff.one()})
+    assert split.co_n() is None
+    with pytest.raises(ValueError):
+        split.opposite(a2_seed)
+    assert not NForm((0, 0), {(0, 0): VCoeff({1: 1})}).is_pointed()
+    assert not NForm((0, 0), {(0, 0): VCoeff.one(), (-1, 0): VCoeff.one()}).is_pointed()
+    # off the coset g + B Z^k no n-form holds an exponent
+    with pytest.raises(ValueError, match="is not"):
+        to_nform(pa2_seed, QTElem.monomial((1, 1, 0, 0)), (0, 0, 0, 0))
+
+
+class _Expanded:
+    """A window view's NForms as torus elements, for the exponent-space
+    reference."""
+
+    def __init__(self, view, seed):
+        self.view = view
+        self.seed = seed
+
+    def get(self, g):
+        elem = self.view.get(g)
+        return None if elem is None else elem.expand(self.seed)
+
+
+class _Hiding:
+    """A basis with one key missing."""
+
+    def __init__(self, basis, hidden):
+        self.basis = basis
+        self.hidden = hidden
+
+    def get(self, g):
+        return None if g == self.hidden else self.basis.get(g)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_n_form_decompose_matches_the_oracle_on_the_ladder_sweeps(name, monkeypatch):
+    # every product the rung's sweep decomposes, with and without a tie
+    # break, against the exponent-space decomposition of its expansion;
+    # then each indeterminate reason, from the same inputs: an iteration
+    # cap, a missing key, and a window shrunk to its top
+    make, cap, window = LADDER[name]
+    basis = CandidateBasis(build_exchange_graph(make()), unfrozen_cap=cap,
+                           frozen_window=window)
+    calls = []
+    real = pointed.decompose
+    monkeypatch.setattr(pointed, "decompose", lambda *a: calls.append(a) or real(*a))
+    assert verify_theorem(basis).ok
+    monkeypatch.setattr(pointed, "decompose", real)
+    reasons = set()
+    for seed, z, view, box in calls:
+        x = z.expand(seed)
+        window = Bidegree(z.g, vec_add(z.g, mat_vec(seed.B, box)))
+        torus_view = _Expanded(view, seed)
+        for tie_break in (None, lambda keys: keys[-1]):
+            got = pointed.decompose(seed, z, view, box, tie_break)
+            assert got.is_exact
+            assert got == oracles.subtracting_decompose(seed, x, torus_view, window, tie_break)
+        if len(got.terms) < 2:
+            continue
+        hidden = got.terms[-1][0]
+        cases = [
+            (_Hiding(view, hidden), _Hiding(torus_view, hidden), box, window, None),
+            (view, torus_view, (0,) * len(box), Bidegree(z.g, z.g), None),
+            (view, torus_view, box, window, 1),
+        ]
+        for view_case, torus_case, box_case, window_case, iteration_cap in cases:
+            with monkeypatch.context() as m:
+                if iteration_cap is not None:
+                    m.setattr(pointed, "DECOMPOSE_ITERATION_CAP", iteration_cap)
+                got = pointed.decompose(seed, z, view_case, box_case)
+                want = oracles.subtracting_decompose(seed, x, torus_case, window_case)
+            assert not got.is_exact and got == want
+            reasons.add(got.reason.split(" ")[0])
+    assert len(calls) > 0
+    assert reasons == {"no", "support", "iteration"}

@@ -92,6 +92,17 @@ class TestQTElem:
         p2 = QTElem.monomial((1, -1)) + QTElem.monomial((0, -1))
         assert p2 == a2_gold("P2")
 
+    def test_a_shift_or_scale_that_changes_nothing_returns_the_element(self):
+        # elements are immutable, so a unit factor or a zero shift copies
+        # nothing; any other factor or shift gives an equal new element
+        z = a2_gold("[X1*I2]")
+        assert z.vshift(0) is z
+        assert z.scale(1) is z and z.scale(VCoeff.one()) is z and z * 1 is z
+        want = {m: c.shift(2) for m, c in z.terms.items()}
+        for got in (z.vshift(2), z.scale(VCoeff.v_power(2))):
+            assert got is not z and got.terms == want
+        assert z.scale(-1) == -z and z.vshift(-2).vshift(2) == z
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             QTElem.monomial((1, 0)) + QTElem.monomial((1, 0, 0))

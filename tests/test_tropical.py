@@ -10,7 +10,7 @@ from conftest import a2_gold, principal_framings
 from qcluster import opposite_seed
 from qcluster._linalg import mat_vec
 from qcluster.expansion import build_exchange_graph
-from qcluster.pointed import Bidegree, codegree, decompose, degree, is_m_unitriangular
+from qcluster.pointed import Bidegree, codegree, degree, is_m_unitriangular
 from qcluster.qtorus import QTElem, twisted_mul, unit_vec
 from qcluster.tropical import (
     ShiftNotFound,
@@ -298,6 +298,6 @@ def test_substitution_smoke(a2_graph, b2_graph):
                 bot = codegree(s, z)
                 window = Bidegree(deg=top, codeg=bot)
                 pset = basis.window_set(t0)
-                dec = decompose(s, z, pset, window)
+                dec = oracles.n_form_decompose(s, z, pset, window)
                 assert dec.is_exact
                 assert is_m_unitriangular(dec, top)
