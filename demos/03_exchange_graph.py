@@ -1,10 +1,10 @@
 """Laurent expansions and the exchange graph.
 
-Every reachable seed carries the expansion of each of its cluster
-variables in the torus of the starting seed; the graph closes for
-finite-type input. Shift detection finds the seed whose variables are
-pointed at the negated unit vectors; its forward and backward versions
-yield the injective and projective elements.
+Every reachable seed carries each of its cluster variables in the torus
+of the starting seed, in n-coordinates (expanded to print); the graph
+closes for finite-type input. Shift detection finds the seed whose
+variables are pointed at the negated unit vectors; its forward and
+backward versions yield the injective and projective elements.
 """
 from qcluster import (
     apply_word,
@@ -22,13 +22,14 @@ graph = build_exchange_graph(a2)
 print(f"two-vertex graph: {len(graph.order)} nodes, "
       f"{len(graph.undirected_edges())} edges (a pentagon)")
 for key in graph.order:
-    print("  node", graph.order.index(key), [str(v) for v in graph.nodes[key].vars])
+    print("  node", graph.order.index(key),
+          [str(v.expand(a2)) for v in graph.nodes[key].vars])
 print()
 
 ts = apply_word(initial_tracked(a2), (1, 0, 1))
 print("after the word 2,1,2 the labeled seed holds:")
 for i, v in enumerate(ts.vars):
-    print(f"  variable {i + 1} =", v)
+    print(f"  variable {i + 1} =", v.expand(a2))
 print()
 
 up = detect_shift(graph, graph.order[0], 1)

@@ -24,6 +24,7 @@ from qcluster import (
     to_nform,
     twisted_mul,
 )
+from qcluster._linalg import mat_vec
 from qcluster.qtorus import QTElem
 
 a2 = make_seed(((0, -1), (1, 0)), ((0, -1), (1, 0)))
@@ -43,7 +44,9 @@ print("normalized product [x1 * i2] =", prod)
 # the same product in n-coordinates: normalizing is one v-shift
 n_i2 = to_nform(a2, i2, degree(a2, i2))
 n_prod = pointed.mul(a2, NForm.monomial((1, 0), 2), n_i2, normalize=True)
-print("as X^g F(Y): g =", n_prod.g, "F =", n_prod.terms)
+# F's terms from the degree down, in the order of their exponents g + B n
+down = sorted(n_prod.terms.items(), key=lambda t: mat_vec(a2.B, t[0]), reverse=True)
+print("as X^g F(Y): g =", n_prod.g, "F =", dict(down))
 assert n_prod.expand(a2) == prod
 
 basis = {

@@ -149,7 +149,7 @@ def cmd_expand(args):
     if not 0 <= var < seed.n:
         raise UsageError(f"variable index {args.var} out of range")
     ts = apply_word(initial_tracked(seed), parse_word(args.word, seed))
-    print(ts.vars[var])
+    print(ts.vars[var].expand(seed))
     return 0
 
 

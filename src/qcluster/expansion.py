@@ -1,14 +1,17 @@
 """Laurent-expansion tracking and the exchange graph.
 
-A TrackedSeed carries, next to the mutated seed matrices, the expansion
-of each of its cluster variables inside the quantum torus of a fixed
-reference seed, and the degree of each variable there. Mutating at k
-rewrites variable k through the exchange relation: the two exchange
-monomials are expanded in reference coordinates and the twisted sum is
-divided exactly by the old variable. Exactness of that division is the
-Laurent phenomenon; a failure is an internal error, not a user
-condition. The new variable's degree (its g-vector) is measured once,
-where it is normalized, and recorded; nothing measures it again.
+A TrackedSeed carries, next to the mutated seed matrices, each of its
+cluster variables inside the quantum torus of a fixed reference seed, in
+n-coordinates there (pointed.NForm: X^g F(Y), exponents g + B n), based
+at its degree. Mutating at k rewrites variable k through the exchange
+relation: the two exchange monomials are normalized products of the
+variables (pointed.mul), summed at the base that dominates the other
+(sign-coherence of c-vectors: Derksen-Weyman-Zelevinsky,
+arXiv:0904.0676), and divided exactly by the old variable
+(pointed.divide). Exactness of that division is the Laurent phenomenon;
+a failure is an internal error, not a user condition. The quotient is
+pointed at its base, so the new variable's degree (its g-vector) is
+that base; nothing measures it.
 
 The exchange graph deduplicates tracked seeds by the unordered set of
 variable degrees in the reference torus (a seed is determined by those
@@ -29,24 +32,21 @@ there.
 
 Each torus keeps the cluster monomials made in it in one store, by
 identity, the sorted (reference degree, exponent) pairs of their
-factors, each in n-coordinates (pointed.NForm: X^g F(Y), exponents
-g + B n), so that products in the torus never project an exponent. A
-torus's variables, frozen ones too, are its one-factor cluster
-monomials, in the one store. The first variable seen at a reference
-degree in a torus is converted there once, with one projection per
-term, and must be pointed at its degree (no negative n, coefficient 1
-at n = 0); its torus element stays with it (NForm.source), which
-mutation divides by. A variable re-tracked into the torus, or met again
-in the build, is compared with that torus element once, and the stored
-object takes its place: an expansion does not depend on the route, so a
-difference is an internal error (RuntimeError), and so is a variable
-that is not pointed. So two nodes' re-trackings share one object for
-each variable they hold in common. A new cluster monomial peels unfrozen
-factors, the one with the fewest terms first, down to a stored one (a
-variable at the latest) or to its frozen part, a plain monomial. Each
-step back is one twisted product by a variable in n-coordinates,
+factors. A torus's variables, frozen ones too, are its one-factor
+cluster monomials, in the one store. The first variable seen at a
+reference degree in a torus is stored as it is, once it is checked
+pointed at its base (no negative n, coefficient 1 at n = 0). A variable
+re-tracked into the torus, or met again in the build, is compared with
+the stored one, which takes its place: an expansion does not depend on
+the route, so a difference is an internal error (RuntimeError), and so
+is a variable that is not pointed. So two nodes' re-trackings share one
+object for each variable they hold in common. A new cluster monomial
+peels unfrozen factors, the one with the fewest terms first, down to a
+stored one (a variable at the latest) or to its frozen part, a plain
+monomial. Each step back is one twisted product by a variable,
 normalized at its degree by one v-shift (the factors quasi-commute, so
-normalization makes the order irrelevant).
+normalization makes the order irrelevant). Torus elements are made only
+on request (NForm.expand).
 
 The build refuses a seed that is not 2-finite, one with an unfrozen
 pair b_ij b_ji < -3: its graph is infinite (Fomin-Zelevinsky, Cluster
@@ -56,90 +56,78 @@ truncated, with the seed's path and the pair as the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import pointed
-from ._linalg import vec_mat
-from .qtorus import QTElem, exact_divide, pos_part, twisted_mul, unit_vec
+from .qtorus import QTElem, pos_part, unit_vec
 from .seed import QuantumSeed, mutate_seed
 
 
 @dataclass(frozen=True)
 class TrackedSeed:
-    """seed's variables expanded in the torus of ref, with their degrees
-    there (degs[i] is the degree of vars[i]), reached from ref by path."""
+    """seed's variables in the torus of ref, in n-coordinates there
+    (pointed.NForm, each based at its degree), reached from ref by path."""
 
     seed: QuantumSeed
-    vars: tuple[QTElem, ...]
-    degs: tuple[tuple[int, ...], ...]
+    vars: tuple[pointed.NForm, ...]
     ref: QuantumSeed
     path: tuple[int, ...]
 
+    @cached_property
+    def degs(self):
+        """degs[i] is the degree of vars[i] in ref's torus: its base."""
+        return tuple(x.g for x in self.vars)
+
 
 def initial_tracked(seed) -> TrackedSeed:
-    degs = tuple(unit_vec(seed.n, i) for i in range(seed.n))
-    xs = tuple(QTElem.monomial(g) for g in degs)
-    return TrackedSeed(seed=seed, vars=xs, degs=degs, ref=seed, path=())
+    rank = len(seed.unfrozen)
+    xs = tuple(pointed.NForm.monomial(unit_vec(seed.n, i), rank) for i in range(seed.n))
+    return TrackedSeed(seed=seed, vars=xs, ref=seed, path=())
 
 
-def _image_monomial(ts: TrackedSeed, a) -> QTElem:
-    """Reference-torus expansion of the current seed's monomial X^a.
-
-    The ordered twisted product of single variables overshoots the
-    monomial by v to the sum of lam(a_i f_i, a_j f_j) over i < j, taken
-    in the current seed's form, so that constant is peeled off first.
-    Negative exponents are only allowed on frozen vertices, whose
-    expansions stay plain monomials.
+def _image_monomial(ts: TrackedSeed, a) -> pointed.NForm:
+    """The current seed's normalized monomial X^a in the reference torus:
+    the product of the variables to the powers a, normalized at its
+    degree by one v-shift per factor (the factors quasi-commute, so
+    normalization makes the order irrelevant). Negative exponents are
+    only allowed on frozen vertices, whose variables stay unit monomials,
+    so the frozen part is a plain monomial.
     """
     s = ts.seed
-    w = 0
-    for i in range(s.n):
-        if a[i] == 0:
-            continue
-        for j in range(i + 1, s.n):
-            w += a[i] * a[j] * s.Lambda[i][j]
-    acc = QTElem.one(s.n).vshift(-w)
-    for i in range(s.n):
-        if a[i] == 0:
-            continue
-        if a[i] < 0:
-            if i in s.unfrozen:
-                raise ValueError(f"negative power at unfrozen vertex {i}")
-            factor = QTElem.monomial(tuple(a[i] * x for x in unit_vec(s.n, i)))
-            acc = twisted_mul(acc, factor, ts.ref.Lambda)
-        else:
-            for _ in range(a[i]):
-                acc = twisted_mul(acc, ts.vars[i], ts.ref.Lambda)
+    if any(a[i] < 0 for i in s.unfrozen):
+        raise ValueError("unfrozen exponents must be nonnegative")
+    acc = pointed.NForm.monomial(tuple(0 if i in s.unfrozen else x for i, x in enumerate(a)),
+                                 len(s.unfrozen))
+    for i in s.unfrozen:
+        for _ in range(a[i]):
+            acc = pointed.mul(ts.ref, acc, ts.vars[i], normalize=True)
     return acc
 
 
 def mutate_tracked(ts: TrackedSeed, k) -> TrackedSeed:
-    """Mutate at unfrozen k, keeping all expansions in the reference torus.
+    """Mutate at unfrozen k, keeping all variables in the reference torus.
 
     In the current seed, the new variable z satisfies
         z * X_k = v^lam(a-, f_k) X^(a-) + v^lam(a+, f_k) X^(a+),
-    where a+/a- collect the positive/negative parts of column k. The
-    relation is pushed to reference coordinates and solved for z by
-    exact division, then degree-normalized to leading coefficient 1; the
-    degree it is normalized at is recorded as z's degree.
+    where a+/a- collect the positive/negative parts of column k. The two
+    monomials are formed in reference n-coordinates and summed at the
+    base that dominates the other (sign-coherence of c-vectors makes one
+    do), and z is their sum divided exactly by X_k, pointed at its base:
+    the base is z's degree, never measured.
     """
     s = ts.seed
     if k not in s.unfrozen:
         raise ValueError(f"vertex {k} is not unfrozen")
     ck = s.col(k)
     col = tuple(s.B[i][ck] for i in range(s.n))
-    aplus = pos_part(col)
-    aminus = pos_part(tuple(-x for x in col))
     fk = unit_vec(s.n, k)
-    num = _image_monomial(ts, aminus).vshift(s.lam(aminus, fk)) + _image_monomial(
-        ts, aplus
-    ).vshift(s.lam(aplus, fk))
-    z = exact_divide(num, ts.vars[k], ts.ref.Lambda)
-    g = pointed.degree(ts.ref, z)
-    z = pointed.normalize_at(z, g)
+    aminus, aplus = pos_part(tuple(-x for x in col)), pos_part(col)
+    num = pointed.add(ts.ref, _image_monomial(ts, aminus).vshift(s.lam(aminus, fk)),
+                      _image_monomial(ts, aplus).vshift(s.lam(aplus, fk)))
+    z = pointed.divide(ts.ref, num, ts.vars[k]).normalized()
     return TrackedSeed(
         seed=mutate_seed(s, k),
         vars=ts.vars[:k] + (z,) + ts.vars[k + 1:],
-        degs=ts.degs[:k] + (g,) + ts.degs[k + 1:],
         ref=ts.ref,
         path=ts.path + (k,),
     )
@@ -152,17 +140,10 @@ def apply_word(ts: TrackedSeed, word) -> TrackedSeed:
 
 
 def cluster_monomial(ts: TrackedSeed, m) -> QTElem:
-    """Normalized localized cluster monomial X^m of the tracked seed.
-
-    Unfrozen exponents must be nonnegative; frozen exponents may be any
-    integers. Degree normalization makes the result independent of the
-    multiplication order of the quasi-commuting factors. Degrees add over
-    the factors, so the degree is sum m_i degs_i and is not measured
-    again.
-    """
-    if any(m[i] < 0 for i in ts.seed.unfrozen):
-        raise ValueError("unfrozen exponents must be nonnegative")
-    return pointed.normalize_at(_image_monomial(ts, m), vec_mat(m, ts.degs))
+    """Normalized localized cluster monomial X^m of the tracked seed,
+    expanded in the reference torus; its degree is its n-form's base,
+    sum m_i degs_i, and nothing is measured."""
+    return _image_monomial(ts, m).expand(ts.ref)
 
 
 def degree_key(ts: TrackedSeed):
@@ -199,10 +180,9 @@ class ExchangeGraph:
     (key, vertex, key) mutation triples. truncated is set when the
     node cap or a seed that is not 2-finite stopped the search; witness
     is (path, i, j, b_ij b_ji) for such a seed, else None. Cross-torus
-    expansions are cached, one per re-tracked (home, torus) pair, with
-    each variable the source of the torus's stored one-factor cluster
-    monomial; every cluster monomial made in a torus is kept there, by
-    identity, in n-coordinates.
+    re-trackings are cached, one per (home, torus) pair, each variable
+    the torus's stored one-factor cluster monomial; every cluster
+    monomial made in a torus is kept there, by identity.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -278,7 +258,8 @@ class ExchangeGraph:
         return tuple((self.nodes[self._by_path[path]].seed, k) for path, k in steps)
 
     def vars_in(self, home_key, torus_key):
-        """Expansions of home's variables in the torus of another node.
+        """home's variables in the torus of another node, in n-coordinates
+        there (NForm.expand gives the torus elements).
 
         Every re-tracking happens here. Walk the path tree from home
         toward the torus's node, to the first node already re-tracked
@@ -314,29 +295,25 @@ class ExchangeGraph:
         return self._cross[(home_key, torus_key)].vars
 
     def _intern(self, ts: TrackedSeed, torus_key, ref_degs) -> TrackedSeed:
-        """ts with each variable replaced by the torus element of the
-        torus's stored one-factor cluster monomial (reference degree d,
-        exponent 1; ref_degs in ts's order). The first variable seen at d
-        is converted to n-coordinates below its degree in the torus
-        (pointed.to_nform, one projection per term, the variable kept as
-        the n-form's source) and stored, once it is checked pointed there
-        (no negative n, coefficient 1 at n = 0); a later one is compared
-        with the stored source. Either failure raises RuntimeError: a
-        broken expansion, or two routes that disagree."""
+        """ts with each variable replaced by the torus's stored one-factor
+        cluster monomial (reference degree d, exponent 1; ref_degs in ts's
+        order). The first variable seen at d is stored once it is checked
+        pointed at its base (no negative n, coefficient 1 at n = 0); a
+        later one must equal the stored one. Either failure raises
+        RuntimeError: a broken expansion, or two routes that disagree."""
         xs = []
-        for d, g, x in zip(ref_degs, ts.degs, ts.vars):
+        for d, x in zip(ref_degs, ts.vars):
             key = (torus_key, ((d, 1),))
             entry = self._monomials.get(key)
             if entry is None:
-                entry = pointed.to_nform(ts.ref, x, g)
-                if not entry.is_pointed():
+                if not x.is_pointed():
                     raise RuntimeError(f"path {ts.path}: variable at reference degree {d} is "
-                                       f"not pointed at {g} in torus {torus_key}")
-                self._monomials[key] = entry
-            elif entry.source is not x and entry.source != x:
+                                       f"not pointed at {x.g} in torus {torus_key}")
+                entry = self._monomials[key] = x
+            elif entry is not x and entry != x:
                 raise RuntimeError(f"path {ts.path}: variable at reference degree {d} "
                                    f"disagrees with its entry in torus {torus_key}")
-            xs.append(entry.source)
+            xs.append(entry)
         return replace(ts, vars=tuple(xs))
 
     def tracked_in(self, home_key, torus_key) -> TrackedSeed:
@@ -375,20 +352,19 @@ class ExchangeGraph:
             way.append((identity, j))
             e[j] -= 1
         for identity, j in reversed(way):
-            x = self._monomials[(torus_key, ((degs[j], 1),))]
-            z = self._monomials[(torus_key, identity)] = pointed.mul(ts.ref, z, x,
+            z = self._monomials[(torus_key, identity)] = pointed.mul(ts.ref, z, ts.vars[j],
                                                                      normalize=True)
         return z
 
     def distinct_variables(self):
-        """Distinct unfrozen cluster variables over all nodes, as expansions."""
+        """Distinct unfrozen cluster variables over all nodes, as expansions
+        in the reference torus, keyed by degree."""
         seen = {}
         for key in self.order:
             ts = self.nodes[key]
-            for i, z in enumerate(ts.vars):
-                if i in ts.seed.unfrozen:
-                    seen[ts.degs[i]] = z
-        return seen
+            for i in ts.seed.unfrozen:
+                seen[ts.vars[i].g] = ts.vars[i]
+        return {g: z.expand(self.reference) for g, z in seen.items()}
 
     def undirected_edges(self):
         """One edge per node pair; the two endpoints may label the exchanged

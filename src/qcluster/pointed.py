@@ -17,16 +17,15 @@ strictly larger at a degree than at any exponent it dominates.
 
 The degree of a torus element is the unique dominance-maximal exponent
 of its support, when there is one: the unique maximizer of w that also
-dominates every other support exponent. An element is pointed when the
-leading coefficient is 1; normalization divides by a unit leading
-coefficient. Support reads both ends of a torus element off one
-projection of its support.
+dominates every other support exponent, found by one scan of the ranks.
+An element is pointed when the leading coefficient is 1; normalization
+divides by a unit leading coefficient.
 
 A pointed element is X^g F(Y), the separation formula of
 Fomin-Zelevinsky (Cluster algebras IV, arXiv:math/0602259; quantum
 F-polynomials: Tran, arXiv:0904.3291): its exponents are g + B n with
 n >= 0. An NForm keeps an element as (g, {n: coefficient}), n indexed
-by the unfrozen vertices, and nothing it does projects. By
+by the unfrozen vertices, and its arithmetic never projects. By
 B^T Lambda = (D 0), the pairing of B n with any exponent m is
 
     lambda(B n, m) = sum_k d_k n_k m[U_k],
@@ -36,11 +35,13 @@ n-coordinates: the product of (g1, n1) and (g2, n2) is at (g1 + g2,
 n1 + n2) with v-exponent lambda(g1, g2) + sum_k d_k (n1_k g2[U_k] -
 n2_k g1[U_k]) + n1^T D B_U n2, B_U the unfrozen rows of B. The n = 0
 coefficient of a product of pointed elements is exactly
-v^lambda(g1, g2), so normalizing is one v-shift. An NForm's degree is g
-when no n is negative and n = 0 is a term, and its codegree is
-g + B n_max when the componentwise-largest n_max is a term. Converting
-a torus element (to_nform) projects each exponent once; expand reads
-g + B n back.
+v^lambda(g1, g2), so normalizing is one v-shift. Exact division
+(divide) inverts mul term by term from the lexicographically least n,
+and a sum (add) is based at the base that dominates the other, one
+projection of the two. An NForm's degree is g when no n is negative and
+n = 0 is a term, and its codegree is g + B n_max when the
+componentwise-largest n_max is a term. expand reads g + B n back;
+to_nform converts a torus element, one projection per exponent.
 
 decompose() peels an NForm against a degree-keyed set of pointed
 NForms, greedily eliminating a maximal support degree per step. Its
@@ -55,10 +56,9 @@ Normalization and decomposition are implemented on the degree side
 only. Negating B and Lambda (seed.opposite_seed) reverses the dominance
 order, so codegrees are degrees in the opposite seed, and normalizing at
 the codegree or decomposing against codegree-keyed copointed elements is
-normalize_deg or decompose there, with the window's two ends traded.
-The opposite seed's projection is the seed's with p_num negated, so a
-Support reads both ends in the seed itself, and an NForm in the opposite
-seed is the same element read from its codegree (NForm.opposite).
+normalize_deg or decompose there, with the window's two ends traded. An
+NForm in the opposite seed is the same element read from its codegree
+(NForm.opposite).
 """
 from __future__ import annotations
 
@@ -69,7 +69,8 @@ from math import lcm
 from operator import sub
 
 from . import _linalg
-from .qtorus import QTElem, VCoeff, _add_product, vec_add, vec_sub
+from .qtorus import NotDivisible, QTElem, VCoeff, _add_product, vec_add, vec_sub
+from .seed import opposite_seed
 
 
 class NonUnitLeading(ArithmeticError):
@@ -149,56 +150,22 @@ def dominance_leq(seed, gp, g):
 
 
 def degree(seed, z):
-    """Unique dominance-maximal support exponent, or None if not unique."""
-    return Support(seed, z).top()
+    """Unique dominance-maximal support exponent, or None if not unique:
+    an exponent of least rank sum(p_num m) = -(w . m), when it dominates
+    every other one (a dominated exponent has a larger rank, so a tie
+    leaves none). One projection per exponent."""
+    if not z:
+        raise ValueError("zero element has no degree")
+    dom = _dominance_data(seed)
+    proj = {m: dom.project(m) for m in z.terms}
+    g = min(proj, key=lambda m: sum(proj[m][0]))
+    return g if all(dom.n_between(p, proj[g]) is not None for p in proj.values()) else None
 
 
 def codegree(seed, z):
-    """Unique dominance-minimal support exponent, or None if not unique."""
-    return Support(seed, z).bottom()
-
-
-class Support:
-    """A nonzero element's support in one seed's dominance coordinates:
-    each exponent projected once, with its rank sum(p_num m) = -(w . m).
-    Both ends are read off it.
-
-    The codegree is the degree in the opposite seed, whose projection is
-    this one with p_num negated (the same kernel): the unique exponent of
-    largest rank when every other support exponent dominates it.
-    """
-
-    def __init__(self, seed, z):
-        if not z:
-            raise ValueError("zero element has no degree")
-        self._dom = _dominance_data(seed)
-        self._proj = {m: self._dom.project(m) for m in z.terms}
-        self._ranks = {m: sum(p[0]) for m, p in self._proj.items()}
-
-    def top(self):
-        """The degree, or None."""
-        return self._end(top=True)
-
-    def bottom(self):
-        """The codegree, or None."""
-        return self._end(top=False)
-
-    def _end(self, top):
-        """The unique exponent of least rank when it dominates every other
-        one (top), or of largest rank when every other one dominates it;
-        None when there is no such exponent."""
-        best = (min if top else max)(self._ranks.values())
-        cands = [m for m, r in self._ranks.items() if r == best]
-        if len(cands) > 1:
-            return None
-        g = cands[0]
-        pg = self._proj[g]
-        between = self._dom.n_between
-        if top:
-            ns = (between(p, pg) for m, p in self._proj.items() if m != g)
-        else:
-            ns = (between(pg, p) for m, p in self._proj.items() if m != g)
-        return None if any(n is None for n in ns) else g
+    """Unique dominance-minimal support exponent, or None if not unique:
+    the degree in the opposite seed, whose dominance order is reversed."""
+    return degree(opposite_seed(seed), z)
 
 
 @dataclass(frozen=True)
@@ -208,10 +175,8 @@ class Bidegree:
 
 
 def bidegree(seed, z):
-    """Bidegree (degree, codegree) or None when either end is ambiguous,
-    from one projection of the support."""
-    support = Support(seed, z)
-    d, c = support.top(), support.bottom()
+    """Bidegree (degree, codegree) or None when either end is ambiguous."""
+    d, c = degree(seed, z), codegree(seed, z)
     if d is None or c is None:
         return None
     return Bidegree(d, c)
@@ -253,17 +218,13 @@ class NForm:
     """The torus element sum_n c_n X^(g + B n) of one seed, kept as its
     base exponent g and {n: VCoeff}, each n indexed by the seed's unfrozen
     vertices (the separation formula X^g F(Y)). Immutable, like QTElem;
-    zero coefficients are never stored, so equality is structural.
-    source is the torus element to_nform converted, kept so that it is
-    shared rather than expanded again; None otherwise. It takes no part
-    in equality."""
+    zero coefficients are never stored, so equality is structural."""
 
-    __slots__ = ("g", "terms", "source")
+    __slots__ = ("g", "terms")
 
-    def __init__(self, g, terms, source=None):
+    def __init__(self, g, terms):
         self.g = g
         self.terms = terms
-        self.source = source
 
     @classmethod
     def monomial(cls, m, rank):
@@ -295,6 +256,15 @@ class NForm:
         c = self.terms.get(zero)
         return c is not None and c.is_one() and all(min(n, default=0) >= 0 for n in self.terms)
 
+    def normalized(self):
+        """Divided by the coefficient at n = 0, which must be a unit
+        (NonUnitLeading otherwise)."""
+        c = self.terms.get((0,) * len(next(iter(self.terms), ())))
+        if c is None or not c.is_unit():
+            raise NonUnitLeading(f"coefficient {c} at n = 0 is not a unit")
+        inv = c.unit_inverse()
+        return NForm(self.g, {n: x * inv for n, x in self.terms.items()})
+
     def co_n(self):
         """The componentwise-largest n when it is a term (the codegree's),
         else None."""
@@ -304,10 +274,7 @@ class NForm:
         return top if top in self.terms else None
 
     def expand(self, seed):
-        """The torus element: exponent g + B n per term (source, when
-        there is one)."""
-        if self.source is not None:
-            return self.source
+        """The torus element: exponent g + B n per term."""
         return QTElem(len(self.g), {vec_add(self.g, _linalg.mat_vec(seed.B, n)): c
                                     for n, c in self.terms.items()})
 
@@ -331,14 +298,9 @@ def _unit_terms(rank):
 
 def to_nform(seed, z, g):
     """The torus element z in n-coordinates below g, each exponent
-    projected once (a monomial at g is at n = 0 and projects nothing), z
-    kept as its source. Raises ValueError when an exponent is not g + B n
-    for an integer n."""
+    projected once. Raises ValueError when an exponent is not g + B n for
+    an integer n."""
     g = tuple(g)
-    if len(z.terms) == 1 and g in z.terms:
-        c = z.terms[g]
-        rank = len(seed.unfrozen)
-        return NForm(g, _unit_terms(rank) if c.is_one() else {(0,) * rank: c}, z)
     dom = _dominance_data(seed)
     pg = dom.project(g)
     terms = {}
@@ -347,7 +309,7 @@ def to_nform(seed, z, g):
         if n is None:
             raise ValueError(f"exponent {m} is not {g} + B n for an integer n")
         terms[n] = c
-    return NForm(g, terms, z)
+    return NForm(g, terms)
 
 
 def mul(seed, a, b, normalize=False):
@@ -389,6 +351,66 @@ def mul(seed, a, b, normalize=False):
             _add_product(t.setdefault(vec_add(n1, n2), {}), c1, c2,
                          s1 + s2 + _linalg.dot(p1, p2), sign)
     return NForm(vec_add(a.g, b.g), {n: VCoeff(c) for n, c in t.items() if c})
+
+
+def add(seed, a, b):
+    """a + b for two NForms of the seed, based at whichever base dominates
+    the other: one projection of the two bases. Raises RuntimeError when
+    neither does."""
+    dom = _dominance_data(seed)
+    n = dom.offset(dom.project(b.g), dom.project(a.g))
+    if n is not None and min(n, default=0) < 0:
+        a, b, n = b, a, tuple(-x for x in n)
+    if n is None or min(n, default=0) < 0:
+        raise RuntimeError(f"neither of the bases {a.g} and {b.g} dominates the other")
+    terms = dict(a.terms)
+    for m, c in b.terms.items():
+        m = vec_add(m, n)
+        terms[m] = terms[m] + c if m in terms else c
+    return NForm(a.g, {m: c for m, c in terms.items() if c})
+
+
+def divide(seed, num, d):
+    """The NForm q with mul(seed, q, d) == num, for a pointed d, based at
+    num.g - d.g.
+
+    d's least n is 0, with coefficient 1, so the remainder's
+    lexicographically least n is a quotient term's, with its coefficient
+    one v-shift of the remainder's there. Each step places that term and
+    subtracts its product with d in place, as mul forms it. The
+    quotient's n lie in the box forced by the per-coordinate extremes of
+    the two supports; a term outside it raises NotDivisible.
+    """
+    if not d.is_pointed():
+        raise NonUnitLeading("the divisor is not pointed")
+    g = vec_sub(num.g, d.g)
+    cols, dcols = tuple(zip(*num.terms)), tuple(zip(*d.terms))
+    lo = tuple(min(x) - min(y) for x, y in zip(cols, dcols))
+    hi = tuple(max(x) - max(y) for x, y in zip(cols, dcols))
+    if any(a > b for a, b in zip(lo, hi)):
+        raise NotDivisible("incompatible support boxes")
+    units = tuple(zip(seed.unfrozen, seed.D))
+    d_q = tuple(k * g[u] for u, k in units)
+    d_d = tuple(k * d.g[u] for u, k in units)
+    db = tuple(tuple(k * x for x in seed.B[u]) for u, k in units)
+    right = [(n2, c2, -_linalg.dot(d_q, n2), _linalg.mat_vec(db, n2))
+             for n2, c2 in d.terms.items()]
+    shift = seed.lam(g, d.g)
+    q = {}
+    r = {n: dict(c._c) for n, c in num.terms.items()}
+    while r:
+        nq = min(r)
+        if any(not (a <= x <= b) for x, a, b in zip(nq, lo, hi)):
+            raise NotDivisible(f"quotient term {nq} escapes the support box")
+        s1 = shift + _linalg.dot(d_d, nq)
+        cq = q[nq] = VCoeff({e - s1: x for e, x in r[nq].items()})
+        for n2, c2, s2, p2 in right:
+            m = vec_add(nq, n2)
+            rm = r.setdefault(m, {})
+            _add_product(rm, cq, c2, s1 + s2 + _linalg.dot(nq, p2), -1)
+            if not rm:
+                del r[m]
+    return NForm(g, q)
 
 
 @dataclass

@@ -164,7 +164,7 @@ def i_vars(graph: ExchangeGraph, sd: ShiftData):
         raise ValueError("i_vars needs a +1 shift")
     s = graph.nodes[sd.base].seed
     cross = graph.vars_in(sd.target, sd.base)
-    return [cross[sd.sigma[k]] for k in s.unfrozen]
+    return [cross[sd.sigma[k]].expand(s) for k in s.unfrozen]
 
 
 def p_vars(graph: ExchangeGraph, sd: ShiftData):
@@ -176,7 +176,7 @@ def p_vars(graph: ExchangeGraph, sd: ShiftData):
     if sd.direction != -1:
         raise ValueError("p_vars needs a -1 shift")
     s = graph.nodes[sd.base].seed
-    cross = graph.vars_in(sd.target, sd.base)
+    cross = [x.expand(s) for x in graph.vars_in(sd.target, sd.base)]
     by_k = {}
     for j in s.unfrozen:
         eta = pointed.codegree(s, cross[j])

@@ -46,7 +46,14 @@ reasons. The n-form decomposition of torus elements reuses the
 library's conversion to n-coordinates, to run the library's
 decomposition on the inputs of the exponent-space references.
 Recomposition reuses the library's arithmetic: what it checks is that
-an exact decomposition sums back to its input.
+an exact decomposition sums back to its input. The torus-element
+mutation is the tracked mutation the library ran before it moved to
+n-coordinates: an ordered twisted product of the variables with its v
+overshoot peeled off by hand, exact division in the torus, and a degree
+scan to normalize at. It reuses the library's torus arithmetic and
+degree scan: what it checks is that mutating in n-coordinates, where the
+degree is the quotient's base and nothing is measured, gives the same
+variables.
 """
 from __future__ import annotations
 
@@ -57,7 +64,8 @@ import sympy as sp
 
 from qcluster import _linalg, pointed
 from qcluster.expansion import apply_word, cluster_monomial, initial_tracked
-from qcluster.qtorus import NotDivisible, QTElem, lam_pair, pos_part, twisted_mul, vec_sub
+from qcluster.qtorus import (
+    NotDivisible, QTElem, exact_divide, lam_pair, pos_part, twisted_mul, unit_vec, vec_sub)
 from qcluster.seed import NoCompatibleLambda, mutate_seed, opposite_seed
 from qcluster.tropical import FrozenFactorNotFrozen, p_vars
 
@@ -284,16 +292,16 @@ def fresh_degrees(graph):
 
     Returns {(home, None): degrees of home's variables in the reference
     torus, (home, torus): degrees of home's variables re-tracked into the
-    torus}, each by one degree() scan per expansion.
+    torus}, each by one degree() scan of the variable's torus element.
     """
     out = {}
     for home in graph.order:
-        out[(home, None)] = tuple(
-            pointed.degree(graph.reference, z) for z in graph.nodes[home].vars)
+        out[(home, None)] = tuple(pointed.degree(graph.reference, z.expand(graph.reference))
+                                  for z in graph.nodes[home].vars)
         for torus in graph.order:
             seed = graph.nodes[torus].seed
             out[(home, torus)] = tuple(
-                pointed.degree(seed, z) for z in graph.vars_in(home, torus))
+                pointed.degree(seed, z.expand(seed)) for z in graph.vars_in(home, torus))
     return out
 
 
@@ -660,3 +668,54 @@ def n_form_decompose(seed, z, basis, window, tie_break=None):
         return None
     box = pointed.dominance_n(seed, window.codeg, window.deg)
     return pointed.decompose(seed, zn, NFormBasis(seed, basis), box, tie_break)
+
+
+def qtelem_image_monomial(seed, xs, ref, a):
+    """The seed's monomial X^a in ref's torus, its variables xs torus
+    elements there: the ordered twisted product, which overshoots X^a by
+    v to the sum of lam(a_i f_i, a_j f_j) over i < j in the seed's form."""
+    w = sum(a[i] * a[j] * seed.Lambda[i][j] for i in range(seed.n) for j in range(i + 1, seed.n))
+    acc = QTElem.one(seed.n).vshift(-w)
+    for i in range(seed.n):
+        if a[i] < 0:
+            acc = twisted_mul(acc, QTElem.monomial(tuple(a[i] * x for x in unit_vec(seed.n, i))),
+                              ref.Lambda)
+        for _ in range(max(a[i], 0)):
+            acc = twisted_mul(acc, xs[i], ref.Lambda)
+    return acc
+
+
+def qtelem_mutate(seed, xs, ref, k):
+    """(mutated seed, variables) after mutating at k, the variables torus
+    elements of ref's torus: the exchange relation's two monomials summed
+    in the torus, divided exactly by X_k and normalized at a degree scan."""
+    ck = seed.col(k)
+    col = tuple(seed.B[i][ck] for i in range(seed.n))
+    fk = unit_vec(seed.n, k)
+    num = QTElem.zero(seed.n)
+    for a in (pos_part(tuple(-x for x in col)), pos_part(col)):
+        num = num + qtelem_image_monomial(seed, xs, ref, a).vshift(seed.lam(a, fk))
+    z = exact_divide(num, xs[k], ref.Lambda)
+    z = pointed.normalize_at(z, pointed.degree(ref, z))
+    return mutate_seed(seed, k), xs[:k] + (z,) + xs[k + 1:]
+
+
+def qtelem_vars_in(graph, torus_key):
+    """{home: (seed, variables)} for every node re-tracked into the torus
+    by qtelem_mutate, each from its path-tree neighbour toward the torus's
+    node, whose variables are the unit monomials."""
+    torus = graph.nodes[torus_key]
+    ref, up = torus.seed, torus.path
+    memo = {up: (ref, tuple(QTElem.monomial(unit_vec(ref.n, i)) for i in range(ref.n)))}
+
+    def at(path):
+        if path not in memo:
+            if up[:len(path)] == path:  # an ancestor of the torus's node
+                seed, xs = at(up[:len(path) + 1])
+                memo[path] = qtelem_mutate(seed, xs, ref, up[len(path)])
+            else:
+                seed, xs = at(path[:-1])
+                memo[path] = qtelem_mutate(seed, xs, ref, path[-1])
+        return memo[path]
+
+    return {key: at(graph.nodes[key].path) for key in graph.order}

@@ -115,15 +115,16 @@ def test_criterion_3_structural_suites(a2_graph, b2_graph, a3_graph, pa2_graph):
                 assert opposite_seed(mutate_seed(s, k)) == mutate_seed(
                     opposite_seed(s), k
                 )
-            for z in ts.vars:
+            xs = tuple(x.expand(ref) for x in ts.vars)
+            for z in xs:
                 bid = bidegree(ref, z)
                 assert bid is not None
                 assert z.terms[bid.deg].is_one() and z.terms[bid.codeg].is_one()
                 assert z.bar() == z
             for i in range(s.n):
                 for j in range(i + 1, s.n):
-                    lhs = twisted_mul(ts.vars[i], ts.vars[j], lam0)
-                    rhs = twisted_mul(ts.vars[j], ts.vars[i], lam0).vshift(
+                    lhs = twisted_mul(xs[i], xs[j], lam0)
+                    rhs = twisted_mul(xs[j], xs[i], lam0).vshift(
                         2 * s.Lambda[i][j]
                     )
                     assert lhs == rhs

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import A2_B, A3_B, B2_B, B3_B, a2_gold, elem
+from conftest import A2_B, A3_B, B2_B, B3_B, LADDER, a2_gold, elem
 from qcluster import (
     apply_word,
     build_exchange_graph,
@@ -17,34 +17,86 @@ from qcluster import (
     mutate_tracked,
     principal_framing,
 )
-from qcluster import expansion, pointed
+from qcluster import expansion, pointed, qtorus
 from qcluster.expansion import degree_key
 from qcluster.leclerc import _exponent_box
 from qcluster.pointed import bidegree, degree
 from qcluster.qtorus import QTElem, lam_pair, twisted_mul, unit_vec
 
 
+def expanded(ts):
+    """A tracked seed's variables as torus elements of its reference."""
+    return tuple(x.expand(ts.ref) for x in ts.vars)
+
+
+# C5 with the doubled arrow at the last vertex: non-unit D (2, 2, 2, 2, 1)
+C5_B = ((0, -1, 0, 0, 0), (1, 0, -1, 0, 0), (0, 1, 0, -1, 0), (0, 0, 1, 0, -1),
+        (0, 0, 0, 2, 0))
+GRAPH_SEEDS = {name: make for name, (make, _, _) in LADDER.items()}
+GRAPH_SEEDS["c5p"] = lambda: principal_framing(C5_B)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_SEEDS))
+def test_every_variable_matches_the_torus_element_mutation(name):
+    # every node's variables, in the reference torus as the build made
+    # them and re-tracked into the last node's torus, against the mutation
+    # in torus elements with a degree scan; the degrees recorded are the
+    # scanned ones
+    graph = build_exchange_graph(GRAPH_SEEDS[name]())
+    assert not graph.truncated
+    for torus in (graph.order[0], graph.order[-1]):
+        torus_seed = graph.nodes[torus].seed
+        want = oracles.qtelem_vars_in(graph, torus)
+        for home in graph.order:
+            seed, xs = want[home]
+            ts = graph.tracked_in(home, torus)
+            assert ts.seed == seed == graph.nodes[home].seed
+            assert tuple(x.expand(torus_seed) for x in ts.vars) == xs, (home, torus)
+            assert ts.degs == tuple(pointed.degree(torus_seed, x) for x in xs)
+        if torus == graph.order[0]:
+            assert all(graph.tracked_in(home, torus) is graph.nodes[home]
+                       for home in graph.order)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_the_build_and_retracking_make_no_torus_element(name, monkeypatch):
+    # variables are made, compared and re-tracked in n-coordinates: no
+    # torus element is made, and neither torus kernel, degree scan nor
+    # conversion runs, in whatever qcluster namespace holds it
+    kernels = {qtorus.exact_divide, qtorus.twisted_mul, pointed.degree, pointed.to_nform}
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "qcluster"]:
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in kernels):
+                monkeypatch.setattr(module, attr, lambda *a, _n=attr, **k: pytest.fail(_n))
+    monkeypatch.setattr(QTElem, "__init__", lambda *a, **k: pytest.fail("torus element made"))
+    graph = build_exchange_graph(GRAPH_SEEDS[name]())
+    for home in graph.order:
+        for torus in graph.order:
+            graph.vars_in(home, torus)
+    assert len(graph._cross) == len(graph.order) ** 2
+
+
 def test_initial_tracked(a2_seed, pa2_seed):
     ts = initial_tracked(a2_seed)
-    assert ts.vars == (QTElem.monomial((1, 0)), QTElem.monomial((0, 1)))
+    assert expanded(ts) == (QTElem.monomial((1, 0)), QTElem.monomial((0, 1)))
     assert ts.path == ()
     tp = initial_tracked(pa2_seed)
-    assert all(tp.vars[i] == QTElem.monomial(unit_vec(4, i)) for i in range(4))
+    assert expanded(tp) == tuple(QTElem.monomial(unit_vec(4, i)) for i in range(4))
 
 
 def test_first_mutations_hit_gold(a2_seed):
     ts = initial_tracked(a2_seed)
-    assert mutate_tracked(ts, 0).vars[0] == a2_gold("I1")
-    assert mutate_tracked(ts, 1).vars[1] == a2_gold("P2")
+    assert expanded(mutate_tracked(ts, 0))[0] == a2_gold("I1")
+    assert expanded(mutate_tracked(ts, 1))[1] == a2_gold("P2")
 
 
 def test_shift_words(a2_seed):
     ts = initial_tracked(a2_seed)
     up = apply_word(ts, (1, 0, 1))
-    assert up.vars == (a2_gold("P1"), a2_gold("I1"))  # (I2, I1)
+    assert expanded(up) == (a2_gold("P1"), a2_gold("I1"))  # (I2, I1)
     assert up.seed.B == ((0, 1), (-1, 0))
     down = apply_word(ts, (0, 1, 0))
-    assert down.vars == (a2_gold("P2"), a2_gold("P1"))
+    assert expanded(down) == (a2_gold("P2"), a2_gold("P1"))
     assert down.seed.B == ((0, 1), (-1, 0))
 
 
@@ -65,7 +117,7 @@ def test_new_variables_bipointed_and_bar_invariant(a2_seed, b2_seed):
         for _ in range(6):
             k = rng.choice(ts.seed.unfrozen)
             ts = mutate_tracked(ts, k)
-            z = ts.vars[k]
+            z = expanded(ts)[k]
             bid = bidegree(s, z)
             assert bid is not None
             assert z.terms[bid.deg].is_one() and z.terms[bid.codeg].is_one()
@@ -98,7 +150,7 @@ def test_principal_a2_graph(pa2_graph):
     for key in pa2_graph.order:
         ts = pa2_graph.nodes[key]
         for i in ts.seed.frozen:
-            assert ts.vars[i] == QTElem.monomial(unit_vec(4, i))
+            assert expanded(ts)[i] == QTElem.monomial(unit_vec(4, i))
 
 
 @pytest.mark.parametrize(
@@ -149,10 +201,11 @@ def test_quasi_commutation_at_every_node(a2_graph, b2_graph):
         lam0 = graph.reference.Lambda
         for key in graph.order:
             ts = graph.nodes[key]
+            xs = expanded(ts)
             for i in range(ts.seed.n):
                 for j in range(ts.seed.n):
-                    lhs = twisted_mul(ts.vars[i], ts.vars[j], lam0)
-                    rhs = twisted_mul(ts.vars[j], ts.vars[i], lam0).vshift(
+                    lhs = twisted_mul(xs[i], xs[j], lam0)
+                    rhs = twisted_mul(xs[j], xs[i], lam0).vshift(
                         2 * ts.seed.Lambda[i][j]
                     )
                     assert lhs == rhs, (key, i, j)
@@ -174,7 +227,8 @@ def test_cluster_monomial_normalizes_at_the_recorded_degree(pa2_graph, monkeypat
     for key in pa2_graph.order:
         ts = pa2_graph.nodes[key]
         for m in product(range(2), range(2), range(-1, 2), range(-1, 2)):
-            want = pointed.normalize_deg(ts.ref, expansion._image_monomial(ts, m))
+            want = pointed.normalize_deg(
+                ts.ref, oracles.qtelem_image_monomial(ts.seed, expanded(ts), ts.ref, m))
             cases.append((ts, m, want))
     monkeypatch.setattr(pointed, "degree", lambda *a: pytest.fail("degree scanned"))
     for ts, m, want in cases:
@@ -204,10 +258,10 @@ def test_opposite_graph_word_identity(a2_seed):
     from qcluster import opposite_seed
 
     ts = apply_word(initial_tracked(opposite_seed(a2_seed)), (1, 0, 1))
-    assert ts.vars == (a2_gold("P1"), a2_gold("I1"))  # (I2, I1)
+    assert expanded(ts) == (a2_gold("P1"), a2_gold("I1"))  # (I2, I1)
     assert ts.seed.B == a2_seed.B
     ts2 = apply_word(initial_tracked(opposite_seed(a2_seed)), (0, 1, 0))
-    assert ts2.vars == (a2_gold("P2"), a2_gold("P1"))
+    assert expanded(ts2) == (a2_gold("P2"), a2_gold("P1"))
     assert ts2.seed.B == a2_seed.B
 
 
@@ -251,7 +305,7 @@ def test_weyl_constant_consistency(a2_seed):
     prod = QTElem.one(2)
     for i, e in enumerate(m):
         for _ in range(e):
-            prod = twisted_mul(prod, ts.vars[i], a2_seed.Lambda)
+            prod = twisted_mul(prod, expanded(ts)[i], a2_seed.Lambda)
     w = m[0] * m[1] * a2_seed.Lambda[0][1]
     assert prod == QTElem.monomial(m).vshift(w)
     assert lam_pair(a2_seed.Lambda, (1, 0), (0, 1)) == -1
@@ -345,22 +399,20 @@ def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
 ], ids=["frozen", "A3p"])
 def test_every_retracked_variable_is_its_one_factor_monomial(make, monkeypatch):
     # every (home, torus) pair, frozen variables too: monomial_in stops at
-    # the stored variable itself, whose torus element is the re-tracked
-    # one, and takes no product
+    # the stored variable itself, which is the re-tracked one, and takes
+    # no product
     graph = build_exchange_graph(make())
     n = graph.reference.n
     pairs = [(home, torus) for torus in graph.order for home in graph.order]
     for home, torus in pairs:
         graph.vars_in(home, torus)
-    monkeypatch.setattr(expansion, "twisted_mul", lambda *a: pytest.fail("product taken"))
     monkeypatch.setattr(pointed, "mul", lambda *a, **k: pytest.fail("product taken"))
     for home, torus in pairs:
         xs = graph.vars_in(home, torus)
-        seed = graph.nodes[torus].seed
         for j in range(n):
             z = graph.monomial_in(home, unit_vec(n, j), torus)
             assert z is graph._monomials[(torus, ((graph.nodes[home].degs[j], 1),))]
-            assert z.source is xs[j] and z.expand(seed) is xs[j], (home, torus, j)
+            assert z is xs[j], (home, torus, j)
 
 
 @pytest.mark.parametrize("make", [

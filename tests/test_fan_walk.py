@@ -15,7 +15,8 @@ from qcluster.leclerc import (
     check_degree_triangular,
     verify_theorem,
 )
-from qcluster.qtorus import QTElem, unit_vec
+from qcluster.pointed import NForm
+from qcluster.qtorus import VCoeff, unit_vec
 
 def _swept_basis(name):
     """The rung's basis after its full sweep, and a codegree-side
@@ -98,7 +99,7 @@ def test_a_node_missing_a_wall_fails_the_certificate(co):
 
 
 def _copy(x):
-    return QTElem(x.dim, dict(x.terms))
+    return NForm(x.g, dict(x.terms))
 
 
 def _skew(x):
@@ -133,9 +134,8 @@ def test_retracked_factors_match_their_table_entry(factor, plant, error, monkeyp
     # the last node, a leaf of the path tree, re-tracked into a
     # non-reference torus after every other node, with one of its
     # variables replaced at the mutation that lands on its seed. An equal
-    # copy gives way to the torus element of the torus's stored
-    # one-factor monomial; a variable off by a power of v is an internal
-    # error
+    # copy gives way to the torus's stored one-factor monomial; a variable
+    # off by a power of v is an internal error
     graph = build_exchange_graph(principal_framing(A3_B))
     torus, home = graph.order[1], graph.order[-1]
     for key in graph.order[:-1]:
@@ -149,7 +149,7 @@ def test_retracked_factors_match_their_table_entry(factor, plant, error, monkeyp
         with pytest.raises(RuntimeError, match="disagrees with its entry in torus"):
             graph.vars_in(home, torus)
     else:
-        assert graph.vars_in(home, torus)[j] is entry.source
+        assert graph.vars_in(home, torus)[j] is entry
     assert planted == [graph.nodes[home].path[-1]]
 
 
@@ -208,10 +208,10 @@ def test_a_variable_not_pointed_at_its_degree_exits_3(a3p_file, tamper, monkeypa
     def tampering(ts, j):
         out = real(ts, j)
         if out.path == (k,):
-            x, g = out.vars[k], out.degs[k]
+            x = out.vars[k]
             if tamper == "negative-n":
-                above = tuple(gi - row[seed.col(k)] for gi, row in zip(g, seed.B))
-                x = x + QTElem.monomial(above)
+                above = tuple(-int(u == k) for u in seed.unfrozen)
+                x = NForm(x.g, {**x.terms, above: VCoeff.one()})
             else:
                 x = x.vshift(1)
             out = dataclasses.replace(out, vars=out.vars[:k] + (x,) + out.vars[k + 1:])

@@ -99,6 +99,7 @@ def test_integer_inverse_maps_a3(a3_graph):
         for home in a3_graph.order:
             for torus in a3_graph.order:
                 torus_seed = a3_graph.nodes[torus].seed
-                cols = [extremal(torus_seed, z) for z in a3_graph.vars_in(home, torus)]
+                cols = [extremal(torus_seed, z.expand(torus_seed))
+                        for z in a3_graph.vars_in(home, torus)]
                 inv = basis._inverse_map(home, torus, co)
                 assert _linalg.mat_mul(inv, _linalg.transpose(cols)) == _linalg.identity(n)

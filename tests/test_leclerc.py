@@ -298,12 +298,12 @@ def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
 
 
 def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
-    # a full A3-principal cap1 sweep, from the graph build on: products,
-    # lookups and decompositions stay in n-coordinates. An exponent is
-    # projected only where a variable is made (mutate_tracked measures its
-    # degree) or converted to n-coordinates (_intern), and by verify_pair's
-    # own checks on exponents: s - h and the two dominance chains
-    owners = ("_intern", "mutate_tracked", "verify_pair", "decompose", "mul",
+    # a full A3-principal cap1 sweep, from the graph build on: mutations,
+    # products, lookups and decompositions stay in n-coordinates. An
+    # exponent is projected only where a variable is made, the two bases of
+    # its exchange sum (add), and by verify_pair's own checks on exponents:
+    # s - h and the two dominance chains
+    owners = ("add", "divide", "_intern", "mutate_tracked", "verify_pair", "decompose", "mul",
               "monomial_in", "_resolve", "_walk", "_certify", "_enumerate")
     seen = Counter()
     real = pointed._Projection.project
@@ -316,10 +316,14 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
         return real(self, m)
 
     monkeypatch.setattr(pointed._Projection, "project", spy)
+    sums = []
+    real_add = pointed.add
+    monkeypatch.setattr(pointed, "add", lambda *a: sums.append(a) or real_add(*a))
     graph = build_exchange_graph(principal_framing(A3_B))
     report = verify_theorem(CandidateBasis(graph, unfrozen_cap=1))
     assert report.ok and len(report.verdicts) == 540
-    assert set(seen) == {"_intern", "mutate_tracked", "verify_pair"}
+    assert set(seen) == {"add", "verify_pair"}
+    assert seen["add"] == 2 * len(sums) > 0
 
 
 def test_verify_theorem_a2(a2_graph):

@@ -26,7 +26,7 @@ from qcluster.pointed import (
     normalize_deg,
     to_nform,
 )
-from qcluster.qtorus import QTElem, VCoeff, twisted_mul, vec_add
+from qcluster.qtorus import NotDivisible, QTElem, VCoeff, exact_divide, twisted_mul, vec_add
 
 
 def rand_vec(rng, n, lo=-4, hi=4):
@@ -422,26 +422,23 @@ def test_each_indeterminate_reason_matches_the_subtracting_residual(
 
 @settings(max_examples=200, deadline=None)
 @given(seeded_elements())
-def test_one_projection_matches_each_end_measured_apart(case):
-    # the codegree off the seed's own projection against the degree in the
-    # opposite seed, and both ends against the pairwise scans
+def test_each_end_matches_the_pairwise_scans(case):
+    # the degree's one rank scan, and the codegree as the degree in the
+    # opposite seed, against the pairwise scans
     seed, z = case
-    support = pointed.Support(seed, z)
-    d, c = support.top(), support.bottom()
+    d, c = degree(seed, z), codegree(seed, z)
     highs = oracles.maximal_support(seed, list(z.terms))
-    assert d == degree(seed, z) == (highs[0] if len(highs) == 1 else None)
-    assert c == codegree(seed, z) == degree(opposite_seed(seed), z)
+    assert d == (highs[0] if len(highs) == 1 else None)
     assert c == oracles.direct_codegree(seed, z)
     assert bidegree(seed, z) == (None if d is None or c is None else Bidegree(d, c))
 
 
-def test_one_projection_with_one_end_ambiguous(a2_seed):
+def test_each_end_ambiguous_alone(a2_seed):
     # two incomparable exponents above (0, 0), then below it
     below = elem(2, {(0, -1): 1, (1, 0): 1, (0, 0): 1})
     above = elem(2, {(0, 1): 1, (-1, 0): 1, (0, 0): 1})
     for z, want in ((below, (None, (0, 0))), (above, ((0, 0), None))):
-        support = pointed.Support(a2_seed, z)
-        assert (support.top(), support.bottom()) == want
+        assert (degree(a2_seed, z), codegree(a2_seed, z)) == want
         assert want == (degree(a2_seed, z), degree(opposite_seed(a2_seed), z))
         assert bidegree(a2_seed, z) is None
 
@@ -469,21 +466,22 @@ _NFORM_SEEDS = (
 
 
 @st.composite
-def nform_products(draw, pointed_only):
+def nform_products(draw, pointed_only, pointed_right=False):
     """(seed, a, b): two small NForms of one seed. With pointed_only, no n
-    is negative and the coefficient at n = 0 is a unit."""
+    is negative and the coefficient at n = 0 is a unit; with
+    pointed_right, so for b alone."""
     seed = draw(st.one_of(st.sampled_from(_NFORM_SEEDS), principal_framings()))
     k = len(seed.unfrozen)
-    low = 0 if pointed_only else -1
 
-    def draw_nform():
+    def draw_nform(unit_at_zero):
+        low = 0 if unit_at_zero else -1
         terms = draw(st.dictionaries(st.tuples(*[st.integers(low, 2)] * k), _COEFF,
                                      min_size=1, max_size=4))
-        if pointed_only:
+        if unit_at_zero:
             terms[(0,) * k] = draw(_COEFF.filter(VCoeff.is_unit))
         return NForm(draw(_exponents(seed)), terms)
 
-    return seed, draw_nform(), draw_nform()
+    return seed, draw_nform(pointed_only), draw_nform(pointed_only or pointed_right)
 
 
 @settings(max_examples=200, deadline=None)
@@ -512,6 +510,59 @@ def test_normalized_n_form_product_is_one_v_shift(case):
     assert got.terms[zero].is_one() and got.is_pointed()
     assert pointed.mul(seed, a, b).terms[zero] == (
         a.terms[zero] * b.terms[zero]).shift(seed.lam(a.g, b.g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nform_products(pointed_only=False, pointed_right=True))
+def test_n_form_division_undoes_the_product(case):
+    # q * d divided by a pointed d is q again, and the torus's exact
+    # division of the expansions agrees; normalizing divides by q's n = 0
+    # coefficient, which must be a unit
+    seed, q, d = case
+    inv = d.terms[(0,) * len(seed.unfrozen)].unit_inverse()
+    d = NForm(d.g, {n: c * inv for n, c in d.terms.items()})
+    num = pointed.mul(seed, q, d)
+    got = pointed.divide(seed, num, d)
+    assert got == q
+    assert got.expand(seed) == exact_divide(num.expand(seed), d.expand(seed), seed.Lambda)
+    c = q.terms.get((0,) * len(seed.unfrozen))
+    if c is None or not c.is_unit():
+        with pytest.raises(NonUnitLeading):
+            got.normalized()
+    else:
+        (e, sign), = c._c.items()
+        want = NForm(q.g, {n: x.shift(-e) * sign for n, x in q.terms.items()})
+        assert got.normalized() == want
+
+
+def test_n_form_division_refuses_a_non_multiple(a2_seed):
+    # I1 = X^(-1,0) (1 + Y_1) divides I1^2 but not a monomial, nor I1^2
+    # with a stray term inside the support box; a divisor that is not
+    # pointed is refused
+    i1 = to_nform(a2_seed, a2_gold("I1"), (-1, 0))
+    square = pointed.mul(a2_seed, i1, i1)
+    assert pointed.divide(a2_seed, square, i1) == i1
+    with pytest.raises(NotDivisible, match="incompatible support boxes"):
+        pointed.divide(a2_seed, NForm.monomial((0, 0), 2), i1)
+    stray = pointed.add(a2_seed, square, NForm((-2, 0), {(1, 1): VCoeff.one()}))
+    with pytest.raises(NotDivisible, match="escapes the support box"):
+        pointed.divide(a2_seed, stray, i1)
+    for bad in ({(0, 0): VCoeff({1: 1})}, {(0, 0): VCoeff.one(), (-1, 0): VCoeff.one()}):
+        with pytest.raises(NonUnitLeading, match="divisor is not pointed"):
+            pointed.divide(a2_seed, square, NForm((-1, 0), bad))
+
+
+def test_n_form_sum_is_based_at_the_dominating_base(a2_seed, pa2_seed):
+    # X^(1,-1) + X^(0,-1) is P2, based at (1, -1) in either order; the
+    # bases (0, 0) and (1, 1) = (0, 0) + B (1, -1) are incomparable, and a
+    # base off the coset is not comparable at all
+    x, y = NForm.monomial((1, -1), 2), NForm.monomial((0, -1), 2)
+    p2 = to_nform(a2_seed, a2_gold("P2"), (1, -1))
+    assert pointed.add(a2_seed, x, y) == pointed.add(a2_seed, y, x) == p2
+    with pytest.raises(RuntimeError, match="neither of the bases"):
+        pointed.add(a2_seed, NForm.monomial((0, 0), 2), NForm.monomial((1, 1), 2))
+    with pytest.raises(RuntimeError, match="neither of the bases"):
+        pointed.add(pa2_seed, NForm.monomial((0, 0, 0, 0), 2), NForm.monomial((1, 1, 0, 0), 2))
 
 
 def test_n_form_ends(a2_seed, pa2_seed):
