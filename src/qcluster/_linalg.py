@@ -22,7 +22,7 @@ def transpose(mat):
 
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def dot(a, b):
@@ -30,12 +30,12 @@ def dot(a, b):
 
 
 def mat_vec(mat, vec):
-    return tuple(dot(row, vec) for row in mat)
+    return tuple(sum(map(mul, row, vec)) for row in mat)
 
 
 def vec_mat(vec, mat):
     """The row vector vec^T mat."""
-    return tuple(dot(vec, col) for col in zip(*mat))
+    return tuple(sum(map(mul, vec, col)) for col in zip(*mat))
 
 
 def identity(n):

@@ -158,18 +158,17 @@ def _assert_same_node(stored: TrackedSeed, other: TrackedSeed):
     perm, with other's position i playing stored's position perm[i]."""
     perm = tuple(stored.degs.index(g) for g in other.degs)
     a, b = stored.seed, other.seed
-    for i in range(b.n):
-        for j in range(b.n):
-            if b.Lambda[i][j] != a.Lambda[perm[i]][perm[j]]:
-                raise RuntimeError(
-                    f"path {other.path}: Lambda mismatch at ({i},{j}) under {perm}"
-                )
-    for i in range(b.n):
-        for k in b.unfrozen:
-            if b.b(i, k) != a.b(perm[i], perm[k]):
-                raise RuntimeError(
-                    f"path {other.path}: B mismatch at ({i},{k}) under {perm}"
-                )
+    for i, row in enumerate(b.Lambda):
+        arow = a.Lambda[perm[i]]
+        if row != tuple(map(arow.__getitem__, perm)):
+            j = next(j for j, x in enumerate(row) if x != arow[perm[j]])
+            raise RuntimeError(f"path {other.path}: Lambda mismatch at ({i},{j}) under {perm}")
+    cols = tuple(a.col(perm[k]) for k in b.unfrozen)
+    for i, row in enumerate(b.B):
+        arow = a.B[perm[i]]
+        if row != tuple(map(arow.__getitem__, cols)):
+            k = next(k for k, x, c in zip(b.unfrozen, row, cols) if x != arow[c])
+            raise RuntimeError(f"path {other.path}: B mismatch at ({i},{k}) under {perm}")
 
 
 class ExchangeGraph:
@@ -236,9 +235,9 @@ class ExchangeGraph:
         """False, with truncated set and witness recorded, when ts's seed
         has an unfrozen pair with b_ij b_ji < -3."""
         s = ts.seed
-        self.witness = next(((ts.path, i, j, s.b(i, j) * s.b(j, i))
-                             for i in s.unfrozen for j in s.unfrozen
-                             if i < j and s.b(i, j) * s.b(j, i) < -3), None)
+        self.witness = next(((ts.path, i, j, s.B[i][cj] * s.B[j][ci])
+                             for ci, i in enumerate(s.unfrozen) for cj, j in enumerate(s.unfrozen)
+                             if i < j and s.B[i][cj] * s.B[j][ci] < -3), None)
         if self.witness is not None:
             self.truncated = True
         return self.witness is None

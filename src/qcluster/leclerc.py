@@ -453,14 +453,19 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
             checks["h_coefficient"] = c.shift(s) == VCoeff.v_power(h)
         else:
             mids.append((g, c.shift(s)))
+    # top and bottom are projected once per pair, each other end once
+    dom = pointed._dominance_data(t_seed)
+    p_top = dom.project(top)
     checks["deg_dominance"] = all(
-        g == top or (pointed.dominance_leq(t_seed, g, top) and g != top)
+        g == top or dom.n_between(dom.project(g), p_top) is not None
         for g, _ in decomp.terms
     )
     if head is not None:
+        p_bottom = dom.project(bottom)
         checks["codeg_dominance"] = all(
             g == head
-            or (pointed.dominance_leq(t_seed, bottom, codeg_of[g]) and codeg_of[g] != bottom)
+            or (codeg_of[g] != bottom
+                and dom.n_between(p_bottom, dom.project(codeg_of[g])) is not None)
             for g, _ in decomp.terms
         )
     checks["coeff_window"] = all(c.in_window(h + 1, s - 1) for _, c in mids)

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from operator import sub
+from operator import add as _plus, le, mul as _times, neg, sub
 
 from . import _linalg
 from .qtorus import NotDivisible, QTElem, VCoeff, _add_product, vec_add, vec_sub
@@ -136,6 +136,15 @@ def _dominance_data(seed) -> _Projection:
     else:
         kernel = _linalg.identity(seed.n)
     return _Projection(p_num, p_den, kernel)
+
+
+@lru_cache(maxsize=None)
+def _pairing_data(seed):
+    """The seed's (unfrozen vertex, d) pairs and the rows of D B_U, all
+    that pairs n-coordinates: lambda(B n, m) = sum_k d_k n_k m[U_k] and
+    lambda(B n1, B n2) = n1^T D B_U n2."""
+    units = tuple(zip(seed.unfrozen, seed.D))
+    return units, tuple(tuple(d * x for x in seed.B[u]) for u, d in units)
 
 
 def dominance_n(seed, gp, g):
@@ -319,12 +328,13 @@ def mul(seed, a, b, normalize=False):
     s1 + s2 + p1 . p2: s1 = lambda(a.g, b.g) + sum_k d_k n1_k b.g[U_k],
     s2 = -sum_k d_k n2_k a.g[U_k], and p1 . p2 = n1^T D B_U n2, formed
     as n1^T D B_U once per term of a when a has at most as many terms as
-    b, else as D B_U n2 once per term of b. With normalize, the product
-    is divided by its n = 0 coefficient, a's times b's times
+    b, else as D B_U n2 once per term of b. When either factor has one
+    term (a monomial X^m, for one), the product is one shifted copy of
+    each term of the other, at one dot product per term. With normalize,
+    the product is divided by its n = 0 coefficient, a's times b's times
     v^lambda(a.g, b.g), which must be a unit: the lambda term is dropped
     and the rest folded into the same pass.
     """
-    shift, sign = seed.lam(a.g, b.g), 1
     if normalize:
         zero = (0,) * len(seed.unfrozen)
         ca, cb = a.terms.get(zero), b.terms.get(zero)
@@ -333,24 +343,69 @@ def mul(seed, a, b, normalize=False):
         (ea, sa), = ca._c.items()
         (eb, sb), = cb._c.items()
         shift, sign = -ea - eb, sa * sb
-    units = tuple(zip(seed.unfrozen, seed.D))
+    else:
+        shift, sign = seed.lam(a.g, b.g), 1
+    units, db = _pairing_data(seed)
     d_a = tuple(d * a.g[u] for u, d in units)
     d_b = tuple(d * b.g[u] for u, d in units)
-    db = tuple(tuple(d * x for x in seed.B[u]) for u, d in units)
-    left = [(n1, c1, shift + _linalg.dot(d_b, n1)) for n1, c1 in a.terms.items()]
-    right = [(n2, c2, -_linalg.dot(d_a, n2)) for n2, c2 in b.terms.items()]
+    g = tuple(map(_plus, a.g, b.g))
+    lone = _lone_term(a.terms)
+    if lone is not None:
+        return NForm(g, _shifted_copies(lone, b.terms, shift, tuple(map(neg, d_a)), sign))
+    lone = _lone_term(b.terms)
+    if lone is not None:
+        return NForm(g, _shifted_copies(lone, a.terms, shift, d_b, sign))
+    left = [(n1, [(e1, sign * x1) for e1, x1 in c1._c.items()],
+             shift + sum(map(_times, d_b, n1))) for n1, c1 in a.terms.items()]
+    right = [(n2, c2._c, -sum(map(_times, d_a, n2))) for n2, c2 in b.terms.items()]
     if len(left) <= len(right):
-        left = [(n1, c1, s1, _linalg.vec_mat(n1, db)) for n1, c1, s1 in left]
+        left = [(n1, c1, s1, tuple(sum(map(_times, n1, col)) for col in zip(*db)))
+                for n1, c1, s1 in left]
         right = [(n2, c2, s2, n2) for n2, c2, s2 in right]
     else:
         left = [(n1, c1, s1, n1) for n1, c1, s1 in left]
-        right = [(n2, c2, s2, _linalg.mat_vec(db, n2)) for n2, c2, s2 in right]
+        right = [(n2, c2, s2, tuple(sum(map(_times, row, n2)) for row in db))
+                 for n2, c2, s2 in right]
     t = {}
     for n1, c1, s1, p1 in left:
         for n2, c2, s2, p2 in right:
-            _add_product(t.setdefault(vec_add(n1, n2), {}), c1, c2,
-                         s1 + s2 + _linalg.dot(p1, p2), sign)
-    return NForm(vec_add(a.g, b.g), {n: VCoeff(c) for n, c in t.items() if c})
+            key = tuple(map(_plus, n1, n2))
+            acc = t.get(key)
+            if acc is None:
+                acc = t[key] = {}
+            e = s1 + s2 + sum(map(_times, p1, p2))
+            for e1, x1 in c1:
+                for e2, x2 in c2.items():
+                    k = e1 + e2 + e
+                    x = acc.get(k, 0) + x1 * x2
+                    if x:
+                        acc[k] = x
+                    else:
+                        del acc[k]
+    return NForm(g, {n: VCoeff._of(c) for n, c in t.items() if c})
+
+
+def _lone_term(terms):
+    """(e, x) when terms is the one term x v^e at n = 0, else None."""
+    if len(terms) == 1:
+        (n, c), = terms.items()
+        if len(c._c) == 1 and not any(n):
+            (t,) = c._c.items()
+            return t
+    return None
+
+
+def _shifted_copies(lone, other, s, w, sign):
+    """The terms of a product with the one-term factor x0 v^e0 at n = 0
+    (lone = (e0, x0)): each term (n, c) of the other factor keeps its n,
+    with coefficient sign x0 v^(e0 + s + w . n) c."""
+    e0, x0 = lone
+    x0 *= sign
+    out = {}
+    for n, c in other.items():
+        e = e0 + s + sum(map(_times, w, n))
+        out[n] = VCoeff._of({k + e: x0 * x for k, x in c._c.items()})
+    return out
 
 
 def add(seed, a, b):
@@ -376,8 +431,9 @@ def divide(seed, num, d):
 
     d's least n is 0, with coefficient 1, so the remainder's
     lexicographically least n is a quotient term's, with its coefficient
-    one v-shift of the remainder's there. Each step places that term and
-    subtracts its product with d in place, as mul forms it. The
+    one v-shift of the remainder's, and d's n = 0 term cancels the
+    remainder there exactly. Each step places that term and subtracts
+    its product with d's other terms in place, as mul forms it. The
     quotient's n lie in the box forced by the per-coordinate extremes of
     the two supports; a term outside it raises NotDivisible.
     """
@@ -389,25 +445,35 @@ def divide(seed, num, d):
     hi = tuple(max(x) - max(y) for x, y in zip(cols, dcols))
     if any(a > b for a, b in zip(lo, hi)):
         raise NotDivisible("incompatible support boxes")
-    units = tuple(zip(seed.unfrozen, seed.D))
+    units, db = _pairing_data(seed)
     d_q = tuple(k * g[u] for u, k in units)
     d_d = tuple(k * d.g[u] for u, k in units)
-    db = tuple(tuple(k * x for x in seed.B[u]) for u, k in units)
-    right = [(n2, c2, -_linalg.dot(d_q, n2), _linalg.mat_vec(db, n2))
-             for n2, c2 in d.terms.items()]
+    right = [(n2, c2._c, -sum(map(_times, d_q, n2)), tuple(sum(map(_times, row, n2)) for row in db))
+             for n2, c2 in d.terms.items() if any(n2)]
     shift = seed.lam(g, d.g)
     q = {}
     r = {n: dict(c._c) for n, c in num.terms.items()}
     while r:
         nq = min(r)
-        if any(not (a <= x <= b) for x, a, b in zip(nq, lo, hi)):
+        rq = r.pop(nq)
+        if not (all(map(le, lo, nq)) and all(map(le, nq, hi))):
             raise NotDivisible(f"quotient term {nq} escapes the support box")
-        s1 = shift + _linalg.dot(d_d, nq)
-        cq = q[nq] = VCoeff({e - s1: x for e, x in r[nq].items()})
+        s1 = shift + sum(map(_times, d_d, nq))
+        q[nq] = VCoeff._of({e - s1: x for e, x in rq.items()})
         for n2, c2, s2, p2 in right:
-            m = vec_add(nq, n2)
-            rm = r.setdefault(m, {})
-            _add_product(rm, cq, c2, s1 + s2 + _linalg.dot(nq, p2), -1)
+            m = tuple(map(_plus, nq, n2))
+            rm = r.get(m)
+            if rm is None:
+                rm = r[m] = {}
+            e = s2 + sum(map(_times, nq, p2))
+            for e1, x1 in rq.items():
+                for e2, x2 in c2.items():
+                    k = e1 + e2 + e
+                    x = rm.get(k, 0) - x1 * x2
+                    if x:
+                        rm[k] = x
+                    else:
+                        del rm[k]
             if not rm:
                 del r[m]
     return NForm(g, q)

@@ -14,7 +14,7 @@ coefficients are pruned at every step: equality is structural.
 """
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, mul, sub
 
 from . import _linalg
 
@@ -30,6 +30,14 @@ class VCoeff:
 
     def __init__(self, coeffs=None):
         self._c = {e: a for e, a in (coeffs or {}).items() if a != 0}
+
+    @classmethod
+    def _of(cls, c):
+        """The VCoeff on the dict c itself, which must hold no zero (for
+        kernels that build their coefficients zero-free)."""
+        z = object.__new__(cls)
+        z._c = c
+        return z
 
     @classmethod
     def zero(cls):
@@ -63,7 +71,7 @@ class VCoeff:
         return VCoeff(c)
 
     def __neg__(self):
-        return VCoeff({e: -a for e, a in self._c.items()})
+        return VCoeff._of({e: -a for e, a in self._c.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -81,11 +89,11 @@ class VCoeff:
 
     def bar(self):
         """The involution v -> 1/v."""
-        return VCoeff({-e: a for e, a in self._c.items()})
+        return VCoeff._of({-e: a for e, a in self._c.items()})
 
     def shift(self, e):
         """Multiply by v**e."""
-        return VCoeff({k + e: a for k, a in self._c.items()})
+        return VCoeff._of({k + e: a for k, a in self._c.items()})
 
     def is_one(self):
         return self._c == {0: 1}
@@ -183,8 +191,9 @@ def pos_part(a):
 
 
 def lam_pair(lam, m, mp):
-    """Evaluate the skew form: m^T lam m'."""
-    return _linalg.dot(m, _linalg.mat_vec(lam, mp))
+    """Evaluate the skew form: m^T lam m', one row of lam per nonzero
+    entry of m."""
+    return sum(x * sum(map(mul, lam[i], mp)) for i, x in enumerate(m) if x)
 
 
 class QTElem:

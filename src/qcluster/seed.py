@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm
+from operator import add, mul, neg
 
 from . import _linalg
 from .qtorus import lam_pair, unit_vec
@@ -47,18 +48,14 @@ class QuantumSeed:
 
     def __post_init__(self):
         nuf = len(self.unfrozen)
-        if sorted(set(self.unfrozen)) != sorted(self.unfrozen) or any(
-            not 0 <= k < self.n for k in self.unfrozen
-        ):
+        if len(set(self.unfrozen)) != nuf or any(not 0 <= k < self.n for k in self.unfrozen):
             raise ValueError("unfrozen must be distinct vertex indices")
         if len(self.B) != self.n or any(len(row) != nuf for row in self.B):
             raise ValueError("B must be n x |unfrozen|")
         if len(self.Lambda) != self.n or any(len(row) != self.n for row in self.Lambda):
             raise ValueError("Lambda must be n x n")
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.Lambda[i][j] != -self.Lambda[j][i]:
-                    raise ValueError("Lambda must be skew-symmetric")
+        if any(any(map(add, row, col)) for row, col in zip(self.Lambda, zip(*self.Lambda))):
+            raise ValueError("Lambda must be skew-symmetric")
         if len(self.D) != nuf or any(d <= 0 for d in self.D):
             raise ValueError("D must be a positive diagonal over the unfrozen vertices")
 
@@ -84,71 +81,83 @@ class QuantumSeed:
 def check_compatible(seed):
     """Verify B^T Lambda = (D 0) against the stored D.
 
-    Returns (ok, diagnostic); the diagnostic names the first bad entry.
-    A passing pair also has B of full column rank: the unfrozen columns
-    of B^T Lambda form the invertible diagonal D > 0, so no separate rank
-    test is needed.
+    Returns (ok, diagnostic); the diagnostic names the first bad entry
+    in row-major order. Row r of B^T Lambda is formed as the combination
+    of Lambda's nonzero rows over the nonzero entries of B's column r,
+    and compared in full. A passing pair also has B of full column rank:
+    the unfrozen columns of B^T Lambda form the invertible diagonal
+    D > 0, so no separate rank test is needed.
     """
-    bt_lam = _linalg.mat_mul(_linalg.transpose(seed.B), seed.Lambda)
-    for r, k in enumerate(seed.unfrozen):
-        for j in range(seed.n):
-            want = seed.D[r] if j == k else 0
-            got = bt_lam[r][j]
-            if got != want:
-                return False, (
-                    f"(B^T Lambda)[{r}][{j}] = {got}, expected {want}"
-                )
+    n = seed.n
+    live = [(row, lam_row) for row, lam_row in zip(seed.B, seed.Lambda) if any(lam_row)]
+    for r, (k, d) in enumerate(zip(seed.unfrozen, seed.D)):
+        got = (0,) * n
+        for row, lam_row in live:
+            if row[r]:
+                got = tuple(map(add, got, map(mul, lam_row, repeat(row[r], n))))
+        want = (0,) * k + (d,) + (0,) * (n - k - 1)
+        if got != want:
+            j = next(j for j in range(n) if got[j] != want[j])
+            return False, f"(B^T Lambda)[{r}][{j}] = {got[j]}, expected {want[j]}"
     return True, ""
 
 
-def _conjugated_lambda(seed, k, eps):
-    """E^T Lambda E for the elementary matrix E of the mutation at k with
-    sign choice eps.
+def _conjugated_lambda(seed, k, eps, lam_t):
+    """Row k and column k of E^T Lambda E, for the elementary matrix E of
+    the mutation at k with sign choice eps; the rest of it is Lambda's.
 
     E is the identity except in column k, which is e: -1 at k and
-    max(0, -eps * b_ik) elsewhere. So E^T Lambda E is Lambda except in
-    row k, which is e^T Lambda, and column k, which is Lambda e; they
-    meet in e^T Lambda e. No symmetry of Lambda is assumed.
+    max(0, -eps * b_ik) elsewhere. So E^T Lambda E differs from Lambda
+    only in row k, which is e^T Lambda, and column k, which is Lambda e:
+    combinations of the rows of Lambda and of its transpose lam_t over
+    the nonzero entries of e. They meet in e^T Lambda e. No symmetry of
+    Lambda is assumed.
     """
-    ck = seed.col(k)
-    e = tuple(-1 if i == k else max(0, -eps * seed.B[i][ck]) for i in range(seed.n))
-    col = _linalg.mat_vec(seed.Lambda, e)
-    rows = [list(row) for row in seed.Lambda]
-    for row, x in zip(rows, col):
-        row[k] = x
-    rows[k] = list(_linalg.vec_mat(e, seed.Lambda))
-    rows[k][k] = _linalg.dot(e, col)
-    return tuple(tuple(row) for row in rows)
+    ck, n = seed.col(k), seed.n
+    e = [(k, -1)] + [(i, -eps * row[ck]) for i, row in enumerate(seed.B) if eps * row[ck] < 0]
+    row = col = (0,) * n
+    for i, x in e:
+        row = tuple(map(add, row, map(mul, seed.Lambda[i], repeat(x, n))))
+        col = tuple(map(add, col, map(mul, lam_t[i], repeat(x, n))))
+    corner = sum(x * col[i] for i, x in e)
+    return row[:k] + (corner,) + row[k + 1:], col[:k] + (corner,) + col[k + 1:]
 
 
 def mutate_seed(seed, k):
     """Seed mutation at an unfrozen vertex k; an involution.
 
-    B mutates by the standard matrix rule. Lambda is conjugated by the
-    elementary matrix of the mutation, of which only row and column k
-    differ from Lambda and are formed (O(n^2) per sign convention).
-    Both sign conventions are computed and must agree, and
-    compatibility with the unchanged D is re-checked, so convention
-    drift shows up as a hard error.
+    B mutates by the standard matrix rule, which changes only row k and
+    the rows with b_ik != 0. Lambda is conjugated by the elementary
+    matrix of the mutation, of which only row and column k differ from
+    Lambda and are formed. Both sign conventions are computed and must
+    agree, and compatibility with the unchanged D is re-checked, so
+    convention drift shows up as a hard error.
     """
     if k not in seed.unfrozen:
         raise ValueError(f"vertex {k} is not unfrozen")
     ck = seed.col(k)
+    bk = seed.B[k]
+    plus = tuple(x if x > 0 else 0 for x in bk)
+    minus = tuple(-x if x < 0 else 0 for x in bk)
     newb = []
-    for i in range(seed.n):
-        row = []
-        for cj, j in enumerate(seed.unfrozen):
-            if i == k or j == k:
-                row.append(-seed.B[i][cj])
-            else:
-                bik = seed.B[i][ck]
-                bkj = seed.B[k][cj]
-                row.append(seed.B[i][cj] + max(bik, 0) * bkj + bik * max(-bkj, 0))
-        newb.append(tuple(row))
-    lams = [_conjugated_lambda(seed, k, eps) for eps in (1, -1)]
-    if lams[0] != lams[1]:
+    for i, row in enumerate(seed.B):
+        bik = row[ck]
+        if i == k:
+            row = tuple(map(neg, row))
+        elif bik:
+            # b_ij + max(b_ik, 0) b_kj + b_ik max(-b_kj, 0), and -b_ik at k
+            row = [x + bik * y for x, y in zip(row, plus if bik > 0 else minus)]
+            row[ck] = -bik
+            row = tuple(row)
+        newb.append(row)
+    lam_t = tuple(zip(*seed.Lambda))
+    conventions = [_conjugated_lambda(seed, k, eps, lam_t) for eps in (1, -1)]
+    if conventions[0] != conventions[1]:
         raise IncompatibleResult(f"Lambda mutation at {k}: sign conventions disagree")
-    out = QuantumSeed(seed.n, seed.unfrozen, tuple(newb), lams[0], seed.D)
+    row, col = conventions[0]
+    lam = [r[:k] + (x,) + r[k + 1:] for r, x in zip(seed.Lambda, col)]
+    lam[k] = row
+    out = QuantumSeed(seed.n, seed.unfrozen, tuple(newb), tuple(lam), seed.D)
     ok, diag = check_compatible(out)
     if not ok:
         raise IncompatibleResult(f"mutation at {k} broke compatibility: {diag}")

@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -289,6 +290,33 @@ def test_a_seed_that_is_not_2_finite_stops_the_build(b, nodes, witness):
     assert graph.truncated and graph.witness == witness
     assert len(graph.order) == nodes
     assert graph.nodes[graph.order[-1]].path == witness[0]
+
+
+def test_a_node_met_again_must_match_under_the_degree_permutation():
+    # a node's seed relabeled by a swap of two unfrozen vertices, as a
+    # second route would meet it, matches; one entry of Lambda or of B
+    # changed is named at its place in the relabeled seed
+    graph = build_exchange_graph(principal_framing(A3_B))
+    stored = graph.nodes[graph.order[5]]
+    a, perm = stored.seed, (1, 0, 2, 3, 4, 5)
+    lam = [[a.Lambda[p][q] for q in perm] for p in perm]
+    b = [[a.B[p][perm[k]] for k in a.unfrozen] for p in perm]
+    other = expansion.TrackedSeed(seed=replace(a, Lambda=_rows(lam), B=_rows(b)),
+                                  vars=tuple(stored.vars[p] for p in perm),
+                                  ref=stored.ref, path=(9,))
+    expansion._assert_same_node(stored, other)
+    lam[1][4] += 1
+    lam[4][1] -= 1
+    with pytest.raises(RuntimeError, match=r"path \(9,\): Lambda mismatch at \(1,4\) under "
+                                           r"\(1, 0, 2, 3, 4, 5\)"):
+        expansion._assert_same_node(stored, replace(other, seed=replace(other.seed, Lambda=_rows(lam))))
+    b[3][2] += 1
+    with pytest.raises(RuntimeError, match=r"B mismatch at \(3,2\)"):
+        expansion._assert_same_node(stored, replace(other, seed=replace(other.seed, B=_rows(b))))
+
+
+def _rows(mat):
+    return tuple(map(tuple, mat))
 
 
 def test_dot_output(a2_graph):

@@ -302,7 +302,8 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
     # products, lookups and decompositions stay in n-coordinates. An
     # exponent is projected only where a variable is made, the two bases of
     # its exchange sum (add), and by verify_pair's own checks on exponents:
-    # s - h and the two dominance chains
+    # the two ends of V's n, then for a two-tailed pair top and bottom once
+    # each and one end per other decomposition term in each dominance chain
     owners = ("add", "divide", "_intern", "mutate_tracked", "verify_pair", "decompose", "mul",
               "monomial_in", "_resolve", "_walk", "_certify", "_enumerate")
     seen = Counter()
@@ -324,6 +325,8 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
     assert report.ok and len(report.verdicts) == 540
     assert set(seen) == {"add", "verify_pair"}
     assert seen["add"] == 2 * len(sums) > 0
+    assert seen["verify_pair"] == sum(2 + (4 + 2 * len(v.middle) if v.case == "two_tail" else 0)
+                                      for v in report.verdicts)
 
 
 def test_verify_theorem_a2(a2_graph):

@@ -465,23 +465,44 @@ _NFORM_SEEDS = (
 )
 
 
+_MULTI_COEFF = st.dictionaries(st.integers(-2, 2), st.sampled_from((-2, -1, 1, 2)),
+                               min_size=2, max_size=3).map(VCoeff)
+
+# (side, at n = 0, unit coefficient) of an explicit one-term factor
+_ONE_TERM = list(itertools.product(("left", "right"), (True, False), (True, False)))
+
+
 @st.composite
-def nform_products(draw, pointed_only, pointed_right=False):
+def nform_products(draw, pointed_only, pointed_right=False, one_term=None):
     """(seed, a, b): two small NForms of one seed. With pointed_only, no n
     is negative and the coefficient at n = 0 is a unit; with
-    pointed_right, so for b alone."""
+    pointed_right, so for b alone. With one_term = (side, at_zero, unit)
+    the factor on that side ("left" or "right") is one term instead: at
+    n = 0 or at a nonzero n >= 0, with a unit coefficient or a
+    multi-term one, and the other factor's coefficients may be multi-term
+    too."""
     seed = draw(st.one_of(st.sampled_from(_NFORM_SEEDS), principal_framings()))
     k = len(seed.unfrozen)
+    coeffs = _COEFF if one_term is None else st.one_of(_COEFF, _MULTI_COEFF)
 
     def draw_nform(unit_at_zero):
         low = 0 if unit_at_zero else -1
-        terms = draw(st.dictionaries(st.tuples(*[st.integers(low, 2)] * k), _COEFF,
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(low, 2)] * k), coeffs,
                                      min_size=1, max_size=4))
         if unit_at_zero:
             terms[(0,) * k] = draw(_COEFF.filter(VCoeff.is_unit))
         return NForm(draw(_exponents(seed)), terms)
 
-    return seed, draw_nform(pointed_only), draw_nform(pointed_only or pointed_right)
+    def draw_one_term(at_zero, unit):
+        n = (0,) * k if at_zero else draw(st.tuples(*[st.integers(0, 2)] * k).filter(any))
+        c = draw(_COEFF.filter(VCoeff.is_unit) if unit else _MULTI_COEFF)
+        return NForm(draw(_exponents(seed)), {n: c})
+
+    side, at_zero, unit = one_term or (None, None, None)
+    a = draw_one_term(at_zero, unit) if side == "left" else draw_nform(pointed_only)
+    b = (draw_one_term(at_zero, unit) if side == "right"
+         else draw_nform(pointed_only or pointed_right))
+    return seed, a, b
 
 
 @settings(max_examples=200, deadline=None)
@@ -533,6 +554,35 @@ def test_n_form_division_undoes_the_product(case):
         (e, sign), = c._c.items()
         want = NForm(q.g, {n: x.shift(-e) * sign for n, x in q.terms.items()})
         assert got.normalized() == want
+
+
+@pytest.mark.parametrize("one_term", _ONE_TERM,
+                         ids=["-".join(map(str, x)) for x in _ONE_TERM])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_term_products_are_shifted_copies(one_term, data):
+    # a product with a one-term factor (on either side, at n = 0 or not,
+    # with a unit or a multi-term coefficient) is a shifted copy of the
+    # other factor: against the torus product, normalized when both n = 0
+    # coefficients are units, and divided back when the divisor is pointed
+    side, at_zero, unit = one_term
+    seed, a, b = data.draw(nform_products(pointed_only=True, one_term=one_term))
+    want = twisted_mul(a.expand(seed), b.expand(seed), seed.Lambda)
+    got = pointed.mul(seed, a, b)
+    assert got.g == vec_add(a.g, b.g) and got.expand(seed) == want
+    if at_zero and unit:
+        assert pointed.mul(seed, a, b, normalize=True).expand(seed) == normalize_at(want, got.g)
+    else:
+        with pytest.raises(NonUnitLeading):
+            pointed.mul(seed, a, b, normalize=True)
+    if side == "right" and not (at_zero and unit):
+        with pytest.raises(NonUnitLeading, match="divisor is not pointed"):
+            pointed.divide(seed, got, b)
+        return
+    d = b.normalized()
+    num = pointed.mul(seed, a, d)
+    assert pointed.divide(seed, num, d) == a
+    assert a.expand(seed) == exact_divide(num.expand(seed), d.expand(seed), seed.Lambda)
 
 
 def test_n_form_division_refuses_a_non_multiple(a2_seed):

@@ -72,6 +72,11 @@ def test_mutate_frozen_rejected(pa2_seed):
     (A2_B, ((0, 0), (0, 0)), "broke compatibility"),
     # B^T Lambda = (1 1 -2) is not (D 0), and the two conjugations differ
     (((0,), (1,), (1,)), ((0, -1, -1), (1, 0, -1), (1, 1, 0)), "sign conventions disagree"),
+    # the mutated pair is bad at (1, 1), (1, 2), (1, 3), (2, 0) and (2, 2):
+    # the first in row-major order is named, not (2, 0), the first by column
+    (((0, 1, 0), (-1, 0, -1), (0, 1, 0), (1, 0, 0)),
+     ((0, 1, 1, 0), (-1, 0, 1, 0), (-1, -1, 0, -1), (0, 0, 1, 0)),
+     r"broke compatibility: \(B\^T Lambda\)\[1\]\[1\] = 0, expected 1$"),
 ])
 def test_mutating_an_incompatible_seed_raises(b, lam, message):
     # built directly, bypassing make_seed's compatibility check
@@ -79,6 +84,12 @@ def test_mutating_an_incompatible_seed_raises(b, lam, message):
     assert not check_compatible(seed)[0]
     with pytest.raises(IncompatibleResult, match=message):
         mutate_seed(seed, 0)
+
+
+@pytest.mark.parametrize("lam", [((0, 1), (1, 0)), ((1, -1), (1, 0)), ((0, 2), (-1, 0))])
+def test_a_lambda_that_is_not_skew_is_refused(lam):
+    with pytest.raises(ValueError, match="Lambda must be skew-symmetric"):
+        QuantumSeed(2, (0, 1), A2_B, lam, (1, 1))
 
 
 def test_principal_mutation_keeps_rank_and_compat(pa2_seed):
