@@ -32,11 +32,9 @@ from .expansion import (
     mutate_tracked,
 )
 from .pointed import (
-    Bidegree,
     Decomposition,
     NForm,
     NonUnitLeading,
-    bidegree,
     codegree,
     decompose,
     degree,
@@ -44,8 +42,6 @@ from .pointed import (
     dominance_n,
     interval,
     is_m_unitriangular,
-    normalize_deg,
-    to_nform,
 )
 from .tropical import (
     FrozenFactorNotFrozen,

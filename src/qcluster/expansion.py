@@ -356,14 +356,9 @@ class ExchangeGraph:
         return z
 
     def distinct_variables(self):
-        """Distinct unfrozen cluster variables over all nodes, as expansions
-        in the reference torus, keyed by degree."""
-        seen = {}
-        for key in self.order:
-            ts = self.nodes[key]
-            for i in ts.seed.unfrozen:
-                seen[ts.vars[i].g] = ts.vars[i]
-        return {g: z.expand(self.reference) for g, z in seen.items()}
+        """Distinct unfrozen cluster variables over all nodes, in the
+        reference torus's n-coordinates, keyed by degree."""
+        return {ts.vars[i].g: ts.vars[i] for ts in self.nodes.values() for i in ts.seed.unfrozen}
 
     def undirected_edges(self):
         """One edge per node pair; the two endpoints may label the exchanged

@@ -18,8 +18,10 @@ strictly larger at a degree than at any exponent it dominates.
 The degree of a torus element is the unique dominance-maximal exponent
 of its support, when there is one: the unique maximizer of w that also
 dominates every other support exponent, found by one scan of the ranks.
-An element is pointed when the leading coefficient is 1; normalization
-divides by a unit leading coefficient.
+An element is pointed when the leading coefficient is 1. degree,
+codegree and interval take torus elements, and nothing in the package
+calls them: every element it builds is an NForm, which carries its
+degree. They stay because bench/tracer.py wraps them by name.
 
 A pointed element is X^g F(Y), the separation formula of
 Fomin-Zelevinsky (Cluster algebras IV, arXiv:math/0602259; quantum
@@ -40,8 +42,8 @@ v^lambda(g1, g2), so normalizing is one v-shift. Exact division
 and a sum (add) is based at the base that dominates the other, one
 projection of the two. An NForm's degree is g when no n is negative and
 n = 0 is a term, and its codegree is g + B n_max when the
-componentwise-largest n_max is a term. expand reads g + B n back;
-to_nform converts a torus element, one projection per exponent.
+componentwise-largest n_max is a term. expand reads g + B n back, the
+one way from an NForm to a torus element.
 
 decompose() peels an NForm against a degree-keyed set of pointed
 NForms, greedily eliminating a maximal support degree per step. Its
@@ -56,9 +58,8 @@ Normalization and decomposition are implemented on the degree side
 only. Negating B and Lambda (seed.opposite_seed) reverses the dominance
 order, so codegrees are degrees in the opposite seed, and normalizing at
 the codegree or decomposing against codegree-keyed copointed elements is
-normalize_deg or decompose there, with the window's two ends traded. An
-NForm in the opposite seed is the same element read from its codegree
-(NForm.opposite).
+NForm.normalized or decompose there, with the window's two ends traded,
+on the same element read from its codegree (NForm.opposite).
 """
 from __future__ import annotations
 
@@ -177,38 +178,6 @@ def codegree(seed, z):
     return degree(opposite_seed(seed), z)
 
 
-@dataclass(frozen=True)
-class Bidegree:
-    deg: tuple
-    codeg: tuple
-
-
-def bidegree(seed, z):
-    """Bidegree (degree, codegree) or None when either end is ambiguous."""
-    d, c = degree(seed, z), codegree(seed, z)
-    if d is None or c is None:
-        return None
-    return Bidegree(d, c)
-
-
-def normalize_deg(seed, z):
-    """Divide by the leading coefficient, which must be a unit +-v**a."""
-    return normalize_at(z, degree(seed, z))
-
-
-def normalize_at(z, g):
-    """Divide by the coefficient at an already measured (co)degree g,
-    which must be a unit +-v**a; z itself when it is already 1."""
-    if g is None:
-        raise NonUnitLeading("element has no degree to normalize at")
-    c = z.terms.get(g)
-    if c is None:
-        raise NonUnitLeading(f"element has no term at {g} to normalize at")
-    if not c.is_unit():
-        raise NonUnitLeading(f"leading coefficient {c} is not a unit")
-    return z.scale(c.unit_inverse())
-
-
 def interval(seed, lo, hi):
     """All g with lo <= g <= hi in dominance order, sorted lexicographically.
 
@@ -303,22 +272,6 @@ def _unit_terms(rank):
     """{n = 0: 1}: one dict shared by the NForms of unit-coefficient
     monomials, which never mutate their terms."""
     return {(0,) * rank: VCoeff.one()}
-
-
-def to_nform(seed, z, g):
-    """The torus element z in n-coordinates below g, each exponent
-    projected once. Raises ValueError when an exponent is not g + B n for
-    an integer n."""
-    g = tuple(g)
-    dom = _dominance_data(seed)
-    pg = dom.project(g)
-    terms = {}
-    for m, c in z.terms.items():
-        n = dom.offset(dom.project(m), pg)
-        if n is None:
-            raise ValueError(f"exponent {m} is not {g} + B n for an integer n")
-        terms[n] = c
-    return NForm(g, terms)
 
 
 def mul(seed, a, b, normalize=False):

@@ -275,8 +275,9 @@ def make_seed(btilde, lam=None, unfrozen=None, d=None):
     """Construct a checked QuantumSeed; the one place Lambda and D are derived.
 
     Without lam and d, both are synthesized by find_compatible_lambda.
-    With d alone, Lambda is solved for exactly that D (NoCompatibleLambda
-    if there is none). With lam alone, D is read off B^T Lambda.
+    With d alone, Lambda is solved for exactly that D, which must be
+    positive (NoCompatibleLambda if there is none). With lam alone, D is
+    read off B^T Lambda.
 
     Raises IncompatiblePair when the resulting pair fails
     check_compatible, and ValueError on malformed input.
@@ -291,6 +292,8 @@ def make_seed(btilde, lam=None, unfrozen=None, d=None):
         d = tuple(d)
         if len(d) != len(unfrozen):
             raise ValueError("D must have one entry per unfrozen vertex")
+        if min(d, default=1) <= 0:
+            raise ValueError("D must be a positive diagonal over the unfrozen vertices")
         lam = _lambda_solver(btilde, unfrozen)(d)
         if lam is None:
             raise NoCompatibleLambda(f"no compatible skew form for D = {list(d)}")

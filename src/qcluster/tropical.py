@@ -17,6 +17,14 @@ whose torus sees t's own variables that way. The resulting injective
 and projective elements index the distinguished pointed and copointed
 products; a copointed product is the pointed construction from the
 projectives, run in the opposite seed.
+
+All of it works in n-coordinates (pointed.NForm). The injectives and
+projectives are the shift node's variables as the exchange graph keeps
+them in the base torus, and a distinguished element is their product
+with X^(g+) by pointed.mul, normalized by one v-shift per factor. A
+degree is an NForm's base when it is pointed there, and a codegree is
+g + B n_max, read off co_n; nothing is expanded or measured. The public
+element functions expand once, at the end, to return torus elements.
 """
 from __future__ import annotations
 
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 from . import _linalg, pointed
 from .expansion import ExchangeGraph
-from .qtorus import QTElem, pos_part, twisted_mul, unit_vec, vec_sub
+from .qtorus import QTElem, pos_part, unit_vec, vec_add, vec_sub
 from .seed import opposite_seed
 
 
@@ -158,28 +166,32 @@ def detect_shift(graph: ExchangeGraph, key, direction=1) -> ShiftData:
     )
 
 
-def i_vars(graph: ExchangeGraph, sd: ShiftData):
-    """Injective elements of the base node: I_k pointed at -f_k + u_k."""
+def _i_forms(graph, sd):
+    """The injectives as NForms of the base seed: the +1 shift's variables
+    in the base torus, in sigma's order."""
     if sd.direction != 1:
         raise ValueError("i_vars needs a +1 shift")
-    s = graph.nodes[sd.base].seed
     cross = graph.vars_in(sd.target, sd.base)
-    return [cross[sd.sigma[k]].expand(s) for k in s.unfrozen]
+    return [cross[sd.sigma[k]] for k in graph.nodes[sd.base].seed.unfrozen]
 
 
-def p_vars(graph: ExchangeGraph, sd: ShiftData):
-    """Projective elements of the base node: P_k copointed at -f_k + frozen.
+def _codegree(seed, z):
+    """The NForm z's codegree g + B n_max, n_max its componentwise-largest
+    n when that is a term; else None."""
+    top = z.co_n()
+    return None if top is None else vec_add(z.g, _linalg.mat_vec(seed.B, top))
 
-    Indexed by measuring codegrees rather than by permutation
-    bookkeeping; the match must be a bijection onto the unfrozen set.
-    """
+
+def _p_forms(graph, sd):
+    """The projectives as NForms of the base seed, matched to the unfrozen
+    k by their codegrees -f_k + frozen, read off co_n."""
     if sd.direction != -1:
         raise ValueError("p_vars needs a -1 shift")
     s = graph.nodes[sd.base].seed
-    cross = [x.expand(s) for x in graph.vars_in(sd.target, sd.base)]
+    cross = graph.vars_in(sd.target, sd.base)
     by_k = {}
     for j in s.unfrozen:
-        eta = pointed.codegree(s, cross[j])
+        eta = _codegree(s, cross[j])
         if eta is None:
             raise RuntimeError("projective element without a codegree")
         ks = [i for i in s.unfrozen if eta[i] != 0]
@@ -189,45 +201,56 @@ def p_vars(graph: ExchangeGraph, sd: ShiftData):
     return [by_k[k] for k in s.unfrozen]
 
 
-def _power_product(seed, elems, exps) -> QTElem:
-    """Degree normalization of the ordered twisted product of elems to the
-    powers exps."""
-    acc = QTElem.one(seed.n)
-    for z, e in zip(elems, exps):
-        for _ in range(e):
-            acc = twisted_mul(acc, z, seed.Lambda)
-    return pointed.normalize_deg(seed, acc)
+def i_vars(graph: ExchangeGraph, sd: ShiftData):
+    """Injective elements of the base node: I_k pointed at -f_k + u_k."""
+    s = graph.nodes[sd.base].seed
+    return [z.expand(s) for z in _i_forms(graph, sd)]
 
 
-def _distinguished(seed, factors, g) -> QTElem:
-    """The element pointed at g: frozen factor times cluster monomial
-    X^(g+) times factors to the powers -g_k for g_k < 0, degree-normalized.
+def p_vars(graph: ExchangeGraph, sd: ShiftData):
+    """Projective elements of the base node: P_k copointed at -f_k + frozen.
+
+    Indexed by reading codegrees rather than by permutation bookkeeping;
+    the match must be a bijection onto the unfrozen set.
+    """
+    s = graph.nodes[sd.base].seed
+    return [z.expand(s) for z in _p_forms(graph, sd)]
+
+
+def _distinguished(seed, factors, g) -> pointed.NForm:
+    """The NForm pointed at g: frozen factor times cluster monomial
+    X^(g+) times factors (pointed NForms) to the powers -g_k for g_k < 0,
+    each product normalized by one v-shift.
 
     The frozen factor is pinned by forcing the total degree to g; if the
     forced correction is not frozen-supported something upstream broke.
     """
-    lam = seed.Lambda
-    dminus = tuple(max(-g[k], 0) for k in seed.unfrozen)
-    body = twisted_mul(QTElem.monomial(pos_part(g)), _power_product(seed, factors, dminus), lam)
-    d = pointed.degree(seed, body)
-    body = pointed.normalize_at(body, d)
-    u = vec_sub(g, d)
+    rank = len(seed.unfrozen)
+    body = pointed.NForm.monomial(pos_part(g), rank)
+    for z, k in zip(factors, seed.unfrozen):
+        for _ in range(max(-g[k], 0)):
+            body = pointed.mul(seed, body, z, normalize=True)
+    u = vec_sub(g, body.g)
     if any(u[i] != 0 for i in seed.unfrozen):
         raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
-    return pointed.normalize_deg(seed, twisted_mul(QTElem.monomial(u), body, lam))
+    return pointed.mul(seed, pointed.NForm.monomial(u, rank), body, normalize=True)
 
 
 def inj_element(graph: ExchangeGraph, sd: ShiftData, g) -> QTElem:
     """Distinguished pointed element at g, built from the injectives."""
-    return _distinguished(graph.nodes[sd.base].seed, i_vars(graph, sd), g)
+    s = graph.nodes[sd.base].seed
+    return _distinguished(s, _i_forms(graph, sd), g).expand(s)
 
 
 def proj_element(graph: ExchangeGraph, sd: ShiftData, eta) -> QTElem:
     """Distinguished copointed element at eta: inj_element's construction
-    from the projectives in the opposite seed, where products run in the
-    reverse order (for quasi-commuting factors, a unit it normalizes away)."""
+    from the projectives in the opposite seed, each read from its
+    codegree there, where products run in the reverse order (for
+    quasi-commuting factors, a unit it normalizes away)."""
     base = graph.nodes[sd.base].seed
-    return _distinguished(opposite_seed(base), p_vars(graph, sd), eta)
+    op = opposite_seed(base)
+    factors = [z.opposite(base) for z in _p_forms(graph, sd)]
+    return _distinguished(op, factors, eta).expand(op)
 
 
 def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:
@@ -235,18 +258,14 @@ def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:
     transported codegree in the -1 shift torus, for one cluster monomial."""
     if sd.direction != -1:
         raise ValueError("check_swap needs a -1 shift")
-    t_seed = graph.nodes[sd.base].seed
-    s_seed = graph.nodes[sd.target].seed
-    z_t = graph.monomial_in(home_key, m, sd.base).expand(t_seed)
-    z_s = graph.monomial_in(home_key, m, sd.target).expand(s_seed)
-    eta = pointed.codegree(t_seed, z_t)
+    z_t = graph.monomial_in(home_key, m, sd.base)
+    z_s = graph.monomial_in(home_key, m, sd.target)
+    top = z_t.co_n()
+    if top is None or not z_t.terms[top].is_one():
+        return not z_s.is_pointed()
+    eta = _codegree(graph.nodes[sd.base].seed, z_t)
     psi = psi_matrix(graph, sd.base, sd.target)
-    copointed = eta is not None and z_t.terms[eta].is_one()
-    d = pointed.degree(s_seed, z_s)
-    pointed_side = d is not None and z_s.terms[d].is_one()
-    if not copointed:
-        return not pointed_side
-    return pointed_side and d == _linalg.mat_vec(psi, eta)
+    return z_s.is_pointed() and z_s.g == _linalg.mat_vec(psi, eta)
 
 
 def check_swap_order(graph: ExchangeGraph, sd: ShiftData, eta, g) -> bool:
@@ -281,19 +300,23 @@ def check_trop_commute(graph: ExchangeGraph, t_key, tp_key, samples) -> bool:
 
 def check_compatibly_pointed(graph: ExchangeGraph, home_key, m) -> bool:
     """Degrees of one cluster monomial transform by phi between all nodes."""
-    return _transforms_between_nodes(graph, home_key, m, pointed.degree, phi)
+    return _transforms_between_nodes(graph, home_key, m, _degree, phi)
 
 
 def check_compatibly_copointed(graph: ExchangeGraph, home_key, m) -> bool:
     """Codegrees of one cluster monomial transform by phi_op between nodes."""
-    return _transforms_between_nodes(graph, home_key, m, pointed.codegree, phi_op)
+    return _transforms_between_nodes(graph, home_key, m, _codegree, phi_op)
+
+
+def _degree(seed, z):
+    """The NForm z's degree, its base, when z is pointed there; else None."""
+    return z.g if z.is_pointed() else None
 
 
 def _transforms_between_nodes(graph, home_key, m, extremal, transport):
     ends = {}
     for key in graph.order:
-        seed = graph.nodes[key].seed
-        e = extremal(seed, graph.monomial_in(home_key, m, key).expand(seed))
+        e = extremal(graph.nodes[key].seed, graph.monomial_in(home_key, m, key))
         if e is None:
             return False
         ends[key] = e

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
@@ -40,6 +42,15 @@ A2_GOLD = {
 
 def a2_gold(name):
     return elem(2, A2_GOLD[name])
+
+
+def forbid(monkeypatch, *fns):
+    """Make every call of the functions fns fail, in whatever qcluster
+    namespace holds them (names imported with from-imports too)."""
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "qcluster"]:
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in fns):
+                monkeypatch.setattr(module, attr, lambda *a, _n=attr, **k: pytest.fail(_n))
 
 
 # the benchmark's ladder-small rungs: (seed maker, unfrozen cap, frozen window)

@@ -53,10 +53,19 @@ overshoot peeled off by hand, exact division in the torus, and a degree
 scan to normalize at. It reuses the library's torus arithmetic and
 degree scan: what it checks is that mutating in n-coordinates, where the
 degree is the quotient's base and nothing is measured, gives the same
-variables.
+variables. The torus-element helpers (Bidegree, bidegree,
+normalize_deg, normalize_at, to_nform) are the ones the library kept
+before every element it builds became an NForm; they reuse its degree
+scan and dominance data, and state the tests' results on torus elements.
+The torus-element distinguished element is the construction the library
+ran before it moved to n-forms: ordered twisted products, each
+normalized at a degree scan. It reuses the library's torus arithmetic
+and degree scan: what it checks is that the n-form construction,
+normalized by one v-shift per factor, gives the same elements.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
@@ -68,6 +77,73 @@ from qcluster.qtorus import (
     NotDivisible, QTElem, exact_divide, lam_pair, pos_part, twisted_mul, unit_vec, vec_sub)
 from qcluster.seed import NoCompatibleLambda, mutate_seed, opposite_seed
 from qcluster.tropical import FrozenFactorNotFrozen, p_vars
+
+
+@dataclass(frozen=True)
+class Bidegree:
+    deg: tuple
+    codeg: tuple
+
+
+def bidegree(seed, z):
+    """Bidegree (degree, codegree) or None when either end is ambiguous."""
+    d, c = pointed.degree(seed, z), pointed.codegree(seed, z)
+    if d is None or c is None:
+        return None
+    return Bidegree(d, c)
+
+
+def normalize_deg(seed, z):
+    """Divide by the leading coefficient, which must be a unit +-v**a."""
+    return normalize_at(z, pointed.degree(seed, z))
+
+
+def normalize_at(z, g):
+    """Divide by the coefficient at an already measured (co)degree g,
+    which must be a unit +-v**a; z itself when it is already 1."""
+    if g is None:
+        raise pointed.NonUnitLeading("element has no degree to normalize at")
+    c = z.terms.get(g)
+    if c is None:
+        raise pointed.NonUnitLeading(f"element has no term at {g} to normalize at")
+    if not c.is_unit():
+        raise pointed.NonUnitLeading(f"leading coefficient {c} is not a unit")
+    return z.scale(c.unit_inverse())
+
+
+def to_nform(seed, z, g):
+    """The torus element z in n-coordinates below g, each exponent
+    projected once. Raises ValueError when an exponent is not g + B n for
+    an integer n."""
+    g = tuple(g)
+    dom = pointed._dominance_data(seed)
+    pg = dom.project(g)
+    terms = {}
+    for m, c in z.terms.items():
+        n = dom.offset(dom.project(m), pg)
+        if n is None:
+            raise ValueError(f"exponent {m} is not {g} + B n for an integer n")
+        terms[n] = c
+    return pointed.NForm(g, terms)
+
+
+def qtelem_distinguished(seed, factors, g):
+    """The torus element pointed at g: X^(g+) times the ordered twisted
+    product of the torus-element factors to the powers -g_k for g_k < 0,
+    normalized at a degree scan, then the forced frozen factor in front,
+    normalized again."""
+    lam = seed.Lambda
+    acc = QTElem.one(seed.n)
+    for z, k in zip(factors, seed.unfrozen):
+        for _ in range(max(-g[k], 0)):
+            acc = twisted_mul(acc, z, lam)
+    body = twisted_mul(QTElem.monomial(pos_part(g)), normalize_deg(seed, acc), lam)
+    d = pointed.degree(seed, body)
+    body = normalize_at(body, d)
+    u = vec_sub(g, d)
+    if any(u[i] != 0 for i in seed.unfrozen):
+        raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
+    return normalize_deg(seed, twisted_mul(QTElem.monomial(u), body, lam))
 
 
 def brute_dominance_leq(b_matrix, unfrozen, gp, g, bound=6):
@@ -413,7 +489,7 @@ def eager_enumeration(graph, cap, frozen_window):
             elem = cluster_monomial(ts, m)
             g = pointed.degree(ref, elem)
             eta = pointed.codegree(ref, elem)
-            elem = pointed.to_nform(ref, elem, g)
+            elem = to_nform(ref, elem, g)
             if g not in by_degree:
                 by_degree[g] = elem
                 provenance[g] = (key, m)
@@ -433,14 +509,14 @@ def direct_proj_element(graph, sd, eta):
     for z, k in zip(p_vars(graph, sd), s.unfrozen):
         for _ in range(max(-eta[k], 0)):
             ppart = twisted_mul(ppart, z, lam)
-    ppart = pointed.normalize_deg(s, ppart)
+    ppart = normalize_deg(s, ppart)
     body = twisted_mul(ppart, QTElem.monomial(pos_part(eta)), lam)
     c = pointed.codegree(s, body)
-    body = pointed.normalize_at(body, c)
+    body = normalize_at(body, c)
     u = vec_sub(eta, c)
     if any(u[i] != 0 for i in s.unfrozen):
         raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
-    return pointed.normalize_deg(opposite_seed(s), twisted_mul(body, QTElem.monomial(u), lam))
+    return normalize_deg(opposite_seed(s), twisted_mul(body, QTElem.monomial(u), lam))
 
 
 def _fraction_solve_any(mat, rhs):
@@ -654,7 +730,7 @@ class NFormBasis:
         elem = self.basis.get(g)
         if elem is None or isinstance(elem, pointed.NForm):
             return elem
-        return pointed.to_nform(self.seed, elem, g)
+        return to_nform(self.seed, elem, g)
 
 
 def n_form_decompose(seed, z, basis, window, tie_break=None):
@@ -663,7 +739,7 @@ def n_form_decompose(seed, z, basis, window, tie_break=None):
     the box up to window.codeg's n. None when z has an exponent off
     window.deg + B Z^k, which no n-form holds."""
     try:
-        zn = pointed.to_nform(seed, z, window.deg)
+        zn = to_nform(seed, z, window.deg)
     except ValueError:
         return None
     box = pointed.dominance_n(seed, window.codeg, window.deg)
@@ -696,7 +772,7 @@ def qtelem_mutate(seed, xs, ref, k):
     for a in (pos_part(tuple(-x for x in col)), pos_part(col)):
         num = num + qtelem_image_monomial(seed, xs, ref, a).vshift(seed.lam(a, fk))
     z = exact_divide(num, xs[k], ref.Lambda)
-    z = pointed.normalize_at(z, pointed.degree(ref, z))
+    z = normalize_at(z, pointed.degree(ref, z))
     return mutate_seed(seed, k), xs[:k] + (z,) + xs[k + 1:]
 
 

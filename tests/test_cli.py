@@ -67,6 +67,16 @@ def test_check_unsolvable_d_is_usage_error(tmp_path):
     assert main(["check", str(p)]) == 2
 
 
+def test_check_nonpositive_d_is_refused_before_solving(tmp_path, capsys):
+    # used to report "no compatible skew form for D = [0, 1]"
+    p = tmp_path / "b2d.json"
+    p.write_text(json.dumps({"n": 2, "B": [[0, -2], [1, 0]], "D": [0, 1]}))
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "D must be a positive diagonal over the unfrozen vertices" in err
+    assert "skew form" not in err
+
+
 def test_mutate(a2_file, capsys):
     assert main(["mutate", a2_file, "--word", "1"]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from qcluster import _linalg, opposite_seed, pointed
 from qcluster.leclerc import CandidateBasis, default_r_specs
-from qcluster.pointed import Bidegree
+from oracles import Bidegree
 from qcluster.qtorus import QTElem, unit_vec, vec_add, vec_sub
 
 
@@ -28,7 +28,7 @@ def _codegree_windows(graph, basis):
         t_seed = graph.nodes[t_key].seed
         for g_ref in basis.degree_keys():
             elem = graph.monomial_in(*basis.provenance[g_ref], t_key).expand(t_seed)
-            bid = pointed.bidegree(t_seed, elem)
+            bid = oracles.bidegree(t_seed, elem)
             for i in range(t_seed.n):
                 e_i = unit_vec(t_seed.n, i)
                 windows.add((t_key, Bidegree(vec_add(bid.deg, e_i), vec_add(bid.codeg, e_i))))

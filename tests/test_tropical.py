@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import a2_gold, principal_framings
-from qcluster import opposite_seed
+from conftest import LADDER, a2_gold, forbid, principal_framings
+from oracles import Bidegree, normalize_deg
+from qcluster import make_seed, opposite_seed, pointed, qtorus
 from qcluster._linalg import mat_vec
 from qcluster.expansion import build_exchange_graph
-from qcluster.pointed import Bidegree, codegree, degree, is_m_unitriangular
+from qcluster.pointed import codegree, degree, is_m_unitriangular
 from qcluster.qtorus import QTElem, twisted_mul, unit_vec
 from qcluster.tropical import (
     ShiftNotFound,
@@ -163,30 +164,79 @@ def test_psi_sends_shift_units_to_negatives(a2_graph):
         assert img == tuple(-x for x in unit_vec(2, k))
 
 
-def test_inj_elements(a2_graph):
-    t0 = a2_graph.order[0]
-    up = detect_shift(a2_graph, t0, 1)
-    s = a2_graph.nodes[t0].seed
-    assert inj_element(a2_graph, up, (-1, 0)) == a2_gold("I1")
-    assert inj_element(a2_graph, up, (2, 0)) == QTElem.monomial((2, 0))
-    assert inj_element(a2_graph, up, (2, 1)) == QTElem.monomial((2, 1))
-    for g in product(range(-2, 3), repeat=2):
-        z = inj_element(a2_graph, up, g)
+@pytest.fixture(scope="module")
+def g2_graph():
+    return build_exchange_graph(make_seed(((0, -3), (1, 0))))
+
+
+@pytest.mark.parametrize("graph_name, gold", [
+    ("a2_graph", {(-1, 0): a2_gold("I1"), (2, 0): QTElem.monomial((2, 0)),
+                  (2, 1): QTElem.monomial((2, 1))}),
+    ("b2_graph", {}),
+    ("g2_graph", {}),
+    ("a3_graph", {}),
+], ids=["a2", "b2", "g2", "a3p"])
+def test_inj_elements(graph_name, gold, request):
+    # B2 and G2 have non-unit D, A3-principal frozen vertices
+    graph = request.getfixturevalue(graph_name)
+    t0 = graph.order[0]
+    up = detect_shift(graph, t0, 1)
+    s = graph.nodes[t0].seed
+    for g, want in gold.items():
+        assert inj_element(graph, up, g) == want
+    ivs = i_vars(graph, up)
+    for g in product(range(-2, 3), repeat=s.n):
+        z = inj_element(graph, up, g)
         assert degree(s, z) == g
         assert z.terms[g].is_one()
+        assert z == oracles.qtelem_distinguished(s, ivs, g)
 
 
-def test_proj_elements(a2_graph):
-    t0 = a2_graph.order[0]
-    down = detect_shift(a2_graph, t0, -1)
-    s = a2_graph.nodes[t0].seed
-    assert proj_element(a2_graph, down, (0, -1)) == a2_gold("P2")
-    assert proj_element(a2_graph, down, (1, -1)) == a2_gold("{P2*X1}")
-    for eta in product(range(-2, 3), repeat=2):
-        z = proj_element(a2_graph, down, eta)
+@pytest.mark.parametrize("graph_name, gold", [
+    ("a2_graph", {(0, -1): a2_gold("P2"), (1, -1): a2_gold("{P2*X1}")}),
+    ("b2_graph", {}),
+    ("g2_graph", {}),
+    ("a3_graph", {}),
+], ids=["a2", "b2", "g2", "a3p"])
+def test_proj_elements(graph_name, gold, request):
+    graph = request.getfixturevalue(graph_name)
+    t0 = graph.order[0]
+    down = detect_shift(graph, t0, -1)
+    s = graph.nodes[t0].seed
+    for eta, want in gold.items():
+        assert proj_element(graph, down, eta) == want
+    pvs = p_vars(graph, down)
+    for eta in product(range(-2, 3), repeat=s.n):
+        z = proj_element(graph, down, eta)
         assert codegree(s, z) == eta
         assert z.terms[eta].is_one()
-        assert z == oracles.direct_proj_element(a2_graph, down, eta)
+        assert z == oracles.direct_proj_element(graph, down, eta)
+        assert z == oracles.qtelem_distinguished(opposite_seed(s), pvs, eta)
+
+
+@pytest.mark.parametrize("name", ["a2-cap3", "frozen-cap2-w1"])
+def test_shift_elements_and_checks_measure_nothing(name, monkeypatch):
+    # injectives, projectives, distinguished elements and the swap and
+    # transport checks work in n-coordinates: no torus product, degree
+    # or codegree scan runs, in whatever qcluster namespace holds it
+    seed = LADDER[name][0]()
+    graph = build_exchange_graph(seed)
+    t0 = graph.order[0]
+    up, down = detect_shift(graph, t0, 1), detect_shift(graph, t0, -1)
+    ivs, pvs = i_vars(graph, up), p_vars(graph, down)
+    keys = list(product(range(-1, 2), repeat=seed.n))
+    inj = {g: oracles.qtelem_distinguished(seed, ivs, g) for g in keys}
+    proj = {g: oracles.qtelem_distinguished(opposite_seed(seed), pvs, g) for g in keys}
+    forbid(monkeypatch, qtorus.twisted_mul, pointed.degree, pointed.codegree)
+    assert i_vars(graph, up) == ivs and p_vars(graph, down) == pvs
+    for g in keys:
+        assert inj_element(graph, up, g) == inj[g]
+        assert proj_element(graph, down, g) == proj[g]
+    for key in graph.order:
+        for m in product(range(2), repeat=seed.n):
+            assert check_swap(graph, down, key, m)
+            assert check_compatibly_pointed(graph, key, m)
+            assert check_compatibly_copointed(graph, key, m)
 
 
 def test_distinguished_sets(a2_graph):
@@ -291,8 +341,6 @@ def test_substitution_smoke(a2_graph, b2_graph):
                 for k, e in zip(s.unfrozen, dp):
                     for _ in range(e):
                         z = twisted_mul(z, ivs[s.col(k)], lam)
-                from qcluster.pointed import normalize_deg
-
                 z = normalize_deg(s, z)
                 top = degree(s, z)
                 bot = codegree(s, z)
