@@ -14,7 +14,7 @@ basis = CandidateBasis(graph, unfrozen_cap=3)
 print("basis elements (cap 3):", len(basis.by_degree))
 
 t0 = graph.order[0]
-v_home, v_m = basis.provenance[(0, -1)]
+v_home, v_m = basis.by_degree[(0, -1)]
 verdict = verify_pair(basis, t0, (1, 0), v_home, v_m)
 print("x1 against the element of degree (0,-1):", verdict.case)
 print("  s =", verdict.s, " h =", verdict.h, " S at", verdict.S, " H at", verdict.H)

@@ -1,15 +1,18 @@
 """Cluster-monomial candidate basis and product-structure verification.
 
 The candidate basis of a finite-type graph is the set of normalized
-localized cluster monomials, keyed by degree (and, mirrored, by
-codegree). A provenance (node, m) names its element's degree in any
-torus without an expansion, psi_matrix applied to m, since g-vectors add
-over a cluster monomial's factors; the sweep keys are those of an
-exponent box up to a cap. Every element in every torus (a sweep key, a
-point of the lazy window_set view that decompose keeps inside its
-dominance window, verify_pair's V, an element of a triangularity sweep)
-is looked up by (co)degree through one resolver, which alone expands
-cluster monomials.
+localized cluster monomials, and it holds only their keys: by_degree
+maps each degree in the reference torus to a provenance (node, m), and
+by_codegree each codegree to its degree. Both are linear in m on a
+node's cone (g-vectors and F-polynomial tops add over a cluster
+monomial's factors), so the keys of an exponent box up to a cap come
+from two integer maps per node, without an expansion, and a provenance
+names its element's degree in any torus, psi_matrix applied to m. Every
+element in every torus (a sweep key, a point of the lazy window_set view
+that decompose keeps inside its dominance window, verify_pair's V, an
+element of a triangularity sweep) is looked up by (co)degree through one
+resolver, which alone expands cluster monomials, and whose records are
+the only elements kept.
 
 In one torus, the (co)degree cones of the nodes, each spanned by its
 variables' (co)degrees, form a complete simplicial fan (the g-vector fan
@@ -115,7 +118,6 @@ class CandidateBasis:
         self.frozen_window = frozen_window
         self.by_degree: dict = {}
         self.by_codegree: dict = {}
-        self.provenance: dict = {}
         self.conflicts: list = []
         self.walk_steps = 0
         self._inv: dict = {}
@@ -133,28 +135,32 @@ class CandidateBasis:
             for k in graph.reference.unfrozen:
                 if (key, k) not in self._walls:
                     raise RuntimeError(f"fan certificate fails: node {key} has no wall {k}")
+        self._certify(graph.order[0], False)
         self._enumerate()
 
     def _enumerate(self):
-        """Key each node's exponent box by its recorded degrees (g-vectors
-        add over factors), the first (node, m) per key its provenance, and
-        resolve the keys in the reference torus, whose fan certificate
-        makes every node's degree map invertible there, so that _resolve
-        reaches every (node, m)."""
+        """Key each node's exponent box in the reference torus t0 by two
+        integer maps, expanding nothing: X^m's degree D m, D =
+        psi_matrix(node, t0), and its codegree C m, C's columns the
+        node's variables' codegrees, read off their records. Both add
+        over factors: g-vectors do, and pointed.mul puts the pair of its
+        factors' co_n terms alone at their sum, with a nonzero
+        coefficient (frozen factors are plain monomials). by_degree keeps
+        the first (node, m) per degree g, by_codegree maps each codegree
+        to its g, and a second g at one codegree is a conflict."""
         t0 = self.graph.order[0]
         for key in self.graph.order:
             seed = self.graph.nodes[key].seed
-            psi = psi_matrix(self.graph, key, t0)
+            deg = _linalg.transpose(self._columns(key, t0, co=False))
+            codeg = _linalg.transpose(self._columns(key, t0, co=True))
             for m in _exponent_box(seed, self.unfrozen_cap, self.frozen_window):
-                self.provenance.setdefault(_linalg.mat_vec(psi, m), (key, m))
-        for g, (key, m) in self.provenance.items():
-            elem = self.element_at_degree(t0, g)
-            eta = self.codegree_at(t0, g)
-            if eta is None:
-                raise RuntimeError(f"cluster monomial {m} of {key} not bipointed")
-            self.by_degree[g] = elem
-            if self.by_codegree.setdefault(eta, elem) != elem:
-                self.conflicts.append(("codegree", eta, None, (key, m)))
+                g = _linalg.mat_vec(deg, m)
+                if g in self.by_degree:
+                    continue
+                self.by_degree[g] = (key, m)
+                eta = _linalg.mat_vec(codeg, m)
+                if self.by_codegree.setdefault(eta, g) != g:
+                    self.conflicts.append(("codegree", eta, None, (key, m)))
 
     def degree_keys(self):
         return sorted(self.by_degree)
@@ -168,7 +174,11 @@ class CandidateBasis:
         degs = self.graph.tracked_in(home_key, torus_key).degs
         if not co:
             return degs
-        return tuple(self.codegree_at(torus_key, d) for d in degs)
+        etas = tuple(self.codegree_at(torus_key, d) for d in degs)
+        if None in etas:
+            raise RuntimeError(f"variable at degree {degs[etas.index(None)]} of node "
+                               f"{home_key} has no codegree in torus {torus_key}")
+        return etas
 
     def _inverse_map(self, home_key, torus_key, co):
         """Integer inverse M^-1 of m -> (co)degree of home's X^m in torus_key.
@@ -245,9 +255,8 @@ class CandidateBasis:
 
         X^m is expanded once, in n-coordinates; it is the element when it
         is pointed at its degree (no negative n, coefficient 1 at n = 0)
-        and that degree (its codegree, when co) is g. The codegree,
-        g' + B n_max for the componentwise-largest n_max when that is a
-        term, is read off the same n-form by one mat_vec.
+        and that degree (its codegree, when co) is g. The codegree is
+        read off the same n-form (NForm.codegree).
         """
         key = (torus_key, g, co)
         if key in self._resolved:
@@ -256,9 +265,7 @@ class CandidateBasis:
         elem = self.graph.monomial_in(home_key, m, torus_key)
         found = None
         if elem.is_pointed() and (co or elem.g == g):
-            top = elem.co_n()
-            eta = None if top is None else vec_add(
-                elem.g, _linalg.mat_vec(self.graph.nodes[torus_key].seed.B, top))
+            eta = elem.codegree(self.graph.nodes[torus_key].seed)
             if (eta if co else elem.g) == g:
                 found = ((home_key, m), elem, eta)
         self._resolved[key] = found
@@ -349,7 +356,7 @@ def _check_triangular(basis, t_key, co):
     pset = basis.window_set(t_key, co=co)
     report = TriangularReport()
     for g_ref in basis.degree_keys():
-        home, m = basis.provenance[g_ref]
+        home, m = basis.by_degree[g_ref]
         g = _linalg.mat_vec(psi_matrix(graph, home, t_key), m)
         elem = basis.element_at_degree(t_key, g)
         box = elem.co_n()
@@ -495,24 +502,23 @@ def _record_n_criterion(checks, t_seed, r_m, n_v, in_basis):
 
 @dataclass
 class LeclercReport:
-    in_basis: int = 0
-    two_tail_pass: int = 0
-    two_tail_fail: int = 0
-    indeterminate: int = 0
     verdicts: list = field(default_factory=list)
     conflicts: list = field(default_factory=list)
 
     @property
     def ok(self):
-        return self.two_tail_fail == 0 and not self.conflicts
+        return self.counts()["two_tail_fail"] == 0 and not self.conflicts
 
     def counts(self):
-        return {
-            "in_basis": self.in_basis,
-            "two_tail_pass": self.two_tail_pass,
-            "two_tail_fail": self.two_tail_fail,
-            "indeterminate": self.indeterminate,
-        }
+        """The verdicts tallied by case, a two-tailed one by whether it
+        passed."""
+        out = dict.fromkeys(("in_basis", "two_tail_pass", "two_tail_fail", "indeterminate"), 0)
+        for v in self.verdicts:
+            if v.case == "two_tail":
+                out["two_tail_pass" if v.passed else "two_tail_fail"] += 1
+            else:
+                out[v.case] += 1
+        return out
 
 
 def default_r_specs(graph: ExchangeGraph):
@@ -538,16 +544,6 @@ def verify_theorem(basis: CandidateBasis, r_specs=None) -> LeclercReport:
     report = LeclercReport()
     for r_home, r_m in r_specs:
         for g_ref in basis.degree_keys():
-            v_home, v_m = basis.provenance[g_ref]
-            verdict = verify_pair(basis, r_home, r_m, v_home, v_m)
-            report.verdicts.append(verdict)
-            if verdict.case == "indeterminate":
-                report.indeterminate += 1
-            elif verdict.case == "in_basis":
-                report.in_basis += 1
-            elif verdict.passed:
-                report.two_tail_pass += 1
-            else:
-                report.two_tail_fail += 1
+            report.verdicts.append(verify_pair(basis, r_home, r_m, *basis.by_degree[g_ref]))
     report.conflicts = list(basis.conflicts)
     return report

@@ -251,6 +251,11 @@ class NForm:
         top = tuple(map(max, *self.terms)) if len(self.terms) > 1 else next(iter(self.terms))
         return top if top in self.terms else None
 
+    def codegree(self, seed):
+        """The exponent g + B n_max of the co_n term, or None without one."""
+        top = self.co_n()
+        return None if top is None else vec_add(self.g, _linalg.mat_vec(seed.B, top))
+
     def expand(self, seed):
         """The torus element: exponent g + B n per term."""
         return QTElem(len(self.g), {vec_add(self.g, _linalg.mat_vec(seed.B, n)): c
@@ -258,13 +263,13 @@ class NForm:
 
     def opposite(self, seed):
         """The same element in the opposite seed's n-coordinates, read from
-        its codegree: (g + B n_max, {n_max - n: c}). Raises ValueError
-        when it has no codegree term."""
-        top = self.co_n()
-        if top is None:
+        its codegree: (codegree, {n_max - n: c}). Raises ValueError when
+        it has no codegree term."""
+        eta = self.codegree(seed)
+        if eta is None:
             raise ValueError("element has no codegree to read it from")
-        return NForm(vec_add(self.g, _linalg.mat_vec(seed.B, top)),
-                     {vec_sub(top, n): c for n, c in self.terms.items()})
+        top = self.co_n()
+        return NForm(eta, {vec_sub(top, n): c for n, c in self.terms.items()})
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ projectives are the shift node's variables as the exchange graph keeps
 them in the base torus, and a distinguished element is their product
 with X^(g+) by pointed.mul, normalized by one v-shift per factor. A
 degree is an NForm's base when it is pointed there, and a codegree is
-g + B n_max, read off co_n; nothing is expanded or measured. The public
+g + B n_max (NForm.codegree); nothing is expanded or measured. The public
 element functions expand once, at the end, to return torus elements.
 """
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import _linalg, pointed
 from .expansion import ExchangeGraph
-from .qtorus import QTElem, pos_part, unit_vec, vec_add, vec_sub
+from .qtorus import QTElem, pos_part, unit_vec, vec_sub
 from .seed import opposite_seed
 
 
@@ -175,13 +175,6 @@ def _i_forms(graph, sd):
     return [cross[sd.sigma[k]] for k in graph.nodes[sd.base].seed.unfrozen]
 
 
-def _codegree(seed, z):
-    """The NForm z's codegree g + B n_max, n_max its componentwise-largest
-    n when that is a term; else None."""
-    top = z.co_n()
-    return None if top is None else vec_add(z.g, _linalg.mat_vec(seed.B, top))
-
-
 def _p_forms(graph, sd):
     """The projectives as NForms of the base seed, matched to the unfrozen
     k by their codegrees -f_k + frozen, read off co_n."""
@@ -191,7 +184,7 @@ def _p_forms(graph, sd):
     cross = graph.vars_in(sd.target, sd.base)
     by_k = {}
     for j in s.unfrozen:
-        eta = _codegree(s, cross[j])
+        eta = cross[j].codegree(s)
         if eta is None:
             raise RuntimeError("projective element without a codegree")
         ks = [i for i in s.unfrozen if eta[i] != 0]
@@ -263,7 +256,7 @@ def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:
     top = z_t.co_n()
     if top is None or not z_t.terms[top].is_one():
         return not z_s.is_pointed()
-    eta = _codegree(graph.nodes[sd.base].seed, z_t)
+    eta = z_t.codegree(graph.nodes[sd.base].seed)
     psi = psi_matrix(graph, sd.base, sd.target)
     return z_s.is_pointed() and z_s.g == _linalg.mat_vec(psi, eta)
 
@@ -305,10 +298,10 @@ def check_compatibly_pointed(graph: ExchangeGraph, home_key, m) -> bool:
 
 def check_compatibly_copointed(graph: ExchangeGraph, home_key, m) -> bool:
     """Codegrees of one cluster monomial transform by phi_op between nodes."""
-    return _transforms_between_nodes(graph, home_key, m, _codegree, phi_op)
+    return _transforms_between_nodes(graph, home_key, m, pointed.NForm.codegree, phi_op)
 
 
-def _degree(seed, z):
+def _degree(z, seed):
     """The NForm z's degree, its base, when z is pointed there; else None."""
     return z.g if z.is_pointed() else None
 
@@ -316,7 +309,7 @@ def _degree(seed, z):
 def _transforms_between_nodes(graph, home_key, m, extremal, transport):
     ends = {}
     for key in graph.order:
-        e = extremal(graph.nodes[key].seed, graph.monomial_in(home_key, m, key))
+        e = extremal(graph.monomial_in(home_key, m, key), graph.nodes[key].seed)
         if e is None:
             return False
         ends[key] = e

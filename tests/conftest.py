@@ -3,6 +3,7 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
+import oracles
 from qcluster import build_exchange_graph, make_seed, mutate_seed, principal_framing
 from qcluster.qtorus import QTElem, VCoeff
 
@@ -51,6 +52,22 @@ def forbid(monkeypatch, *fns):
         for attr, value in list(vars(module).items()):
             if any(value is fn for fn in fns):
                 monkeypatch.setattr(module, attr, lambda *a, _n=attr, **k: pytest.fail(_n))
+
+
+def assert_matches_eager_enumeration(basis, frozen_window=0):
+    """The basis's keys, codegree keys and provenance are those of the
+    eager reference enumeration, and so is the element each key looks up
+    in the reference torus."""
+    graph = basis.graph
+    t0 = graph.order[0]
+    by_degree, by_codegree, provenance = oracles.eager_enumeration(
+        graph, basis.unfrozen_cap, frozen_window)
+    assert list(basis.by_degree.items()) == list(provenance.items())
+    assert basis.by_codegree.keys() == by_codegree.keys()
+    for g, elem in by_degree.items():
+        assert basis.element_at_degree(t0, g) == elem
+    for eta, elem in by_codegree.items():
+        assert basis.element_at_degree(t0, basis.by_codegree[eta]) == elem
 
 
 # the benchmark's ladder-small rungs: (seed maker, unfrozen cap, frozen window)

@@ -15,9 +15,10 @@ matches the pairwise dominance scan it replaced. The fresh degree scan
 reuses degree() too: what it checks is that the degrees an exchange
 graph records at mutation are the ones a scan of each expansion finds.
 The eager enumeration reuses the library's expansions and scans: what
-it checks is that keying a basis by recorded degrees and resolving each
-key finds the elements, keys and provenance that expanding every
-cluster monomial of the exponent box found. The direct projective
+it checks is that keying a basis by degree and codegree maps finds the
+keys, codegree keys and provenance, and looking each key up the
+elements, that expanding every cluster monomial of the exponent box
+found. The direct projective
 element reuses the library's arithmetic: what it checks is that building
 it as the injective construction in the opposite seed changes nothing.
 The dense Lambda mutation and the subtractive division reuse the
@@ -477,7 +478,7 @@ def eager_enumeration(graph, cap, frozen_window):
 
     Returns (by_degree, by_codegree, provenance), the first element, in
     n-coordinates below its degree, and (node, m) per key, as
-    CandidateBasis built them before its keys came from recorded degrees.
+    CandidateBasis built them before it held keys only.
     """
     ref = graph.reference
     by_degree, by_codegree, provenance = {}, {}, {}

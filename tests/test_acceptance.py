@@ -129,7 +129,7 @@ def test_criterion_4_tropical_suites(a2_graph, b2_graph, a3_graph):
     t0 = time.perf_counter()
     rng = random.Random(2024)
     for graph in (a2_graph, b2_graph, a3_graph):
-        for key, m in CandidateBasis(graph, unfrozen_cap=2).provenance.values():
+        for key, m in CandidateBasis(graph, unfrozen_cap=2).by_degree.values():
             assert check_compatibly_pointed(graph, key, m)
             assert check_compatibly_copointed(graph, key, m)
         down = detect_shift(graph, graph.order[0], -1)
@@ -225,7 +225,7 @@ def test_criterion_6_oracle_cross_checks(a2_graph, b2_graph, a3_graph):
         for r_home, r_m in default_r_specs(graph):
             t_seed = graph.nodes[r_home].seed
             for g_ref in basis.degree_keys():
-                v_home, v_m = basis.provenance[g_ref]
+                v_home, v_m = basis.by_degree[g_ref]
                 z_v = graph.monomial_in(v_home, v_m, r_home).expand(t_seed)
                 gamma = degree(t_seed, z_v)
                 eta = codegree(t_seed, z_v)

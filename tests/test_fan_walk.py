@@ -82,12 +82,14 @@ def test_planted_duplicate_home_has_no_wall(a2_graph):
 
 @pytest.mark.parametrize("co", [False, True], ids=["degree", "codegree"])
 def test_a_node_missing_a_wall_fails_the_certificate(co):
-    # the wall the walk to -f_1 steps across first, on this side, is
-    # dropped from the graph: the node it leaves is refused before any walk
+    # the wall the walk to -2 f_1 steps across first, on this side, is
+    # dropped from the graph: the node it leaves is refused before any
+    # walk. -2 f_1 is no variable's (co)degree, so the basis holds no
+    # record of it yet
     graph = build_exchange_graph(principal_framing(A3_B))
     basis = CandidateBasis(graph, unfrozen_cap=0)
     t0 = graph.order[0]
-    g = (-1,) + (0,) * (graph.reference.n - 1)
+    g = (-2,) + (0,) * (graph.reference.n - 1)
     lam = _linalg.mat_vec(basis._inverse_map(t0, t0, co), g)
     k = next(k for k in graph.reference.unfrozen if lam[k] < 0)
     steps = basis.walk_steps
@@ -264,5 +266,6 @@ def test_walk_longer_than_the_graph_is_an_error(a2_graph):
     t0 = a2_graph.order[0]
     # every wall leads back to the torus's own node: the walk never ends
     basis._walls = {(a, k): (t0, j) for (a, k), (_, j) in basis._walls.items()}
+    # (-2, 0) is no variable's degree, so the basis holds no record of it
     with pytest.raises(RuntimeError, match="longer than 5 nodes"):
-        basis.element_at_degree(t0, (-1, 0))
+        basis.element_at_degree(t0, (-2, 0))

@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 import oracles
+from conftest import assert_matches_eager_enumeration
 from qcluster import make_seed
 from qcluster.expansion import build_exchange_graph
 from qcluster._linalg import mat_vec
@@ -109,10 +110,7 @@ def test_swap_with_frozen_vertex(graph):
 def test_product_sweep_with_frozen_window(graph):
     basis = CandidateBasis(graph, unfrozen_cap=2, frozen_window=1)
     assert not basis.conflicts
-    by_degree, by_codegree, provenance = oracles.eager_enumeration(graph, 2, 1)
-    assert basis.by_degree == by_degree
-    assert basis.by_codegree == by_codegree
-    assert list(basis.provenance.items()) == list(provenance.items())
+    assert_matches_eager_enumeration(basis, frozen_window=1)
     # frozen exponents enlarge the basis beyond the coefficient-free count
     assert len(basis.by_degree) == 3 * len(
         CandidateBasis(graph, unfrozen_cap=2).by_degree
@@ -129,7 +127,7 @@ def test_product_sweep_with_frozen_window(graph):
 def test_lookup_by_degree_returns_v(graph):
     basis = CandidateBasis(graph, unfrozen_cap=2, frozen_window=1)
     for r_home, r_m in default_r_specs(graph):
-        for home, m in basis.provenance.values():
+        for home, m in basis.by_degree.values():
             z = graph.monomial_in(home, m, r_home)
             g = mat_vec(psi_matrix(graph, home, r_home), m)
             assert basis.element_at_degree(r_home, g) == z

@@ -14,7 +14,7 @@ def _sweep_windows(graph, basis):
     for r_home, r_m in default_r_specs(graph):
         t_seed = graph.nodes[r_home].seed
         for g_ref in basis.degree_keys():
-            z_v = graph.monomial_in(*basis.provenance[g_ref], r_home).expand(t_seed)
+            z_v = graph.monomial_in(*basis.by_degree[g_ref], r_home).expand(t_seed)
             gamma = pointed.degree(t_seed, z_v)
             eta = pointed.codegree(t_seed, z_v)
             windows.add((r_home, Bidegree(vec_add(r_m, gamma), vec_add(r_m, eta))))
@@ -27,7 +27,7 @@ def _codegree_windows(graph, basis):
     for t_key in graph.order:
         t_seed = graph.nodes[t_key].seed
         for g_ref in basis.degree_keys():
-            elem = graph.monomial_in(*basis.provenance[g_ref], t_key).expand(t_seed)
+            elem = graph.monomial_in(*basis.by_degree[g_ref], t_key).expand(t_seed)
             bid = oracles.bidegree(t_seed, elem)
             for i in range(t_seed.n):
                 e_i = unit_vec(t_seed.n, i)

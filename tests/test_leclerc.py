@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import A3_B, a2_gold
+from conftest import A3_B, a2_gold, assert_matches_eager_enumeration, forbid
 from qcluster import build_exchange_graph, pointed, principal_framing
 from qcluster.leclerc import (
     ENUMERATION_LIMIT,
@@ -42,11 +42,28 @@ def test_enumeration_counts(a2_graph):
 def test_enumeration_matches_eager_expansion(graph_name, cap, request):
     graph = request.getfixturevalue(graph_name)
     basis = CandidateBasis(graph, unfrozen_cap=cap)
-    by_degree, by_codegree, provenance = oracles.eager_enumeration(graph, cap, 0)
-    assert basis.by_degree == by_degree
-    assert basis.by_codegree == by_codegree
-    assert list(basis.provenance.items()) == list(provenance.items())
+    assert_matches_eager_enumeration(basis)
     assert not basis.conflicts
+
+
+def test_construction_expands_nothing(monkeypatch):
+    # the keys come from the variables' records alone, one per distinct
+    # variable of the reference torus, frozen ones included
+    graph = build_exchange_graph(principal_framing(A3_B))
+    _, by_codegree, provenance = oracles.eager_enumeration(graph, 1, 0)
+    forbid(monkeypatch, pointed.mul)
+    basis = CandidateBasis(graph, unfrozen_cap=1)
+    assert list(basis.by_degree.items()) == list(provenance.items())
+    assert basis.by_codegree.keys() == by_codegree.keys()
+    assert len(basis._resolved) == len({d for key in graph.order for d in graph.nodes[key].degs})
+
+
+def test_a_variable_without_a_codegree_is_refused(a2_graph, monkeypatch):
+    # the keys' codegrees add over the variables' records: a variable
+    # found at its degree but with no codegree term is an internal error
+    monkeypatch.setattr(pointed.NForm, "codegree", lambda self, seed: None)
+    with pytest.raises(RuntimeError, match="has no codegree in torus"):
+        CandidateBasis(a2_graph, unfrozen_cap=1)
 
 
 def test_enumeration_size(a3_graph, pa2_graph):
@@ -96,8 +113,8 @@ def test_non_unimodular_degree_map_is_refused(a2_graph, monkeypatch):
 def test_basis_elements_bipointed_and_bar_invariant(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
     ref = a2_graph.reference
-    for g, nform in basis.by_degree.items():
-        elem = nform.expand(ref)
+    for g in basis.by_degree:
+        elem = basis.element_at_degree(a2_graph.order[0], g).expand(ref)
         assert degree(ref, elem) == g
         assert elem.terms[g].is_one()
         eta = codegree(ref, elem)
@@ -139,15 +156,16 @@ def _shared_variable(graph, torus):
 
 def test_repeated_identity_is_expanded_once(a2_graph, monkeypatch):
     # a variable held by two nodes is one key, expanded once, at the node
-    # where the walk ends
-    t0 = a2_graph.order[0]
-    g, homes = _shared_variable(a2_graph, t0)
+    # where the walk ends; in a torus other than the reference, where the
+    # basis has no record yet
+    torus = a2_graph.order[1]
+    g, homes = _shared_variable(a2_graph, torus)
     basis = CandidateBasis(a2_graph, unfrozen_cap=0)
     calls = []
     real = a2_graph.monomial_in
     monkeypatch.setattr(a2_graph, "monomial_in", lambda *a: calls.append(a) or real(*a))
-    assert basis.element_at_degree(t0, g) is not None
-    assert calls == [(*basis._resolved[(t0, g, False)][0], t0)]
+    assert basis.element_at_degree(torus, g) is not None
+    assert calls == [(*basis._resolved[(torus, g, False)][0], torus)]
     assert calls[0][:2] in homes
     assert not basis.conflicts
 
@@ -200,8 +218,8 @@ def test_b2_triangular(b2_graph):
 
 
 def _prov_at_degree(basis, g):
-    assert g in basis.provenance
-    return basis.provenance[g]
+    assert g in basis.by_degree
+    return basis.by_degree[g]
 
 
 def test_verify_pair_worked_examples(a2_graph):
@@ -244,7 +262,7 @@ def test_lookup_by_degree_returns_v(graph_name, cap, request):
     graph = request.getfixturevalue(graph_name)
     basis = CandidateBasis(graph, unfrozen_cap=cap)
     for r_home, r_m in default_r_specs(graph):
-        for home, m in basis.provenance.values():
+        for home, m in basis.by_degree.values():
             z = graph.monomial_in(home, m, r_home)
             g = mat_vec(psi_matrix(graph, home, r_home), m)
             assert basis.element_at_degree(r_home, g) == z
@@ -369,7 +387,7 @@ def test_verify_theorem_monomial_r(a2_graph):
     # the product structure holds with R any cluster monomial, not just
     # single variables
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
-    specs = list(CandidateBasis(a2_graph, unfrozen_cap=1).provenance.values())
+    specs = list(CandidateBasis(a2_graph, unfrozen_cap=1).by_degree.values())
     assert len(specs) == 11
     report = verify_theorem(basis, r_specs=specs)
     assert report.ok
@@ -385,5 +403,5 @@ def test_frozen_r_always_lands_in_basis(pa2_graph):
     t0 = pa2_graph.order[0]
     frozen_m = unit_vec(4, 2)
     for g in basis.degree_keys():
-        v = verify_pair(basis, t0, frozen_m, *basis.provenance[g])
+        v = verify_pair(basis, t0, frozen_m, *basis.by_degree[g])
         assert v.case == "in_basis", (g, v.case, v.reason)
