@@ -305,13 +305,8 @@ def cmd_leclerc(args):
         check_writable(args.json_out)  # fail now, not after the sweep
     report = leclerc.verify_theorem(basis, r_specs=r_specs)
     if args.json_out:
-        doc = _report_json(graph, basis, report)
-
-        def dump(fh):
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-        write_file(args.json_out, dump)
+        text = json.dumps(_report_json(graph, basis, report), indent=2, sort_keys=True) + "\n"
+        write_file(args.json_out, lambda fh: fh.write(text))
     c = report.counts()
     print(f"basis {len(basis.by_degree)} elements; "
           f"in_basis {c['in_basis']}, two_tail_pass {c['two_tail_pass']}, "

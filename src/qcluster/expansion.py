@@ -256,32 +256,40 @@ class ExchangeGraph:
         steps += [(down[:i], down[i]) for i in range(len(down))]
         return tuple((self.nodes[self._by_path[path]].seed, k) for path, k in steps)
 
+    def step_toward(self, key, torus_key):
+        """One step of the path tree from node key toward the torus's
+        node, which key is not: (k, neighbour), key's labeled seed being
+        the neighbour's mutated at k. The step goes to the tree parent,
+        or, from an ancestor of the torus's node, to its child on the
+        torus's path."""
+        path, up = self.nodes[key].path, self.nodes[torus_key].path
+        if up[:len(path)] == path:  # an ancestor of the torus's node
+            k, path = up[len(path)], up[:len(path) + 1]
+        else:
+            k, path = path[-1], path[:-1]
+        return k, self._by_path[path]
+
     def vars_in(self, home_key, torus_key):
         """home's variables in the torus of another node, in n-coordinates
         there (NForm.expand gives the torus elements).
 
         Every re-tracking happens here. Walk the path tree from home
-        toward the torus's node, to the first node already re-tracked
-        into the torus: a step goes to the tree parent, or, from an
-        ancestor of the torus's node, to its child on the torus's path.
-        Then build back, each node its neighbour mutated once, checked
-        against its labeled seed, interned and cached; tracked_in reads
-        it back through this method. A node's tracked seed is its
-        re-tracking into the reference torus, so _build caches it.
+        toward the torus's node (step_toward), to the first node already
+        re-tracked into the torus. Then build back, each node its
+        neighbour mutated once, checked against its labeled seed,
+        interned and cached; tracked_in reads it back through this
+        method. A node's tracked seed is its re-tracking into the
+        reference torus, so _build caches it.
         """
-        key, path, way = home_key, self.nodes[home_key].path, []
-        up = self.nodes[torus_key].path
+        key, way = home_key, []
         while (key, torus_key) not in self._cross:
             if key == torus_key:
                 self._cross[(key, key)] = self._intern(
                     initial_tracked(self.nodes[key].seed), key, self.nodes[key].degs)
                 break
-            if up[:len(path)] == path:  # an ancestor of the torus's node
-                k, path = up[len(path)], up[:len(path) + 1]
-            else:
-                k, path = path[-1], path[:-1]
+            k, nxt = self.step_toward(key, torus_key)
             way.append((key, k))
-            key = self._by_path[path]
+            key = nxt
         ts = self._cross[(key, torus_key)]
         for key, k in reversed(way):
             node = self.nodes[key]

@@ -17,7 +17,8 @@ the only elements kept.
 In one torus, the (co)degree cones of the nodes, each spanned by its
 variables' (co)degrees, form a complete simplicial fan (the g-vector fan
 of a finite type; Hohlweg-Pilaud-Stella, arXiv:1703.09551). The
-resolver walks it: from the torus's own node it reads a key g in a
+resolver walks it: from the node where its last walk in the (torus,
+side) ended, the torus's own node at first, it reads a key g in a
 node's coordinates, lambda = M^-1 g through the integer inverse of the
 node's (co)degree map M, and while some unfrozen lambda_k < 0 it steps
 across wall k along the graph edge (node, k, node'). Each M is
@@ -26,18 +27,22 @@ unimodular: the g-vectors of a cluster form a Z-basis of the lattice
 arXiv:math/0602259, and proved there in finite type; in general by
 Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394), and frozen variables
 add unit columns. So every key has integer coordinates in every node,
-and no lookup divides. In a polytopal fan each step improves <g, .> at
-the polytope's vertices, so no node repeats. The walk ends at a node
-whose cone holds g, with g's exponents m there, and the key's element
-is that node's X^m: expanded once (ExchangeGraph.monomial_in), in
-n-coordinates (pointed.NForm, exponents g' + B n), and checked pointed
-at its degree g' (no negative n, coefficient 1 at n = 0) with g' = g on
-the degree side, or its codegree g' + B n_max = g on the codegree side.
-Any other node whose cone holds g holds the variables
-spanning the face g lies in, and names the same X^m: the graph keeps
-each variable once per torus, as its one-factor cluster monomial, a
-re-tracking that disagrees with it being an internal error. So the
-route does not matter and no other node is tried. Before the first
+and no lookup divides. Only the torus's own node's M is inverted
+outright: along the path tree, a node's M differs from its neighbour's
+in the exchanged column alone, so its inverse is the neighbour's after
+one rank-one update. In a polytopal fan each step improves <g, .> at
+the polytope's vertices, so no node repeats, whatever the start. The
+walk ends at a node whose cone holds g, with g's exponents m there, and
+the key's element is that node's X^m: expanded once
+(ExchangeGraph.monomial_in), in n-coordinates (pointed.NForm, exponents
+g' + B n), and checked pointed at its degree g' (no negative n,
+coefficient 1 at n = 0) with g' = g on the degree side, or its codegree
+g' + B n_max = g on the codegree side. Any other node whose cone holds
+g holds the variables spanning the face g lies in, and names the same
+X^m: the graph keeps each variable once per torus, as its one-factor
+cluster monomial, a re-tracking that disagrees with it being an
+internal error. So neither the walk's start nor its route matters, and
+no other node is tried. Before the first
 lookup in a (torus, side), a certificate checks that the cones do form
 such a fan: every node has a wall, an edge, for each unfrozen vertex
 (checked once, when the basis is built), every node's map is
@@ -121,6 +126,7 @@ class CandidateBasis:
         self.conflicts: list = []
         self.walk_steps = 0
         self._inv: dict = {}
+        self._last_home: dict = {}
         self._resolved: dict = {}
         self._certified: set = set()
         # each edge (a, k, b) as (b, position of b's new variable)
@@ -187,13 +193,45 @@ class CandidateBasis:
         torus; on the degree side M is psi_matrix(home, torus). M is
         unimodular, the g-vectors of a cluster being a Z-basis; None when
         it is not, which the fan certificate refuses. Computed once per
-        (home, torus, side).
+        (home, torus, side), by exchange update: walk the path tree from
+        home toward the torus's node (ExchangeGraph.step_toward) to the
+        first node with a map, inverting only the torus's own node's, and
+        build back. A node's labeled seed is its neighbour's mutated at
+        k, so its M is the neighbour's M' but for column k, c: with
+        lambda = M'^-1 c, det M = lambda_k det M', and when lambda_k =
+        +-1, M^-1 is M'^-1 after one row operation per row. Otherwise M
+        is not unimodular and the map is None. A neighbour with no map,
+        or columns that differ elsewhere, fall back to _linalg.invert.
         """
-        key = (home_key, torus_key, co)
-        if key not in self._inv:
-            self._inv[key] = _linalg.invert(
-                _linalg.transpose(self._columns(home_key, torus_key, co)))
-        return self._inv[key]
+        key, way = home_key, []
+        while (key, torus_key, co) not in self._inv:
+            if key == torus_key:
+                self._inv[(key, torus_key, co)] = _linalg.invert(
+                    _linalg.transpose(self._columns(key, torus_key, co)))
+                break
+            k, nxt = self.graph.step_toward(key, torus_key)
+            way.append((key, k))
+            key = nxt
+        for home, k in reversed(way):
+            self._inv[(home, torus_key, co)] = self._exchange_update(key, home, k, torus_key, co)
+            key = home
+        return self._inv[(home_key, torus_key, co)]
+
+    def _exchange_update(self, prev_key, key, k, torus_key, co):
+        """key's inverse map from its neighbour prev_key's across vertex k."""
+        inv = self._inv[(prev_key, torus_key, co)]
+        cols = self._columns(key, torus_key, co)
+        prev = self._columns(prev_key, torus_key, co)
+        if inv is None or cols[:k] + cols[k + 1:] != prev[:k] + prev[k + 1:]:
+            return _linalg.invert(_linalg.transpose(cols))
+        lam = _linalg.mat_vec(inv, cols[k])
+        if lam[k] not in (1, -1):
+            return None
+        row_k = tuple(lam[k] * x for x in inv[k])
+        return tuple(
+            row_k if i == k else row if not lam[i]
+            else tuple(a - lam[i] * b for a, b in zip(row, row_k))
+            for i, row in enumerate(inv))
 
     def _certify(self, torus_key, co):
         """Check once per (torus, side) that the nodes' (co)degree cones
@@ -233,15 +271,19 @@ class CandidateBasis:
         self._certified.add((torus_key, co))
 
     def _walk(self, torus_key, g, co):
-        """The node whose cone holds g, reached from the torus's own node,
-        with g's exponents there."""
+        """The node whose cone holds g, with g's exponents there, reached
+        from the node where the last walk in this (torus, side) ended
+        (the torus's own node for the first). In a polytopal fan no node
+        repeats from any start, and any node whose cone holds g names
+        the same element (see the module docstring)."""
         self._certify(torus_key, co)
         unfrozen = self.graph.reference.unfrozen
-        home = torus_key
+        home = self._last_home.get((torus_key, co), torus_key)
         for _ in self.graph.order:
             lam = _linalg.mat_vec(self._inverse_map(home, torus_key, co), g)
             k = next((k for k in unfrozen if lam[k] < 0), None)
             if k is None:
+                self._last_home[(torus_key, co)] = home
                 return home, lam
             home = self._walls[(home, k)][0]
             self.walk_steps += 1

@@ -52,7 +52,9 @@ n(g') >= n(g) componentwise, so the maximal terms are the Pareto-minimal
 n, and the window is the box 0 <= n <= n(window bottom). The residual
 is one dict of integer coefficient dicts, from which each step
 subtracts its coefficient times the basis element in place, dropping
-the terms that cancel.
+the terms that cancel. The Pareto-minimal n are kept as a front across
+steps: a step cancels its pivot and adds terms above it only, so only
+keys above the pivot can join.
 
 Normalization and decomposition are implemented on the degree side
 only. Negating B and Lambda (seed.opposite_seed) reverses the dominance
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from operator import add as _plus, le, mul as _times, neg, sub
 
@@ -232,7 +234,8 @@ class NForm:
         """Pointed at g: no n is negative and the coefficient at n = 0 is 1."""
         zero = (0,) * len(next(iter(self.terms), ()))
         c = self.terms.get(zero)
-        return c is not None and c.is_one() and all(min(n, default=0) >= 0 for n in self.terms)
+        return (c is not None and c.is_one()
+                and min(chain.from_iterable(self.terms), default=0) >= 0)
 
     def normalized(self):
         """Divided by the coefficient at n = 0, which must be a unit
@@ -265,10 +268,10 @@ class NForm:
         """The same element in the opposite seed's n-coordinates, read from
         its codegree: (codegree, {n_max - n: c}). Raises ValueError when
         it has no codegree term."""
-        eta = self.codegree(seed)
-        if eta is None:
-            raise ValueError("element has no codegree to read it from")
         top = self.co_n()
+        if top is None:
+            raise ValueError("element has no codegree to read it from")
+        eta = vec_add(self.g, _linalg.mat_vec(seed.B, top))
         return NForm(eta, {vec_sub(top, n): c for n, c in self.terms.items()})
 
 
@@ -454,8 +457,30 @@ def _maximal_support(ns):
     minima = []
     for n in sorted(ns, key=sum):
         # only a smaller sum can lie componentwise below n
-        if not any(all(a <= b for a, b in zip(o, n)) for o in minima):
+        for o in minima:
+            if all(map(le, o, n)):
+                break
+        else:
             minima.append(n)
+    return minima
+
+
+def _minima_above(r, n, front):
+    """The Pareto-minimal keys of r above n, given front, r's other
+    Pareto-minimal keys, none of them n: after a step that removed n
+    from the minima and added only keys above it, these are the minima
+    that join the front. A key of r below one of them lies above n too,
+    or above a key of the front; with no front, every key lies above n."""
+    if not front:
+        return _maximal_support(r)
+    minima = []
+    for m in sorted(r, key=sum):
+        if all(map(le, n, m)):
+            for o in chain(front, minima):
+                if all(map(le, o, m)):
+                    break
+            else:
+                minima.append(m)
     return minima
 
 
@@ -476,18 +501,24 @@ def decompose(seed, z, basis, box, tie_break=None):
 
     The residual is one {n: {v-exponent: int}} dict from which each step
     subtracts its coefficient times the element in place (the element's
-    term n' lands at n + n'), dropping the terms that cancel. Only a
-    pivot's exponent is formed, by one mat_vec; nothing is projected.
+    term n' lands at n + n'), dropping the terms that cancel. The
+    Pareto front of minimal n is kept across steps, {exponent: n}, each
+    exponent formed by one mat_vec when its n joins; nothing is
+    projected. A step whose element is pointed (n' >= 0, coefficient 1
+    at n' = 0) cancels its pivot and adds only terms above it, so only
+    keys above the pivot can join the front; any other step rebuilds it.
     """
     r = {n: dict(c._c) for n, c in z.terms.items()}
     terms = []
+    front = None
     for _ in range(DECOMPOSE_ITERATION_CAP):
         if not r:
             return Decomposition(terms=terms, status="exact")
-        pivots = {vec_add(z.g, _linalg.mat_vec(seed.B, n)): n for n in _maximal_support(r)}
-        g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
-        n = pivots[g]
-        if box is None or any(a < 0 or a > b for a, b in zip(n, box)):
+        if front is None:
+            front = {vec_add(z.g, _linalg.mat_vec(seed.B, n)): n for n in _maximal_support(r)}
+        g = min(front) if tie_break is None else tie_break(sorted(front))
+        n = front[g]
+        if box is None or min(n, default=0) < 0 or not all(map(le, n, box)):
             return Decomposition(
                 terms=terms, status="indeterminate",
                 reason=f"support degree {g} escapes the window",
@@ -501,11 +532,21 @@ def decompose(seed, z, basis, box, tie_break=None):
         c = VCoeff(r[n])
         terms.append((g, c))
         for m, ce in elem.terms.items():
-            key = vec_add(n, m)
+            key = tuple(map(_plus, n, m))
             rm = r.setdefault(key, {})
             _add_product(rm, c, ce, 0, -1)
             if not rm:
                 del r[key]
+        if not r:
+            continue
+        # a pivot left in r, or a key not above it, breaks the front
+        # (n is () only with no unfrozen vertex, where r held n alone)
+        if n in r or (n and min(map(min, elem.terms)) < 0):
+            front = None
+            continue
+        del front[g]
+        for m in _minima_above(r, n, front.values()):
+            front[vec_add(z.g, _linalg.mat_vec(seed.B, m))] = m
     return Decomposition(terms=terms, status="indeterminate", reason="iteration cap hit")
 
 

@@ -1,6 +1,7 @@
 """The fan walk of CandidateBasis against the scan over every node."""
 import dataclasses
 import json
+import pathlib
 import re
 
 import pytest
@@ -17,6 +18,9 @@ from qcluster.leclerc import (
 )
 from qcluster.pointed import NForm
 from qcluster.qtorus import VCoeff, unit_vec
+
+DATA = pathlib.Path(__file__).parent / "data"
+
 
 def _swept_basis(name):
     """The rung's basis after its full sweep, and a codegree-side
@@ -65,6 +69,79 @@ def test_inverse_map_reads_per_key_are_bounded(a3_graph, monkeypatch):
     # one read per node the walk visits: one per step, and the node it ends at
     assert new_keys > 0 and steps > 0
     assert len(reads) == steps + new_keys
+
+
+def _rung_graph(name):
+    if name == "b3p-cap1":
+        return build_exchange_graph(cli.load_seed(str(DATA / "b3p.json"))[0]), 1
+    make, cap, window = LADDER[name]
+    return build_exchange_graph(make()), cap
+
+
+@pytest.mark.parametrize("name", sorted(LADDER) + ["b3p-cap1"])
+def test_inverse_maps_by_exchange_update_match_inversion(name):
+    # every (node, torus, side), each torus's maps requested in graph
+    # order, so that most are updated from a neighbour's
+    graph, cap = _rung_graph(name)
+    basis = CandidateBasis(graph, unfrozen_cap=cap)
+    for torus in graph.order:
+        for co in (False, True):
+            for key in graph.order:
+                want = _linalg.invert(_linalg.transpose(basis._columns(key, torus, co)))
+                assert want is not None
+                assert basis._inverse_map(key, torus, co) == want, (key, torus, co)
+
+
+def test_entering_a_torus_inverts_once_per_side(a3_graph, monkeypatch):
+    # one Smith diagonalization per (torus, side), at the torus's own
+    # node; the reference torus's degree side was certified when the
+    # basis was built
+    basis = CandidateBasis(a3_graph, unfrozen_cap=1)
+    calls = []
+    real = _linalg.invert
+    monkeypatch.setattr(_linalg, "invert", lambda mat: calls.append(mat) or real(mat))
+    for torus in a3_graph.order:
+        for co in (False, True):
+            before = len(calls)
+            basis._certify(torus, co)
+            if torus == a3_graph.order[0] and not co:
+                assert len(calls) == before
+                continue
+            assert len(calls) == before + 1, (torus, co)
+            assert calls[-1] == _linalg.transpose(basis._columns(torus, torus, co))
+
+
+def test_an_exchange_pivot_of_two_gives_none(a2_graph, monkeypatch):
+    # the last node's exchanged column doubled: lambda_k = +-2 in its
+    # neighbour's coordinates, det M = +-2, and the update refuses it
+    # without inverting
+    basis = CandidateBasis(a2_graph, unfrozen_cap=1)
+    torus, home = a2_graph.order[0], a2_graph.order[-1]
+    k, neighbour = a2_graph.step_toward(home, torus)
+    assert neighbour != torus
+    real = CandidateBasis._columns
+
+    def doubled(self, home_key, torus_key, co):
+        cols = real(self, home_key, torus_key, co)
+        if home_key != home:
+            return cols
+        return cols[:k] + (tuple(2 * x for x in cols[k]),) + cols[k + 1:]
+
+    monkeypatch.setattr(CandidateBasis, "_columns", doubled)
+    column = doubled(basis, home, torus, True)[k]
+    lam = _linalg.mat_vec(basis._inverse_map(neighbour, torus, True), column)
+    assert lam[k] in (2, -2)
+    monkeypatch.setattr(_linalg, "invert", lambda mat: pytest.fail("inverted"))
+    assert basis._inverse_map(home, torus, True) is None
+
+
+def test_walks_from_the_last_home_take_fewer_steps_than_keys():
+    # a full A3-principal cap1 sweep: each walk starts where the last one
+    # in its (torus, side) ended, so most keys are reached in no step
+    graph, cap = _rung_graph("a3p-cap1")
+    basis = CandidateBasis(graph, unfrozen_cap=cap)
+    assert verify_theorem(basis).ok
+    assert 0 < basis.walk_steps < len(basis._resolved)
 
 
 def test_planted_duplicate_home_has_no_wall(a2_graph):

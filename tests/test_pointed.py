@@ -416,6 +416,25 @@ def test_each_indeterminate_reason_matches_the_subtracting_residual(
         assert got == oracles.subtracting_decompose(a2_seed, z, basis, window, tie_break)
 
 
+@pytest.mark.parametrize("element, reason", [
+    (QTElem.one(2).scale(VCoeff({0: 2})), "iteration cap hit"),
+    (QTElem.one(2) + QTElem.monomial((0, -1)), "no basis element keyed at (-1, -1)"),
+], ids=["pivot-not-cancelled", "term-above-its-key"])
+def test_a_step_that_breaks_the_front_rebuilds_it(a2_seed, element, reason, monkeypatch):
+    # [X1*I2]'s second pivot, at (0, 0), meets an element that is not
+    # pointed there: with coefficient 2 its term never cancels, and with
+    # a term above its key the step adds a key that is not above the
+    # pivot, which becomes the next pivot
+    monkeypatch.setattr(pointed, "DECOMPOSE_ITERATION_CAP", 7)
+    z = a2_gold("[X1*I2]")
+    window = Bidegree(deg=(1, -1), codeg=(-1, 0))
+    basis = {**_a2_basis(), (0, 0): element}
+    for tie_break in (None, lambda keys: keys[-1]):
+        got = oracles.n_form_decompose(a2_seed, z, basis, window, tie_break)
+        assert not got.is_exact and reason in got.reason and len(got.terms) > 2
+        assert got == oracles.subtracting_decompose(a2_seed, z, basis, window, tie_break)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seeded_elements())
 def test_each_end_matches_the_pairwise_scans(case):
