@@ -174,9 +174,11 @@ def cmd_graph(args):
     if not_finite_type(graph, "no graph written"):
         return 1
     nvars = len(graph.distinct_variables())
+    # DOT on stdout stays valid DOT: the summary goes to stderr then
     print(f"{len(graph.order)} nodes, {len(graph.undirected_edges())} edges, "
           f"{nvars} distinct cluster variables"
-          + (" (truncated)" if graph.truncated else ""))
+          + (" (truncated)" if graph.truncated else ""),
+          file=sys.stderr if args.dot == "-" else sys.stdout)
     if args.dot:
         text = emit_dot(graph)
         if args.dot == "-":

@@ -13,6 +13,17 @@ a failure is an internal error, not a user condition. The quotient is
 pointed at its base, so the new variable's degree (its g-vector) is
 that base; nothing measures it.
 
+The build mutates every node in every direction, and one exchange
+relation recurs across many edges. So it divides once per relation: a
+table, local to the build, keeps the new variable by the reference
+degrees of X_k and of each exchange monomial's factors, with the
+monomial's v-power. The build interns a node's variables (one object
+per reference degree, below) before it mutates the node, so the key
+fixes every input of the division, and a repeat reads back the stored
+variable that the first one made. Every mutation still mutates and
+checks the seed, and its variables are still interned. Re-tracking
+passes no table.
+
 The exchange graph deduplicates tracked seeds by the unordered set of
 variable degrees in the reference torus (a seed is determined by those
 up to permutation). Whenever two routes meet at one node, the seeds
@@ -104,7 +115,7 @@ def _image_monomial(ts: TrackedSeed, a) -> pointed.NForm:
     return acc
 
 
-def mutate_tracked(ts: TrackedSeed, k) -> TrackedSeed:
+def mutate_tracked(ts: TrackedSeed, k, exchanges=None) -> TrackedSeed:
     """Mutate at unfrozen k, keeping all variables in the reference torus.
 
     In the current seed, the new variable z satisfies
@@ -114,23 +125,53 @@ def mutate_tracked(ts: TrackedSeed, k) -> TrackedSeed:
     base that dominates the other (sign-coherence of c-vectors makes one
     do), and z is their sum divided exactly by X_k, pointed at its base:
     the base is z's degree, never measured.
+
+    exchanges, when given, is a table of new variables by exchange
+    relation (_relation_key), read before and filled after the division.
+    It serves one reference torus whose variables are interned, one
+    object per reference degree; then the key fixes every input of the
+    division, and a hit is that same computation's result. The seed is
+    mutated and checked either way.
     """
     s = ts.seed
     if k not in s.unfrozen:
         raise ValueError(f"vertex {k} is not unfrozen")
-    ck = s.col(k)
-    col = tuple(s.B[i][ck] for i in range(s.n))
-    fk = unit_vec(s.n, k)
-    aminus, aplus = pos_part(tuple(-x for x in col)), pos_part(col)
-    num = pointed.add(ts.ref, _image_monomial(ts, aminus).vshift(s.lam(aminus, fk)),
-                      _image_monomial(ts, aplus).vshift(s.lam(aplus, fk)))
-    z = pointed.divide(ts.ref, num, ts.vars[k]).normalized()
+    relation = _exchange(ts, k)
+    key = z = None
+    if exchanges is not None:
+        key = _relation_key(ts, k, relation)
+        z = exchanges.get(key)
+    if z is None:
+        aminus, lminus, aplus, lplus = relation
+        num = pointed.add(ts.ref, _image_monomial(ts, aminus).vshift(lminus),
+                          _image_monomial(ts, aplus).vshift(lplus))
+        z = pointed.divide(ts.ref, num, ts.vars[k]).normalized()
+        if key is not None:
+            exchanges[key] = z
     return TrackedSeed(
         seed=mutate_seed(s, k),
         vars=ts.vars[:k] + (z,) + ts.vars[k + 1:],
         ref=ts.ref,
         path=ts.path + (k,),
     )
+
+
+def _exchange(ts: TrackedSeed, k):
+    """(a-, lam(a-, f_k), a+, lam(a+, f_k)) of the exchange relation at k."""
+    s = ts.seed
+    ck = s.col(k)
+    col = tuple(s.B[i][ck] for i in range(s.n))
+    fk = unit_vec(s.n, k)
+    aminus, aplus = pos_part(tuple(-x for x in col)), pos_part(col)
+    return aminus, s.lam(aminus, fk), aplus, s.lam(aplus, fk)
+
+
+def _relation_key(ts: TrackedSeed, k, relation):
+    """The exchange relation at k by reference degrees: X_k's, and each
+    exchange monomial's sorted (degree, exponent) pairs with its v-power."""
+    degs, (aminus, lminus, aplus, lplus) = ts.degs, relation
+    return (degs[k], tuple(sorted((d, x) for d, x in zip(degs, aminus) if x)), lminus,
+            tuple(sorted((d, x) for d, x in zip(degs, aplus) if x)), lplus)
 
 
 def apply_word(ts: TrackedSeed, word) -> TrackedSeed:
@@ -206,22 +247,25 @@ class ExchangeGraph:
         self._by_path[ts0.path] = key0
         self._cross[(key0, key0)] = ts0
         frontier = [key0] if self._two_finite(ts0) else []
+        exchanges = {}  # new variables by exchange relation, each the store's object
         while frontier:
             nxt = []
             for key in frontier:
                 ts = self.nodes[key]
                 for k in ts.seed.unfrozen:
-                    ts2 = mutate_tracked(ts, k)
+                    ts2 = mutate_tracked(ts, k, exchanges)
                     key2 = degree_key(ts2)
                     self.edges.append((key, k, key2))
-                    if key2 in self.nodes:
-                        self._intern(ts2, key0, ts2.degs)  # its variables must match the store
-                        _assert_same_node(self.nodes[key2], ts2)
-                        continue
-                    if len(self.nodes) >= self.node_cap:
+                    if key2 not in self.nodes and len(self.nodes) >= self.node_cap:
                         self.truncated = True
                         continue
-                    ts2 = self._intern(ts2, key0, ts2.degs)
+                    z = ts2.vars[k]
+                    ts2 = self._intern(ts2, key0, ts2.degs)  # its variables must match the store
+                    if ts2.vars[k] is not z:  # an equal copy of a stored variable: keep the store's
+                        exchanges[_relation_key(ts, k, _exchange(ts, k))] = ts2.vars[k]
+                    if key2 in self.nodes:
+                        _assert_same_node(self.nodes[key2], ts2)
+                        continue
                     self.nodes[key2] = ts2
                     self.order.append(key2)
                     self._by_path[ts2.path] = key2

@@ -128,9 +128,11 @@ def test_graph_truncation_flagged(a2_file, capsys):
 
 
 def test_graph_dot_to_stdout(a2_file, capsys):
+    # the summary goes to stderr, so stdout is DOT alone
     assert main(["graph", a2_file, "--dot", "-"]) == 0
-    out = capsys.readouterr().out
-    assert "graph exchange {" in out and out.rstrip().endswith("}")
+    captured = capsys.readouterr()
+    assert captured.out.startswith("graph exchange {") and captured.out.rstrip().endswith("}")
+    assert captured.err == "5 nodes, 5 edges, 5 distinct cluster variables\n"
 
 
 def test_shift(a2_file, capsys):
@@ -209,7 +211,7 @@ def test_seeds_that_are_not_2_finite_are_refused_at_once(tmp_path, monkeypatch, 
     mutations = []
     real = expansion.mutate_tracked
     monkeypatch.setattr(expansion, "mutate_tracked",
-                        lambda ts, k: mutations.append(k) or real(ts, k))
+                        lambda ts, k, *rest: mutations.append(k) or real(ts, k, *rest))
     assert main([command[0], str(path), *command[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == f"not finite type: {witness}; {outcome}\n"

@@ -1,4 +1,5 @@
 import inspect
+import pathlib
 import random
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from qcluster import (
     mutate_tracked,
     principal_framing,
 )
-from qcluster import expansion, pointed, qtorus
+from qcluster import cli, expansion, pointed, qtorus
 from qcluster.expansion import degree_key
 from qcluster.leclerc import _exponent_box
 from qcluster.pointed import degree
@@ -471,3 +472,67 @@ def test_monomial_in_does_not_recurse_on_the_exponent(a2_graph):
     finally:
         sys.setrecursionlimit(limit)
     assert got.expand(a2_graph.nodes[torus].seed) == want
+
+
+def _dividing_build(seed, monkeypatch):
+    """The build with no exchange table: every mutation divides."""
+    real = expansion.mutate_tracked
+    with monkeypatch.context() as patch:
+        patch.setattr(expansion, "mutate_tracked", lambda ts, k, exchanges=None: real(ts, k))
+        return build_exchange_graph(seed)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: principal_framing(A3_B),
+    lambda: principal_framing(B3_B),
+    lambda: principal_framing(D4_B),
+    LADDER["g2-cap1"][0],
+    LADDER["frozen-cap2-w1"][0],
+], ids=["A3p", "B3p", "D4p", "G2", "frozen"])
+def test_a_shared_exchange_relation_gives_the_replayed_variables(make, monkeypatch):
+    # each node's variables, made once per exchange relation, against a
+    # replay of its path that passes no table; node order and edges as in
+    # a build that divides at every mutation
+    seed = make()
+    graph = build_exchange_graph(seed)
+    want = _dividing_build(seed, monkeypatch)
+    assert graph.order == want.order and graph.edges == want.edges
+    ts0 = initial_tracked(seed)
+    for key in graph.order:
+        node, replay = graph.nodes[key], apply_word(ts0, graph.nodes[key].path)
+        assert node.seed == replay.seed and node.vars == replay.vars == want.nodes[key].vars, key
+
+
+BENCH_SEEDS = pathlib.Path(__file__).parent.parent / "bench" / "seeds"
+
+
+@pytest.mark.parametrize("name, mutations, divisions", [("c5p", 1260, 270), ("a4p", 168, 70)])
+def test_the_build_divides_once_per_exchange_relation(name, mutations, divisions, monkeypatch):
+    # every node is mutated in every direction, but each distinct exchange
+    # relation is divided once; a repeat returns the reference torus's
+    # stored variable itself, and so does every entry of the table
+    seed = cli.load_seed(str(BENCH_SEEDS / f"{name}.json"))[0]
+    real_mutate, real_divide = expansion.mutate_tracked, pointed.divide
+    tables, hits, divided = [], [], []
+
+    def mutating(ts, k, exchanges=None):
+        before = len(exchanges)
+        out = real_mutate(ts, k, exchanges)
+        tables.append(exchanges)
+        if len(exchanges) == before:
+            hits.append(out.vars[k])
+        return out
+
+    monkeypatch.setattr(expansion, "mutate_tracked", mutating)
+    monkeypatch.setattr(pointed, "divide", lambda *a: divided.append(a) or real_divide(*a))
+    graph = build_exchange_graph(seed)
+    assert (len(tables), len(divided)) == (mutations, divisions)
+    table = tables[0]
+    assert all(t is table for t in tables) and len(table) == divisions
+    assert len(hits) == mutations - divisions
+
+    def stored(x):
+        return graph._monomials[(graph.order[0], ((x.g, 1),))]
+
+    assert all(x is stored(x) for x in hits)
+    assert all(x is stored(x) for x in table.values())

@@ -196,8 +196,8 @@ def _planting(graph, torus, home, factor, plant):
     torus_seed, home_seed = graph.nodes[torus].seed, graph.nodes[home].seed
     real = expansion.mutate_tracked
 
-    def planting(ts, k):
-        out = real(ts, k)
+    def planting(ts, k, *rest):
+        out = real(ts, k, *rest)
         if out.ref == torus_seed and out.seed == home_seed:
             out = dataclasses.replace(
                 out, vars=out.vars[:j] + (plant(out.vars[j]),) + out.vars[j + 1:])
@@ -223,7 +223,7 @@ def test_retracked_factors_match_their_table_entry(factor, plant, error, monkeyp
     entry = graph._monomials[(torus, ((graph.nodes[home].degs[j], 1),))]
     planted = []
     monkeypatch.setattr(expansion, "mutate_tracked",
-                        lambda ts, k: planted.append(k) or planting(ts, k))
+                        lambda ts, k, *rest: planted.append(k) or planting(ts, k, *rest))
     if error:
         with pytest.raises(RuntimeError, match="disagrees with its entry in torus"):
             graph.vars_in(home, torus)
@@ -240,8 +240,8 @@ def test_a_build_landing_on_a_stored_node_checks_its_variables(monkeypatch):
     real = expansion.mutate_tracked
     planted = []
 
-    def planting(ts, j):
-        out = real(ts, j)
+    def planting(ts, j, *rest):
+        out = real(ts, j, *rest)
         if out.path == (k, k):
             planted.append(j)
             out = dataclasses.replace(
@@ -284,8 +284,8 @@ def test_a_variable_not_pointed_at_its_degree_exits_3(a3p_file, tamper, monkeypa
     k = seed.unfrozen[0]
     real = expansion.mutate_tracked
 
-    def tampering(ts, j):
-        out = real(ts, j)
+    def tampering(ts, j, *rest):
+        out = real(ts, j, *rest)
         if out.path == (k,):
             x = out.vars[k]
             if tamper == "negative-n":
