@@ -13,10 +13,17 @@ factors); it is the one degree map, and leclerc keys its lookups by it.
 A node t is shift-detectable in direction +1 when some node t' carries,
 for every unfrozen k, a variable whose expansion in t's torus has
 degree -f_k plus a frozen correction; direction -1 asks for the node
-whose torus sees t's own variables that way. The resulting injective
-and projective elements index the distinguished pointed and copointed
-products; a copointed product is the pointed construction from the
-projectives, run in the opposite seed.
+whose torus sees t's own variables that way. The scan reads those
+degrees off a re-tracking (the candidate into t's torus, or t into the
+candidate's), so it first skips every candidate whose unfrozen B has
+another profile (sorted rows and columns per vertex) than t's. The
+shift's permutation of the unfrozen set must carry one B onto the
+other, and no permutation does there: a full scan would re-track each
+skipped candidate only to reject it, so the first match is the same.
+The resulting injective and projective elements index the
+distinguished pointed and copointed products; a copointed product is
+the pointed construction from the projectives, run in the opposite
+seed.
 
 All of it works in n-coordinates (pointed.NForm). The injectives and
 projectives are the shift node's variables as the exchange graph keeps
@@ -133,13 +140,31 @@ def _b_condition(sa, sb, sigma):
     return True
 
 
+def _b_profile(seed):
+    """A permutation invariant of the unfrozen square of B: the sorted
+    (sorted row, sorted column) pairs of its vertices. Two seeds whose
+    unfrozen B agree under a simultaneous permutation have equal
+    profiles."""
+    uf = seed.unfrozen
+    return sorted((tuple(sorted(seed.b(i, j) for j in uf)), tuple(sorted(seed.b(j, i) for j in uf)))
+                  for i in uf)
+
+
 def detect_shift(graph: ExchangeGraph, key, direction=1) -> ShiftData:
     """Scan nodes in discovery order for the shift of a node.
+
+    A candidate whose unfrozen B has another profile (_b_profile) than
+    the base's is skipped before anything is re-tracked: sigma permutes
+    the unfrozen set, so _b_condition fails for every sigma there, and
+    the first match is the one the full scan finds.
 
     Raises ShiftNotFound when no node matches (truncated graph, or the
     seed is not injective-reachable within the cap).
     """
+    profile = _b_profile(graph.nodes[key].seed)
     for cand in graph.order:
+        if _b_profile(graph.nodes[cand].seed) != profile:
+            continue
         if direction == 1:
             home, torus = cand, key
         else:

@@ -63,6 +63,11 @@ ran before it moved to n-forms: ordered twisted products, each
 normalized at a degree scan. It reuses the library's torus arithmetic
 and degree scan: what it checks is that the n-form construction,
 normalized by one v-shift per factor, gives the same elements.
+The scanning shift detection is the one the library ran before it
+skipped candidates by their unfrozen B: it re-tracks into every
+candidate torus in discovery order and reuses the library's pattern
+match and B condition. What it checks is that skipping the candidates
+whose B profile differs from the base's finds the same shift.
 """
 from __future__ import annotations
 
@@ -77,7 +82,8 @@ from qcluster.expansion import apply_word, cluster_monomial, initial_tracked
 from qcluster.qtorus import (
     NotDivisible, QTElem, exact_divide, lam_pair, pos_part, twisted_mul, unit_vec, vec_sub)
 from qcluster.seed import NoCompatibleLambda, mutate_seed, opposite_seed
-from qcluster.tropical import FrozenFactorNotFrozen, p_vars
+from qcluster.tropical import (
+    FrozenFactorNotFrozen, ShiftData, ShiftNotFound, _b_condition, _shift_pattern, p_vars)
 
 
 @dataclass(frozen=True)
@@ -796,3 +802,19 @@ def qtelem_vars_in(graph, torus_key):
         return memo[path]
 
     return {key: at(graph.nodes[key].path) for key in graph.order}
+
+
+def scanning_detect_shift(graph, key, direction=1):
+    """The shift of a node, found by re-tracking into every node in
+    discovery order until the degree pattern and the B condition hold."""
+    for cand in graph.order:
+        home, torus = (cand, key) if direction == 1 else (key, cand)
+        hit = _shift_pattern(graph, home, torus)
+        if hit is None:
+            continue
+        sigma, u = hit
+        if not _b_condition(graph.nodes[torus].seed, graph.nodes[home].seed, sigma):
+            continue
+        return ShiftData(base=key, target=cand, direction=direction,
+                         word=graph.route(key, cand), sigma=sigma, u=u)
+    raise ShiftNotFound(f"no {direction:+d} shift for node in graph")

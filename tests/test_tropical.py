@@ -1,20 +1,25 @@
+import pathlib
 import random
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import LADDER, a2_gold, forbid, principal_framings
+from conftest import (
+    A2_B, A2_LAMBDA, A3_B, B2_B, B2_LAMBDA, LADDER, a2_gold, forbid, principal_framings)
 from oracles import Bidegree, normalize_deg
-from qcluster import make_seed, opposite_seed, pointed, qtorus
+from qcluster import cli, expansion, make_seed, opposite_seed, pointed, principal_framing, qtorus
 from qcluster._linalg import mat_vec
-from qcluster.expansion import build_exchange_graph
+from qcluster.expansion import ExchangeGraph, build_exchange_graph
 from qcluster.pointed import codegree, degree, is_m_unitriangular
 from qcluster.qtorus import QTElem, twisted_mul, unit_vec
 from qcluster.tropical import (
     ShiftNotFound,
+    _b_condition,
+    _b_profile,
     check_compatibly_copointed,
     check_compatibly_pointed,
     check_swap,
@@ -147,6 +152,93 @@ def test_detect_shift_every_node(a3_graph):
             assert sd.base == key
             for k, u in sd.u.items():
                 assert all(u[i] == 0 for i in a3_graph.reference.unfrozen)
+
+
+ROOT = pathlib.Path(__file__).parent.parent
+SEEDS = {
+    "a2": lambda: make_seed(A2_B, A2_LAMBDA),
+    "b2": lambda: make_seed(B2_B, B2_LAMBDA),
+    "g2": lambda: make_seed(((0, -3), (1, 0))),
+    "frozen": LADDER["frozen-cap2-w1"][0],
+    "a3p": lambda: principal_framing(A3_B),
+    "b3p": "tests/data/b3p.json",
+    "a4p": "bench/seeds/a4p.json",
+    "d4p": "tests/data/d4p.json",
+    "c5p": "bench/seeds/c5p.json",
+    "b5p": "tests/data/b5p.json",
+    "d5p": "tests/data/d5p.json",
+    "f4p": "tests/data/f4p.json",
+}
+
+
+def _fresh_graph(name):
+    make = SEEDS[name]
+    return build_exchange_graph(make() if callable(make) else cli.load_seed(str(ROOT / make))[0])
+
+
+@lru_cache(maxsize=None)
+def _graph(name):
+    return _fresh_graph(name)
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "g2", "frozen", "a3p", "b3p", "a4p", "d4p"])
+def test_detect_shift_matches_the_full_scan_at_every_node(name):
+    graph = _graph(name)
+    for key in graph.order:
+        for direction in (1, -1):
+            want = oracles.scanning_detect_shift(graph, key, direction)
+            assert detect_shift(graph, key, direction) == want, (key, direction)
+
+
+@pytest.mark.parametrize("name", ["c5p", "b5p", "d5p", "f4p"])
+def test_detect_shift_matches_the_full_scan_at_the_reference(name):
+    graph = _graph(name)
+    t0 = graph.order[0]
+    for direction in (1, -1):
+        want = oracles.scanning_detect_shift(graph, t0, direction)
+        assert detect_shift(graph, t0, direction) == want, direction
+
+
+@pytest.mark.parametrize("name, rejected_pairs", [
+    ("g2", 32), ("frozen", 0), ("a3p", 138), ("b3p", 320), ("d4p", 2000)])
+def test_a_rejected_profile_fails_the_b_condition_under_every_permutation(name, rejected_pairs):
+    # the pruning's premise, exhaustively: a candidate whose B profile
+    # differs from the base's matches it under no permutation sigma of
+    # the unfrozen set, so the scan could never have accepted it (the
+    # frozen instance's rank-2 A seeds all share one profile)
+    graph = _graph(name)
+    seeds = [graph.nodes[key].seed for key in graph.order]
+    uf = seeds[0].unfrozen
+    sigmas = [dict(zip(uf, p)) for p in permutations(uf)]
+    rejected = 0
+    for sa in seeds:
+        for sb in seeds:
+            if _b_profile(sa) != _b_profile(sb):
+                rejected += 1
+                assert not any(_b_condition(sa, sb, sigma) for sigma in sigmas)
+    assert rejected == rejected_pairs
+
+
+@pytest.mark.parametrize("name, scan, direction, calls, mutations", [
+    ("c5p", detect_shift, -1, 6, 25),
+    ("c5p", detect_shift, 1, 2, 0),
+    ("a4p", detect_shift, -1, 7, 20),
+    ("a4p", oracles.scanning_detect_shift, -1, 42, 120),
+], ids=["c5p-minus", "c5p-plus", "a4p-minus", "a4p-minus-full-scan"])
+def test_detect_shift_retracks_only_into_tori_whose_b_can_match(name, scan, direction, calls,
+                                                                  mutations, monkeypatch):
+    # direction -1 re-tracks the reference node into each candidate
+    # torus; only those with the reference's B profile are entered (the
+    # full scan, kept as the oracle, enters every torus up to the hit)
+    graph = _fresh_graph(name)
+    real_vars_in, real_mutate = ExchangeGraph.vars_in, expansion.mutate_tracked
+    entered, mutated = [], []
+    monkeypatch.setattr(ExchangeGraph, "vars_in",
+                        lambda self, *a: entered.append(a) or real_vars_in(self, *a))
+    monkeypatch.setattr(expansion, "mutate_tracked",
+                        lambda *a: mutated.append(a[1]) or real_mutate(*a))
+    scan(graph, graph.order[0], direction)
+    assert (len(entered), len(mutated)) == (calls, mutations)
 
 
 def test_detect_shift_truncated(a2_seed):
