@@ -10,7 +10,7 @@ without Lambda is honored (Lambda is solved for exactly that D); a
 Lambda given without D determines D.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
-3 internal assertion failure.
+3 internal assertion failure or out of memory.
 """
 from __future__ import annotations
 
@@ -234,15 +234,14 @@ def _verdict_json(v):
 
 
 def _report_json(graph, basis, report):
-    """The --json report document: its pairs sorted by R's node, R's m
-    and V's degree."""
+    """The --json report document: its pairs in the report's order, by
+    R's node, R's m and V's degree."""
     node_ids = {key: i for i, key in enumerate(graph.order)}
     pairs = []
     for v in report.verdicts:
         item = _verdict_json(v)
         item["R"]["node"] = node_ids[v.r_spec[0]]
         pairs.append(item)
-    pairs.sort(key=lambda p: (p["R"]["node"], p["R"]["m"], p["V"]))
     return {
         "nodes": len(graph.order),
         "variables": len(graph.distinct_variables()),
@@ -307,8 +306,9 @@ def cmd_leclerc(args):
         check_writable(args.json_out)  # fail now, not after the sweep
     report = leclerc.verify_theorem(basis, r_specs=r_specs)
     if args.json_out:
-        text = json.dumps(_report_json(graph, basis, report), indent=2, sort_keys=True) + "\n"
-        write_file(args.json_out, lambda fh: fh.write(text))
+        doc = _report_json(graph, basis, report)  # streamed: no whole-report string
+        write_file(args.json_out,
+                   lambda fh: json.dump(doc, fh, indent=2, sort_keys=True) or fh.write("\n"))
     c = report.counts()
     print(f"basis {len(basis.by_degree)} elements; "
           f"in_basis {c['in_basis']}, two_tail_pass {c['two_tail_pass']}, "
@@ -382,6 +382,9 @@ def main(argv=None):
         return 2
     except (RuntimeError, LookupError, ValueError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

@@ -222,7 +222,8 @@ class ExchangeGraph:
     is (path, i, j, b_ij b_ji) for such a seed, else None. Cross-torus
     re-trackings are cached, one per (home, torus) pair, each variable
     the torus's stored one-factor cluster monomial; every cluster
-    monomial made in a torus is kept there, by identity.
+    monomial made in a torus is kept there, by identity, until forget
+    drops the torus's entries.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -406,6 +407,15 @@ class ExchangeGraph:
             z = self._monomials[(torus_key, identity)] = pointed.mul(ts.ref, z, ts.vars[j],
                                                                      normalize=True)
         return z
+
+    def forget(self, torus_key):
+        """Drop the torus's re-trackings and cluster monomials; a later
+        request there makes them again. The reference torus keeps what
+        the build stored: the nodes and their variables."""
+        ref = torus_key == self.order[0]
+        self._cross = {k: v for k, v in self._cross.items() if ref or k[1] != torus_key}
+        self._monomials = {k: v for k, v in self._monomials.items()
+                           if k[0] != torus_key or ref and len(k[1]) == 1 and k[1][0][1] == 1}
 
     def distinct_variables(self):
         """Distinct unfrozen cluster variables over all nodes, in the

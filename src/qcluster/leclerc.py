@@ -12,7 +12,8 @@ element in every torus (a sweep key, a point of the lazy window_set view
 that decompose keeps inside its dominance window, verify_pair's V, an
 element of a triangularity sweep) is looked up by (co)degree through one
 resolver, which alone expands cluster monomials, and whose records are
-the only elements kept.
+the only elements kept, each until forget drops its torus
+(verify_theorem does so on leaving each home torus).
 
 In one torus, the (co)degree cones of the nodes, each spanned by its
 variables' (co)degrees, form a complete simplicial fan (the g-vector fan
@@ -69,7 +70,7 @@ independently, on exponents, and recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 
 from . import _linalg, pointed
 from .expansion import ExchangeGraph
@@ -341,6 +342,14 @@ class CandidateBasis:
         """
         return WindowView(self, torus_key, co)
 
+    def forget(self, torus_key):
+        """Drop the torus's inverse maps, records, certificates and last
+        walk homes; a later lookup there makes them again."""
+        self._inv = {k: v for k, v in self._inv.items() if k[1] != torus_key}
+        self._resolved = {k: v for k, v in self._resolved.items() if k[0] != torus_key}
+        self._certified = {k for k in self._certified if k[0] != torus_key}
+        self._last_home = {k: v for k, v in self._last_home.items() if k[0] != torus_key}
+
 
 @dataclass(frozen=True)
 class WindowView:
@@ -579,13 +588,23 @@ def default_r_specs(graph: ExchangeGraph):
 
 
 def verify_theorem(basis: CandidateBasis, r_specs=None) -> LeclercReport:
-    """Sweep verify_pair over R specs and all enumerated basis elements."""
+    """Sweep verify_pair over R specs and all keyed basis elements, one
+    home torus at a time: R specs by (index of R's home in graph.order,
+    m), each R's verdicts by V's degree (stably; an indeterminate one's
+    is ()). After a home's last R, the graph and the basis forget its
+    torus, so a sweep holds one torus's data besides the reference's.
+    """
     graph = basis.graph
     if r_specs is None:
         r_specs = default_r_specs(graph)
+    index = {key: i for i, key in enumerate(graph.order)}
     report = LeclercReport()
-    for r_home, r_m in r_specs:
-        for g_ref in basis.degree_keys():
-            report.verdicts.append(verify_pair(basis, r_home, r_m, *basis.by_degree[g_ref]))
+    specs = sorted(r_specs, key=lambda rs: (index[rs[0]], tuple(rs[1])))
+    for r_home, group in groupby(specs, key=lambda rs: rs[0]):
+        for _, r_m in group:
+            report.verdicts += sorted((verify_pair(basis, r_home, r_m, *basis.by_degree[g])
+                                       for g in basis.degree_keys()), key=lambda v: v.v_degree)
+        graph.forget(r_home)
+        basis.forget(r_home)
     report.conflicts = list(basis.conflicts)
     return report

@@ -327,10 +327,47 @@ def test_leclerc_report_is_serialized_only_for_json(a2_file, tmp_path, monkeypat
     real = cli._report_json
     monkeypatch.setattr(cli, "_report_json", lambda *a: docs.append(real(*a)) or docs[-1])
     path = tmp_path / "report.json"
-    assert main(["leclerc", a2_file, "--cap", "2", "--json", str(path)]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(json, "dumps", lambda *a, **k: pytest.fail("serialized in one string"))
+        assert main(["leclerc", a2_file, "--cap", "2", "--json", str(path)]) == 0
     assert capsys.readouterr().out == plain
     assert len(docs) == 1
     assert path.read_text() == json.dumps(docs[0], indent=2, sort_keys=True) + "\n"
+
+
+def test_leclerc_visits_each_home_once_whatever_the_scope_order(tmp_path, monkeypatch):
+    # sample:4 with --seed 7 draws R indices 5, 2, 6, 0 (homes: nodes 0,
+    # 0, 1, 0): the report is that of the same indices listed, and each
+    # home is entered once, in graph order, and forgotten on leaving it
+    seed_file = str(pathlib.Path(__file__).parent.parent / "bench" / "seeds" / "a3p.json")
+    graph = expansion.build_exchange_graph(cli.load_seed(seed_file)[0])
+    specs = leclerc.default_r_specs(graph)
+    assert cli.select_r_specs(specs, 4, 7) == [specs[i] for i in (5, 2, 6, 0)]
+    assert [graph.order.index(specs[i][0]) for i in (5, 2, 6, 0)] == [0, 0, 1, 0]
+    forgotten = []
+    for cls in (expansion.ExchangeGraph, leclerc.CandidateBasis):
+        real = cls.forget
+        monkeypatch.setattr(cls, "forget", lambda self, torus, cls=cls, real=real:
+                            forgotten.append((cls.__name__, torus)) or real(self, torus))
+    texts = []
+    for scope in ("sample:4", "5,2,6,0"):
+        forgotten.clear()
+        path = tmp_path / "report.json"
+        assert main(["--seed", "7", "leclerc", seed_file, "--cap", "1", "--scope", scope,
+                     "--json", str(path)]) == 0
+        assert forgotten == [(cls, graph.order[i]) for i in (0, 1)
+                             for cls in ("ExchangeGraph", "CandidateBasis")]
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+    assert [p["R"]["node"] for p in json.loads(texts[0])["pairs"][::45]] == [0, 0, 0, 1]
+
+
+def test_leclerc_out_of_memory_exits_3(a2_file, monkeypatch, capsys):
+    def exhausted(*a, **k):
+        raise MemoryError
+    monkeypatch.setattr(leclerc, "verify_theorem", exhausted)
+    assert main(["leclerc", a2_file, "--cap", "1"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_usage_error_exit_code():

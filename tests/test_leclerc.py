@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import A3_B, a2_gold, assert_matches_eager_enumeration, forbid
+from conftest import A3_B, LADDER, a2_gold, assert_matches_eager_enumeration, forbid
 from qcluster import build_exchange_graph, pointed, principal_framing
 from qcluster.leclerc import (
     ENUMERATION_LIMIT,
@@ -307,10 +307,13 @@ def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
                         lambda self: calls.append(self) or real(self))
     monkeypatch.setattr(pointed, "codegree", lambda *a: pytest.fail("codegree measured again"))
     basis = CandidateBasis(a3_graph, unfrozen_cap=1)
+    records, forget = [], basis.forget  # each torus's, as the sweep forgets it
+    monkeypatch.setattr(basis, "forget",
+                        lambda torus: records.extend(basis._resolved.values()) or forget(torus))
     report = verify_theorem(basis)
     assert report.ok and report.counts()["two_tail_pass"] > 0
-    assert len(calls) == len(basis._resolved)
-    assert all(hit is not None and hit[2] is not None for hit in basis._resolved.values())
+    assert len(calls) == len(records)
+    assert all(hit is not None and hit[2] is not None for hit in records)
     assert len(calls) < sum(len(v.middle) + 2 for v in report.verdicts)
 
 
@@ -344,6 +347,27 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
     assert seen["add"] == 2 * len(sums) > 0
     assert seen["verify_pair"] == sum(2 + (4 + 2 * len(v.middle) if v.case == "two_tail" else 0)
                                       for v in report.verdicts)
+
+
+@pytest.mark.parametrize("name", ["a3p-cap1", "frozen-cap2-w1"])
+def test_a_sweep_forgets_every_torus_it_leaves(name):
+    # no store keeps a key of a torus other than the reference, which
+    # keeps the nodes the build stored; a second sweep re-enters every
+    # torus and gives the same verdicts
+    make, cap, window = LADDER[name]
+    graph = build_exchange_graph(make())
+    basis = CandidateBasis(graph, unfrozen_cap=cap, frozen_window=window)
+    first = verify_theorem(basis)
+    t0 = graph.order[0]
+    assert len({v.r_spec[0] for v in first.verdicts}) > 1
+    tori = ({t for _, t in graph._cross} | {t for t, _ in graph._monomials}
+            | {t for _, t, _ in basis._inv} | {t for t, _, _ in basis._resolved}
+            | {t for t, _ in basis._certified} | {t for t, _ in basis._last_home})
+    assert tori <= {t0}
+    assert all(graph.tracked_in(key, t0) is graph.nodes[key] for key in graph.order)
+    second = verify_theorem(basis)
+    assert first.ok and second.counts() == first.counts()
+    assert second.verdicts == first.verdicts
 
 
 def test_verify_theorem_a2(a2_graph):
