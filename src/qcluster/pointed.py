@@ -52,9 +52,7 @@ n(g') >= n(g) componentwise, so the maximal terms are the Pareto-minimal
 n, and the window is the box 0 <= n <= n(window bottom). The residual
 is one dict of integer coefficient dicts, from which each step
 subtracts its coefficient times the basis element in place, dropping
-the terms that cancel. The Pareto-minimal n are kept as a front across
-steps: a step cancels its pivot and adds terms above it only, so only
-keys above the pivot can join.
+the terms that cancel.
 
 Normalization and decomposition are implemented on the degree side
 only. Negating B and Lambda (seed.opposite_seed) reverses the dominance
@@ -465,25 +463,6 @@ def _maximal_support(ns):
     return minima
 
 
-def _minima_above(r, n, front):
-    """The Pareto-minimal keys of r above n, given front, r's other
-    Pareto-minimal keys, none of them n: after a step that removed n
-    from the minima and added only keys above it, these are the minima
-    that join the front. A key of r below one of them lies above n too,
-    or above a key of the front; with no front, every key lies above n."""
-    if not front:
-        return _maximal_support(r)
-    minima = []
-    for m in sorted(r, key=sum):
-        if all(map(le, n, m)):
-            for o in chain(front, minima):
-                if all(map(le, o, m)):
-                    break
-            else:
-                minima.append(m)
-    return minima
-
-
 def decompose(seed, z, basis, box, tie_break=None):
     """Unitriangular expansion of the NForm z over degree-keyed pointed
     NForms.
@@ -501,23 +480,18 @@ def decompose(seed, z, basis, box, tie_break=None):
 
     The residual is one {n: {v-exponent: int}} dict from which each step
     subtracts its coefficient times the element in place (the element's
-    term n' lands at n + n'), dropping the terms that cancel. The
-    Pareto front of minimal n is kept across steps, {exponent: n}, each
-    exponent formed by one mat_vec when its n joins; nothing is
-    projected. A step whose element is pointed (n' >= 0, coefficient 1
-    at n' = 0) cancels its pivot and adds only terms above it, so only
-    keys above the pivot can join the front; any other step rebuilds it.
+    term n' lands at n + n'), dropping the terms that cancel. Each step
+    forms the exponents of the residual's Pareto-minimal n alone, one
+    mat_vec each; nothing is projected.
     """
     r = {n: dict(c._c) for n, c in z.terms.items()}
     terms = []
-    front = None
     for _ in range(DECOMPOSE_ITERATION_CAP):
         if not r:
             return Decomposition(terms=terms, status="exact")
-        if front is None:
-            front = {vec_add(z.g, _linalg.mat_vec(seed.B, n)): n for n in _maximal_support(r)}
-        g = min(front) if tie_break is None else tie_break(sorted(front))
-        n = front[g]
+        pivots = {vec_add(z.g, _linalg.mat_vec(seed.B, n)): n for n in _maximal_support(r)}
+        g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
+        n = pivots[g]
         if box is None or min(n, default=0) < 0 or not all(map(le, n, box)):
             return Decomposition(
                 terms=terms, status="indeterminate",
@@ -537,16 +511,6 @@ def decompose(seed, z, basis, box, tie_break=None):
             _add_product(rm, c, ce, 0, -1)
             if not rm:
                 del r[key]
-        if not r:
-            continue
-        # a pivot left in r, or a key not above it, breaks the front
-        # (n is () only with no unfrozen vertex, where r held n alone)
-        if n in r or (n and min(map(min, elem.terms)) < 0):
-            front = None
-            continue
-        del front[g]
-        for m in _minima_above(r, n, front.values()):
-            front[vec_add(z.g, _linalg.mat_vec(seed.B, m))] = m
     return Decomposition(terms=terms, status="indeterminate", reason="iteration cap hit")
 
 

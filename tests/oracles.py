@@ -68,6 +68,11 @@ skipped candidates by their unfrozen B: it re-tracks into every
 candidate torus in discovery order and reuses the library's pattern
 match and B condition. What it checks is that skipping the candidates
 whose B profile differs from the base's finds the same shift.
+The bar-decomposition consistency is the check verify_pair made before
+it read bar-invariance off the basis elements: it decomposes the barred
+product a second time, with the library's product and decomposition.
+What it checks is that the elements' bar-invariance gives the same
+value on every two-tail pair, and that a perturbed element fails both.
 """
 from __future__ import annotations
 
@@ -751,6 +756,22 @@ def n_form_decompose(seed, z, basis, window, tie_break=None):
         return None
     box = pointed.dominance_n(seed, window.codeg, window.deg)
     return pointed.decompose(seed, zn, NFormBasis(seed, basis), box, tie_break)
+
+
+def bar_decomposition_consistency(basis, r_home, r_m, verdict):
+    """bar_consistency as verify_pair checked it when it decomposed each
+    two-tail product twice: bar(R V) v^s, decomposed over V's window,
+    is exact and expands to the barred coefficients of v^-s R V."""
+    t_seed = basis.graph.nodes[r_home].seed
+    gamma = verdict.v_degree
+    box = pointed.dominance_n(t_seed, basis.codegree_at(r_home, gamma), gamma)
+    prod = pointed.mul(t_seed, pointed.NForm.monomial(r_m, len(t_seed.unfrozen)),
+                       basis.element_at_degree(r_home, gamma))
+    pset = basis.window_set(r_home)
+    decomp = pointed.decompose(t_seed, prod.vshift(-verdict.s), pset, box)
+    bar_decomp = pointed.decompose(t_seed, prod.bar().vshift(verdict.s), pset, box)
+    return bar_decomp.is_exact and sorted(
+        (g, c.bar()) for g, c in decomp.terms) == sorted(bar_decomp.terms)
 
 
 def qtelem_image_monomial(seed, xs, ref, a):

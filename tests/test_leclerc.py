@@ -20,8 +20,8 @@ from qcluster.leclerc import (
     verify_theorem,
 )
 from qcluster._linalg import mat_vec
-from qcluster.pointed import codegree, degree, dominance_n
-from qcluster.qtorus import QTElem, unit_vec
+from qcluster.pointed import NForm, codegree, degree, dominance_n
+from qcluster.qtorus import QTElem, VCoeff, unit_vec
 from qcluster.tropical import psi_matrix
 
 
@@ -281,6 +281,69 @@ def test_verify_pair_v_not_found_is_indeterminate(a2_graph, monkeypatch):
     assert v.case == "indeterminate" and not v.passed
     assert v.reason == "factor V is not bipointed in the working torus"
     assert v.v_degree == ()
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_bar_consistency_matches_the_second_decomposition(name):
+    # reading bar-invariance off the expansion's elements gives the value
+    # the decomposition of the barred product gave, on every two-tail pair
+    make, cap, window = LADDER[name]
+    graph = build_exchange_graph(make())
+    basis = CandidateBasis(graph, unfrozen_cap=cap, frozen_window=window)
+    two_tail = 0
+    for r_home, r_m in default_r_specs(graph):
+        for g in basis.degree_keys():
+            v = verify_pair(basis, r_home, r_m, *basis.by_degree[g])
+            if v.case == "two_tail":
+                two_tail += 1
+                assert v.checks["bar_consistency"] == oracles.bar_decomposition_consistency(
+                    basis, r_home, r_m, v)
+    assert two_tail > 0
+
+
+def _first_two_tail(basis):
+    """(R spec, V provenance, verdict) of the first two-tail pair."""
+    for r_home, r_m in default_r_specs(basis.graph):
+        for g in basis.degree_keys():
+            v = verify_pair(basis, r_home, r_m, *basis.by_degree[g])
+            if v.case == "two_tail":
+                return (r_home, r_m), basis.by_degree[g], v
+    raise AssertionError("no two-tail pair")
+
+
+def test_an_element_off_bar_invariance_fails_bar_consistency(a3_graph):
+    # S' = S + (v - v^-1) H is pointed at S's degree, so the product still
+    # decomposes exactly, over S' and H with H's coefficient moved; S' is
+    # not its bar, and the barred product no longer expands to the barred
+    # coefficients either
+    basis = CandidateBasis(a3_graph, unfrozen_cap=1)
+    (r_home, r_m), v_spec, v = _first_two_tail(basis)
+    assert v.passed
+    t_seed = a3_graph.nodes[r_home].seed
+    provenance, s_elem, eta = basis._resolved[(r_home, v.S, False)]
+    h_elem = basis.element_at_degree(r_home, v.H)
+    shift = dominance_n(t_seed, v.H, v.S)
+    terms = dict(s_elem.terms)
+    for n, c in h_elem.terms.items():
+        n = tuple(a + b for a, b in zip(n, shift))
+        terms[n] = terms.get(n, VCoeff.zero()) + c * VCoeff({1: 1, -1: -1})
+    perturbed = NForm(s_elem.g, {n: c for n, c in terms.items() if c})
+    assert perturbed.is_pointed() and perturbed != perturbed.bar()
+    basis._resolved[(r_home, v.S, False)] = (provenance, perturbed, eta)
+    w = verify_pair(basis, r_home, r_m, *v_spec)
+    assert w.case == "two_tail" and (w.S, w.H) == (v.S, v.H)
+    assert not w.checks["bar_consistency"] and not w.checks["h_coefficient"]
+    assert not oracles.bar_decomposition_consistency(basis, r_home, r_m, w)
+
+
+def test_each_pair_is_decomposed_once(a3_graph, monkeypatch):
+    calls = []
+    real = pointed.decompose
+    monkeypatch.setattr(pointed, "decompose", lambda *a: calls.append(a) or real(*a))
+    report = verify_theorem(CandidateBasis(a3_graph, unfrozen_cap=1))
+    assert report.ok and report.counts()["two_tail_pass"] > 0
+    # an indeterminate verdict with no V degree stopped before decomposing
+    assert len(calls) == sum(v.v_degree != () for v in report.verdicts) == 540
 
 
 @pytest.mark.parametrize("graph_name, cap", [("a2_graph", 2), ("pa2_graph", 1)])

@@ -420,11 +420,12 @@ def test_each_indeterminate_reason_matches_the_subtracting_residual(
     (QTElem.one(2).scale(VCoeff({0: 2})), "iteration cap hit"),
     (QTElem.one(2) + QTElem.monomial((0, -1)), "no basis element keyed at (-1, -1)"),
 ], ids=["pivot-not-cancelled", "term-above-its-key"])
-def test_a_step_that_breaks_the_front_rebuilds_it(a2_seed, element, reason, monkeypatch):
+def test_a_step_whose_element_is_not_pointed_matches_the_subtracting_residual(
+        a2_seed, element, reason, monkeypatch):
     # [X1*I2]'s second pivot, at (0, 0), meets an element that is not
     # pointed there: with coefficient 2 its term never cancels, and with
-    # a term above its key the step adds a key that is not above the
-    # pivot, which becomes the next pivot
+    # a term above its key the step adds a key above the pivot's
+    # exponent, which becomes the next pivot
     monkeypatch.setattr(pointed, "DECOMPOSE_ITERATION_CAP", 7)
     z = a2_gold("[X1*I2]")
     window = Bidegree(deg=(1, -1), codeg=(-1, 0))
