@@ -68,8 +68,7 @@ from .leclerc import (
     EnumerationTooLarge,
     LeclercReport,
     LeclercVerdict,
-    check_codegree_triangular,
-    check_degree_triangular,
+    check_triangular,
     default_r_specs,
     verify_pair,
     verify_theorem,

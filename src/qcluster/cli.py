@@ -315,11 +315,11 @@ def cmd_leclerc(args):
           f"two_tail_fail {c['two_tail_fail']}, indeterminate {c['indeterminate']}, "
           f"conflicts {len(report.conflicts)}")
     for v in report.verdicts:
-        if v.case == "two_tail" and not v.passed:
+        if v.case == "indeterminate":
+            print(f"INDETERMINATE R={v.r_spec[1]} V@{v.v_degree}: {v.reason}")
+        elif not v.passed:
             bad = [k for k, b in v.checks.items() if not b]
             print(f"FAIL R={v.r_spec[1]} V@{v.v_degree}: {bad}")
-        elif v.case == "indeterminate":
-            print(f"INDETERMINATE R={v.r_spec[1]} V@{v.v_degree}: {v.reason}")
     return 0 if report.ok else 1
 
 

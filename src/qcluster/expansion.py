@@ -29,7 +29,7 @@ variable degrees in the reference torus (a seed is determined by those
 up to permutation). Whenever two routes meet at one node, the seeds
 must match under the degree permutation, and the variables the store
 (below), exactly. A node re-tracked into another node's torus is a
-TrackedSeed too, so its degrees there come with it.
+TrackedSeed too, and each variable's degree there is its base.
 
 Each node's path extends the path of the node it was found from, so
 the paths form a tree rooted at the reference. Every cross-torus object
@@ -291,16 +291,6 @@ class ExchangeGraph:
         """Mutation word turning node a's labeled seed into node b's."""
         return tuple(reversed(self.nodes[a_key].path)) + self.nodes[b_key].path
 
-    def route_steps(self, a_key, b_key):
-        """(seed, vertex) pairs along the route, each seed the one stored
-        at a path-tree node the route passes: up from a, then down to b.
-        A node's seed is its parent's mutated at its path's last vertex,
-        and mutation is an involution on labeled seeds."""
-        up, down = self.nodes[a_key].path, self.nodes[b_key].path
-        steps = [(up[:i], up[i - 1]) for i in range(len(up), 0, -1)]
-        steps += [(down[:i], down[i]) for i in range(len(down))]
-        return tuple((self.nodes[self._by_path[path]].seed, k) for path, k in steps)
-
     def step_toward(self, key, torus_key):
         """One step of the path tree from node key toward the torus's
         node, which key is not: (k, neighbour), key's labeled seed being
@@ -322,8 +312,8 @@ class ExchangeGraph:
         toward the torus's node (step_toward), to the first node already
         re-tracked into the torus. Then build back, each node its
         neighbour mutated once, checked against its labeled seed,
-        interned and cached; tracked_in reads it back through this
-        method. A node's tracked seed is its re-tracking into the
+        interned and cached. A variable's degree in the torus is its
+        base, x.g. A node's tracked seed is its re-tracking into the
         reference torus, so _build caches it.
         """
         key, way = home_key, []
@@ -368,12 +358,6 @@ class ExchangeGraph:
             xs.append(entry)
         return replace(ts, vars=tuple(xs))
 
-    def tracked_in(self, home_key, torus_key) -> TrackedSeed:
-        """home's labeled seed re-tracked into the torus of torus_key: its
-        vars and degs are home's variables and their degrees there."""
-        self.vars_in(home_key, torus_key)
-        return self._cross[(home_key, torus_key)]
-
     def monomial_in(self, home_key, m, torus_key) -> pointed.NForm:
         """Expansion of home's normalized cluster monomial X^m in a torus,
         in n-coordinates there (NForm.expand gives the torus element).
@@ -387,8 +371,9 @@ class ExchangeGraph:
         back, one twisted product by the stored variable per step,
         normalized at its degree, and keep each step.
         """
-        ts = self.tracked_in(home_key, torus_key)
-        if any(m[i] < 0 for i in ts.seed.unfrozen):
+        xs, seed = self.vars_in(home_key, torus_key), self.nodes[torus_key].seed
+        unfrozen = self.reference.unfrozen
+        if any(m[i] < 0 for i in unfrozen):
             raise ValueError("unfrozen exponents must be nonnegative")
         degs, e, way = self.nodes[home_key].degs, list(m), []
         while True:
@@ -396,15 +381,15 @@ class ExchangeGraph:
             z = self._monomials.get((torus_key, identity))
             if z is not None:
                 break
-            peel = [j for j in ts.seed.unfrozen if e[j] > 0]
+            peel = [j for j in unfrozen if e[j] > 0]
             if not peel:
-                z = pointed.NForm.monomial(e, len(ts.seed.unfrozen))
+                z = pointed.NForm.monomial(e, len(unfrozen))
                 break
-            j = min(peel, key=lambda j: (len(ts.vars[j].terms), j))
+            j = min(peel, key=lambda j: (len(xs[j].terms), j))
             way.append((identity, j))
             e[j] -= 1
         for identity, j in reversed(way):
-            z = self._monomials[(torus_key, identity)] = pointed.mul(ts.ref, z, ts.vars[j],
+            z = self._monomials[(torus_key, identity)] = pointed.mul(seed, z, xs[j],
                                                                      normalize=True)
         return z
 

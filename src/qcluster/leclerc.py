@@ -180,7 +180,7 @@ class CandidateBasis:
         """(Co)degrees in the torus of home's variables, in home's order;
         a codegree from its variable's record, whose lookup makes no
         product and whose degree-side walk reads no codegree column."""
-        degs = self.graph.tracked_in(home_key, torus_key).degs
+        degs = tuple(x.g for x in self.graph.vars_in(home_key, torus_key))
         if not co:
             return degs
         etas = tuple(self.codegree_at(torus_key, d) for d in degs)
@@ -203,8 +203,8 @@ class CandidateBasis:
         k, so its M is the neighbour's M' but for column k, c: with
         lambda = M'^-1 c, det M = lambda_k det M', and when lambda_k =
         +-1, M^-1 is M'^-1 after one row operation per row. Otherwise M
-        is not unimodular and the map is None. A neighbour with no map,
-        or columns that differ elsewhere, fall back to _linalg.invert.
+        is not unimodular and the map is None, and so is the map of a
+        node whose neighbour has none.
         """
         key, way = home_key, []
         while (key, torus_key, co) not in self._inv:
@@ -223,10 +223,13 @@ class CandidateBasis:
     def _exchange_update(self, prev_key, key, k, torus_key, co):
         """key's inverse map from its neighbour prev_key's across vertex k."""
         inv = self._inv[(prev_key, torus_key, co)]
+        if inv is None:
+            return None
         cols = self._columns(key, torus_key, co)
         prev = self._columns(prev_key, torus_key, co)
-        if inv is None or cols[:k] + cols[k + 1:] != prev[:k] + prev[k + 1:]:
-            return _linalg.invert(_linalg.transpose(cols))
+        if cols[:k] + cols[k + 1:] != prev[:k] + prev[k + 1:]:
+            raise RuntimeError(f"nodes {key} and {prev_key} differ off their exchanged "
+                               f"vertex {k} in torus {torus_key}")
         lam = _linalg.mat_vec(inv, cols[k])
         if lam[k] not in (1, -1):
             return None
@@ -384,21 +387,13 @@ class TriangularReport:
         return not self.failures and not self.indeterminates
 
 
-def check_degree_triangular(basis: CandidateBasis, t_key) -> TriangularReport:
+def check_triangular(basis: CandidateBasis, t_key, co=False) -> TriangularReport:
     """Multiply every variable of the working seed onto every basis element
     from the left and test the normalized product for unitriangularity with
-    coefficients below 1 in v-degree."""
-    return _check_triangular(basis, t_key, co=False)
-
-
-def check_codegree_triangular(basis: CandidateBasis, t_key) -> TriangularReport:
-    """Mirror of check_degree_triangular, from the right and from the bottom."""
-    return _check_triangular(basis, t_key, co=True)
-
-
-def _check_triangular(basis, t_key, co):
-    """The degree-side check; when co, in the opposite seed, where the left
-    product is the right one and each degree step its codegree mirror.
+    coefficients below 1 in v-degree. When co, the mirror check, from the
+    right and from the bottom: the same check in the opposite seed, where
+    the left product is the right one and each degree step its codegree
+    mirror.
 
     Each product X^(f_i) * elem is formed in n-coordinates, normalized by
     one v-shift, and decomposed there: its window is elem's, the box up
@@ -567,7 +562,8 @@ class LeclercReport:
 
     @property
     def ok(self):
-        return self.counts()["two_tail_fail"] == 0 and not self.conflicts
+        """No conflict, and every verdict passed (LeclercVerdict.passed)."""
+        return not self.conflicts and all(v.passed for v in self.verdicts)
 
     def counts(self):
         """The verdicts tallied by case, a two-tailed one by whether it

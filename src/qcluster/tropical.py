@@ -73,22 +73,30 @@ def trop_codeg(seed, k, g):
 
 def phi(graph: ExchangeGraph, a_key, b_key, g):
     """Composite degree tropical transformation from node a to node b."""
-    for seed, k in graph.route_steps(a_key, b_key):
-        g = trop_deg(seed, k, g)
-    return g
+    return _along_path_tree(graph, a_key, b_key, g, trop_deg)
 
 
 def phi_op(graph: ExchangeGraph, a_key, b_key, g):
     """Composite codegree tropical transformation from node a to node b."""
-    for seed, k in graph.route_steps(a_key, b_key):
-        g = trop_codeg(seed, k, g)
+    return _along_path_tree(graph, a_key, b_key, g, trop_codeg)
+
+
+def _along_path_tree(graph, a_key, b_key, g, trop):
+    """g transformed by trop along the path tree (step_toward) from node a
+    to node b, in the seed of the node each step leaves. The walk turns at
+    the lowest common ancestor, not the root: a step at k and one back at
+    k in the mutated seed compose to the identity."""
+    while a_key != b_key:
+        k, nxt = graph.step_toward(a_key, b_key)
+        g = trop(graph.nodes[a_key].seed, k, g)
+        a_key = nxt
     return g
 
 
 def psi_matrix(graph: ExchangeGraph, a_key, b_key):
     """Linear map as columns: unit vector i of a to deg_b of a's variable i,
     so m to the degree of a's X^m in b's torus."""
-    return _linalg.transpose(graph.tracked_in(a_key, b_key).degs)
+    return _linalg.transpose(tuple(x.g for x in graph.vars_in(a_key, b_key)))
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,7 @@ def _shift_pattern(graph, home_key, torus_key):
     uf = set(s.unfrozen)
     sigma = {}
     u = {}
-    for j, d in enumerate(graph.tracked_in(home_key, torus_key).degs):
+    for j, d in enumerate(x.g for x in graph.vars_in(home_key, torus_key)):
         if j not in uf:
             if d != unit_vec(s.n, j):
                 return None

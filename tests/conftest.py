@@ -70,6 +70,12 @@ def assert_matches_eager_enumeration(basis, frozen_window=0):
         assert basis.element_at_degree(t0, basis.by_codegree[eta]) == elem
 
 
+def retracked(graph, home, torus):
+    """home's labeled seed re-tracked into the torus, as vars_in caches it."""
+    graph.vars_in(home, torus)
+    return graph._cross[(home, torus)]
+
+
 # the benchmark's ladder-small rungs: (seed maker, unfrozen cap, frozen window)
 LADDER = {
     "a2-cap3": (lambda: make_seed(A2_B, A2_LAMBDA), 3, 0),

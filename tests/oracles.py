@@ -400,7 +400,7 @@ def recorded_degrees(graph):
     for home in graph.order:
         out[(home, None)] = graph.nodes[home].degs
         for torus in graph.order:
-            out[(home, torus)] = graph.tracked_in(home, torus).degs
+            out[(home, torus)] = tuple(x.g for x in graph.vars_in(home, torus))
     return out
 
 
@@ -667,6 +667,14 @@ def premutated_route_steps(graph, a_key, b_key):
     if seed != graph.nodes[b_key].seed:
         raise RuntimeError("route does not land on the target seed")
     return tuple(steps)
+
+
+def route_transport(graph, a_key, b_key, g, trop):
+    """g transformed by trop along graph.route, which passes through the
+    reference node, in the premutated seeds of premutated_route_steps."""
+    for seed, k in premutated_route_steps(graph, a_key, b_key):
+        g = trop(seed, k, g)
+    return g
 
 
 def _exponent_maximal_support(dom, supp, proj, n_of):

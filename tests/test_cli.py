@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -360,6 +361,53 @@ def test_leclerc_visits_each_home_once_whatever_the_scope_order(tmp_path, monkey
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
     assert [p["R"]["node"] for p in json.loads(texts[0])["pairs"][::45]] == [0, 0, 0, 1]
+
+
+def _tampered_a3p_run(monkeypatch, capsys, tamper):
+    """An A3-principal cap1 leclerc run with the first in_basis verdict
+    replaced by tamper(verdict): (exit status, printed lines, report)."""
+    real_pair, real_theorem = leclerc.verify_pair, leclerc.verify_theorem
+    tampered, reports = [], []
+
+    def verify_pair(*a):
+        v = real_pair(*a)
+        if tampered or v.case != "in_basis":
+            return v
+        tampered.append(tamper(v))
+        return tampered[-1]
+
+    monkeypatch.setattr(leclerc, "verify_pair", verify_pair)
+    monkeypatch.setattr(leclerc, "verify_theorem",
+                        lambda *a, **k: reports.append(real_theorem(*a, **k)) or reports[-1])
+    seed_file = str(pathlib.Path(__file__).parent.parent / "bench" / "seeds" / "a3p.json")
+    status = main(["leclerc", seed_file, "--cap", "1"])
+    assert len(tampered) == 1 and len(reports) == 1
+    return status, capsys.readouterr().out.splitlines(), reports[0]
+
+
+def test_an_in_basis_pair_with_a_false_check_fails_the_run(monkeypatch, capsys):
+    # the one pass/fail rule: an in_basis verdict whose check is false
+    # fails like a two-tail one, with its FAIL line, and is tallied as
+    # before
+    status, plain, _ = _tampered_a3p_run(monkeypatch, capsys, lambda v: v)
+    assert status == 0 and len(plain) == 1
+    status, lines, report = _tampered_a3p_run(
+        monkeypatch, capsys,
+        lambda v: dataclasses.replace(v, checks={**v.checks, "pivot_is_one": False}))
+    assert status == 1 and not report.ok
+    assert lines[0] == plain[0]
+    assert len(lines) == 2 and lines[1].startswith("FAIL R=")
+    assert lines[1].endswith(": ['pivot_is_one']")
+
+
+def test_an_indeterminate_pair_fails_the_run(monkeypatch, capsys):
+    status, lines, report = _tampered_a3p_run(
+        monkeypatch, capsys,
+        lambda v: dataclasses.replace(v, case="indeterminate", reason="tampered"))
+    assert status == 1 and not report.ok
+    assert "indeterminate 1," in lines[0]
+    assert len(lines) == 2 and lines[1].startswith("INDETERMINATE R=")
+    assert lines[1].endswith(": tampered")
 
 
 def test_leclerc_out_of_memory_exits_3(a2_file, monkeypatch, capsys):

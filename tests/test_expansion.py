@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import bidegree
-from conftest import A2_B, A3_B, B2_B, B3_B, LADDER, a2_gold, elem, forbid
+from conftest import A2_B, A3_B, B2_B, B3_B, LADDER, a2_gold, elem, forbid, retracked
 from qcluster import (
     apply_word,
     build_exchange_graph,
@@ -52,12 +52,13 @@ def test_every_variable_matches_the_torus_element_mutation(name):
         want = oracles.qtelem_vars_in(graph, torus)
         for home in graph.order:
             seed, xs = want[home]
-            ts = graph.tracked_in(home, torus)
+            ts = retracked(graph, home, torus)
             assert ts.seed == seed == graph.nodes[home].seed
             assert tuple(x.expand(torus_seed) for x in ts.vars) == xs, (home, torus)
-            assert ts.degs == tuple(pointed.degree(torus_seed, x) for x in xs)
+            assert tuple(x.g for x in graph.vars_in(home, torus)) == tuple(
+                pointed.degree(torus_seed, x) for x in xs)
         if torus == graph.order[0]:
-            assert all(graph.tracked_in(home, torus) is graph.nodes[home]
+            assert all(retracked(graph, home, torus) is graph.nodes[home]
                        for home in graph.order)
 
 
@@ -354,7 +355,7 @@ def test_path_tree_retracking_matches_the_route_through_the_reference(principal,
     random.Random(order_seed).shuffle(pairs)
     for home, torus in pairs:
         assert graph.vars_in(home, torus) == oracles.route_vars_in(graph, home, torus)
-        assert graph.tracked_in(home, torus).seed == graph.nodes[home].seed
+        assert retracked(graph, home, torus).seed == graph.nodes[home].seed
 
 
 D4_B = ((0, -1, 0, 0), (1, 0, -1, -1), (0, 1, 0, 0), (0, 1, 0, 0))
@@ -409,7 +410,7 @@ def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
     monkeypatch.setattr(pointed, "mul", lambda *a, **k: muls.append(a) or real_mul(*a, **k))
     made = kept = 0
     for home, m, torus in requests:
-        want = cluster_monomial(graph.tracked_in(home, torus), m)
+        want = cluster_monomial(retracked(graph, home, torus), m)
         before, stored = len(muls), len(graph._monomials)
         got = graph.monomial_in(home, m, torus)
         assert got.expand(graph.nodes[torus].seed) == want, (home, m, torus)
@@ -442,29 +443,13 @@ def test_every_retracked_variable_is_its_one_factor_monomial(make, monkeypatch):
             assert z is xs[j], (home, torus, j)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: principal_framing(A3_B),
-    lambda: principal_framing(B3_B),
-    lambda: make_seed(FROZEN_B, unfrozen=(0, 1)),
-], ids=["A3p", "B3p", "frozen"])
-def test_route_steps_are_read_off_the_path_tree(make, monkeypatch):
-    # on every ordered pair, the seeds stored along the path tree are the
-    # premutated ones, and no seed is mutated to find them
-    graph = build_exchange_graph(make())
-    pairs = [(a, b) for a in graph.order for b in graph.order]
-    want = {pair: oracles.premutated_route_steps(graph, *pair) for pair in pairs}
-    monkeypatch.setattr(expansion, "mutate_seed", lambda *a: pytest.fail("seed mutated"))
-    for pair in pairs:
-        assert graph.route_steps(*pair) == want[pair], pair
-
-
 def test_monomial_in_does_not_recurse_on_the_exponent(a2_graph):
     # 200 factors, each step one product, under a recursion limit only 40
     # frames above the caller's depth
     home, torus = a2_graph.order[1], a2_graph.order[0]
     m = [0, 0]
     m[1 - a2_graph.nodes[home].path[-1]] = 200  # the variable home shares with the torus
-    want = cluster_monomial(a2_graph.tracked_in(home, torus), m)
+    want = cluster_monomial(retracked(a2_graph, home, torus), m)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:

@@ -10,12 +10,7 @@ import oracles
 from conftest import A3_B, LADDER
 from qcluster import _linalg, cli, expansion, principal_framing
 from qcluster.expansion import build_exchange_graph
-from qcluster.leclerc import (
-    CandidateBasis,
-    check_codegree_triangular,
-    check_degree_triangular,
-    verify_theorem,
-)
+from qcluster.leclerc import CandidateBasis, check_triangular, verify_theorem
 from qcluster.pointed import NForm
 from qcluster.qtorus import VCoeff, unit_vec
 
@@ -34,7 +29,7 @@ def _swept_basis(name):
     assert verify_theorem(basis).ok
     basis._resolved.update(kept)
     for torus in (graph.order[0], graph.order[-1]):
-        assert check_codegree_triangular(basis, torus).ok
+        assert check_triangular(basis, torus, co=True).ok
     return basis
 
 
@@ -66,8 +61,8 @@ def test_inverse_map_reads_per_key_are_bounded(a3_graph, monkeypatch):
     monkeypatch.setattr(CandidateBasis, "_inverse_map",
                         lambda self, *a: reads.append(a) or real(self, *a))
     steps = basis.walk_steps
-    assert check_degree_triangular(basis, torus).ok
-    assert check_codegree_triangular(basis, torus).ok
+    assert check_triangular(basis, torus).ok
+    assert check_triangular(basis, torus, co=True).ok
     new_keys = sum(t == torus for t, _, _ in basis._resolved) - keys
     steps = basis.walk_steps - steps
     # one read per node the walk visits: one per step, and the node it ends at
@@ -137,6 +132,30 @@ def test_an_exchange_pivot_of_two_gives_none(a2_graph, monkeypatch):
     assert lam[k] in (2, -2)
     monkeypatch.setattr(_linalg, "invert", lambda mat: pytest.fail("inverted"))
     assert basis._inverse_map(home, torus, True) is None
+
+
+def test_columns_that_differ_off_the_exchanged_vertex_are_an_internal_error(a2_graph,
+                                                                            monkeypatch):
+    # a node's columns are its neighbour's but for the exchanged one; any
+    # other difference is a broken re-tracking, raised, never inverted
+    basis = CandidateBasis(a2_graph, unfrozen_cap=1)
+    torus, home = a2_graph.order[0], a2_graph.order[-1]
+    k, neighbour = a2_graph.step_toward(home, torus)
+    assert basis._inverse_map(neighbour, torus, True) is not None
+    j = next(j for j in a2_graph.reference.unfrozen if j != k)
+    real = CandidateBasis._columns
+
+    def moved(self, home_key, torus_key, co):
+        cols = real(self, home_key, torus_key, co)
+        if home_key != home:
+            return cols
+        return cols[:j] + (tuple(-x for x in cols[j]),) + cols[j + 1:]
+
+    monkeypatch.setattr(CandidateBasis, "_columns", moved)
+    monkeypatch.setattr(_linalg, "invert", lambda mat: pytest.fail("inverted"))
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"nodes {home} and {neighbour} differ off their exchanged vertex {k}")):
+        basis._inverse_map(home, torus, True)
 
 
 def test_walks_from_the_last_home_take_fewer_steps_than_keys(monkeypatch):

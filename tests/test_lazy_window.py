@@ -22,7 +22,7 @@ def _sweep_windows(graph, basis):
 
 
 def _codegree_windows(graph, basis):
-    """(torus, window) of every product check_codegree_triangular decomposes."""
+    """(torus, window) of every product check_triangular decomposes when co."""
     windows = set()
     for t_key in graph.order:
         t_seed = graph.nodes[t_key].seed

@@ -6,14 +6,14 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import A3_B, LADDER, a2_gold, assert_matches_eager_enumeration, forbid
+from conftest import (
+    A3_B, LADDER, a2_gold, assert_matches_eager_enumeration, forbid, retracked)
 from qcluster import build_exchange_graph, pointed, principal_framing
 from qcluster.leclerc import (
     ENUMERATION_LIMIT,
     CandidateBasis,
     EnumerationTooLarge,
-    check_codegree_triangular,
-    check_degree_triangular,
+    check_triangular,
     default_r_specs,
     enumeration_size,
     verify_pair,
@@ -172,14 +172,14 @@ def test_repeated_identity_is_expanded_once(a2_graph, monkeypatch):
 
 def test_degree_triangular_a2(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
-    report = check_degree_triangular(basis, a2_graph.order[0])
+    report = check_triangular(basis, a2_graph.order[0])
     assert report.ok, (report.failures, report.indeterminates)
     assert report.passes == 2 * len(basis.by_degree)
 
 
 def test_codegree_triangular_a2(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
-    report = check_codegree_triangular(basis, a2_graph.order[0])
+    report = check_triangular(basis, a2_graph.order[0], co=True)
     assert report.ok, (report.failures, report.indeterminates)
     assert report.passes == 2 * len(basis.by_degree)
 
@@ -187,16 +187,16 @@ def test_codegree_triangular_a2(a2_graph):
 def test_triangular_away_from_reference(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=1)
     other = a2_graph.order[3]
-    assert check_degree_triangular(basis, other).ok
-    assert check_codegree_triangular(basis, other).ok
+    assert check_triangular(basis, other).ok
+    assert check_triangular(basis, other, co=True).ok
 
 
 def test_triangular_with_frozen_vertices(pa2_graph):
     # in every torus: with frozen rows, elements of the wrong torus fail
     basis = CandidateBasis(pa2_graph, unfrozen_cap=1)
     for t_key in pa2_graph.order:
-        for check in (check_degree_triangular, check_codegree_triangular):
-            report = check(basis, t_key)
+        for co in (False, True):
+            report = check_triangular(basis, t_key, co=co)
             assert report.ok, (report.failures, report.indeterminates)
             assert report.passes == pa2_graph.reference.n * len(basis.by_degree)
 
@@ -207,14 +207,14 @@ def test_triangularity_windows_are_read_off_the_records(a3_graph, monkeypatch):
     basis = CandidateBasis(a3_graph, unfrozen_cap=1)
     monkeypatch.setattr(pointed, "codegree", lambda *a: pytest.fail("codegree measured"))
     for torus in (a3_graph.order[0], a3_graph.order[-1]):
-        assert check_degree_triangular(basis, torus).ok
-        assert check_codegree_triangular(basis, torus).ok
+        assert check_triangular(basis, torus).ok
+        assert check_triangular(basis, torus, co=True).ok
 
 
 def test_b2_triangular(b2_graph):
     basis = CandidateBasis(b2_graph, unfrozen_cap=2)
-    assert check_degree_triangular(basis, b2_graph.order[0]).ok
-    assert check_codegree_triangular(basis, b2_graph.order[0]).ok
+    assert check_triangular(basis, b2_graph.order[0]).ok
+    assert check_triangular(basis, b2_graph.order[0], co=True).ok
 
 
 def _prov_at_degree(basis, g):
@@ -427,7 +427,7 @@ def test_a_sweep_forgets_every_torus_it_leaves(name):
             | {t for _, t, _ in basis._inv} | {t for t, _, _ in basis._resolved}
             | {t for t, _ in basis._certified} | {t for t, _ in basis._last_home})
     assert tori <= {t0}
-    assert all(graph.tracked_in(key, t0) is graph.nodes[key] for key in graph.order)
+    assert all(retracked(graph, key, t0) is graph.nodes[key] for key in graph.order)
     second = verify_theorem(basis)
     assert first.ok and second.counts() == first.counts()
     assert second.verdicts == first.verdicts

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
-    A2_B, A2_LAMBDA, A3_B, B2_B, B2_LAMBDA, LADDER, a2_gold, forbid, principal_framings)
+    A2_B, A2_LAMBDA, A3_B, B2_B, B2_LAMBDA, B3_B, LADDER, a2_gold, forbid, principal_framings)
 from oracles import Bidegree, normalize_deg
-from qcluster import cli, expansion, make_seed, opposite_seed, pointed, principal_framing, qtorus
+from qcluster import (
+    cli, expansion, make_seed, mutate_seed, opposite_seed, pointed, principal_framing, qtorus)
 from qcluster._linalg import mat_vec
 from qcluster.expansion import ExchangeGraph, build_exchange_graph
 from qcluster.pointed import codegree, degree, is_m_unitriangular
@@ -30,6 +31,7 @@ from qcluster.tropical import (
     inj_element,
     p_vars,
     phi,
+    phi_op,
     proj_element,
     psi_matrix,
     trop_codeg,
@@ -53,8 +55,6 @@ def test_trop_codeg_examples(a2_seed, pa2_seed):
 
 
 def test_trop_involution(a2_seed, b2_seed, a3_seed):
-    from qcluster.seed import mutate_seed
-
     rng = random.Random(31)
     for s in (a2_seed, b2_seed, a3_seed):
         for _ in range(40):
@@ -73,6 +73,40 @@ def test_trop_codeg_is_conjugated_trop_deg(a2_seed, b2_seed, a3_seed):
             g = rand_vec(rng, s.n)
             k = rng.choice(s.unfrozen)
             assert trop_codeg(s, k, g) == trop_deg(op, k, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(principal_framings(), st.data())
+def test_trop_steps_at_k_and_back_at_k_compose_to_the_identity(seed, data):
+    # what lets phi and phi_op turn at the lowest common ancestor of the
+    # path tree rather than at the root
+    k = data.draw(st.sampled_from(seed.unfrozen))
+    g = data.draw(st.tuples(*[st.integers(-4, 4)] * seed.n))
+    mutated = mutate_seed(seed, k)
+    assert trop_deg(mutated, k, trop_deg(seed, k, g)) == g
+    assert trop_codeg(mutated, k, trop_codeg(seed, k, g)) == g
+
+
+@pytest.mark.parametrize("make", [
+    LADDER["a3p-cap1"][0],
+    lambda: principal_framing(B3_B),
+    LADDER["g2-cap1"][0],
+    LADDER["frozen-cap2-w1"][0],
+], ids=["A3p", "B3p", "G2", "frozen"])
+def test_phi_matches_the_transport_through_the_reference(make, monkeypatch):
+    # on every ordered node pair and a few sample vectors each, phi and
+    # phi_op walk the path tree and mutate no seed, and agree with the
+    # transport along graph.route in the premutated seeds
+    graph = build_exchange_graph(make())
+    rng = random.Random(34)
+    cases = [(a, b, rand_vec(rng, graph.reference.n))
+             for a in graph.order for b in graph.order for _ in range(3)]
+    want = [(oracles.route_transport(graph, a, b, g, trop_deg),
+             oracles.route_transport(graph, a, b, g, trop_codeg)) for a, b, g in cases]
+    forbid(monkeypatch, mutate_seed)
+    for (a, b, g), (deg, codeg) in zip(cases, want):
+        assert phi(graph, a, b, g) == deg, (a, b, g)
+        assert phi_op(graph, a, b, g) == codeg, (a, b, g)
 
 
 @settings(max_examples=100, deadline=None)
