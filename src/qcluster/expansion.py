@@ -14,15 +14,20 @@ pointed at its base, so the new variable's degree (its g-vector) is
 that base; nothing measures it.
 
 The build mutates every node in every direction, and one exchange
-relation recurs across many edges. So it divides once per relation: a
-table, local to the build, keeps the new variable by the reference
-degrees of X_k and of each exchange monomial's factors, with the
-monomial's v-power. The build interns a node's variables (one object
-per reference degree, below) before it mutates the node, so the key
-fixes every input of the division, and a repeat reads back the stored
-variable that the first one made. Every mutation still mutates and
-checks the seed, and its variables are still interned. Re-tracking
-passes no table.
+relation recurs across many edges; so does re-tracking into one torus.
+So each torus keeps its exchange work in the graph's stores, and
+mutate_tracked, given the torus (ExchangeGraph._new_variable), reads it
+from there. Each exchange monomial is the torus's cluster monomial by
+identity (below), made at most once there. Each relation is divided at
+most once there: the torus's relation table keeps the new variable by
+the reference degrees of X_k and of each exchange monomial's factors,
+with the monomial's v-power. The build and re-tracking intern a node's
+variables (one object per reference degree, below) before they mutate
+it, so the key fixes every input of the division, and a repeat reads
+back the variable that the first one made, the store's object. Every
+mutation still mutates and checks the seed, and its variables are still
+interned. Nothing but the graph passes a torus: apply_word and
+cluster_monomial form each monomial as a plain product chain.
 
 The exchange graph deduplicates tracked seeds by the unordered set of
 variable degrees in the reference torus (a seed is determined by those
@@ -66,8 +71,9 @@ truncated, with the seed's path and the pair as the witness.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import pointed
 from .qtorus import QTElem, pos_part, unit_vec
@@ -115,7 +121,7 @@ def _image_monomial(ts: TrackedSeed, a) -> pointed.NForm:
     return acc
 
 
-def mutate_tracked(ts: TrackedSeed, k, exchanges=None) -> TrackedSeed:
+def mutate_tracked(ts: TrackedSeed, k, exchange=None) -> TrackedSeed:
     """Mutate at unfrozen k, keeping all variables in the reference torus.
 
     In the current seed, the new variable z satisfies
@@ -126,28 +132,19 @@ def mutate_tracked(ts: TrackedSeed, k, exchanges=None) -> TrackedSeed:
     do), and z is their sum divided exactly by X_k, pointed at its base:
     the base is z's degree, never measured.
 
-    exchanges, when given, is a table of new variables by exchange
-    relation (_relation_key), read before and filled after the division.
-    It serves one reference torus whose variables are interned, one
-    object per reference degree; then the key fixes every input of the
-    division, and a hit is that same computation's result. The seed is
-    mutated and checked either way.
+    exchange, when given, makes z as exchange(ts, k, relation), from the
+    store of the torus ts is tracked in (ExchangeGraph._new_variable);
+    else each monomial is a plain product chain. The seed is mutated and
+    checked either way.
     """
     s = ts.seed
     if k not in s.unfrozen:
         raise ValueError(f"vertex {k} is not unfrozen")
     relation = _exchange(ts, k)
-    key = z = None
-    if exchanges is not None:
-        key = _relation_key(ts, k, relation)
-        z = exchanges.get(key)
-    if z is None:
-        aminus, lminus, aplus, lplus = relation
-        num = pointed.add(ts.ref, _image_monomial(ts, aminus).vshift(lminus),
-                          _image_monomial(ts, aplus).vshift(lplus))
-        z = pointed.divide(ts.ref, num, ts.vars[k]).normalized()
-        if key is not None:
-            exchanges[key] = z
+    if exchange is None:
+        z = _divide_relation(ts, k, relation, partial(_image_monomial, ts))
+    else:
+        z = exchange(ts, k, relation)
     return TrackedSeed(
         seed=mutate_seed(s, k),
         vars=ts.vars[:k] + (z,) + ts.vars[k + 1:],
@@ -166,12 +163,18 @@ def _exchange(ts: TrackedSeed, k):
     return aminus, s.lam(aminus, fk), aplus, s.lam(aplus, fk)
 
 
-def _relation_key(ts: TrackedSeed, k, relation):
-    """The exchange relation at k by reference degrees: X_k's, and each
-    exchange monomial's sorted (degree, exponent) pairs with its v-power."""
-    degs, (aminus, lminus, aplus, lplus) = ts.degs, relation
-    return (degs[k], tuple(sorted((d, x) for d, x in zip(degs, aminus) if x)), lminus,
-            tuple(sorted((d, x) for d, x in zip(degs, aplus) if x)), lplus)
+def _divide_relation(ts: TrackedSeed, k, relation, monomial) -> pointed.NForm:
+    """The new variable of the exchange relation at k, each exchange
+    monomial X^a being monomial(a): their sum divided by X_k."""
+    aminus, lminus, aplus, lplus = relation
+    num = pointed.add(ts.ref, monomial(aminus).vshift(lminus), monomial(aplus).vshift(lplus))
+    return pointed.divide(ts.ref, num, ts.vars[k]).normalized()
+
+
+def _identity(degs, m):
+    """A cluster monomial's identity: the sorted (reference degree,
+    exponent) pairs of its factors, degs[i] being factor i's."""
+    return tuple(sorted((d, x) for d, x in zip(degs, m) if x))
 
 
 def apply_word(ts: TrackedSeed, word) -> TrackedSeed:
@@ -196,9 +199,13 @@ def degree_key(ts: TrackedSeed):
 
 def _assert_same_node(stored: TrackedSeed, other: TrackedSeed):
     """Two routes reached one degree class: the seeds must match under
-    perm, with other's position i playing stored's position perm[i]."""
-    perm = tuple(stored.degs.index(g) for g in other.degs)
+    perm, with other's position i playing stored's position perm[i].
+    Under the identity (the degrees in one order), the matrices must be
+    equal; the row loops below only name the first mismatch."""
     a, b = stored.seed, other.seed
+    if stored.degs == other.degs and a.Lambda == b.Lambda and a.B == b.B:
+        return
+    perm = tuple(stored.degs.index(g) for g in other.degs)
     for i, row in enumerate(b.Lambda):
         arow = a.Lambda[perm[i]]
         if row != tuple(map(arow.__getitem__, perm)):
@@ -222,8 +229,9 @@ class ExchangeGraph:
     is (path, i, j, b_ij b_ji) for such a seed, else None. Cross-torus
     re-trackings are cached, one per (home, torus) pair, each variable
     the torus's stored one-factor cluster monomial; every cluster
-    monomial made in a torus is kept there, by identity, until forget
-    drops the torus's entries.
+    monomial made in a torus, exchange monomials too, is kept there, by
+    identity, and every exchange relation divided there in its relation
+    table, until forget drops the torus's entries.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -237,6 +245,7 @@ class ExchangeGraph:
         self._cross: dict = {}
         self._by_path: dict = {}
         self._monomials: dict = {}
+        self._relations: dict = defaultdict(dict)
         self._build()
 
     def _build(self):
@@ -248,22 +257,20 @@ class ExchangeGraph:
         self._by_path[ts0.path] = key0
         self._cross[(key0, key0)] = ts0
         frontier = [key0] if self._two_finite(ts0) else []
-        exchanges = {}  # new variables by exchange relation, each the store's object
         while frontier:
             nxt = []
             for key in frontier:
                 ts = self.nodes[key]
+                # in the reference torus, each variable's base is its reference degree
+                exchange = partial(self._new_variable, key0, ts.degs, None)
                 for k in ts.seed.unfrozen:
-                    ts2 = mutate_tracked(ts, k, exchanges)
+                    ts2 = mutate_tracked(ts, k, exchange)
                     key2 = degree_key(ts2)
                     self.edges.append((key, k, key2))
                     if key2 not in self.nodes and len(self.nodes) >= self.node_cap:
                         self.truncated = True
                         continue
-                    z = ts2.vars[k]
                     ts2 = self._intern(ts2, key0, ts2.degs)  # its variables must match the store
-                    if ts2.vars[k] is not z:  # an equal copy of a stored variable: keep the store's
-                        exchanges[_relation_key(ts, k, _exchange(ts, k))] = ts2.vars[k]
                     if key2 in self.nodes:
                         _assert_same_node(self.nodes[key2], ts2)
                         continue
@@ -311,10 +318,11 @@ class ExchangeGraph:
         Every re-tracking happens here. Walk the path tree from home
         toward the torus's node (step_toward), to the first node already
         re-tracked into the torus. Then build back, each node its
-        neighbour mutated once, checked against its labeled seed,
-        interned and cached. A variable's degree in the torus is its
-        base, x.g. A node's tracked seed is its re-tracking into the
-        reference torus, so _build caches it.
+        neighbour mutated once (from the torus's store: _new_variable),
+        checked against its labeled seed, interned and cached. A
+        variable's degree in the torus is its base, x.g. A node's tracked
+        seed is its re-tracking into the reference torus, so _build
+        caches it.
         """
         key, way = home_key, []
         while (key, torus_key) not in self._cross:
@@ -325,15 +333,17 @@ class ExchangeGraph:
             k, nxt = self.step_toward(key, torus_key)
             way.append((key, k))
             key = nxt
-        ts = self._cross[(key, torus_key)]
+        near, ts = key, self._cross[(key, torus_key)]
         for key, k in reversed(way):
             node = self.nodes[key]
-            ts = mutate_tracked(ts, k)
+            ts = mutate_tracked(ts, k, partial(self._new_variable, torus_key,
+                                               self.nodes[near].degs, node.degs[k]))
             if ts.seed != node.seed:
                 raise RuntimeError("re-tracking did not reproduce the labeled seed")
             # keep the node's seed object, not an equal copy, for every cached pair
             ts = self._cross[(key, torus_key)] = self._intern(
                 replace(ts, seed=node.seed), torus_key, node.degs)
+            near = key
         return self._cross[(home_key, torus_key)].vars
 
     def _intern(self, ts: TrackedSeed, torus_key, ref_degs) -> TrackedSeed:
@@ -342,7 +352,8 @@ class ExchangeGraph:
         order). The first variable seen at d is stored once it is checked
         pointed at its base (no negative n, coefficient 1 at n = 0); a
         later one must equal the stored one. Either failure raises
-        RuntimeError: a broken expansion, or two routes that disagree."""
+        RuntimeError: a broken expansion, or two routes that disagree.
+        ts itself when each of its variables already is the stored one."""
         xs = []
         for d, x in zip(ref_degs, ts.vars):
             key = (torus_key, ((d, 1),))
@@ -356,28 +367,37 @@ class ExchangeGraph:
                 raise RuntimeError(f"path {ts.path}: variable at reference degree {d} "
                                    f"disagrees with its entry in torus {torus_key}")
             xs.append(entry)
+        if all(x is y for x, y in zip(xs, ts.vars)):
+            return ts
         return replace(ts, vars=tuple(xs))
 
     def monomial_in(self, home_key, m, torus_key) -> pointed.NForm:
         """Expansion of home's normalized cluster monomial X^m in a torus,
-        in n-coordinates there (NForm.expand gives the torus element).
-
-        Kept by (torus, identity), the identity being the sorted
-        (reference degree, exponent) pairs over the nonzero exponents.
-        Peel one unit of the positive unfrozen factor with the fewest
-        terms until the identity is kept (a variable always is) or only
-        frozen exponents are left, whose monomial is the plain X^e
-        (frozen variables are unit monomials in every torus). Then build
-        back, one twisted product by the stored variable per step,
-        normalized at its degree, and keep each step.
-        """
-        xs, seed = self.vars_in(home_key, torus_key), self.nodes[torus_key].seed
-        unfrozen = self.reference.unfrozen
-        if any(m[i] < 0 for i in unfrozen):
+        in n-coordinates there (NForm.expand gives the torus element):
+        _monomial of home's re-tracked variables."""
+        if any(m[i] < 0 for i in self.reference.unfrozen):
             raise ValueError("unfrozen exponents must be nonnegative")
-        degs, e, way = self.nodes[home_key].degs, list(m), []
+        return self._monomial(torus_key, self.nodes[home_key].degs,
+                              self.vars_in(home_key, torus_key), m)
+
+    def _monomial(self, torus_key, degs, xs, m) -> pointed.NForm:
+        """X^m of a seed tracked in the torus, xs its variables there (the
+        store's) at reference degrees degs, m nonnegative on the unfrozen
+        vertices. The torus's one way to form a cluster monomial, for
+        monomial_in and for each exchange monomial (_new_variable).
+
+        Kept by (torus, identity) (_identity). Peel one unit of the
+        positive unfrozen factor with the fewest terms until the identity
+        is kept (a variable always is) or only frozen exponents are left,
+        whose monomial is the plain X^e (frozen variables are unit
+        monomials in every torus). Then build back, one twisted product by
+        the stored variable per step, normalized at its degree, and keep
+        each step.
+        """
+        seed, unfrozen = self.nodes[torus_key].seed, self.reference.unfrozen
+        e, way = list(m), []
         while True:
-            identity = tuple(sorted((d, x) for d, x in zip(degs, e) if x))
+            identity = _identity(degs, e)
             z = self._monomials.get((torus_key, identity))
             if z is not None:
                 break
@@ -393,14 +413,37 @@ class ExchangeGraph:
                                                                      normalize=True)
         return z
 
+    def _new_variable(self, torus_key, degs, new_deg, ts, k, relation) -> pointed.NForm:
+        """The new variable of ts mutated at k (mutate_tracked's exchange),
+        ts being tracked in the torus with the store's variables, at
+        reference degrees degs. The torus's relation table keeps it by the
+        relation's reference degrees: X_k's, and each exchange monomial's
+        identity with its v-power. A relation not in the table is divided
+        once, each exchange monomial being the torus's cluster monomial
+        (_monomial). new_deg is the new variable's reference degree, None
+        in the reference torus, where that is its base; an equal copy of
+        the variable stored there gives way to it, so the table holds the
+        store's objects (_intern still checks each one)."""
+        aminus, lminus, aplus, lplus = relation
+        key = (degs[k], _identity(degs, aminus), lminus, _identity(degs, aplus), lplus)
+        table = self._relations[torus_key]
+        z = table.get(key)
+        if z is None:
+            z = _divide_relation(ts, k, relation, partial(self._monomial, torus_key, degs, ts.vars))
+            stored = self._monomials.get((torus_key, ((z.g if new_deg is None else new_deg, 1),)))
+            table[key] = z = stored if stored == z else z
+        return z
+
     def forget(self, torus_key):
-        """Drop the torus's re-trackings and cluster monomials; a later
-        request there makes them again. The reference torus keeps what
-        the build stored: the nodes and their variables."""
+        """Drop the torus's re-trackings, cluster monomials (exchange
+        monomials too) and relation table; a later request there makes
+        them again. The reference torus keeps what the build stored: the
+        nodes and their variables."""
         ref = torus_key == self.order[0]
         self._cross = {k: v for k, v in self._cross.items() if ref or k[1] != torus_key}
         self._monomials = {k: v for k, v in self._monomials.items()
                            if k[0] != torus_key or ref and len(k[1]) == 1 and k[1][0][1] == 1}
+        self._relations.pop(torus_key, None)
 
     def distinct_variables(self):
         """Distinct unfrozen cluster variables over all nodes, in the

@@ -397,7 +397,12 @@ def check_triangular(basis: CandidateBasis, t_key, co=False) -> TriangularReport
 
     Each product X^(f_i) * elem is formed in n-coordinates, normalized by
     one v-shift, and decomposed there: its window is elem's, the box up
-    to elem's codegree n, shifted by f_i."""
+    to elem's codegree n, shifted by f_i.
+
+    What it resolves in the torus (the basis's records, inverse maps and
+    certificates, the graph's re-trackings, cluster monomials and
+    relation table) is kept until its caller forgets the torus:
+    graph.forget(t_key) and basis.forget(t_key)."""
     graph = basis.graph
     t_seed = graph.nodes[t_key].seed
     seed = opposite_seed(t_seed) if co else t_seed

@@ -12,7 +12,6 @@ Vertices are 0-based throughout the library; the CLI converts to the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product, repeat
 from math import gcd, lcm
@@ -216,6 +215,9 @@ def _minimal_symmetrizers(principal):
     component of the principal part, in order of smallest vertex.
     Raises NoCompatibleLambda when no positive symmetrizer exists.
     """
+    # imported in its one use: a seed given with its Lambda loads no fractions or decimal
+    from fractions import Fraction
+
     nuf = len(principal)
     ratio = [None] * nuf
     components = []

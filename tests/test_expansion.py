@@ -491,33 +491,87 @@ def test_a_shared_exchange_relation_gives_the_replayed_variables(make, monkeypat
 BENCH_SEEDS = pathlib.Path(__file__).parent.parent / "bench" / "seeds"
 
 
-@pytest.mark.parametrize("name, mutations, divisions", [("c5p", 1260, 270), ("a4p", 168, 70)])
-def test_the_build_divides_once_per_exchange_relation(name, mutations, divisions, monkeypatch):
-    # every node is mutated in every direction, but each distinct exchange
-    # relation is divided once; a repeat returns the reference torus's
-    # stored variable itself, and so does every entry of the table
-    seed = cli.load_seed(str(BENCH_SEEDS / f"{name}.json"))[0]
-    real_mutate, real_divide = expansion.mutate_tracked, pointed.divide
-    tables, hits, divided = [], [], []
+def _counting(monkeypatch):
+    """Record every mutate_tracked call, with the new variable of each
+    that divided nothing, and every division and twisted product."""
+    real_mutate, real_divide, real_mul = expansion.mutate_tracked, pointed.divide, pointed.mul
+    calls = {"mutated": [], "hits": [], "divided": [], "products": []}
 
-    def mutating(ts, k, exchanges=None):
-        before = len(exchanges)
-        out = real_mutate(ts, k, exchanges)
-        tables.append(exchanges)
-        if len(exchanges) == before:
-            hits.append(out.vars[k])
+    def mutating(ts, k, *rest):
+        before = len(calls["divided"])
+        out = real_mutate(ts, k, *rest)
+        calls["mutated"].append(k)
+        if len(calls["divided"]) == before:
+            calls["hits"].append(out.vars[k])
         return out
 
     monkeypatch.setattr(expansion, "mutate_tracked", mutating)
-    monkeypatch.setattr(pointed, "divide", lambda *a: divided.append(a) or real_divide(*a))
+    monkeypatch.setattr(pointed, "divide",
+                        lambda *a: calls["divided"].append(a) or real_divide(*a))
+    monkeypatch.setattr(pointed, "mul",
+                        lambda *a, **k: calls["products"].append(a) or real_mul(*a, **k))
+    return calls
+
+
+def _kept_products(graph, torus):
+    """The torus's kept cluster monomials that are not variables."""
+    return [i for t, i in graph._monomials if t == torus and (len(i) > 1 or i[0][1] > 1)]
+
+
+@pytest.mark.parametrize("name, mutations, divisions, products", [
+    pytest.param("c5p", 1260, 270, 196, id="c5p-1260-270"),
+    pytest.param("a4p", 168, 70, 34, id="a4p-168-70"),
+])
+def test_the_build_divides_once_per_exchange_relation(name, mutations, divisions, products,
+                                                      monkeypatch):
+    # every node is mutated in every direction, but each distinct exchange
+    # relation is divided once, into the reference torus's relation table,
+    # and each exchange monomial is one kept product from a kept one; a
+    # repeat returns the reference torus's stored variable itself, and so
+    # does every entry of the table
+    seed = cli.load_seed(str(BENCH_SEEDS / f"{name}.json"))[0]
+    calls = _counting(monkeypatch)
     graph = build_exchange_graph(seed)
-    assert (len(tables), len(divided)) == (mutations, divisions)
-    table = tables[0]
-    assert all(t is table for t in tables) and len(table) == divisions
-    assert len(hits) == mutations - divisions
+    t0 = graph.order[0]
+    table = graph._relations[t0]
+    assert set(graph._relations) == {t0}
+    assert (len(calls["mutated"]), len(calls["divided"]), len(table)) == (
+        mutations, divisions, divisions)
+    assert len(calls["hits"]) == mutations - divisions
+    assert len(calls["products"]) == len(_kept_products(graph, t0)) == products
 
     def stored(x):
-        return graph._monomials[(graph.order[0], ((x.g, 1),))]
+        return graph._monomials[(t0, ((x.g, 1),))]
 
-    assert all(x is stored(x) for x in hits)
+    assert all(x is stored(x) for x in calls["hits"])
     assert all(x is stored(x) for x in table.values())
+
+
+@pytest.mark.parametrize("name, torus, retracks, divisions, products", [
+    pytest.param("a4p", 9, 41, 20, 23, id="a4p-torus-9"),
+    pytest.param("c5p", -1, 251, 87, 126, id="c5p-last-torus"),
+])
+def test_entering_a_torus_divides_once_per_exchange_relation(name, torus, retracks, divisions,
+                                                             products, monkeypatch):
+    # every node re-tracked into one torus, one mutation each but the
+    # torus's own node: each distinct relation is divided once there, into
+    # the torus's relation table, each exchange monomial is one kept
+    # product, and every table entry is the torus's stored variable. The
+    # variables are the route oracle's, and forgetting the torus drops its
+    # table with the rest
+    graph = build_exchange_graph(cli.load_seed(str(BENCH_SEEDS / f"{name}.json"))[0])
+    torus = graph.order[torus]
+    calls = _counting(monkeypatch)
+    for home in graph.order:
+        graph.vars_in(home, torus)
+    table = graph._relations[torus]
+    assert (len(calls["mutated"]), len(calls["divided"]), len(table)) == (
+        retracks, divisions, divisions)
+    assert len(calls["products"]) == len(_kept_products(graph, torus)) == products
+    variables = {id(x) for home in graph.order for x in graph.vars_in(home, torus)}
+    assert all(id(x) in variables for x in table.values())
+    for home in random.Random(2).sample(graph.order, 5):
+        assert graph.vars_in(home, torus) == oracles.route_vars_in(graph, home, torus)
+    graph.forget(torus)
+    assert torus not in graph._relations
+    assert not any(t == torus for t, _ in graph._monomials)

@@ -211,6 +211,30 @@ def test_triangularity_windows_are_read_off_the_records(a3_graph, monkeypatch):
         assert check_triangular(basis, torus, co=True).ok
 
 
+@pytest.mark.parametrize("co", [False, True], ids=["degree", "codegree"])
+def test_forgetting_a_triangularity_checked_torus_leaves_none_of_it(co):
+    # check_triangular keeps what it resolves in the torus, the graph's
+    # re-trackings, cluster monomials and relation table with the rest,
+    # until its caller forgets the torus
+    graph = build_exchange_graph(principal_framing(A3_B))
+    basis = CandidateBasis(graph, unfrozen_cap=1)
+    torus = graph.order[-1]
+    assert check_triangular(basis, torus, co=co).ok
+    assert torus in graph._relations and torus in _tori_kept(graph, basis)
+    graph.forget(torus)
+    basis.forget(torus)
+    assert torus not in _tori_kept(graph, basis)
+
+
+def _tori_kept(graph, basis):
+    """Every torus that some store of the graph or the basis keeps an
+    entry of."""
+    return ({t for _, t in graph._cross} | {t for t, _ in graph._monomials}
+            | set(graph._relations) | {t for _, t, _ in basis._inv}
+            | {t for t, _, _ in basis._resolved} | {t for t, _ in basis._certified}
+            | {t for t, _ in basis._last_home})
+
+
 def test_b2_triangular(b2_graph):
     basis = CandidateBasis(b2_graph, unfrozen_cap=2)
     assert check_triangular(basis, b2_graph.order[0]).ok
@@ -413,20 +437,27 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["a3p-cap1", "frozen-cap2-w1"])
-def test_a_sweep_forgets_every_torus_it_leaves(name):
+def test_a_sweep_forgets_every_torus_it_leaves(name, monkeypatch):
     # no store keeps a key of a torus other than the reference, which
-    # keeps the nodes the build stored; a second sweep re-enters every
-    # torus and gives the same verdicts
+    # keeps the nodes the build stored; each torus left had a relation
+    # table and kept products (exchange monomials among them) to drop; a
+    # second sweep re-enters every torus and gives the same verdicts
     make, cap, window = LADDER[name]
     graph = build_exchange_graph(make())
     basis = CandidateBasis(graph, unfrozen_cap=cap, frozen_window=window)
+    left, real_forget = [], graph.forget
+
+    def forgetting(torus):
+        products = [i for t, i in graph._monomials if t == torus and (len(i) > 1 or i[0][1] > 1)]
+        left.append((torus, len(graph._relations.get(torus, ())), len(products)))
+        real_forget(torus)
+
+    monkeypatch.setattr(graph, "forget", forgetting)
     first = verify_theorem(basis)
     t0 = graph.order[0]
     assert len({v.r_spec[0] for v in first.verdicts}) > 1
-    tori = ({t for _, t in graph._cross} | {t for t, _ in graph._monomials}
-            | {t for _, t, _ in basis._inv} | {t for t, _, _ in basis._resolved}
-            | {t for t, _ in basis._certified} | {t for t, _ in basis._last_home})
-    assert tori <= {t0}
+    assert all(table and products for torus, table, products in left if torus != t0)
+    assert _tori_kept(graph, basis) <= {t0}
     assert all(retracked(graph, key, t0) is graph.nodes[key] for key in graph.order)
     second = verify_theorem(basis)
     assert first.ok and second.counts() == first.counts()
