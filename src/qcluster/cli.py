@@ -7,7 +7,8 @@ B is row-major with one column per unfrozen vertex; every number is a
 JSON integer (a float or a boolean is refused, never truncated). Lambda
 and D are optional. Without either, both are synthesized; a D given
 without Lambda is honored (Lambda is solved for exactly that D); a
-Lambda given without D determines D.
+Lambda given without D determines D, the diagonal of B^T Lambda, and
+the pair is incompatible when that is not positive.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
 3 internal assertion failure or out of memory.

@@ -72,28 +72,28 @@ truncated, with the seed's path and the pair as the witness.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 
 from . import pointed
 from .qtorus import QTElem, pos_part, unit_vec
 from .seed import QuantumSeed, mutate_seed
 
 
-@dataclass(frozen=True)
 class TrackedSeed:
     """seed's variables in the torus of ref, in n-coordinates there
-    (pointed.NForm, each based at its degree), reached from ref by path."""
+    (pointed.NForm, each based at its degree), reached from ref by path.
+    degs[i] is the degree of vars[i] in ref's torus, its base, formed
+    once here. Compares by identity; immutable by convention, like
+    NForm: a changed copy is a new TrackedSeed."""
 
-    seed: QuantumSeed
-    vars: tuple[pointed.NForm, ...]
-    ref: QuantumSeed
-    path: tuple[int, ...]
+    __slots__ = ("seed", "vars", "ref", "path", "degs")
 
-    @cached_property
-    def degs(self):
-        """degs[i] is the degree of vars[i] in ref's torus: its base."""
-        return tuple(x.g for x in self.vars)
+    def __init__(self, seed: QuantumSeed, vars, ref: QuantumSeed, path):
+        self.seed = seed
+        self.vars = vars
+        self.ref = ref
+        self.path = path
+        self.degs = tuple(x.g for x in vars)
 
 
 def initial_tracked(seed) -> TrackedSeed:
@@ -342,7 +342,7 @@ class ExchangeGraph:
                 raise RuntimeError("re-tracking did not reproduce the labeled seed")
             # keep the node's seed object, not an equal copy, for every cached pair
             ts = self._cross[(key, torus_key)] = self._intern(
-                replace(ts, seed=node.seed), torus_key, node.degs)
+                TrackedSeed(node.seed, ts.vars, ts.ref, ts.path), torus_key, node.degs)
             near = key
         return self._cross[(home_key, torus_key)].vars
 
@@ -369,7 +369,7 @@ class ExchangeGraph:
             xs.append(entry)
         if all(x is y for x, y in zip(xs, ts.vars)):
             return ts
-        return replace(ts, vars=tuple(xs))
+        return TrackedSeed(ts.seed, tuple(xs), ts.ref, ts.path)
 
     def monomial_in(self, home_key, m, torus_key) -> pointed.NForm:
         """Expansion of home's normalized cluster monomial X^m in a torus,

@@ -71,7 +71,6 @@ each of which must equal its bar (see verify_pair).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby, product
 
 from . import _linalg, pointed
@@ -356,16 +355,19 @@ class CandidateBasis:
         self._last_home = {k: v for k, v in self._last_home.items() if k[0] != torus_key}
 
 
-@dataclass(frozen=True)
 class WindowView:
     """Degree- (or codegree-) keyed basis elements of one torus, resolved
     on lookup; decompose reads it through get, like a dict. When co, in
     the opposite seed, each element is read from its codegree
-    (NForm.opposite), so that it is based at its key there."""
+    (NForm.opposite), so that it is based at its key there. Compares by
+    identity; immutable by convention."""
 
-    basis: CandidateBasis
-    torus_key: object
-    co: bool = False
+    __slots__ = ("basis", "torus_key", "co")
+
+    def __init__(self, basis: CandidateBasis, torus_key, co=False):
+        self.basis = basis
+        self.torus_key = torus_key
+        self.co = co
 
     def get(self, g):
         if not self.co:
@@ -376,11 +378,17 @@ class WindowView:
         return elem.opposite(self.basis.graph.nodes[self.torus_key].seed)
 
 
-@dataclass
 class TriangularReport:
-    passes: int = 0
-    failures: list = field(default_factory=list)
-    indeterminates: list = field(default_factory=list)
+    """check_triangular's tally: the products that passed, and the
+    failing and indeterminate ones with their labels. Filled in place by
+    check_triangular; compares by identity."""
+
+    __slots__ = ("passes", "failures", "indeterminates")
+
+    def __init__(self):
+        self.passes = 0
+        self.failures = []
+        self.indeterminates = []
 
     @property
     def ok(self):
@@ -429,18 +437,32 @@ def check_triangular(basis: CandidateBasis, t_key, co=False) -> TriangularReport
     return report
 
 
-@dataclass
 class LeclercVerdict:
-    case: str
-    r_spec: tuple
-    v_degree: tuple
-    reason: str | None = None
-    s: int | None = None
-    h: int | None = None
-    S: tuple | None = None
-    H: tuple | None = None
-    middle: list = field(default_factory=list)
-    checks: dict = field(default_factory=dict)
+    """verify_pair's verdict on one (R, V) pair: its case ("in_basis",
+    "two_tail" or "indeterminate"), R's (home, m) and V's degree, the
+    extremal v-exponents s and h at the degrees S and H, the middle
+    terms, and the named checks. Compares by its ten fields; immutable
+    by convention."""
+
+    __slots__ = ("case", "r_spec", "v_degree", "reason", "s", "h", "S", "H", "middle", "checks")
+
+    def __init__(self, case, r_spec, v_degree, reason=None, s=None, h=None, S=None, H=None,
+                 middle=None, checks=None):
+        self.case = case
+        self.r_spec = r_spec
+        self.v_degree = v_degree
+        self.reason = reason
+        self.s = s
+        self.h = h
+        self.S = S
+        self.H = H
+        self.middle = [] if middle is None else middle
+        self.checks = {} if checks is None else checks
+
+    def __eq__(self, other):
+        if type(other) is not LeclercVerdict:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def passed(self):
@@ -560,10 +582,15 @@ def _record_n_criterion(checks, t_seed, r_m, n_v, in_basis):
     checks["in_basis_iff_n_zero"] = in_basis == (ni == 0)
 
 
-@dataclass
 class LeclercReport:
-    verdicts: list = field(default_factory=list)
-    conflicts: list = field(default_factory=list)
+    """verify_theorem's verdicts, in sweep order, and the basis's
+    conflicts. Filled in place by verify_theorem; compares by identity."""
+
+    __slots__ = ("verdicts", "conflicts")
+
+    def __init__(self):
+        self.verdicts = []
+        self.conflicts = []
 
     @property
     def ok(self):

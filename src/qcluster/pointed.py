@@ -63,7 +63,6 @@ on the same element read from its codegree (NForm.opposite).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
 from math import lcm
@@ -81,14 +80,18 @@ class NonUnitLeading(ArithmeticError):
 DECOMPOSE_ITERATION_CAP = 10 ** 5
 
 
-@dataclass(frozen=True)
 class _Projection:
     """One seed's dominance coordinates: p_num / p_den is a left inverse
-    of B and kernel an integer basis of B's left kernel."""
+    of B and kernel an integer basis of B's left kernel. Compares by
+    identity (one per seed, from _dominance_data); immutable by
+    convention."""
 
-    p_num: tuple
-    p_den: int
-    kernel: tuple
+    __slots__ = ("p_num", "p_den", "kernel")
+
+    def __init__(self, p_num, p_den, kernel):
+        self.p_num = p_num
+        self.p_den = p_den
+        self.kernel = kernel
 
     def project(self, m):
         """m -> (p_num m, K m)."""
@@ -438,11 +441,23 @@ def divide(seed, num, d):
     return NForm(g, q)
 
 
-@dataclass
 class Decomposition:
-    terms: list = field(default_factory=list)
-    status: str = "exact"
-    reason: str | None = None
+    """decompose's result: the (g, coefficient) terms found, in the order
+    found, and "exact" or "indeterminate" with a reason. Compares by its
+    three fields (the oracle tests compare decompositions); immutable by
+    convention."""
+
+    __slots__ = ("terms", "status", "reason")
+
+    def __init__(self, terms, status="exact", reason=None):
+        self.terms = terms
+        self.status = status
+        self.reason = reason
+
+    def __eq__(self, other):
+        if type(other) is not Decomposition:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def is_exact(self):

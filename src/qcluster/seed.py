@@ -11,7 +11,6 @@ Vertices are 0-based throughout the library; the CLI converts to the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat
 from math import gcd, lcm
@@ -37,26 +36,38 @@ class IncompatiblePair(ValueError):
 D_MAX = 8
 
 
-@dataclass(frozen=True)
 class QuantumSeed:
-    n: int
-    unfrozen: tuple[int, ...]
-    B: tuple[tuple[int, ...], ...]
-    Lambda: tuple[tuple[int, ...], ...]
-    D: tuple[int, ...]
+    """A quantum seed: n, the unfrozen vertices, B, Lambda and D, all
+    tuples. Their shapes, Lambda's skew-symmetry and D's positivity are
+    checked on construction; compatibility is make_seed's check. Compares
+    and hashes by those five fields, the hash computed once, since every
+    per-seed cache is keyed by the seed. Immutable by convention, like
+    NForm."""
 
-    def __post_init__(self):
-        nuf = len(self.unfrozen)
-        if len(set(self.unfrozen)) != nuf or any(not 0 <= k < self.n for k in self.unfrozen):
-            raise ValueError("unfrozen must be distinct vertex indices")
-        if len(self.B) != self.n or any(len(row) != nuf for row in self.B):
-            raise ValueError("B must be n x |unfrozen|")
-        if len(self.Lambda) != self.n or any(len(row) != self.n for row in self.Lambda):
-            raise ValueError("Lambda must be n x n")
-        if any(any(map(add, row, col)) for row, col in zip(self.Lambda, zip(*self.Lambda))):
-            raise ValueError("Lambda must be skew-symmetric")
-        if len(self.D) != nuf or any(d <= 0 for d in self.D):
+    __slots__ = ("n", "unfrozen", "B", "Lambda", "D", "_hash")
+
+    def __init__(self, n, unfrozen, B, Lambda, D):
+        _check_shape(n, unfrozen, B, Lambda)
+        if len(D) != len(unfrozen) or any(d <= 0 for d in D):
             raise ValueError("D must be a positive diagonal over the unfrozen vertices")
+        self.n = n
+        self.unfrozen = unfrozen
+        self.B = B
+        self.Lambda = Lambda
+        self.D = D
+        self._hash = hash((n, unfrozen, B, Lambda, D))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not QuantumSeed:
+            return NotImplemented
+        return (self._hash == other._hash and self.n == other.n
+                and self.unfrozen == other.unfrozen and self.B == other.B
+                and self.Lambda == other.Lambda and self.D == other.D)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def frozen(self):
@@ -75,6 +86,20 @@ class QuantumSeed:
 
     def lam(self, m, mp):
         return lam_pair(self.Lambda, m, mp)
+
+
+def _check_shape(n, unfrozen, B, Lambda):
+    """Raise ValueError unless unfrozen holds distinct vertices, B is
+    n x |unfrozen| and Lambda is n x n and skew-symmetric."""
+    nuf = len(unfrozen)
+    if len(set(unfrozen)) != nuf or any(not 0 <= k < n for k in unfrozen):
+        raise ValueError("unfrozen must be distinct vertex indices")
+    if len(B) != n or any(len(row) != nuf for row in B):
+        raise ValueError("B must be n x |unfrozen|")
+    if len(Lambda) != n or any(len(row) != n for row in Lambda):
+        raise ValueError("Lambda must be n x n")
+    if any(any(map(add, row, col)) for row, col in zip(Lambda, zip(*Lambda))):
+        raise ValueError("Lambda must be skew-symmetric")
 
 
 def check_compatible(seed):
@@ -279,10 +304,11 @@ def make_seed(btilde, lam=None, unfrozen=None, d=None):
     Without lam and d, both are synthesized by find_compatible_lambda.
     With d alone, Lambda is solved for exactly that D, which must be
     positive (NoCompatibleLambda if there is none). With lam alone, D is
-    read off B^T Lambda.
+    read off B^T Lambda, and a diagonal entry that is not positive makes
+    the pair incompatible.
 
     Raises IncompatiblePair when the resulting pair fails
-    check_compatible, and ValueError on malformed input.
+    check_compatible or that diagonal, and ValueError on malformed input.
     """
     n = len(btilde)
     nuf = len(btilde[0]) if n else 0
@@ -302,8 +328,13 @@ def make_seed(btilde, lam=None, unfrozen=None, d=None):
     else:
         lam = tuple(tuple(row) for row in lam)
         if d is None:
+            _check_shape(n, unfrozen, btilde, lam)
             bt_lam = _linalg.mat_mul(_linalg.transpose(btilde), lam)
             d = tuple(bt_lam[r][k] for r, k in enumerate(unfrozen))
+            bad = next((r for r, x in enumerate(d) if x <= 0), None)
+            if bad is not None:
+                raise IncompatiblePair(f"(B^T Lambda)[{bad}][{unfrozen[bad]}] = {d[bad]}, "
+                                       "expected a positive entry")
     seed = QuantumSeed(n, unfrozen, btilde, lam, tuple(d))
     ok, diag = check_compatible(seed)
     if not ok:

@@ -35,8 +35,6 @@ element functions expand once, at the end, to return torus elements.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _linalg, pointed
 from .expansion import ExchangeGraph
 from .qtorus import QTElem, pos_part, unit_vec, vec_sub
@@ -99,22 +97,30 @@ def psi_matrix(graph: ExchangeGraph, a_key, b_key):
     return _linalg.transpose(tuple(x.g for x in graph.vars_in(a_key, b_key)))
 
 
-@dataclass(frozen=True)
 class ShiftData:
     """Witness that target is the [direction]-shift of base.
 
     word turns base's labeled seed into target's. sigma maps each
     unfrozen k to the position whose variable is pointed at -f_k plus
     the frozen correction u[k]; the degrees are measured in the torus
-    of base for direction +1 and of target for direction -1.
+    of base for direction +1 and of target for direction -1. Compares
+    by its six fields; immutable by convention.
     """
 
-    base: tuple
-    target: tuple
-    direction: int
-    word: tuple
-    sigma: dict
-    u: dict
+    __slots__ = ("base", "target", "direction", "word", "sigma", "u")
+
+    def __init__(self, base, target, direction, word, sigma, u):
+        self.base = base
+        self.target = target
+        self.direction = direction
+        self.word = word
+        self.sigma = sigma
+        self.u = u
+
+    def __eq__(self, other):
+        if type(other) is not ShiftData:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def _shift_pattern(graph, home_key, torus_key):

@@ -1,6 +1,9 @@
-import dataclasses
+import copy
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +48,17 @@ def test_check_bad_lambda(tmp_path, capsys):
     assert "incompatible" in capsys.readouterr().out
 
 
+def test_a_lambda_without_d_whose_diagonal_is_not_positive_is_incompatible(capsys):
+    # D is read off B^T Lambda; a zero Lambda reads D = 0, an incompatible
+    # pair (exit 1 from check, 2 elsewhere), as it is with D given
+    path = str(DATA / "a2-zero-lambda.json")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().out == (
+        "incompatible: (B^T Lambda)[0][0] = 0, expected a positive entry\n")
+    assert main(["graph", path]) == 2
+    assert "not a compatible pair: (B^T Lambda)[0][0] = 0" in capsys.readouterr().err
+
+
 def test_check_synthesizes_lambda(b2_file_no_lambda, capsys):
     assert main(["check", b2_file_no_lambda]) == 0
     out = capsys.readouterr().out
@@ -76,6 +90,20 @@ def test_check_nonpositive_d_is_refused_before_solving(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "D must be a positive diagonal over the unfrozen vertices" in err
     assert "skew form" not in err
+
+
+def test_the_cli_imports_no_code_generation_or_exact_decimals():
+    # in a fresh interpreter, since pytest itself loads these modules;
+    # -S keeps site-packages' start-up hooks out of the count
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(pathlib.Path(__file__).parent.parent / "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, qcluster.cli; print(sorted({'dataclasses', 'inspect', 'fractions', "
+             "'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_mutate(a2_file, capsys):
@@ -363,6 +391,14 @@ def test_leclerc_visits_each_home_once_whatever_the_scope_order(tmp_path, monkey
     assert [p["R"]["node"] for p in json.loads(texts[0])["pairs"][::45]] == [0, 0, 0, 1]
 
 
+def _with(verdict, **changes):
+    """A copy of verdict with the given fields changed."""
+    out = copy.copy(verdict)
+    for name, value in changes.items():
+        setattr(out, name, value)
+    return out
+
+
 def _tampered_a3p_run(monkeypatch, capsys, tamper):
     """An A3-principal cap1 leclerc run with the first in_basis verdict
     replaced by tamper(verdict): (exit status, printed lines, report)."""
@@ -393,7 +429,7 @@ def test_an_in_basis_pair_with_a_false_check_fails_the_run(monkeypatch, capsys):
     assert status == 0 and len(plain) == 1
     status, lines, report = _tampered_a3p_run(
         monkeypatch, capsys,
-        lambda v: dataclasses.replace(v, checks={**v.checks, "pivot_is_one": False}))
+        lambda v: _with(v, checks={**v.checks, "pivot_is_one": False}))
     assert status == 1 and not report.ok
     assert lines[0] == plain[0]
     assert len(lines) == 2 and lines[1].startswith("FAIL R=")
@@ -403,7 +439,7 @@ def test_an_in_basis_pair_with_a_false_check_fails_the_run(monkeypatch, capsys):
 def test_an_indeterminate_pair_fails_the_run(monkeypatch, capsys):
     status, lines, report = _tampered_a3p_run(
         monkeypatch, capsys,
-        lambda v: dataclasses.replace(v, case="indeterminate", reason="tampered"))
+        lambda v: _with(v, case="indeterminate", reason="tampered"))
     assert status == 1 and not report.ok
     assert "indeterminate 1," in lines[0]
     assert len(lines) == 2 and lines[1].startswith("INDETERMINATE R=")

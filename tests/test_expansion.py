@@ -1,8 +1,8 @@
+import copy
 import inspect
 import pathlib
 import random
 import sys
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -11,6 +11,7 @@ import oracles
 from oracles import bidegree
 from conftest import A2_B, A3_B, B2_B, B3_B, LADDER, a2_gold, elem, forbid, retracked
 from qcluster import (
+    QuantumSeed,
     apply_word,
     build_exchange_graph,
     cluster_monomial,
@@ -98,6 +99,16 @@ def test_shift_words(a2_seed):
     down = apply_word(ts, (0, 1, 0))
     assert expanded(down) == (a2_gold("P2"), a2_gold("P1"))
     assert down.seed.B == ((0, 1), (-1, 0))
+
+
+def test_a_copied_tracked_seed_keeps_the_degrees_of_its_variables(pa2_seed):
+    # degs is formed once, in __init__: a copy keeps it, and a rebuild
+    # with other variables forms it from those
+    ts = apply_word(initial_tracked(pa2_seed), (0, 1))
+    dup = copy.copy(ts)
+    assert dup is not ts and dup.degs == ts.degs == tuple(x.g for x in dup.vars)
+    swapped = expansion.TrackedSeed(ts.seed, ts.vars[::-1], ts.ref, ts.path)
+    assert swapped.degs == tuple(x.g for x in ts.vars[::-1]) != ts.degs
 
 
 def test_apply_word_identities(a2_seed, b2_seed):
@@ -300,18 +311,21 @@ def test_a_node_met_again_must_match_under_the_degree_permutation():
     a, perm = stored.seed, (1, 0, 2, 3, 4, 5)
     lam = [[a.Lambda[p][q] for q in perm] for p in perm]
     b = [[a.B[p][perm[k]] for k in a.unfrozen] for p in perm]
-    other = expansion.TrackedSeed(seed=replace(a, Lambda=_rows(lam), B=_rows(b)),
-                                  vars=tuple(stored.vars[p] for p in perm),
-                                  ref=stored.ref, path=(9,))
-    expansion._assert_same_node(stored, other)
+    xs, lam0, b0 = tuple(stored.vars[p] for p in perm), _rows(lam), _rows(b)
+
+    def relabeled(lam=lam0, b=b0):
+        seed = QuantumSeed(a.n, a.unfrozen, b, lam, a.D)
+        return expansion.TrackedSeed(seed=seed, vars=xs, ref=stored.ref, path=(9,))
+
+    expansion._assert_same_node(stored, relabeled())
     lam[1][4] += 1
     lam[4][1] -= 1
     with pytest.raises(RuntimeError, match=r"path \(9,\): Lambda mismatch at \(1,4\) under "
                                            r"\(1, 0, 2, 3, 4, 5\)"):
-        expansion._assert_same_node(stored, replace(other, seed=replace(other.seed, Lambda=_rows(lam))))
+        expansion._assert_same_node(stored, relabeled(lam=_rows(lam)))
     b[3][2] += 1
     with pytest.raises(RuntimeError, match=r"B mismatch at \(3,2\)"):
-        expansion._assert_same_node(stored, replace(other, seed=replace(other.seed, B=_rows(b))))
+        expansion._assert_same_node(stored, relabeled(b=_rows(b)))
 
 
 def _rows(mat):

@@ -1,5 +1,4 @@
 """The fan walk of CandidateBasis against the scan over every node."""
-import dataclasses
 import json
 import pathlib
 import re
@@ -212,6 +211,11 @@ def _skew(x):
     return x.vshift(1)
 
 
+def _with_var(ts, j, x):
+    """ts with variable j replaced by x."""
+    return expansion.TrackedSeed(ts.seed, ts.vars[:j] + (x,) + ts.vars[j + 1:], ts.ref, ts.path)
+
+
 def _planting(graph, torus, home, factor, plant):
     """mutate_tracked, with one variable of home replaced by plant(x) at
     each mutation into the torus that lands on home's labeled seed: the
@@ -226,8 +230,7 @@ def _planting(graph, torus, home, factor, plant):
     def planting(ts, k, *rest):
         out = real(ts, k, *rest)
         if out.ref == torus_seed and out.seed == home_seed:
-            out = dataclasses.replace(
-                out, vars=out.vars[:j] + (plant(out.vars[j]),) + out.vars[j + 1:])
+            out = _with_var(out, j, plant(out.vars[j]))
         return out
 
     return planting, j
@@ -271,8 +274,7 @@ def test_a_build_landing_on_a_stored_node_checks_its_variables(monkeypatch):
         out = real(ts, j, *rest)
         if out.path == (k, k):
             planted.append(j)
-            out = dataclasses.replace(
-                out, vars=out.vars[:k] + (_skew(out.vars[k]),) + out.vars[k + 1:])
+            out = _with_var(out, k, _skew(out.vars[k]))
         return out
 
     monkeypatch.setattr(expansion, "mutate_tracked", planting)
@@ -320,7 +322,7 @@ def test_a_variable_not_pointed_at_its_degree_exits_3(a3p_file, tamper, monkeypa
                 x = NForm(x.g, {**x.terms, above: VCoeff.one()})
             else:
                 x = x.vshift(1)
-            out = dataclasses.replace(out, vars=out.vars[:k] + (x,) + out.vars[k + 1:])
+            out = _with_var(out, k, x)
         return out
 
     monkeypatch.setattr(expansion, "mutate_tracked", tampering)

@@ -236,6 +236,17 @@ def test_is_m_unitriangular_rejects_positive_exponents():
     assert is_m_unitriangular(d2, (1, 0))
 
 
+def test_decompositions_compare_by_their_fields():
+    from qcluster.pointed import Decomposition
+
+    def make(status="exact", reason=None):
+        return Decomposition([((1, 0), VCoeff.one()), ((0, 0), VCoeff({-1: 2}))], status, reason)
+
+    assert make() == make() and make("indeterminate", "r") == make("indeterminate", "r")
+    assert make() != make("indeterminate") and make("indeterminate", "r") != make("indeterminate")
+    assert make() != (make().terms, "exact", None)
+
+
 # -- the codegree side against direct scans (normalize, decompose: opposite seed) --
 
 _COEFF = st.builds(

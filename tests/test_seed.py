@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -23,6 +24,7 @@ from qcluster import (
     make_seed,
     mutate_seed,
     opposite_seed,
+    pointed,
     principal_framing,
 )
 from qcluster.qtorus import unit_vec
@@ -129,6 +131,16 @@ def test_opposite_seed(a2_seed):
     assert check_compatible(op)[0]
 
 
+def test_seeds_built_apart_from_equal_data_are_equal_and_share_caches():
+    # every per-seed cache is keyed by the seed's value, not its identity
+    a, b = principal_framing(A3_B), principal_framing([list(row) for row in A3_B])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert opposite_seed(b) is opposite_seed(a)
+    assert pointed._dominance_data(b) is pointed._dominance_data(a)
+    assert a != (a.n, a.unfrozen, a.B, a.Lambda, a.D)
+    assert a != mutate_seed(a, 0) and mutate_seed(mutate_seed(a, 0), 0) == a
+
+
 def test_opposite_commutes_with_mutation(a2_seed, b2_seed, a3_seed):
     for s in (a2_seed, b2_seed, a3_seed):
         for k in s.unfrozen:
@@ -208,6 +220,20 @@ class TestMakeSeed:
     def test_incompatible_pair(self):
         with pytest.raises(IncompatiblePair):
             make_seed(A2_B, ((0, 0), (0, 0)), d=(1, 1))
+
+    @pytest.mark.parametrize("lam, entry", [
+        (((0, 0), (0, 0)), 0), (tuple(tuple(-x for x in row) for row in A2_LAMBDA), -1)],
+        ids=["zero", "negated"])
+    def test_a_lambda_whose_diagonal_is_not_positive_is_incompatible(self, lam, entry):
+        # with lam alone, D is read off B^T Lambda: a non-positive entry
+        # there fails the pair, like a mismatch against a given D
+        with pytest.raises(IncompatiblePair, match=re.escape(
+                f"(B^T Lambda)[0][0] = {entry}, expected a positive entry")):
+            make_seed(A2_B, lam)
+
+    def test_a_malformed_lambda_is_refused_before_d_is_read(self):
+        with pytest.raises(ValueError, match="Lambda must be n x n"):
+            make_seed(A2_B, ((0,),))
 
 
 @st.composite
