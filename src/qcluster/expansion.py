@@ -37,14 +37,14 @@ must match under the degree permutation, and the variables the store
 TrackedSeed too, and each variable's degree there is its base.
 
 Each node's path extends the path of the node it was found from, so
-the paths form a tree rooted at the reference. Every cross-torus object
-is built one step from a stored neighbour: walk to the nearest one
-stored, then build back one step per object, storing each. A node
-re-tracked into a torus walks the path tree toward the torus's node
-and is its neighbour's re-tracking mutated once (mutation is an
-involution on labeled seeds, and an expansion does not depend on the
-route). The torus's own node has the unit monomials as its variables
-there.
+the paths form a tree rooted at the reference. A node's tracked seed is
+its re-tracking into the reference torus; every other cross-torus
+object is built one step from a stored neighbour by one walk
+(ExchangeGraph.build_back), a re-tracked node being its neighbour's
+re-tracking mutated once (mutation is an involution on labeled seeds,
+and an expansion does not depend on the route), the torus's own node's
+variables there the unit monomials. Every store is keyed by torus
+first, so forget drops a torus, the reference too, with one pop each.
 
 Each torus keeps the cluster monomials made in it in one store, by
 identity, the sorted (reference degree, exponent) pairs of their
@@ -226,12 +226,12 @@ class ExchangeGraph:
     it; order lists keys in discovery order; edges holds directed
     (key, vertex, key) mutation triples. truncated is set when the
     node cap or a seed that is not 2-finite stopped the search; witness
-    is (path, i, j, b_ij b_ji) for such a seed, else None. Cross-torus
-    re-trackings are cached, one per (home, torus) pair, each variable
-    the torus's stored one-factor cluster monomial; every cluster
-    monomial made in a torus, exchange monomials too, is kept there, by
-    identity, and every exchange relation divided there in its relation
-    table, until forget drops the torus's entries.
+    is (path, i, j, b_ij b_ji) for such a seed, else None. Every store
+    is keyed by torus first and kept until forget drops the torus:
+    _cross[torus][home] is home's re-tracking into a torus other than
+    the reference, each variable the torus's stored one-factor cluster
+    monomial; _monomials[torus][identity] every cluster monomial made
+    there, exchange monomials too; _relations[torus] its relation table.
     """
 
     def __init__(self, reference: QuantumSeed, node_cap=10000):
@@ -242,9 +242,9 @@ class ExchangeGraph:
         self.edges: list = []
         self.truncated = False
         self.witness = None
-        self._cross: dict = {}
         self._by_path: dict = {}
-        self._monomials: dict = {}
+        self._cross: dict = defaultdict(dict)
+        self._monomials: dict = defaultdict(dict)
         self._relations: dict = defaultdict(dict)
         self._build()
 
@@ -255,7 +255,6 @@ class ExchangeGraph:
         self.nodes[key0] = ts0
         self.order.append(key0)
         self._by_path[ts0.path] = key0
-        self._cross[(key0, key0)] = ts0
         frontier = [key0] if self._two_finite(ts0) else []
         while frontier:
             nxt = []
@@ -277,7 +276,6 @@ class ExchangeGraph:
                     self.nodes[key2] = ts2
                     self.order.append(key2)
                     self._by_path[ts2.path] = key2
-                    self._cross[(key2, key0)] = ts2  # what vars_in(key2, key0) would re-track
                     if not self._two_finite(ts2):
                         return
                     nxt.append(key2)
@@ -311,40 +309,54 @@ class ExchangeGraph:
             k, path = path[-1], path[:-1]
         return k, self._by_path[path]
 
-    def vars_in(self, home_key, torus_key):
-        """home's variables in the torus of another node, in n-coordinates
-        there (NForm.expand gives the torus elements).
-
-        Every re-tracking happens here. Walk the path tree from home
-        toward the torus's node (step_toward), to the first node already
-        re-tracked into the torus. Then build back, each node its
-        neighbour mutated once (from the torus's store: _new_variable),
-        checked against its labeled seed, interned and cached. A
-        variable's degree in the torus is its base, x.g. A node's tracked
-        seed is its re-tracking into the reference torus, so _build
-        caches it.
-        """
+    def build_back(self, store, home_key, torus_key, first, step):
+        """store[home_key], store holding the torus's objects by node:
+        walk the path tree toward the torus's node (step_toward) to the
+        nearest node held, the torus's node holding first(), then build
+        back each node of the way as step(neighbour, node, k), node's
+        labeled seed being the neighbour's mutated at k."""
         key, way = home_key, []
-        while (key, torus_key) not in self._cross:
+        while key not in store:
             if key == torus_key:
-                self._cross[(key, key)] = self._intern(
-                    initial_tracked(self.nodes[key].seed), key, self.nodes[key].degs)
+                store[key] = first()
                 break
             k, nxt = self.step_toward(key, torus_key)
             way.append((key, k))
             key = nxt
-        near, ts = key, self._cross[(key, torus_key)]
-        for key, k in reversed(way):
-            node = self.nodes[key]
-            ts = mutate_tracked(ts, k, partial(self._new_variable, torus_key,
-                                               self.nodes[near].degs, node.degs[k]))
-            if ts.seed != node.seed:
-                raise RuntimeError("re-tracking did not reproduce the labeled seed")
-            # keep the node's seed object, not an equal copy, for every cached pair
-            ts = self._cross[(key, torus_key)] = self._intern(
-                TrackedSeed(node.seed, ts.vars, ts.ref, ts.path), torus_key, node.degs)
-            near = key
-        return self._cross[(home_key, torus_key)].vars
+        for node, k in reversed(way):
+            store[node] = step(key, node, k)
+            key = node
+        return store[home_key]
+
+    def vars_in(self, home_key, torus_key):
+        """home's variables in the torus of another node, in n-coordinates
+        there (NForm.expand gives the torus elements); a variable's degree
+        in the torus is its base, x.g.
+
+        In the reference torus they are home's tracked seed's, interned
+        (stored again after forget). Elsewhere home is re-tracked once per
+        (torus, home), built back from the torus's own node, whose
+        variables there are the unit monomials (build_back), each node its
+        neighbour mutated once (_retrack).
+        """
+        if torus_key == self.order[0]:
+            return self._intern(self.nodes[home_key], torus_key, self.nodes[home_key].degs).vars
+        torus = self.nodes[torus_key]
+        return self.build_back(
+            self._cross[torus_key], home_key, torus_key,
+            lambda: self._intern(initial_tracked(torus.seed), torus_key, torus.degs),
+            partial(self._retrack, torus_key)).vars
+
+    def _retrack(self, torus_key, near_key, key, k) -> TrackedSeed:
+        """key re-tracked into the torus: near_key's re-tracking mutated at
+        k (_new_variable), checked against key's labeled seed, interned."""
+        near, node = self.nodes[near_key], self.nodes[key]
+        ts = mutate_tracked(self._cross[torus_key][near_key], k,
+                            partial(self._new_variable, torus_key, near.degs, node.degs[k]))
+        if ts.seed != node.seed:
+            raise RuntimeError("re-tracking did not reproduce the labeled seed")
+        # keep the node's seed object, not an equal copy, for every cached pair
+        return self._intern(TrackedSeed(node.seed, ts.vars, ts.ref, ts.path), torus_key, node.degs)
 
     def _intern(self, ts: TrackedSeed, torus_key, ref_degs) -> TrackedSeed:
         """ts with each variable replaced by the torus's stored one-factor
@@ -354,15 +366,14 @@ class ExchangeGraph:
         later one must equal the stored one. Either failure raises
         RuntimeError: a broken expansion, or two routes that disagree.
         ts itself when each of its variables already is the stored one."""
-        xs = []
+        xs, monomials = [], self._monomials[torus_key]
         for d, x in zip(ref_degs, ts.vars):
-            key = (torus_key, ((d, 1),))
-            entry = self._monomials.get(key)
+            entry = monomials.get(((d, 1),))
             if entry is None:
                 if not x.is_pointed():
                     raise RuntimeError(f"path {ts.path}: variable at reference degree {d} is "
                                        f"not pointed at {x.g} in torus {torus_key}")
-                entry = self._monomials[key] = x
+                entry = monomials[((d, 1),)] = x
             elif entry is not x and entry != x:
                 raise RuntimeError(f"path {ts.path}: variable at reference degree {d} "
                                    f"disagrees with its entry in torus {torus_key}")
@@ -395,10 +406,10 @@ class ExchangeGraph:
         each step.
         """
         seed, unfrozen = self.nodes[torus_key].seed, self.reference.unfrozen
-        e, way = list(m), []
+        monomials, e, way = self._monomials[torus_key], list(m), []
         while True:
             identity = _identity(degs, e)
-            z = self._monomials.get((torus_key, identity))
+            z = monomials.get(identity)
             if z is not None:
                 break
             peel = [j for j in unfrozen if e[j] > 0]
@@ -409,8 +420,7 @@ class ExchangeGraph:
             way.append((identity, j))
             e[j] -= 1
         for identity, j in reversed(way):
-            z = self._monomials[(torus_key, identity)] = pointed.mul(seed, z, xs[j],
-                                                                     normalize=True)
+            z = monomials[identity] = pointed.mul(seed, z, xs[j], normalize=True)
         return z
 
     def _new_variable(self, torus_key, degs, new_deg, ts, k, relation) -> pointed.NForm:
@@ -430,20 +440,17 @@ class ExchangeGraph:
         z = table.get(key)
         if z is None:
             z = _divide_relation(ts, k, relation, partial(self._monomial, torus_key, degs, ts.vars))
-            stored = self._monomials.get((torus_key, ((z.g if new_deg is None else new_deg, 1),)))
+            stored = self._monomials[torus_key].get(((z.g if new_deg is None else new_deg, 1),))
             table[key] = z = stored if stored == z else z
         return z
 
     def forget(self, torus_key):
-        """Drop the torus's re-trackings, cluster monomials (exchange
-        monomials too) and relation table; a later request there makes
-        them again. The reference torus keeps what the build stored: the
-        nodes and their variables."""
-        ref = torus_key == self.order[0]
-        self._cross = {k: v for k, v in self._cross.items() if ref or k[1] != torus_key}
-        self._monomials = {k: v for k, v in self._monomials.items()
-                           if k[0] != torus_key or ref and len(k[1]) == 1 and k[1][0][1] == 1}
-        self._relations.pop(torus_key, None)
+        """Drop everything kept for the torus: its re-trackings, its
+        cluster monomials (variables and exchange monomials too) and its
+        relation table; a later request there makes them again. The
+        nodes stay."""
+        for store in (self._cross, self._monomials, self._relations):
+            store.pop(torus_key, None)
 
     def distinct_variables(self):
         """Distinct unfrozen cluster variables over all nodes, in the

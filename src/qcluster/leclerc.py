@@ -12,8 +12,8 @@ element in every torus (a sweep key, a point of the lazy window_set view
 that decompose keeps inside its dominance window, verify_pair's V, an
 element of a triangularity sweep) is looked up by (co)degree through one
 resolver, which alone expands cluster monomials, and whose records are
-the only elements kept, each until forget drops its torus
-(verify_theorem does so on leaving each home torus).
+the only elements kept, each until forget drops its torus from every
+store, each keyed by torus first (as verify_theorem does on leaving a home).
 
 In one torus, the (co)degree cones of the nodes, each spanned by its
 variables' (co)degrees, form a complete simplicial fan (the g-vector fan
@@ -71,6 +71,7 @@ each of which must equal its bar (see verify_pair).
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import groupby, product
 
 from . import _linalg, pointed
@@ -127,10 +128,9 @@ class CandidateBasis:
         self.by_codegree: dict = {}
         self.conflicts: list = []
         self.walk_steps = 0
-        self._inv: dict = {}
+        self._inv: dict = defaultdict(dict)
+        self._resolved: dict = defaultdict(dict)
         self._last_home: dict = {}
-        self._resolved: dict = {}
-        self._certified: set = set()
         # each edge (a, k, b) as (b, position of b's new variable)
         self._walls = {}
         for a, k, b in graph.edges:
@@ -195,33 +195,24 @@ class CandidateBasis:
         torus; on the degree side M is psi_matrix(home, torus). M is
         unimodular, the g-vectors of a cluster being a Z-basis; None when
         it is not, which the fan certificate refuses. Computed once per
-        (home, torus, side), by exchange update: walk the path tree from
-        home toward the torus's node (ExchangeGraph.step_toward) to the
-        first node with a map, inverting only the torus's own node's, and
-        build back. A node's labeled seed is its neighbour's mutated at
-        k, so its M is the neighbour's M' but for column k, c: with
+        (home, torus, side), kept in _inv[(torus, side)][home], by
+        exchange update along the path tree (ExchangeGraph.build_back),
+        inverting only the torus's own node's map outright. A node's
+        labeled seed is its neighbour's mutated at k (_exchange_update),
+        so its M is the neighbour's M' but for column k, c: with
         lambda = M'^-1 c, det M = lambda_k det M', and when lambda_k =
         +-1, M^-1 is M'^-1 after one row operation per row. Otherwise M
         is not unimodular and the map is None, and so is the map of a
         node whose neighbour has none.
         """
-        key, way = home_key, []
-        while (key, torus_key, co) not in self._inv:
-            if key == torus_key:
-                self._inv[(key, torus_key, co)] = _linalg.invert(
-                    _linalg.transpose(self._columns(key, torus_key, co)))
-                break
-            k, nxt = self.graph.step_toward(key, torus_key)
-            way.append((key, k))
-            key = nxt
-        for home, k in reversed(way):
-            self._inv[(home, torus_key, co)] = self._exchange_update(key, home, k, torus_key, co)
-            key = home
-        return self._inv[(home_key, torus_key, co)]
+        return self.graph.build_back(
+            self._inv[(torus_key, co)], home_key, torus_key,
+            lambda: _linalg.invert(_linalg.transpose(self._columns(torus_key, torus_key, co))),
+            lambda prev_key, key, k: self._exchange_update(prev_key, key, k, torus_key, co))
 
     def _exchange_update(self, prev_key, key, k, torus_key, co):
         """key's inverse map from its neighbour prev_key's across vertex k."""
-        inv = self._inv[(prev_key, torus_key, co)]
+        inv = self._inv[(torus_key, co)][prev_key]
         if inv is None:
             return None
         cols = self._columns(key, torus_key, co)
@@ -249,9 +240,10 @@ class CandidateBasis:
         two cones lie strictly on opposite sides of their shared wall; and
         the interior point sum_k f_k of the torus's own cone must lie in
         no other cone. Those are the conditions for a pseudomanifold of
-        cones covering space exactly once. Raises RuntimeError otherwise.
+        cones covering space exactly once. Raises RuntimeError otherwise,
+        else sets the first walk home, the torus's node, marking it done.
         """
-        if (torus_key, co) in self._certified:
+        if (torus_key, co) in self._last_home:
             return
         kind = "codegree" if co else "degree"
         graph = self.graph
@@ -273,7 +265,7 @@ class CandidateBasis:
         if covering != [torus_key]:
             raise RuntimeError(f"{kind} fan certificate fails in torus {torus_key}: "
                                f"an interior point of its cone lies in {len(covering)} cones")
-        self._certified.add((torus_key, co))
+        self._last_home[(torus_key, co)] = torus_key
 
     def _walk(self, torus_key, g, co):
         """The node whose cone holds g, with g's exponents there, reached
@@ -283,7 +275,7 @@ class CandidateBasis:
         the same element (see the module docstring)."""
         self._certify(torus_key, co)
         unfrozen = self.graph.reference.unfrozen
-        home = self._last_home.get((torus_key, co), torus_key)
+        home = self._last_home[(torus_key, co)]
         for _ in self.graph.order:
             lam = _linalg.mat_vec(self._inverse_map(home, torus_key, co), g)
             k = next((k for k in unfrozen if lam[k] < 0), None)
@@ -305,9 +297,9 @@ class CandidateBasis:
         and that degree (its codegree, when co) is g. The codegree is
         read off the same n-form (NForm.codegree).
         """
-        key = (torus_key, g, co)
-        if key in self._resolved:
-            return self._resolved[key]
+        records = self._resolved[(torus_key, co)]
+        if g in records:
+            return records[g]
         home_key, m = self._walk(torus_key, g, co)
         elem = self.graph.monomial_in(home_key, m, torus_key)
         found = None
@@ -315,7 +307,7 @@ class CandidateBasis:
             eta = elem.codegree(self.graph.nodes[torus_key].seed)
             if (eta if co else elem.g) == g:
                 found = ((home_key, m), elem, eta)
-        self._resolved[key] = found
+        records[g] = found
         return found
 
     def element_at_degree(self, torus_key, g):
@@ -347,12 +339,13 @@ class CandidateBasis:
         return WindowView(self, torus_key, co)
 
     def forget(self, torus_key):
-        """Drop the torus's inverse maps, records, certificates and last
-        walk homes; a later lookup there makes them again."""
-        self._inv = {k: v for k, v in self._inv.items() if k[1] != torus_key}
-        self._resolved = {k: v for k, v in self._resolved.items() if k[0] != torus_key}
-        self._certified = {k for k in self._certified if k[0] != torus_key}
-        self._last_home = {k: v for k, v in self._last_home.items() if k[0] != torus_key}
+        """Leave the torus: drop its inverse maps, records and last walk
+        homes (certificates with them) on both sides, and the graph's share
+        (ExchangeGraph.forget); a later lookup makes them again."""
+        for side in (False, True):
+            for store in (self._inv, self._resolved, self._last_home):
+                store.pop((torus_key, side), None)
+        self.graph.forget(torus_key)
 
 
 class WindowView:
@@ -409,8 +402,7 @@ def check_triangular(basis: CandidateBasis, t_key, co=False) -> TriangularReport
 
     What it resolves in the torus (the basis's records, inverse maps and
     certificates, the graph's re-trackings, cluster monomials and
-    relation table) is kept until its caller forgets the torus:
-    graph.forget(t_key) and basis.forget(t_key)."""
+    relation table) is kept until its caller calls basis.forget(t_key)."""
     graph = basis.graph
     t_seed = graph.nodes[t_key].seed
     seed = opposite_seed(t_seed) if co else t_seed
@@ -628,8 +620,9 @@ def verify_theorem(basis: CandidateBasis, r_specs=None) -> LeclercReport:
     """Sweep verify_pair over R specs and all keyed basis elements, one
     home torus at a time: R specs by (index of R's home in graph.order,
     m), each R's verdicts by V's degree (stably; an indeterminate one's
-    is ()). After a home's last R, the graph and the basis forget its
-    torus, so a sweep holds one torus's data besides the reference's.
+    is ()). After a home's last R, one basis.forget drops all that the
+    basis and the graph keep of its torus, the reference's too, so a
+    sweep holds one torus's data at a time.
     """
     graph = basis.graph
     if r_specs is None:
@@ -641,7 +634,6 @@ def verify_theorem(basis: CandidateBasis, r_specs=None) -> LeclercReport:
         for _, r_m in group:
             report.verdicts += sorted((verify_pair(basis, r_home, r_m, *basis.by_degree[g])
                                        for g in basis.degree_keys()), key=lambda v: v.v_degree)
-        graph.forget(r_home)
         basis.forget(r_home)
     report.conflicts = list(basis.conflicts)
     return report

@@ -13,6 +13,7 @@ B2_B = ((0, -2), (1, 0))
 B2_LAMBDA = ((0, -1), (1, 0))
 A3_B = ((0, -1, 0), (1, 0, -1), (0, 1, 0))
 B3_B = ((0, -1, 0), (1, 0, -1), (0, 2, 0))
+D4_B = ((0, -1, 0, 0), (1, 0, -1, -1), (0, 1, 0, 0), (0, 1, 0, 0))
 
 
 def elem(dim, terms):
@@ -71,9 +72,10 @@ def assert_matches_eager_enumeration(basis, frozen_window=0):
 
 
 def retracked(graph, home, torus):
-    """home's labeled seed re-tracked into the torus, as vars_in caches it."""
+    """home's labeled seed re-tracked into the torus, as vars_in caches
+    it: in the reference torus, home's tracked seed itself."""
     graph.vars_in(home, torus)
-    return graph._cross[(home, torus)]
+    return graph.nodes[home] if torus == graph.order[0] else graph._cross[torus][home]
 
 
 # the benchmark's ladder-small rungs: (seed maker, unfrozen cap, frozen window)

@@ -374,7 +374,7 @@ def test_leclerc_visits_each_home_once_whatever_the_scope_order(tmp_path, monkey
     assert cli.select_r_specs(specs, 4, 7) == [specs[i] for i in (5, 2, 6, 0)]
     assert [graph.order.index(specs[i][0]) for i in (5, 2, 6, 0)] == [0, 0, 1, 0]
     forgotten = []
-    for cls in (expansion.ExchangeGraph, leclerc.CandidateBasis):
+    for cls in (leclerc.CandidateBasis, expansion.ExchangeGraph):
         real = cls.forget
         monkeypatch.setattr(cls, "forget", lambda self, torus, cls=cls, real=real:
                             forgotten.append((cls.__name__, torus)) or real(self, torus))
@@ -385,7 +385,7 @@ def test_leclerc_visits_each_home_once_whatever_the_scope_order(tmp_path, monkey
         assert main(["--seed", "7", "leclerc", seed_file, "--cap", "1", "--scope", scope,
                      "--json", str(path)]) == 0
         assert forgotten == [(cls, graph.order[i]) for i in (0, 1)
-                             for cls in ("ExchangeGraph", "CandidateBasis")]
+                             for cls in ("CandidateBasis", "ExchangeGraph")]
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
     assert [p["R"]["node"] for p in json.loads(texts[0])["pairs"][::45]] == [0, 0, 0, 1]

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from oracles import bidegree
-from conftest import A2_B, A3_B, B2_B, B3_B, LADDER, a2_gold, elem, forbid, retracked
+from conftest import A2_B, A3_B, B2_B, B3_B, D4_B, LADDER, a2_gold, elem, forbid, retracked
 from qcluster import (
     QuantumSeed,
     apply_word,
@@ -59,8 +59,9 @@ def test_every_variable_matches_the_torus_element_mutation(name):
             assert tuple(x.g for x in graph.vars_in(home, torus)) == tuple(
                 pointed.degree(torus_seed, x) for x in xs)
         if torus == graph.order[0]:
-            assert all(retracked(graph, home, torus) is graph.nodes[home]
+            assert all(graph.vars_in(home, torus) is graph.nodes[home].vars
                        for home in graph.order)
+            assert torus not in graph._cross
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
@@ -74,7 +75,9 @@ def test_the_build_and_retracking_make_no_torus_element(name, monkeypatch):
     for home in graph.order:
         for torus in graph.order:
             graph.vars_in(home, torus)
-    assert len(graph._cross) == len(graph.order) ** 2
+    # every pair but the reference torus's, whose variables are the nodes'
+    assert set(graph._cross) == set(graph.order[1:])
+    assert sum(map(len, graph._cross.values())) == len(graph.order) * (len(graph.order) - 1)
 
 
 def test_initial_tracked(a2_seed, pa2_seed):
@@ -372,9 +375,6 @@ def test_path_tree_retracking_matches_the_route_through_the_reference(principal,
         assert retracked(graph, home, torus).seed == graph.nodes[home].seed
 
 
-D4_B = ((0, -1, 0, 0), (1, 0, -1, -1), (0, 1, 0, 0), (0, 1, 0, 0))
-
-
 @pytest.mark.parametrize("principal", [A3_B, D4_B], ids=["A3p", "D4p"])
 @pytest.mark.parametrize("order", ["discovery", "reverse", "shuffled"])
 def test_each_retracked_pair_costs_one_mutation(principal, order, monkeypatch):
@@ -392,10 +392,10 @@ def test_each_retracked_pair_costs_one_mutation(principal, order, monkeypatch):
     calls = []
     real = expansion.mutate_tracked
     monkeypatch.setattr(expansion, "mutate_tracked", lambda *a: calls.append(a) or real(*a))
-    before = len(graph._cross)
+    assert torus not in graph._cross
     for home in homes:
         assert graph.vars_in(home, torus) == want[home], home
-    cached = len(graph._cross) - before
+    cached = len(graph._cross[torus])
     assert cached == len(graph.order)
     assert len(calls) == cached - 1
 
@@ -425,11 +425,11 @@ def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
     made = kept = 0
     for home, m, torus in requests:
         want = cluster_monomial(retracked(graph, home, torus), m)
-        before, stored = len(muls), len(graph._monomials)
+        before, stored = len(muls), len(graph._monomials[torus])
         got = graph.monomial_in(home, m, torus)
         assert got.expand(graph.nodes[torus].seed) == want, (home, m, torus)
         made += len(muls) - before
-        kept += len(graph._monomials) - stored
+        kept += len(graph._monomials[torus]) - stored
     assert any(min(m) < 0 for _, m, _ in requests) == (window > 0)
     assert full == []
     assert made == kept > 0
@@ -443,7 +443,27 @@ def test_every_retracked_variable_is_its_one_factor_monomial(make, monkeypatch):
     # every (home, torus) pair, frozen variables too: monomial_in stops at
     # the stored variable itself, which is the re-tracked one, and takes
     # no product
+    _assert_variables_are_stored(build_exchange_graph(make()), monkeypatch)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_seed(FROZEN_B, unfrozen=(0, 1)),
+    lambda: principal_framing(A3_B),
+], ids=["frozen", "A3p"])
+def test_a_forgotten_torus_stores_its_variables_again(make, monkeypatch):
+    # the same after every torus is forgotten, the reference one included,
+    # whose variables stay the nodes' own
     graph = build_exchange_graph(make())
+    for torus in graph.order:
+        graph.forget(torus)
+    _assert_variables_are_stored(graph, monkeypatch)
+    assert all(graph.vars_in(home, graph.order[0]) is graph.nodes[home].vars
+               for home in graph.order)
+
+
+def _assert_variables_are_stored(graph, monkeypatch):
+    """Each (home, torus) pair's j-th variable is the torus's stored
+    one-factor monomial, which monomial_in returns without a product."""
     n = graph.reference.n
     pairs = [(home, torus) for torus in graph.order for home in graph.order]
     for home, torus in pairs:
@@ -453,7 +473,7 @@ def test_every_retracked_variable_is_its_one_factor_monomial(make, monkeypatch):
         xs = graph.vars_in(home, torus)
         for j in range(n):
             z = graph.monomial_in(home, unit_vec(n, j), torus)
-            assert z is graph._monomials[(torus, ((graph.nodes[home].degs[j], 1),))]
+            assert z is graph._monomials[torus][((graph.nodes[home].degs[j], 1),)]
             assert z is xs[j], (home, torus, j)
 
 
@@ -529,7 +549,7 @@ def _counting(monkeypatch):
 
 def _kept_products(graph, torus):
     """The torus's kept cluster monomials that are not variables."""
-    return [i for t, i in graph._monomials if t == torus and (len(i) > 1 or i[0][1] > 1)]
+    return [i for i in graph._monomials[torus] if len(i) > 1 or i[0][1] > 1]
 
 
 @pytest.mark.parametrize("name, mutations, divisions, products", [
@@ -555,7 +575,7 @@ def test_the_build_divides_once_per_exchange_relation(name, mutations, divisions
     assert len(calls["products"]) == len(_kept_products(graph, t0)) == products
 
     def stored(x):
-        return graph._monomials[(t0, ((x.g, 1),))]
+        return graph._monomials[t0][((x.g, 1),)]
 
     assert all(x is stored(x) for x in calls["hits"])
     assert all(x is stored(x) for x in table.values())
@@ -588,4 +608,4 @@ def test_entering_a_torus_divides_once_per_exchange_relation(name, torus, retrac
         assert graph.vars_in(home, torus) == oracles.route_vars_in(graph, home, torus)
     graph.forget(torus)
     assert torus not in graph._relations
-    assert not any(t == torus for t, _ in graph._monomials)
+    assert torus not in graph._monomials and torus not in graph._cross

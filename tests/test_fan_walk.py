@@ -1,12 +1,13 @@
 """The fan walk of CandidateBasis against the scan over every node."""
 import json
 import pathlib
+import random
 import re
 
 import pytest
 
 import oracles
-from conftest import A3_B, LADDER
+from conftest import A3_B, D4_B, LADDER
 from qcluster import _linalg, cli, expansion, principal_framing
 from qcluster.expansion import build_exchange_graph
 from qcluster.leclerc import CandidateBasis, check_triangular, verify_theorem
@@ -37,10 +38,10 @@ def test_walk_matches_scan_on_every_ladder_key(name):
     # the element found where the walk ends is the scan's, whose first
     # home may be another node of the face; the scan records no conflict
     basis = _swept_basis(name)
-    keys = list(basis._resolved)
+    keys = [(torus, g, co) for (torus, co), records in basis._resolved.items() for g in records]
     assert any(co for _, _, co in keys) and len(keys) > len(basis.by_degree)
     for torus, g, co in keys:
-        del basis._resolved[(torus, g, co)]
+        del basis._resolved[(torus, co)][g]
         got = basis._resolve(torus, g, co)
         found, conflicts = oracles.scan_resolve(basis, torus, g, co)
         assert got[1] == found[1], (torus, g, co)
@@ -54,7 +55,7 @@ def test_inverse_map_reads_per_key_are_bounded(a3_graph, monkeypatch):
     basis._certify(torus, co=False)
     basis._certify(torus, co=True)
     # the codegree certificate has resolved the torus's variables already
-    keys = sum(t == torus for t, _, _ in basis._resolved)
+    keys = len(basis._resolved[(torus, False)]) + len(basis._resolved[(torus, True)])
     reads = []
     real = CandidateBasis._inverse_map
     monkeypatch.setattr(CandidateBasis, "_inverse_map",
@@ -62,7 +63,7 @@ def test_inverse_map_reads_per_key_are_bounded(a3_graph, monkeypatch):
     steps = basis.walk_steps
     assert check_triangular(basis, torus).ok
     assert check_triangular(basis, torus, co=True).ok
-    new_keys = sum(t == torus for t, _, _ in basis._resolved) - keys
+    new_keys = len(basis._resolved[(torus, False)]) + len(basis._resolved[(torus, True)]) - keys
     steps = basis.walk_steps - steps
     # one read per node the walk visits: one per step, and the node it ends at
     assert new_keys > 0 and steps > 0
@@ -88,6 +89,44 @@ def test_inverse_maps_by_exchange_update_match_inversion(name):
                 want = _linalg.invert(_linalg.transpose(basis._columns(key, torus, co)))
                 assert want is not None
                 assert basis._inverse_map(key, torus, co) == want, (key, torus, co)
+
+
+@pytest.mark.parametrize("principal", [A3_B, D4_B], ids=["A3p", "D4p"])
+@pytest.mark.parametrize("co", [False, True], ids=["degree", "codegree"])
+@pytest.mark.parametrize("order", ["discovery", "reverse", "shuffled"])
+def test_each_inverse_map_costs_one_exchange_update(principal, co, order, monkeypatch):
+    # the inverse maps' twin of test_each_retracked_pair_costs_one_mutation:
+    # whatever the request order, each node's map in one deep torus is
+    # built once, by one exchange update from a neighbour's, except the
+    # torus's own node's, the one inversion; each equals a direct inversion
+    graph = build_exchange_graph(principal_framing(principal))
+    basis = CandidateBasis(graph, unfrozen_cap=1)
+    torus = max(graph.order, key=lambda key: len(graph.nodes[key].path))
+    assert len(graph.nodes[torus].path) >= 2
+    homes = list(graph.order if order == "discovery" else reversed(graph.order))
+    if order == "shuffled":
+        random.Random(5).shuffle(homes)
+    # the columns first: on the codegree side they are the degree side's
+    # records, whose walks build the degree side's maps
+    want = {home: _linalg.invert(_linalg.transpose(basis._columns(home, torus, co)))
+            for home in homes}
+    assert (torus, co) not in basis._inv
+    inverted, updated = [], []
+    real_invert, real_update = _linalg.invert, CandidateBasis._exchange_update
+
+    def update(self, prev_key, key, k, torus_key, side):
+        inv = real_update(self, prev_key, key, k, torus_key, side)
+        assert inv == want[key], key
+        updated.append(key)
+        return inv
+
+    monkeypatch.setattr(_linalg, "invert", lambda mat: inverted.append(mat) or real_invert(mat))
+    monkeypatch.setattr(CandidateBasis, "_exchange_update", update)
+    for home in homes:
+        assert basis._inverse_map(home, torus, co) == want[home], home
+    assert inverted == [_linalg.transpose(basis._columns(torus, torus, co))]
+    # len(order) - 1 updates: every node but the torus's, each once
+    assert sorted(updated) == sorted(set(graph.order) - {torus})
 
 
 def test_entering_a_torus_inverts_once_per_side(a3_graph, monkeypatch):
@@ -165,7 +204,8 @@ def test_walks_from_the_last_home_take_fewer_steps_than_keys(monkeypatch):
     basis = CandidateBasis(graph, unfrozen_cap=cap)
     records, real = [], basis.forget
     monkeypatch.setattr(basis, "forget",
-                        lambda torus: records.append(len(basis._resolved)) or real(torus))
+                        lambda torus: records.append(sum(map(len, basis._resolved.values())))
+                        or real(torus))
     assert verify_theorem(basis).ok
     assert 0 < basis.walk_steps < sum(records)
 
@@ -250,7 +290,7 @@ def test_retracked_factors_match_their_table_entry(factor, plant, error, monkeyp
     for key in graph.order[:-1]:
         graph.vars_in(key, torus)
     planting, j = _planting(graph, torus, home, factor, plant)
-    entry = graph._monomials[(torus, ((graph.nodes[home].degs[j], 1),))]
+    entry = graph._monomials[torus][((graph.nodes[home].degs[j], 1),)]
     planted = []
     monkeypatch.setattr(expansion, "mutate_tracked",
                         lambda ts, k, *rest: planted.append(k) or planting(ts, k, *rest))
@@ -355,7 +395,7 @@ def test_overlapping_cones_fail_the_certificate(a2_graph, monkeypatch):
     # twice; with no walls to check, the covering test alone refuses it
     basis = CandidateBasis(a2_graph, unfrozen_cap=1)
     basis._walls.clear()
-    basis._certified.clear()
+    basis._last_home.clear()
     real = CandidateBasis._inverse_map
     t0, other = a2_graph.order[0], a2_graph.order[2]
 

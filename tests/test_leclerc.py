@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import (
-    A3_B, LADDER, a2_gold, assert_matches_eager_enumeration, forbid, retracked)
+    A3_B, LADDER, a2_gold, assert_matches_eager_enumeration, forbid)
 from qcluster import build_exchange_graph, pointed, principal_framing
 from qcluster.leclerc import (
     ENUMERATION_LIMIT,
@@ -55,7 +55,8 @@ def test_construction_expands_nothing(monkeypatch):
     basis = CandidateBasis(graph, unfrozen_cap=1)
     assert list(basis.by_degree.items()) == list(provenance.items())
     assert basis.by_codegree.keys() == by_codegree.keys()
-    assert len(basis._resolved) == len({d for key in graph.order for d in graph.nodes[key].degs})
+    assert sum(map(len, basis._resolved.values())) == len(
+        {d for key in graph.order for d in graph.nodes[key].degs})
 
 
 def test_a_variable_without_a_codegree_is_refused(a2_graph, monkeypatch):
@@ -165,7 +166,7 @@ def test_repeated_identity_is_expanded_once(a2_graph, monkeypatch):
     real = a2_graph.monomial_in
     monkeypatch.setattr(a2_graph, "monomial_in", lambda *a: calls.append(a) or real(*a))
     assert basis.element_at_degree(torus, g) is not None
-    assert calls == [(*basis._resolved[(torus, g, False)][0], torus)]
+    assert calls == [(*basis._resolved[(torus, False)][g][0], torus)]
     assert calls[0][:2] in homes
     assert not basis.conflicts
 
@@ -221,7 +222,6 @@ def test_forgetting_a_triangularity_checked_torus_leaves_none_of_it(co):
     torus = graph.order[-1]
     assert check_triangular(basis, torus, co=co).ok
     assert torus in graph._relations and torus in _tori_kept(graph, basis)
-    graph.forget(torus)
     basis.forget(torus)
     assert torus not in _tori_kept(graph, basis)
 
@@ -229,9 +229,8 @@ def test_forgetting_a_triangularity_checked_torus_leaves_none_of_it(co):
 def _tori_kept(graph, basis):
     """Every torus that some store of the graph or the basis keeps an
     entry of."""
-    return ({t for _, t in graph._cross} | {t for t, _ in graph._monomials}
-            | set(graph._relations) | {t for _, t, _ in basis._inv}
-            | {t for t, _, _ in basis._resolved} | {t for t, _ in basis._certified}
+    return (set(graph._cross) | set(graph._monomials) | set(graph._relations)
+            | {t for t, _ in basis._inv} | {t for t, _ in basis._resolved}
             | {t for t, _ in basis._last_home})
 
 
@@ -344,7 +343,7 @@ def test_an_element_off_bar_invariance_fails_bar_consistency(a3_graph):
     (r_home, r_m), v_spec, v = _first_two_tail(basis)
     assert v.passed
     t_seed = a3_graph.nodes[r_home].seed
-    provenance, s_elem, eta = basis._resolved[(r_home, v.S, False)]
+    provenance, s_elem, eta = basis._resolved[(r_home, False)][v.S]
     h_elem = basis.element_at_degree(r_home, v.H)
     shift = dominance_n(t_seed, v.H, v.S)
     terms = dict(s_elem.terms)
@@ -353,7 +352,7 @@ def test_an_element_off_bar_invariance_fails_bar_consistency(a3_graph):
         terms[n] = terms.get(n, VCoeff.zero()) + c * VCoeff({1: 1, -1: -1})
     perturbed = NForm(s_elem.g, {n: c for n, c in terms.items() if c})
     assert perturbed.is_pointed() and perturbed != perturbed.bar()
-    basis._resolved[(r_home, v.S, False)] = (provenance, perturbed, eta)
+    basis._resolved[(r_home, False)][v.S] = (provenance, perturbed, eta)
     w = verify_pair(basis, r_home, r_m, *v_spec)
     assert w.case == "two_tail" and (w.S, w.H) == (v.S, v.H)
     assert not w.checks["bar_consistency"] and not w.checks["h_coefficient"]
@@ -396,7 +395,8 @@ def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
     basis = CandidateBasis(a3_graph, unfrozen_cap=1)
     records, forget = [], basis.forget  # each torus's, as the sweep forgets it
     monkeypatch.setattr(basis, "forget",
-                        lambda torus: records.extend(basis._resolved.values()) or forget(torus))
+                        lambda torus: records.extend(hit for side in basis._resolved.values()
+                                                     for hit in side.values()) or forget(torus))
     report = verify_theorem(basis)
     assert report.ok and report.counts()["two_tail_pass"] > 0
     assert len(calls) == len(records)
@@ -438,8 +438,8 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
 
 @pytest.mark.parametrize("name", ["a3p-cap1", "frozen-cap2-w1"])
 def test_a_sweep_forgets_every_torus_it_leaves(name, monkeypatch):
-    # no store keeps a key of a torus other than the reference, which
-    # keeps the nodes the build stored; each torus left had a relation
+    # no store keeps a key of any torus, the reference included, whose
+    # variables are still the nodes' own; each torus left had a relation
     # table and kept products (exchange monomials among them) to drop; a
     # second sweep re-enters every torus and gives the same verdicts
     make, cap, window = LADDER[name]
@@ -448,7 +448,7 @@ def test_a_sweep_forgets_every_torus_it_leaves(name, monkeypatch):
     left, real_forget = [], graph.forget
 
     def forgetting(torus):
-        products = [i for t, i in graph._monomials if t == torus and (len(i) > 1 or i[0][1] > 1)]
+        products = [i for i in graph._monomials.get(torus, ()) if len(i) > 1 or i[0][1] > 1]
         left.append((torus, len(graph._relations.get(torus, ())), len(products)))
         real_forget(torus)
 
@@ -456,9 +456,11 @@ def test_a_sweep_forgets_every_torus_it_leaves(name, monkeypatch):
     first = verify_theorem(basis)
     t0 = graph.order[0]
     assert len({v.r_spec[0] for v in first.verdicts}) > 1
-    assert all(table and products for torus, table, products in left if torus != t0)
-    assert _tori_kept(graph, basis) <= {t0}
-    assert all(retracked(graph, key, t0) is graph.nodes[key] for key in graph.order)
+    assert [torus for torus, _, _ in left] == sorted({v.r_spec[0] for v in first.verdicts},
+                                                     key=graph.order.index)
+    assert all(table and products for _, table, products in left)
+    assert not _tori_kept(graph, basis)
+    assert all(graph.vars_in(key, t0) is graph.nodes[key].vars for key in graph.order)
     second = verify_theorem(basis)
     assert first.ok and second.counts() == first.counts()
     assert second.verdicts == first.verdicts
