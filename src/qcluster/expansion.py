@@ -15,19 +15,21 @@ that base; nothing measures it.
 
 The build mutates every node in every direction, and one exchange
 relation recurs across many edges; so does re-tracking into one torus.
-So each torus keeps its exchange work in the graph's stores, and
-mutate_tracked, given the torus (ExchangeGraph._new_variable), reads it
-from there. Each exchange monomial is the torus's cluster monomial by
-identity (below), made at most once there. Each relation is divided at
-most once there: the torus's relation table keeps the new variable by
-the reference degrees of X_k and of each exchange monomial's factors,
-with the monomial's v-power. The build and re-tracking intern a node's
-variables (one object per reference degree, below) before they mutate
-it, so the key fixes every input of the division, and a repeat reads
-back the variable that the first one made, the store's object. Every
-mutation still mutates and checks the seed, and its variables are still
-interned. Nothing but the graph passes a torus: apply_word and
-cluster_monomial form each monomial as a plain product chain.
+So a new variable has one way to be formed, _new_variable over one
+torus's stores, and the graph passes each torus's stores (one partial
+per torus) to mutate_tracked. Each exchange monomial is the torus's
+cluster monomial by identity (_monomial, below), made at most once
+there. Each relation is divided at most once there: the torus's
+relation table keeps the new variable by the reference degrees of X_k
+and of each exchange monomial's factors, with the monomial's v-power.
+The build and re-tracking intern a node's variables (one object per
+reference degree, below) before they mutate it, so the key fixes every
+input of the division, and a repeat reads back the variable that the
+first one made, the store's object. Every mutation still mutates and
+checks the seed, and its variables are still interned. apply_word and
+cluster_monomial pass stores of their own, which start empty: each
+exchange monomial, and each monomial of cluster_monomial, is then one
+twisted product per unit of unfrozen exponent.
 
 The exchange graph deduplicates tracked seeds by the unordered set of
 variable degrees in the reference torus (a seed is determined by those
@@ -102,25 +104,6 @@ def initial_tracked(seed) -> TrackedSeed:
     return TrackedSeed(seed=seed, vars=xs, ref=seed, path=())
 
 
-def _image_monomial(ts: TrackedSeed, a) -> pointed.NForm:
-    """The current seed's normalized monomial X^a in the reference torus:
-    the product of the variables to the powers a, normalized at its
-    degree by one v-shift per factor (the factors quasi-commute, so
-    normalization makes the order irrelevant). Negative exponents are
-    only allowed on frozen vertices, whose variables stay unit monomials,
-    so the frozen part is a plain monomial.
-    """
-    s = ts.seed
-    if any(a[i] < 0 for i in s.unfrozen):
-        raise ValueError("unfrozen exponents must be nonnegative")
-    acc = pointed.NForm.monomial(tuple(0 if i in s.unfrozen else x for i, x in enumerate(a)),
-                                 len(s.unfrozen))
-    for i in s.unfrozen:
-        for _ in range(a[i]):
-            acc = pointed.mul(ts.ref, acc, ts.vars[i], normalize=True)
-    return acc
-
-
 def mutate_tracked(ts: TrackedSeed, k, exchange=None) -> TrackedSeed:
     """Mutate at unfrozen k, keeping all variables in the reference torus.
 
@@ -132,19 +115,15 @@ def mutate_tracked(ts: TrackedSeed, k, exchange=None) -> TrackedSeed:
     do), and z is their sum divided exactly by X_k, pointed at its base:
     the base is z's degree, never measured.
 
-    exchange, when given, makes z as exchange(ts, k, relation), from the
-    store of the torus ts is tracked in (ExchangeGraph._new_variable);
-    else each monomial is a plain product chain. The seed is mutated and
-    checked either way.
+    z is exchange(ts, k, relation), _new_variable over the stores of the
+    torus ts is tracked in; with no exchange, over stores of this one
+    mutation, which start empty. The seed is mutated and checked.
     """
     s = ts.seed
     if k not in s.unfrozen:
         raise ValueError(f"vertex {k} is not unfrozen")
-    relation = _exchange(ts, k)
-    if exchange is None:
-        z = _divide_relation(ts, k, relation, partial(_image_monomial, ts))
-    else:
-        z = exchange(ts, k, relation)
+    exchange = exchange or partial(_new_variable, ts.ref, {}, {}, ts.degs, None)
+    z = exchange(ts, k, _exchange(ts, k))
     return TrackedSeed(
         seed=mutate_seed(s, k),
         vars=ts.vars[:k] + (z,) + ts.vars[k + 1:],
@@ -163,18 +142,69 @@ def _exchange(ts: TrackedSeed, k):
     return aminus, s.lam(aminus, fk), aplus, s.lam(aplus, fk)
 
 
-def _divide_relation(ts: TrackedSeed, k, relation, monomial) -> pointed.NForm:
-    """The new variable of the exchange relation at k, each exchange
-    monomial X^a being monomial(a): their sum divided by X_k."""
-    aminus, lminus, aplus, lplus = relation
-    num = pointed.add(ts.ref, monomial(aminus).vshift(lminus), monomial(aplus).vshift(lplus))
-    return pointed.divide(ts.ref, num, ts.vars[k]).normalized()
-
-
 def _identity(degs, m):
     """A cluster monomial's identity: the sorted (reference degree,
     exponent) pairs of its factors, degs[i] being factor i's."""
     return tuple(sorted((d, x) for d, x in zip(degs, m) if x))
+
+
+def _monomial(seed, monomials, degs, xs, m) -> pointed.NForm:
+    """X^m of a seed tracked in the torus of seed, xs its variables there
+    at reference degrees degs; m must be nonnegative on the unfrozen
+    vertices (ValueError). The one way to form a cluster monomial, for
+    monomial_in, cluster_monomial and each exchange monomial
+    (_new_variable).
+
+    monomials is the torus's store, by identity (_identity). Peel one
+    unit of the positive unfrozen factor with the fewest terms until the
+    identity is kept (a stored variable is) or only frozen exponents are
+    left, whose monomial is the plain X^e (frozen variables are unit
+    monomials in every torus). Then build back, one twisted product by
+    the variable per step, normalized at its degree, and keep each step.
+    """
+    unfrozen = seed.unfrozen
+    if any(m[i] < 0 for i in unfrozen):
+        raise ValueError("unfrozen exponents must be nonnegative")
+    e, way = list(m), []
+    while True:
+        identity = _identity(degs, e)
+        z = monomials.get(identity)
+        if z is not None:
+            break
+        peel = [j for j in unfrozen if e[j] > 0]
+        if not peel:
+            z = pointed.NForm.monomial(e, len(unfrozen))
+            break
+        j = min(peel, key=lambda j: (len(xs[j].terms), j))
+        way.append((identity, j))
+        e[j] -= 1
+    for identity, j in reversed(way):
+        z = monomials[identity] = pointed.mul(seed, z, xs[j], normalize=True)
+    return z
+
+
+def _new_variable(seed, monomials, relations, degs, new_deg, ts, k, relation) -> pointed.NForm:
+    """The new variable of ts mutated at k (mutate_tracked's exchange),
+    ts being tracked in the torus of seed with variables at reference
+    degrees degs. monomials and relations are the torus's stores: its
+    cluster monomials (_monomial) and its relation table, which keeps
+    the new variable by the relation's reference degrees: X_k's, and
+    each exchange monomial's identity with its v-power. A relation not
+    in the table is divided once, each exchange monomial being the
+    torus's cluster monomial. new_deg is the new variable's reference
+    degree, None in the reference torus, where that is its base; an
+    equal copy of the variable stored there gives way to it, so the
+    table holds the store's objects (_intern still checks each one)."""
+    aminus, lminus, aplus, lplus = relation
+    key = (degs[k], _identity(degs, aminus), lminus, _identity(degs, aplus), lplus)
+    z = relations.get(key)
+    if z is None:
+        monomial = partial(_monomial, seed, monomials, degs, ts.vars)
+        num = pointed.add(seed, monomial(aminus).vshift(lminus), monomial(aplus).vshift(lplus))
+        z = pointed.divide(seed, num, ts.vars[k]).normalized()
+        stored = monomials.get(((z.g if new_deg is None else new_deg, 1),))
+        relations[key] = z = stored if stored == z else z
+    return z
 
 
 def apply_word(ts: TrackedSeed, word) -> TrackedSeed:
@@ -185,9 +215,10 @@ def apply_word(ts: TrackedSeed, word) -> TrackedSeed:
 
 def cluster_monomial(ts: TrackedSeed, m) -> QTElem:
     """Normalized localized cluster monomial X^m of the tracked seed,
-    expanded in the reference torus; its degree is its n-form's base,
-    sum m_i degs_i, and nothing is measured."""
-    return _image_monomial(ts, m).expand(ts.ref)
+    expanded in the reference torus (_monomial over a store of this one
+    call); its degree is its n-form's base, sum m_i degs_i, and nothing
+    is measured."""
+    return _monomial(ts.ref, {}, ts.degs, ts.vars, m).expand(ts.ref)
 
 
 def degree_key(ts: TrackedSeed):
@@ -255,13 +286,15 @@ class ExchangeGraph:
         self.nodes[key0] = ts0
         self.order.append(key0)
         self._by_path[ts0.path] = key0
+        in_ref = partial(_new_variable, self.reference, self._monomials[key0],
+                         self._relations[key0])
         frontier = [key0] if self._two_finite(ts0) else []
         while frontier:
             nxt = []
             for key in frontier:
                 ts = self.nodes[key]
                 # in the reference torus, each variable's base is its reference degree
-                exchange = partial(self._new_variable, key0, ts.degs, None)
+                exchange = partial(in_ref, ts.degs, None)
                 for k in ts.seed.unfrozen:
                     ts2 = mutate_tracked(ts, k, exchange)
                     key2 = degree_key(ts2)
@@ -342,17 +375,20 @@ class ExchangeGraph:
         if torus_key == self.order[0]:
             return self._intern(self.nodes[home_key], torus_key, self.nodes[home_key].degs).vars
         torus = self.nodes[torus_key]
+        exchange = partial(_new_variable, torus.seed, self._monomials[torus_key],
+                           self._relations[torus_key])
         return self.build_back(
             self._cross[torus_key], home_key, torus_key,
             lambda: self._intern(initial_tracked(torus.seed), torus_key, torus.degs),
-            partial(self._retrack, torus_key)).vars
+            partial(self._retrack, torus_key, exchange)).vars
 
-    def _retrack(self, torus_key, near_key, key, k) -> TrackedSeed:
+    def _retrack(self, torus_key, exchange, near_key, key, k) -> TrackedSeed:
         """key re-tracked into the torus: near_key's re-tracking mutated at
-        k (_new_variable), checked against key's labeled seed, interned."""
+        k, exchange being _new_variable over the torus's stores, checked
+        against key's labeled seed, interned."""
         near, node = self.nodes[near_key], self.nodes[key]
         ts = mutate_tracked(self._cross[torus_key][near_key], k,
-                            partial(self._new_variable, torus_key, near.degs, node.degs[k]))
+                            partial(exchange, near.degs, node.degs[k]))
         if ts.seed != node.seed:
             raise RuntimeError("re-tracking did not reproduce the labeled seed")
         # keep the node's seed object, not an equal copy, for every cached pair
@@ -385,64 +421,9 @@ class ExchangeGraph:
     def monomial_in(self, home_key, m, torus_key) -> pointed.NForm:
         """Expansion of home's normalized cluster monomial X^m in a torus,
         in n-coordinates there (NForm.expand gives the torus element):
-        _monomial of home's re-tracked variables."""
-        if any(m[i] < 0 for i in self.reference.unfrozen):
-            raise ValueError("unfrozen exponents must be nonnegative")
-        return self._monomial(torus_key, self.nodes[home_key].degs,
-                              self.vars_in(home_key, torus_key), m)
-
-    def _monomial(self, torus_key, degs, xs, m) -> pointed.NForm:
-        """X^m of a seed tracked in the torus, xs its variables there (the
-        store's) at reference degrees degs, m nonnegative on the unfrozen
-        vertices. The torus's one way to form a cluster monomial, for
-        monomial_in and for each exchange monomial (_new_variable).
-
-        Kept by (torus, identity) (_identity). Peel one unit of the
-        positive unfrozen factor with the fewest terms until the identity
-        is kept (a variable always is) or only frozen exponents are left,
-        whose monomial is the plain X^e (frozen variables are unit
-        monomials in every torus). Then build back, one twisted product by
-        the stored variable per step, normalized at its degree, and keep
-        each step.
-        """
-        seed, unfrozen = self.nodes[torus_key].seed, self.reference.unfrozen
-        monomials, e, way = self._monomials[torus_key], list(m), []
-        while True:
-            identity = _identity(degs, e)
-            z = monomials.get(identity)
-            if z is not None:
-                break
-            peel = [j for j in unfrozen if e[j] > 0]
-            if not peel:
-                z = pointed.NForm.monomial(e, len(unfrozen))
-                break
-            j = min(peel, key=lambda j: (len(xs[j].terms), j))
-            way.append((identity, j))
-            e[j] -= 1
-        for identity, j in reversed(way):
-            z = monomials[identity] = pointed.mul(seed, z, xs[j], normalize=True)
-        return z
-
-    def _new_variable(self, torus_key, degs, new_deg, ts, k, relation) -> pointed.NForm:
-        """The new variable of ts mutated at k (mutate_tracked's exchange),
-        ts being tracked in the torus with the store's variables, at
-        reference degrees degs. The torus's relation table keeps it by the
-        relation's reference degrees: X_k's, and each exchange monomial's
-        identity with its v-power. A relation not in the table is divided
-        once, each exchange monomial being the torus's cluster monomial
-        (_monomial). new_deg is the new variable's reference degree, None
-        in the reference torus, where that is its base; an equal copy of
-        the variable stored there gives way to it, so the table holds the
-        store's objects (_intern still checks each one)."""
-        aminus, lminus, aplus, lplus = relation
-        key = (degs[k], _identity(degs, aminus), lminus, _identity(degs, aplus), lplus)
-        table = self._relations[torus_key]
-        z = table.get(key)
-        if z is None:
-            z = _divide_relation(ts, k, relation, partial(self._monomial, torus_key, degs, ts.vars))
-            stored = self._monomials[torus_key].get(((z.g if new_deg is None else new_deg, 1),))
-            table[key] = z = stored if stored == z else z
-        return z
+        _monomial of home's re-tracked variables, over the torus's store."""
+        return _monomial(self.nodes[torus_key].seed, self._monomials[torus_key],
+                         self.nodes[home_key].degs, self.vars_in(home_key, torus_key), m)
 
     def forget(self, torus_key):
         """Drop everything kept for the torus: its re-trackings, its

@@ -11,6 +11,11 @@ v**lam(m, m') from a skew-symmetric integer form, so
 All values are immutable after construction and every operation is a
 pure function, so elements can be shared freely across threads. Zero
 coefficients are pruned at every step: equality is structural.
+
+The package multiplies and divides in n-coordinates (pointed.mul and
+pointed.divide); nothing in it calls twisted_mul or exact_divide. They
+are the tests' reference arithmetic, and stay for bench/tracer.py,
+which wraps them by name.
 """
 from __future__ import annotations
 
@@ -228,9 +233,6 @@ class QTElem:
     def items(self):
         """Terms sorted by exponent vector (lexicographic)."""
         return sorted(self.terms.items())
-
-    def coeff(self, m):
-        return self.terms.get(tuple(m), VCoeff.zero())
 
     def __bool__(self):
         return bool(self.terms)

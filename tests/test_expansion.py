@@ -18,6 +18,7 @@ from qcluster import (
     emit_dot,
     initial_tracked,
     make_seed,
+    mutate_seed,
     mutate_tracked,
     principal_framing,
 )
@@ -78,6 +79,9 @@ def test_the_build_and_retracking_make_no_torus_element(name, monkeypatch):
     # every pair but the reference torus's, whose variables are the nodes'
     assert set(graph._cross) == set(graph.order[1:])
     assert sum(map(len, graph._cross.values())) == len(graph.order) * (len(graph.order) - 1)
+    # a word replayed with no store of the graph, as qcluster expand does
+    last = graph.nodes[graph.order[-1]]
+    assert apply_word(initial_tracked(graph.reference), last.path).vars == last.vars
 
 
 def test_initial_tracked(a2_seed, pa2_seed):
@@ -241,9 +245,7 @@ def test_cluster_monomial_normalizes_at_the_recorded_degree(pa2_graph, monkeypat
     for key in pa2_graph.order:
         ts = pa2_graph.nodes[key]
         for m in product(range(2), range(2), range(-1, 2), range(-1, 2)):
-            want = oracles.normalize_deg(
-                ts.ref, oracles.qtelem_image_monomial(ts.seed, expanded(ts), ts.ref, m))
-            cases.append((ts, m, want))
+            cases.append((ts, m, _oracle_monomial(ts, m)))
     monkeypatch.setattr(pointed, "degree", lambda *a: pytest.fail("degree scanned"))
     for ts, m, want in cases:
         assert cluster_monomial(ts, m) == want
@@ -424,7 +426,7 @@ def test_monomial_in_matches_the_full_product(make, cap, window, monkeypatch):
     monkeypatch.setattr(pointed, "mul", lambda *a, **k: muls.append(a) or real_mul(*a, **k))
     made = kept = 0
     for home, m, torus in requests:
-        want = cluster_monomial(retracked(graph, home, torus), m)
+        want = _oracle_monomial(retracked(graph, home, torus), m)
         before, stored = len(muls), len(graph._monomials[torus])
         got = graph.monomial_in(home, m, torus)
         assert got.expand(graph.nodes[torus].seed) == want, (home, m, torus)
@@ -477,13 +479,33 @@ def _assert_variables_are_stored(graph, monkeypatch):
             assert z is xs[j], (home, torus, j)
 
 
+def _oracle_monomial(ts, m):
+    """X^m of a re-tracked seed, in torus elements of its torus: the
+    ordered twisted product, normalized at a degree scan."""
+    return oracles.normalize_deg(
+        ts.ref, oracles.qtelem_image_monomial(ts.seed, expanded(ts), ts.ref, m))
+
+
+def test_monomial_in_rejects_a_negative_unfrozen_exponent():
+    # the one check, in _monomial, whatever the torus; frozen exponents
+    # may be negative
+    graph = build_exchange_graph(principal_framing(A2_B))
+    home, torus = graph.order[1], graph.order[-1]
+    got = graph.monomial_in(home, (0, 1, -1, 0), torus)
+    want = _oracle_monomial(retracked(graph, home, torus), (0, 1, -1, 0))
+    assert got.expand(graph.nodes[torus].seed) == want
+    for m in ((-1, 0, 0, 0), (1, -1, 0, 0)):
+        with pytest.raises(ValueError):
+            graph.monomial_in(home, m, torus)
+
+
 def test_monomial_in_does_not_recurse_on_the_exponent(a2_graph):
     # 200 factors, each step one product, under a recursion limit only 40
     # frames above the caller's depth
     home, torus = a2_graph.order[1], a2_graph.order[0]
     m = [0, 0]
     m[1 - a2_graph.nodes[home].path[-1]] = 200  # the variable home shares with the torus
-    want = cluster_monomial(retracked(a2_graph, home, torus), m)
+    want = _oracle_monomial(retracked(a2_graph, home, torus), m)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
@@ -497,7 +519,7 @@ def _dividing_build(seed, monkeypatch):
     """The build with no exchange table: every mutation divides."""
     real = expansion.mutate_tracked
     with monkeypatch.context() as patch:
-        patch.setattr(expansion, "mutate_tracked", lambda ts, k, exchanges=None: real(ts, k))
+        patch.setattr(expansion, "mutate_tracked", lambda ts, k, exchange=None: real(ts, k))
         return build_exchange_graph(seed)
 
 
@@ -609,3 +631,28 @@ def test_entering_a_torus_divides_once_per_exchange_relation(name, torus, retrac
     graph.forget(torus)
     assert torus not in graph._relations
     assert torus not in graph._monomials and torus not in graph._cross
+
+
+@pytest.mark.parametrize("path, words, products, divisions", [
+    pytest.param(BENCH_SEEDS / "a4p.json", [(k,) for k in range(4)], 6, 4,
+                 id="a4p-first-mutations-6-4"),
+    pytest.param(pathlib.Path(__file__).parent / "data" / "e6p.json", [tuple(range(6)) * 2],
+                 26, 12, id="e6p-word-26-12"),
+])
+def test_a_mutation_without_a_store_divides_once(path, words, products, divisions,
+                                                 monkeypatch):
+    # with no store of the graph (apply_word, as qcluster expand runs it),
+    # each mutation divides its relation once, and each exchange monomial
+    # takes one product per unit of its unfrozen exponent
+    seed = cli.load_seed(str(path))[0]
+    units = 0
+    for word in words:
+        s = seed
+        for k in word:
+            units += sum(abs(s.B[i][s.col(k)]) for i in s.unfrozen)
+            s = mutate_seed(s, k)
+    calls = _counting(monkeypatch)
+    for word in words:
+        apply_word(initial_tracked(seed), word)
+    assert len(calls["mutated"]) == len(calls["divided"]) == sum(map(len, words)) == divisions
+    assert len(calls["products"]) == units == products
