@@ -40,9 +40,12 @@ coefficient of a product of pointed elements is exactly
 v^lambda(g1, g2), so normalizing is one v-shift. Exact division
 (divide) inverts mul term by term from the lexicographically least n,
 and a sum (add) is based at the base that dominates the other, one
-projection of the two. An NForm's degree is g when no n is negative and
-n = 0 is a term, and its codegree is g + B n_max when the
-componentwise-largest n_max is a term. expand reads g + B n back, the
+projection of the two. mul, divide, add and each decompose step
+accumulate through one kernel (_add_row), one call per row term: mul
+past its one-term fast path once per term of its left factor, divide
+once per quotient term, add once, and decompose once per pivot. An NForm's degree is g when no n
+is negative and n = 0 is a term, and its codegree is g + B n_max when
+the componentwise-largest n_max is a term. expand reads g + B n back, the
 one way from an NForm to a torus element.
 
 decompose() peels an NForm against a degree-keyed set of pointed
@@ -69,7 +72,7 @@ from math import lcm
 from operator import add as _plus, le, mul as _times, neg, sub
 
 from . import _linalg
-from .qtorus import NotDivisible, QTElem, VCoeff, _add_product, vec_add, vec_sub
+from .qtorus import NotDivisible, QTElem, VCoeff, vec_add, vec_sub
 from .seed import opposite_seed
 
 
@@ -330,21 +333,32 @@ def mul(seed, a, b, normalize=False):
                  for n2, c2, s2 in right]
     t = {}
     for n1, c1, s1, p1 in left:
-        for n2, c2, s2, p2 in right:
-            key = tuple(map(_plus, n1, n2))
-            acc = t.get(key)
-            if acc is None:
-                acc = t[key] = {}
-            e = s1 + s2 + sum(map(_times, p1, p2))
-            for e1, x1 in c1:
-                for e2, x2 in c2.items():
-                    k = e1 + e2 + e
-                    x = acc.get(k, 0) + x1 * x2
-                    if x:
-                        acc[k] = x
-                    else:
-                        del acc[k]
-    return NForm(g, {n: VCoeff._of(c) for n, c in t.items() if c})
+        _add_row(t, n1, c1, s1, p1, right)
+    return NForm(g, {n: VCoeff._of(c) for n, c in t.items()})
+
+
+def _add_row(t, n1, c1, s1, p1, right):
+    """t += the row term times each (n2, {e: x}, s2, p2) of right, in
+    place, on a {n: {v-exponent: int}} dict. The row term is at n1, with
+    (e, x) pairs c1, v-exponent s1 and pairing vector p1; each product
+    lands at n1 + n2 with v-exponent s1 + s2 + p1 . p2. Coefficients and
+    dicts that cancel are dropped as they do."""
+    for n2, c2, s2, p2 in right:
+        key = tuple(map(_plus, n1, n2))
+        acc = t.get(key)
+        if acc is None:
+            acc = t[key] = {}
+        e = s1 + s2 + sum(map(_times, p1, p2))
+        for e1, x1 in c1:
+            for e2, x2 in c2.items():
+                k = e1 + e2 + e
+                x = acc.get(k, 0) + x1 * x2
+                if x:
+                    acc[k] = x
+                else:
+                    del acc[k]
+        if not acc:
+            del t[key]
 
 
 def _lone_term(terms):
@@ -380,11 +394,9 @@ def add(seed, a, b):
         a, b, n = b, a, tuple(-x for x in n)
     if n is None or min(n, default=0) < 0:
         raise RuntimeError(f"neither of the bases {a.g} and {b.g} dominates the other")
-    terms = dict(a.terms)
-    for m, c in b.terms.items():
-        m = vec_add(m, n)
-        terms[m] = terms[m] + c if m in terms else c
-    return NForm(a.g, {m: c for m, c in terms.items() if c})
+    t = {m: dict(c._c) for m, c in a.terms.items()}
+    _add_row(t, n, ((0, 1),), 0, (), [(m, c._c, 0, ()) for m, c in b.terms.items()])
+    return NForm(a.g, {m: VCoeff._of(c) for m, c in t.items()})
 
 
 def divide(seed, num, d):
@@ -422,22 +434,7 @@ def divide(seed, num, d):
             raise NotDivisible(f"quotient term {nq} escapes the support box")
         s1 = shift + sum(map(_times, d_d, nq))
         q[nq] = VCoeff._of({e - s1: x for e, x in rq.items()})
-        for n2, c2, s2, p2 in right:
-            m = tuple(map(_plus, nq, n2))
-            rm = r.get(m)
-            if rm is None:
-                rm = r[m] = {}
-            e = s2 + sum(map(_times, nq, p2))
-            for e1, x1 in rq.items():
-                for e2, x2 in c2.items():
-                    k = e1 + e2 + e
-                    x = rm.get(k, 0) - x1 * x2
-                    if x:
-                        rm[k] = x
-                    else:
-                        del rm[k]
-            if not rm:
-                del r[m]
+        _add_row(r, nq, [(e, -x) for e, x in rq.items()], 0, nq, right)
     return NForm(g, q)
 
 
@@ -520,12 +517,8 @@ def decompose(seed, z, basis, box, tie_break=None):
             )
         c = VCoeff(r[n])
         terms.append((g, c))
-        for m, ce in elem.terms.items():
-            key = tuple(map(_plus, n, m))
-            rm = r.setdefault(key, {})
-            _add_product(rm, c, ce, 0, -1)
-            if not rm:
-                del r[key]
+        _add_row(r, n, [(e, -x) for e, x in c._c.items()], 0, (),
+                 [(m, ce._c, 0, ()) for m, ce in elem.terms.items()])
     return Decomposition(terms=terms, status="indeterminate", reason="iteration cap hit")
 
 

@@ -15,7 +15,9 @@ coefficients are pruned at every step: equality is structural.
 The package multiplies and divides in n-coordinates (pointed.mul and
 pointed.divide); nothing in it calls twisted_mul or exact_divide. They
 are the tests' reference arithmetic, and stay for bench/tracer.py,
-which wraps them by name.
+which wraps them by name. _add_product is their kernel only: the
+n-form layer accumulates through its own (pointed._add_row), so the
+reference shares no loop with the arithmetic it checks.
 """
 from __future__ import annotations
 

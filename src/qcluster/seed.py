@@ -48,8 +48,7 @@ class QuantumSeed:
 
     def __init__(self, n, unfrozen, B, Lambda, D):
         _check_shape(n, unfrozen, B, Lambda)
-        if len(D) != len(unfrozen) or any(d <= 0 for d in D):
-            raise ValueError("D must be a positive diagonal over the unfrozen vertices")
+        _check_d(unfrozen, D)
         self.n = n
         self.unfrozen = unfrozen
         self.B = B
@@ -100,6 +99,14 @@ def _check_shape(n, unfrozen, B, Lambda):
         raise ValueError("Lambda must be n x n")
     if any(any(map(add, row, col)) for row, col in zip(Lambda, zip(*Lambda))):
         raise ValueError("Lambda must be skew-symmetric")
+
+
+def _check_d(unfrozen, D):
+    """Raise ValueError unless D has one positive entry per unfrozen vertex."""
+    if len(D) != len(unfrozen):
+        raise ValueError("D must have one entry per unfrozen vertex")
+    if min(D, default=1) <= 0:
+        raise ValueError("D must be a positive diagonal over the unfrozen vertices")
 
 
 def check_compatible(seed):
@@ -318,10 +325,7 @@ def make_seed(btilde, lam=None, unfrozen=None, d=None):
         lam, d = find_compatible_lambda(btilde, unfrozen)
     elif lam is None:
         d = tuple(d)
-        if len(d) != len(unfrozen):
-            raise ValueError("D must have one entry per unfrozen vertex")
-        if min(d, default=1) <= 0:
-            raise ValueError("D must be a positive diagonal over the unfrozen vertices")
+        _check_d(unfrozen, d)
         lam = _lambda_solver(btilde, unfrozen)(d)
         if lam is None:
             raise NoCompatibleLambda(f"no compatible skew form for D = {list(d)}")

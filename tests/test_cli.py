@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pathlib
@@ -11,6 +12,7 @@ from qcluster import cli, expansion, leclerc
 from qcluster.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = DATA.parent.parent
 
 A2_FILE = {
     "n": 2,
@@ -90,6 +92,21 @@ def test_check_nonpositive_d_is_refused_before_solving(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "D must be a positive diagonal over the unfrozen vertices" in err
     assert "skew form" not in err
+
+
+@pytest.mark.parametrize("with_lambda", [True, False], ids=["lambda", "no-lambda"])
+def test_check_d_of_the_wrong_length_is_named_so(tmp_path, capsys, with_lambda):
+    # every entry is positive; with a Lambda given, the length check used
+    # to report "D must be a positive diagonal over the unfrozen vertices"
+    data = dict(A2_FILE, D=[1, 1, 1])
+    if not with_lambda:
+        del data["Lambda"]
+    p = tmp_path / "a2d.json"
+    p.write_text(json.dumps(data))
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "D must have one entry per unfrozen vertex" in err
+    assert "positive diagonal" not in err
 
 
 def test_the_cli_imports_no_code_generation_or_exact_decimals():
@@ -258,6 +275,32 @@ def test_deterministic_output(a2_file, tmp_path, capsys):
     assert main(["leclerc", a2_file, "--cap", "1", "--json", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# the report digests CI pins, so that a change to a report's bytes fails
+# here too: "F" stands for the --json file, and without one the digest
+# is of stdout
+_PINNED_OUTPUTS = [
+    (["leclerc", "bench/seeds/a3p.json", "--cap", "1", "--json", "F"],
+     "bd75713a6eed0c74c65918b34083f8b1c752e9d5eb55c2ff3b864842053e6c77"),
+    (["leclerc", "bench/seeds/frozen.json", "--cap", "2", "--frozen-window", "1",
+      "--json", "F"],
+     "53497851d17264150be57e0b4e494245c497f28c8f714a8097052eb6efc5c158"),
+    (["expand", "tests/data/f4p.json", "--word", "1,2,3,4,1,2,3,4", "--var", "3"],
+     "2a312274a7ada991abda8e80a6d9d7fb53d55248bde6090b90dd2b19c581f060"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_OUTPUTS,
+                         ids=["a3p-cap1", "frozen-cap2-w1", "f4p-expand"])
+def test_cli_output_bytes_match_the_pinned_digests(tmp_path, capsys, argv, digest):
+    report = tmp_path / "report.json"
+    argv = [str(report) if a == "F" else a for a in argv]
+    argv[1] = str(ROOT / argv[1])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    got = report.read_bytes() if "--json" in argv else out.encode()
+    assert hashlib.sha256(got).hexdigest() == digest
 
 
 def test_unreadable_file():

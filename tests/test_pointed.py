@@ -540,6 +540,7 @@ def test_n_form_product_maps_back_to_twisted_mul(case):
     got = pointed.mul(seed, a, b)
     assert got.g == vec_add(a.g, b.g)
     assert got.expand(seed) == want
+    assert all(got.terms.values())
     # and the conversion projects each exponent back to its n
     assert to_nform(seed, a.expand(seed), a.g) == a
     assert to_nform(seed, want, got.g) == got
@@ -572,6 +573,7 @@ def test_n_form_division_undoes_the_product(case):
     num = pointed.mul(seed, q, d)
     got = pointed.divide(seed, num, d)
     assert got == q
+    assert all(num.terms.values()) and all(got.terms.values())
     assert got.expand(seed) == exact_divide(num.expand(seed), d.expand(seed), seed.Lambda)
     c = q.terms.get((0,) * len(seed.unfrozen))
     if c is None or not c.is_unit():
@@ -627,6 +629,27 @@ def test_n_form_division_refuses_a_non_multiple(a2_seed):
     for bad in ({(0, 0): VCoeff({1: 1})}, {(0, 0): VCoeff.one(), (-1, 0): VCoeff.one()}):
         with pytest.raises(NonUnitLeading, match="divisor is not pointed"):
             pointed.divide(a2_seed, square, NForm((-1, 0), bad))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nform_products(pointed_only=True), st.data())
+def test_n_form_sum_maps_back_to_the_torus_sum(case, data):
+    # b is based at a.g + B n, n >= 0, so both orders are based at a.g;
+    # a sum may cancel at one n, or everywhere (a plus a negated)
+    seed, a, b = case
+    n = data.draw(_steps(seed))
+    b = NForm(vec_add(a.g, mat_vec(seed.B, n)), b.terms)
+    cancel = data.draw(st.sampled_from(("none", "one", "all")))
+    if cancel == "one":
+        m = data.draw(st.sampled_from(sorted(b.terms)))
+        a = NForm(a.g, {**a.terms, vec_add(n, m): -b.terms[m]})
+    elif cancel == "all":
+        b = NForm(a.g, {m: -c for m, c in a.terms.items()})
+    want = a.expand(seed) + b.expand(seed)
+    for got in (pointed.add(seed, a, b), pointed.add(seed, b, a)):
+        assert got.g == a.g and got.expand(seed) == want
+        assert all(got.terms.values())
+        assert cancel != "all" or not got
 
 
 def test_n_form_sum_is_based_at_the_dominating_base(a2_seed, pa2_seed):
