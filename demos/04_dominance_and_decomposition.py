@@ -38,7 +38,7 @@ print()
 prod = pointed.mul(a2, NForm.monomial((1, 0), 2), i2, normalize=True)
 print("normalized product [x1 * i2] =", prod.expand(a2))
 # F's terms from the degree down, in the order of their exponents g + B n
-down = sorted(prod.terms.items(), key=lambda t: mat_vec(a2.B, t[0]), reverse=True)
+down = sorted(prod.coeffs().items(), key=lambda t: mat_vec(a2.B, t[0]), reverse=True)
 print("as X^g F(Y): g =", prod.g, "F =", dict(down))
 
 basis = {

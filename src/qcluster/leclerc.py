@@ -289,13 +289,16 @@ class CandidateBasis:
 
     def _resolve(self, torus_key, g, co):
         """The record of key g in the torus, made once per side: ((home,
-        m), element, codegree), home the node where the fan walk ends and
-        m g's exponents there; None when there is no element.
+        m), element, codegree, the codegree's n), home the node where the
+        fan walk ends and m g's exponents there; None when there is no
+        element.
 
         X^m is expanded once, in n-coordinates; it is the element when it
         is pointed at its degree (no negative n, coefficient 1 at n = 0)
         and that degree (its codegree, when co) is g. The codegree is
-        read off the same n-form (NForm.codegree).
+        read off the same n-form (NForm.codegree), and so is its n, the
+        componentwise-largest n and so the lexicographically largest;
+        both are None when it has no codegree term.
         """
         records = self._resolved[(torus_key, co)]
         if g in records:
@@ -306,7 +309,7 @@ class CandidateBasis:
         if elem.is_pointed() and (co or elem.g == g):
             eta = elem.codegree(self.graph.nodes[torus_key].seed)
             if (eta if co else elem.g) == g:
-                found = ((home_key, m), elem, eta)
+                found = ((home_key, m), elem, eta, None if eta is None else max(elem.terms))
         records[g] = found
         return found
 
@@ -326,6 +329,12 @@ class CandidateBasis:
         element's record."""
         hit = self._resolve(torus_key, tuple(g), co=False)
         return None if hit is None else hit[2]
+
+    def codegree_n_at(self, torus_key, g):
+        """The n with codegree_at(torus_key, g) = g + B n, read off the
+        same record, or None."""
+        hit = self._resolve(torus_key, tuple(g), co=False)
+        return None if hit is None else hit[3]
 
     def window_set(self, torus_key, co=False) -> WindowView:
         """The elements keyed in one torus, as a lazy view for decompose.
@@ -490,18 +499,18 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
             case="indeterminate", r_spec=r_spec, v_degree=(),
             reason="factor V is not bipointed in the working torus",
         )
+    # the n of V's codegree below its degree, read off V's record: the
+    # window's box, and where the product's bottom coefficient sits
+    n_v = basis.codegree_n_at(r_home, gamma)
     prod = pointed.mul(t_seed, NForm.monomial(r_m, len(t_seed.unfrozen)), z_v)
     top = vec_add(r_m, gamma)
     bottom = vec_add(r_m, eta)
     s = t_seed.lam(r_m, gamma)
     h = t_seed.lam(r_m, eta)
-    # the n of V's codegree below its degree, on exponents: the window's
-    # box, and where the product's bottom coefficient sits
-    n_v = pointed.dominance_n(t_seed, eta, gamma)
     checks = {
         "s_matches_lambda": prod.g == top and prod.terms.get(
-            (0,) * len(t_seed.unfrozen)) == VCoeff.v_power(s),
-        "h_matches_lambda": prod.terms.get(n_v) == VCoeff.v_power(h),
+            (0,) * len(t_seed.unfrozen)) == pointed.v_power(s),
+        "h_matches_lambda": prod.terms.get(n_v) == pointed.v_power(h),
     }
     pset = basis.window_set(r_home)
     normalized = prod.vshift(-s)
@@ -554,7 +563,7 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
             for g, _ in decomp.terms
         )
     checks["coeff_window"] = all(c.in_window(h + 1, s - 1) for _, c in mids)
-    checks["bar_consistency"] = all(e == e.bar() for e in (pset.get(g) for g, _ in decomp.terms))
+    checks["bar_consistency"] = all(pset.get(g).is_bar_invariant() for g, _ in decomp.terms)
     _record_n_criterion(checks, t_seed, r_m, n_v, in_basis=False)
     return LeclercVerdict(
         case="two_tail", r_spec=r_spec, v_degree=gamma,

@@ -27,8 +27,30 @@ A pointed element is X^g F(Y), the separation formula of
 Fomin-Zelevinsky (Cluster algebras IV, arXiv:math/0602259; quantum
 F-polynomials: Tran, arXiv:0904.3291): its exponents are g + B n with
 n >= 0. An NForm keeps an element as (g, {n: coefficient}), n indexed
-by the unfrozen vertices, and its arithmetic never projects. By
-B^T Lambda = (D 0), the pairing of B n with any exponent m is
+by the unfrozen vertices, and its arithmetic never projects.
+
+Each coefficient sum_e x_e v^e is packed into one int (Kronecker
+substitution; Harvey, arXiv:0712.4046): the pair (lo, z) with lo the
+least v-exponent and z = sum_e x_e 2^(K_BITS (e - lo)), K_BITS = 32,
+each x_e a balanced digit in [-2^31, 2^31). The lowest digit is
+never 0, so the layout is canonical and equality stays structural. A
+term pair then costs one int product z1 z2 at lo1 + lo2, a v-shift
+moves lo, a sum aligns the lower int at digit 0 and adds, and bar
+reverses the digits. Coefficients stay packed through mul, divide, add,
+the decompose residual, vshift, normalized, opposite and bar; they are
+unpacked to VCoeff only where one is handed out: Decomposition.terms
+(once per pivot), expand and NForm.coeffs. Digits do not carry, so a
+digit or partial sum that reached 2^31 would wrap silently. Every
+NForm carries l1 and max_l1, upper bounds on the sum of |x_e| over all
+its terms and at any one n, and every kernel checks before it sums that
+no digit can reach 2^31: a product's digits are at most
+min(max_l1(a) l1(b), max_l1(b) l1(a)), a sum's at most
+max_l1(a) + max_l1(b), and a division's or decomposition's remainder
+at most its start's max_l1 plus each step's l1 times the divisor's or
+element's max_l1. Past the bound it raises CoefficientOverflow, an
+ArithmeticError, which the CLI reports as an internal error (exit 3).
+
+By B^T Lambda = (D 0), the pairing of B n with any exponent m is
 
     lambda(B n, m) = sum_k d_k n_k m[U_k],
 
@@ -53,9 +75,10 @@ NForms, greedily eliminating a maximal support degree per step. Its
 residual is keyed by n below the window's top: g' <= g iff
 n(g') >= n(g) componentwise, so the maximal terms are the Pareto-minimal
 n, and the window is the box 0 <= n <= n(window bottom). The residual
-is one dict of integer coefficient dicts, from which each step
+is one dict of packed coefficients, from which each step
 subtracts its coefficient times the basis element in place, dropping
-the terms that cancel.
+the terms that cancel; each pivot's coefficient is unpacked once, into
+the decomposition's terms.
 
 Normalization and decomposition are implemented on the degree side
 only. Negating B and Lambda (seed.opposite_seed) reverses the dominance
@@ -78,6 +101,17 @@ from .seed import opposite_seed
 
 class NonUnitLeading(ArithmeticError):
     """Normalization needs the extremal coefficient to be +-v**a."""
+
+
+class CoefficientOverflow(ArithmeticError):
+    """A coefficient digit could reach 2^(K_BITS - 1), where the packed
+    layout would wrap: the operation stops before it sums."""
+
+
+K_BITS = 32
+_HALF = 1 << (K_BITS - 1)
+_MASK = (1 << K_BITS) - 1
+_ONE = (0, 1)  # the packed coefficient 1
 
 
 DECOMPOSE_ITERATION_CAP = 10 ** 5
@@ -198,22 +232,96 @@ def interval(seed, lo, hi):
     return sorted(set(out))
 
 
+def pack(c):
+    """The packed (lo, z) of a nonzero VCoeff: lo its least v-exponent and
+    z = sum x_e 2^(K_BITS (e - lo)). Raises CoefficientOverflow when a
+    digit does not fit."""
+    lo = min(c._c)
+    if max(map(abs, c._c.values())) >= _HALF:
+        raise CoefficientOverflow(f"coefficient {c} has a digit of {K_BITS} bits or more")
+    return lo, sum(x << K_BITS * (e - lo) for e, x in c._c.items())
+
+
+def v_power(e):
+    """The packed coefficient v^e."""
+    return e, 1
+
+
+def unpack(c):
+    """The VCoeff of a packed (lo, z): its balanced digits, lowest first."""
+    lo, z = c
+    return VCoeff._of({e: x for e, x in enumerate(_digits(z), lo) if x})
+
+
+def _digits(z):
+    """z's balanced base-2^K_BITS digits, each in [-_HALF, _HALF), lowest
+    first, up to its top nonzero one."""
+    while z:
+        d = ((z + _HALF) & _MASK) - _HALF
+        yield d
+        z = (z - d) >> K_BITS
+
+
+def _l1(z):
+    """The sum of the absolute values of z's digits."""
+    return abs(z) if -_HALF <= z < _HALF else sum(map(abs, _digits(z)))
+
+
+def _bar(c):
+    """The packed bar (v -> 1/v) of a packed coefficient: its digits
+    reversed, the top one lowest."""
+    lo, z = c
+    if -_HALF <= z < _HALF:
+        return -lo, z
+    out = top = 0
+    for top, d in enumerate(_digits(z), lo):
+        out = (out << K_BITS) + d
+    return -top, out
+
+
+def _guard(bound):
+    """bound, when a digit or partial sum bounded by it fits in K_BITS
+    bits; CoefficientOverflow otherwise, before anything is summed."""
+    if bound >= _HALF:
+        raise CoefficientOverflow(
+            f"a coefficient of up to {bound} does not fit in {K_BITS}-bit digits")
+    return bound
+
+
 class NForm:
     """The torus element sum_n c_n X^(g + B n) of one seed, kept as its
-    base exponent g and {n: VCoeff}, each n indexed by the seed's unfrozen
-    vertices (the separation formula X^g F(Y)). Immutable, like QTElem;
-    zero coefficients are never stored, so equality is structural."""
+    base exponent g and {n: (lo, z)}, each n indexed by the seed's
+    unfrozen vertices (the separation formula X^g F(Y)) and each
+    coefficient packed (pack). l1 bounds the sum of |digit| over all
+    terms and max_l1 that sum at any one n. Immutable, like QTElem; zero
+    coefficients are never stored and each lowest digit is nonzero, so
+    equality is structural (the bounds do not take part)."""
 
-    __slots__ = ("g", "terms")
+    __slots__ = ("g", "terms", "l1", "max_l1", "_bar_invariant")
 
-    def __init__(self, g, terms):
+    def __init__(self, g, terms, l1, max_l1):
         self.g = g
         self.terms = terms
+        self.l1 = l1
+        self.max_l1 = max_l1
+        self._bar_invariant = None
+
+    @classmethod
+    def of(cls, g, coeffs):
+        """The NForm of {n: VCoeff}, zero coefficients dropped, with exact
+        bounds."""
+        l1s = {n: sum(map(abs, c._c.values())) for n, c in coeffs.items() if c}
+        return cls(g, {n: pack(coeffs[n]) for n in l1s}, sum(l1s.values()),
+                   max(l1s.values(), default=0))
 
     @classmethod
     def monomial(cls, m, rank):
         """X^m, for a seed with rank unfrozen vertices."""
-        return cls(tuple(m), _unit_terms(rank))
+        return cls(tuple(m), _unit_terms(rank), 1, 1)
+
+    def coeffs(self):
+        """{n: VCoeff}, each coefficient unpacked."""
+        return {n: unpack(c) for n, c in self.terms.items()}
 
     def __bool__(self):
         return bool(self.terms)
@@ -222,33 +330,44 @@ class NForm:
         return isinstance(other, NForm) and self.g == other.g and self.terms == other.terms
 
     def __repr__(self):
-        return f"NForm({self.g}, {self.terms})"
+        return f"NForm({self.g}, {self.coeffs()})"
+
+    def _with(self, terms):
+        """The NForm at the same g with terms whose digits are a
+        rearrangement of self's (or signs flipped), so the same bounds."""
+        return NForm(self.g, terms, self.l1, self.max_l1)
 
     def vshift(self, e):
         """Multiply by v**e; self when e is 0."""
         if e == 0:
             return self
-        return NForm(self.g, {n: c.shift(e) for n, c in self.terms.items()})
+        return self._with({n: (lo + e, z) for n, (lo, z) in self.terms.items()})
 
     def bar(self):
         """Bar involution on every coefficient."""
-        return NForm(self.g, {n: c.bar() for n, c in self.terms.items()})
+        return self._with({n: _bar(c) for n, c in self.terms.items()})
+
+    def is_bar_invariant(self):
+        """Whether bar fixes every coefficient; computed once per element."""
+        if self._bar_invariant is None:
+            self._bar_invariant = all(_bar(c) == c for c in self.terms.values())
+        return self._bar_invariant
 
     def is_pointed(self):
         """Pointed at g: no n is negative and the coefficient at n = 0 is 1."""
         zero = (0,) * len(next(iter(self.terms), ()))
-        c = self.terms.get(zero)
-        return (c is not None and c.is_one()
+        return (self.terms.get(zero) == _ONE
                 and min(chain.from_iterable(self.terms), default=0) >= 0)
 
     def normalized(self):
         """Divided by the coefficient at n = 0, which must be a unit
         (NonUnitLeading otherwise)."""
         c = self.terms.get((0,) * len(next(iter(self.terms), ())))
-        if c is None or not c.is_unit():
-            raise NonUnitLeading(f"coefficient {c} at n = 0 is not a unit")
-        inv = c.unit_inverse()
-        return NForm(self.g, {n: x * inv for n, x in self.terms.items()})
+        if c is None or c[1] not in (1, -1):
+            raise NonUnitLeading(
+                f"coefficient {c and unpack(c)} at n = 0 is not a unit")
+        e, sign = c
+        return self._with({n: (lo - e, sign * z) for n, (lo, z) in self.terms.items()})
 
     def co_n(self):
         """The componentwise-largest n when it is a term (the codegree's),
@@ -264,8 +383,9 @@ class NForm:
         return None if top is None else vec_add(self.g, _linalg.mat_vec(seed.B, top))
 
     def expand(self, seed):
-        """The torus element: exponent g + B n per term."""
-        return QTElem(len(self.g), {vec_add(self.g, _linalg.mat_vec(seed.B, n)): c
+        """The torus element: exponent g + B n per term, each coefficient
+        unpacked."""
+        return QTElem(len(self.g), {vec_add(self.g, _linalg.mat_vec(seed.B, n)): unpack(c)
                                     for n, c in self.terms.items()})
 
     def opposite(self, seed):
@@ -276,112 +396,122 @@ class NForm:
         if top is None:
             raise ValueError("element has no codegree to read it from")
         eta = vec_add(self.g, _linalg.mat_vec(seed.B, top))
-        return NForm(eta, {vec_sub(top, n): c for n, c in self.terms.items()})
+        return NForm(eta, {vec_sub(top, n): c for n, c in self.terms.items()},
+                     self.l1, self.max_l1)
 
 
 @lru_cache(maxsize=None)
 def _unit_terms(rank):
     """{n = 0: 1}: one dict shared by the NForms of unit-coefficient
     monomials, which never mutate their terms."""
-    return {(0,) * rank: VCoeff.one()}
+    return {(0,) * rank: _ONE}
 
 
 def mul(seed, a, b, normalize=False):
     """Twisted product of two NForms of the seed, never projected.
 
-    The term pair (n1, n2) lands at n1 + n2 with v-exponent
-    s1 + s2 + p1 . p2: s1 = lambda(a.g, b.g) + sum_k d_k n1_k b.g[U_k],
+    The term pair (n1, n2) lands at n1 + n2 with lowest v-exponent
+    lo1 + lo2 + s1 + s2 + p1 . p2 and packed coefficient z1 z2:
+    s1 = lambda(a.g, b.g) + sum_k d_k n1_k b.g[U_k],
     s2 = -sum_k d_k n2_k a.g[U_k], and p1 . p2 = n1^T D B_U n2, formed
     as n1^T D B_U once per term of a when a has at most as many terms as
     b, else as D B_U n2 once per term of b. When either factor has one
-    term (a monomial X^m, for one), the product is one shifted copy of
-    each term of the other, at one dot product per term. With normalize,
-    the product is divided by its n = 0 coefficient, a's times b's times
-    v^lambda(a.g, b.g), which must be a unit: the lambda term is dropped
-    and the rest folded into the same pass.
+    term of one digit at n = 0 (a monomial X^m, for one), the product is
+    one shifted copy of each term of the other, at one dot product per
+    term. With normalize, the product is divided by its n = 0
+    coefficient, a's times b's times v^lambda(a.g, b.g), which must be a
+    unit: the lambda term is dropped and the rest folded into the same
+    pass. A digit of the product is at most
+    min(a.max_l1 b.l1, b.max_l1 a.l1), checked first (_guard).
     """
     if normalize:
         zero = (0,) * len(seed.unfrozen)
         ca, cb = a.terms.get(zero), b.terms.get(zero)
-        if ca is None or cb is None or not ca.is_unit() or not cb.is_unit():
+        if ca is None or cb is None or ca[1] not in (1, -1) or cb[1] not in (1, -1):
             raise NonUnitLeading("a factor's coefficient at n = 0 is not a unit")
-        (ea, sa), = ca._c.items()
-        (eb, sb), = cb._c.items()
-        shift, sign = -ea - eb, sa * sb
+        shift, sign = -ca[0] - cb[0], ca[1] * cb[1]
     else:
         shift, sign = seed.lam(a.g, b.g), 1
+    max_l1 = _guard(min(a.max_l1 * b.l1, b.max_l1 * a.l1))
+    l1 = a.l1 * b.l1
     units, db = _pairing_data(seed)
     d_a = tuple(d * a.g[u] for u, d in units)
     d_b = tuple(d * b.g[u] for u, d in units)
     g = tuple(map(_plus, a.g, b.g))
     lone = _lone_term(a.terms)
     if lone is not None:
-        return NForm(g, _shifted_copies(lone, b.terms, shift, tuple(map(neg, d_a)), sign))
+        return NForm(g, _shifted_copies(lone, b.terms, shift, tuple(map(neg, d_a)), sign),
+                     l1, max_l1)
     lone = _lone_term(b.terms)
     if lone is not None:
-        return NForm(g, _shifted_copies(lone, a.terms, shift, d_b, sign))
-    left = [(n1, [(e1, sign * x1) for e1, x1 in c1._c.items()],
-             shift + sum(map(_times, d_b, n1))) for n1, c1 in a.terms.items()]
-    right = [(n2, c2._c, -sum(map(_times, d_a, n2))) for n2, c2 in b.terms.items()]
+        return NForm(g, _shifted_copies(lone, a.terms, shift, d_b, sign), l1, max_l1)
+    left = [(n1, lo1 + shift + sum(map(_times, d_b, n1)), sign * z1)
+            for n1, (lo1, z1) in a.terms.items()]
+    right = [(n2, lo2 - sum(map(_times, d_a, n2)), z2) for n2, (lo2, z2) in b.terms.items()]
     if len(left) <= len(right):
-        left = [(n1, c1, s1, tuple(sum(map(_times, n1, col)) for col in zip(*db)))
-                for n1, c1, s1 in left]
-        right = [(n2, c2, s2, n2) for n2, c2, s2 in right]
+        left = [(n1, e1, z1, tuple(sum(map(_times, n1, col)) for col in zip(*db)))
+                for n1, e1, z1 in left]
+        right = [(n2, e2, z2, n2) for n2, e2, z2 in right]
     else:
-        left = [(n1, c1, s1, n1) for n1, c1, s1 in left]
-        right = [(n2, c2, s2, tuple(sum(map(_times, row, n2)) for row in db))
-                 for n2, c2, s2 in right]
+        left = [(n1, e1, z1, n1) for n1, e1, z1 in left]
+        right = [(n2, e2, z2, tuple(sum(map(_times, row, n2)) for row in db))
+                 for n2, e2, z2 in right]
     t = {}
-    for n1, c1, s1, p1 in left:
-        _add_row(t, n1, c1, s1, p1, right)
-    return NForm(g, {n: VCoeff._of(c) for n, c in t.items()})
+    for n1, e1, z1, p1 in left:
+        _add_row(t, n1, e1, z1, p1, right)
+    return NForm(g, t, l1, max_l1)
 
 
-def _add_row(t, n1, c1, s1, p1, right):
-    """t += the row term times each (n2, {e: x}, s2, p2) of right, in
-    place, on a {n: {v-exponent: int}} dict. The row term is at n1, with
-    (e, x) pairs c1, v-exponent s1 and pairing vector p1; each product
-    lands at n1 + n2 with v-exponent s1 + s2 + p1 . p2. Coefficients and
-    dicts that cancel are dropped as they do."""
-    for n2, c2, s2, p2 in right:
+def _add_row(t, n1, e1, z1, p1, right):
+    """t += the row term z1 v^e1 at n1 times each (n2, e2, z2, p2) of
+    right, in place, on a {n: (lo, z)} dict. Each product z1 z2 lands at
+    n1 + n2 with lowest v-exponent e1 + e2 + p1 . p2, and is added to the
+    coefficient there as one int sum, the lower of the two aligned at
+    digit 0. A sum that cancels is dropped, and one whose lowest digit
+    cancels loses its trailing zero digits, so t stays canonical. The
+    caller has bounded every digit and partial sum (_guard)."""
+    for n2, e2, z2, p2 in right:
         key = tuple(map(_plus, n1, n2))
+        e = e1 + e2 + sum(map(_times, p1, p2))
+        z = z1 * z2
         acc = t.get(key)
-        if acc is None:
-            acc = t[key] = {}
-        e = s1 + s2 + sum(map(_times, p1, p2))
-        for e1, x1 in c1:
-            for e2, x2 in c2.items():
-                k = e1 + e2 + e
-                x = acc.get(k, 0) + x1 * x2
-                if x:
-                    acc[k] = x
-                else:
-                    del acc[k]
-        if not acc:
-            del t[key]
+        if acc is not None:
+            lo, za = acc
+            if lo < e:
+                z = za + (z << K_BITS * (e - lo))
+                e = lo
+            elif lo > e:
+                z += za << K_BITS * (lo - e)
+            else:
+                z += za
+                if not z:
+                    del t[key]
+                    continue
+                if not z & _MASK:
+                    k = ((z & -z).bit_length() - 1) // K_BITS
+                    z >>= K_BITS * k
+                    e += k
+        t[key] = (e, z)
 
 
 def _lone_term(terms):
-    """(e, x) when terms is the one term x v^e at n = 0, else None."""
+    """(lo, x) when terms is the one term x v^lo, x one digit, at n = 0,
+    else None."""
     if len(terms) == 1:
         (n, c), = terms.items()
-        if len(c._c) == 1 and not any(n):
-            (t,) = c._c.items()
-            return t
+        if -_HALF <= c[1] < _HALF and not any(n):
+            return c
     return None
 
 
 def _shifted_copies(lone, other, s, w, sign):
     """The terms of a product with the one-term factor x0 v^e0 at n = 0
-    (lone = (e0, x0)): each term (n, c) of the other factor keeps its n,
-    with coefficient sign x0 v^(e0 + s + w . n) c."""
+    (lone = (e0, x0)): each term (n, (lo, z)) of the other factor keeps
+    its n, with coefficient (lo + e0 + s + w . n, sign x0 z)."""
     e0, x0 = lone
     x0 *= sign
-    out = {}
-    for n, c in other.items():
-        e = e0 + s + sum(map(_times, w, n))
-        out[n] = VCoeff._of({k + e: x0 * x for k, x in c._c.items()})
-    return out
+    e0 += s
+    return {n: (lo + e0 + sum(map(_times, w, n)), x0 * z) for n, (lo, z) in other.items()}
 
 
 def add(seed, a, b):
@@ -394,9 +524,10 @@ def add(seed, a, b):
         a, b, n = b, a, tuple(-x for x in n)
     if n is None or min(n, default=0) < 0:
         raise RuntimeError(f"neither of the bases {a.g} and {b.g} dominates the other")
-    t = {m: dict(c._c) for m, c in a.terms.items()}
-    _add_row(t, n, ((0, 1),), 0, (), [(m, c._c, 0, ()) for m, c in b.terms.items()])
-    return NForm(a.g, {m: VCoeff._of(c) for m, c in t.items()})
+    max_l1 = _guard(a.max_l1 + b.max_l1)
+    t = dict(a.terms)
+    _add_row(t, n, 0, 1, (), [(m, lo, z, ()) for m, (lo, z) in b.terms.items()])
+    return NForm(a.g, t, a.l1 + b.l1, max_l1)
 
 
 def divide(seed, num, d):
@@ -409,7 +540,10 @@ def divide(seed, num, d):
     remainder there exactly. Each step places that term and subtracts
     its product with d's other terms in place, as mul forms it. The
     quotient's n lie in the box forced by the per-coordinate extremes of
-    the two supports; a term outside it raises NotDivisible.
+    the two supports; a term outside it raises NotDivisible. A digit of
+    the remainder is at most num.max_l1 plus d.max_l1 times the quotient
+    terms' l1 so far, checked before each step (_guard); the quotient's
+    bounds are exact.
     """
     if not d.is_pointed():
         raise NonUnitLeading("the divisor is not pointed")
@@ -422,20 +556,24 @@ def divide(seed, num, d):
     units, db = _pairing_data(seed)
     d_q = tuple(k * g[u] for u, k in units)
     d_d = tuple(k * d.g[u] for u, k in units)
-    right = [(n2, c2._c, -sum(map(_times, d_q, n2)), tuple(sum(map(_times, row, n2)) for row in db))
-             for n2, c2 in d.terms.items() if any(n2)]
+    right = [(n2, e2 - sum(map(_times, d_q, n2)), z2, tuple(sum(map(_times, row, n2)) for row in db))
+             for n2, (e2, z2) in d.terms.items() if any(n2)]
     shift = seed.lam(g, d.g)
     q = {}
-    r = {n: dict(c._c) for n, c in num.terms.items()}
+    r = dict(num.terms)
+    l1 = max_l1 = 0
     while r:
         nq = min(r)
-        rq = r.pop(nq)
+        e, z = r.pop(nq)
         if not (all(map(le, lo, nq)) and all(map(le, nq, hi))):
             raise NotDivisible(f"quotient term {nq} escapes the support box")
-        s1 = shift + sum(map(_times, d_d, nq))
-        q[nq] = VCoeff._of({e - s1: x for e, x in rq.items()})
-        _add_row(r, nq, [(e, -x) for e, x in rq.items()], 0, nq, right)
-    return NForm(g, q)
+        q[nq] = (e - shift - sum(map(_times, d_d, nq)), z)
+        size = _l1(z)
+        l1 += size
+        max_l1 = max(max_l1, size)
+        _guard(num.max_l1 + d.max_l1 * l1)
+        _add_row(r, nq, e, -z, nq, right)
+    return NForm(g, q, l1, max_l1)
 
 
 class Decomposition:
@@ -487,16 +625,20 @@ def decompose(seed, z, basis, box, tie_break=None):
     0 <= n <= box and whose exponent z.g + B n must carry a basis
     element. Ties between incomparable maxima break to the
     lexicographically smallest exponent (tie_break overrides the choice;
-    the resulting term multiset is order-independent). Failures are
-    reported in the status, never raised.
+    the resulting term multiset is order-independent). Failures of the
+    expansion are reported in the status, not raised.
 
-    The residual is one {n: {v-exponent: int}} dict from which each step
+    The residual is one {n: (lo, z)} dict from which each step
     subtracts its coefficient times the element in place (the element's
     term n' lands at n + n'), dropping the terms that cancel. Each step
     forms the exponents of the residual's Pareto-minimal n alone, one
-    mat_vec each; nothing is projected.
+    mat_vec each; nothing is projected. A residual digit is at most
+    z.max_l1 plus each step's coefficient l1 times its element's max_l1,
+    checked before each step: CoefficientOverflow is the one failure
+    raised.
     """
-    r = {n: dict(c._c) for n, c in z.terms.items()}
+    r = dict(z.terms)
+    bound = z.max_l1
     terms = []
     for _ in range(DECOMPOSE_ITERATION_CAP):
         if not r:
@@ -515,10 +657,10 @@ def decompose(seed, z, basis, box, tie_break=None):
                 terms=terms, status="indeterminate",
                 reason=f"no basis element keyed at {g}",
             )
-        c = VCoeff(r[n])
-        terms.append((g, c))
-        _add_row(r, n, [(e, -x) for e, x in c._c.items()], 0, (),
-                 [(m, ce._c, 0, ()) for m, ce in elem.terms.items()])
+        lo, x = r[n]
+        terms.append((g, unpack(r[n])))
+        bound = _guard(bound + _l1(x) * elem.max_l1)
+        _add_row(r, n, lo, -x, (), [(m, e, y, ()) for m, (e, y) in elem.terms.items()])
     return Decomposition(terms=terms, status="indeterminate", reason="iteration cap hit")
 
 

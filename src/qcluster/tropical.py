@@ -293,7 +293,7 @@ def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:
     z_t = graph.monomial_in(home_key, m, sd.base)
     z_s = graph.monomial_in(home_key, m, sd.target)
     top = z_t.co_n()
-    if top is None or not z_t.terms[top].is_one():
+    if top is None or z_t.terms[top] != pointed.v_power(0):
         return not z_s.is_pointed()
     eta = z_t.codegree(graph.nodes[sd.base].seed)
     psi = psi_matrix(graph, sd.base, sd.target)

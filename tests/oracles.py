@@ -73,6 +73,13 @@ it read bar-invariance off the basis elements: it decomposes the barred
 product a second time, with the library's product and decomposition.
 What it checks is that the elements' bar-invariance gives the same
 value on every two-tail pair, and that a perturbed element fails both.
+The dict kernels (DictForm, dict_mul, dict_divide, dict_add,
+dict_decompose) are the n-form arithmetic the library ran before it
+packed each coefficient into one int: every coefficient a
+{v-exponent: int} dict, each term pair a double loop over them. They
+share no code with the packed kernels: what they check is that packing,
+the aligned int sums and the digit reversal of bar give the same
+elements, decompositions and refusals.
 """
 from __future__ import annotations
 
@@ -85,7 +92,8 @@ import sympy as sp
 from qcluster import _linalg, pointed
 from qcluster.expansion import apply_word, cluster_monomial, initial_tracked
 from qcluster.qtorus import (
-    NotDivisible, QTElem, exact_divide, lam_pair, pos_part, twisted_mul, unit_vec, vec_sub)
+    NotDivisible, QTElem, VCoeff, exact_divide, lam_pair, pos_part, twisted_mul, unit_vec,
+    vec_add, vec_sub)
 from qcluster.seed import NoCompatibleLambda, mutate_seed, opposite_seed
 from qcluster.tropical import (
     FrozenFactorNotFrozen, ShiftData, ShiftNotFound, _b_condition, _shift_pattern, p_vars)
@@ -136,7 +144,7 @@ def to_nform(seed, z, g):
         if n is None:
             raise ValueError(f"exponent {m} is not {g} + B n for an integer n")
         terms[n] = c
-    return pointed.NForm(g, terms)
+    return pointed.NForm.of(g, terms)
 
 
 def qtelem_distinguished(seed, factors, g):
@@ -847,3 +855,165 @@ def scanning_detect_shift(graph, key, direction=1):
         return ShiftData(base=key, target=cand, direction=direction,
                          word=graph.route(key, cand), sigma=sigma, u=u)
     raise ShiftNotFound(f"no {direction:+d} shift for node in graph")
+
+
+# -- the dict kernels: n-form arithmetic on {n: {v-exponent: int}} --
+
+class DictForm:
+    """An n-form with unpacked coefficients, (g, {n: VCoeff}), no zero
+    coefficient stored: the layout pointed.NForm had before it packed
+    each coefficient into one int."""
+
+    __slots__ = ("g", "terms")
+
+    def __init__(self, g, terms):
+        self.g = tuple(g)
+        self.terms = {n: c for n, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, z):
+        """The DictForm of a (packed) NForm."""
+        return cls(z.g, z.coeffs())
+
+    def packed(self):
+        return pointed.NForm.of(self.g, self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, DictForm) and (self.g, self.terms) == (other.g, other.terms)
+
+    def __repr__(self):
+        return f"DictForm({self.g}, {self.terms})"
+
+    def vshift(self, e):
+        return DictForm(self.g, {n: c.shift(e) for n, c in self.terms.items()})
+
+    def bar(self):
+        return DictForm(self.g, {n: c.bar() for n, c in self.terms.items()})
+
+
+def _dict_add_row(t, n1, c1, s1, p1, right):
+    """t += the row term times each (n2, {e: x}, s2, p2) of right, in
+    place, on a {n: {v-exponent: int}} dict. The row term is at n1, with
+    (e, x) pairs c1, v-exponent s1 and pairing vector p1; each product
+    lands at n1 + n2 with v-exponent s1 + s2 + p1 . p2. Coefficients and
+    dicts that cancel are dropped as they do."""
+    for n2, c2, s2, p2 in right:
+        key = tuple(a + b for a, b in zip(n1, n2))
+        acc = t.setdefault(key, {})
+        e = s1 + s2 + sum(a * b for a, b in zip(p1, p2))
+        for e1, x1 in c1:
+            for e2, x2 in c2.items():
+                k = e1 + e2 + e
+                x = acc.get(k, 0) + x1 * x2
+                if x:
+                    acc[k] = x
+                else:
+                    del acc[k]
+        if not acc:
+            del t[key]
+
+
+def _pairing(seed):
+    units = tuple(zip(seed.unfrozen, seed.D))
+    return units, tuple(tuple(d * x for x in seed.B[u]) for u, d in units)
+
+
+def dict_mul(seed, a, b, normalize=False):
+    """pointed.mul on DictForms, every term pair through the dict kernel
+    (no one-term fast path)."""
+    if normalize:
+        zero = (0,) * len(seed.unfrozen)
+        ca, cb = a.terms.get(zero), b.terms.get(zero)
+        if ca is None or cb is None or not ca.is_unit() or not cb.is_unit():
+            raise pointed.NonUnitLeading("a factor's coefficient at n = 0 is not a unit")
+        (ea, sa), = ca._c.items()
+        (eb, sb), = cb._c.items()
+        shift, sign = -ea - eb, sa * sb
+    else:
+        shift, sign = seed.lam(a.g, b.g), 1
+    units, db = _pairing(seed)
+    d_a = tuple(d * a.g[u] for u, d in units)
+    d_b = tuple(d * b.g[u] for u, d in units)
+    right = [(n2, c2._c, -sum(x * y for x, y in zip(d_a, n2)),
+              tuple(sum(x * y for x, y in zip(row, n2)) for row in db))
+             for n2, c2 in b.terms.items()]
+    t = {}
+    for n1, c1 in a.terms.items():
+        _dict_add_row(t, n1, [(e1, sign * x1) for e1, x1 in c1._c.items()],
+                      shift + sum(x * y for x, y in zip(d_b, n1)), n1, right)
+    return DictForm(tuple(x + y for x, y in zip(a.g, b.g)),
+                    {n: VCoeff(c) for n, c in t.items()})
+
+
+def dict_add(seed, a, b):
+    """pointed.add on DictForms."""
+    dom = pointed._dominance_data(seed)
+    n = dom.offset(dom.project(b.g), dom.project(a.g))
+    if n is not None and min(n, default=0) < 0:
+        a, b, n = b, a, tuple(-x for x in n)
+    if n is None or min(n, default=0) < 0:
+        raise RuntimeError(f"neither of the bases {a.g} and {b.g} dominates the other")
+    t = {m: dict(c._c) for m, c in a.terms.items()}
+    _dict_add_row(t, n, ((0, 1),), 0, (), [(m, c._c, 0, ()) for m, c in b.terms.items()])
+    return DictForm(a.g, {m: VCoeff(c) for m, c in t.items()})
+
+
+def dict_divide(seed, num, d):
+    """pointed.divide on DictForms: from the lexicographically least n of
+    the remainder, one quotient term per step."""
+    zero = (0,) * len(seed.unfrozen)
+    if d.terms.get(zero) != VCoeff.one() or any(x < 0 for n in d.terms for x in n):
+        raise pointed.NonUnitLeading("the divisor is not pointed")
+    g = vec_sub(num.g, d.g)
+    cols, dcols = tuple(zip(*num.terms)), tuple(zip(*d.terms))
+    lo = tuple(min(x) - min(y) for x, y in zip(cols, dcols))
+    hi = tuple(max(x) - max(y) for x, y in zip(cols, dcols))
+    if any(a > b for a, b in zip(lo, hi)):
+        raise NotDivisible("incompatible support boxes")
+    units, db = _pairing(seed)
+    d_q = tuple(k * g[u] for u, k in units)
+    d_d = tuple(k * d.g[u] for u, k in units)
+    right = [(n2, c2._c, -sum(x * y for x, y in zip(d_q, n2)),
+              tuple(sum(x * y for x, y in zip(row, n2)) for row in db))
+             for n2, c2 in d.terms.items() if any(n2)]
+    shift = seed.lam(g, d.g)
+    q = {}
+    r = {n: dict(c._c) for n, c in num.terms.items()}
+    while r:
+        nq = min(r)
+        rq = r.pop(nq)
+        if not all(a <= x <= b for a, x, b in zip(lo, nq, hi)):
+            raise NotDivisible(f"quotient term {nq} escapes the support box")
+        s1 = shift + sum(x * y for x, y in zip(d_d, nq))
+        q[nq] = VCoeff({e - s1: x for e, x in rq.items()})
+        _dict_add_row(r, nq, [(e, -x) for e, x in rq.items()], 0, nq, right)
+    return DictForm(g, q)
+
+
+def dict_decompose(seed, z, basis, box, tie_break=None):
+    """pointed.decompose on a DictForm over a basis of DictForms: the
+    residual one {n: {v-exponent: int}} dict, each step's pivot its
+    Pareto-minimal n of least exponent."""
+    r = {n: dict(c._c) for n, c in z.terms.items()}
+    terms = []
+    for _ in range(pointed.DECOMPOSE_ITERATION_CAP):
+        if not r:
+            return pointed.Decomposition(terms=terms, status="exact")
+        minima = [n for n in r if not any(o != n and all(a <= b for a, b in zip(o, n))
+                                          for o in r)]
+        pivots = {vec_add(z.g, _linalg.mat_vec(seed.B, n)): n for n in minima}
+        g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
+        n = pivots[g]
+        if box is None or min(n, default=0) < 0 or any(a > b for a, b in zip(n, box)):
+            return pointed.Decomposition(terms=terms, status="indeterminate",
+                                         reason=f"support degree {g} escapes the window")
+        elem = basis.get(g)
+        if elem is None:
+            return pointed.Decomposition(terms=terms, status="indeterminate",
+                                         reason=f"no basis element keyed at {g}")
+        c = VCoeff(r[n])
+        terms.append((g, c))
+        _dict_add_row(r, n, [(e, -x) for e, x in c._c.items()], 0, (),
+                      [(m, ce._c, 0, ()) for m, ce in elem.terms.items()])
+    return pointed.Decomposition(terms=terms, status="indeterminate",
+                                 reason="iteration cap hit")

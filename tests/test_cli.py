@@ -546,3 +546,27 @@ def test_leclerc_cap_zero_and_index_scope_ok(a2_file, capsys):
     assert main(["leclerc", a2_file, "--cap", "0"]) == 0
     assert "basis 1 elements" in capsys.readouterr().out
     assert main(["leclerc", a2_file, "--cap", "1", "--scope", "4,0"]) == 0
+
+
+def test_a_coefficient_past_the_digit_bound_exits_3(a2_file, monkeypatch, capsys):
+    # each new variable tampered with the coefficient 2^(K - 1) - 1, the
+    # largest a digit holds, at its codegree: it stays pointed, and the
+    # first product or division that could carry a digit past it stops
+    # the run, an internal error
+    from qcluster.pointed import K_BITS, NForm
+    from qcluster.qtorus import VCoeff
+
+    real = expansion.mutate_tracked
+
+    def tampering(ts, k, *rest):
+        out = real(ts, k, *rest)
+        x = out.vars[k]
+        x = NForm.of(x.g, {**x.coeffs(), x.co_n(): VCoeff({0: (1 << (K_BITS - 1)) - 1})})
+        return expansion.TrackedSeed(out.seed, out.vars[:k] + (x,) + out.vars[k + 1:],
+                                     out.ref, out.path)
+
+    monkeypatch.setattr(expansion, "mutate_tracked", tampering)
+    assert main(["leclerc", a2_file, "--cap", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: a coefficient of up to ")
+    assert err.rstrip().endswith(f"does not fit in {K_BITS}-bit digits")

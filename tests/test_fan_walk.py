@@ -244,7 +244,7 @@ def test_a_node_missing_a_wall_fails_the_certificate(co):
 
 
 def _copy(x):
-    return NForm(x.g, dict(x.terms))
+    return NForm(x.g, dict(x.terms), x.l1, x.max_l1)
 
 
 def _skew(x):
@@ -359,7 +359,7 @@ def test_a_variable_not_pointed_at_its_degree_exits_3(a3p_file, tamper, monkeypa
             x = out.vars[k]
             if tamper == "negative-n":
                 above = tuple(-int(u == k) for u in seed.unfrozen)
-                x = NForm(x.g, {**x.terms, above: VCoeff.one()})
+                x = NForm.of(x.g, {**x.coeffs(), above: VCoeff.one()})
             else:
                 x = x.vshift(1)
             out = _with_var(out, k, x)

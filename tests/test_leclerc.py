@@ -343,16 +343,16 @@ def test_an_element_off_bar_invariance_fails_bar_consistency(a3_graph):
     (r_home, r_m), v_spec, v = _first_two_tail(basis)
     assert v.passed
     t_seed = a3_graph.nodes[r_home].seed
-    provenance, s_elem, eta = basis._resolved[(r_home, False)][v.S]
+    provenance, s_elem, eta, top = basis._resolved[(r_home, False)][v.S]
     h_elem = basis.element_at_degree(r_home, v.H)
     shift = dominance_n(t_seed, v.H, v.S)
-    terms = dict(s_elem.terms)
-    for n, c in h_elem.terms.items():
+    terms = s_elem.coeffs()
+    for n, c in h_elem.coeffs().items():
         n = tuple(a + b for a, b in zip(n, shift))
         terms[n] = terms.get(n, VCoeff.zero()) + c * VCoeff({1: 1, -1: -1})
-    perturbed = NForm(s_elem.g, {n: c for n, c in terms.items() if c})
+    perturbed = NForm.of(s_elem.g, {n: c for n, c in terms.items() if c})
     assert perturbed.is_pointed() and perturbed != perturbed.bar()
-    basis._resolved[(r_home, False)][v.S] = (provenance, perturbed, eta)
+    basis._resolved[(r_home, False)][v.S] = (provenance, perturbed, eta, top)
     w = verify_pair(basis, r_home, r_m, *v_spec)
     assert w.case == "two_tail" and (w.S, w.H) == (v.S, v.H)
     assert not w.checks["bar_consistency"] and not w.checks["h_coefficient"]
@@ -409,8 +409,9 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
     # products, lookups and decompositions stay in n-coordinates. An
     # exponent is projected only where a variable is made, the two bases of
     # its exchange sum (add), and by verify_pair's own checks on exponents:
-    # the two ends of V's n, then for a two-tailed pair top and bottom once
-    # each and one end per other decomposition term in each dominance chain
+    # none for V's n, which is read off V's record, then for a two-tailed
+    # pair top and bottom once each and one end per other decomposition
+    # term in each dominance chain
     owners = ("add", "divide", "_intern", "mutate_tracked", "verify_pair", "decompose", "mul",
               "monomial_in", "_resolve", "_walk", "_certify", "_enumerate")
     seen = Counter()
@@ -432,7 +433,7 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
     assert report.ok and len(report.verdicts) == 540
     assert set(seen) == {"add", "verify_pair"}
     assert seen["add"] == 2 * len(sums) > 0
-    assert seen["verify_pair"] == sum(2 + (4 + 2 * len(v.middle) if v.case == "two_tail" else 0)
+    assert seen["verify_pair"] == sum(4 + 2 * len(v.middle) if v.case == "two_tail" else 0
                                       for v in report.verdicts)
 
 
@@ -525,3 +526,48 @@ def test_frozen_r_always_lands_in_basis(pa2_graph):
     for g in basis.degree_keys():
         v = verify_pair(basis, t0, frozen_m, *basis.by_degree[g])
         assert v.case == "in_basis", (g, v.case, v.reason)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_v_codegree_n_is_read_off_its_record(name, monkeypatch):
+    # on every pair of the rung's sweep, V's n below its degree, as
+    # verify_pair reads it off V's record, is the dominance n of V's
+    # codegree below its degree, and V's co_n
+    make, cap, window = LADDER[name]
+    basis = CandidateBasis(build_exchange_graph(make()), unfrozen_cap=cap,
+                           frozen_window=window)
+    seen = []
+    real = basis.codegree_n_at
+
+    def checked(torus_key, g):
+        n = real(torus_key, g)
+        seed = basis.graph.nodes[torus_key].seed
+        assert n == dominance_n(seed, basis.codegree_at(torus_key, g), g) is not None
+        assert n == basis.element_at_degree(torus_key, g).co_n()
+        seen.append(n)
+        return n
+
+    monkeypatch.setattr(basis, "codegree_n_at", checked)
+    report = verify_theorem(basis)
+    assert report.ok
+    assert len(seen) == sum(v.v_degree != () for v in report.verdicts) == len(report.verdicts)
+
+
+def test_bar_invariance_is_computed_once_per_element(monkeypatch):
+    # bar_consistency reads each element's cached flag: an element's
+    # coefficients are barred on its first read only (a graph of its own,
+    # whose elements no other sweep has read)
+    barred, read = [], {}
+    real, real_read = pointed._bar, NForm.is_bar_invariant
+    monkeypatch.setattr(pointed, "_bar", lambda c: barred.append(c) or real(c))
+    monkeypatch.setattr(NForm, "is_bar_invariant",
+                        lambda self: read.setdefault(id(self), self) and real_read(self))
+    report = verify_theorem(CandidateBasis(build_exchange_graph(principal_framing(A3_B)),
+                                           unfrozen_cap=1))
+    assert report.ok and report.counts()["two_tail_pass"] > 0
+    first = len(barred)
+    assert first == sum(len(e.terms) for e in read.values()) > 0
+    assert sum(len(v.middle) + 2 for v in report.verdicts if v.case == "two_tail") > len(read)
+    elem = NForm.of((0,) * 6, {(0, 0, 0): VCoeff.one(), (1, 0, 0): VCoeff({-1: 1, 1: 1})})
+    assert elem.is_bar_invariant() and len(barred) == first + 2
+    assert elem.is_bar_invariant() and len(barred) == first + 2

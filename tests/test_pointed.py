@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -518,12 +518,12 @@ def nform_products(draw, pointed_only, pointed_right=False, one_term=None):
                                      min_size=1, max_size=4))
         if unit_at_zero:
             terms[(0,) * k] = draw(_COEFF.filter(VCoeff.is_unit))
-        return NForm(draw(_exponents(seed)), terms)
+        return NForm.of(draw(_exponents(seed)), terms)
 
     def draw_one_term(at_zero, unit):
         n = (0,) * k if at_zero else draw(st.tuples(*[st.integers(0, 2)] * k).filter(any))
         c = draw(_COEFF.filter(VCoeff.is_unit) if unit else _MULTI_COEFF)
-        return NForm(draw(_exponents(seed)), {n: c})
+        return NForm.of(draw(_exponents(seed)), {n: c})
 
     side, at_zero, unit = one_term or (None, None, None)
     a = draw_one_term(at_zero, unit) if side == "left" else draw_nform(pointed_only)
@@ -540,7 +540,7 @@ def test_n_form_product_maps_back_to_twisted_mul(case):
     got = pointed.mul(seed, a, b)
     assert got.g == vec_add(a.g, b.g)
     assert got.expand(seed) == want
-    assert all(got.terms.values())
+    assert all(z for _, z in got.terms.values())
     # and the conversion projects each exponent back to its n
     assert to_nform(seed, a.expand(seed), a.g) == a
     assert to_nform(seed, want, got.g) == got
@@ -556,9 +556,9 @@ def test_normalized_n_form_product_is_one_v_shift(case):
     got = pointed.mul(seed, a, b, normalize=True)
     assert got.expand(seed) == normalize_at(full, vec_add(a.g, b.g))
     zero = (0,) * len(seed.unfrozen)
-    assert got.terms[zero].is_one() and got.is_pointed()
-    assert pointed.mul(seed, a, b).terms[zero] == (
-        a.terms[zero] * b.terms[zero]).shift(seed.lam(a.g, b.g))
+    assert got.coeffs()[zero].is_one() and got.is_pointed()
+    assert pointed.mul(seed, a, b).coeffs()[zero] == (
+        a.coeffs()[zero] * b.coeffs()[zero]).shift(seed.lam(a.g, b.g))
 
 
 @settings(max_examples=200, deadline=None)
@@ -568,20 +568,20 @@ def test_n_form_division_undoes_the_product(case):
     # division of the expansions agrees; normalizing divides by q's n = 0
     # coefficient, which must be a unit
     seed, q, d = case
-    inv = d.terms[(0,) * len(seed.unfrozen)].unit_inverse()
-    d = NForm(d.g, {n: c * inv for n, c in d.terms.items()})
+    inv = d.coeffs()[(0,) * len(seed.unfrozen)].unit_inverse()
+    d = NForm.of(d.g, {n: c * inv for n, c in d.coeffs().items()})
     num = pointed.mul(seed, q, d)
     got = pointed.divide(seed, num, d)
     assert got == q
-    assert all(num.terms.values()) and all(got.terms.values())
+    assert all(z for _, z in num.terms.values()) and all(z for _, z in got.terms.values())
     assert got.expand(seed) == exact_divide(num.expand(seed), d.expand(seed), seed.Lambda)
-    c = q.terms.get((0,) * len(seed.unfrozen))
+    c = q.coeffs().get((0,) * len(seed.unfrozen))
     if c is None or not c.is_unit():
         with pytest.raises(NonUnitLeading):
             got.normalized()
     else:
         (e, sign), = c._c.items()
-        want = NForm(q.g, {n: x.shift(-e) * sign for n, x in q.terms.items()})
+        want = NForm.of(q.g, {n: x.shift(-e) * sign for n, x in q.coeffs().items()})
         assert got.normalized() == want
 
 
@@ -623,12 +623,12 @@ def test_n_form_division_refuses_a_non_multiple(a2_seed):
     assert pointed.divide(a2_seed, square, i1) == i1
     with pytest.raises(NotDivisible, match="incompatible support boxes"):
         pointed.divide(a2_seed, NForm.monomial((0, 0), 2), i1)
-    stray = pointed.add(a2_seed, square, NForm((-2, 0), {(1, 1): VCoeff.one()}))
+    stray = pointed.add(a2_seed, square, NForm.of((-2, 0), {(1, 1): VCoeff.one()}))
     with pytest.raises(NotDivisible, match="escapes the support box"):
         pointed.divide(a2_seed, stray, i1)
     for bad in ({(0, 0): VCoeff({1: 1})}, {(0, 0): VCoeff.one(), (-1, 0): VCoeff.one()}):
         with pytest.raises(NonUnitLeading, match="divisor is not pointed"):
-            pointed.divide(a2_seed, square, NForm((-1, 0), bad))
+            pointed.divide(a2_seed, square, NForm.of((-1, 0), bad))
 
 
 @settings(max_examples=200, deadline=None)
@@ -638,17 +638,17 @@ def test_n_form_sum_maps_back_to_the_torus_sum(case, data):
     # a sum may cancel at one n, or everywhere (a plus a negated)
     seed, a, b = case
     n = data.draw(_steps(seed))
-    b = NForm(vec_add(a.g, mat_vec(seed.B, n)), b.terms)
+    b = NForm.of(vec_add(a.g, mat_vec(seed.B, n)), b.coeffs())
     cancel = data.draw(st.sampled_from(("none", "one", "all")))
     if cancel == "one":
         m = data.draw(st.sampled_from(sorted(b.terms)))
-        a = NForm(a.g, {**a.terms, vec_add(n, m): -b.terms[m]})
+        a = NForm.of(a.g, {**a.coeffs(), vec_add(n, m): -b.coeffs()[m]})
     elif cancel == "all":
-        b = NForm(a.g, {m: -c for m, c in a.terms.items()})
+        b = NForm.of(a.g, {m: -c for m, c in a.coeffs().items()})
     want = a.expand(seed) + b.expand(seed)
     for got in (pointed.add(seed, a, b), pointed.add(seed, b, a)):
         assert got.g == a.g and got.expand(seed) == want
-        assert all(got.terms.values())
+        assert all(z for _, z in got.terms.values())
         assert cancel != "all" or not got
 
 
@@ -670,19 +670,19 @@ def test_n_form_ends(a2_seed, pa2_seed):
     # (-1, 0), its codegree at n = (1, 0); read in the opposite seed from
     # there
     i1 = to_nform(a2_seed, a2_gold("I1"), (-1, 0))
-    assert i1.terms == {(0, 0): VCoeff.one(), (1, 0): VCoeff.one()}
+    assert i1.coeffs() == {(0, 0): VCoeff.one(), (1, 0): VCoeff.one()}
     assert i1.is_pointed() and i1.co_n() == (1, 0)
     op = opposite_seed(a2_seed)
     flipped = i1.opposite(a2_seed)
     assert flipped.g == codegree(a2_seed, a2_gold("I1")) == (-1, 1)
     assert flipped.expand(op) == a2_gold("I1") and flipped.is_pointed()
     # no componentwise-largest n: no codegree to read it from
-    split = NForm((0, 0), {(0, 0): VCoeff.one(), (1, 0): VCoeff.one(), (0, 1): VCoeff.one()})
+    split = NForm.of((0, 0), {(0, 0): VCoeff.one(), (1, 0): VCoeff.one(), (0, 1): VCoeff.one()})
     assert split.co_n() is None
     with pytest.raises(ValueError):
         split.opposite(a2_seed)
-    assert not NForm((0, 0), {(0, 0): VCoeff({1: 1})}).is_pointed()
-    assert not NForm((0, 0), {(0, 0): VCoeff.one(), (-1, 0): VCoeff.one()}).is_pointed()
+    assert not NForm.of((0, 0), {(0, 0): VCoeff({1: 1})}).is_pointed()
+    assert not NForm.of((0, 0), {(0, 0): VCoeff.one(), (-1, 0): VCoeff.one()}).is_pointed()
     # off the coset g + B Z^k no n-form holds an exponent
     with pytest.raises(ValueError, match="is not"):
         to_nform(pa2_seed, QTElem.monomial((1, 1, 0, 0)), (0, 0, 0, 0))
@@ -753,3 +753,221 @@ def test_n_form_decompose_matches_the_oracle_on_the_ladder_sweeps(name, monkeypa
             reasons.add(got.reason.split(" ")[0])
     assert len(calls) > 0
     assert reasons == {"no", "support", "iteration"}
+
+
+# -- packed coefficients against the dict kernels (oracles.dict_*) --
+
+# sparse exponents (gaps between them), negative coefficients
+_GAPPED = st.dictionaries(st.integers(-6, 6), st.sampled_from([x for x in range(-9, 10) if x]),
+                          min_size=1, max_size=4).map(VCoeff)
+
+_ANY_SEED = st.one_of(st.sampled_from(_NFORM_SEEDS), principal_framings())
+
+
+def _dict_forms(seed, pointed_only=False, one_term=False):
+    """DictForms of the seed based anywhere (negative frozen exponents
+    too): up to four terms at n >= -1, or with pointed_only at n >= 0
+    with 1 at n = 0; with one_term, one term v^e x at n = 0."""
+    k = len(seed.unfrozen)
+    if one_term:
+        return st.builds(lambda g, c: oracles.DictForm(g, {(0,) * k: c}),
+                         _exponents(seed), _COEFF)
+    low = 0 if pointed_only else -1
+    terms = st.dictionaries(st.tuples(*[st.integers(low, 2)] * k), _GAPPED,
+                            min_size=1, max_size=4)
+    if pointed_only:
+        terms = terms.map(lambda t: {**t, (0,) * k: VCoeff.one()})
+    return st.builds(oracles.DictForm, _exponents(seed), terms)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ArithmeticError or
+    RuntimeError it raised."""
+    try:
+        return f(*args)
+    except (ArithmeticError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_packed_products_match_the_dict_kernel(data, normalize):
+    # general loop and one-term fast path, normalized or not: the product,
+    # unpacked, is the dict kernel's, or both refuse a non-unit n = 0
+    seed = data.draw(_ANY_SEED)
+    a, b = (data.draw(st.one_of(_dict_forms(seed), _dict_forms(seed, pointed_only=True),
+                                _dict_forms(seed, one_term=True))) for _ in range(2))
+    want = _outcome(oracles.dict_mul, seed, a, b, normalize)
+    event("product" if isinstance(want, oracles.DictForm) else want[0].__name__)
+    got = _outcome(pointed.mul, seed, a.packed(), b.packed(), normalize)
+    if isinstance(want, oracles.DictForm):
+        assert oracles.DictForm.of(got) == want
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_packed_division_matches_the_dict_kernel(data, stray):
+    # a product divided back, and one with a stray term that may make it
+    # no multiple: the same quotient or the same refusal
+    seed = data.draw(_ANY_SEED)
+    q = data.draw(_dict_forms(seed))
+    d = data.draw(_dict_forms(seed, pointed_only=True))
+    num = oracles.dict_mul(seed, q, d)
+    if stray:
+        extra = data.draw(_dict_forms(seed, one_term=True))
+        num = oracles.DictForm(num.g, {**num.terms, (1,) * len(seed.unfrozen): extra.terms[
+            (0,) * len(seed.unfrozen)]})
+    want = _outcome(oracles.dict_divide, seed, num, d)
+    event("quotient" if isinstance(want, oracles.DictForm) else want[0].__name__)
+    got = _outcome(pointed.divide, seed, num.packed(), d.packed())
+    if isinstance(want, oracles.DictForm):
+        assert oracles.DictForm.of(got) == want
+        assert stray or want == q
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_sums_match_the_dict_kernel(data):
+    # b based at a.g + B n, n >= 0; a sum may cancel at one n or to zero
+    seed = data.draw(_ANY_SEED)
+    a, b = data.draw(_dict_forms(seed)), data.draw(_dict_forms(seed))
+    n = data.draw(_steps(seed))
+    b = oracles.DictForm(vec_add(a.g, mat_vec(seed.B, n)), b.terms)
+    cancel = data.draw(st.sampled_from(("none", "one", "all")))
+    if cancel == "one":
+        m = data.draw(st.sampled_from(sorted(b.terms)))
+        a = oracles.DictForm(a.g, {**a.terms, vec_add(n, m): -b.terms[m]})
+    elif cancel == "all":
+        b = oracles.DictForm(a.g, {m: -c for m, c in a.terms.items()})
+    for x, y in ((a, b), (b, a)):
+        got = pointed.add(seed, x.packed(), y.packed())
+        assert oracles.DictForm.of(got) == oracles.dict_add(seed, x, y)
+        assert cancel != "all" or not got
+
+
+class _Family:
+    """X^g times one tail F(Y) at every key g, 1 at n = 0, the missing
+    keys none; packed or as DictForms."""
+
+    def __init__(self, tail, missing, packed):
+        self.tail = tail
+        self.missing = missing
+        self.packed = packed
+
+    def get(self, g):
+        if g in self.missing:
+            return None
+        z = oracles.DictForm(g, self.tail)
+        return z.packed() if self.packed else z
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans())
+def test_packed_decompose_matches_the_dict_kernel(data, largest_first):
+    # the residual, packed and updated in place, takes the dict kernel's
+    # steps: the same terms, status and reason, exact ones cancelling to
+    # zero. z is 1 at n = 0 plus family members at n >= 0 (the first one
+    # cancels it there when the tail is 1 alone), and maybe one stray term
+    seed = data.draw(_ANY_SEED)
+    k = len(seed.unfrozen)
+    steps = st.tuples(*[st.integers(0, 1)] * k).filter(any)
+    tail = {(0,) * k: VCoeff.one(), **data.draw(st.dictionaries(steps, _GAPPED, max_size=2))}
+    terms = {}
+    for n, c in [((0,) * k, VCoeff.one())] + data.draw(st.lists(st.tuples(_steps(seed), _GAPPED),
+                                                                 max_size=3)):
+        for m, t in tail.items():
+            key = vec_add(n, m)
+            terms[key] = terms.get(key, VCoeff.zero()) + c * t
+    if data.draw(st.sampled_from((False, False, True))):
+        terms[data.draw(st.tuples(*[st.integers(-1, 2)] * k))] = data.draw(_GAPPED)
+    z = oracles.DictForm(data.draw(_exponents(seed)), terms)
+    keys = [vec_add(z.g, mat_vec(seed.B, n)) for n in z.terms]
+    missing = set(data.draw(st.lists(st.sampled_from(keys), max_size=1))) if keys else set()
+    box = data.draw(st.sampled_from(((4,) * k, (4,) * k, (1,) * k, None)))
+    tie_break = (lambda keys: keys[-1]) if largest_first else None
+    want = oracles.dict_decompose(seed, z, _Family(tail, missing, False), box, tie_break)
+    event(want.status if want.is_exact else want.reason.split(" ")[0])
+    got = decompose(seed, z.packed(), _Family(tail, missing, True), box, tie_break)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(-5, 5), st.booleans())
+def test_packed_bar_shift_and_equality_match_the_dict_forms(data, e, symmetric):
+    # bar reverses each coefficient's digits, a v-shift moves lo, and
+    # equality is structural: each against the unpacked form
+    seed = data.draw(_ANY_SEED)
+    x, y = data.draw(_dict_forms(seed)), data.draw(_dict_forms(seed))
+    if symmetric:
+        x = oracles.DictForm(x.g, {n: c + c.bar() for n, c in x.terms.items()})
+    packed = x.packed()
+    assert oracles.DictForm.of(packed) == x
+    assert oracles.DictForm.of(packed.vshift(e)) == x.vshift(e)
+    assert oracles.DictForm.of(packed.bar()) == x.bar()
+    assert packed.bar().bar() == packed
+    assert packed.is_bar_invariant() == (x.bar() == x) == (packed.bar() == packed)
+    assert (packed == y.packed()) == (x == y)
+    assert (packed.vshift(e) == packed) == (e == 0 or not x)
+
+
+_HALF = 1 << (pointed.K_BITS - 1)
+_DIGIT = st.one_of(st.integers(-9, 9), st.integers(-_HALF + 1, _HALF - 1)).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(-40, 40), _DIGIT, min_size=1, max_size=6).map(VCoeff))
+def test_packing_round_trips(c):
+    # any digits below the bound, gaps and negative exponents: the lowest
+    # digit is kept nonzero, and unpacking gives the coefficient back
+    lo, z = pointed.pack(c)
+    assert lo == min(c._c) and z % (1 << pointed.K_BITS)
+    assert pointed.unpack((lo, z)) == c
+    x = NForm.of((0, 0), {(0, 1): c})
+    assert x.coeffs() == {(0, 1): c}
+    assert (x.l1, x.max_l1) == (sum(map(abs, c._c.values())),) * 2
+
+
+# -- the overflow guard --
+
+def test_a_coefficient_past_the_digit_bound_is_refused():
+    for x in (_HALF, -_HALF, 2 * _HALF):
+        with pytest.raises(pointed.CoefficientOverflow):
+            pointed.pack(VCoeff({0: 1, 3: x}))
+
+
+@pytest.mark.parametrize("lone", [False, True], ids=["general", "one-term"])
+def test_a_product_past_the_bound_raises_and_returns_nothing(a2_seed, lone):
+    # 2^(K/2) squared is 2^K: one digit, summed as it is, would carry into
+    # the next and the product would read 2^K as v; the guard refuses it
+    # before any sum, on the general loop and on the one-term fast path
+    big = VCoeff({0: 1 << (pointed.K_BITS // 2)})
+    n = (0, 0) if lone else (1, 0)
+    a = NForm.of((0, 0), {n: big})
+    b = NForm.of((0, 0), {(0, 0): VCoeff.one(), (1, 0): big})
+    got = []
+    with pytest.raises(pointed.CoefficientOverflow, match=f"{pointed.K_BITS}-bit digits"):
+        got.append(pointed.mul(a2_seed, a, b))
+    assert got == []
+    with pytest.raises(pointed.CoefficientOverflow):
+        got.append(pointed.add(a2_seed, NForm.of((0, 0), {(0, 0): VCoeff({0: _HALF // 2})}),
+                               NForm.of((0, 0), {(0, 0): VCoeff({0: _HALF // 2})})))
+    assert got == []
+    # at the bound's last digit, the product is exact
+    top = {n: VCoeff({0: _HALF - 1}), (0, 1): VCoeff({3: 1 - _HALF})}
+    exact = pointed.mul(a2_seed, NForm.monomial((1, 0), 2), NForm.of((0, 0), top))
+    assert oracles.DictForm.of(exact) == oracles.dict_mul(
+        a2_seed, oracles.DictForm((1, 0), {(0, 0): VCoeff.one()}), oracles.DictForm((0, 0), top))
+
+
+def test_a_decomposition_past_the_bound_raises(a2_seed):
+    # each step adds at most its coefficient's l1 times the element's
+    # max_l1 to a residual digit: past the bound the step is refused
+    big = VCoeff({0: 1 << (pointed.K_BITS // 2)})
+    z = NForm.of((0, 0), {(0, 0): big})
+    family = _Family({(0, 0): VCoeff.one(), (1, 0): big}, (), True)
+    with pytest.raises(pointed.CoefficientOverflow):
+        decompose(a2_seed, z, family, (2, 2))
