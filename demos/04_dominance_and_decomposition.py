@@ -6,8 +6,9 @@ element is pointed/copointed when the extremal coefficient is 1.
 A pointed element is X^g F(Y): its exponents are g + B n with n >= 0,
 and in those n-coordinates (an NForm) its degree is the base g, and
 twisted products need no dominance test. The exchange graph keeps every
-variable as an NForm. Decomposition peels a pointed n-form against
-degree-keyed basis elements inside a finite window, a box of n.
+variable as an NForm. Decomposition peels a pointed n-form against the
+basis elements a lookup returns by degree (here a dict's get) inside a
+finite window, a box of n.
 """
 from qcluster import (
     NForm,
@@ -45,7 +46,7 @@ basis = {
     (0, 0): NForm.monomial((0, 0), 2),
     (1, -1): graph.distinct_variables()[(1, -1)],
 }
-dec = decompose(a2, prod, basis, dominance_n(a2, (-1, 0), prod.g))
+dec = decompose(a2, prod, basis.get, dominance_n(a2, (-1, 0), prod.g))
 print("decomposition terms:")
 for g, c in dec.terms:
     print(f"  degree {g}: coefficient {c}")

@@ -53,16 +53,17 @@ def load_seed(path):
         raise UsageError(f"seed file is not valid JSON: {exc}")
     try:
         n = _integer(data["n"])
-        unfrozen = tuple(_integer(k) - 1 for k in data.get("unfrozen", range(1, n + 1)))
         b = tuple(tuple(_integer(x) for x in row) for row in data["B"])
+        if len(b) != n:
+            # before the default unfrozen range, which n alone would size
+            raise UsageError(f"B has {len(b)} rows, expected n = {n}")
+        unfrozen = tuple(_integer(k) - 1 for k in data.get("unfrozen", range(1, n + 1)))
         lam = data.get("Lambda")
         lam = None if lam is None else tuple(tuple(_integer(x) for x in row) for row in lam)
         d = data.get("D")
         d = None if d is None else tuple(_integer(x) for x in d)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"seed file field error: {exc}")
-    if len(b) != n:
-        raise UsageError(f"B has {len(b)} rows, expected n = {n}")
     try:
         return make_seed(b, lam, unfrozen, d), lam is None
     except IncompatiblePair as exc:

@@ -8,8 +8,8 @@ node's cone (g-vectors and F-polynomial tops add over a cluster
 monomial's factors), so the keys of an exponent box up to a cap come
 from two integer maps per node, without an expansion, and a provenance
 names its element's degree in any torus, psi_matrix applied to m. Every
-element in every torus (a sweep key, a point of the lazy window_set view
-that decompose keeps inside its dominance window, verify_pair's V, an
+element in every torus (a sweep key, a key decompose reads through the
+window_set lookup inside its dominance window, verify_pair's V, an
 element of a triangularity sweep) is looked up by (co)degree through one
 resolver, which alone expands cluster monomials, and whose records are
 the only elements kept, each until forget drops its torus from every
@@ -52,9 +52,13 @@ unimodular, every edge's new variable lies strictly across the wall
 interior point of the torus's own cone lies in no other cone. A failed
 certificate, or a walk longer than the node count, is an internal
 error, never a fallback to trying every node. The resolver keeps one
-record per (torus, key, side), with the element's codegree read off the
-n-form its degree was checked on; codegree columns and windows are read
-off the records, so no element is measured twice.
+record per (torus, key, side), ((home, m), element, codegree, the
+codegree's n), the codegree read off the n-form its degree was checked
+on. Each caller reads a key's record once and takes from it all it needs
+(verify_pair V's element, codegree and n, each decomposition term's
+codegree and bar flag; check_triangular an element and its box; the
+codegree columns their variables' codegrees), so no element is measured
+twice.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -72,6 +76,7 @@ each of which must equal its bar (see verify_pair).
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from itertools import groupby, product
 
 from . import _linalg, pointed
@@ -143,7 +148,6 @@ class CandidateBasis:
             for k in graph.reference.unfrozen:
                 if (key, k) not in self._walls:
                     raise RuntimeError(f"fan certificate fails: node {key} has no wall {k}")
-        self._certify(graph.order[0], False)
         self._enumerate()
 
     def _enumerate(self):
@@ -155,7 +159,8 @@ class CandidateBasis:
         factors' co_n terms alone at their sum, with a nonzero
         coefficient (frozen factors are plain monomials). by_degree keeps
         the first (node, m) per degree g, by_codegree maps each codegree
-        to its g, and a second g at one codegree is a conflict."""
+        to its g, and a second g at one codegree is a conflict. The first
+        codegree read walks t0's degree fan, and so certifies it."""
         t0 = self.graph.order[0]
         for key in self.graph.order:
             seed = self.graph.nodes[key].seed
@@ -182,7 +187,7 @@ class CandidateBasis:
         degs = tuple(x.g for x in self.graph.vars_in(home_key, torus_key))
         if not co:
             return degs
-        etas = tuple(self.codegree_at(torus_key, d) for d in degs)
+        etas = tuple(rec and rec[2] for rec in (self._resolve(torus_key, d, False) for d in degs))
         if None in etas:
             raise RuntimeError(f"variable at degree {degs[etas.index(None)]} of node "
                                f"{home_key} has no codegree in torus {torus_key}")
@@ -323,29 +328,26 @@ class CandidateBasis:
         hit = self._resolve(torus_key, tuple(eta), co=True)
         return None if hit is None else hit[1]
 
-    def codegree_at(self, torus_key, g):
-        """Codegree in the torus of the element keyed at degree g there,
-        or None when there is none or it is not copointed; read off the
-        element's record."""
-        hit = self._resolve(torus_key, tuple(g), co=False)
-        return None if hit is None else hit[2]
+    def window_set(self, torus_key, co=False):
+        """The lookup decompose reads the elements keyed in one torus by.
 
-    def codegree_n_at(self, torus_key, g):
-        """The n with codegree_at(torus_key, g) = g + B n, read off the
-        same record, or None."""
-        hit = self._resolve(torus_key, tuple(g), co=False)
-        return None if hit is None else hit[3]
-
-    def window_set(self, torus_key, co=False) -> WindowView:
-        """The elements keyed in one torus, as a lazy view for decompose.
-
-        Nothing is resolved here: the view's get(g) resolves g on the spot
-        (by codegree when co, in the opposite seed's n-coordinates), so
+        Nothing is resolved here: the lookup resolves g on the spot, so
         only the keys a decomposition or a codegree lookup reaches are
-        ever resolved. The view does not test the window: decompose's
-        n-box test keeps every lookup inside it.
+        ever resolved. On the degree side it is element_at_degree bound
+        to the torus; when co, it reads each element from its codegree in
+        the opposite seed (NForm.opposite), so that it is based at its key
+        there. The lookup does not test the window: decompose's n-box
+        test keeps every lookup inside it.
         """
-        return WindowView(self, torus_key, co)
+        if not co:
+            return partial(self.element_at_degree, torus_key)
+        seed = self.graph.nodes[torus_key].seed
+
+        def at_codegree(eta):
+            elem = self.element_at_codegree(torus_key, eta)
+            return None if elem is None else elem.opposite(seed)
+
+        return at_codegree
 
     def forget(self, torus_key):
         """Leave the torus: drop its inverse maps, records and last walk
@@ -355,29 +357,6 @@ class CandidateBasis:
             for store in (self._inv, self._resolved, self._last_home):
                 store.pop((torus_key, side), None)
         self.graph.forget(torus_key)
-
-
-class WindowView:
-    """Degree- (or codegree-) keyed basis elements of one torus, resolved
-    on lookup; decompose reads it through get, like a dict. When co, in
-    the opposite seed, each element is read from its codegree
-    (NForm.opposite), so that it is based at its key there. Compares by
-    identity; immutable by convention."""
-
-    __slots__ = ("basis", "torus_key", "co")
-
-    def __init__(self, basis: CandidateBasis, torus_key, co=False):
-        self.basis = basis
-        self.torus_key = torus_key
-        self.co = co
-
-    def get(self, g):
-        if not self.co:
-            return self.basis.element_at_degree(self.torus_key, g)
-        elem = self.basis.element_at_codegree(self.torus_key, g)
-        if elem is None:
-            return None
-        return elem.opposite(self.basis.graph.nodes[self.torus_key].seed)
 
 
 class TriangularReport:
@@ -415,19 +394,18 @@ def check_triangular(basis: CandidateBasis, t_key, co=False) -> TriangularReport
     graph = basis.graph
     t_seed = graph.nodes[t_key].seed
     seed = opposite_seed(t_seed) if co else t_seed
-    pset = basis.window_set(t_key, co=co)
+    lookup = basis.window_set(t_key, co=co)
     report = TriangularReport()
     for g_ref in basis.degree_keys():
         home, m = basis.by_degree[g_ref]
         g = _linalg.mat_vec(psi_matrix(graph, home, t_key), m)
-        elem = basis.element_at_degree(t_key, g)
-        box = elem.co_n()
+        _, elem, _, box = basis._resolve(t_key, g, False)
         if co:
             elem = elem.opposite(t_seed)
         for i in range(seed.n):
             prod = pointed.mul(seed, NForm.monomial(unit_vec(seed.n, i), len(seed.unfrozen)),
                                elem, normalize=True)
-            decomp = pointed.decompose(seed, prod, pset, box)
+            decomp = pointed.decompose(seed, prod, lookup, box)
             label = (tuple(g_ref), i)
             if not decomp.is_exact:
                 report.indeterminates.append((label, decomp.reason))
@@ -492,16 +470,16 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
     r_m = tuple(r_m)
     r_spec = (r_home, r_m)
     gamma = _linalg.mat_vec(psi_matrix(graph, v_home, r_home), v_m)
-    z_v = basis.element_at_degree(r_home, gamma)
-    eta = None if z_v is None else basis.codegree_at(r_home, gamma)
-    if eta is None:
+    hit = basis._resolve(r_home, gamma, False)
+    if hit is None or hit[2] is None:
         return LeclercVerdict(
             case="indeterminate", r_spec=r_spec, v_degree=(),
             reason="factor V is not bipointed in the working torus",
         )
-    # the n of V's codegree below its degree, read off V's record: the
-    # window's box, and where the product's bottom coefficient sits
-    n_v = basis.codegree_n_at(r_home, gamma)
+    # V's record: its element, its codegree, and the n of that codegree
+    # below its degree, the window's box and where the product's bottom
+    # coefficient sits
+    _, z_v, eta, n_v = hit
     prod = pointed.mul(t_seed, NForm.monomial(r_m, len(t_seed.unfrozen)), z_v)
     top = vec_add(r_m, gamma)
     bottom = vec_add(r_m, eta)
@@ -512,9 +490,7 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
             (0,) * len(t_seed.unfrozen)) == pointed.v_power(s),
         "h_matches_lambda": prod.terms.get(n_v) == pointed.v_power(h),
     }
-    pset = basis.window_set(r_home)
-    normalized = prod.vshift(-s)
-    decomp = pointed.decompose(t_seed, normalized, pset, n_v)
+    decomp = pointed.decompose(t_seed, prod.vshift(-s), basis.window_set(r_home), n_v)
     if not decomp.is_exact:
         return LeclercVerdict(
             case="indeterminate", r_spec=r_spec, v_degree=gamma,
@@ -530,13 +506,12 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
         )
     # two-tailed case: identify the head term by the codegree of its element
     checks["s_gt_h"] = s > h
-    if n_v is not None:
-        b_n = _linalg.mat_vec(t_seed.B, n_v)
-        checks["s_minus_h_matches_b_n"] = s - h == -t_seed.lam(r_m, b_n)
+    checks["s_minus_h_matches_b_n"] = s - h == -t_seed.lam(r_m, _linalg.mat_vec(t_seed.B, n_v))
     head = None
     mids = []
-    codeg_of = {g: basis.codegree_at(r_home, g) for g, _ in decomp.terms}
-    heads = [g for g, _ in decomp.terms if codeg_of[g] == bottom]
+    # each term's record, read once: its codegree and its element's bar flag
+    record = {g: basis._resolve(r_home, g, False) for g, _ in decomp.terms}
+    heads = [g for g, _ in decomp.terms if record[g][2] == bottom]
     checks["unique_head"] = len(heads) == 1
     if len(heads) == 1:
         head = heads[0]
@@ -558,12 +533,12 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
         p_bottom = dom.project(bottom)
         checks["codeg_dominance"] = all(
             g == head
-            or (codeg_of[g] != bottom
-                and dom.n_between(p_bottom, dom.project(codeg_of[g])) is not None)
+            or (record[g][2] != bottom
+                and dom.n_between(p_bottom, dom.project(record[g][2])) is not None)
             for g, _ in decomp.terms
         )
     checks["coeff_window"] = all(c.in_window(h + 1, s - 1) for _, c in mids)
-    checks["bar_consistency"] = all(pset.get(g).is_bar_invariant() for g, _ in decomp.terms)
+    checks["bar_consistency"] = all(rec[1].is_bar_invariant() for rec in record.values())
     _record_n_criterion(checks, t_seed, r_m, n_v, in_basis=False)
     return LeclercVerdict(
         case="two_tail", r_spec=r_spec, v_degree=gamma,
@@ -575,9 +550,6 @@ def _record_n_criterion(checks, t_seed, r_m, n_v, in_basis):
     """For a single-variable R, landing in the basis must match n_i = 0."""
     ones = [i for i, x in enumerate(r_m) if x != 0]
     if len(ones) != 1 or r_m[ones[0]] != 1 or ones[0] not in t_seed.unfrozen:
-        return
-    if n_v is None:
-        checks["in_basis_iff_n_zero"] = False
         return
     ni = n_v[t_seed.col(ones[0])]
     checks["in_basis_iff_n_zero"] = in_basis == (ni == 0)

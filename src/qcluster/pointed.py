@@ -70,8 +70,8 @@ is negative and n = 0 is a term, and its codegree is g + B n_max when
 the componentwise-largest n_max is a term. expand reads g + B n back, the
 one way from an NForm to a torus element.
 
-decompose() peels an NForm against a degree-keyed set of pointed
-NForms, greedily eliminating a maximal support degree per step. Its
+decompose() peels an NForm against the pointed NForms a lookup returns
+by degree, greedily eliminating a maximal support degree per step. Its
 residual is keyed by n below the window's top: g' <= g iff
 n(g') >= n(g) componentwise, so the maximal terms are the Pareto-minimal
 n, and the window is the box 0 <= n <= n(window bottom). The residual
@@ -556,7 +556,8 @@ def divide(seed, num, d):
     units, db = _pairing_data(seed)
     d_q = tuple(k * g[u] for u, k in units)
     d_d = tuple(k * d.g[u] for u, k in units)
-    right = [(n2, e2 - sum(map(_times, d_q, n2)), z2, tuple(sum(map(_times, row, n2)) for row in db))
+    right = [(n2, e2 - sum(map(_times, d_q, n2)), z2,
+              tuple(sum(map(_times, row, n2)) for row in db))
              for n2, (e2, z2) in d.terms.items() if any(n2)]
     shift = seed.lam(g, d.g)
     q = {}
@@ -613,13 +614,14 @@ def _maximal_support(ns):
     return minima
 
 
-def decompose(seed, z, basis, box, tie_break=None):
+def decompose(seed, z, lookup, box, tie_break=None):
     """Unitriangular expansion of the NForm z over degree-keyed pointed
     NForms.
 
     z's degree z.g is the window's top, and box the n of its bottom
-    below the top (None for an empty window). basis is any mapping whose
-    get(g) returns the NForm keyed, and based, at exponent g, or None.
+    below the top (None for an empty window). lookup(g) returns the
+    NForm keyed, and based, at exponent g, or None: a dict's get, or
+    what CandidateBasis.window_set returns.
     Greedy elimination from the top: each step removes one maximal
     support term, a Pareto-minimal n, which must lie in the box
     0 <= n <= box and whose exponent z.g + B n must carry a basis
@@ -651,7 +653,7 @@ def decompose(seed, z, basis, box, tie_break=None):
                 terms=terms, status="indeterminate",
                 reason=f"support degree {g} escapes the window",
             )
-        elem = basis.get(g)
+        elem = lookup(g)
         if elem is None:
             return Decomposition(
                 terms=terms, status="indeterminate",

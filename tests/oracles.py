@@ -371,7 +371,7 @@ def eager_window(basis, torus_key, window, co=False):
     Returns {key: element} over the points of [window.codeg, window.deg]
     that resolve to a basis element, looked up by degree (by codegree
     when co, read from its codegree). This is the dict
-    CandidateBasis.window_set materialized before its lookups became lazy.
+    CandidateBasis.window_set's lookup materialized before it became lazy.
     """
     seed = basis.graph.nodes[torus_key].seed
     lookup = basis.element_at_codegree if co else basis.element_at_degree
@@ -435,11 +435,11 @@ def direct_codegree(seed, z):
     return lows[0] if len(lows) == 1 else None
 
 
-def _pairwise_decompose(seed, z, basis, window, tie_break, extremes):
+def _pairwise_decompose(seed, z, lookup, window, tie_break, extremes):
     """Greedy elimination by pairwise scans: each step removes one of the
     extremes(seed, support) exponents, which must stay inside
     [window.codeg, window.deg] (two dominance tests) and carry a basis
-    element; ties break to the lexicographically smallest (or to
+    element, lookup(g); ties break to the lexicographically smallest (or to
     tie_break)."""
     terms = []
     r = z
@@ -453,7 +453,7 @@ def _pairwise_decompose(seed, z, basis, window, tie_break, extremes):
             return pointed.Decomposition(
                 terms=terms, status="indeterminate",
                 reason=f"support degree {g} escapes the window")
-        elem = basis.get(g)
+        elem = lookup(g)
         if elem is None:
             return pointed.Decomposition(
                 terms=terms, status="indeterminate",
@@ -465,15 +465,15 @@ def _pairwise_decompose(seed, z, basis, window, tie_break, extremes):
         terms=terms, status="indeterminate", reason="iteration cap hit")
 
 
-def direct_decompose(seed, z, basis, window, tie_break=None):
+def direct_decompose(seed, z, lookup, window, tie_break=None):
     """Reference decomposition from the top, by pairwise dominance scans
     (the elimination loop before it moved to n-coordinates)."""
-    return _pairwise_decompose(seed, z, basis, window, tie_break, maximal_support)
+    return _pairwise_decompose(seed, z, lookup, window, tie_break, maximal_support)
 
 
-def direct_decompose_co(seed, z, basis, window, tie_break=None):
+def direct_decompose_co(seed, z, lookup, window, tie_break=None):
     """Reference co-decomposition, scanned from the bottom in seed itself."""
-    return _pairwise_decompose(seed, z, basis, window, tie_break, minimal_support)
+    return _pairwise_decompose(seed, z, lookup, window, tie_break, minimal_support)
 
 
 def direct_trop_codeg(seed, k, g):
@@ -644,12 +644,13 @@ def scan_resolve(basis, torus_key, g, co):
     return found, conflicts
 
 
-def recompose(decomp, basis, dim, seed=None):
-    """Sum coefficient * basis element; the inverse of decompose. With a
-    seed, the elements are NForms of it, expanded first."""
+def recompose(decomp, lookup, dim, seed=None):
+    """Sum coefficient * basis element lookup(g); the inverse of
+    decompose. With a seed, the elements are NForms of it, expanded
+    first."""
     acc = QTElem.zero(dim)
     for g, c in decomp.terms:
-        elem = basis.get(g)
+        elem = lookup(g)
         acc = acc + (elem if seed is None else elem.expand(seed)).scale(c)
     return acc
 
@@ -705,9 +706,9 @@ def _exponent_maximal_support(dom, supp, proj, n_of):
     return out
 
 
-def subtracting_decompose(seed, z, basis, window, tie_break=None):
-    """The exponent-space decomposition of a torus element over
-    degree-keyed torus elements, with a new QTElem residual r - c *
+def subtracting_decompose(seed, z, lookup, window, tie_break=None):
+    """The exponent-space decomposition of a torus element over the torus
+    elements lookup(g) returns by degree, with a new QTElem residual r - c *
     element per step: each support exponent projected once, its n below
     window.deg taken from the projection, a pivot inside the window iff
     its n lies in the box up to window.codeg's n."""
@@ -733,7 +734,7 @@ def subtracting_decompose(seed, z, basis, window, tie_break=None):
                 terms=terms, status="indeterminate",
                 reason=f"support degree {g} escapes the window",
             )
-        elem = basis.get(g)
+        elem = lookup(g)
         if elem is None:
             return pointed.Decomposition(
                 terms=terms, status="indeterminate",
@@ -746,32 +747,30 @@ def subtracting_decompose(seed, z, basis, window, tie_break=None):
                                  reason="iteration cap hit")
 
 
-class NFormBasis:
-    """A degree-keyed basis read in n-coordinates: each torus element
-    below its key, an NForm (a window view's) as it is."""
+def nform_lookup(seed, lookup):
+    """A degree-keyed lookup read in n-coordinates: each torus element
+    below its key, an NForm (a window_set lookup's) as it is."""
 
-    def __init__(self, seed, basis):
-        self.seed = seed
-        self.basis = basis
-
-    def get(self, g):
-        elem = self.basis.get(g)
+    def get(g):
+        elem = lookup(g)
         if elem is None or isinstance(elem, pointed.NForm):
             return elem
-        return to_nform(self.seed, elem, g)
+        return to_nform(seed, elem, g)
+
+    return get
 
 
-def n_form_decompose(seed, z, basis, window, tie_break=None):
+def n_form_decompose(seed, z, lookup, window, tie_break=None):
     """pointed.decompose on the inputs of the exponent-space references: z
-    in n-coordinates below window.deg, the basis read by NFormBasis, and
-    the box up to window.codeg's n. None when z has an exponent off
+    in n-coordinates below window.deg, the lookup read by nform_lookup,
+    and the box up to window.codeg's n. None when z has an exponent off
     window.deg + B Z^k, which no n-form holds."""
     try:
         zn = to_nform(seed, z, window.deg)
     except ValueError:
         return None
     box = pointed.dominance_n(seed, window.codeg, window.deg)
-    return pointed.decompose(seed, zn, NFormBasis(seed, basis), box, tie_break)
+    return pointed.decompose(seed, zn, nform_lookup(seed, lookup), box, tie_break)
 
 
 def bar_decomposition_consistency(basis, r_home, r_m, verdict):
@@ -780,12 +779,12 @@ def bar_decomposition_consistency(basis, r_home, r_m, verdict):
     is exact and expands to the barred coefficients of v^-s R V."""
     t_seed = basis.graph.nodes[r_home].seed
     gamma = verdict.v_degree
-    box = pointed.dominance_n(t_seed, basis.codegree_at(r_home, gamma), gamma)
+    box = pointed.dominance_n(t_seed, basis._resolve(r_home, gamma, False)[2], gamma)
     prod = pointed.mul(t_seed, pointed.NForm.monomial(r_m, len(t_seed.unfrozen)),
                        basis.element_at_degree(r_home, gamma))
-    pset = basis.window_set(r_home)
-    decomp = pointed.decompose(t_seed, prod.vshift(-verdict.s), pset, box)
-    bar_decomp = pointed.decompose(t_seed, prod.bar().vshift(verdict.s), pset, box)
+    lookup = basis.window_set(r_home)
+    decomp = pointed.decompose(t_seed, prod.vshift(-verdict.s), lookup, box)
+    bar_decomp = pointed.decompose(t_seed, prod.bar().vshift(verdict.s), lookup, box)
     return bar_decomp.is_exact and sorted(
         (g, c.bar()) for g, c in decomp.terms) == sorted(bar_decomp.terms)
 
@@ -990,10 +989,10 @@ def dict_divide(seed, num, d):
     return DictForm(g, q)
 
 
-def dict_decompose(seed, z, basis, box, tie_break=None):
-    """pointed.decompose on a DictForm over a basis of DictForms: the
-    residual one {n: {v-exponent: int}} dict, each step's pivot its
-    Pareto-minimal n of least exponent."""
+def dict_decompose(seed, z, lookup, box, tie_break=None):
+    """pointed.decompose on a DictForm over the DictForms lookup(g)
+    returns: the residual one {n: {v-exponent: int}} dict, each step's
+    pivot its Pareto-minimal n of least exponent."""
     r = {n: dict(c._c) for n, c in z.terms.items()}
     terms = []
     for _ in range(pointed.DECOMPOSE_ITERATION_CAP):
@@ -1007,7 +1006,7 @@ def dict_decompose(seed, z, basis, box, tie_break=None):
         if box is None or min(n, default=0) < 0 or any(a > b for a, b in zip(n, box)):
             return pointed.Decomposition(terms=terms, status="indeterminate",
                                          reason=f"support degree {g} escapes the window")
-        elem = basis.get(g)
+        elem = lookup(g)
         if elem is None:
             return pointed.Decomposition(terms=terms, status="indeterminate",
                                          reason=f"no basis element keyed at {g}")

@@ -109,6 +109,27 @@ def test_check_d_of_the_wrong_length_is_named_so(tmp_path, capsys, with_lambda):
     assert "positive diagonal" not in err
 
 
+def test_a_huge_n_with_too_few_rows_is_a_usage_error_at_once(tmp_path):
+    # the row count is checked before the default unfrozen range, which
+    # n alone would size: under 256 MiB of address space, n = 10^12 with
+    # one row of B is refused (exit 2), not run out of memory (exit 3)
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge-n.json"
+    path.write_text('{"n": 1000000000000, "B": [[0]]}')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    limit = 256 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "qcluster.cli", "check", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "B has 1 rows, expected n = 1000000000000" in proc.stderr
+
+
 def test_the_cli_imports_no_code_generation_or_exact_decimals():
     # in a fresh interpreter, since pytest itself loads these modules;
     # -S keeps site-packages' start-up hooks out of the count

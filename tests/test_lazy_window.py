@@ -53,7 +53,7 @@ def _assert_view_matches_eager(basis, windows, co):
         view = basis.window_set(torus_key, co=co)
         eager = oracles.eager_window(basis, torus_key, window, co=co)
         for g in pointed.interval(seed, window.codeg, window.deg):
-            assert view.get(g) == eager.get(g), (torus_key, window, g)
+            assert view(g) == eager.get(g), (torus_key, window, g)
             points += 1
         # decompose keeps the view inside the window: one step above the
         # top and one step below the bottom escape it
@@ -88,8 +88,8 @@ def test_outside_points_resolve_yet_stay_hidden(a2_graph):
     window = Bidegree(deg=(1, -1), codeg=(0, -1))
     above = vec_sub(window.deg, next(zip(*seed.B)))
     view = basis.window_set(t0)
-    assert view.get(above) is not None
-    _assert_escapes(seed, view.get(above).expand(seed), above, view, window, co=False)
+    assert view(above) is not None
+    _assert_escapes(seed, view(above).expand(seed), above, view, window, co=False)
 
 
 def test_integer_inverse_maps_a3(a3_graph):

@@ -299,7 +299,7 @@ def test_verify_pair_v_not_found_is_indeterminate(a2_graph, monkeypatch):
     basis = CandidateBasis(a2_graph, unfrozen_cap=1)
     t0 = a2_graph.order[0]
     v_home, v_m = _prov_at_degree(basis, (1, 0))
-    monkeypatch.setattr(basis, "element_at_degree", lambda torus_key, g: None)
+    monkeypatch.setattr(basis, "_resolve", lambda torus_key, g, co: None)
     v = verify_pair(basis, t0, (1, 0), v_home, v_m)
     assert v.case == "indeterminate" and not v.passed
     assert v.reason == "factor V is not bipointed in the working torus"
@@ -536,21 +536,46 @@ def test_v_codegree_n_is_read_off_its_record(name, monkeypatch):
     make, cap, window = LADDER[name]
     basis = CandidateBasis(build_exchange_graph(make()), unfrozen_cap=cap,
                            frozen_window=window)
-    seen = []
-    real = basis.codegree_n_at
+    seen = set()
+    real = basis._resolve
 
-    def checked(torus_key, g):
-        n = real(torus_key, g)
-        seed = basis.graph.nodes[torus_key].seed
-        assert n == dominance_n(seed, basis.codegree_at(torus_key, g), g) is not None
-        assert n == basis.element_at_degree(torus_key, g).co_n()
-        seen.append(n)
-        return n
+    def checked(torus_key, g, co):
+        record = real(torus_key, g, co)
+        if not co and record is not None and record[2] is not None:
+            _, elem, eta, n = record
+            seed = basis.graph.nodes[torus_key].seed
+            assert n == dominance_n(seed, eta, g) is not None
+            assert n == elem.co_n()
+            seen.add((torus_key, g))
+        return record
 
-    monkeypatch.setattr(basis, "codegree_n_at", checked)
+    monkeypatch.setattr(basis, "_resolve", checked)
     report = verify_theorem(basis)
     assert report.ok
-    assert len(seen) == sum(v.v_degree != () for v in report.verdicts) == len(report.verdicts)
+    assert all((v.r_spec[0], v.v_degree) in seen for v in report.verdicts)
+    assert sum(v.v_degree != () for v in report.verdicts) == len(report.verdicts)
+
+
+def test_verify_pair_reads_each_record_once(a3_graph, monkeypatch):
+    # V's element, codegree and n come from one read of V's record, and
+    # each decomposition term's codegree and bar flag from one read of its
+    # own, next to the read decompose's lookup makes
+    basis = CandidateBasis(a3_graph, unfrozen_cap=1)
+    (r_home, r_m), v_spec, v = _first_two_tail(basis)
+    reads = Counter()
+    real = basis._resolve
+
+    def counted(torus_key, g, co):
+        reads[(torus_key, g, co)] += 1
+        return real(torus_key, g, co)
+
+    monkeypatch.setattr(basis, "_resolve", counted)
+    assert verify_pair(basis, r_home, r_m, *v_spec) == v
+    assert v.case == "two_tail" and v.H is not None
+    assert reads[(r_home, v.v_degree, False)] == 1
+    terms = [v.S, v.H] + [g for g, _ in v.middle]
+    assert v.v_degree not in terms
+    assert all(reads[(r_home, g, False)] == 2 for g in terms)
 
 
 def test_bar_invariance_is_computed_once_per_element(monkeypatch):

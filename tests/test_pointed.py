@@ -168,18 +168,19 @@ def _a2_cobasis():
 def test_decompose_golden(a2_seed):
     z = a2_gold("[X1*I2]")
     window = Bidegree(deg=(1, -1), codeg=(-1, 0))
-    d = oracles.n_form_decompose(a2_seed, z, _a2_basis(), window)
+    d = oracles.n_form_decompose(a2_seed, z, _a2_basis().get, window)
     assert d.is_exact
     assert sorted(d.terms) == [((0, 0), VCoeff({-1: 1})), ((1, -1), VCoeff.one())]
     assert is_m_unitriangular(d, (1, -1))
     z2 = a2_gold("[X2*I2]")
-    d2 = oracles.n_form_decompose(a2_seed, z2, _a2_basis(), Bidegree(deg=(0, 0), codeg=(-1, 1)))
+    d2 = oracles.n_form_decompose(a2_seed, z2, _a2_basis().get,
+                                 Bidegree(deg=(0, 0), codeg=(-1, 1)))
     assert sorted(d2.terms) == [((-1, 0), VCoeff({-1: 1})), ((0, 0), VCoeff.one())]
 
 
 def test_decompose_basis_element_is_single_term(a2_seed):
     d = oracles.n_form_decompose(
-        a2_seed, a2_gold("P2"), _a2_basis(), Bidegree(deg=(1, -1), codeg=(0, -1))
+        a2_seed, a2_gold("P2"), _a2_basis().get, Bidegree(deg=(1, -1), codeg=(0, -1))
     )
     assert d.is_exact and d.terms == [((1, -1), VCoeff.one())]
     assert is_m_unitriangular(d, (1, -1))
@@ -189,12 +190,12 @@ def test_decompose_co_golden(a2_seed):
     # co-decomposition is decompose in the opposite seed, window ends traded
     op = opposite_seed(a2_seed)
     z = a2_gold("{P1*X2}")
-    d = oracles.n_form_decompose(op, z, _a2_cobasis(), Bidegree(deg=(-1, 1), codeg=(0, 0)))
+    d = oracles.n_form_decompose(op, z, _a2_cobasis().get, Bidegree(deg=(-1, 1), codeg=(0, 0)))
     assert d.is_exact
     assert sorted(d.terms) == [((-1, 1), VCoeff.one()), ((0, 0), VCoeff({-1: 1}))]
     assert is_m_unitriangular(d, (-1, 1))
     z2 = a2_gold("{P2*X2}")
-    d2 = oracles.n_form_decompose(op, z2, _a2_cobasis(), Bidegree(deg=(0, 0), codeg=(1, 0)))
+    d2 = oracles.n_form_decompose(op, z2, _a2_cobasis().get, Bidegree(deg=(0, 0), codeg=(1, 0)))
     assert sorted(d2.terms) == [((0, 0), VCoeff.one()), ((1, 0), VCoeff({-1: 1}))]
     assert is_m_unitriangular(d2, (0, 0))
 
@@ -202,14 +203,15 @@ def test_decompose_co_golden(a2_seed):
 def test_decompose_missing_basis_element(a2_seed):
     basis = {(1, -1): a2_gold("P2")}
     z = a2_gold("[X1*I2]")
-    d = oracles.n_form_decompose(a2_seed, z, basis, Bidegree(deg=(1, -1), codeg=(-1, 0)))
+    d = oracles.n_form_decompose(a2_seed, z, basis.get, Bidegree(deg=(1, -1), codeg=(-1, 0)))
     assert not d.is_exact
     assert "no basis element" in d.reason
 
 
 def test_decompose_window_escape(a2_seed):
     z = a2_gold("[X1*I2]")
-    d = oracles.n_form_decompose(a2_seed, z, _a2_basis(), Bidegree(deg=(1, -1), codeg=(1, -1)))
+    d = oracles.n_form_decompose(a2_seed, z, _a2_basis().get,
+                                 Bidegree(deg=(1, -1), codeg=(1, -1)))
     assert not d.is_exact
     assert "window" in d.reason
 
@@ -219,10 +221,10 @@ def test_decompose_roundtrip_and_uniqueness(a2_seed):
     basis = _a2_basis()
     z = a2_gold("[X1*I2]")
     window = Bidegree(deg=(1, -1), codeg=(-1, 0))
-    base = oracles.n_form_decompose(a2_seed, z, basis, window)
-    assert oracles.recompose(base, basis, 2) == z
+    base = oracles.n_form_decompose(a2_seed, z, basis.get, window)
+    assert oracles.recompose(base, basis.get, 2) == z
     for _ in range(10):
-        d = oracles.n_form_decompose(a2_seed, z, basis, window, tie_break=rng.choice)
+        d = oracles.n_form_decompose(a2_seed, z, basis.get, window, tie_break=rng.choice)
         assert d.is_exact
         assert sorted(d.terms) == sorted(base.terms)
 
@@ -353,13 +355,13 @@ def test_decompose_co_matches_direct_scan(case, largest_first):
     seed, z, basis, window = case
     tie_break = (lambda keys: keys[-1]) if largest_first else None
     flipped = Bidegree(deg=window.codeg, codeg=window.deg)
-    want = oracles.direct_decompose_co(seed, z, basis, window, tie_break)
+    want = oracles.direct_decompose_co(seed, z, basis.get, window, tie_break)
     op = opposite_seed(seed)
-    assert oracles.subtracting_decompose(op, z, basis, flipped, tie_break) == want
-    got = oracles.n_form_decompose(op, z, basis, flipped, tie_break)
+    assert oracles.subtracting_decompose(op, z, basis.get, flipped, tie_break) == want
+    got = oracles.n_form_decompose(op, z, basis.get, flipped, tie_break)
     assert got is None or got == want
     if want.is_exact:
-        assert oracles.recompose(want, basis, seed.n) == z
+        assert oracles.recompose(want, basis.get, seed.n) == z
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,12 +369,12 @@ def test_decompose_co_matches_direct_scan(case, largest_first):
 def test_decompose_matches_pairwise_scan(case, largest_first):
     seed, z, basis, window = case
     tie_break = (lambda keys: keys[-1]) if largest_first else None
-    want = oracles.direct_decompose(seed, z, basis, window, tie_break)
-    assert oracles.subtracting_decompose(seed, z, basis, window, tie_break) == want
-    got = oracles.n_form_decompose(seed, z, basis, window, tie_break)
+    want = oracles.direct_decompose(seed, z, basis.get, window, tie_break)
+    assert oracles.subtracting_decompose(seed, z, basis.get, window, tie_break) == want
+    got = oracles.n_form_decompose(seed, z, basis.get, window, tie_break)
     assert got is None or got == want
     if want.is_exact:
-        assert oracles.recompose(want, basis, seed.n) == z
+        assert oracles.recompose(want, basis.get, seed.n) == z
 
 
 @settings(max_examples=200, deadline=None)
@@ -385,9 +387,9 @@ def test_n_form_decompose_matches_the_exponent_space_one(case, largest_first):
     tie_break = (lambda keys: keys[-1]) if largest_first else None
     if side == -1:
         seed, window = opposite_seed(seed), Bidegree(deg=window.codeg, codeg=window.deg)
-    got = oracles.n_form_decompose(seed, z, basis, window, tie_break)
+    got = oracles.n_form_decompose(seed, z, basis.get, window, tie_break)
     assert got is not None
-    assert got == oracles.subtracting_decompose(seed, z, basis, window, tie_break)
+    assert got == oracles.subtracting_decompose(seed, z, basis.get, window, tie_break)
 
 
 @settings(max_examples=100, deadline=None)
@@ -405,26 +407,25 @@ def test_dominance_matches_fraction_data(case):
 
 # -- one-pass measures and the in-place residual, against what they replaced --
 
-class _DoubledAt:
+def _doubled_at(g):
     """2 X^g at every key: a residual term at g never cancels."""
-
-    def get(self, g):
-        return QTElem.monomial(g, VCoeff({0: 2}))
+    return QTElem.monomial(g, VCoeff({0: 2}))
 
 
-@pytest.mark.parametrize("basis, window, reason", [
-    ({(1, -1): a2_gold("P2")}, Bidegree(deg=(1, -1), codeg=(-1, 0)), "no basis element keyed"),
-    (_a2_basis(), Bidegree(deg=(1, -1), codeg=(1, -1)), "escapes the window"),
-    (_DoubledAt(), Bidegree(deg=(1, -1), codeg=(-1, 0)), "iteration cap hit"),
+@pytest.mark.parametrize("lookup, window, reason", [
+    ({(1, -1): a2_gold("P2")}.get, Bidegree(deg=(1, -1), codeg=(-1, 0)),
+     "no basis element keyed"),
+    (_a2_basis().get, Bidegree(deg=(1, -1), codeg=(1, -1)), "escapes the window"),
+    (_doubled_at, Bidegree(deg=(1, -1), codeg=(-1, 0)), "iteration cap hit"),
 ], ids=["missing", "window", "cap"])
 def test_each_indeterminate_reason_matches_the_subtracting_residual(
-        a2_seed, basis, window, reason, monkeypatch):
+        a2_seed, lookup, window, reason, monkeypatch):
     monkeypatch.setattr(pointed, "DECOMPOSE_ITERATION_CAP", 7)
     z = a2_gold("[X1*I2]")
     for tie_break in (None, lambda keys: keys[-1]):
-        got = oracles.n_form_decompose(a2_seed, z, basis, window, tie_break)
+        got = oracles.n_form_decompose(a2_seed, z, lookup, window, tie_break)
         assert not got.is_exact and reason in got.reason
-        assert got == oracles.subtracting_decompose(a2_seed, z, basis, window, tie_break)
+        assert got == oracles.subtracting_decompose(a2_seed, z, lookup, window, tie_break)
 
 
 @pytest.mark.parametrize("element, reason", [
@@ -442,9 +443,9 @@ def test_a_step_whose_element_is_not_pointed_matches_the_subtracting_residual(
     window = Bidegree(deg=(1, -1), codeg=(-1, 0))
     basis = {**_a2_basis(), (0, 0): element}
     for tie_break in (None, lambda keys: keys[-1]):
-        got = oracles.n_form_decompose(a2_seed, z, basis, window, tie_break)
+        got = oracles.n_form_decompose(a2_seed, z, basis.get, window, tie_break)
         assert not got.is_exact and reason in got.reason and len(got.terms) > 2
-        assert got == oracles.subtracting_decompose(a2_seed, z, basis, window, tie_break)
+        assert got == oracles.subtracting_decompose(a2_seed, z, basis.get, window, tie_break)
 
 
 @settings(max_examples=200, deadline=None)
@@ -500,36 +501,57 @@ _ONE_TERM = list(itertools.product(("left", "right"), (True, False), (True, Fals
 
 
 @st.composite
+def _nforms(draw, seed, unit_at_zero, coeffs=_COEFF):
+    """A small NForm of the seed; with unit_at_zero, no n is negative and
+    the coefficient at n = 0 is a unit."""
+    k = len(seed.unfrozen)
+    low = 0 if unit_at_zero else -1
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(low, 2)] * k), coeffs,
+                                 min_size=1, max_size=4))
+    if unit_at_zero:
+        terms[(0,) * k] = draw(_COEFF.filter(VCoeff.is_unit))
+    return NForm.of(draw(_exponents(seed)), terms)
+
+
+@st.composite
+def _one_terms(draw, seed, at_zero, unit):
+    """An NForm of one term, at n = 0 or at a nonzero n >= 0, with a unit
+    coefficient or a multi-term one."""
+    k = len(seed.unfrozen)
+    n = (0,) * k if at_zero else draw(st.tuples(*[st.integers(0, 2)] * k).filter(any))
+    c = draw(_COEFF.filter(VCoeff.is_unit) if unit else _MULTI_COEFF)
+    return NForm.of(draw(_exponents(seed)), {n: c})
+
+
+@st.composite
 def nform_products(draw, pointed_only, pointed_right=False, one_term=None):
     """(seed, a, b): two small NForms of one seed. With pointed_only, no n
     is negative and the coefficient at n = 0 is a unit; with
     pointed_right, so for b alone. With one_term = (side, at_zero, unit)
-    the factor on that side ("left" or "right") is one term instead: at
-    n = 0 or at a nonzero n >= 0, with a unit coefficient or a
-    multi-term one, and the other factor's coefficients may be multi-term
+    the factor on that side ("left" or "right") is one term instead
+    (_one_terms), and the other factor's coefficients may be multi-term
     too."""
     seed = draw(st.one_of(st.sampled_from(_NFORM_SEEDS), principal_framings()))
-    k = len(seed.unfrozen)
     coeffs = _COEFF if one_term is None else st.one_of(_COEFF, _MULTI_COEFF)
-
-    def draw_nform(unit_at_zero):
-        low = 0 if unit_at_zero else -1
-        terms = draw(st.dictionaries(st.tuples(*[st.integers(low, 2)] * k), coeffs,
-                                     min_size=1, max_size=4))
-        if unit_at_zero:
-            terms[(0,) * k] = draw(_COEFF.filter(VCoeff.is_unit))
-        return NForm.of(draw(_exponents(seed)), terms)
-
-    def draw_one_term(at_zero, unit):
-        n = (0,) * k if at_zero else draw(st.tuples(*[st.integers(0, 2)] * k).filter(any))
-        c = draw(_COEFF.filter(VCoeff.is_unit) if unit else _MULTI_COEFF)
-        return NForm.of(draw(_exponents(seed)), {n: c})
-
     side, at_zero, unit = one_term or (None, None, None)
-    a = draw_one_term(at_zero, unit) if side == "left" else draw_nform(pointed_only)
-    b = (draw_one_term(at_zero, unit) if side == "right"
-         else draw_nform(pointed_only or pointed_right))
+    a = draw(_one_terms(seed, at_zero, unit) if side == "left"
+             else _nforms(seed, pointed_only, coeffs))
+    b = draw(_one_terms(seed, at_zero, unit) if side == "right"
+             else _nforms(seed, pointed_only or pointed_right, coeffs))
     return seed, a, b
+
+
+@st.composite
+def nform_triples(draw):
+    """(seed, a, b, c): three small NForms of one seed, each a general one
+    (negative n, multi-term coefficients) or one term (_one_terms), so
+    that a product takes the one-term path (a factor of one unit term at
+    n = 0) or the general loop."""
+    seed = draw(st.one_of(st.sampled_from(_NFORM_SEEDS), principal_framings()))
+    factors = st.one_of(
+        _nforms(seed, False, st.one_of(_COEFF, _MULTI_COEFF)),
+        st.tuples(st.booleans(), st.booleans()).flatmap(lambda t: _one_terms(seed, *t)))
+    return seed, draw(factors), draw(factors), draw(factors)
 
 
 @settings(max_examples=200, deadline=None)
@@ -583,6 +605,28 @@ def test_n_form_division_undoes_the_product(case):
         (e, sign), = c._c.items()
         want = NForm.of(q.g, {n: x.shift(-e) * sign for n, x in q.coeffs().items()})
         assert got.normalized() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(nform_triples())
+def test_n_form_products_are_associative(case):
+    # the twisted product is associative, whichever of the one-term path
+    # and the general loop each of the four products takes
+    seed, a, b, c = case
+    event(f"fast-path factors: {sum(pointed._lone_term(x.terms) is not None for x in case[1:])}")
+    assert pointed.mul(seed, pointed.mul(seed, a, b), c) == (
+        pointed.mul(seed, a, pointed.mul(seed, b, c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nform_triples())
+def test_bar_reverses_n_form_products(case):
+    # bar is an anti-involution: it reverses the factors of a product,
+    # of two and of three
+    seed, a, b, c = case
+    assert pointed.mul(seed, a, b).bar() == pointed.mul(seed, b.bar(), a.bar())
+    assert pointed.mul(seed, pointed.mul(seed, a, b), c).bar() == (
+        pointed.mul(seed, c.bar(), pointed.mul(seed, b.bar(), a.bar())))
 
 
 @pytest.mark.parametrize("one_term", _ONE_TERM,
@@ -688,28 +732,20 @@ def test_n_form_ends(a2_seed, pa2_seed):
         to_nform(pa2_seed, QTElem.monomial((1, 1, 0, 0)), (0, 0, 0, 0))
 
 
-class _Expanded:
-    """A window view's NForms as torus elements, for the exponent-space
-    reference."""
+def _expanded(lookup, seed):
+    """A window_set lookup's NForms as torus elements, for the
+    exponent-space reference."""
 
-    def __init__(self, view, seed):
-        self.view = view
-        self.seed = seed
+    def get(g):
+        elem = lookup(g)
+        return None if elem is None else elem.expand(seed)
 
-    def get(self, g):
-        elem = self.view.get(g)
-        return None if elem is None else elem.expand(self.seed)
+    return get
 
 
-class _Hiding:
-    """A basis with one key missing."""
-
-    def __init__(self, basis, hidden):
-        self.basis = basis
-        self.hidden = hidden
-
-    def get(self, g):
-        return None if g == self.hidden else self.basis.get(g)
+def _hiding(lookup, hidden):
+    """A lookup with one key missing."""
+    return lambda g: None if g == hidden else lookup(g)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
@@ -730,7 +766,7 @@ def test_n_form_decompose_matches_the_oracle_on_the_ladder_sweeps(name, monkeypa
     for seed, z, view, box in calls:
         x = z.expand(seed)
         window = Bidegree(z.g, vec_add(z.g, mat_vec(seed.B, box)))
-        torus_view = _Expanded(view, seed)
+        torus_view = _expanded(view, seed)
         for tie_break in (None, lambda keys: keys[-1]):
             got = pointed.decompose(seed, z, view, box, tie_break)
             assert got.is_exact
@@ -739,7 +775,7 @@ def test_n_form_decompose_matches_the_oracle_on_the_ladder_sweeps(name, monkeypa
             continue
         hidden = got.terms[-1][0]
         cases = [
-            (_Hiding(view, hidden), _Hiding(torus_view, hidden), box, window, None),
+            (_hiding(view, hidden), _hiding(torus_view, hidden), box, window, None),
             (view, torus_view, (0,) * len(box), Bidegree(z.g, z.g), None),
             (view, torus_view, box, window, 1),
         ]
@@ -889,9 +925,9 @@ def test_packed_decompose_matches_the_dict_kernel(data, largest_first):
     missing = set(data.draw(st.lists(st.sampled_from(keys), max_size=1))) if keys else set()
     box = data.draw(st.sampled_from(((4,) * k, (4,) * k, (1,) * k, None)))
     tie_break = (lambda keys: keys[-1]) if largest_first else None
-    want = oracles.dict_decompose(seed, z, _Family(tail, missing, False), box, tie_break)
+    want = oracles.dict_decompose(seed, z, _Family(tail, missing, False).get, box, tie_break)
     event(want.status if want.is_exact else want.reason.split(" ")[0])
-    got = decompose(seed, z.packed(), _Family(tail, missing, True), box, tie_break)
+    got = decompose(seed, z.packed(), _Family(tail, missing, True).get, box, tie_break)
     assert got == want
 
 
@@ -970,4 +1006,4 @@ def test_a_decomposition_past_the_bound_raises(a2_seed):
     z = NForm.of((0, 0), {(0, 0): big})
     family = _Family({(0, 0): VCoeff.one(), (1, 0): big}, (), True)
     with pytest.raises(pointed.CoefficientOverflow):
-        decompose(a2_seed, z, family, (2, 2))
+        decompose(a2_seed, z, family.get, (2, 2))
