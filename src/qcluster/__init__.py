@@ -2,10 +2,11 @@
 
 Core layers, bottom to top: quantum torus arithmetic over integer
 Laurent polynomials in v (qtorus), seed matrices and mutation (seed),
-Laurent-expansion tracking and exchange graphs (expansion), dominance
-order and unitriangular decomposition (pointed), tropical degree maps
-and shift seeds (tropical), and the product-structure verifier
-(leclerc). The cli module wraps everything behind a small command set.
+dominance order, n-form arithmetic and unitriangular decomposition
+(pointed), Laurent-expansion tracking and exchange graphs (expansion),
+tropical degree maps and shift seeds (tropical), and the
+product-structure verifier (leclerc). The cli module wraps everything
+behind a small command set.
 """
 
 from .qtorus import NotDivisible, QTElem, VCoeff, exact_divide, twisted_mul

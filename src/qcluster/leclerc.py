@@ -67,11 +67,12 @@ basis, or it decomposes with a single term at the top degree, a single
 term at the bottom codegree, and middle coefficients confined to
 v-exponent window [h+1, s-1], where v^s and v^h are the extremal
 coefficients. The products and their decompositions stay in
-n-coordinates and project nothing; the claims about them (the extremal
-coefficients, s - h, and both dominance chains) are checked
-independently, on exponents, and recorded. Each pair is decomposed
-once: bar-consistency is read off the basis elements of the expansion,
-each of which must equal its bar (see verify_pair).
+n-coordinates and test no dominance; the claims about them (the
+extremal coefficients, s - h, and both dominance chains) are checked
+independently, on exponents (the chains by pointed.dominance_n), and
+recorded. Each pair is decomposed once: bar-consistency is read off the
+basis elements of the expansion, each of which must equal its bar (see
+verify_pair).
 """
 from __future__ import annotations
 
@@ -522,19 +523,17 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
             checks["h_coefficient"] = c.shift(s) == VCoeff.v_power(h)
         else:
             mids.append((g, c.shift(s)))
-    # top and bottom are projected once per pair, each other end once
-    dom = pointed._dominance_data(t_seed)
-    p_top = dom.project(top)
+    # one dominance test per term in each chain: every degree below top,
+    # bottom below every other codegree
     checks["deg_dominance"] = all(
-        g == top or dom.n_between(dom.project(g), p_top) is not None
+        g == top or pointed.dominance_n(t_seed, g, top) is not None
         for g, _ in decomp.terms
     )
     if head is not None:
-        p_bottom = dom.project(bottom)
         checks["codeg_dominance"] = all(
             g == head
             or (record[g][2] != bottom
-                and dom.n_between(p_bottom, dom.project(record[g][2])) is not None)
+                and pointed.dominance_n(t_seed, bottom, record[g][2]) is not None)
             for g, _ in decomp.terms
         )
     checks["coeff_window"] = all(c.in_window(h + 1, s - 1) for _, c in mids)

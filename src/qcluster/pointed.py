@@ -4,16 +4,16 @@ For a seed t, an exponent vector g' is dominated by g when g' = g + B n
 for some nonnegative integer vector n on the unfrozen vertices. Since B
 has full column rank, that n is unique when it exists.
 
-Every dominance test on exponents goes through one projection per seed,
-read off the compatible pair in closed form: B^T Lambda = (D 0) makes
-P = D^-1 Lambda[:, U]^T a left inverse of B (P B = I), kept as the
-integer rows p_num = p_den P with p_den = lcm(D), and K is an integer
-basis of B's left kernel. An exponent m projects to (p_num m, K m).
-Then g' is dominated by g exactly when K g' = K g (g' - g lies in the
-column space of B), p_num (g' - g) is divisible by p_den (the rational
-n is integral) and the quotient n is >= 0. The functional
-w = -p_den P^T 1 has B^T w = -p_den 1, so w . m = -sum(p_num m) is
-strictly larger at a degree than at any exponent it dominates.
+Every dominance test on exponents is dominance_n, which checks that
+definition directly. The compatible pair gives a left inverse of B in
+closed form: B^T Lambda = (D 0) makes P = D^-1 Lambda[:, U]^T satisfy
+P B = I, kept as the integer rows p_num = p_den P with p_den = lcm(D).
+P only proposes n = floor(P (g' - g)); it is the answer when n >= 0 and
+B n = g' - g. If some n solves B n = g' - g, then P (g' - g) = n
+exactly, so a wrong P can refuse a dominated pair but never accept one
+that is not. The functional w = -p_den P^T 1 has B^T w = -p_den 1, so
+w . m = -sum(p_num m) is strictly larger at a degree than at any
+exponent it dominates.
 
 The degree of a torus element is the unique dominance-maximal exponent
 of its support, when there is one: the unique maximizer of w that also
@@ -27,7 +27,7 @@ A pointed element is X^g F(Y), the separation formula of
 Fomin-Zelevinsky (Cluster algebras IV, arXiv:math/0602259; quantum
 F-polynomials: Tran, arXiv:0904.3291): its exponents are g + B n with
 n >= 0. An NForm keeps an element as (g, {n: coefficient}), n indexed
-by the unfrozen vertices, and its arithmetic never projects.
+by the unfrozen vertices, and its arithmetic never tests dominance.
 
 Each coefficient sum_e x_e v^e is packed into one int (Kronecker
 substitution; Harvey, arXiv:0712.4046): the pair (lo, z) with lo the
@@ -42,8 +42,8 @@ unpacked to VCoeff only where one is handed out: Decomposition.terms
 (once per pivot), expand and NForm.coeffs. Digits do not carry, so a
 digit or partial sum that reached 2^31 would wrap silently. Every
 NForm carries l1 and max_l1, upper bounds on the sum of |x_e| over all
-its terms and at any one n, and every kernel checks before it sums that
-no digit can reach 2^31: a product's digits are at most
+its terms and at any one n, and every arithmetic loop checks before it
+sums that no digit can reach 2^31: a product's digits are at most
 min(max_l1(a) l1(b), max_l1(b) l1(a)), a sum's at most
 max_l1(a) + max_l1(b), and a division's or decomposition's remainder
 at most its start's max_l1 plus each step's l1 times the divisor's or
@@ -61,14 +61,15 @@ n2_k g1[U_k]) + n1^T D B_U n2, B_U the unfrozen rows of B. The n = 0
 coefficient of a product of pointed elements is exactly
 v^lambda(g1, g2), so normalizing is one v-shift. Exact division
 (divide) inverts mul term by term from the lexicographically least n,
-and a sum (add) is based at the base that dominates the other, one
-projection of the two. mul, divide, add and each decompose step
-accumulate through one kernel (_add_row), one call per row term: mul
-past its one-term fast path once per term of its left factor, divide
-once per quotient term, add once, and decompose once per pivot. An NForm's degree is g when no n
-is negative and n = 0 is a term, and its codegree is g + B n_max when
-the componentwise-largest n_max is a term. expand reads g + B n back, the
-one way from an NForm to a torus element.
+and a sum (add) is based at the base that dominates the other, one or
+two dominance tests of the two bases. mul, divide, add and each
+decompose step accumulate through one loop (_add_row), one call per row
+term: mul past its one-term fast path once per term of its left factor,
+divide once per quotient term, add once, and decompose once per pivot.
+An NForm's degree is g when no n is negative and n = 0 is a term, and
+its codegree is g + B n_max when the componentwise-largest n_max is a
+term. expand reads g + B n back, the one way from an NForm to a torus
+element.
 
 decompose() peels an NForm against the pointed NForms a lookup returns
 by degree, greedily eliminating a maximal support degree per step. Its
@@ -92,7 +93,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, product
 from math import lcm
-from operator import add as _plus, le, mul as _times, neg, sub
+from operator import add as _plus, le, mul as _times, neg
 
 from . import _linalg
 from .qtorus import NotDivisible, QTElem, VCoeff, vec_add, vec_sub
@@ -117,66 +118,22 @@ _ONE = (0, 1)  # the packed coefficient 1
 DECOMPOSE_ITERATION_CAP = 10 ** 5
 
 
-class _Projection:
-    """One seed's dominance coordinates: p_num / p_den is a left inverse
-    of B and kernel an integer basis of B's left kernel. Compares by
-    identity (one per seed, from _dominance_data); immutable by
-    convention."""
-
-    __slots__ = ("p_num", "p_den", "kernel")
-
-    def __init__(self, p_num, p_den, kernel):
-        self.p_num = p_num
-        self.p_den = p_den
-        self.kernel = kernel
-
-    def project(self, m):
-        """m -> (p_num m, K m)."""
-        return _linalg.mat_vec(self.p_num, m), _linalg.mat_vec(self.kernel, m)
-
-    def offset(self, pgp, pg):
-        """The integer n with gp = g + B n, from the projections of gp and
-        g, or None when there is none."""
-        if pgp[1] != pg[1]:
-            return None
-        n = tuple(map(sub, pgp[0], pg[0]))
-        if self.p_den == 1:
-            return n
-        if any(x % self.p_den for x in n):
-            return None
-        return tuple(x // self.p_den for x in n)
-
-    def n_between(self, pgp, pg):
-        """The n >= 0 with gp = g + B n, from the projections of gp and g,
-        or None when gp is not dominated by g."""
-        n = self.offset(pgp, pg)
-        return None if n is None or (n and min(n) < 0) else n
-
-
 @lru_cache(maxsize=None)
-def _dominance_data(seed) -> _Projection:
-    """The seed's projection, in closed form from B^T Lambda = (D 0).
-
-    Row r of p_num is (p_den / D_r) times column U_r of Lambda; the
-    kernel basis is the last n - |unfrozen| columns of V in an integer
-    diagonalization U B^T V = S. Raises ValueError when P B = I fails,
-    that is, when the seed is not a compatible pair.
+def _dominance_data(seed):
+    """The seed's left inverse of B as (p_num, p_den), in closed form from
+    B^T Lambda = (D 0): row r of p_num is (p_den / D_r) times column U_r
+    of Lambda. Raises ValueError when P B = I fails, that is, when the
+    seed is not a compatible pair.
     """
-    nuf = len(seed.unfrozen)
     p_den = lcm(*seed.D)
     p_num = tuple(
         tuple(p_den // d * row[k] for row in seed.Lambda)
         for k, d in zip(seed.unfrozen, seed.D)
     )
     if _linalg.mat_mul(p_num, seed.B) != tuple(
-            tuple(p_den * x for x in row) for row in _linalg.identity(nuf)):
+            tuple(p_den * x for x in row) for row in _linalg.identity(len(seed.unfrozen))):
         raise ValueError("B^T Lambda = (D 0) fails: no left inverse of B from the pair")
-    if nuf:
-        _, _, v = _linalg.diagonalize(_linalg.transpose(seed.B))
-        kernel = _linalg.transpose(v)[nuf:]
-    else:
-        kernel = _linalg.identity(seed.n)
-    return _Projection(p_num, p_den, kernel)
+    return p_num, p_den
 
 
 @lru_cache(maxsize=None)
@@ -189,9 +146,12 @@ def _pairing_data(seed):
 
 
 def dominance_n(seed, gp, g):
-    """The n >= 0 with gp = g + B n, or None when gp is not dominated by g."""
-    dom = _dominance_data(seed)
-    return dom.n_between(dom.project(gp), dom.project(g))
+    """The n >= 0 with gp = g + B n, or None when gp is not dominated by g:
+    n = floor(P (gp - g)), checked against the definition."""
+    p_num, p_den = _dominance_data(seed)
+    diff = vec_sub(gp, g)
+    n = tuple(sum(map(_times, row, diff)) // p_den for row in p_num)
+    return None if (n and min(n) < 0) or _linalg.mat_vec(seed.B, n) != diff else n
 
 
 def dominance_leq(seed, gp, g):
@@ -203,13 +163,12 @@ def degree(seed, z):
     """Unique dominance-maximal support exponent, or None if not unique:
     an exponent of least rank sum(p_num m) = -(w . m), when it dominates
     every other one (a dominated exponent has a larger rank, so a tie
-    leaves none). One projection per exponent."""
+    leaves none)."""
     if not z:
         raise ValueError("zero element has no degree")
-    dom = _dominance_data(seed)
-    proj = {m: dom.project(m) for m in z.terms}
-    g = min(proj, key=lambda m: sum(proj[m][0]))
-    return g if all(dom.n_between(p, proj[g]) is not None for p in proj.values()) else None
+    p_num, _ = _dominance_data(seed)
+    g = min(z.terms, key=lambda m: sum(_linalg.mat_vec(p_num, m)))
+    return g if all(dominance_n(seed, m, g) is not None for m in z.terms) else None
 
 
 def codegree(seed, z):
@@ -221,15 +180,14 @@ def codegree(seed, z):
 def interval(seed, lo, hi):
     """All g with lo <= g <= hi in dominance order, sorted lexicographically.
 
-    Finite: the n-coordinates of members fill the box [0, n_total].
+    Finite: the n-coordinates of members fill the box [0, n_total], one
+    member per n since B has full column rank.
     """
     n_tot = dominance_n(seed, lo, hi)
     if n_tot is None:
         return []
-    out = []
-    for nvec in product(*(range(c + 1) for c in n_tot)):
-        out.append(vec_add(hi, _linalg.mat_vec(seed.B, nvec)))
-    return sorted(set(out))
+    return sorted(vec_add(hi, _linalg.mat_vec(seed.B, n))
+                  for n in product(*(range(c + 1) for c in n_tot)))
 
 
 def pack(c):
@@ -408,7 +366,7 @@ def _unit_terms(rank):
 
 
 def mul(seed, a, b, normalize=False):
-    """Twisted product of two NForms of the seed, never projected.
+    """Twisted product of two NForms of the seed, in n-coordinates.
 
     The term pair (n1, n2) lands at n1 + n2 with lowest v-exponent
     lo1 + lo2 + s1 + s2 + p1 . p2 and packed coefficient z1 z2:
@@ -516,14 +474,14 @@ def _shifted_copies(lone, other, s, w, sign):
 
 def add(seed, a, b):
     """a + b for two NForms of the seed, based at whichever base dominates
-    the other: one projection of the two bases. Raises RuntimeError when
-    neither does."""
-    dom = _dominance_data(seed)
-    n = dom.offset(dom.project(b.g), dom.project(a.g))
-    if n is not None and min(n, default=0) < 0:
-        a, b, n = b, a, tuple(-x for x in n)
-    if n is None or min(n, default=0) < 0:
-        raise RuntimeError(f"neither of the bases {a.g} and {b.g} dominates the other")
+    the other: b's base tested under a's, then a's under b's. Raises
+    RuntimeError when neither dominates."""
+    n = dominance_n(seed, b.g, a.g)
+    if n is None:
+        n = dominance_n(seed, a.g, b.g)
+        if n is None:
+            raise RuntimeError(f"neither of the bases {a.g} and {b.g} dominates the other")
+        a, b = b, a
     max_l1 = _guard(a.max_l1 + b.max_l1)
     t = dict(a.terms)
     _add_row(t, n, 0, 1, (), [(m, lo, z, ()) for m, (lo, z) in b.terms.items()])
@@ -634,10 +592,10 @@ def decompose(seed, z, lookup, box, tie_break=None):
     subtracts its coefficient times the element in place (the element's
     term n' lands at n + n'), dropping the terms that cancel. Each step
     forms the exponents of the residual's Pareto-minimal n alone, one
-    mat_vec each; nothing is projected. A residual digit is at most
-    z.max_l1 plus each step's coefficient l1 times its element's max_l1,
-    checked before each step: CoefficientOverflow is the one failure
-    raised.
+    mat_vec each, and tests nothing for dominance. A residual digit is at
+    most z.max_l1 plus each step's coefficient l1 times its element's
+    max_l1, checked before each step: CoefficientOverflow is the one
+    failure raised.
     """
     r = dict(z.terms)
     bound = z.max_l1

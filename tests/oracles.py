@@ -27,7 +27,7 @@ forming only row and column k of E^T Lambda E, and dividing with one
 remainder updated in place, give the results of the whole products.
 The rational dominance data comes from sympy's elimination (rref and
 inverse), independent of the library's integer one: what it checks is
-that the closed-form projection read off the compatible pair decides
+that the closed-form left inverse read off the compatible pair decides
 dominance and finds degrees as the rational solves of B^T w = -1 and of
 the normal equations did. The scan lookup reuses the basis's inverse
 maps and expansions: what it checks is that the node where a walk of
@@ -40,8 +40,8 @@ reference. The premutated route steps reuse the library's mutation:
 what they check is that the seeds read off the path tree along a route
 are the ones mutating from its start finds. The subtracting
 decomposition is the exponent-space decomposition the library ran
-before it moved to n-forms, each support exponent projected by the
-library's dominance data and a new residual per step: what it checks is
+before it moved to n-forms, each support exponent tested by the
+library's dominance_n and a new residual per step: what it checks is
 that the n-form residual, updated in place, gives its terms and
 reasons. The n-form decomposition of torus elements reuses the
 library's conversion to n-coordinates, to run the library's
@@ -131,16 +131,23 @@ def normalize_at(z, g):
     return z.scale(c.unit_inverse())
 
 
+def signed_offset(seed, gp, g):
+    """The integer n of any sign with gp = g + B n, or None: n proposed
+    by the library's closed-form left inverse P, checked against B."""
+    p_num, p_den = pointed._dominance_data(seed)
+    diff = vec_sub(gp, g)
+    n = tuple(x // p_den for x in _linalg.mat_vec(p_num, diff))
+    return n if _linalg.mat_vec(seed.B, n) == diff else None
+
+
 def to_nform(seed, z, g):
-    """The torus element z in n-coordinates below g, each exponent
-    projected once. Raises ValueError when an exponent is not g + B n for
+    """The torus element z in n-coordinates below g, one signed offset
+    per exponent. Raises ValueError when an exponent is not g + B n for
     an integer n."""
     g = tuple(g)
-    dom = pointed._dominance_data(seed)
-    pg = dom.project(g)
     terms = {}
     for m, c in z.terms.items():
-        n = dom.offset(dom.project(m), pg)
+        n = signed_offset(seed, m, g)
         if n is None:
             raise ValueError(f"exponent {m} is not {g} + B n for an integer n")
         terms[n] = c
@@ -686,7 +693,7 @@ def route_transport(graph, a_key, b_key, g, trop):
     return g
 
 
-def _exponent_maximal_support(dom, supp, proj, n_of):
+def _exponent_maximal_support(seed, supp, n_of):
     """Dominance-maximal elements of a finite exponent set. Below the top
     (n_of[m] not None) the maxima are the Pareto-minimal n; the few
     exponents not below it are compared pairwise: among themselves, and
@@ -699,7 +706,7 @@ def _exponent_maximal_support(dom, supp, proj, n_of):
     above = [m for m in supp if n_of[m] is None]
 
     def leq(a, b):
-        return dom.n_between(proj[a], proj[b]) is not None
+        return pointed.dominance_leq(seed, a, b)
 
     out = [m for _, m in minima if not any(leq(m, q) for q in above)]
     out += [q for q in above if not any(p != q and leq(q, p) for p in above)]
@@ -709,13 +716,10 @@ def _exponent_maximal_support(dom, supp, proj, n_of):
 def subtracting_decompose(seed, z, lookup, window, tie_break=None):
     """The exponent-space decomposition of a torus element over the torus
     elements lookup(g) returns by degree, with a new QTElem residual r - c *
-    element per step: each support exponent projected once, its n below
-    window.deg taken from the projection, a pivot inside the window iff
-    its n lies in the box up to window.codeg's n."""
-    dom = pointed._dominance_data(seed)
-    top = dom.project(window.deg)
-    n_total = dom.n_between(dom.project(window.codeg), top)
-    proj = {}
+    element per step: each support exponent's n below window.deg taken
+    once from the library's dominance test, a pivot inside the window
+    iff its n lies in the box up to window.codeg's n."""
+    n_total = pointed.dominance_n(seed, window.codeg, window.deg)
     n_of = {}
     terms = []
     r = z
@@ -724,9 +728,8 @@ def subtracting_decompose(seed, z, lookup, window, tie_break=None):
             return pointed.Decomposition(terms=terms, status="exact")
         for m in r.terms:
             if m not in n_of:
-                proj[m] = dom.project(m)
-                n_of[m] = dom.n_between(proj[m], top)
-        pivots = _exponent_maximal_support(dom, r.terms, proj, n_of)
+                n_of[m] = pointed.dominance_n(seed, m, window.deg)
+        pivots = _exponent_maximal_support(seed, r.terms, n_of)
         g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
         n = n_of[g]
         if n is None or n_total is None or any(a > b for a, b in zip(n, n_total)):
@@ -946,8 +949,7 @@ def dict_mul(seed, a, b, normalize=False):
 
 def dict_add(seed, a, b):
     """pointed.add on DictForms."""
-    dom = pointed._dominance_data(seed)
-    n = dom.offset(dom.project(b.g), dom.project(a.g))
+    n = signed_offset(seed, b.g, a.g)
     if n is not None and min(n, default=0) < 0:
         a, b, n = b, a, tuple(-x for x in n)
     if n is None or min(n, default=0) < 0:

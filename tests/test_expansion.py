@@ -6,10 +6,13 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import bidegree
-from conftest import A2_B, A3_B, B2_B, B3_B, D4_B, LADDER, a2_gold, elem, forbid, retracked
+from conftest import (
+    A2_B, A3_B, B2_B, B3_B, D4_B, LADDER, a2_gold, elem, forbid, principal_framings, retracked)
 from qcluster import (
     QuantumSeed,
     apply_word,
@@ -126,6 +129,23 @@ def test_apply_word_identities(a2_seed, b2_seed):
         word = tuple(rng.choice(s.unfrozen) for _ in range(6))
         back = apply_word(apply_word(ts, word), tuple(reversed(word)))
         assert back.vars == ts.vars and back.seed == ts.seed
+
+
+def _two_finite(seed):
+    """No unfrozen pair with b_ij b_ji < -3."""
+    return all(seed.B[i][cj] * seed.B[j][ci] >= -3
+               for ci, i in enumerate(seed.unfrozen) for cj, j in enumerate(seed.unfrozen))
+
+
+@settings(max_examples=80, deadline=None)
+@given(principal_framings().filter(_two_finite), st.data())
+def test_mutation_is_an_involution_on_tracked_variables(seed, data):
+    # after a random word, mutating twice at one vertex gives back the
+    # seed and every variable, in frozen-row seeds with D up to 3
+    ts = apply_word(initial_tracked(seed),
+                    data.draw(st.lists(st.sampled_from(seed.unfrozen), max_size=3)))
+    back = apply_word(ts, (data.draw(st.sampled_from(seed.unfrozen)),) * 2)
+    assert back.seed == ts.seed and back.vars == ts.vars
 
 
 def test_new_variables_bipointed_and_bar_invariant(a2_seed, b2_seed):

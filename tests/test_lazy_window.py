@@ -1,4 +1,5 @@
-"""The lazy window against the eager reference, and the integer inverse maps."""
+"""The window_set lookup, resolved on demand, against the eager window
+reference, and the integer inverse maps."""
 import pytest
 
 import oracles

@@ -406,34 +406,41 @@ def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
 
 def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
     # a full A3-principal cap1 sweep, from the graph build on: mutations,
-    # products, lookups and decompositions stay in n-coordinates. An
-    # exponent is projected only where a variable is made, the two bases of
-    # its exchange sum (add), and by verify_pair's own checks on exponents:
-    # none for V's n, which is read off V's record, then for a two-tailed
-    # pair top and bottom once each and one end per other decomposition
-    # term in each dominance chain
+    # products, lookups and decompositions stay in n-coordinates. Dominance
+    # is tested only where a variable is made, once or twice on the two
+    # bases of its exchange sum (add), and by verify_pair's own checks on
+    # exponents: none for V's n, which is read off V's record, then for a
+    # two-tailed pair one test per term other than the chain's own end in
+    # each dominance chain
     owners = ("add", "divide", "_intern", "mutate_tracked", "verify_pair", "decompose", "mul",
               "monomial_in", "_resolve", "_walk", "_certify", "_enumerate")
     seen = Counter()
-    real = pointed._Projection.project
+    real = pointed.dominance_n
 
-    def spy(self, m):
+    def spy(seed, gp, g):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code.co_name not in owners:
             frame = frame.f_back
         seen[None if frame is None else frame.f_code.co_name] += 1
-        return real(self, m)
+        return real(seed, gp, g)
 
-    monkeypatch.setattr(pointed._Projection, "project", spy)
-    sums = []
+    monkeypatch.setattr(pointed, "dominance_n", spy)
+    per_add = []
     real_add = pointed.add
-    monkeypatch.setattr(pointed, "add", lambda *a: sums.append(a) or real_add(*a))
+
+    def counted_add(*a):
+        before = seen["add"]
+        out = real_add(*a)
+        per_add.append(seen["add"] - before)
+        return out
+
+    monkeypatch.setattr(pointed, "add", counted_add)
     graph = build_exchange_graph(principal_framing(A3_B))
     report = verify_theorem(CandidateBasis(graph, unfrozen_cap=1))
     assert report.ok and len(report.verdicts) == 540
     assert set(seen) == {"add", "verify_pair"}
-    assert seen["add"] == 2 * len(sums) > 0
-    assert seen["verify_pair"] == sum(4 + 2 * len(v.middle) if v.case == "two_tail" else 0
+    assert per_add and set(per_add) <= {1, 2}
+    assert seen["verify_pair"] == sum(2 + 2 * len(v.middle) if v.case == "two_tail" else 0
                                       for v in report.verdicts)
 
 

@@ -395,8 +395,8 @@ def test_n_form_decompose_matches_the_exponent_space_one(case, largest_first):
 @settings(max_examples=100, deadline=None)
 @given(seeded_elements())
 def test_dominance_matches_fraction_data(case):
-    # the closed-form projection against the rational solves it replaced,
-    # on both sides of the order
+    # the closed-form left inverse against the rational solves it
+    # replaced, on both sides of the order
     seed, z = case
     for s in (seed, opposite_seed(seed)):
         assert degree(s, z) == oracles.fraction_degree(s, z)
@@ -404,6 +404,28 @@ def test_dominance_matches_fraction_data(case):
             for g in z.terms:
                 assert dominance_n(s, gp, g) == oracles.fraction_dominance_n(s, gp, g)
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(principal_framings(), st.data())
+def test_dominance_on_framed_seeds_matches_references(seed, data):
+    # random pairs in seeds with frozen rows and D up to 3: g in a box, and
+    # g' either g + B n for a drawn n of either sign or anywhere in the
+    # same box; the closed-form test against the rational one on both
+    # sides of the order, and against the brute-force search
+    box = st.lists(st.integers(-3, 3), min_size=seed.n, max_size=seed.n)
+    g = tuple(data.draw(box))
+    if data.draw(st.booleans()):
+        nuf = len(seed.unfrozen)
+        n = data.draw(st.lists(st.integers(-2, 3), min_size=nuf, max_size=nuf))
+        gp = vec_add(g, mat_vec(seed.B, n))
+    else:
+        gp = tuple(data.draw(box))
+    assert dominance_n(seed, gp, g) == oracles.fraction_dominance_n(seed, gp, g)
+    op = opposite_seed(seed)
+    assert dominance_n(op, g, gp) == oracles.fraction_dominance_n(op, g, gp)
+    assert dominance_leq(seed, gp, g) == oracles.brute_dominance_leq(
+        seed.B, seed.unfrozen, gp, g, bound=6)
 
 # -- one-pass measures and the in-place residual, against what they replaced --
 
