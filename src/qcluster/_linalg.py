@@ -33,11 +33,6 @@ def mat_vec(mat, vec):
     return tuple(sum(map(mul, row, vec)) for row in mat)
 
 
-def vec_mat(vec, mat):
-    """The row vector vec^T mat."""
-    return tuple(sum(map(mul, vec, col)) for col in zip(*mat))
-
-
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

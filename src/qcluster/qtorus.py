@@ -15,15 +15,14 @@ coefficients are pruned at every step: equality is structural.
 The package multiplies and divides in n-coordinates (pointed.mul and
 pointed.divide); nothing in it calls twisted_mul or exact_divide. They
 are the tests' reference arithmetic, and stay for bench/tracer.py,
-which wraps them by name. _add_product is their kernel only: the
-n-form layer accumulates through its own (pointed._add_row), so the
-reference shares no loop with the arithmetic it checks.
+which wraps them by name. So they are written as their definitions:
+twisted_mul is the double loop over term pairs, and exact_divide and
+VCoeff.exact_div cancel the leading term by subtracting a whole product,
+sharing no loop with the arithmetic they check.
 """
 from __future__ import annotations
 
 from operator import add, mul, sub
-
-from . import _linalg
 
 
 class NotDivisible(ArithmeticError):
@@ -115,39 +114,27 @@ class VCoeff:
             raise NotDivisible(f"{self} is not a unit")
         return VCoeff({-e: a})
 
-    def min_exp(self):
-        return min(self._c)
-
     def exact_div(self, other):
-        """Quotient self/other in the coefficient ring, or None if inexact."""
+        """Quotient self/other in the coefficient ring, or None if inexact.
+
+        Long division from the top: each step divides the leading
+        coefficients over the integers and subtracts that quotient term
+        times other. An exact quotient has no exponent below
+        min(self) - min(other), so reaching one means there is none.
+        """
         if not other:
             raise ZeroDivisionError("division by zero coefficient")
-        if not self:
-            return VCoeff.zero()
-        # shift both to ordinary polynomials and long-divide from the top;
-        # every leading-coefficient division must be exact over the integers
-        sa, sb = self.min_exp(), other.min_exp()
-        a = {e - sa: c for e, c in self._c.items()}
-        b = {e - sb: c for e, c in other._c.items()}
-        db = max(b)
-        lead = b[db]
-        q = {}
-        while a:
-            da = max(a)
-            if da < db:
+        top = max(other._c)
+        floor = min(self._c, default=0) - min(other._c)
+        q, r = {}, self
+        while r:
+            e = max(r._c)
+            c, rem = divmod(r._c[e], other._c[top])
+            if rem or e - top < floor:
                 return None
-            c, r = divmod(a[da], lead)
-            if r != 0:
-                return None
-            q[da - db] = c
-            for e, bc in b.items():
-                k = da - db + e
-                na = a.get(k, 0) - c * bc
-                if na:
-                    a[k] = na
-                elif k in a:
-                    del a[k]
-        return VCoeff({e + sa - sb: c for e, c in q.items()})
+            q[e - top] = c
+            r = r - VCoeff({e - top: c}) * other
+        return VCoeff(q)
 
     def in_m(self):
         """True iff every v-exponent is <= -1."""
@@ -313,53 +300,27 @@ class QTElem:
         return f"QTElem({self})"
 
 
-def _add_product(acc, c1, c2, e, sign=1):
-    """acc += sign * v**e * c1 * c2 on a {v-exponent: int} dict, in place;
-    coefficients that cancel are removed."""
-    for e1, x1 in c1._c.items():
-        for e2, x2 in c2._c.items():
-            k = e1 + e2 + e
-            x = acc.get(k, 0) + sign * x1 * x2
-            if x:
-                acc[k] = x
-            else:
-                del acc[k]
-
-
 def twisted_mul(a, b, lam):
-    """Twisted product for the skew form lam: bilinear in both arguments.
-
-    The pairing lam_pair(lam, m1, m2) = m1^T lam m2 is formed on the side
-    with fewer terms: m1^T lam once per term of a when a has at most as
-    many terms as b, else lam m2 once per term of b. Each term pair then
-    costs one dot product. Terms of a are the outer loop either way, so
-    the result is built in the same order. Each coefficient is summed in
-    place and made a VCoeff once.
-    """
+    """Twisted product for the skew form lam: the sum over term pairs of
+    v^lam(m1, m2) c1 c2 X^(m1 + m2)."""
     a._check_dim(b)
-    if len(a.terms) <= len(b.terms):
-        left = [(m1, c1, _linalg.vec_mat(m1, lam)) for m1, c1 in a.terms.items()]
-        right = [(m2, c2, m2) for m2, c2 in b.terms.items()]
-    else:
-        left = [(m1, c1, m1) for m1, c1 in a.terms.items()]
-        right = [(m2, c2, _linalg.mat_vec(lam, m2)) for m2, c2 in b.terms.items()]
     t = {}
-    for m1, c1, p1 in left:
-        for m2, c2, p2 in right:
-            _add_product(t.setdefault(vec_add(m1, m2), {}), c1, c2, _linalg.dot(p1, p2))
-    return QTElem(a.dim, {m: VCoeff(c) for m, c in t.items()})
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = vec_add(m1, m2)
+            t[m] = t.get(m, VCoeff.zero()) + (c1 * c2).shift(lam_pair(lam, m1, m2))
+    return QTElem(a.dim, t)
 
 
 def exact_divide(numerator, divisor, lam):
     """The q with twisted_mul(q, divisor, lam) == numerator.
 
-    Cancels lexicographically leading terms. The quotient support is
-    confined to the per-coordinate box forced by the extremes of the
-    two supports (supports of exact factors add at the extremes of any
-    linear functional), which both bounds the loop and detects failure.
-    lam m' is formed once per divisor term, and the remainder is one
-    dict from which each quotient term's product is subtracted in
-    place, dropping the terms that cancel.
+    Subtractive division: each step cancels the lexicographically leading
+    term of the remainder by subtracting the twisted product of one
+    quotient term and the divisor. The quotient support is confined to
+    the per-coordinate box forced by the extremes of the two supports
+    (supports of exact factors add at the extremes of any linear
+    functional), which both bounds the loop and detects failure.
 
     Raises NotDivisible when no quotient exists in the torus.
     """
@@ -374,24 +335,19 @@ def exact_divide(numerator, divisor, lam):
     hi = tuple(max(m[i] for m in ns) - max(m[i] for m in ds) for i in range(dim))
     if any(l > h for l, h in zip(lo, hi)):
         raise NotDivisible("incompatible support boxes")
-    right = [(m2, c2, _linalg.mat_vec(lam, m2)) for m2, c2 in divisor.terms.items()]
-    md, cd, lam_md = max(right)  # exponents are distinct, so only they are compared
+    md = max(ds)
+    cd = divisor.terms[md]
     q = {}
-    r = {m: dict(c._c) for m, c in numerator.terms.items()}
+    r = numerator
     while r:
-        mr = max(r)
-        cr = VCoeff(r[mr])
+        mr = max(r.terms)
+        cr = r.terms[mr]
         mq = vec_sub(mr, md)
         if any(not (l <= x <= h) for x, l, h in zip(mq, lo, hi)):
             raise NotDivisible(f"quotient term {mq} escapes the support box")
-        cq = cr.exact_div(cd.shift(_linalg.dot(mq, lam_md)))
+        cq = cr.exact_div(cd.shift(lam_pair(lam, mq, md)))
         if cq is None:
             raise NotDivisible(f"coefficient {cr} not divisible at {mr}")
         q[mq] = cq
-        for m2, c2, lam_m2 in right:
-            m = vec_add(mq, m2)
-            rm = r.setdefault(m, {})
-            _add_product(rm, cq, c2, _linalg.dot(mq, lam_m2), -1)
-            if not rm:
-                del r[m]
+        r = r - twisted_mul(QTElem.monomial(mq, cq), divisor, lam)
     return QTElem(dim, q)

@@ -12,7 +12,7 @@ Vertices are 0-based throughout the library; the CLI converts to the
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from math import gcd, lcm
 from operator import add, mul, neg
 
@@ -34,6 +34,10 @@ class IncompatiblePair(ValueError):
 
 # Largest diagonal entry of D that Lambda synthesis tries.
 D_MAX = 8
+
+# Most candidate D that Lambda synthesis solves for: every multiple for
+# up to three components, so that many components cannot run for hours.
+SOLVES_MAX = D_MAX ** 3
 
 
 class QuantumSeed:
@@ -79,9 +83,6 @@ class QuantumSeed:
 
     def b(self, i, k):
         return self.B[i][self.col(k)]
-
-    def delta(self, k):
-        return self.D[self.col(k)]
 
     def lam(self, m, mp):
         return lam_pair(self.Lambda, m, mp)
@@ -283,18 +284,21 @@ def find_compatible_lambda(btilde, unfrozen=None):
     up to one positive integer multiple of a minimal symmetrizer per
     connected component. Those multiples with every entry <= D_MAX are
     tried in lexicographic order of D, one integer solve each, and the
-    first hit is returned as (Lambda, D).
+    first hit is returned as (Lambda, D). At most SOLVES_MAX = 512
+    candidate D are solved, which covers every seed of up to three
+    components.
 
     Raises ValueError if btilde is malformed or not of full column rank,
     and NoCompatibleLambda when the principal part is not skew-symmetrizable
-    or no multiple within the bound admits an integer Lambda.
+    or no candidate within the bounds admits an integer Lambda.
     """
     nuf = len(btilde[0]) if btilde else 0
     unfrozen = tuple(range(nuf)) if unfrozen is None else tuple(unfrozen)
     solve = _lambda_solver(btilde, unfrozen)
     components = _minimal_symmetrizers([btilde[k] for k in unfrozen])
     ranges = [range(1, D_MAX // max(d0) + 1) for _, d0 in components]
-    for multiples in product(*ranges):
+    candidates = product(*ranges)
+    for multiples in islice(candidates, SOLVES_MAX):
         dvec = [0] * nuf
         for (members, d0), c in zip(components, multiples):
             for i, x in zip(members, d0):
@@ -302,6 +306,9 @@ def find_compatible_lambda(btilde, unfrozen=None):
         lam = solve(dvec)
         if lam is not None:
             return lam, tuple(dvec)
+    if next(candidates, None) is not None:
+        raise NoCompatibleLambda(f"no compatible skew form among the first {SOLVES_MAX} "
+                                 "candidate D; give D or Lambda in the seed")
     raise NoCompatibleLambda(f"no compatible skew form with diagonal entries <= {D_MAX}")
 
 

@@ -130,6 +130,22 @@ def test_a_huge_n_with_too_few_rows_is_a_usage_error_at_once(tmp_path):
     assert "B has 1 rows, expected n = 1000000000000" in proc.stderr
 
 
+def test_lambda_synthesis_over_many_components_gives_up_in_seconds(tmp_path):
+    # five unfrozen vertices, a zero principal part and frozen rows 16 e_i:
+    # five components, 8^5 candidate D and none solvable (D_i <= 8 is never
+    # a multiple of 16); synthesis stops after 512 solves and asks for D
+    k = 5
+    rows = [[0] * k for _ in range(k)] + [[16 * (i == j) for j in range(k)] for i in range(k)]
+    path = tmp_path / "five-components.json"
+    path.write_text(json.dumps({"n": 2 * k, "unfrozen": list(range(1, k + 1)), "B": rows}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "qcluster.cli", "check", str(path)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "among the first 512 candidate D; give D or Lambda" in proc.stderr
+
+
 def test_the_cli_imports_no_code_generation_or_exact_decimals():
     # in a fresh interpreter, since pytest itself loads these modules;
     # -S keeps site-packages' start-up hooks out of the count

@@ -71,6 +71,19 @@ class TestVCoeff:
                 continue
             assert (a * b).exact_div(b) == a
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exact_div_is_none_or_a_true_quotient(self, data):
+        # gaps, negative exponents and negative leading coefficients; half
+        # of the dividends are multiples of the divisor
+        coeff = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=4).map(VCoeff)
+        b = data.draw(coeff.filter(bool))
+        x = data.draw(coeff)
+        if data.draw(st.booleans()):
+            x = x * b
+        q = x.exact_div(b)
+        assert q is None or q * b == x
+
     def test_in_m_and_window(self):
         assert vc({-1: 1, -3: 1}).in_m()
         assert not VCoeff.one().in_m()
@@ -247,7 +260,9 @@ def torus_case(draw, count, sizes=None):
 
 @st.composite
 def lopsided_case(draw):
-    """A skew form and two elements of 1 x k, k x 1 or k x k terms."""
+    """A skew form and two elements of 1 x k, k x 1 or k x k terms, k up
+    to 6: uneven products that torus_case, at most 3 terms each, does not
+    reach."""
     k = draw(st.integers(1, 6))
     sizes = draw(st.sampled_from([(1, k), (k, 1), (k, k)]))
     lam, (a, b) = draw(torus_case(2, sizes))
@@ -281,9 +296,15 @@ class TestTwistedProperties:
     @settings(max_examples=160, deadline=None)
     @given(st.one_of(torus_case(2), lopsided_case()))
     def test_matches_lam_pair_double_loop(self, case):
-        # 1 x k products pair on the left factor, k x 1 on the right one
         lam, (a, b) = case
         assert twisted_mul(a, b, lam) == _reference_twisted_mul(a, b, lam)
+
+    @settings(max_examples=80, deadline=None)
+    @given(torus_case(2))
+    def test_a_zero_form_gives_the_commutative_product(self, case):
+        lam, (a, b) = case
+        zero = tuple((0,) * len(row) for row in lam)
+        assert twisted_mul(a, b, zero) == a * b
 
     @settings(max_examples=80, deadline=None)
     @given(torus_case(3))
@@ -318,3 +339,13 @@ class TestTwistedProperties:
             assert str(got.value) == str(exc)
         else:
             assert exact_divide(num, d, lam) == want
+
+    @settings(max_examples=120, deadline=None)
+    @given(division_case())
+    def test_a_quotient_found_multiplies_back(self, case):
+        lam, num, d = case
+        try:
+            q = exact_divide(num, d, lam)
+        except NotDivisible:
+            return
+        assert twisted_mul(q, d, lam) == num

@@ -119,7 +119,7 @@ def test_lambda_pairing_lemma(a2_seed, b2_seed, pa2_seed, a3_seed):
             for k in s.unfrozen:
                 b_ek = tuple(row[s.col(k)] for row in s.B)
                 val = s.lam(unit_vec(s.n, i), b_ek)
-                want = -s.delta(k) if i == k else 0
+                want = -s.D[s.col(k)] if i == k else 0
                 assert val == want
 
 
