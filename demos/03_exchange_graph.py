@@ -4,7 +4,8 @@ Every reachable seed carries each of its cluster variables in the torus
 of the starting seed, in n-coordinates (expanded to print); the graph
 closes for finite-type input. Shift detection finds the seed whose
 variables are pointed at the negated unit vectors; its forward and
-backward versions yield the injective and projective elements.
+backward versions yield the injective and projective elements, n-forms
+of the starting seed like every element the library hands out.
 """
 from qcluster import (
     apply_word,
@@ -35,8 +36,8 @@ print()
 up = detect_shift(graph, graph.order[0], 1)
 down = detect_shift(graph, graph.order[0], -1)
 print("shift +1 found via word", [k + 1 for k in up.word], "sigma", up.sigma)
-print("injective elements:", [str(z) for z in i_vars(graph, up)])
-print("projective elements:", [str(z) for z in p_vars(graph, down)])
+print("injective elements:", [str(z.expand(a2)) for z in i_vars(graph, up)])
+print("projective elements:", [str(z.expand(a2)) for z in p_vars(graph, down)])
 print()
 
 b2 = make_seed(((0, -2), (1, 0)), ((0, -1), (1, 0)))

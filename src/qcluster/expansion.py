@@ -77,7 +77,7 @@ from collections import defaultdict
 from functools import partial
 
 from . import pointed
-from .qtorus import QTElem, pos_part, unit_vec
+from .qtorus import pos_part, unit_vec
 from .seed import QuantumSeed, mutate_seed
 
 
@@ -213,12 +213,12 @@ def apply_word(ts: TrackedSeed, word) -> TrackedSeed:
     return ts
 
 
-def cluster_monomial(ts: TrackedSeed, m) -> QTElem:
-    """Normalized localized cluster monomial X^m of the tracked seed,
-    expanded in the reference torus (_monomial over a store of this one
-    call); its degree is its n-form's base, sum m_i degs_i, and nothing
-    is measured."""
-    return _monomial(ts.ref, {}, ts.degs, ts.vars, m).expand(ts.ref)
+def cluster_monomial(ts: TrackedSeed, m) -> pointed.NForm:
+    """Normalized localized cluster monomial X^m of the tracked seed, in
+    the reference torus's n-coordinates (_monomial over a store of this
+    one call); its degree is its base, sum m_i degs_i, and nothing is
+    measured."""
+    return _monomial(ts.ref, {}, ts.degs, ts.vars, m)
 
 
 def degree_key(ts: TrackedSeed):

@@ -56,9 +56,13 @@ record per (torus, key, side), ((home, m), element, codegree, the
 codegree's n), the codegree read off the n-form its degree was checked
 on. Each caller reads a key's record once and takes from it all it needs
 (verify_pair V's element, codegree and n, each decomposition term's
-codegree and bar flag; check_triangular an element and its box; the
-codegree columns their variables' codegrees), so no element is measured
-twice.
+codegree and bar flag; check_triangular an element and its box), so no
+element is measured twice. The maps' columns are not looked up: a
+variable's degree is its n-form's base and its codegree g + B n_max, read
+off the variable as the graph keeps it in the torus. So the codegree side
+does not depend on the degree side, building a basis walks no fan,
+certifies no torus and makes no record, and a (torus, side) is certified
+at its first lookup.
 
 verify_pair multiplies a localized cluster monomial R (working in the
 torus of R's home node, where R is a plain monomial) against a basis
@@ -155,13 +159,13 @@ class CandidateBasis:
         """Key each node's exponent box in the reference torus t0 by two
         integer maps, expanding nothing: X^m's degree D m, D =
         psi_matrix(node, t0), and its codegree C m, C's columns the
-        node's variables' codegrees, read off their records. Both add
-        over factors: g-vectors do, and pointed.mul puts the pair of its
-        factors' co_n terms alone at their sum, with a nonzero
-        coefficient (frozen factors are plain monomials). by_degree keeps
-        the first (node, m) per degree g, by_codegree maps each codegree
-        to its g, and a second g at one codegree is a conflict. The first
-        codegree read walks t0's degree fan, and so certifies it."""
+        node's variables' codegrees, read off their n-forms (_columns).
+        Both add over factors: g-vectors do, and pointed.mul puts the
+        pair of its factors' co_n terms alone at their sum, with a
+        nonzero coefficient (frozen factors are plain monomials).
+        by_degree keeps the first (node, m) per degree g, by_codegree
+        maps each codegree to its g, and a second g at one codegree is a
+        conflict. Nothing is resolved, walked or certified."""
         t0 = self.graph.order[0]
         for key in self.graph.order:
             seed = self.graph.nodes[key].seed
@@ -182,15 +186,16 @@ class CandidateBasis:
     # -- on-demand resolution of elements by (co)degree in any torus --
 
     def _columns(self, home_key, torus_key, co):
-        """(Co)degrees in the torus of home's variables, in home's order;
-        a codegree from its variable's record, whose lookup makes no
-        product and whose degree-side walk reads no codegree column."""
-        degs = tuple(x.g for x in self.graph.vars_in(home_key, torus_key))
+        """(Co)degrees in the torus of home's variables, in home's order,
+        read off their n-forms there: a degree is its base, a codegree
+        g + B n_max (NForm.codegree). Nothing is resolved."""
+        xs = self.graph.vars_in(home_key, torus_key)
         if not co:
-            return degs
-        etas = tuple(rec and rec[2] for rec in (self._resolve(torus_key, d, False) for d in degs))
+            return tuple(x.g for x in xs)
+        seed = self.graph.nodes[torus_key].seed
+        etas = tuple(x.codegree(seed) for x in xs)
         if None in etas:
-            raise RuntimeError(f"variable at degree {degs[etas.index(None)]} of node "
+            raise RuntimeError(f"variable at degree {xs[etas.index(None)].g} of node "
                                f"{home_key} has no codegree in torus {torus_key}")
         return etas
 

@@ -31,13 +31,14 @@ them in the base torus, and a distinguished element is their product
 with X^(g+) by pointed.mul, normalized by one v-shift per factor. A
 degree is an NForm's base when it is pointed there, and a codegree is
 g + B n_max (NForm.codegree); nothing is expanded or measured. The public
-element functions expand once, at the end, to return torus elements.
+element functions return NForms of the base seed, each based at its
+degree (NForm.expand gives the torus element).
 """
 from __future__ import annotations
 
 from . import _linalg, pointed
 from .expansion import ExchangeGraph
-from .qtorus import QTElem, pos_part, unit_vec, vec_sub
+from .qtorus import pos_part, unit_vec, vec_sub
 from .seed import opposite_seed
 
 
@@ -205,18 +206,23 @@ def detect_shift(graph: ExchangeGraph, key, direction=1) -> ShiftData:
     )
 
 
-def _i_forms(graph, sd):
-    """The injectives as NForms of the base seed: the +1 shift's variables
-    in the base torus, in sigma's order."""
+def i_vars(graph: ExchangeGraph, sd: ShiftData):
+    """Injective elements of the base node, I_k pointed at -f_k + u_k: the
+    +1 shift's variables as NForms of the base seed, in sigma's order."""
     if sd.direction != 1:
         raise ValueError("i_vars needs a +1 shift")
     cross = graph.vars_in(sd.target, sd.base)
     return [cross[sd.sigma[k]] for k in graph.nodes[sd.base].seed.unfrozen]
 
 
-def _p_forms(graph, sd):
-    """The projectives as NForms of the base seed, matched to the unfrozen
-    k by their codegrees -f_k + frozen, read off co_n."""
+def p_vars(graph: ExchangeGraph, sd: ShiftData):
+    """Projective elements of the base node, P_k copointed at -f_k +
+    frozen: the -1 shift's variables as NForms of the base seed.
+
+    Indexed by reading codegrees (NForm.codegree) rather than by
+    permutation bookkeeping; the match must be a bijection onto the
+    unfrozen set.
+    """
     if sd.direction != -1:
         raise ValueError("p_vars needs a -1 shift")
     s = graph.nodes[sd.base].seed
@@ -231,22 +237,6 @@ def _p_forms(graph, sd):
             raise RuntimeError(f"projective codegree pattern violated: {eta}")
         by_k[ks[0]] = cross[j]
     return [by_k[k] for k in s.unfrozen]
-
-
-def i_vars(graph: ExchangeGraph, sd: ShiftData):
-    """Injective elements of the base node: I_k pointed at -f_k + u_k."""
-    s = graph.nodes[sd.base].seed
-    return [z.expand(s) for z in _i_forms(graph, sd)]
-
-
-def p_vars(graph: ExchangeGraph, sd: ShiftData):
-    """Projective elements of the base node: P_k copointed at -f_k + frozen.
-
-    Indexed by reading codegrees rather than by permutation bookkeeping;
-    the match must be a bijection onto the unfrozen set.
-    """
-    s = graph.nodes[sd.base].seed
-    return [z.expand(s) for z in _p_forms(graph, sd)]
 
 
 def _distinguished(seed, factors, g) -> pointed.NForm:
@@ -268,21 +258,22 @@ def _distinguished(seed, factors, g) -> pointed.NForm:
     return pointed.mul(seed, pointed.NForm.monomial(u, rank), body, normalize=True)
 
 
-def inj_element(graph: ExchangeGraph, sd: ShiftData, g) -> QTElem:
-    """Distinguished pointed element at g, built from the injectives."""
-    s = graph.nodes[sd.base].seed
-    return _distinguished(s, _i_forms(graph, sd), g).expand(s)
+def inj_element(graph: ExchangeGraph, sd: ShiftData, g) -> pointed.NForm:
+    """Distinguished pointed element at g, built from the injectives, as
+    an NForm of the base seed."""
+    return _distinguished(graph.nodes[sd.base].seed, i_vars(graph, sd), g)
 
 
-def proj_element(graph: ExchangeGraph, sd: ShiftData, eta) -> QTElem:
+def proj_element(graph: ExchangeGraph, sd: ShiftData, eta) -> pointed.NForm:
     """Distinguished copointed element at eta: inj_element's construction
     from the projectives in the opposite seed, each read from its
     codegree there, where products run in the reverse order (for
-    quasi-commuting factors, a unit it normalizes away)."""
+    quasi-commuting factors, a unit it normalizes away). The result is
+    read back in the base seed, based at its degree there."""
     base = graph.nodes[sd.base].seed
     op = opposite_seed(base)
-    factors = [z.opposite(base) for z in _p_forms(graph, sd)]
-    return _distinguished(op, factors, eta).expand(op)
+    factors = [z.opposite(base) for z in p_vars(graph, sd)]
+    return _distinguished(op, factors, eta).opposite(op)
 
 
 def check_swap(graph: ExchangeGraph, sd: ShiftData, home_key, m) -> bool:

@@ -21,10 +21,9 @@ elements, that expanding every cluster monomial of the exponent box
 found. The direct projective
 element reuses the library's arithmetic: what it checks is that building
 it as the injective construction in the opposite seed changes nothing.
-The dense Lambda mutation and the subtractive division reuse the
-library's matrix product and twisted product: what they check is that
-forming only row and column k of E^T Lambda E, and dividing with one
-remainder updated in place, give the results of the whole products.
+The dense Lambda mutation reuses the library's matrix product: what it
+checks is that forming only row and column k of E^T Lambda E gives the
+result of the whole products.
 The rational dominance data comes from sympy's elimination (rref and
 inverse), independent of the library's integer one: what it checks is
 that the closed-form left inverse read off the compatible pair decides
@@ -32,7 +31,11 @@ dominance and finds degrees as the rational solves of B^T w = -1 and of
 the normal equations did. The scan lookup reuses the basis's inverse
 maps and expansions: what it checks is that the node where a walk of
 the g-vector fan ends names the element that trying every node found,
-and that trying every node finds no conflict. The
+and that trying every node finds no conflict. The record columns are
+the codegree columns CandidateBasis read before it read them off the
+variables' n-forms: each variable resolved at its degree by the basis's
+own degree-side walk, its codegree taken from that record. What they
+check is that the n-form reading gives the resolver's codegrees. The
 re-tracking through the reference reuses the library's mutation: what
 it checks is that re-tracking along the path tree, from whatever is
 already re-tracked, gives the variables of the route through the
@@ -92,8 +95,8 @@ import sympy as sp
 from qcluster import _linalg, pointed
 from qcluster.expansion import apply_word, cluster_monomial, initial_tracked
 from qcluster.qtorus import (
-    NotDivisible, QTElem, VCoeff, exact_divide, lam_pair, pos_part, twisted_mul, unit_vec,
-    vec_add, vec_sub)
+    NotDivisible, QTElem, VCoeff, exact_divide, pos_part, twisted_mul, unit_vec, vec_add,
+    vec_sub)
 from qcluster.seed import NoCompatibleLambda, mutate_seed, opposite_seed
 from qcluster.tropical import (
     FrozenFactorNotFrozen, ShiftData, ShiftNotFound, _b_condition, _shift_pattern, p_vars)
@@ -154,17 +157,32 @@ def to_nform(seed, z, g):
     return pointed.NForm.of(g, terms)
 
 
-def qtelem_distinguished(seed, factors, g):
+def factor_power(seed, factors, g, powers=None):
+    """The ordered twisted product of the torus-element factors to the
+    powers -g_k for g_k < 0, normalized at a degree scan. The dict powers
+    keeps each product by those exponents: the distinguished elements of
+    a box of exponents share their negative parts, so a caller that keeps
+    one dict per (seed, factors) forms each product once."""
+    powers = {} if powers is None else powers
+    neg = tuple(max(-g[k], 0) for k in seed.unfrozen)
+    acc = powers.get(neg)
+    if acc is None:
+        acc = QTElem.one(seed.n)
+        for z, p in zip(factors, neg):
+            for _ in range(p):
+                acc = twisted_mul(acc, z, seed.Lambda)
+        acc = powers[neg] = normalize_deg(seed, acc)
+    return acc
+
+
+def qtelem_distinguished(seed, factors, g, powers=None):
     """The torus element pointed at g: X^(g+) times the ordered twisted
     product of the torus-element factors to the powers -g_k for g_k < 0,
-    normalized at a degree scan, then the forced frozen factor in front,
-    normalized again."""
+    normalized at a degree scan (factor_power, over powers), then the
+    forced frozen factor in front, normalized again."""
     lam = seed.Lambda
-    acc = QTElem.one(seed.n)
-    for z, k in zip(factors, seed.unfrozen):
-        for _ in range(max(-g[k], 0)):
-            acc = twisted_mul(acc, z, lam)
-    body = twisted_mul(QTElem.monomial(pos_part(g)), normalize_deg(seed, acc), lam)
+    acc = factor_power(seed, factors, g, powers)
+    body = twisted_mul(QTElem.monomial(pos_part(g)), acc, lam)
     d = pointed.degree(seed, body)
     body = normalize_at(body, d)
     u = vec_sub(g, d)
@@ -228,39 +246,6 @@ def dense_mutated_lambda(seed, k, eps):
     for i in range(seed.n):
         e[i][k] = -1 if i == k else max(0, -eps * seed.B[i][ck])
     return _linalg.mat_mul(_linalg.mat_mul(_linalg.transpose(e), seed.Lambda), e)
-
-
-def subtractive_exact_divide(numerator, divisor, lam):
-    """Reference exact division: cancel the lexicographically leading term
-    of the remainder by subtracting the whole twisted product of the
-    quotient term and the divisor, inside the same support box and with
-    the same NotDivisible messages as qtorus.exact_divide."""
-    if not divisor:
-        raise ZeroDivisionError("division by zero")
-    if not numerator:
-        return QTElem.zero(numerator.dim)
-    dim = numerator.dim
-    ns, ds = numerator.support(), divisor.support()
-    lo = tuple(min(m[i] for m in ns) - min(m[i] for m in ds) for i in range(dim))
-    hi = tuple(max(m[i] for m in ns) - max(m[i] for m in ds) for i in range(dim))
-    if any(l > h for l, h in zip(lo, hi)):
-        raise NotDivisible("incompatible support boxes")
-    md = max(divisor.terms)
-    cd = divisor.terms[md]
-    q = {}
-    r = numerator
-    while r:
-        mr = max(r.terms)
-        cr = r.terms[mr]
-        mq = vec_sub(mr, md)
-        if any(not (l <= x <= h) for x, l, h in zip(mq, lo, hi)):
-            raise NotDivisible(f"quotient term {mq} escapes the support box")
-        cq = cr.exact_div(cd.shift(lam_pair(lam, mq, md)))
-        if cq is None:
-            raise NotDivisible(f"coefficient {cr} not divisible at {mr}")
-        q[mq] = cq
-        r = r - twisted_mul(QTElem.monomial(mq, cq), divisor, lam)
-    return QTElem(dim, q)
 
 
 def laurent_dict(expr, gens):
@@ -513,7 +498,7 @@ def eager_enumeration(graph, cap, frozen_window):
         boxes = [range(cap + 1) if i in ts.seed.unfrozen
                  else range(-frozen_window, frozen_window + 1) for i in range(ts.seed.n)]
         for m in product(*boxes):
-            elem = cluster_monomial(ts, m)
+            elem = cluster_monomial(ts, m).expand(ref)
             g = pointed.degree(ref, elem)
             eta = pointed.codegree(ref, elem)
             elem = to_nform(ref, elem, g)
@@ -526,17 +511,15 @@ def eager_enumeration(graph, cap, frozen_window):
     return by_degree, by_codegree, provenance
 
 
-def direct_proj_element(graph, sd, eta):
+def direct_proj_element(graph, sd, eta, powers=None):
     """Reference projective distinguished element: the projectives' power
-    times the cluster monomial X^(eta+), then the frozen factor, each
-    product taken from the right and normalized from the bottom."""
+    (factor_power, over powers) times the cluster monomial X^(eta+), then
+    the frozen factor, each product taken from the right and normalized
+    from the bottom."""
     s = graph.nodes[sd.base].seed
     lam = s.Lambda
-    ppart = QTElem.one(s.n)
-    for z, k in zip(p_vars(graph, sd), s.unfrozen):
-        for _ in range(max(-eta[k], 0)):
-            ppart = twisted_mul(ppart, z, lam)
-    ppart = normalize_deg(s, ppart)
+    pvs = [z.expand(s) for z in p_vars(graph, sd)]
+    ppart = factor_power(s, pvs, eta, powers)
     body = twisted_mul(ppart, QTElem.monomial(pos_part(eta)), lam)
     c = pointed.codegree(s, body)
     body = normalize_at(body, c)
@@ -600,6 +583,16 @@ def fraction_degree(seed, z):
     if any(m != g and fraction_dominance_n(seed, m, g) is None for m in z.terms):
         return None
     return g
+
+
+def record_columns(basis, home_key, torus_key, co):
+    """(Co)degrees in the torus of home's variables, in home's order, each
+    codegree read off the record the basis resolves at the variable's
+    degree (None without one)."""
+    degs = tuple(x.g for x in basis.graph.vars_in(home_key, torus_key))
+    if not co:
+        return degs
+    return tuple(rec and rec[2] for rec in (basis._resolve(torus_key, d, False) for d in degs))
 
 
 def scan_resolve(basis, torus_key, g, co):

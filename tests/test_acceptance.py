@@ -51,8 +51,8 @@ def test_criterion_1_a2_golden_suite():
 
     up = detect_shift(a2_graph, a2_graph.order[0], 1)
     down = detect_shift(a2_graph, a2_graph.order[0], -1)
-    i1, i2 = i_vars(a2_graph, up)
-    p1, p2 = p_vars(a2_graph, down)
+    i1, i2 = (z.expand(ref) for z in i_vars(a2_graph, up))
+    p1, p2 = (z.expand(ref) for z in p_vars(a2_graph, down))
     assert (i1, i2, p1, p2) == (
         a2_gold("I1"), a2_gold("P1"), a2_gold("P1"), a2_gold("P2"),
     )

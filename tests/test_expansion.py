@@ -251,10 +251,10 @@ def test_quasi_commutation_at_every_node(a2_graph, b2_graph):
 
 def test_cluster_monomial(a2_seed, a2_graph):
     ts = initial_tracked(a2_seed)
-    assert cluster_monomial(ts, (0, 0)) == QTElem.one(2)
-    assert cluster_monomial(ts, (1, 1)) == QTElem.monomial((1, 1))
+    assert cluster_monomial(ts, (0, 0)).expand(a2_seed) == QTElem.one(2)
+    assert cluster_monomial(ts, (1, 1)).expand(a2_seed) == QTElem.monomial((1, 1))
     shifted = apply_word(ts, (1, 0, 1))
-    assert cluster_monomial(shifted, (1, 0)) == a2_gold("P1")  # I2
+    assert cluster_monomial(shifted, (1, 0)).expand(a2_seed) == a2_gold("P1")  # I2
     with pytest.raises(ValueError):
         cluster_monomial(ts, (-1, 0))
 
@@ -268,7 +268,7 @@ def test_cluster_monomial_normalizes_at_the_recorded_degree(pa2_graph, monkeypat
             cases.append((ts, m, _oracle_monomial(ts, m)))
     monkeypatch.setattr(pointed, "degree", lambda *a: pytest.fail("degree scanned"))
     for ts, m, want in cases:
-        assert cluster_monomial(ts, m) == want
+        assert cluster_monomial(ts, m).expand(ts.ref) == want
 
 
 def test_monomial_in_own_torus(a2_graph):

@@ -69,7 +69,7 @@ def test_backward_shift_has_frozen_corrections(graph, seed):
     assert any(any(x != 0 for x in u) for u in down.u.values())
     pvs = p_vars(graph, down)
     for k, z in zip(seed.unfrozen, pvs):
-        eta = codegree(seed, z)
+        eta = codegree(seed, z.expand(seed))
         assert eta[k] == -1
         assert all(eta[i] == 0 for i in seed.unfrozen if i != k)
         assert eta[2] != 0  # the frozen coordinate is genuinely corrected
@@ -79,9 +79,9 @@ def test_inj_and_proj_with_frozen_factor(graph, seed):
     up = detect_shift(graph, graph.order[0], 1)
     down = detect_shift(graph, graph.order[0], -1)
     for g in product(range(-2, 2), range(-2, 2), range(-1, 2)):
-        z = inj_element(graph, up, g)
+        z = inj_element(graph, up, g).expand(seed)
         assert degree(seed, z) == g and z.terms[g].is_one()
-        w = proj_element(graph, down, g)
+        w = proj_element(graph, down, g).expand(seed)
         assert codegree(seed, w) == g and w.terms[g].is_one()
         assert w == oracles.direct_proj_element(graph, down, g)
 

@@ -47,21 +47,22 @@ def test_enumeration_matches_eager_expansion(graph_name, cap, request):
 
 
 def test_construction_expands_nothing(monkeypatch):
-    # the keys come from the variables' records alone, one per distinct
-    # variable of the reference torus, frozen ones included
+    # the keys come from the variables' n-forms alone: construction
+    # resolves no key, walks no fan and certifies no torus
     graph = build_exchange_graph(principal_framing(A3_B))
     _, by_codegree, provenance = oracles.eager_enumeration(graph, 1, 0)
     forbid(monkeypatch, pointed.mul)
     basis = CandidateBasis(graph, unfrozen_cap=1)
     assert list(basis.by_degree.items()) == list(provenance.items())
     assert basis.by_codegree.keys() == by_codegree.keys()
-    assert sum(map(len, basis._resolved.values())) == len(
-        {d for key in graph.order for d in graph.nodes[key].degs})
+    assert sum(map(len, basis._resolved.values())) == 0
+    assert basis.walk_steps == 0
+    assert not basis._last_home
 
 
 def test_a_variable_without_a_codegree_is_refused(a2_graph, monkeypatch):
-    # the keys' codegrees add over the variables' records: a variable
-    # found at its degree but with no codegree term is an internal error
+    # the keys' codegrees add over the variables' codegrees, read off
+    # their n-forms: a variable with no codegree term is an internal error
     monkeypatch.setattr(pointed.NForm, "codegree", lambda self, seed: None)
     with pytest.raises(RuntimeError, match="has no codegree in torus"):
         CandidateBasis(a2_graph, unfrozen_cap=1)
@@ -90,8 +91,9 @@ def test_singular_degree_map_is_refused(a2_graph, monkeypatch):
         return None if home_key == last else real(self, home_key, torus_key, co)
 
     monkeypatch.setattr(CandidateBasis, "_inverse_map", singular)
+    basis = CandidateBasis(a2_graph, unfrozen_cap=1)
     with pytest.raises(RuntimeError, match="singular"):
-        CandidateBasis(a2_graph, unfrozen_cap=1)
+        basis._certify(a2_graph.order[0], co=False)
 
 
 def test_non_unimodular_degree_map_is_refused(a2_graph, monkeypatch):
@@ -107,8 +109,9 @@ def test_non_unimodular_degree_map_is_refused(a2_graph, monkeypatch):
         return (tuple(2 * x for x in cols[0]),) + cols[1:]
 
     monkeypatch.setattr(CandidateBasis, "_columns", doubled)
+    basis = CandidateBasis(a2_graph, unfrozen_cap=1)
     with pytest.raises(RuntimeError, match=re.escape(f"map of node {last} is not unimodular")):
-        CandidateBasis(a2_graph, unfrozen_cap=1)
+        basis._certify(a2_graph.order[0], co=False)
 
 
 def test_basis_elements_bipointed_and_bar_invariant(a2_graph):
@@ -389,10 +392,10 @@ def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
     # read from the resolver
     calls = []
     real = pointed.NForm.co_n
+    monkeypatch.setattr(pointed, "codegree", lambda *a: pytest.fail("codegree measured again"))
+    basis = CandidateBasis(a3_graph, unfrozen_cap=1)  # its codegree columns read co_n
     monkeypatch.setattr(pointed.NForm, "co_n",
                         lambda self: calls.append(self) or real(self))
-    monkeypatch.setattr(pointed, "codegree", lambda *a: pytest.fail("codegree measured again"))
-    basis = CandidateBasis(a3_graph, unfrozen_cap=1)
     records, forget = [], basis.forget  # each torus's, as the sweep forgets it
     monkeypatch.setattr(basis, "forget",
                         lambda torus: records.extend(hit for side in basis._resolved.values()

@@ -156,14 +156,15 @@ def test_detect_shift_a2(a2_graph):
     up = detect_shift(a2_graph, t0, 1)
     assert up.direction == 1
     # the shifted node's variables expand in t0 to the injective pair
-    ivs = i_vars(a2_graph, up)
+    ref = a2_graph.reference
+    ivs = [z.expand(ref) for z in i_vars(a2_graph, up)]
     assert ivs[0] == a2_gold("I1")
     assert ivs[1] == a2_gold("P1")  # I2
     for k in a2_graph.reference.unfrozen:
         d = degree(a2_graph.reference, ivs[k])
         assert d == tuple(-x for x in unit_vec(2, k))
     down = detect_shift(a2_graph, t0, -1)
-    pvs = p_vars(a2_graph, down)
+    pvs = [z.expand(ref) for z in p_vars(a2_graph, down)]
     assert pvs[0] == a2_gold("P1")
     assert pvs[1] == a2_gold("P2")
     assert codegree(a2_graph.reference, pvs[1]) == (0, -1)
@@ -309,13 +310,14 @@ def test_inj_elements(graph_name, gold, request):
     up = detect_shift(graph, t0, 1)
     s = graph.nodes[t0].seed
     for g, want in gold.items():
-        assert inj_element(graph, up, g) == want
-    ivs = i_vars(graph, up)
+        assert inj_element(graph, up, g).expand(s) == want
+    ivs = [z.expand(s) for z in i_vars(graph, up)]
+    powers = {}  # the oracle's factor powers, formed once per negative part
     for g in product(range(-2, 3), repeat=s.n):
-        z = inj_element(graph, up, g)
+        z = inj_element(graph, up, g).expand(s)
         assert degree(s, z) == g
         assert z.terms[g].is_one()
-        assert z == oracles.qtelem_distinguished(s, ivs, g)
+        assert z == oracles.qtelem_distinguished(s, ivs, g, powers)
 
 
 @pytest.mark.parametrize("graph_name, gold", [
@@ -330,14 +332,15 @@ def test_proj_elements(graph_name, gold, request):
     down = detect_shift(graph, t0, -1)
     s = graph.nodes[t0].seed
     for eta, want in gold.items():
-        assert proj_element(graph, down, eta) == want
-    pvs = p_vars(graph, down)
+        assert proj_element(graph, down, eta).expand(s) == want
+    pvs = [z.expand(s) for z in p_vars(graph, down)]
+    powers, op_powers = {}, {}  # each oracle's factor powers, formed once per negative part
     for eta in product(range(-2, 3), repeat=s.n):
-        z = proj_element(graph, down, eta)
+        z = proj_element(graph, down, eta).expand(s)
         assert codegree(s, z) == eta
         assert z.terms[eta].is_one()
-        assert z == oracles.direct_proj_element(graph, down, eta)
-        assert z == oracles.qtelem_distinguished(opposite_seed(s), pvs, eta)
+        assert z == oracles.direct_proj_element(graph, down, eta, powers)
+        assert z == oracles.qtelem_distinguished(opposite_seed(s), pvs, eta, op_powers)
 
 
 @pytest.mark.parametrize("name", ["a2-cap3", "frozen-cap2-w1"])
@@ -351,13 +354,15 @@ def test_shift_elements_and_checks_measure_nothing(name, monkeypatch):
     up, down = detect_shift(graph, t0, 1), detect_shift(graph, t0, -1)
     ivs, pvs = i_vars(graph, up), p_vars(graph, down)
     keys = list(product(range(-1, 2), repeat=seed.n))
-    inj = {g: oracles.qtelem_distinguished(seed, ivs, g) for g in keys}
-    proj = {g: oracles.qtelem_distinguished(opposite_seed(seed), pvs, g) for g in keys}
+    inj = {g: oracles.qtelem_distinguished(seed, [z.expand(seed) for z in ivs], g)
+           for g in keys}
+    proj = {g: oracles.qtelem_distinguished(opposite_seed(seed), [z.expand(seed) for z in pvs], g)
+            for g in keys}
     forbid(monkeypatch, qtorus.twisted_mul, pointed.degree, pointed.codegree)
     assert i_vars(graph, up) == ivs and p_vars(graph, down) == pvs
     for g in keys:
-        assert inj_element(graph, up, g) == inj[g]
-        assert proj_element(graph, down, g) == proj[g]
+        assert inj_element(graph, up, g).expand(seed) == inj[g]
+        assert proj_element(graph, down, g).expand(seed) == proj[g]
     for key in graph.order:
         for m in product(range(2), repeat=seed.n):
             assert check_swap(graph, down, key, m)
@@ -371,8 +376,8 @@ def test_distinguished_sets(a2_graph):
     up = detect_shift(a2_graph, t0, 1)
     down = detect_shift(a2_graph, t0, -1)
     keys = list(product(range(-1, 2), repeat=2))
-    inj = {g: inj_element(a2_graph, up, g) for g in keys}
-    proj = {eta: proj_element(a2_graph, down, eta) for eta in keys}
+    inj = {g: inj_element(a2_graph, up, g).expand(s) for g in keys}
+    proj = {eta: proj_element(a2_graph, down, eta).expand(s) for eta in keys}
     assert {degree(s, z) for z in inj.values()} == set(keys)
     assert {codegree(s, z) for z in proj.values()} == set(keys)
     assert inj[(-1, 0)] == a2_gold("I1")
@@ -385,7 +390,8 @@ def test_iota_swaps_proj_and_inj(a2_graph, a2_seed):
     gop = build_exchange_graph(opposite_seed(a2_seed))
     up_op = detect_shift(gop, gop.order[0], 1)
     ivs_op = i_vars(gop, up_op)
-    assert [p.terms for p in pvs] == [i.terms for i in ivs_op]
+    assert ([p.expand(a2_graph.reference).terms for p in pvs]
+            == [i.expand(gop.reference).terms for i in ivs_op])
 
 
 def test_swap_proposition(a2_graph, b2_graph):
@@ -459,7 +465,7 @@ def test_substitution_smoke(a2_graph, b2_graph):
         s = graph.nodes[t0].seed
         lam = s.Lambda
         up = detect_shift(graph, t0, 1)
-        ivs = i_vars(graph, up)
+        ivs = [z.expand(s) for z in i_vars(graph, up)]
         basis = CandidateBasis(graph, unfrozen_cap=cap)
         for d in product(range(2), repeat=s.n):
             for dp in product(range(2), repeat=len(s.unfrozen)):
