@@ -117,15 +117,14 @@ def mutate_tracked(ts: TrackedSeed, k, exchange=None) -> TrackedSeed:
 
     z is exchange(ts, k, relation), _new_variable over the stores of the
     torus ts is tracked in; with no exchange, over stores of this one
-    mutation, which start empty. The seed is mutated and checked.
+    mutation, which start empty. The seed is mutated and checked first
+    (mutate_seed), which refuses a k that is not unfrozen.
     """
-    s = ts.seed
-    if k not in s.unfrozen:
-        raise ValueError(f"vertex {k} is not unfrozen")
+    seed = mutate_seed(ts.seed, k)
     exchange = exchange or partial(_new_variable, ts.ref, {}, {}, ts.degs, None)
     z = exchange(ts, k, _exchange(ts, k))
     return TrackedSeed(
-        seed=mutate_seed(s, k),
+        seed=seed,
         vars=ts.vars[:k] + (z,) + ts.vars[k + 1:],
         ref=ts.ref,
         path=ts.path + (k,),

@@ -80,7 +80,7 @@ verify_pair).
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from functools import partial
 from itertools import groupby, product
 
@@ -365,17 +365,12 @@ class CandidateBasis:
         self.graph.forget(torus_key)
 
 
-class TriangularReport:
-    """check_triangular's tally: the products that passed, and the
-    failing and indeterminate ones with their labels. Filled in place by
-    check_triangular; compares by identity."""
+class TriangularReport(namedtuple("TriangularReport", "passes failures indeterminates")):
+    """check_triangular's tally: the number of products that passed, and
+    the failing and indeterminate ones with their labels. Built once, by
+    check_triangular."""
 
-    __slots__ = ("passes", "failures", "indeterminates")
-
-    def __init__(self):
-        self.passes = 0
-        self.failures = []
-        self.indeterminates = []
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -401,7 +396,7 @@ def check_triangular(basis: CandidateBasis, t_key, co=False) -> TriangularReport
     t_seed = graph.nodes[t_key].seed
     seed = opposite_seed(t_seed) if co else t_seed
     lookup = basis.window_set(t_key, co=co)
-    report = TriangularReport()
+    passes, failures, indeterminates = 0, [], []
     for g_ref in basis.degree_keys():
         home, m = basis.by_degree[g_ref]
         g = _linalg.mat_vec(psi_matrix(graph, home, t_key), m)
@@ -414,40 +409,23 @@ def check_triangular(basis: CandidateBasis, t_key, co=False) -> TriangularReport
             decomp = pointed.decompose(seed, prod, lookup, box)
             label = (tuple(g_ref), i)
             if not decomp.is_exact:
-                report.indeterminates.append((label, decomp.reason))
+                indeterminates.append((label, decomp.reason))
             elif pointed.is_m_unitriangular(decomp, prod.g):
-                report.passes += 1
+                passes += 1
             else:
-                report.failures.append((label, decomp.terms))
-    return report
+                failures.append((label, decomp.terms))
+    return TriangularReport(passes, failures, indeterminates)
 
 
-class LeclercVerdict:
+class LeclercVerdict(namedtuple("LeclercVerdict",
+                                 "case r_spec v_degree checks middle reason s h S H",
+                                 defaults=(None,) * 5)):
     """verify_pair's verdict on one (R, V) pair: its case ("in_basis",
     "two_tail" or "indeterminate"), R's (home, m) and V's degree, the
-    extremal v-exponents s and h at the degrees S and H, the middle
-    terms, and the named checks. Compares by its ten fields; immutable
-    by convention."""
+    named checks, the middle terms, and the extremal v-exponents s and h
+    at the degrees S and H. Immutable; compared by its ten fields."""
 
-    __slots__ = ("case", "r_spec", "v_degree", "reason", "s", "h", "S", "H", "middle", "checks")
-
-    def __init__(self, case, r_spec, v_degree, reason=None, s=None, h=None, S=None, H=None,
-                 middle=None, checks=None):
-        self.case = case
-        self.r_spec = r_spec
-        self.v_degree = v_degree
-        self.reason = reason
-        self.s = s
-        self.h = h
-        self.S = S
-        self.H = H
-        self.middle = [] if middle is None else middle
-        self.checks = {} if checks is None else checks
-
-    def __eq__(self, other):
-        if type(other) is not LeclercVerdict:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -479,7 +457,7 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
     hit = basis._resolve(r_home, gamma, False)
     if hit is None or hit[2] is None:
         return LeclercVerdict(
-            case="indeterminate", r_spec=r_spec, v_degree=(),
+            case="indeterminate", r_spec=r_spec, v_degree=(), checks={}, middle=[],
             reason="factor V is not bipointed in the working torus",
         )
     # V's record: its element, its codegree, and the n of that codegree
@@ -499,16 +477,16 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
     decomp = pointed.decompose(t_seed, prod.vshift(-s), basis.window_set(r_home), n_v)
     if not decomp.is_exact:
         return LeclercVerdict(
-            case="indeterminate", r_spec=r_spec, v_degree=gamma,
-            reason=decomp.reason, s=s, h=h, checks=checks,
+            case="indeterminate", r_spec=r_spec, v_degree=gamma, checks=checks, middle=[],
+            reason=decomp.reason, s=s, h=h,
         )
     if len(decomp.terms) == 1:
         g0, c0 = decomp.terms[0]
         checks["pivot_is_one"] = g0 == top and c0.is_one()
         _record_n_criterion(checks, t_seed, r_m, n_v, in_basis=True)
         return LeclercVerdict(
-            case="in_basis", r_spec=r_spec, v_degree=gamma,
-            s=s, h=h, S=top, checks=checks,
+            case="in_basis", r_spec=r_spec, v_degree=gamma, checks=checks, middle=[],
+            s=s, h=h, S=top,
         )
     # two-tailed case: identify the head term by the codegree of its element
     checks["s_gt_h"] = s > h
@@ -545,8 +523,8 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
     checks["bar_consistency"] = all(rec[1].is_bar_invariant() for rec in record.values())
     _record_n_criterion(checks, t_seed, r_m, n_v, in_basis=False)
     return LeclercVerdict(
-        case="two_tail", r_spec=r_spec, v_degree=gamma,
-        s=s, h=h, S=top, H=head, middle=sorted(mids), checks=checks,
+        case="two_tail", r_spec=r_spec, v_degree=gamma, checks=checks, middle=sorted(mids),
+        s=s, h=h, S=top, H=head,
     )
 
 
@@ -559,15 +537,11 @@ def _record_n_criterion(checks, t_seed, r_m, n_v, in_basis):
     checks["in_basis_iff_n_zero"] = in_basis == (ni == 0)
 
 
-class LeclercReport:
+class LeclercReport(namedtuple("LeclercReport", "verdicts conflicts")):
     """verify_theorem's verdicts, in sweep order, and the basis's
-    conflicts. Filled in place by verify_theorem; compares by identity."""
+    conflicts. Built once, by verify_theorem."""
 
-    __slots__ = ("verdicts", "conflicts")
-
-    def __init__(self):
-        self.verdicts = []
-        self.conflicts = []
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -613,12 +587,11 @@ def verify_theorem(basis: CandidateBasis, r_specs=None) -> LeclercReport:
     if r_specs is None:
         r_specs = default_r_specs(graph)
     index = {key: i for i, key in enumerate(graph.order)}
-    report = LeclercReport()
+    verdicts = []
     specs = sorted(r_specs, key=lambda rs: (index[rs[0]], tuple(rs[1])))
     for r_home, group in groupby(specs, key=lambda rs: rs[0]):
         for _, r_m in group:
-            report.verdicts += sorted((verify_pair(basis, r_home, r_m, *basis.by_degree[g])
-                                       for g in basis.degree_keys()), key=lambda v: v.v_degree)
+            verdicts += sorted((verify_pair(basis, r_home, r_m, *basis.by_degree[g])
+                                for g in basis.degree_keys()), key=lambda v: v.v_degree)
         basis.forget(r_home)
-    report.conflicts = list(basis.conflicts)
-    return report
+    return LeclercReport(verdicts, list(basis.conflicts))

@@ -90,6 +90,7 @@ on the same element read from its codegree (NForm.opposite).
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, product
 from math import lcm
@@ -371,9 +372,8 @@ def mul(seed, a, b, normalize=False):
     The term pair (n1, n2) lands at n1 + n2 with lowest v-exponent
     lo1 + lo2 + s1 + s2 + p1 . p2 and packed coefficient z1 z2:
     s1 = lambda(a.g, b.g) + sum_k d_k n1_k b.g[U_k],
-    s2 = -sum_k d_k n2_k a.g[U_k], and p1 . p2 = n1^T D B_U n2, formed
-    as n1^T D B_U once per term of a when a has at most as many terms as
-    b, else as D B_U n2 once per term of b. When either factor has one
+    s2 = -sum_k d_k n2_k a.g[U_k], and p1 . p2 = n1^T D B_U n2, with
+    D B_U n2 formed once per term of b. When either factor has one
     term of one digit at n = 0 (a monomial X^m, for one), the product is
     one shifted copy of each term of the other, at one dot product per
     term. With normalize, the product is divided by its n = 0
@@ -403,20 +403,12 @@ def mul(seed, a, b, normalize=False):
     lone = _lone_term(b.terms)
     if lone is not None:
         return NForm(g, _shifted_copies(lone, a.terms, shift, d_b, sign), l1, max_l1)
-    left = [(n1, lo1 + shift + sum(map(_times, d_b, n1)), sign * z1)
-            for n1, (lo1, z1) in a.terms.items()]
-    right = [(n2, lo2 - sum(map(_times, d_a, n2)), z2) for n2, (lo2, z2) in b.terms.items()]
-    if len(left) <= len(right):
-        left = [(n1, e1, z1, tuple(sum(map(_times, n1, col)) for col in zip(*db)))
-                for n1, e1, z1 in left]
-        right = [(n2, e2, z2, n2) for n2, e2, z2 in right]
-    else:
-        left = [(n1, e1, z1, n1) for n1, e1, z1 in left]
-        right = [(n2, e2, z2, tuple(sum(map(_times, row, n2)) for row in db))
-                 for n2, e2, z2 in right]
+    right = [(n2, lo2 - sum(map(_times, d_a, n2)), z2,
+              tuple(sum(map(_times, row, n2)) for row in db))
+             for n2, (lo2, z2) in b.terms.items()]
     t = {}
-    for n1, e1, z1, p1 in left:
-        _add_row(t, n1, e1, z1, p1, right)
+    for n1, (lo1, z1) in a.terms.items():
+        _add_row(t, n1, lo1 + shift + sum(map(_times, d_b, n1)), sign * z1, n1, right)
     return NForm(g, t, l1, max_l1)
 
 
@@ -535,23 +527,13 @@ def divide(seed, num, d):
     return NForm(g, q, l1, max_l1)
 
 
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "terms status reason", defaults=("exact", None))):
     """decompose's result: the (g, coefficient) terms found, in the order
-    found, and "exact" or "indeterminate" with a reason. Compares by its
-    three fields (the oracle tests compare decompositions); immutable by
-    convention."""
+    found, and "exact" or "indeterminate" with a reason. A namedtuple:
+    immutable, and equal to any record or tuple of the same three fields
+    (the oracle tests compare decompositions)."""
 
-    __slots__ = ("terms", "status", "reason")
-
-    def __init__(self, terms, status="exact", reason=None):
-        self.terms = terms
-        self.status = status
-        self.reason = reason
-
-    def __eq__(self, other):
-        if type(other) is not Decomposition:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    __slots__ = ()
 
     @property
     def is_exact(self):

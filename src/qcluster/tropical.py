@@ -36,6 +36,8 @@ degree (NForm.expand gives the torus element).
 """
 from __future__ import annotations
 
+from collections import namedtuple
+
 from . import _linalg, pointed
 from .expansion import ExchangeGraph
 from .qtorus import pos_part, unit_vec, vec_sub
@@ -98,30 +100,17 @@ def psi_matrix(graph: ExchangeGraph, a_key, b_key):
     return _linalg.transpose(tuple(x.g for x in graph.vars_in(a_key, b_key)))
 
 
-class ShiftData:
+class ShiftData(namedtuple("ShiftData", "base target direction word sigma u")):
     """Witness that target is the [direction]-shift of base.
 
     word turns base's labeled seed into target's. sigma maps each
     unfrozen k to the position whose variable is pointed at -f_k plus
     the frozen correction u[k]; the degrees are measured in the torus
-    of base for direction +1 and of target for direction -1. Compares
-    by its six fields; immutable by convention.
+    of base for direction +1 and of target for direction -1. A
+    namedtuple: immutable, and compared by its six fields.
     """
 
-    __slots__ = ("base", "target", "direction", "word", "sigma", "u")
-
-    def __init__(self, base, target, direction, word, sigma, u):
-        self.base = base
-        self.target = target
-        self.direction = direction
-        self.word = word
-        self.sigma = sigma
-        self.u = u
-
-    def __eq__(self, other):
-        if type(other) is not ShiftData:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    __slots__ = ()
 
 
 def _shift_pattern(graph, home_key, torus_key):

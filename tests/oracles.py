@@ -65,7 +65,10 @@ The torus-element distinguished element is the construction the library
 ran before it moved to n-forms: ordered twisted products, each
 normalized at a degree scan. It reuses the library's torus arithmetic
 and degree scan: what it checks is that the n-form construction,
-normalized by one v-shift per factor, gives the same elements.
+normalized by one v-shift per factor, gives the same elements. Each
+factor power is formed and scanned once; a monomial factor X^m only
+shifts the support by m (monomial_mul), so it shifts the (co)degree by m
+too, and the monomial factors of one element fold into one.
 The scanning shift detection is the one the library ran before it
 skipped candidates by their unfrozen B: it re-tracks into every
 candidate torus in discovery order and reuses the library's pattern
@@ -89,6 +92,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
+from operator import mul
 
 import sympy as sp
 
@@ -99,7 +103,7 @@ from qcluster.qtorus import (
     vec_sub)
 from qcluster.seed import NoCompatibleLambda, mutate_seed, opposite_seed
 from qcluster.tropical import (
-    FrozenFactorNotFrozen, ShiftData, ShiftNotFound, _b_condition, _shift_pattern, p_vars)
+    FrozenFactorNotFrozen, ShiftData, ShiftNotFound, _b_condition, _shift_pattern)
 
 
 @dataclass(frozen=True)
@@ -157,38 +161,52 @@ def to_nform(seed, z, g):
     return pointed.NForm.of(g, terms)
 
 
+def monomial_mul(lam, m, z, at, right=False):
+    """X^m z, or z X^m when right, by an exponent shift, divided by the
+    v-power the product puts on z's term at the exponent at: each term
+    c X^t becomes v^(w . (t - at)) c X^(m + t), where w . t is lam(m, t)
+    (w = lam^T m), or lam(t, m) from the right (w = lam m). When z is
+    normalized at at, the product is normalized at m + at."""
+    w = _linalg.mat_vec(lam if right else _linalg.transpose(lam), m)
+    return QTElem(len(m), {vec_add(m, t): c.shift(sum(map(mul, w, vec_sub(t, at))))
+                           for t, c in z.terms.items()})
+
+
 def factor_power(seed, factors, g, powers=None):
-    """The ordered twisted product of the torus-element factors to the
-    powers -g_k for g_k < 0, normalized at a degree scan. The dict powers
-    keeps each product by those exponents: the distinguished elements of
-    a box of exponents share their negative parts, so a caller that keeps
-    one dict per (seed, factors) forms each product once."""
+    """(element, degree, codegree): the ordered twisted product of the
+    torus-element factors to the powers -g_k for g_k < 0, normalized at
+    a degree scan, with that degree and a codegree scan. The dict powers
+    keeps each by those exponents: the distinguished elements of a box
+    of exponents share their negative parts, so a caller that keeps one
+    dict per (seed, factors) forms and scans each product once."""
     powers = {} if powers is None else powers
     neg = tuple(max(-g[k], 0) for k in seed.unfrozen)
-    acc = powers.get(neg)
-    if acc is None:
+    hit = powers.get(neg)
+    if hit is None:
         acc = QTElem.one(seed.n)
         for z, p in zip(factors, neg):
             for _ in range(p):
                 acc = twisted_mul(acc, z, seed.Lambda)
-        acc = powers[neg] = normalize_deg(seed, acc)
-    return acc
+        d = pointed.degree(seed, acc)
+        hit = powers[neg] = (normalize_at(acc, d), d, pointed.codegree(seed, acc))
+    return hit
 
 
 def qtelem_distinguished(seed, factors, g, powers=None):
     """The torus element pointed at g: X^(g+) times the ordered twisted
     product of the torus-element factors to the powers -g_k for g_k < 0,
     normalized at a degree scan (factor_power, over powers), then the
-    forced frozen factor in front, normalized again."""
-    lam = seed.Lambda
-    acc = factor_power(seed, factors, g, powers)
-    body = twisted_mul(QTElem.monomial(pos_part(g)), acc, lam)
-    d = pointed.degree(seed, body)
-    body = normalize_at(body, d)
-    u = vec_sub(g, d)
+    forced frozen factor X^u in front, normalized at g. X^(g+) shifts the
+    power's degree d to g+ + d, which fixes u = g - g+ - d, and the two
+    monomials are one, X^(u + g+), up to the v-power normalizing drops:
+    the power's coefficient 1 at d lands at g unchanged (monomial_mul).
+    """
+    acc, d, _ = factor_power(seed, factors, g, powers)
+    gp = pos_part(g)
+    u = vec_sub(g, vec_add(gp, d))
     if any(u[i] != 0 for i in seed.unfrozen):
         raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
-    return normalize_deg(seed, twisted_mul(QTElem.monomial(u), body, lam))
+    return monomial_mul(seed.Lambda, vec_add(u, gp), acc, d)
 
 
 def brute_dominance_leq(b_matrix, unfrozen, gp, g, bound=6):
@@ -511,22 +529,18 @@ def eager_enumeration(graph, cap, frozen_window):
     return by_degree, by_codegree, provenance
 
 
-def direct_proj_element(graph, sd, eta, powers=None):
-    """Reference projective distinguished element: the projectives' power
-    (factor_power, over powers) times the cluster monomial X^(eta+), then
-    the frozen factor, each product taken from the right and normalized
-    from the bottom."""
-    s = graph.nodes[sd.base].seed
-    lam = s.Lambda
-    pvs = [z.expand(s) for z in p_vars(graph, sd)]
-    ppart = factor_power(s, pvs, eta, powers)
-    body = twisted_mul(ppart, QTElem.monomial(pos_part(eta)), lam)
-    c = pointed.codegree(s, body)
-    body = normalize_at(body, c)
-    u = vec_sub(eta, c)
-    if any(u[i] != 0 for i in s.unfrozen):
+def direct_proj_element(seed, factors, eta, powers=None):
+    """Reference projective distinguished element of the seed, from its
+    projectives as torus elements: their power (factor_power, over
+    powers) times the cluster monomial X^(eta+), then the frozen factor,
+    each product taken from the right and normalized from the bottom."""
+    ppart, _, c = factor_power(seed, factors, eta, powers)
+    ep = pos_part(eta)
+    u = vec_sub(eta, vec_add(c, ep))
+    if any(u[i] != 0 for i in seed.unfrozen):
         raise FrozenFactorNotFrozen(f"forced correction {u} is not frozen")
-    return normalize_deg(opposite_seed(s), twisted_mul(body, QTElem.monomial(u), lam))
+    body = monomial_mul(seed.Lambda, vec_add(ep, u), ppart, c, right=True)
+    return normalize_at(body, eta)
 
 
 def _fraction_solve_any(mat, rhs):

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import json
 import os
@@ -471,14 +470,6 @@ def test_leclerc_visits_each_home_once_whatever_the_scope_order(tmp_path, monkey
     assert [p["R"]["node"] for p in json.loads(texts[0])["pairs"][::45]] == [0, 0, 0, 1]
 
 
-def _with(verdict, **changes):
-    """A copy of verdict with the given fields changed."""
-    out = copy.copy(verdict)
-    for name, value in changes.items():
-        setattr(out, name, value)
-    return out
-
-
 def _tampered_a3p_run(monkeypatch, capsys, tamper):
     """An A3-principal cap1 leclerc run with the first in_basis verdict
     replaced by tamper(verdict): (exit status, printed lines, report)."""
@@ -509,7 +500,7 @@ def test_an_in_basis_pair_with_a_false_check_fails_the_run(monkeypatch, capsys):
     assert status == 0 and len(plain) == 1
     status, lines, report = _tampered_a3p_run(
         monkeypatch, capsys,
-        lambda v: _with(v, checks={**v.checks, "pivot_is_one": False}))
+        lambda v: v._replace(checks={**v.checks, "pivot_is_one": False}))
     assert status == 1 and not report.ok
     assert lines[0] == plain[0]
     assert len(lines) == 2 and lines[1].startswith("FAIL R=")
@@ -519,7 +510,7 @@ def test_an_in_basis_pair_with_a_false_check_fails_the_run(monkeypatch, capsys):
 def test_an_indeterminate_pair_fails_the_run(monkeypatch, capsys):
     status, lines, report = _tampered_a3p_run(
         monkeypatch, capsys,
-        lambda v: _with(v, case="indeterminate", reason="tampered"))
+        lambda v: v._replace(case="indeterminate", reason="tampered"))
     assert status == 1 and not report.ok
     assert "indeterminate 1," in lines[0]
     assert len(lines) == 2 and lines[1].startswith("INDETERMINATE R=")

@@ -78,12 +78,13 @@ def test_backward_shift_has_frozen_corrections(graph, seed):
 def test_inj_and_proj_with_frozen_factor(graph, seed):
     up = detect_shift(graph, graph.order[0], 1)
     down = detect_shift(graph, graph.order[0], -1)
+    pvs = [z.expand(seed) for z in p_vars(graph, down)]
     for g in product(range(-2, 2), range(-2, 2), range(-1, 2)):
         z = inj_element(graph, up, g).expand(seed)
         assert degree(seed, z) == g and z.terms[g].is_one()
         w = proj_element(graph, down, g).expand(seed)
         assert codegree(seed, w) == g and w.terms[g].is_one()
-        assert w == oracles.direct_proj_element(graph, down, g)
+        assert w == oracles.direct_proj_element(seed, pvs, g)
 
 
 def test_compatibility_with_frozen_exponents(graph):

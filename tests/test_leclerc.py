@@ -22,7 +22,7 @@ from qcluster.leclerc import (
 from qcluster._linalg import mat_vec
 from qcluster.pointed import NForm, codegree, degree, dominance_n
 from qcluster.qtorus import QTElem, VCoeff, unit_vec
-from qcluster.tropical import psi_matrix
+from qcluster.tropical import detect_shift, psi_matrix
 
 
 def test_enumeration_counts(a2_graph):
@@ -489,6 +489,26 @@ def test_verify_theorem_a2(a2_graph):
         if v.case == "two_tail":
             assert v.s > v.h
             assert all(v.checks.values()), v.checks
+
+
+def test_records_are_immutable(a2_graph):
+    # a verdict, a decomposition, a shift witness and both reports refuse
+    # a field assignment: a record is built once and handed out as is
+    t0 = a2_graph.order[0]
+    basis = CandidateBasis(a2_graph, unfrozen_cap=1)
+    report = verify_theorem(basis)
+    seed = a2_graph.nodes[t0].seed
+    x = a2_graph.nodes[t0].vars[0]
+    records = [
+        (report.verdicts[0], "checks"),
+        (pointed.decompose(seed, x, {x.g: x}.get, (0,) * seed.n), "terms"),
+        (detect_shift(a2_graph, t0, 1), "sigma"),
+        (report, "verdicts"),
+        (check_triangular(basis, t0), "passes"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_verify_theorem_scope_subset(a2_graph):

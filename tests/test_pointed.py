@@ -246,7 +246,11 @@ def test_decompositions_compare_by_their_fields():
 
     assert make() == make() and make("indeterminate", "r") == make("indeterminate", "r")
     assert make() != make("indeterminate") and make("indeterminate", "r") != make("indeterminate")
-    assert make() != (make().terms, "exact", None)
+    d = make()
+    with pytest.raises(AttributeError):
+        d.status = "indeterminate"
+    assert d._replace(status="indeterminate", reason="r") == make("indeterminate", "r")
+    assert d == make() and d.is_exact
 
 
 # -- the codegree side against direct scans (normalize, decompose: opposite seed) --

@@ -339,7 +339,7 @@ def test_proj_elements(graph_name, gold, request):
         z = proj_element(graph, down, eta).expand(s)
         assert codegree(s, z) == eta
         assert z.terms[eta].is_one()
-        assert z == oracles.direct_proj_element(graph, down, eta, powers)
+        assert z == oracles.direct_proj_element(s, pvs, eta, powers)
         assert z == oracles.qtelem_distinguished(opposite_seed(s), pvs, eta, op_powers)
 
 
