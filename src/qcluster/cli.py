@@ -22,7 +22,7 @@ import os
 import random
 import sys
 
-from . import leclerc, tropical
+from . import expansion, leclerc, tropical
 from .expansion import apply_word, build_exchange_graph, emit_dot, initial_tracked
 from .seed import IncompatiblePair, NoCompatibleLambda, make_seed, mutate_seed
 
@@ -119,9 +119,9 @@ def require_at_least(flag, value, low):
 
 def print_seed(seed):
     print(f"n={seed.n} unfrozen={[k + 1 for k in seed.unfrozen]}")
-    print("B=" + json.dumps([list(r) for r in seed.B]))
-    print("Lambda=" + json.dumps([list(r) for r in seed.Lambda]))
-    print("D=" + json.dumps(list(seed.D)))
+    print("B=" + json.dumps(seed.B))
+    print("Lambda=" + json.dumps(seed.Lambda))
+    print("D=" + json.dumps(seed.D))
 
 
 def cmd_check(args):
@@ -168,11 +168,10 @@ def not_finite_type(graph, outcome):
 
 
 def cmd_graph(args):
-    require_at_least("--cap", args.cap, 1)
     seed, _ = load_seed(args.seed_file)
     if args.dot and args.dot != "-":
         check_writable(args.dot)  # fail now, not after the build
-    graph = build_exchange_graph(seed, node_cap=args.cap)
+    graph = build_exchange_graph(seed)
     if not_finite_type(graph, "no graph written"):
         return 1
     nvars = len(graph.distinct_variables())
@@ -191,9 +190,8 @@ def cmd_graph(args):
 
 
 def cmd_shift(args):
-    require_at_least("--cap", args.cap, 1)
     seed, _ = load_seed(args.seed_file)
-    graph = build_exchange_graph(seed, node_cap=args.cap)
+    graph = build_exchange_graph(seed)
     if not_finite_type(graph, f"no {args.direction:+d} shift found"):
         return 1
     try:
@@ -201,37 +199,30 @@ def cmd_shift(args):
     except tropical.ShiftNotFound:
         if not graph.truncated:
             raise
-        print(f"not finite type within cap {args.cap}; no {args.direction:+d} shift found")
+        print(f"not finite type within cap {expansion.NODE_CAP}; "
+              f"no {args.direction:+d} shift found")
         return 1
     out = {
         "direction": sd.direction,
         "word": [k + 1 for k in sd.word],
         "sigma": {str(k + 1): sd.sigma[k] + 1 for k in sorted(sd.sigma)},
-        "u": {str(k + 1): list(sd.u[k]) for k in sorted(sd.u)},
+        "u": {str(k + 1): sd.u[k] for k in sorted(sd.u)},
     }
     print(json.dumps(out, sort_keys=True))
     return 0
 
 
-def _verdict_json(v):
-    out = {
-        "R": {"node": None, "m": list(v.r_spec[1])},
-        "V": list(v.v_degree),
-        "verdict": v.case,
-        "checks": {k: bool(b) for k, b in sorted(v.checks.items())},
-    }
-    if v.reason:
-        out["reason"] = v.reason
-    if v.s is not None:
-        out["s"] = v.s
-    if v.h is not None:
-        out["h"] = v.h
-    if v.S is not None:
-        out["S"] = list(v.S)
-    if v.H is not None:
-        out["H"] = list(v.H)
+def _verdict_json(v, node):
+    """One pair of the --json report, R's home given as node, its index in
+    graph order: the verdict's fields as they are, an optional one only
+    when set, and each middle coefficient as its text."""
+    out = {"R": {"node": node, "m": v.r_spec[1]}, "V": v.v_degree, "verdict": v.case,
+           "checks": v.checks}
+    for name in ("reason", "s", "h", "S", "H"):
+        if getattr(v, name) is not None:
+            out[name] = getattr(v, name)
     if v.middle:
-        out["middle"] = [[list(g), str(c)] for g, c in v.middle]
+        out["middle"] = [[g, str(c)] for g, c in v.middle]
     return out
 
 
@@ -239,11 +230,7 @@ def _report_json(graph, basis, report):
     """The --json report document: its pairs in the report's order, by
     R's node, R's m and V's degree."""
     node_ids = {key: i for i, key in enumerate(graph.order)}
-    pairs = []
-    for v in report.verdicts:
-        item = _verdict_json(v)
-        item["R"]["node"] = node_ids[v.r_spec[0]]
-        pairs.append(item)
+    pairs = [_verdict_json(v, node_ids[v.r_spec[0]]) for v in report.verdicts]
     return {
         "nodes": len(graph.order),
         "variables": len(graph.distinct_variables()),
@@ -288,14 +275,13 @@ def select_r_specs(r_specs, scope, rng_seed):
 def cmd_leclerc(args):
     require_at_least("--cap", args.cap, 0)
     require_at_least("--frozen-window", args.frozen_window, 0)
-    require_at_least("--node-cap", args.node_cap, 1)
     scope = parse_scope(args.scope)
     seed, _ = load_seed(args.seed_file)
-    graph = build_exchange_graph(seed, node_cap=args.node_cap)
+    graph = build_exchange_graph(seed)
     if not_finite_type(graph, "no report written"):
         return 1
     if graph.truncated:
-        print(f"not finite type within cap {args.node_cap}; no report written")
+        print(f"not finite type within cap {expansion.NODE_CAP}; no report written")
         return 1
     r_specs = select_r_specs(leclerc.default_r_specs(graph), scope, args.rng_seed)
     try:
@@ -311,11 +297,8 @@ def cmd_leclerc(args):
         doc = _report_json(graph, basis, report)  # streamed: no whole-report string
         write_file(args.json_out,
                    lambda fh: json.dump(doc, fh, indent=2, sort_keys=True) or fh.write("\n"))
-    c = report.counts()
-    print(f"basis {len(basis.by_degree)} elements; "
-          f"in_basis {c['in_basis']}, two_tail_pass {c['two_tail_pass']}, "
-          f"two_tail_fail {c['two_tail_fail']}, indeterminate {c['indeterminate']}, "
-          f"conflicts {len(report.conflicts)}")
+    tally = ", ".join(f"{case} {count}" for case, count in report.counts().items())
+    print(f"basis {len(basis.by_degree)} elements; {tally}, conflicts {len(report.conflicts)}")
     for v in report.verdicts:
         if v.case == "indeterminate":
             print(f"INDETERMINATE R={v.r_spec[1]} V@{v.v_degree}: {v.reason}")
@@ -348,21 +331,18 @@ def build_parser():
 
     p = sub.add_parser("graph", help="enumerate the exchange graph")
     p.add_argument("seed_file")
-    p.add_argument("--cap", type=int, default=10000)
     p.add_argument("--dot", default=None, help="write DOT here ('-' for stdout)")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("shift", help="detect the shifted seed of the initial node")
     p.add_argument("seed_file")
     p.add_argument("--direction", type=int, choices=(1, -1), default=1)
-    p.add_argument("--cap", type=int, default=10000)
     p.set_defaults(func=cmd_shift)
 
     p = sub.add_parser("leclerc", help="run the product-structure verification")
     p.add_argument("seed_file")
     p.add_argument("--cap", type=int, default=3, help="unfrozen exponent cap")
     p.add_argument("--frozen-window", type=int, default=0)
-    p.add_argument("--node-cap", type=int, default=10000)
     p.add_argument("--scope", default="all",
                    help="'all', comma-separated R indices, or 'sample:N'")
     p.add_argument("--json", dest="json_out", default=None,

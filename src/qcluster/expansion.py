@@ -80,6 +80,12 @@ from . import pointed
 from .qtorus import pos_part, unit_vec
 from .seed import QuantumSeed, mutate_seed
 
+# Most nodes an exchange graph holds, read when a build runs: a safety
+# bound, since the 2-finite test refuses a seed of infinite type at
+# once; the largest graph the CI, the demos or the benchmark builds
+# (E6-principal's) has 833 nodes.
+NODE_CAP = 10_000
+
 
 class TrackedSeed:
     """seed's variables in the torus of ref, in n-coordinates there
@@ -254,8 +260,8 @@ class ExchangeGraph:
 
     nodes maps a degree-set key to the first TrackedSeed that reached
     it; order lists keys in discovery order; edges holds directed
-    (key, vertex, key) mutation triples. truncated is set when the
-    node cap or a seed that is not 2-finite stopped the search; witness
+    (key, vertex, key) mutation triples. truncated is set when NODE_CAP
+    or a seed that is not 2-finite stopped the search; witness
     is (path, i, j, b_ij b_ji) for such a seed, else None. Every store
     is keyed by torus first and kept until forget drops the torus:
     _cross[torus][home] is home's re-tracking into a torus other than
@@ -264,9 +270,8 @@ class ExchangeGraph:
     there, exchange monomials too; _relations[torus] its relation table.
     """
 
-    def __init__(self, reference: QuantumSeed, node_cap=10000):
+    def __init__(self, reference: QuantumSeed):
         self.reference = reference
-        self.node_cap = node_cap
         self.nodes: dict = {}
         self.order: list = []
         self.edges: list = []
@@ -298,7 +303,7 @@ class ExchangeGraph:
                     ts2 = mutate_tracked(ts, k, exchange)
                     key2 = degree_key(ts2)
                     self.edges.append((key, k, key2))
-                    if key2 not in self.nodes and len(self.nodes) >= self.node_cap:
+                    if key2 not in self.nodes and len(self.nodes) >= NODE_CAP:
                         self.truncated = True
                         continue
                     ts2 = self._intern(ts2, key0, ts2.degs)  # its variables must match the store
@@ -450,8 +455,9 @@ class ExchangeGraph:
         return sorted((a, kk, b) for (a, b), (_, kk) in pairs.items())
 
 
-def build_exchange_graph(seed, node_cap=10000) -> ExchangeGraph:
-    return ExchangeGraph(seed, node_cap=node_cap)
+def build_exchange_graph(seed) -> ExchangeGraph:
+    """The exchange graph of seed, built up to NODE_CAP nodes."""
+    return ExchangeGraph(seed)
 
 
 def emit_dot(graph: ExchangeGraph) -> str:

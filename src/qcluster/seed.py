@@ -88,14 +88,20 @@ class QuantumSeed:
         return lam_pair(self.Lambda, m, mp)
 
 
-def _check_shape(n, unfrozen, B, Lambda):
-    """Raise ValueError unless unfrozen holds distinct vertices, B is
-    n x |unfrozen| and Lambda is n x n and skew-symmetric."""
+def _check_exchange(n, unfrozen, B):
+    """Raise ValueError unless unfrozen holds distinct vertices and B is
+    n x |unfrozen|."""
     nuf = len(unfrozen)
     if len(set(unfrozen)) != nuf or any(not 0 <= k < n for k in unfrozen):
         raise ValueError("unfrozen must be distinct vertex indices")
     if len(B) != n or any(len(row) != nuf for row in B):
         raise ValueError("B must be n x |unfrozen|")
+
+
+def _check_shape(n, unfrozen, B, Lambda):
+    """Raise ValueError unless _check_exchange passes and Lambda is n x n
+    and skew-symmetric."""
+    _check_exchange(n, unfrozen, B)
     if len(Lambda) != n or any(len(row) != n for row in Lambda):
         raise ValueError("Lambda must be n x n")
     if any(any(map(add, row, col)) for row, col in zip(Lambda, zip(*Lambda))):
@@ -216,9 +222,7 @@ def _lambda_solver(btilde, unfrozen):
     """
     n = len(btilde)
     nuf = len(unfrozen)
-    if (len(set(unfrozen)) != nuf or any(not 0 <= k < n for k in unfrozen)
-            or any(len(row) != nuf for row in btilde)):
-        raise ValueError("B must be n x |unfrozen| over distinct unfrozen vertices")
+    _check_exchange(n, unfrozen, btilde)
     if _linalg.rank(btilde) != nuf:
         raise ValueError("exchange matrix must have full column rank")
     # unknowns: Lambda[a][b] = -Lambda[b][a] for a < b; one equation per

@@ -204,8 +204,9 @@ def test_graph(a2_file, capsys, tmp_path):
     assert text.count("--") == 5
 
 
-def test_graph_truncation_flagged(a2_file, capsys):
-    assert main(["graph", a2_file, "--cap", "2"]) == 0
+def test_graph_truncation_flagged(a2_file, monkeypatch, capsys):
+    monkeypatch.setattr(expansion, "NODE_CAP", 2)
+    assert main(["graph", a2_file]) == 0
     assert "truncated" in capsys.readouterr().out
 
 
@@ -229,9 +230,11 @@ def test_shift(a2_file, capsys):
 
 
 @pytest.mark.parametrize("direction", ["1", "-1"])
-def test_shift_on_a_truncated_graph_is_a_check_failure(a2_file, direction, capsys):
+def test_shift_on_a_truncated_graph_is_a_check_failure(a2_file, direction, monkeypatch,
+                                                        capsys):
     # used to exit 3: "internal error: no +1 shift for node in graph (graph truncated)"
-    assert main(["shift", a2_file, "--cap", "1", "--direction", direction]) == 1
+    monkeypatch.setattr(expansion, "NODE_CAP", 1)
+    assert main(["shift", a2_file, "--direction", direction]) == 1
     captured = capsys.readouterr()
     assert captured.out == f"not finite type within cap 1; no {int(direction):+d} shift found\n"
     assert captured.err == ""
@@ -252,6 +255,24 @@ def test_leclerc_report(a2_file, capsys, tmp_path):
     )
     two_tails = [p for p in doc["pairs"] if p["verdict"] == "two_tail"]
     assert two_tails and all("s" in p and "h" in p and "S" in p and "H" in p for p in two_tails)
+
+
+def test_leclerc_on_a_truncated_graph_writes_no_report(a2_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(expansion, "NODE_CAP", 2)
+    path = tmp_path / "report.json"
+    assert main(["leclerc", a2_file, "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "not finite type within cap 2; no report written\n"
+    assert captured.err == "" and not path.exists()
+
+
+@pytest.mark.parametrize("command", ["graph", "shift", "leclerc"])
+def test_no_command_takes_a_node_cap(command, capsys):
+    # the node cap is expansion.NODE_CAP; leclerc's --cap caps exponents
+    assert main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    assert "--node-cap" not in text
+    assert ("--cap" in text) == (command == "leclerc")
 
 
 KRONECKER_FILE = {
@@ -341,6 +362,35 @@ def test_cli_output_bytes_match_the_pinned_digests(tmp_path, capsys, argv, diges
 
 def test_unreadable_file():
     assert main(["check", "/nonexistent/path.json"]) == 2
+
+
+def test_a_seed_file_that_is_not_json_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "seed.json"
+    p.write_text('{"n": 2, "B": [[0, -1], [1, 0]]')
+    assert main(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed file is not valid JSON: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"n": 2, "unfrozen": [1, 3], "B": [[0, -1], [1, 0]]},
+     "unfrozen must be distinct vertex indices"),
+    ({"n": 2, "unfrozen": [1, 1], "B": [[0, -1], [1, 0]]},
+     "unfrozen must be distinct vertex indices"),
+    ({"n": 2, "B": [[0, -1], [1]]}, "B must be n x |unfrozen|"),
+])
+@pytest.mark.parametrize("lam", [None, [[0, -1], [1, 0]]], ids=["no-lambda", "lambda"])
+def test_check_names_a_malformed_shape(tmp_path, capsys, data, message, lam):
+    # with Lambda or without (synthesized), one shape check and its message
+    if lam is not None:
+        data = dict(data, Lambda=lam)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    assert main(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad seed data: {message}\n"
+    assert captured.out == ""
 
 
 def test_incompatible_pair_rejected_outside_check(tmp_path):
@@ -470,9 +520,10 @@ def test_leclerc_visits_each_home_once_whatever_the_scope_order(tmp_path, monkey
     assert [p["R"]["node"] for p in json.loads(texts[0])["pairs"][::45]] == [0, 0, 0, 1]
 
 
-def _tampered_a3p_run(monkeypatch, capsys, tamper):
-    """An A3-principal cap1 leclerc run with the first in_basis verdict
-    replaced by tamper(verdict): (exit status, printed lines, report)."""
+def _tampered_a3p_run(monkeypatch, capsys, tamper, *options):
+    """An A3-principal cap1 leclerc run, given options too, with the first
+    in_basis verdict replaced by tamper(verdict): (exit status, printed
+    lines, report)."""
     real_pair, real_theorem = leclerc.verify_pair, leclerc.verify_theorem
     tampered, reports = [], []
 
@@ -487,7 +538,7 @@ def _tampered_a3p_run(monkeypatch, capsys, tamper):
     monkeypatch.setattr(leclerc, "verify_theorem",
                         lambda *a, **k: reports.append(real_theorem(*a, **k)) or reports[-1])
     seed_file = str(pathlib.Path(__file__).parent.parent / "bench" / "seeds" / "a3p.json")
-    status = main(["leclerc", seed_file, "--cap", "1"])
+    status = main(["leclerc", seed_file, "--cap", "1", *options])
     assert len(tampered) == 1 and len(reports) == 1
     return status, capsys.readouterr().out.splitlines(), reports[0]
 
@@ -507,14 +558,24 @@ def test_an_in_basis_pair_with_a_false_check_fails_the_run(monkeypatch, capsys):
     assert lines[1].endswith(": ['pivot_is_one']")
 
 
-def test_an_indeterminate_pair_fails_the_run(monkeypatch, capsys):
+def test_an_indeterminate_pair_fails_the_run(tmp_path, monkeypatch, capsys):
+    # its line gives the reason, and so does its pair in the report, next
+    # to the verdict's other set fields; no other pair has a reason
+    path = tmp_path / "report.json"
     status, lines, report = _tampered_a3p_run(
         monkeypatch, capsys,
-        lambda v: v._replace(case="indeterminate", reason="tampered"))
+        lambda v: v._replace(case="indeterminate", reason="tampered"), "--json", str(path))
     assert status == 1 and not report.ok
     assert "indeterminate 1," in lines[0]
     assert len(lines) == 2 and lines[1].startswith("INDETERMINATE R=")
     assert lines[1].endswith(": tampered")
+    doc = json.loads(path.read_text())
+    assert doc["counts"] == report.counts()
+    [pair] = [p for p in doc["pairs"] if "reason" in p]
+    [v] = [v for v in report.verdicts if v.case == "indeterminate"]
+    assert pair == {"R": {"node": 0, "m": list(v.r_spec[1])}, "V": list(v.v_degree),
+                    "verdict": "indeterminate", "checks": v.checks, "reason": "tampered",
+                    "s": v.s, "h": v.h, "S": list(v.S)}
 
 
 def test_leclerc_out_of_memory_exits_3(a2_file, monkeypatch, capsys):
@@ -532,8 +593,6 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("options", [
     ["--cap", "-1"],                      # would build an empty basis
     ["--frozen-window", "-1"],
-    ["--node-cap", "-1"],                 # used to exit 1: "not finite type within cap -1"
-    ["--node-cap", "0"],
     ["--scope", "99"],                    # A2 has five R specs: no pair would run
     ["--scope", "0,-1"],
     ["--scope", "sample:-1"],             # used to exit 3 from random.sample
@@ -554,19 +613,6 @@ def test_leclerc_refuses_an_oversized_enumeration(tmp_path, capsys):
     assert main(["leclerc", str(p), "--cap", "1000000"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --cap 1000000 with --frozen-window 0 keys ")
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("command", [
-    ["graph"],                            # used to exit 0 with a 1-node "truncated" graph
-    ["shift"],                            # used to exit 3: "internal error: no +1 shift"
-    ["shift", "--direction", "-1"],
-])
-@pytest.mark.parametrize("cap", ["-1", "0"])
-def test_node_cap_below_one_is_a_usage_error(a2_file, command, cap, capsys):
-    assert main([command[0], a2_file, *command[1:], "--cap", cap]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: --cap must be >= 1")
     assert captured.out == ""
 
 

@@ -307,8 +307,9 @@ def test_key_of_path(a2_graph):
     assert set(a2_graph.nodes[key].degs) == {(0, -1), (-1, 0)}
 
 
-def test_node_cap_truncates(a2_seed):
-    g = build_exchange_graph(a2_seed, node_cap=2)
+def test_node_cap_truncates(a2_seed, monkeypatch):
+    monkeypatch.setattr(expansion, "NODE_CAP", 2)
+    g = build_exchange_graph(a2_seed)
     assert g.truncated
     assert len(g.order) == 2
     assert g.witness is None

@@ -388,8 +388,8 @@ def test_tampered_edge_fails_the_certificate(a3p_file, monkeypatch, capsys):
     # then lies across the other wall, where its lambda is >= 0
     real = cli.build_exchange_graph
 
-    def tampered(seed, node_cap):
-        graph = real(seed, node_cap=node_cap)
+    def tampered(seed):
+        graph = real(seed)
         (a, k, b), (a2, k2, b2) = graph.edges[:2]
         assert a == a2 and k != k2
         graph.edges[:2] = [(a, k, b2), (a, k2, b)]

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from conftest import (
     A3_B, LADDER, a2_gold, assert_matches_eager_enumeration, forbid)
-from qcluster import build_exchange_graph, pointed, principal_framing
+from qcluster import build_exchange_graph, expansion, pointed, principal_framing
 from qcluster.leclerc import (
     ENUMERATION_LIMIT,
     CandidateBasis,
@@ -126,10 +126,9 @@ def test_basis_elements_bipointed_and_bar_invariant(a2_graph):
         assert elem.bar() == elem
 
 
-def test_truncated_graph_rejected(a2_seed):
-    from qcluster.expansion import build_exchange_graph
-
-    g = build_exchange_graph(a2_seed, node_cap=2)
+def test_truncated_graph_rejected(a2_seed, monkeypatch):
+    monkeypatch.setattr(expansion, "NODE_CAP", 2)
+    g = build_exchange_graph(a2_seed)
     with pytest.raises(ValueError):
         CandidateBasis(g, unfrozen_cap=1)
 
@@ -203,6 +202,30 @@ def test_triangular_with_frozen_vertices(pa2_graph):
             report = check_triangular(basis, t_key, co=co)
             assert report.ok, (report.failures, report.indeterminates)
             assert report.passes == pa2_graph.reference.n * len(basis.by_degree)
+
+
+def test_an_element_off_triangularity_fails_one_product_and_leaves_one_open(a2_graph):
+    # the element at degree (-1, -1) given the coefficient 1 + v at n =
+    # (1, 0), in the reference torus only: it stays pointed at its degree
+    # and keeps its box, but X_1 times it decomposes with a coefficient
+    # v^-1 + 1, outside v^-1 Z[v^-1], and X_2 times it has a term outside
+    # its window; the other 20 products pass, and another torus is untouched
+    basis = CandidateBasis(a2_graph, unfrozen_cap=1)
+    t0, g = a2_graph.order[0], (-1, -1)
+    assert basis.element_at_degree(t0, g) is not None
+    provenance, elem, eta, box = basis._resolved[(t0, False)][g]
+    terms = elem.coeffs()
+    terms[(1, 0)] = terms[(1, 0)] + VCoeff.v_power(1)
+    perturbed = NForm.of(elem.g, terms)
+    assert perturbed.is_pointed() and perturbed.co_n() == box
+    basis._resolved[(t0, False)][g] = (provenance, perturbed, eta, box)
+    report = check_triangular(basis, t0)
+    assert not report.ok and report.passes == 2 * len(basis.by_degree) - 2
+    [(label, terms)] = report.failures
+    assert label == (g, 0)
+    assert [str(c) for _, c in terms] == ["1", "v^-1 + 1", "v^-2"]
+    assert report.indeterminates == [((g, 1), "support degree (-1, 3) escapes the window")]
+    assert check_triangular(basis, a2_graph.order[3]).ok
 
 
 def test_triangularity_windows_are_read_off_the_records(a3_graph, monkeypatch):
@@ -307,6 +330,22 @@ def test_verify_pair_v_not_found_is_indeterminate(a2_graph, monkeypatch):
     assert v.case == "indeterminate" and not v.passed
     assert v.reason == "factor V is not bipointed in the working torus"
     assert v.v_degree == ()
+
+
+def test_verify_pair_with_an_inexact_decomposition_is_indeterminate(a2_graph, monkeypatch):
+    # X1 * I2 decomposes over the elements at (1, -1) and (0, 0); with the
+    # second hidden from the lookup, its decomposition stops there, and
+    # the verdict keeps the checks and extremal exponents made before it
+    basis = CandidateBasis(a2_graph, unfrozen_cap=3)
+    t0 = a2_graph.order[0]
+    real = basis.window_set(t0)
+    monkeypatch.setattr(basis, "window_set",
+                        lambda torus_key, co=False: lambda g: None if g == (0, 0) else real(g))
+    v = verify_pair(basis, t0, (1, 0), *_prov_at_degree(basis, (0, -1)))
+    assert v.case == "indeterminate" and not v.passed
+    assert v.reason == "no basis element keyed at (0, 0)"
+    assert (v.v_degree, v.s, v.h, v.S, v.H, v.middle) == ((0, -1), 1, 0, None, None, [])
+    assert v.checks == {"s_matches_lambda": True, "h_matches_lambda": True}
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))

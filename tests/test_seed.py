@@ -235,6 +235,20 @@ class TestMakeSeed:
         with pytest.raises(ValueError, match="Lambda must be n x n"):
             make_seed(A2_B, ((0,),))
 
+    @pytest.mark.parametrize("unfrozen, b, message", [
+        ((0, 2), A2_B, "unfrozen must be distinct vertex indices"),
+        ((1, 1), A2_B, "unfrozen must be distinct vertex indices"),
+        (None, ((0, -1), (1,)), "B must be n x |unfrozen|"),
+    ])
+    @pytest.mark.parametrize("lam, d", [(None, None), (None, (1, 1)), (A2_LAMBDA, None),
+                                        (A2_LAMBDA, (1, 1))],
+                             ids=["synthesized", "d-only", "lambda-only", "both"])
+    def test_one_shape_check_names_a_malformed_exchange_matrix(self, unfrozen, b, message,
+                                                                lam, d):
+        # whether Lambda is given, solved for a given D or synthesized
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_seed(b, lam, unfrozen, d)
+
 
 @st.composite
 def exchange_matrices(draw):

@@ -276,8 +276,9 @@ def test_detect_shift_retracks_only_into_tori_whose_b_can_match(name, scan, dire
     assert (len(entered), len(mutated)) == (calls, mutations)
 
 
-def test_detect_shift_truncated(a2_seed):
-    g = build_exchange_graph(a2_seed, node_cap=2)
+def test_detect_shift_truncated(a2_seed, monkeypatch):
+    monkeypatch.setattr(expansion, "NODE_CAP", 2)
+    g = build_exchange_graph(a2_seed)
     with pytest.raises(ShiftNotFound):
         detect_shift(g, g.order[0], 1)
 
