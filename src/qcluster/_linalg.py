@@ -9,11 +9,16 @@ of a unimodular matrix. Those are the only matrices the library
 inverts: the (co)degree maps of a cluster's variables, whose g-vectors
 form a Z-basis of the lattice (Fomin-Zelevinsky, Cluster algebras IV,
 arXiv:math/0602259; Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394).
-No floating point anywhere.
+combine is the one kernel that forms a linear combination of columns
+the caller already holds, base + sum_j c_j col_j, one vector sum per
+nonzero c_j: every exponent g + B n over B's columns, and every degree
+of a cluster monomial over its variables' degrees. No floating point
+anywhere.
 """
 from __future__ import annotations
 
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 
 def transpose(mat):
@@ -31,6 +36,17 @@ def dot(a, b):
 
 def mat_vec(mat, vec):
     return tuple(sum(map(mul, row, vec)) for row in mat)
+
+
+def combine(base, cols, coeffs):
+    """base + sum_j coeffs[j] cols[j], as a tuple: one vector sum per
+    nonzero coefficient, the column scaled first unless its coefficient
+    is 1. The one way to form an exponent g + B n over B's columns, or
+    a cluster monomial's degree over its variables' degrees."""
+    for col, c in zip(cols, coeffs):
+        if c:
+            base = tuple(map(add, base, col if c == 1 else map(mul, col, repeat(c))))
+    return tuple(base)
 
 
 def identity(n):

@@ -97,9 +97,12 @@ def write_file(path, write):
 
 def check_writable(path):
     """Raise write_file's usage error before a long computation, for a
-    path that could not be written after it; nothing is created."""
+    path that could not be written after it; nothing is created. The
+    empty path names no file, as open("") finds."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        err = errno.ENOENT
+    elif os.path.isdir(path):
         err = errno.EISDIR
     elif os.path.exists(path):
         err = None if os.access(path, os.W_OK) else errno.EACCES
@@ -169,7 +172,7 @@ def not_finite_type(graph, outcome):
 
 def cmd_graph(args):
     seed, _ = load_seed(args.seed_file)
-    if args.dot and args.dot != "-":
+    if args.dot is not None and args.dot != "-":
         check_writable(args.dot)  # fail now, not after the build
     graph = build_exchange_graph(seed)
     if not_finite_type(graph, "no graph written"):
@@ -180,7 +183,7 @@ def cmd_graph(args):
           f"{nvars} distinct cluster variables"
           + (" (truncated)" if graph.truncated else ""),
           file=sys.stderr if args.dot == "-" else sys.stdout)
-    if args.dot:
+    if args.dot is not None:
         text = emit_dot(graph)
         if args.dot == "-":
             sys.stdout.write(text)
@@ -290,10 +293,10 @@ def cmd_leclerc(args):
     except leclerc.EnumerationTooLarge as exc:
         raise UsageError(f"--cap {args.cap} with --frozen-window {args.frozen_window} keys "
                          f"{exc.size} (node, m) pairs, over {leclerc.ENUMERATION_LIMIT}")
-    if args.json_out:
+    if args.json_out is not None:
         check_writable(args.json_out)  # fail now, not after the sweep
     report = leclerc.verify_theorem(basis, r_specs=r_specs)
-    if args.json_out:
+    if args.json_out is not None:
         doc = _report_json(graph, basis, report)  # streamed: no whole-report string
         write_file(args.json_out,
                    lambda fh: json.dump(doc, fh, indent=2, sort_keys=True) or fh.write("\n"))

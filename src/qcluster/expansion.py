@@ -374,10 +374,14 @@ class ExchangeGraph:
         (stored again after forget). Elsewhere home is re-tracked once per
         (torus, home), built back from the torus's own node, whose
         variables there are the unit monomials (build_back), each node its
-        neighbour mutated once (_retrack).
+        neighbour mutated once (_retrack); a re-tracking held is returned
+        before anything is built.
         """
         if torus_key == self.order[0]:
             return self._intern(self.nodes[home_key], torus_key, self.nodes[home_key].degs).vars
+        held = self._cross[torus_key].get(home_key)
+        if held is not None:
+            return held.vars
         torus = self.nodes[torus_key]
         exchange = partial(_new_variable, torus.seed, self._monomials[torus_key],
                            self._relations[torus_key])
@@ -385,6 +389,14 @@ class ExchangeGraph:
             self._cross[torus_key], home_key, torus_key,
             lambda: self._intern(initial_tracked(torus.seed), torus_key, torus.degs),
             partial(self._retrack, torus_key, exchange)).vars
+
+    def degs_in(self, home_key, torus_key):
+        """The degrees in the torus of home's variables, their bases, as
+        the graph keeps them (TrackedSeed.degs): the node's own in the
+        reference torus, else its re-tracking's, made first (vars_in)."""
+        self.vars_in(home_key, torus_key)
+        return (self.nodes[home_key] if torus_key == self.order[0]
+                else self._cross[torus_key][home_key]).degs
 
     def _retrack(self, torus_key, exchange, near_key, key, k) -> TrackedSeed:
         """key re-tracked into the torus: near_key's re-tracking mutated at

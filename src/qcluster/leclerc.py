@@ -7,7 +7,11 @@ by_codegree each codegree to its degree. Both are linear in m on a
 node's cone (g-vectors and F-polynomial tops add over a cluster
 monomial's factors), so the keys of an exponent box up to a cap come
 from two integer maps per node, without an expansion, and a provenance
-names its element's degree in any torus, psi_matrix applied to m. Every
+names its element's degree in any torus: m's combination of the
+degrees of the node's variables there, the bases the graph keeps for
+them (ExchangeGraph.degs_in), formed by _linalg.combine with one vector
+sum per nonzero exponent (tropical.psi_matrix is the same map as a
+matrix, which no lookup forms). Every
 element in every torus (a sweep key, a key decompose reads through the
 window_set lookup inside its dominance window, verify_pair's V, an
 element of a triangularity sweep) is looked up by (co)degree through one
@@ -89,7 +93,6 @@ from .expansion import ExchangeGraph
 from .pointed import NForm
 from .qtorus import VCoeff, unit_vec, vec_add
 from .seed import opposite_seed
-from .tropical import psi_matrix
 
 ENUMERATION_LIMIT = 10 ** 5  # (node, m) pairs a CandidateBasis will key
 
@@ -157,9 +160,10 @@ class CandidateBasis:
 
     def _enumerate(self):
         """Key each node's exponent box in the reference torus t0 by two
-        integer maps, expanding nothing: X^m's degree D m, D =
-        psi_matrix(node, t0), and its codegree C m, C's columns the
-        node's variables' codegrees, read off their n-forms (_columns).
+        integer maps, expanding nothing: X^m's degree D m, D's columns
+        the node's variables' degrees, and its codegree C m, C's columns
+        their codegrees, read off their n-forms (_columns), each formed
+        as one combination of the columns (_linalg.combine).
         Both add over factors: g-vectors do, and pointed.mul puts the
         pair of its factors' co_n terms alone at their sum, with a
         nonzero coefficient (frozen factors are plain monomials).
@@ -167,16 +171,17 @@ class CandidateBasis:
         maps each codegree to its g, and a second g at one codegree is a
         conflict. Nothing is resolved, walked or certified."""
         t0 = self.graph.order[0]
+        zero = (0,) * self.graph.reference.n
         for key in self.graph.order:
             seed = self.graph.nodes[key].seed
-            deg = _linalg.transpose(self._columns(key, t0, co=False))
-            codeg = _linalg.transpose(self._columns(key, t0, co=True))
+            deg = self._columns(key, t0, co=False)
+            codeg = self._columns(key, t0, co=True)
             for m in _exponent_box(seed, self.unfrozen_cap, self.frozen_window):
-                g = _linalg.mat_vec(deg, m)
+                g = _linalg.combine(zero, deg, m)
                 if g in self.by_degree:
                     continue
                 self.by_degree[g] = (key, m)
-                eta = _linalg.mat_vec(codeg, m)
+                eta = _linalg.combine(zero, codeg, m)
                 if self.by_codegree.setdefault(eta, g) != g:
                     self.conflicts.append(("codegree", eta, None, (key, m)))
 
@@ -189,9 +194,9 @@ class CandidateBasis:
         """(Co)degrees in the torus of home's variables, in home's order,
         read off their n-forms there: a degree is its base, a codegree
         g + B n_max (NForm.codegree). Nothing is resolved."""
-        xs = self.graph.vars_in(home_key, torus_key)
         if not co:
-            return tuple(x.g for x in xs)
+            return self.graph.degs_in(home_key, torus_key)
+        xs = self.graph.vars_in(home_key, torus_key)
         seed = self.graph.nodes[torus_key].seed
         etas = tuple(x.codegree(seed) for x in xs)
         if None in etas:
@@ -206,7 +211,8 @@ class CandidateBasis:
         torus; on the degree side M is psi_matrix(home, torus). M is
         unimodular, the g-vectors of a cluster being a Z-basis; None when
         it is not, which the fan certificate refuses. Computed once per
-        (home, torus, side), kept in _inv[(torus, side)][home], by
+        (home, torus, side), kept in _inv[(torus, side)][home] and
+        returned from there before anything else is built, by
         exchange update along the path tree (ExchangeGraph.build_back),
         inverting only the torus's own node's map outright. A node's
         labeled seed is its neighbour's mutated at k (_exchange_update),
@@ -216,8 +222,11 @@ class CandidateBasis:
         is not unimodular and the map is None, and so is the map of a
         node whose neighbour has none.
         """
+        store = self._inv[(torus_key, co)]
+        if home_key in store:
+            return store[home_key]
         return self.graph.build_back(
-            self._inv[(torus_key, co)], home_key, torus_key,
+            store, home_key, torus_key,
             lambda: _linalg.invert(_linalg.transpose(self._columns(torus_key, torus_key, co))),
             lambda prev_key, key, k: self._exchange_update(prev_key, key, k, torus_key, co))
 
@@ -396,10 +405,11 @@ def check_triangular(basis: CandidateBasis, t_key, co=False) -> TriangularReport
     t_seed = graph.nodes[t_key].seed
     seed = opposite_seed(t_seed) if co else t_seed
     lookup = basis.window_set(t_key, co=co)
+    zero = (0,) * seed.n
     passes, failures, indeterminates = 0, [], []
     for g_ref in basis.degree_keys():
         home, m = basis.by_degree[g_ref]
-        g = _linalg.mat_vec(psi_matrix(graph, home, t_key), m)
+        g = _linalg.combine(zero, graph.degs_in(home, t_key), m)
         _, elem, _, box = basis._resolve(t_key, g, False)
         if co:
             elem = elem.opposite(t_seed)
@@ -437,7 +447,10 @@ class LeclercVerdict(namedtuple("LeclercVerdict",
 def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdict:
     """Classify the twisted product of a localized cluster monomial with a
     basis element V, working in the torus of R's home node, where V is
-    looked up at its degree psi_matrix(v_home, r_home) v_m.
+    looked up at its degree psi_matrix(v_home, r_home) v_m, formed as
+    v_m's combination of the degrees the graph keeps for v_home's
+    variables there (ExchangeGraph.degs_in, _linalg.combine); B n_v,
+    checked against s - h, is the same kernel over B's columns.
 
     The normalized product v^-s R V is decomposed once. On a two-tail
     pair, checks["bar_consistency"] is that every basis element b in
@@ -453,7 +466,8 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
     t_seed = graph.nodes[r_home].seed
     r_m = tuple(r_m)
     r_spec = (r_home, r_m)
-    gamma = _linalg.mat_vec(psi_matrix(graph, v_home, r_home), v_m)
+    zero = (0,) * t_seed.n
+    gamma = _linalg.combine(zero, graph.degs_in(v_home, r_home), v_m)
     hit = basis._resolve(r_home, gamma, False)
     if hit is None or hit[2] is None:
         return LeclercVerdict(
@@ -490,7 +504,8 @@ def verify_pair(basis: CandidateBasis, r_home, r_m, v_home, v_m) -> LeclercVerdi
         )
     # two-tailed case: identify the head term by the codegree of its element
     checks["s_gt_h"] = s > h
-    checks["s_minus_h_matches_b_n"] = s - h == -t_seed.lam(r_m, _linalg.mat_vec(t_seed.B, n_v))
+    b_n = pointed.exponent(t_seed, zero, n_v)
+    checks["s_minus_h_matches_b_n"] = s - h == -t_seed.lam(r_m, b_n)
     head = None
     mids = []
     # each term's record, read once: its codegree and its element's bar flag

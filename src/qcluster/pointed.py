@@ -13,7 +13,12 @@ B n = g' - g. If some n solves B n = g' - g, then P (g' - g) = n
 exactly, so a wrong P can refuse a dominated pair but never accept one
 that is not. The functional w = -p_den P^T 1 has B^T w = -p_den 1, so
 w . m = -sum(p_num m) is strictly larger at a degree than at any
-exponent it dominates.
+exponent it dominates; -w is the column sums of p_num, so the rank
+sum(p_num m) is one dot product. Every exponent g + B n, in that test
+and wherever an n-form's term is placed (codegree, opposite, expand,
+decompose's pivots, interval), is exponent(seed, g, n): one column of
+B added per nonzero n_k (_linalg.combine), the columns kept per seed
+next to the pairing data.
 
 The degree of a torus element is the unique dominance-maximal exponent
 of its support, when there is one: the unique maximizer of w that also
@@ -97,7 +102,7 @@ from math import lcm
 from operator import add as _plus, le, mul as _times, neg
 
 from . import _linalg
-from .qtorus import NotDivisible, QTElem, VCoeff, vec_add, vec_sub
+from .qtorus import NotDivisible, QTElem, VCoeff, vec_sub
 from .seed import opposite_seed
 
 
@@ -141,9 +146,17 @@ def _dominance_data(seed):
 def _pairing_data(seed):
     """The seed's (unfrozen vertex, d) pairs and the rows of D B_U, all
     that pairs n-coordinates: lambda(B n, m) = sum_k d_k n_k m[U_k] and
-    lambda(B n1, B n2) = n1^T D B_U n2."""
+    lambda(B n1, B n2) = n1^T D B_U n2; and B's columns, which place
+    n-coordinates (exponent)."""
     units = tuple(zip(seed.unfrozen, seed.D))
-    return units, tuple(tuple(d * x for x in seed.B[u]) for u, d in units)
+    return (units, tuple(tuple(d * x for x in seed.B[u]) for u, d in units),
+            _linalg.transpose(seed.B))
+
+
+def exponent(seed, g, n):
+    """The exponent g + B n of the term at n of an n-form based at g: one
+    column of B added per nonzero n_k (_linalg.combine)."""
+    return _linalg.combine(g, _pairing_data(seed)[2], n)
 
 
 def dominance_n(seed, gp, g):
@@ -152,7 +165,7 @@ def dominance_n(seed, gp, g):
     p_num, p_den = _dominance_data(seed)
     diff = vec_sub(gp, g)
     n = tuple(sum(map(_times, row, diff)) // p_den for row in p_num)
-    return None if (n and min(n) < 0) or _linalg.mat_vec(seed.B, n) != diff else n
+    return None if (n and min(n) < 0) or exponent(seed, g, n) != gp else n
 
 
 def dominance_leq(seed, gp, g):
@@ -162,13 +175,14 @@ def dominance_leq(seed, gp, g):
 
 def degree(seed, z):
     """Unique dominance-maximal support exponent, or None if not unique:
-    an exponent of least rank sum(p_num m) = -(w . m), when it dominates
-    every other one (a dominated exponent has a larger rank, so a tie
-    leaves none)."""
+    an exponent of least rank sum(p_num m) = -(w . m), one dot product
+    with the column sums of p_num, when it dominates every other one (a
+    dominated exponent has a larger rank, so a tie leaves none)."""
     if not z:
         raise ValueError("zero element has no degree")
     p_num, _ = _dominance_data(seed)
-    g = min(z.terms, key=lambda m: sum(_linalg.mat_vec(p_num, m)))
+    sums = tuple(map(sum, zip(*p_num)))
+    g = min(z.terms, key=lambda m: sum(map(_times, sums, m)))
     return g if all(dominance_n(seed, m, g) is not None for m in z.terms) else None
 
 
@@ -187,8 +201,7 @@ def interval(seed, lo, hi):
     n_tot = dominance_n(seed, lo, hi)
     if n_tot is None:
         return []
-    return sorted(vec_add(hi, _linalg.mat_vec(seed.B, n))
-                  for n in product(*(range(c + 1) for c in n_tot)))
+    return sorted(exponent(seed, hi, n) for n in product(*(range(c + 1) for c in n_tot)))
 
 
 def pack(c):
@@ -339,12 +352,12 @@ class NForm:
     def codegree(self, seed):
         """The exponent g + B n_max of the co_n term, or None without one."""
         top = self.co_n()
-        return None if top is None else vec_add(self.g, _linalg.mat_vec(seed.B, top))
+        return None if top is None else exponent(seed, self.g, top)
 
     def expand(self, seed):
         """The torus element: exponent g + B n per term, each coefficient
         unpacked."""
-        return QTElem(len(self.g), {vec_add(self.g, _linalg.mat_vec(seed.B, n)): unpack(c)
+        return QTElem(len(self.g), {exponent(seed, self.g, n): unpack(c)
                                     for n, c in self.terms.items()})
 
     def opposite(self, seed):
@@ -354,9 +367,8 @@ class NForm:
         top = self.co_n()
         if top is None:
             raise ValueError("element has no codegree to read it from")
-        eta = vec_add(self.g, _linalg.mat_vec(seed.B, top))
-        return NForm(eta, {vec_sub(top, n): c for n, c in self.terms.items()},
-                     self.l1, self.max_l1)
+        return NForm(exponent(seed, self.g, top),
+                     {vec_sub(top, n): c for n, c in self.terms.items()}, self.l1, self.max_l1)
 
 
 @lru_cache(maxsize=None)
@@ -392,7 +404,7 @@ def mul(seed, a, b, normalize=False):
         shift, sign = seed.lam(a.g, b.g), 1
     max_l1 = _guard(min(a.max_l1 * b.l1, b.max_l1 * a.l1))
     l1 = a.l1 * b.l1
-    units, db = _pairing_data(seed)
+    units, db, _ = _pairing_data(seed)
     d_a = tuple(d * a.g[u] for u, d in units)
     d_b = tuple(d * b.g[u] for u, d in units)
     g = tuple(map(_plus, a.g, b.g))
@@ -503,7 +515,7 @@ def divide(seed, num, d):
     hi = tuple(max(x) - max(y) for x, y in zip(cols, dcols))
     if any(a > b for a, b in zip(lo, hi)):
         raise NotDivisible("incompatible support boxes")
-    units, db = _pairing_data(seed)
+    units, db, _ = _pairing_data(seed)
     d_q = tuple(k * g[u] for u, k in units)
     d_d = tuple(k * d.g[u] for u, k in units)
     right = [(n2, e2 - sum(map(_times, d_q, n2)), z2,
@@ -574,7 +586,7 @@ def decompose(seed, z, lookup, box, tie_break=None):
     subtracts its coefficient times the element in place (the element's
     term n' lands at n + n'), dropping the terms that cancel. Each step
     forms the exponents of the residual's Pareto-minimal n alone, one
-    mat_vec each, and tests nothing for dominance. A residual digit is at
+    exponent each, and tests nothing for dominance. A residual digit is at
     most z.max_l1 plus each step's coefficient l1 times its element's
     max_l1, checked before each step: CoefficientOverflow is the one
     failure raised.
@@ -585,7 +597,7 @@ def decompose(seed, z, lookup, box, tie_break=None):
     for _ in range(DECOMPOSE_ITERATION_CAP):
         if not r:
             return Decomposition(terms=terms, status="exact")
-        pivots = {vec_add(z.g, _linalg.mat_vec(seed.B, n)): n for n in _maximal_support(r)}
+        pivots = {exponent(seed, z.g, n): n for n in _maximal_support(r)}
         g = min(pivots) if tie_break is None else tie_break(sorted(pivots))
         n = pivots[g]
         if box is None or min(n, default=0) < 0 or not all(map(le, n, box)):

@@ -8,7 +8,9 @@ the general transformation. Codegrees are degrees in the opposite seed
 the linear map sending each unit vector to the degree of the matching
 variable expanded in the other node's torus, and so an exponent vector m
 to the degree of the cluster monomial X^m there (g-vectors add over
-factors); it is the one degree map, and leclerc keys its lookups by it.
+factors). It is the matrix form the checkers below apply; leclerc forms
+the same degrees without it, by _linalg.combine over the columns
+(ExchangeGraph.degs_in).
 
 A node t is shift-detectable in direction +1 when some node t' carries,
 for every unfrozen k, a variable whose expansion in t's torus has
@@ -97,7 +99,7 @@ def _along_path_tree(graph, a_key, b_key, g, trop):
 def psi_matrix(graph: ExchangeGraph, a_key, b_key):
     """Linear map as columns: unit vector i of a to deg_b of a's variable i,
     so m to the degree of a's X^m in b's torus."""
-    return _linalg.transpose(tuple(x.g for x in graph.vars_in(a_key, b_key)))
+    return _linalg.transpose(graph.degs_in(a_key, b_key))
 
 
 class ShiftData(namedtuple("ShiftData", "base target direction word sigma u")):
@@ -119,7 +121,7 @@ def _shift_pattern(graph, home_key, torus_key):
     uf = set(s.unfrozen)
     sigma = {}
     u = {}
-    for j, d in enumerate(x.g for x in graph.vars_in(home_key, torus_key)):
+    for j, d in enumerate(graph.degs_in(home_key, torus_key)):
         if j not in uf:
             if d != unit_vec(s.n, j):
                 return None

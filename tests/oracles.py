@@ -86,6 +86,14 @@ packed each coefficient into one int: every coefficient a
 share no code with the packed kernels: what they check is that packing,
 the aligned int sums and the digit reversal of bar give the same
 elements, decompositions and refusals.
+The common-node case predicts each pair's verdict case from the
+exchange graph alone, with no product, lookup or decomposition: R V
+lands in v^Z times the basis exactly when R and every factor of V are
+variables of one cluster, some node whose degs hold them all, so that
+R V is a cluster monomial up to a power of v; otherwise the product is
+two-tailed. It reuses only the graph's nodes and the basis's provenance
+of V's key. What it checks is that verify_pair's case, in_basis or
+two_tail, is the one compatibility of the factors decides.
 """
 from __future__ import annotations
 
@@ -98,6 +106,7 @@ import sympy as sp
 
 from qcluster import _linalg, pointed
 from qcluster.expansion import apply_word, cluster_monomial, initial_tracked
+from qcluster.leclerc import default_r_specs, verify_pair
 from qcluster.qtorus import (
     NotDivisible, QTElem, VCoeff, exact_divide, pos_part, twisted_mul, unit_vec, vec_add,
     vec_sub)
@@ -797,6 +806,42 @@ def bar_decomposition_consistency(basis, r_home, r_m, verdict):
     bar_decomp = pointed.decompose(t_seed, prod.bar().vshift(verdict.s), lookup, box)
     return bar_decomp.is_exact and sorted(
         (g, c.bar()) for g, c in decomp.terms) == sorted(bar_decomp.terms)
+
+
+def common_node_case(graph, basis, r_spec, v_key):
+    """The case of R V from the exchange graph alone: "in_basis" when some
+    node's degs hold R's variables and every factor of V, the element
+    keyed at v_key (its provenance's variables of nonzero exponent),
+    else "two_tail"."""
+    r_home, r_m = r_spec
+    v_home, v_m = basis.by_degree[v_key]
+    factors = {graph.nodes[r_home].degs[i] for i, x in enumerate(r_m) if x}
+    factors.update(graph.nodes[v_home].degs[i] for i, x in enumerate(v_m) if x)
+    held = any(factors <= set(ts.degs) for ts in graph.nodes.values())
+    return "in_basis" if held else "two_tail"
+
+
+def keyed_verdicts(basis):
+    """(R spec, V's key, verdict) of every pair of the full sweep, R by R in
+    default_r_specs order and V by key, each home's torus forgotten after
+    its last R, as verify_theorem does."""
+    specs = default_r_specs(basis.graph)
+    for i, (r_home, r_m) in enumerate(specs):
+        for g in basis.degree_keys():
+            yield (r_home, r_m), g, verify_pair(basis, r_home, r_m, *basis.by_degree[g])
+        if i + 1 == len(specs) or specs[i + 1][0] != r_home:
+            basis.forget(r_home)
+
+
+def common_node_mismatches(basis, keyed):
+    """The (R spec, V's key, case, predicted case) of each keyed verdict
+    whose case is not the common-node case."""
+    out = []
+    for r_spec, v_key, verdict in keyed:
+        want = common_node_case(basis.graph, basis, r_spec, v_key)
+        if verdict.case != want:
+            out.append((r_spec, v_key, verdict.case, want))
+    return out
 
 
 def qtelem_image_monomial(seed, xs, ref, a):

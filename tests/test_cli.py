@@ -435,24 +435,27 @@ def test_unwritable_output_is_usage_error(a2_file, tmp_path, command, capsys):
 
 
 def test_graph_unwritable_dot_fails_before_the_build(a2_file, tmp_path, monkeypatch, capsys):
+    # the empty path names no file: it used to exit 0 and write nothing
     monkeypatch.setattr(cli, "build_exchange_graph", lambda *a, **k: pytest.fail("built"))
-    path = tmp_path / "missing" / "a2.dot"
-    assert main(["graph", a2_file, "--dot", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
-    assert captured.out == ""
+    for path in (str(tmp_path / "missing" / "a2.dot"), ""):
+        assert main(["graph", a2_file, "--dot", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("name, reason", [
     ("missing/report.json", "No such file or directory"),
     ("seed.json/report.json", "Not a directory"),
     (".", "Is a directory"),
+    # the empty path names no file: it used to exit 0 and write nothing
+    ("", "No such file or directory"),
 ])
 def test_leclerc_unwritable_output_fails_before_the_sweep(a2_file, tmp_path, monkeypatch,
                                                          capsys, name, reason):
     monkeypatch.setattr(leclerc, "verify_theorem", lambda *a, **k: pytest.fail("swept"))
     (tmp_path / "seed.json").write_text("{}")
-    path = tmp_path / name
+    path = tmp_path / name if name else ""
     assert main(["leclerc", a2_file, "--cap", "1", "--json", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot write {path}: {reason}\n"

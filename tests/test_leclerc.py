@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import (
-    A3_B, LADDER, a2_gold, assert_matches_eager_enumeration, forbid)
+    A3_B, B3_B, LADDER, a2_gold, assert_matches_eager_enumeration, forbid)
 from qcluster import build_exchange_graph, expansion, pointed, principal_framing
 from qcluster.leclerc import (
     ENUMERATION_LIMIT,
@@ -665,3 +665,48 @@ def test_bar_invariance_is_computed_once_per_element(monkeypatch):
     elem = NForm.of((0,) * 6, {(0, 0, 0): VCoeff.one(), (1, 0, 0): VCoeff({-1: 1, 1: 1})})
     assert elem.is_bar_invariant() and len(barred) == first + 2
     assert elem.is_bar_invariant() and len(barred) == first + 2
+
+
+@pytest.mark.parametrize("name", ["a3p-cap1", "frozen-cap2-w1"])
+def test_v_degrees_match_the_degree_map(name):
+    # every V degree verify_pair forms, summing the degrees of V's home's
+    # variables in R's torus over v_m (exponents of 2, and negative frozen
+    # ones, on the frozen rung), is psi_matrix(v_home, r_home) v_m
+    make, cap, window = LADDER[name]
+    graph = build_exchange_graph(make())
+    basis = CandidateBasis(graph, unfrozen_cap=cap, frozen_window=window)
+    for r_home, r_m in default_r_specs(graph):
+        for v_home, v_m in basis.by_degree.values():
+            v = verify_pair(basis, r_home, r_m, v_home, v_m)
+            assert v.v_degree == mat_vec(psi_matrix(graph, v_home, r_home), v_m), (
+                r_home, r_m, v_home, v_m)
+
+
+# the ladder-small rungs at their benchmark options, and B3-principal cap1
+COMMON_NODE_RUNGS = {**LADDER, "b3p-cap1": (lambda: principal_framing(B3_B), 1, 0)}
+
+
+def _keyed_sweep(name):
+    make, cap, window = COMMON_NODE_RUNGS[name]
+    basis = CandidateBasis(build_exchange_graph(make()), unfrozen_cap=cap,
+                           frozen_window=window)
+    return basis, list(oracles.keyed_verdicts(basis))
+
+
+@pytest.mark.parametrize("name", sorted(COMMON_NODE_RUNGS))
+def test_verdict_cases_match_the_common_node_oracle(name):
+    # in_basis exactly when some node holds R and every factor of V
+    # (2,706 pairs over the six rungs), and never indeterminate
+    basis, keyed = _keyed_sweep(name)
+    assert len(keyed) == len(default_r_specs(basis.graph)) * len(basis.by_degree)
+    assert {v.case for _, _, v in keyed} == {"in_basis", "two_tail"}
+    assert oracles.common_node_mismatches(basis, keyed) == []
+
+
+def test_a_tampered_verdict_case_fails_the_common_node_oracle():
+    basis, keyed = _keyed_sweep("a2-cap3")
+    for i, (r_spec, g, v) in enumerate(keyed):
+        flipped = "two_tail" if v.case == "in_basis" else "in_basis"
+        tampered = keyed[:i] + [(r_spec, g, v._replace(case=flipped))] + keyed[i + 1:]
+        assert oracles.common_node_mismatches(basis, tampered) == [
+            (r_spec, g, flipped, v.case)]

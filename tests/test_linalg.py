@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcluster._linalg import (
+    combine,
     diagonalize,
     identity,
     invert,
@@ -15,6 +16,7 @@ from qcluster._linalg import (
     solve_integer,
     transpose,
 )
+from qcluster.qtorus import vec_add
 
 
 def rand_mat(rng, m, n, lo=-4, hi=4):
@@ -155,3 +157,19 @@ def test_invert_is_none_unless_unimodular(mat):
 def test_rank_matches_sympy(mat):
     cols = len(mat[0]) if mat else 0
     assert rank(mat) == sp.Matrix(len(mat), cols, [x for row in mat for x in row]).rank()
+
+
+# a coefficient of combine: zero, unit, small of either sign, or large
+_COEFF = st.sampled_from((0, 1, -1)) | st.integers(-5, 5) | st.integers(-2 ** 70, 2 ** 70)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_combine_matches_the_matrix_product(n, k, data):
+    # base + sum_j c_j col_j, against the dense product of the columns'
+    # matrix, whatever the coefficients (all zero among them)
+    entries = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * n)
+    base = data.draw(entries)
+    cols = tuple(data.draw(entries) for _ in range(k))
+    coeffs = data.draw(st.tuples(*[_COEFF] * k) | st.just((0,) * k))
+    assert combine(base, cols, coeffs) == vec_add(base, mat_vec(transpose(cols), coeffs))
