@@ -17,7 +17,8 @@ The build mutates every node in every direction, and one exchange
 relation recurs across many edges; so does re-tracking into one torus.
 So a new variable has one way to be formed, _new_variable over one
 torus's stores, and the graph passes each torus's stores (one partial
-per torus) to mutate_tracked. Each exchange monomial is the torus's
+per torus, the build's and every re-tracking's alike) to
+mutate_tracked. Each exchange monomial is the torus's
 cluster monomial by identity (_monomial, below), made at most once
 there. Each relation is divided at most once there: the torus's
 relation table keeps the new variable by the reference degrees of X_k
@@ -39,14 +40,17 @@ must match under the degree permutation, and the variables the store
 TrackedSeed too, and each variable's degree there is its base.
 
 Each node's path extends the path of the node it was found from, so
-the paths form a tree rooted at the reference. A node's tracked seed is
-its re-tracking into the reference torus; every other cross-torus
-object is built one step from a stored neighbour by one walk
+the paths form a tree rooted at the reference. The reference torus is
+a torus like the others: a node's tracked seed is its re-tracking
+into it, which the build enters in its store as it finds the node.
+Any other re-tracking, and the reference torus's once forget has
+dropped it, is built one step from a stored neighbour by one walk
 (ExchangeGraph.build_back), a re-tracked node being its neighbour's
 re-tracking mutated once (mutation is an involution on labeled seeds,
 and an expansion does not depend on the route), the torus's own node's
 variables there the unit monomials. Every store is keyed by torus
-first, so forget drops a torus, the reference too, with one pop each.
+first, so forget drops a torus, the reference too, with one pop each;
+the nodes stay.
 
 Each torus keeps the cluster monomials made in it in one store, by
 identity, the sorted (reference degree, exponent) pairs of their
@@ -127,7 +131,7 @@ def mutate_tracked(ts: TrackedSeed, k, exchange=None) -> TrackedSeed:
     (mutate_seed), which refuses a k that is not unfrozen.
     """
     seed = mutate_seed(ts.seed, k)
-    exchange = exchange or partial(_new_variable, ts.ref, {}, {}, ts.degs, None)
+    exchange = exchange or partial(_new_variable, {}, {}, ts.degs, None)
     z = exchange(ts, k, _exchange(ts, k))
     return TrackedSeed(
         seed=seed,
@@ -188,19 +192,19 @@ def _monomial(seed, monomials, degs, xs, m) -> pointed.NForm:
     return z
 
 
-def _new_variable(seed, monomials, relations, degs, new_deg, ts, k, relation) -> pointed.NForm:
+def _new_variable(monomials, relations, degs, new_deg, ts, k, relation) -> pointed.NForm:
     """The new variable of ts mutated at k (mutate_tracked's exchange),
-    ts being tracked in the torus of seed with variables at reference
+    ts being tracked in the torus of ts.ref with variables at reference
     degrees degs. monomials and relations are the torus's stores: its
     cluster monomials (_monomial) and its relation table, which keeps
     the new variable by the relation's reference degrees: X_k's, and
     each exchange monomial's identity with its v-power. A relation not
     in the table is divided once, each exchange monomial being the
     torus's cluster monomial. new_deg is the new variable's reference
-    degree, None in the reference torus, where that is its base; an
-    equal copy of the variable stored there gives way to it, so the
+    degree, or None when degs are ts's own degrees (the build's case),
+    so that it is the variable's base; an equal copy of the variable stored there gives way to it, so the
     table holds the store's objects (_intern still checks each one)."""
-    aminus, lminus, aplus, lplus = relation
+    seed, (aminus, lminus, aplus, lplus) = ts.ref, relation
     key = (degs[k], _identity(degs, aminus), lminus, _identity(degs, aplus), lplus)
     z = relations.get(key)
     if z is None:
@@ -263,11 +267,13 @@ class ExchangeGraph:
     (key, vertex, key) mutation triples. truncated is set when NODE_CAP
     or a seed that is not 2-finite stopped the search; witness
     is (path, i, j, b_ij b_ji) for such a seed, else None. Every store
-    is keyed by torus first and kept until forget drops the torus:
-    _cross[torus][home] is home's re-tracking into a torus other than
-    the reference, each variable the torus's stored one-factor cluster
-    monomial; _monomials[torus][identity] every cluster monomial made
-    there, exchange monomials too; _relations[torus] its relation table.
+    is keyed by torus first and kept until forget drops the torus, the
+    reference's like any other: _cross[torus][home] is home's
+    re-tracking into the torus, each variable the torus's stored
+    one-factor cluster monomial (the build enters each node there, in
+    the reference torus, as it finds it); _monomials[torus][identity]
+    every cluster monomial made there, exchange monomials too;
+    _relations[torus] its relation table.
     """
 
     def __init__(self, reference: QuantumSeed):
@@ -284,39 +290,39 @@ class ExchangeGraph:
         self._build()
 
     def _build(self):
+        """Breadth first from the reference, self.order being the queue;
+        each node found is interned in the reference torus and entered
+        (_enter), and the first one that is not 2-finite stops the search."""
         ts0 = initial_tracked(self.reference)
         key0 = degree_key(ts0)
-        ts0 = self._intern(ts0, key0, ts0.degs)
-        self.nodes[key0] = ts0
-        self.order.append(key0)
-        self._by_path[ts0.path] = key0
-        in_ref = partial(_new_variable, self.reference, self._monomials[key0],
-                         self._relations[key0])
-        frontier = [key0] if self._two_finite(ts0) else []
-        while frontier:
-            nxt = []
-            for key in frontier:
-                ts = self.nodes[key]
-                # in the reference torus, each variable's base is its reference degree
-                exchange = partial(in_ref, ts.degs, None)
-                for k in ts.seed.unfrozen:
-                    ts2 = mutate_tracked(ts, k, exchange)
-                    key2 = degree_key(ts2)
-                    self.edges.append((key, k, key2))
-                    if key2 not in self.nodes and len(self.nodes) >= NODE_CAP:
-                        self.truncated = True
-                        continue
-                    ts2 = self._intern(ts2, key0, ts2.degs)  # its variables must match the store
-                    if key2 in self.nodes:
-                        _assert_same_node(self.nodes[key2], ts2)
-                        continue
-                    self.nodes[key2] = ts2
-                    self.order.append(key2)
-                    self._by_path[ts2.path] = key2
-                    if not self._two_finite(ts2):
-                        return
-                    nxt.append(key2)
-            frontier = nxt
+        exchange = partial(_new_variable, self._monomials[key0], self._relations[key0])
+        if not self._enter(key0, key0, self._intern(ts0, key0, ts0.degs)):
+            return
+        for key in self.order:
+            ts = self.nodes[key]
+            # in the reference torus, each variable's base is its reference degree
+            in_ref = partial(exchange, ts.degs, None)
+            for k in ts.seed.unfrozen:
+                ts2 = mutate_tracked(ts, k, in_ref)
+                key2 = degree_key(ts2)
+                self.edges.append((key, k, key2))
+                if key2 not in self.nodes and len(self.nodes) >= NODE_CAP:
+                    self.truncated = True
+                    continue
+                ts2 = self._intern(ts2, key0, ts2.degs)  # its variables must match the store
+                if key2 in self.nodes:
+                    _assert_same_node(self.nodes[key2], ts2)
+                elif not self._enter(key0, key2, ts2):
+                    return
+
+    def _enter(self, key0, key, ts: TrackedSeed):
+        """Add a node the build found: ts, its tracked seed with interned
+        variables, is also its re-tracking into the reference torus,
+        key0's; whether its seed is 2-finite (_two_finite)."""
+        self.nodes[key] = self._cross[key0][key] = ts
+        self.order.append(key)
+        self._by_path[ts.path] = key
+        return self._two_finite(ts)
 
     def _two_finite(self, ts: TrackedSeed):
         """False, with truncated set and witness recorded, when ts's seed
@@ -366,25 +372,21 @@ class ExchangeGraph:
         return store[home_key]
 
     def vars_in(self, home_key, torus_key):
-        """home's variables in the torus of another node, in n-coordinates
-        there (NForm.expand gives the torus elements); a variable's degree
-        in the torus is its base, x.g.
+        """home's variables in the torus of a node, in n-coordinates there
+        (NForm.expand gives the torus elements); a variable's degree in
+        the torus is its base, x.g.
 
-        In the reference torus they are home's tracked seed's, interned
-        (stored again after forget). Elsewhere home is re-tracked once per
-        (torus, home), built back from the torus's own node, whose
-        variables there are the unit monomials (build_back), each node its
-        neighbour mutated once (_retrack); a re-tracking held is returned
-        before anything is built.
+        home is re-tracked once per (torus, home), the reference torus
+        like any other (the build fills its store): a re-tracking held is
+        returned before anything is built; else it is built back from the
+        torus's own node, whose variables there are the unit monomials
+        (build_back), each node its neighbour mutated once (_retrack).
         """
-        if torus_key == self.order[0]:
-            return self._intern(self.nodes[home_key], torus_key, self.nodes[home_key].degs).vars
         held = self._cross[torus_key].get(home_key)
         if held is not None:
             return held.vars
         torus = self.nodes[torus_key]
-        exchange = partial(_new_variable, torus.seed, self._monomials[torus_key],
-                           self._relations[torus_key])
+        exchange = partial(_new_variable, self._monomials[torus_key], self._relations[torus_key])
         return self.build_back(
             self._cross[torus_key], home_key, torus_key,
             lambda: self._intern(initial_tracked(torus.seed), torus_key, torus.degs),
@@ -392,11 +394,10 @@ class ExchangeGraph:
 
     def degs_in(self, home_key, torus_key):
         """The degrees in the torus of home's variables, their bases, as
-        the graph keeps them (TrackedSeed.degs): the node's own in the
-        reference torus, else its re-tracking's, made first (vars_in)."""
+        the graph keeps them: its re-tracking's (TrackedSeed.degs), made
+        first (vars_in)."""
         self.vars_in(home_key, torus_key)
-        return (self.nodes[home_key] if torus_key == self.order[0]
-                else self._cross[torus_key][home_key]).degs
+        return self._cross[torus_key][home_key].degs
 
     def _retrack(self, torus_key, exchange, near_key, key, k) -> TrackedSeed:
         """key re-tracked into the torus: near_key's re-tracking mutated at
@@ -442,10 +443,10 @@ class ExchangeGraph:
                          self.nodes[home_key].degs, self.vars_in(home_key, torus_key), m)
 
     def forget(self, torus_key):
-        """Drop everything kept for the torus: its re-trackings, its
-        cluster monomials (variables and exchange monomials too) and its
-        relation table; a later request there makes them again. The
-        nodes stay."""
+        """Drop everything kept for the torus, the reference's like any
+        other: its re-trackings, its cluster monomials (variables and
+        exchange monomials too) and its relation table; a later request
+        there re-tracks along the path tree. The nodes stay."""
         for store in (self._cross, self._monomials, self._relations):
             store.pop(torus_key, None)
 

@@ -289,7 +289,7 @@ class NForm:
     @classmethod
     def monomial(cls, m, rank):
         """X^m, for a seed with rank unfrozen vertices."""
-        return cls(tuple(m), _unit_terms(rank), 1, 1)
+        return cls(tuple(m), {(0,) * rank: _ONE}, 1, 1)
 
     def coeffs(self):
         """{n: VCoeff}, each coefficient unpacked."""
@@ -369,13 +369,6 @@ class NForm:
             raise ValueError("element has no codegree to read it from")
         return NForm(exponent(seed, self.g, top),
                      {vec_sub(top, n): c for n, c in self.terms.items()}, self.l1, self.max_l1)
-
-
-@lru_cache(maxsize=None)
-def _unit_terms(rank):
-    """{n = 0: 1}: one dict shared by the NForms of unit-coefficient
-    monomials, which never mutate their terms."""
-    return {(0,) * rank: _ONE}
 
 
 def mul(seed, a, b, normalize=False):

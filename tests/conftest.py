@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 import oracles
-from qcluster import build_exchange_graph, make_seed, mutate_seed, principal_framing
+from qcluster import build_exchange_graph, expansion, make_seed, mutate_seed, principal_framing
 from qcluster.qtorus import QTElem, VCoeff
 
 A2_B = ((0, -1), (1, 0))
@@ -73,9 +73,27 @@ def assert_matches_eager_enumeration(basis, frozen_window=0):
 
 def retracked(graph, home, torus):
     """home's labeled seed re-tracked into the torus, as vars_in caches
-    it: in the reference torus, home's tracked seed itself."""
+    it."""
     graph.vars_in(home, torus)
-    return graph.nodes[home] if torus == graph.order[0] else graph._cross[torus][home]
+    return graph._cross[torus][home]
+
+
+def assert_reference_retracked_again(graph, monkeypatch):
+    """After forget(t0), re-entering the reference torus costs one
+    mutate_tracked per node other than its own, as in any other torus;
+    each node's variables there equal its own and are the torus's stored
+    one-factor cluster monomials."""
+    t0 = graph.order[0]
+    assert t0 not in graph._cross and t0 not in graph._monomials
+    calls, real = [], expansion.mutate_tracked
+    monkeypatch.setattr(expansion, "mutate_tracked", lambda *a: calls.append(a) or real(*a))
+    for home in graph.order:
+        ts = graph.nodes[home]
+        xs = graph.vars_in(home, t0)
+        assert xs == ts.vars, home
+        assert all(x is graph._monomials[t0][((d, 1),)] for d, x in zip(ts.degs, xs)), home
+    assert len(calls) == len(graph.order) - 1
+    monkeypatch.setattr(expansion, "mutate_tracked", real)
 
 
 # the benchmark's ladder-small rungs: (seed maker, unfrozen cap, frozen window)

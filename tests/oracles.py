@@ -94,9 +94,14 @@ R V is a cluster monomial up to a power of v; otherwise the product is
 two-tailed. It reuses only the graph's nodes and the basis's provenance
 of V's key. What it checks is that verify_pair's case, in_basis or
 two_tail, is the one compatibility of the factors decides.
+The positivity oracle reads digits off a sweep's own records and
+verdicts, and shares nothing else with the library: what it checks is
+that, for a skew-symmetric seed, no element the sweep resolved and no
+middle coefficient of a two-tailed product has a negative digit.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
@@ -821,16 +826,50 @@ def common_node_case(graph, basis, r_spec, v_key):
     return "in_basis" if held else "two_tail"
 
 
-def keyed_verdicts(basis):
+def keyed_verdicts(basis, r_specs=None, leaving=None):
     """(R spec, V's key, verdict) of every pair of the full sweep, R by R in
-    default_r_specs order and V by key, each home's torus forgotten after
-    its last R, as verify_theorem does."""
-    specs = default_r_specs(basis.graph)
+    default_r_specs order (or over r_specs, grouped by home) and V by key,
+    each home's torus forgotten after its last R, as verify_theorem does;
+    leaving(torus), when given, is called just before each forget."""
+    specs = default_r_specs(basis.graph) if r_specs is None else r_specs
     for i, (r_home, r_m) in enumerate(specs):
         for g in basis.degree_keys():
             yield (r_home, r_m), g, verify_pair(basis, r_home, r_m, *basis.by_degree[g])
         if i + 1 == len(specs) or specs[i + 1][0] != r_home:
+            if leaving is not None:
+                leaving(r_home)
             basis.forget(r_home)
+
+
+def negative_digits(coeffs):
+    """The number of negative digits (integer coefficients of powers of v)
+    over the VCoeffs coeffs."""
+    return sum(a < 0 for c in coeffs for _, a in c.items())
+
+
+def sweep_positivity(basis, r_specs=None):
+    """The positivity oracle over keyed_verdicts's sweep, a Counter of:
+    records, the records made in each torus (both sides) with an element,
+    read just before forget drops them; record_negatives, the negative
+    digits of those elements; middles, the middle coefficients of every
+    verdict; middle_negatives, their negative digits. For a
+    skew-symmetric seed both negative counts are 0: quantum cluster
+    monomials have coefficients in N[v, 1/v] (Davison, arXiv:1601.07918),
+    and in finite type so do the structure constants of the basis they
+    form (Davison-Mandel, arXiv:1910.12915)."""
+    out = Counter()
+
+    def leaving(torus):
+        elems = [hit[1] for co in (False, True)
+                 for hit in basis._resolved.get((torus, co), {}).values() if hit is not None]
+        out["records"] += len(elems)
+        out["record_negatives"] += negative_digits(
+            c for elem in elems for c in elem.coeffs().values())
+
+    for _, _, verdict in keyed_verdicts(basis, r_specs, leaving):
+        out["middles"] += len(verdict.middle)
+        out["middle_negatives"] += negative_digits(c for _, c in verdict.middle)
+    return out
 
 
 def common_node_mismatches(basis, keyed):
@@ -934,6 +973,9 @@ class DictForm:
 
     def __eq__(self, other):
         return isinstance(other, DictForm) and (self.g, self.terms) == (other.g, other.terms)
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def __repr__(self):
         return f"DictForm({self.g}, {self.terms})"

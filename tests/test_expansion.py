@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from oracles import bidegree
 from conftest import (
-    A2_B, A3_B, B2_B, B3_B, D4_B, LADDER, a2_gold, elem, forbid, principal_framings, retracked)
+    A2_B, A3_B, B2_B, B3_B, D4_B, LADDER, a2_gold, assert_reference_retracked_again, elem, forbid,
+    principal_framings, retracked)
 from qcluster import (
     QuantumSeed,
     apply_word,
@@ -49,7 +50,8 @@ def test_every_variable_matches_the_torus_element_mutation(name):
     # every node's variables, in the reference torus as the build made
     # them and re-tracked into the last node's torus, against the mutation
     # in torus elements with a degree scan; the degrees recorded are the
-    # scanned ones
+    # scanned ones. The build's store holds every node's re-tracking into
+    # the reference torus: its tracked seed itself
     graph = build_exchange_graph(GRAPH_SEEDS[name]())
     assert not graph.truncated
     for torus in (graph.order[0], graph.order[-1]):
@@ -65,7 +67,8 @@ def test_every_variable_matches_the_torus_element_mutation(name):
         if torus == graph.order[0]:
             assert all(graph.vars_in(home, torus) is graph.nodes[home].vars
                        for home in graph.order)
-            assert torus not in graph._cross
+            assert graph._cross[torus].keys() == graph.nodes.keys()
+            assert all(graph._cross[torus][home] is graph.nodes[home] for home in graph.order)
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
@@ -79,9 +82,9 @@ def test_the_build_and_retracking_make_no_torus_element(name, monkeypatch):
     for home in graph.order:
         for torus in graph.order:
             graph.vars_in(home, torus)
-    # every pair but the reference torus's, whose variables are the nodes'
-    assert set(graph._cross) == set(graph.order[1:])
-    assert sum(map(len, graph._cross.values())) == len(graph.order) * (len(graph.order) - 1)
+    # every pair, the reference torus's too, whose re-trackings the build made
+    assert set(graph._cross) == set(graph.order)
+    assert sum(map(len, graph._cross.values())) == len(graph.order) ** 2
     # a word replayed with no store of the graph, as qcluster expand does
     last = graph.nodes[graph.order[-1]]
     assert apply_word(initial_tracked(graph.reference), last.path).vars == last.vars
@@ -475,13 +478,12 @@ def test_every_retracked_variable_is_its_one_factor_monomial(make, monkeypatch):
 ], ids=["frozen", "A3p"])
 def test_a_forgotten_torus_stores_its_variables_again(make, monkeypatch):
     # the same after every torus is forgotten, the reference one included,
-    # whose variables stay the nodes' own
+    # which is re-tracked like any other: one mutation per node but its own
     graph = build_exchange_graph(make())
     for torus in graph.order:
         graph.forget(torus)
+    assert_reference_retracked_again(graph, monkeypatch)
     _assert_variables_are_stored(graph, monkeypatch)
-    assert all(graph.vars_in(home, graph.order[0]) is graph.nodes[home].vars
-               for home in graph.order)
 
 
 def _assert_variables_are_stored(graph, monkeypatch):

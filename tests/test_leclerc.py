@@ -7,8 +7,9 @@ import pytest
 
 import oracles
 from conftest import (
-    A3_B, B3_B, LADDER, a2_gold, assert_matches_eager_enumeration, forbid)
-from qcluster import build_exchange_graph, expansion, pointed, principal_framing
+    A3_B, B3_B, LADDER, a2_gold, assert_matches_eager_enumeration,
+    assert_reference_retracked_again, forbid)
+from qcluster import ExchangeGraph, build_exchange_graph, expansion, pointed, principal_framing
 from qcluster.leclerc import (
     ENUMERATION_LIMIT,
     CandidateBasis,
@@ -488,10 +489,11 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
 
 @pytest.mark.parametrize("name", ["a3p-cap1", "frozen-cap2-w1"])
 def test_a_sweep_forgets_every_torus_it_leaves(name, monkeypatch):
-    # no store keeps a key of any torus, the reference included, whose
-    # variables are still the nodes' own; each torus left had a relation
-    # table and kept products (exchange monomials among them) to drop; a
-    # second sweep re-enters every torus and gives the same verdicts
+    # no store keeps a key of any torus, the reference included, which is
+    # re-entered like any other (one mutation per node but its own); each
+    # torus left had a relation table and kept products (exchange
+    # monomials among them) to drop; a second sweep re-enters every torus
+    # and gives the same verdicts
     make, cap, window = LADDER[name]
     graph = build_exchange_graph(make())
     basis = CandidateBasis(graph, unfrozen_cap=cap, frozen_window=window)
@@ -504,16 +506,77 @@ def test_a_sweep_forgets_every_torus_it_leaves(name, monkeypatch):
 
     monkeypatch.setattr(graph, "forget", forgetting)
     first = verify_theorem(basis)
-    t0 = graph.order[0]
     assert len({v.r_spec[0] for v in first.verdicts}) > 1
     assert [torus for torus, _, _ in left] == sorted({v.r_spec[0] for v in first.verdicts},
                                                      key=graph.order.index)
     assert all(table and products for _, table, products in left)
     assert not _tori_kept(graph, basis)
-    assert all(graph.vars_in(key, t0) is graph.nodes[key].vars for key in graph.order)
+    assert_reference_retracked_again(graph, monkeypatch)
     second = verify_theorem(basis)
     assert first.ok and second.counts() == first.counts()
     assert second.verdicts == first.verdicts
+
+
+def test_a_second_pass_in_the_reference_torus_interns_nothing(monkeypatch):
+    # the reference torus keeps its re-trackings like any other torus:
+    # after one pass over the pairs whose R is at home there, a second
+    # pass, with no forget in between, reads every variable back and
+    # interns none
+    make, cap, window = LADDER["a3p-cap1"]
+    graph = build_exchange_graph(make())
+    basis = CandidateBasis(graph, unfrozen_cap=cap, frozen_window=window)
+    t0 = graph.order[0]
+    pairs = [(r_home, r_m, *basis.by_degree[g]) for r_home, r_m in default_r_specs(graph)
+             if r_home == t0 for g in basis.degree_keys()]
+    first = [verify_pair(basis, *pair) for pair in pairs]
+    calls, real = [], ExchangeGraph._intern
+    monkeypatch.setattr(ExchangeGraph, "_intern", lambda *a: calls.append(a) or real(*a))
+    assert [verify_pair(basis, *pair) for pair in pairs] == first
+    assert len(pairs) == 270 and calls == []
+
+
+@pytest.mark.parametrize("name", ["a2-cap3", "frozen-cap2-w1", "a3p-cap1"])
+def test_a_skew_symmetric_sweep_has_no_negative_digit(name):
+    # the skew-symmetric ladder rungs, full sweeps: the element of every
+    # record made in a torus, read before forget drops it, and every
+    # middle coefficient have nonnegative digits
+    make, cap, window = LADDER[name]
+    basis = CandidateBasis(build_exchange_graph(make()), unfrozen_cap=cap, frozen_window=window)
+    counts = oracles.sweep_positivity(basis)
+    assert counts["record_negatives"] == counts["middle_negatives"] == 0
+    assert counts["records"] > 0 and counts["middles"] > 0
+
+
+def test_a_planted_negative_digit_fails_the_positivity_check(monkeypatch):
+    # one record of the first torus gets one coefficient negated after the
+    # torus's last pair, before the sweep leaves it: the check counts
+    # exactly that coefficient's digits
+    make, cap, window = LADDER["a3p-cap1"]
+    graph = build_exchange_graph(make())
+    basis = CandidateBasis(graph, unfrozen_cap=cap, frozen_window=window)
+    t0 = graph.order[0]
+    last = sum(r_home == t0 for r_home, _ in default_r_specs(graph)) * len(basis.by_degree)
+    calls, planted, real = [], [], oracles.verify_pair
+
+    def planting(basis, r_home, *pair):
+        verdict = real(basis, r_home, *pair)
+        calls.append(r_home)
+        if len(calls) == last:
+            records = basis._resolved[(r_home, False)]
+            g, hit = next((g, hit) for g, hit in records.items()
+                          if hit is not None and len(hit[1].terms) > 1)
+            coeffs = hit[1].coeffs()
+            n = max(coeffs)  # not the pivot, n = 0
+            coeffs[n] = -coeffs[n]
+            records[g] = (hit[0], NForm.of(hit[1].g, coeffs)) + hit[2:]
+            planted.append(len(coeffs[n].items()))
+        return verdict
+
+    monkeypatch.setattr(oracles, "verify_pair", planting)
+    counts = oracles.sweep_positivity(basis)
+    assert set(calls[:last]) == {t0} and calls[last] != t0
+    assert planted and counts["record_negatives"] == planted[0] > 0
+    assert counts["middle_negatives"] == 0
 
 
 def test_verify_theorem_a2(a2_graph):
