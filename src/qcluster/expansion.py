@@ -26,11 +26,13 @@ and of each exchange monomial's factors, with the monomial's v-power.
 The build and re-tracking intern a node's variables (one object per
 reference degree, below) before they mutate it, so the key fixes every
 input of the division, and a repeat reads back the variable that the
-first one made, the store's object. Every mutation still mutates and
-checks the seed, and its variables are still interned. apply_word and
-cluster_monomial pass stores of their own, which start empty: each
-exchange monomial, and each monomial of cluster_monomial, is then one
-twisted product per unit of unfrozen exponent.
+first one made, the store's object. A labeled seed is mutated and
+checked once per vertex per process (mutate_seed is cached), so a
+re-tracking step reads the seed the build made, and costs one exchange,
+plus at most one division; its variables are still interned.
+apply_word and cluster_monomial pass stores of their own, which start
+empty: each exchange monomial, and each monomial of cluster_monomial,
+is then one twisted product per unit of unfrozen exponent.
 
 The exchange graph deduplicates tracked seeds by the unordered set of
 variable degrees in the reference torus (a seed is determined by those
@@ -128,7 +130,8 @@ def mutate_tracked(ts: TrackedSeed, k, exchange=None) -> TrackedSeed:
     z is exchange(ts, k, relation), _new_variable over the stores of the
     torus ts is tracked in; with no exchange, over stores of this one
     mutation, which start empty. The seed is mutated and checked first
-    (mutate_seed), which refuses a k that is not unfrozen.
+    (mutate_seed, once per labeled seed and k in a process), which
+    refuses a k that is not unfrozen.
     """
     seed = mutate_seed(ts.seed, k)
     exchange = exchange or partial(_new_variable, {}, {}, ts.degs, None)
@@ -402,7 +405,8 @@ class ExchangeGraph:
     def _retrack(self, torus_key, exchange, near_key, key, k) -> TrackedSeed:
         """key re-tracked into the torus: near_key's re-tracking mutated at
         k, exchange being _new_variable over the torus's stores, checked
-        against key's labeled seed, interned."""
+        against key's labeled seed, interned. A closed graph's build has
+        mutated near's labeled seed at k, so mutate_seed returns that seed."""
         near, node = self.nodes[near_key], self.nodes[key]
         ts = mutate_tracked(self._cross[torus_key][near_key], k,
                             partial(exchange, near.degs, node.degs[k]))

@@ -315,10 +315,11 @@ class CandidateBasis:
 
         X^m is expanded once, in n-coordinates; it is the element when it
         is pointed at its degree (no negative n, coefficient 1 at n = 0)
-        and that degree (its codegree, when co) is g. The codegree is
-        read off the same n-form (NForm.codegree), and so is its n, the
-        componentwise-largest n and so the lexicographically largest;
-        both are None when it has no codegree term.
+        and that degree (its codegree, when co) is g. The codegree's n is
+        read off the same n-form in one scan (NForm.co_n: the
+        componentwise-largest n, so also the lexicographically largest),
+        and the codegree is g + B n there; both are None when it has no
+        codegree term.
         """
         records = self._resolved[(torus_key, co)]
         if g in records:
@@ -327,9 +328,11 @@ class CandidateBasis:
         elem = self.graph.monomial_in(home_key, m, torus_key)
         found = None
         if elem.is_pointed() and (co or elem.g == g):
-            eta = elem.codegree(self.graph.nodes[torus_key].seed)
+            top = elem.co_n()
+            eta = None if top is None else pointed.exponent(
+                self.graph.nodes[torus_key].seed, elem.g, top)
             if (eta if co else elem.g) == g:
-                found = ((home_key, m), elem, eta, None if eta is None else max(elem.terms))
+                found = ((home_key, m), elem, eta, top)
         records[g] = found
         return found
 

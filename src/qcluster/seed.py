@@ -161,6 +161,7 @@ def _conjugated_lambda(seed, k, eps, lam_t):
     return row[:k] + (corner,) + row[k + 1:], col[:k] + (corner,) + col[k + 1:]
 
 
+@lru_cache(maxsize=None)
 def mutate_seed(seed, k):
     """Seed mutation at an unfrozen vertex k; an involution.
 
@@ -170,6 +171,12 @@ def mutate_seed(seed, k):
     Lambda and are formed. Both sign conventions are computed and must
     agree, and compatibility with the unchanged D is re-checked, so
     convention drift shows up as a hard error.
+
+    Cached per (seed, k), like opposite_seed: a labeled seed is mutated
+    and checked once per vertex in a process, and every later call (the
+    exchange graph's re-tracking repeats the build's mutations) returns
+    that checked seed. A call that raises is not cached, so it raises
+    again on every call.
     """
     if k not in seed.unfrozen:
         raise ValueError(f"vertex {k} is not unfrozen")

@@ -27,8 +27,9 @@ from qcluster import (
     principal_framing,
 )
 from qcluster import cli, expansion, pointed, qtorus
+from qcluster import seed as seed_module
 from qcluster.expansion import degree_key
-from qcluster.leclerc import _exponent_box
+from qcluster.leclerc import CandidateBasis, _exponent_box, verify_theorem
 from qcluster.pointed import degree
 from qcluster.qtorus import QTElem, lam_pair, twisted_mul, unit_vec
 
@@ -654,6 +655,36 @@ def test_entering_a_torus_divides_once_per_exchange_relation(name, torus, retrac
     graph.forget(torus)
     assert torus not in graph._relations
     assert torus not in graph._monomials and torus not in graph._cross
+
+
+@pytest.mark.parametrize("name, build, pairs", [
+    pytest.param("a3p", 42, 540, id="a3p-42"),
+    pytest.param("a4p", 168, 3546, id="a4p-168"),
+])
+def test_a_sweep_mutates_no_seed_the_build_did_not(name, build, pairs, monkeypatch):
+    # the build mutates every node in every direction (two conjugations
+    # per mutation made, one per sign convention); a full cap1 sweep
+    # re-tracks every node into every home torus, and each step reads the
+    # build's seed back (uncached, 78 and 410 mutations more). Every
+    # re-tracked seed, read before its torus is forgotten, is its node's
+    # labeled seed
+    mutate_seed.cache_clear()
+    conjugations, real = [], seed_module._conjugated_lambda
+    monkeypatch.setattr(seed_module, "_conjugated_lambda",
+                        lambda *a: conjugations.append(a) or real(*a))
+    graph = build_exchange_graph(cli.load_seed(str(BENCH_SEEDS / f"{name}.json"))[0])
+    assert len(conjugations) == 2 * len(graph.order) * len(graph.reference.unfrozen) == 2 * build
+    basis = CandidateBasis(graph, unfrozen_cap=1)
+    retracked, forget = [], graph.forget
+    monkeypatch.setattr(graph, "forget", lambda torus: retracked.extend(
+        (torus, home, ts.seed) for home, ts in graph._cross[torus].items()) or forget(torus))
+    report = verify_theorem(basis)
+    assert report.ok and len(report.verdicts) == pairs
+    assert len(conjugations) == 2 * build
+    homes = {v.r_spec[0] for v in report.verdicts}
+    assert {torus for torus, _, _ in retracked} == homes and len(homes) > 1
+    assert len(retracked) == len(homes) * len(graph.order)
+    assert all(seed is graph.nodes[home].seed for _, home, seed in retracked)
 
 
 @pytest.mark.parametrize("path, words, products, divisions", [

@@ -664,7 +664,10 @@ def test_frozen_r_always_lands_in_basis(pa2_graph):
 def test_v_codegree_n_is_read_off_its_record(name, monkeypatch):
     # on every pair of the rung's sweep, V's n below its degree, as
     # verify_pair reads it off V's record, is the dominance n of V's
-    # codegree below its degree, and V's co_n
+    # codegree below its degree. Every record read, on either side, keeps
+    # the n its codegree was read from: the element's co_n, scanned once,
+    # and so also its lexicographically largest n; and its codegree is
+    # the element's codegree in the torus
     make, cap, window = LADDER[name]
     basis = CandidateBasis(build_exchange_graph(make()), unfrozen_cap=cap,
                            frozen_window=window)
@@ -673,12 +676,14 @@ def test_v_codegree_n_is_read_off_its_record(name, monkeypatch):
 
     def checked(torus_key, g, co):
         record = real(torus_key, g, co)
-        if not co and record is not None and record[2] is not None:
+        if record is not None:
             _, elem, eta, n = record
             seed = basis.graph.nodes[torus_key].seed
-            assert n == dominance_n(seed, eta, g) is not None
-            assert n == elem.co_n()
-            seen.add((torus_key, g))
+            assert n == elem.co_n() == max(elem.terms)
+            assert eta == elem.codegree(seed)
+            if not co:
+                assert n == dominance_n(seed, eta, g) is not None
+                seen.add((torus_key, g))
         return record
 
     monkeypatch.setattr(basis, "_resolve", checked)

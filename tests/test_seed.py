@@ -27,6 +27,7 @@ from qcluster import (
     pointed,
     principal_framing,
 )
+from qcluster import seed as seed_module
 from qcluster.qtorus import unit_vec
 from qcluster.seed import IncompatiblePair, IncompatibleResult, NoCompatibleLambda
 
@@ -65,8 +66,9 @@ def test_mutate_involution_everywhere(a2_seed, b2_seed, pa2_seed, a3_seed):
 
 
 def test_mutate_frozen_rejected(pa2_seed):
-    with pytest.raises(ValueError):
-        mutate_seed(pa2_seed, 2)
+    for _ in range(2):  # a refused call is not cached: it raises again
+        with pytest.raises(ValueError):
+            mutate_seed(pa2_seed, 2)
 
 
 @pytest.mark.parametrize("b, lam, message", [
@@ -84,8 +86,9 @@ def test_mutating_an_incompatible_seed_raises(b, lam, message):
     # built directly, bypassing make_seed's compatibility check
     seed = QuantumSeed(len(b), tuple(range(len(b[0]))), b, lam, (1,) * len(b[0]))
     assert not check_compatible(seed)[0]
-    with pytest.raises(IncompatibleResult, match=message):
-        mutate_seed(seed, 0)
+    for _ in range(2):  # a refused call is not cached: it raises again
+        with pytest.raises(IncompatibleResult, match=message):
+            mutate_seed(seed, 0)
 
 
 @pytest.mark.parametrize("lam", [((0, 1), (1, 0)), ((1, -1), (1, 0)), ((0, 2), (-1, 0))])
@@ -139,6 +142,23 @@ def test_seeds_built_apart_from_equal_data_are_equal_and_share_caches():
     assert pointed._dominance_data(b) is pointed._dominance_data(a)
     assert a != (a.n, a.unfrozen, a.B, a.Lambda, a.D)
     assert a != mutate_seed(a, 0) and mutate_seed(mutate_seed(a, 0), 0) == a
+
+
+def test_a_labeled_seed_is_mutated_once_per_vertex(monkeypatch):
+    # mutate_seed is cached per (seed, k): a repeat, on the seed or on an
+    # equal one built apart, computes no conjugation (two per mutation
+    # made, one per sign convention) and returns the first call's seed
+    mutate_seed.cache_clear()
+    conjugations, real = [], seed_module._conjugated_lambda
+    monkeypatch.setattr(seed_module, "_conjugated_lambda",
+                        lambda *a: conjugations.append(a) or real(*a))
+    a = principal_framing(A3_B)
+    first = [mutate_seed(a, k) for k in a.unfrozen]
+    assert len(conjugations) == 2 * len(a.unfrozen)
+    again = [mutate_seed(principal_framing(A3_B), k) for k in a.unfrozen]
+    assert all(x is y for x, y in zip(first, again))
+    assert len(conjugations) == 2 * len(a.unfrozen)
+    assert mutate_seed(first[0], 0) == a and len(conjugations) == 2 * len(a.unfrozen) + 2
 
 
 def test_opposite_commutes_with_mutation(a2_seed, b2_seed, a3_seed):
