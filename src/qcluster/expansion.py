@@ -20,19 +20,25 @@ torus's stores, and the graph passes each torus's stores (one partial
 per torus, the build's and every re-tracking's alike) to
 mutate_tracked. Each exchange monomial is the torus's
 cluster monomial by identity (_monomial, below), made at most once
-there. Each relation is divided at most once there: the torus's
+there. Each relation is formed at most once there: the torus's
 relation table keeps the new variable by the reference degrees of X_k
 and of each exchange monomial's factors, with the monomial's v-power.
 The build and re-tracking intern a node's variables (one object per
 reference degree, below) before they mutate it, so the key fixes every
 input of the division, and a repeat reads back the variable that the
-first one made, the store's object. A labeled seed is mutated and
-checked once per vertex per process (mutate_seed is cached), so a
-re-tracking step reads the seed the build made, and costs one exchange,
-plus at most one division; its variables are still interned.
-apply_word and cluster_monomial pass stores of their own, which start
-empty: each exchange monomial, and each monomial of cluster_monomial,
-is then one twisted product per unit of unfrozen exponent.
+first one made, the store's object. A relation met for the first time
+is divided only when its variable is new to the torus; when the store
+already holds a variable at the new reference degree, one normalized
+product with X_k checks that it is the quotient (exact quotients are
+unique), and it is kept, the division running only if the check fails.
+A labeled seed is mutated once per vertex per process (mutate_seed is
+cached), and a mutated seed equal to one already checked is that object
+(seed._interned), so a re-tracking step reads the seed the build made,
+and costs one exchange, plus at most one division or product check; its
+variables are still interned. apply_word and cluster_monomial pass
+stores of their own, which start empty: each exchange monomial, and
+each monomial of cluster_monomial, is then one twisted product per unit
+of unfrozen exponent, and each relation one division.
 
 The exchange graph deduplicates tracked seeds by the unordered set of
 variable degrees in the reference torus (a seed is determined by those
@@ -81,9 +87,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
+from operator import mul as _times
 
 from . import pointed
-from .qtorus import pos_part, unit_vec
+from .qtorus import pos_part, unit_vec, vec_sub
 from .seed import QuantumSeed, mutate_seed
 
 # Most nodes an exchange graph holds, read when a build runs: a safety
@@ -128,10 +135,12 @@ def mutate_tracked(ts: TrackedSeed, k, exchange=None) -> TrackedSeed:
     the base is z's degree, never measured.
 
     z is exchange(ts, k, relation), _new_variable over the stores of the
-    torus ts is tracked in; with no exchange, over stores of this one
-    mutation, which start empty. The seed is mutated and checked first
-    (mutate_seed, once per labeled seed and k in a process), which
-    refuses a k that is not unfrozen.
+    torus ts is tracked in, which keeps a stored variable that passes
+    the product check instead of dividing; with no exchange, over stores
+    of this one mutation, which start empty. The seed is mutated first
+    (mutate_seed, once per labeled seed and k in a process, each
+    distinct result checked once), which refuses a k that is not
+    unfrozen.
     """
     seed = mutate_seed(ts.seed, k)
     exchange = exchange or partial(_new_variable, {}, {}, ts.degs, None)
@@ -145,13 +154,14 @@ def mutate_tracked(ts: TrackedSeed, k, exchange=None) -> TrackedSeed:
 
 
 def _exchange(ts: TrackedSeed, k):
-    """(a-, lam(a-, f_k), a+, lam(a+, f_k)) of the exchange relation at k."""
+    """(a-, lam(a-, f_k), a+, lam(a+, f_k)) of the exchange relation at k,
+    each lam(a, f_k) one dot product of a with column k of Lambda."""
     s = ts.seed
     ck = s.col(k)
-    col = tuple(s.B[i][ck] for i in range(s.n))
-    fk = unit_vec(s.n, k)
+    col = tuple(row[ck] for row in s.B)
+    lam_k = tuple(row[k] for row in s.Lambda)
     aminus, aplus = pos_part(tuple(-x for x in col)), pos_part(col)
-    return aminus, s.lam(aminus, fk), aplus, s.lam(aplus, fk)
+    return aminus, sum(map(_times, aminus, lam_k)), aplus, sum(map(_times, aplus, lam_k))
 
 
 def _identity(degs, m):
@@ -201,22 +211,42 @@ def _new_variable(monomials, relations, degs, new_deg, ts, k, relation) -> point
     degrees degs. monomials and relations are the torus's stores: its
     cluster monomials (_monomial) and its relation table, which keeps
     the new variable by the relation's reference degrees: X_k's, and
-    each exchange monomial's identity with its v-power. A relation not
-    in the table is divided once, each exchange monomial being the
-    torus's cluster monomial. new_deg is the new variable's reference
-    degree, or None when degs are ts's own degrees (the build's case),
-    so that it is the variable's base; an equal copy of the variable stored there gives way to it, so the
-    table holds the store's objects (_intern still checks each one)."""
+    each exchange monomial's identity with its v-power.
+
+    A relation not in the table is formed once, each exchange monomial
+    being the torus's cluster monomial. When the store already holds a
+    variable at the new reference degree (new_deg, or, when degs are
+    ts's own degrees as in the build, the quotient's base num.g - X_k.g),
+    that variable is the new one exactly when its normalized product with
+    X_k is the sum's normalization (_is_quotient), and it is kept; else
+    the sum is divided by X_k, and an equal copy of a stored variable
+    gives way to it. So the table holds the store's objects, and a
+    stored variable that disagrees still reaches _intern's check."""
     seed, (aminus, lminus, aplus, lplus) = ts.ref, relation
     key = (degs[k], _identity(degs, aminus), lminus, _identity(degs, aplus), lplus)
     z = relations.get(key)
     if z is None:
         monomial = partial(_monomial, seed, monomials, degs, ts.vars)
         num = pointed.add(seed, monomial(aminus).vshift(lminus), monomial(aplus).vshift(lplus))
-        z = pointed.divide(seed, num, ts.vars[k]).normalized()
-        stored = monomials.get(((z.g if new_deg is None else new_deg, 1),))
-        relations[key] = z = stored if stored == z else z
+        x_k = ts.vars[k]
+        z = monomials.get(((vec_sub(num.g, x_k.g) if new_deg is None else new_deg, 1),))
+        if z is None or not _is_quotient(seed, z, num, x_k):
+            quotient = pointed.divide(seed, num, x_k).normalized()
+            z = z if z == quotient else quotient
+        relations[key] = z
     return z
+
+
+def _is_quotient(seed, z, num, d) -> bool:
+    """Whether the pointed z is num / d normalized: the normalized product
+    z d equals num normalized. An exact quotient in the torus is unique,
+    so this holds exactly when pointed.divide would return z. False when
+    either side cannot be normalized, so that the division runs and
+    raises what it raises."""
+    try:
+        return pointed.mul(seed, z, d, normalize=True) == num.normalized()
+    except (pointed.NonUnitLeading, pointed.CoefficientOverflow):
+        return False
 
 
 def apply_word(ts: TrackedSeed, word) -> TrackedSeed:

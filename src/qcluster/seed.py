@@ -161,6 +161,22 @@ def _conjugated_lambda(seed, k, eps, lam_t):
     return row[:k] + (corner,) + row[k + 1:], col[:k] + (corner,) + col[k + 1:]
 
 
+def _checked_seed(n, unfrozen, B, Lambda, D):
+    """The QuantumSeed of the five fields, its shapes checked on
+    construction; IncompatiblePair, with check_compatible's diagnostic,
+    unless B^T Lambda = (D 0)."""
+    seed = QuantumSeed(n, unfrozen, B, Lambda, D)
+    ok, diag = check_compatible(seed)
+    if not ok:
+        raise IncompatiblePair(diag)
+    return seed
+
+
+# One object per distinct seed mutate_seed has built and checked, for
+# the process; a call that raises is not cached.
+_interned = lru_cache(maxsize=None)(_checked_seed)
+
+
 @lru_cache(maxsize=None)
 def mutate_seed(seed, k):
     """Seed mutation at an unfrozen vertex k; an involution.
@@ -169,14 +185,17 @@ def mutate_seed(seed, k):
     the rows with b_ik != 0. Lambda is conjugated by the elementary
     matrix of the mutation, of which only row and column k differ from
     Lambda and are formed. Both sign conventions are computed and must
-    agree, and compatibility with the unchanged D is re-checked, so
-    convention drift shows up as a hard error.
+    agree, and compatibility with the unchanged D is checked once per
+    distinct result, so convention drift shows up as a hard error.
 
     Cached per (seed, k), like opposite_seed: a labeled seed is mutated
-    and checked once per vertex in a process, and every later call (the
-    exchange graph's re-tracking repeats the build's mutations) returns
-    that checked seed. A call that raises is not cached, so it raises
-    again on every call.
+    once per vertex in a process, and every later call (the exchange
+    graph's re-tracking repeats the build's mutations) returns that
+    seed. The mutated fields are then looked up among the seeds already
+    built and checked (_interned), so a seed met again, the involution
+    back along an edge among them, is that object and is not checked
+    again: the checks are a pure function of the five fields. A call
+    that raises is not cached, so it raises again on every call.
     """
     if k not in seed.unfrozen:
         raise ValueError(f"vertex {k} is not unfrozen")
@@ -202,11 +221,10 @@ def mutate_seed(seed, k):
     row, col = conventions[0]
     lam = [r[:k] + (x,) + r[k + 1:] for r, x in zip(seed.Lambda, col)]
     lam[k] = row
-    out = QuantumSeed(seed.n, seed.unfrozen, tuple(newb), tuple(lam), seed.D)
-    ok, diag = check_compatible(out)
-    if not ok:
-        raise IncompatibleResult(f"mutation at {k} broke compatibility: {diag}")
-    return out
+    try:
+        return _interned(seed.n, seed.unfrozen, tuple(newb), tuple(lam), seed.D)
+    except IncompatiblePair as exc:
+        raise IncompatibleResult(f"mutation at {k} broke compatibility: {exc}") from None
 
 
 @lru_cache(maxsize=None)
@@ -357,11 +375,7 @@ def make_seed(btilde, lam=None, unfrozen=None, d=None):
             if bad is not None:
                 raise IncompatiblePair(f"(B^T Lambda)[{bad}][{unfrozen[bad]}] = {d[bad]}, "
                                        "expected a positive entry")
-    seed = QuantumSeed(n, unfrozen, btilde, lam, tuple(d))
-    ok, diag = check_compatible(seed)
-    if not ok:
-        raise IncompatiblePair(diag)
-    return seed
+    return _checked_seed(n, unfrozen, btilde, lam, tuple(d))
 
 
 def principal_framing(b_principal):

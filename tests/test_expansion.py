@@ -573,9 +573,11 @@ BENCH_SEEDS = pathlib.Path(__file__).parent.parent / "bench" / "seeds"
 
 def _counting(monkeypatch):
     """Record every mutate_tracked call, with the new variable of each
-    that divided nothing, and every division and twisted product."""
+    that divided nothing, every division and twisted product, and each
+    product check's verdict."""
     real_mutate, real_divide, real_mul = expansion.mutate_tracked, pointed.divide, pointed.mul
-    calls = {"mutated": [], "hits": [], "divided": [], "products": []}
+    real_check = expansion._is_quotient
+    calls = {"mutated": [], "hits": [], "divided": [], "products": [], "checked": []}
 
     def mutating(ts, k, *rest):
         before = len(calls["divided"])
@@ -585,7 +587,12 @@ def _counting(monkeypatch):
             calls["hits"].append(out.vars[k])
         return out
 
+    def checking(*a):
+        calls["checked"].append(real_check(*a))
+        return calls["checked"][-1]
+
     monkeypatch.setattr(expansion, "mutate_tracked", mutating)
+    monkeypatch.setattr(expansion, "_is_quotient", checking)
     monkeypatch.setattr(pointed, "divide",
                         lambda *a: calls["divided"].append(a) or real_divide(*a))
     monkeypatch.setattr(pointed, "mul",
@@ -598,17 +605,24 @@ def _kept_products(graph, torus):
     return [i for i in graph._monomials[torus] if len(i) > 1 or i[0][1] > 1]
 
 
-@pytest.mark.parametrize("name, mutations, divisions, products", [
-    pytest.param("c5p", 1260, 270, 196, id="c5p-1260-270"),
-    pytest.param("a4p", 168, 70, 34, id="a4p-168-70"),
+def _stored_variables(graph, torus):
+    """How many variables, frozen ones too, the torus's store holds."""
+    return sum(len(i) == 1 and i[0][1] == 1 for i in graph._monomials[torus])
+
+
+@pytest.mark.parametrize("name, mutations, relations, divisions, products", [
+    pytest.param("c5p", 1260, 270, 25, 196, id="c5p-1260-270"),
+    pytest.param("a4p", 168, 70, 10, 34, id="a4p-168-70"),
 ])
-def test_the_build_divides_once_per_exchange_relation(name, mutations, divisions, products,
-                                                      monkeypatch):
+def test_the_build_divides_once_per_exchange_relation(name, mutations, relations, divisions,
+                                                      products, monkeypatch):
     # every node is mutated in every direction, but each distinct exchange
-    # relation is divided once, into the reference torus's relation table,
-    # and each exchange monomial is one kept product from a kept one; a
-    # repeat returns the reference torus's stored variable itself, and so
-    # does every entry of the table
+    # relation is formed once, into the reference torus's relation table:
+    # divided once when its variable is new to the torus, else checked by
+    # one product against the stored variable, which it keeps. Each
+    # exchange monomial is one kept product from a kept one; a repeat
+    # returns the reference torus's stored variable itself, and so does
+    # every entry of the table
     seed = cli.load_seed(str(BENCH_SEEDS / f"{name}.json"))[0]
     calls = _counting(monkeypatch)
     graph = build_exchange_graph(seed)
@@ -616,9 +630,12 @@ def test_the_build_divides_once_per_exchange_relation(name, mutations, divisions
     table = graph._relations[t0]
     assert set(graph._relations) == {t0}
     assert (len(calls["mutated"]), len(calls["divided"]), len(table)) == (
-        mutations, divisions, divisions)
+        mutations, divisions, relations)
+    assert _stored_variables(graph, t0) - seed.n == divisions
+    assert calls["checked"] == [True] * (relations - divisions)
     assert len(calls["hits"]) == mutations - divisions
-    assert len(calls["products"]) == len(_kept_products(graph, t0)) == products
+    assert len(_kept_products(graph, t0)) == products
+    assert len(calls["products"]) == products + relations - divisions
 
     def stored(x):
         return graph._monomials[t0][((x.g, 1),)]
@@ -627,18 +644,19 @@ def test_the_build_divides_once_per_exchange_relation(name, mutations, divisions
     assert all(x is stored(x) for x in table.values())
 
 
-@pytest.mark.parametrize("name, torus, retracks, divisions, products", [
-    pytest.param("a4p", 9, 41, 20, 23, id="a4p-torus-9"),
-    pytest.param("c5p", -1, 251, 87, 126, id="c5p-last-torus"),
+@pytest.mark.parametrize("name, torus, retracks, relations, divisions, products", [
+    pytest.param("a4p", 9, 41, 20, 10, 23, id="a4p-torus-9"),
+    pytest.param("c5p", -1, 251, 87, 25, 126, id="c5p-last-torus"),
 ])
-def test_entering_a_torus_divides_once_per_exchange_relation(name, torus, retracks, divisions,
-                                                             products, monkeypatch):
+def test_entering_a_torus_divides_once_per_exchange_relation(name, torus, retracks, relations,
+                                                             divisions, products, monkeypatch):
     # every node re-tracked into one torus, one mutation each but the
-    # torus's own node: each distinct relation is divided once there, into
-    # the torus's relation table, each exchange monomial is one kept
-    # product, and every table entry is the torus's stored variable. The
-    # variables are the route oracle's, and forgetting the torus drops its
-    # table with the rest
+    # torus's own node: each distinct relation is formed once there, into
+    # the torus's relation table, divided once per variable new to the
+    # torus and checked by one product otherwise; each exchange monomial
+    # is one kept product, and every table entry is the torus's stored
+    # variable. The variables are the route oracle's, and forgetting the
+    # torus drops its table with the rest
     graph = build_exchange_graph(cli.load_seed(str(BENCH_SEEDS / f"{name}.json"))[0])
     torus = graph.order[torus]
     calls = _counting(monkeypatch)
@@ -646,8 +664,11 @@ def test_entering_a_torus_divides_once_per_exchange_relation(name, torus, retrac
         graph.vars_in(home, torus)
     table = graph._relations[torus]
     assert (len(calls["mutated"]), len(calls["divided"]), len(table)) == (
-        retracks, divisions, divisions)
-    assert len(calls["products"]) == len(_kept_products(graph, torus)) == products
+        retracks, divisions, relations)
+    assert _stored_variables(graph, torus) - graph.reference.n == divisions
+    assert calls["checked"] == [True] * (relations - divisions)
+    assert len(_kept_products(graph, torus)) == products
+    assert len(calls["products"]) == products + relations - divisions
     variables = {id(x) for home in graph.order for x in graph.vars_in(home, torus)}
     assert all(id(x) in variables for x in table.values())
     for home in random.Random(2).sample(graph.order, 5):
@@ -655,6 +676,101 @@ def test_entering_a_torus_divides_once_per_exchange_relation(name, torus, retrac
     graph.forget(torus)
     assert torus not in graph._relations
     assert torus not in graph._monomials and torus not in graph._cross
+
+
+def _tampered(x):
+    """x with its coefficient at n = e_0 changed: doubled, or 1 where x
+    has none; the bounds stay bounds."""
+    terms = dict(x.terms)
+    e0 = unit_vec(len(next(iter(terms))), 0)
+    lo, z = terms.get(e0, (0, 0))
+    terms[e0] = (lo, 2 * z or 1)
+    return pointed.NForm(x.g, terms, 2 * x.l1 + 1, 2 * x.max_l1 + 1)
+
+
+def test_a_tampered_stored_variable_fails_the_product_check(monkeypatch):
+    # one build finds the first relation whose variable, not a monomial,
+    # the reference torus already stores; in a second, that stored
+    # variable is tampered with just before the relation is met. The
+    # product check fails, the relation is divided, and the build stops
+    # where it stopped before there was a check: _intern finds that the
+    # quotient and the store disagree
+    seed = cli.load_seed(str(BENCH_SEEDS / "a4p.json"))[0]
+    real_new, real_check = expansion._new_variable, expansion._is_quotient
+    calls, first = [], []
+
+    def new_variable(*a):
+        calls.append(a)
+        return real_new(*a)
+
+    def checking(seed, z, num, d):
+        if not first and len(z.terms) > 1:
+            first.append((len(calls) - 1, z.g))
+        return real_check(seed, z, num, d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(expansion, "_new_variable", new_variable)
+        patch.setattr(expansion, "_is_quotient", checking)
+        build_exchange_graph(seed)
+    at, d = first[0]
+    path = calls[at][4].path + (calls[at][5],)
+    counted, divided = _counting(monkeypatch), []
+
+    def tampering(monomials, *rest):
+        if len(calls) == at:
+            monomials[((d, 1),)] = _tampered(monomials[((d, 1),)])
+            divided.append(len(counted["divided"]))
+        return new_variable(monomials, *rest)
+
+    monkeypatch.setattr(expansion, "_new_variable", tampering)
+    calls.clear()
+    with pytest.raises(RuntimeError) as err:
+        build_exchange_graph(seed)
+    assert len(calls) == at + 1 and counted["checked"][-1] is False
+    assert len(counted["divided"]) == divided[0] + 1
+    torus = degree_key(initial_tracked(seed))
+    assert str(err.value) == (f"path {path}: variable at reference degree {d} "
+                              f"disagrees with its entry in torus {torus}")
+
+
+def test_the_build_checks_each_distinct_seed_once(monkeypatch):
+    # mutate_seed conjugates Lambda under both sign conventions once per
+    # (labeled seed, vertex), but a mutated seed equal to one already
+    # checked is that seed: one compatibility check per distinct seed,
+    # and mutating a seed the build made back along an edge returns the
+    # seed itself, checking nothing
+    mutate_seed.cache_clear()
+    seed_module._interned.cache_clear()
+    seed = cli.load_seed(str(BENCH_SEEDS / "c5p.json"))[0]
+    conjugations, checks = [], []
+    real_conj, real_check = seed_module._conjugated_lambda, seed_module.check_compatible
+    monkeypatch.setattr(seed_module, "_conjugated_lambda",
+                        lambda *a: conjugations.append(a) or real_conj(*a))
+    monkeypatch.setattr(seed_module, "check_compatible",
+                        lambda s: checks.append(s) or real_check(s))
+    graph = build_exchange_graph(seed)
+    assert (len(conjugations), len(checks)) == (2 * 1260, 664)
+    assert seed_module._interned.cache_info().currsize == len({id(s) for s in checks}) == 664
+    made = [ts.seed for ts in graph.nodes.values()][1:]
+    assert all(mutate_seed(mutate_seed(s, k), k) is s for s in made for k in s.unfrozen)
+    assert len(checks) == 664
+
+
+def test_the_interned_seeds_are_seeds_mutate_seed_returns():
+    # the intern table holds one object per distinct mutated seed, each
+    # one that mutate_seed's cache returns, so it keeps no seed alive
+    # that mutate_seed's cache does not
+    mutate_seed.cache_clear()
+    seed_module._interned.cache_clear()
+    graph = build_exchange_graph(cli.load_seed(str(BENCH_SEEDS / "a4p.json"))[0])
+    returned = {id(s): s for s in (mutate_seed(ts.seed, k) for ts in graph.nodes.values()
+                                   for k in ts.seed.unfrozen)}
+    assert mutate_seed.cache_info().currsize == 168
+    interned = seed_module._interned.cache_info().currsize
+    assert interned == len(returned) == 114
+    assert all(seed_module._interned(s.n, s.unfrozen, s.B, s.Lambda, s.D) is s
+               for s in returned.values())
+    assert seed_module._interned.cache_info().currsize == interned
 
 
 @pytest.mark.parametrize("name, build, pairs", [

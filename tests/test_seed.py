@@ -82,13 +82,19 @@ def test_mutate_frozen_rejected(pa2_seed):
      ((0, 1, 1, 0), (-1, 0, 1, 0), (-1, -1, 0, -1), (0, 0, 1, 0)),
      r"broke compatibility: \(B\^T Lambda\)\[1\]\[1\] = 0, expected 1$"),
 ])
-def test_mutating_an_incompatible_seed_raises(b, lam, message):
+def test_mutating_an_incompatible_seed_raises(b, lam, message, monkeypatch):
     # built directly, bypassing make_seed's compatibility check
     seed = QuantumSeed(len(b), tuple(range(len(b[0]))), b, lam, (1,) * len(b[0]))
     assert not check_compatible(seed)[0]
+    checks, real = [], seed_module.check_compatible
+    monkeypatch.setattr(seed_module, "check_compatible", lambda s: checks.append(s) or real(s))
+    interned = seed_module._interned.cache_info().currsize
     for _ in range(2):  # a refused call is not cached: it raises again
         with pytest.raises(IncompatibleResult, match=message):
             mutate_seed(seed, 0)
+    # nor is the refused seed interned: each call checks it again
+    assert len(checks) == (2 if "compatibility" in message else 0)
+    assert seed_module._interned.cache_info().currsize == interned
 
 
 @pytest.mark.parametrize("lam", [((0, 1), (1, 0)), ((1, -1), (1, 0)), ((0, 2), (-1, 0))])
