@@ -32,13 +32,13 @@ already holds a variable at the new reference degree, one normalized
 product with X_k checks that it is the quotient (exact quotients are
 unique), and it is kept, the division running only if the check fails.
 A labeled seed is mutated once per vertex per process (mutate_seed is
-cached), and a mutated seed equal to one already checked is that object
-(seed._interned), so a re-tracking step reads the seed the build made,
-and costs one exchange, plus at most one division or product check; its
-variables are still interned. apply_word and cluster_monomial pass
-stores of their own, which start empty: each exchange monomial, and
-each monomial of cluster_monomial, is then one twisted product per unit
-of unfrozen exponent, and each relation one division.
+cached), and every seed, the loaded one too, is the one object of its
+fields (seed._interned), so a re-tracking step reads the seed the build
+made, and costs one exchange, plus at most one division or product
+check; its variables are still interned. apply_word and cluster_monomial
+pass stores of their own, which start empty: each exchange monomial,
+and each monomial of cluster_monomial, is then one twisted product per
+unit of unfrozen exponent, and each relation one division.
 
 The exchange graph deduplicates tracked seeds by the unordered set of
 variable degrees in the reference torus (a seed is determined by those
@@ -436,14 +436,14 @@ class ExchangeGraph:
         """key re-tracked into the torus: near_key's re-tracking mutated at
         k, exchange being _new_variable over the torus's stores, checked
         against key's labeled seed, interned. A closed graph's build has
-        mutated near's labeled seed at k, so mutate_seed returns that seed."""
+        mutated near's labeled seed at k, so mutate_seed returns that seed,
+        the very object (one object per checked seed, seed._interned)."""
         near, node = self.nodes[near_key], self.nodes[key]
         ts = mutate_tracked(self._cross[torus_key][near_key], k,
                             partial(exchange, near.degs, node.degs[k]))
         if ts.seed != node.seed:
             raise RuntimeError("re-tracking did not reproduce the labeled seed")
-        # keep the node's seed object, not an equal copy, for every cached pair
-        return self._intern(TrackedSeed(node.seed, ts.vars, ts.ref, ts.path), torus_key, node.degs)
+        return self._intern(ts, torus_key, node.degs)
 
     def _intern(self, ts: TrackedSeed, torus_key, ref_degs) -> TrackedSeed:
         """ts with each variable replaced by the torus's stored one-factor

@@ -17,8 +17,9 @@ exponent it dominates; -w is the column sums of p_num, so the rank
 sum(p_num m) is one dot product. Every exponent g + B n, in that test
 and wherever an n-form's term is placed (codegree, opposite, expand,
 decompose's pivots, interval), is exponent(seed, g, n): one column of
-B added per nonzero n_k (_linalg.combine), the columns kept per seed
-next to the pairing data.
+B added per nonzero n_k (_linalg.combine). B's columns, P, the column
+sums and the pairing data below (D and D B_U) are made once per seed,
+in one cached record (_seed_data).
 
 The degree of a torus element is the unique dominance-maximal exponent
 of its support, when there is one: the unique maximizer of w that also
@@ -124,47 +125,44 @@ _ONE = (0, 1)  # the packed coefficient 1
 DECOMPOSE_ITERATION_CAP = 10 ** 5
 
 
+_SeedData = namedtuple("_SeedData", "units db cols p_num p_den sums")
+
+
 @lru_cache(maxsize=None)
-def _dominance_data(seed):
-    """The seed's left inverse of B as (p_num, p_den), in closed form from
-    B^T Lambda = (D 0): row r of p_num is (p_den / D_r) times column U_r
-    of Lambda. Raises ValueError when P B = I fails, that is, when the
-    seed is not a compatible pair.
+def _seed_data(seed):
+    """What the seed's n-coordinates are computed from, made once per seed.
+
+    units, the (unfrozen vertex, d) pairs, and db, the rows of D B_U,
+    pair n-coordinates: lambda(B n, m) = sum_k d_k n_k m[U_k] and
+    lambda(B n1, B n2) = n1^T D B_U n2. cols, B's columns, place them
+    (exponent). p_num and p_den give the left inverse P = p_num / p_den
+    of B, in closed form from B^T Lambda = (D 0): row r of p_num is
+    (p_den / D_r) times column U_r of Lambda, p_den = lcm(D); sums, the
+    column sums of p_num, rank exponents (degree). Raises ValueError
+    when P B = I fails, that is, when the seed is not a compatible pair.
     """
-    p_den = lcm(*seed.D)
-    p_num = tuple(
-        tuple(p_den // d * row[k] for row in seed.Lambda)
-        for k, d in zip(seed.unfrozen, seed.D)
-    )
-    if _linalg.mat_mul(p_num, seed.B) != tuple(
-            tuple(p_den * x for x in row) for row in _linalg.identity(len(seed.unfrozen))):
-        raise ValueError("B^T Lambda = (D 0) fails: no left inverse of B from the pair")
-    return p_num, p_den
-
-
-@lru_cache(maxsize=None)
-def _pairing_data(seed):
-    """The seed's (unfrozen vertex, d) pairs and the rows of D B_U, all
-    that pairs n-coordinates: lambda(B n, m) = sum_k d_k n_k m[U_k] and
-    lambda(B n1, B n2) = n1^T D B_U n2; and B's columns, which place
-    n-coordinates (exponent)."""
     units = tuple(zip(seed.unfrozen, seed.D))
-    return (units, tuple(tuple(d * x for x in seed.B[u]) for u, d in units),
-            _linalg.transpose(seed.B))
+    p_den = lcm(*seed.D)
+    p_num = tuple(tuple(p_den // d * row[k] for row in seed.Lambda) for k, d in units)
+    if _linalg.mat_mul(p_num, seed.B) != tuple(
+            tuple(p_den * x for x in row) for row in _linalg.identity(len(units))):
+        raise ValueError("B^T Lambda = (D 0) fails: no left inverse of B from the pair")
+    return _SeedData(units, tuple(tuple(d * x for x in seed.B[u]) for u, d in units),
+                     _linalg.transpose(seed.B), p_num, p_den, tuple(map(sum, zip(*p_num))))
 
 
 def exponent(seed, g, n):
     """The exponent g + B n of the term at n of an n-form based at g: one
     column of B added per nonzero n_k (_linalg.combine)."""
-    return _linalg.combine(g, _pairing_data(seed)[2], n)
+    return _linalg.combine(g, _seed_data(seed).cols, n)
 
 
 def dominance_n(seed, gp, g):
     """The n >= 0 with gp = g + B n, or None when gp is not dominated by g:
     n = floor(P (gp - g)), checked against the definition."""
-    p_num, p_den = _dominance_data(seed)
+    data = _seed_data(seed)
     diff = vec_sub(gp, g)
-    n = tuple(sum(map(_times, row, diff)) // p_den for row in p_num)
+    n = tuple(sum(map(_times, row, diff)) // data.p_den for row in data.p_num)
     return None if (n and min(n) < 0) or exponent(seed, g, n) != gp else n
 
 
@@ -180,8 +178,7 @@ def degree(seed, z):
     dominated exponent has a larger rank, so a tie leaves none)."""
     if not z:
         raise ValueError("zero element has no degree")
-    p_num, _ = _dominance_data(seed)
-    sums = tuple(map(sum, zip(*p_num)))
+    sums = _seed_data(seed).sums
     g = min(z.terms, key=lambda m: sum(map(_times, sums, m)))
     return g if all(dominance_n(seed, m, g) is not None for m in z.terms) else None
 
@@ -397,7 +394,8 @@ def mul(seed, a, b, normalize=False):
         shift, sign = seed.lam(a.g, b.g), 1
     max_l1 = _guard(min(a.max_l1 * b.l1, b.max_l1 * a.l1))
     l1 = a.l1 * b.l1
-    units, db, _ = _pairing_data(seed)
+    data = _seed_data(seed)
+    units, db = data.units, data.db
     d_a = tuple(d * a.g[u] for u, d in units)
     d_b = tuple(d * b.g[u] for u, d in units)
     g = tuple(map(_plus, a.g, b.g))
@@ -508,7 +506,8 @@ def divide(seed, num, d):
     hi = tuple(max(x) - max(y) for x, y in zip(cols, dcols))
     if any(a > b for a, b in zip(lo, hi)):
         raise NotDivisible("incompatible support boxes")
-    units, db, _ = _pairing_data(seed)
+    data = _seed_data(seed)
+    units, db = data.units, data.db
     d_q = tuple(k * g[u] for u, k in units)
     d_d = tuple(k * d.g[u] for u, k in units)
     right = [(n2, e2 - sum(map(_times, d_q, n2)), z2,

@@ -43,10 +43,12 @@ SOLVES_MAX = D_MAX ** 3
 class QuantumSeed:
     """A quantum seed: n, the unfrozen vertices, B, Lambda and D, all
     tuples. Their shapes, Lambda's skew-symmetry and D's positivity are
-    checked on construction; compatibility is make_seed's check. Compares
-    and hashes by those five fields, the hash computed once, since every
-    per-seed cache is keyed by the seed. Immutable by convention, like
-    NForm."""
+    checked on construction. The library makes every seed through one
+    cached constructor (_interned: make_seed, mutate_seed and
+    opposite_seed), which also checks compatibility, so equal fields are
+    one object. Compares and hashes by those five fields, the hash
+    computed once, since every per-seed cache is keyed by the seed.
+    Immutable by convention, like NForm."""
 
     __slots__ = ("n", "unfrozen", "B", "Lambda", "D", "_hash")
 
@@ -161,20 +163,19 @@ def _conjugated_lambda(seed, k, eps, lam_t):
     return row[:k] + (corner,) + row[k + 1:], col[:k] + (corner,) + col[k + 1:]
 
 
-def _checked_seed(n, unfrozen, B, Lambda, D):
-    """The QuantumSeed of the five fields, its shapes checked on
-    construction; IncompatiblePair, with check_compatible's diagnostic,
-    unless B^T Lambda = (D 0)."""
+@lru_cache(maxsize=None)
+def _interned(n, unfrozen, B, Lambda, D):
+    """The one QuantumSeed of the five fields for the process, the only
+    way the library makes a seed: its shapes checked on construction, then
+    IncompatiblePair, with check_compatible's diagnostic, unless
+    B^T Lambda = (D 0). Equal fields return the object already built and
+    checked, since the checks depend on the fields alone; a call that
+    raises is not cached, so it raises again."""
     seed = QuantumSeed(n, unfrozen, B, Lambda, D)
     ok, diag = check_compatible(seed)
     if not ok:
         raise IncompatiblePair(diag)
     return seed
-
-
-# One object per distinct seed mutate_seed has built and checked, for
-# the process; a call that raises is not cached.
-_interned = lru_cache(maxsize=None)(_checked_seed)
 
 
 @lru_cache(maxsize=None)
@@ -188,14 +189,13 @@ def mutate_seed(seed, k):
     agree, and compatibility with the unchanged D is checked once per
     distinct result, so convention drift shows up as a hard error.
 
-    Cached per (seed, k), like opposite_seed: a labeled seed is mutated
-    once per vertex in a process, and every later call (the exchange
-    graph's re-tracking repeats the build's mutations) returns that
-    seed. The mutated fields are then looked up among the seeds already
-    built and checked (_interned), so a seed met again, the involution
-    back along an edge among them, is that object and is not checked
-    again: the checks are a pure function of the five fields. A call
-    that raises is not cached, so it raises again on every call.
+    Cached per (seed, k): a labeled seed is mutated once per vertex in a
+    process, and every later call (the exchange graph's re-tracking
+    repeats the build's mutations) returns that seed. The result is the
+    seed constructor's (_interned), so a seed met again, the involution
+    back along an edge among them, the loaded seed included, is that
+    object and is not checked again. A call that raises is not cached,
+    so it raises again on every call.
     """
     if k not in seed.unfrozen:
         raise ValueError(f"vertex {k} is not unfrozen")
@@ -227,16 +227,17 @@ def mutate_seed(seed, k):
         raise IncompatibleResult(f"mutation at {k} broke compatibility: {exc}") from None
 
 
-@lru_cache(maxsize=None)
 def opposite_seed(seed):
     """Negate both matrices; compatibility is preserved with the same D.
 
     The dominance order of the result is the reverse of the seed's, so
-    it carries every codegree-side computation; cached per seed.
+    it carries every codegree-side computation. The result is the seed
+    constructor's (_interned), so the opposite of an opposite is the
+    seed itself, and a seed's opposite is checked once per process.
     """
     negb = tuple(tuple(-x for x in row) for row in seed.B)
     negl = tuple(tuple(-x for x in row) for row in seed.Lambda)
-    return QuantumSeed(seed.n, seed.unfrozen, negb, negl, seed.D)
+    return _interned(seed.n, seed.unfrozen, negb, negl, seed.D)
 
 
 def _lambda_solver(btilde, unfrozen):
@@ -342,7 +343,8 @@ def find_compatible_lambda(btilde, unfrozen=None):
 
 
 def make_seed(btilde, lam=None, unfrozen=None, d=None):
-    """Construct a checked QuantumSeed; the one place Lambda and D are derived.
+    """The checked QuantumSeed of the data, the seed constructor's object
+    (_interned); the one place Lambda and D are derived.
 
     Without lam and d, both are synthesized by find_compatible_lambda.
     With d alone, Lambda is solved for exactly that D, which must be
@@ -375,7 +377,7 @@ def make_seed(btilde, lam=None, unfrozen=None, d=None):
             if bad is not None:
                 raise IncompatiblePair(f"(B^T Lambda)[{bad}][{unfrozen[bad]}] = {d[bad]}, "
                                        "expected a positive entry")
-    return _checked_seed(n, unfrozen, btilde, lam, tuple(d))
+    return _interned(n, unfrozen, btilde, lam, tuple(d))
 
 
 def principal_framing(b_principal):

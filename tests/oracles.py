@@ -155,9 +155,9 @@ def normalize_at(z, g):
 def signed_offset(seed, gp, g):
     """The integer n of any sign with gp = g + B n, or None: n proposed
     by the library's closed-form left inverse P, checked against B."""
-    p_num, p_den = pointed._dominance_data(seed)
+    data = pointed._seed_data(seed)
     diff = vec_sub(gp, g)
-    n = tuple(x // p_den for x in _linalg.mat_vec(p_num, diff))
+    n = tuple(x // data.p_den for x in _linalg.mat_vec(data.p_num, diff))
     return n if _linalg.mat_vec(seed.B, n) == diff else None
 
 
@@ -824,6 +824,39 @@ def common_node_case(graph, basis, r_spec, v_key):
     factors.update(graph.nodes[v_home].degs[i] for i, x in enumerate(v_m) if x)
     held = any(factors <= set(ts.degs) for ts in graph.nodes.values())
     return "in_basis" if held else "two_tail"
+
+
+def empty_middle_case(graph, basis, r_spec, v_key):
+    """Whether the two-tail product R V has an empty middle, from the
+    exchange graph alone: exactly when V, the element keyed at v_key, has
+    one factor that no node holds together with R, that factor has
+    exponent 1 in V, and it is R's exchange partner, the variable an
+    edge swaps R with (the two clusters an edge joins differ in that pair
+    alone; a node's labeled order need not match its neighbour's). Holds
+    on A3-, A4- and D4-principal cap1; not on B2, G2, B3-principal cap1
+    or A3-principal cap2."""
+    r_home, r_m = r_spec
+    v_home, v_m = basis.by_degree[v_key]
+    r_deg = graph.nodes[r_home].degs[r_m.index(1)]
+    factors = {graph.nodes[v_home].degs[i]: x for i, x in enumerate(v_m) if x}
+    clusters = [set(ts.degs) for ts in graph.nodes.values()]
+    apart = [f for f in factors if not any({f, r_deg} <= c for c in clusters)]
+    partners = {frozenset(set(graph.nodes[a].degs) ^ set(graph.nodes[b].degs))
+                for a, _, b in graph.edges}
+    return len(apart) == 1 and factors[apart[0]] == 1 and {r_deg, apart[0]} in partners
+
+
+def empty_middle_mismatches(basis, keyed):
+    """The (R spec, V's key, middle is empty, predicted empty) of each
+    two-tail keyed verdict whose middle is not as empty_middle_case
+    predicts."""
+    out = []
+    for r_spec, v_key, verdict in keyed:
+        if verdict.case == "two_tail":
+            want = empty_middle_case(basis.graph, basis, r_spec, v_key)
+            if (not verdict.middle) != want:
+                out.append((r_spec, v_key, not verdict.middle, want))
+    return out
 
 
 def keyed_verdicts(basis, r_specs=None, leaving=None):

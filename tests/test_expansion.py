@@ -24,6 +24,7 @@ from qcluster import (
     make_seed,
     mutate_seed,
     mutate_tracked,
+    opposite_seed,
     principal_framing,
 )
 from qcluster import cli, expansion, pointed, qtorus
@@ -295,8 +296,6 @@ def test_opposite_graph_word_identity(a2_seed):
     # the sign-flipped seed reproduces the same expansions under the same
     # words, since negating both matrices commutes with mutation and the
     # flip fixes monomial data
-    from qcluster import opposite_seed
-
     ts = apply_word(initial_tracked(opposite_seed(a2_seed)), (1, 0, 1))
     assert expanded(ts) == (a2_gold("P1"), a2_gold("I1"))  # (I2, I1)
     assert ts.seed.B == a2_seed.B
@@ -736,12 +735,14 @@ def test_a_tampered_stored_variable_fails_the_product_check(monkeypatch):
 def test_the_build_checks_each_distinct_seed_once(monkeypatch):
     # mutate_seed conjugates Lambda under both sign conventions once per
     # (labeled seed, vertex), but a mutated seed equal to one already
-    # checked is that seed: one compatibility check per distinct seed,
-    # and mutating a seed the build made back along an edge returns the
-    # seed itself, checking nothing
+    # checked, the loaded seed included, is that seed: one compatibility
+    # check per distinct seed (the loaded one's at load), and mutating
+    # any node's seed back along an edge returns the seed itself,
+    # checking nothing
     mutate_seed.cache_clear()
     seed_module._interned.cache_clear()
     seed = cli.load_seed(str(BENCH_SEEDS / "c5p.json"))[0]
+    assert seed_module._interned.cache_info().currsize == 1
     conjugations, checks = [], []
     real_conj, real_check = seed_module._conjugated_lambda, seed_module.check_compatible
     monkeypatch.setattr(seed_module, "_conjugated_lambda",
@@ -749,28 +750,35 @@ def test_the_build_checks_each_distinct_seed_once(monkeypatch):
     monkeypatch.setattr(seed_module, "check_compatible",
                         lambda s: checks.append(s) or real_check(s))
     graph = build_exchange_graph(seed)
-    assert (len(conjugations), len(checks)) == (2 * 1260, 664)
-    assert seed_module._interned.cache_info().currsize == len({id(s) for s in checks}) == 664
-    made = [ts.seed for ts in graph.nodes.values()][1:]
+    assert (len(conjugations), len(checks)) == (2 * 1260, 663)
+    assert seed not in checks
+    assert seed_module._interned.cache_info().currsize == len({id(s) for s in checks}) + 1 == 664
+    made = [ts.seed for ts in graph.nodes.values()]
+    assert made[0] is seed
     assert all(mutate_seed(mutate_seed(s, k), k) is s for s in made for k in s.unfrozen)
-    assert len(checks) == 664
+    assert len(checks) == 663
 
 
 def test_the_interned_seeds_are_seeds_mutate_seed_returns():
-    # the intern table holds one object per distinct mutated seed, each
-    # one that mutate_seed's cache returns, so it keeps no seed alive
-    # that mutate_seed's cache does not
+    # after a build the seed constructor's table holds the loaded seed
+    # and one object per distinct mutated seed, and in a closed graph the
+    # loaded seed is one that mutate_seed returns too: the table keeps no
+    # seed alive that mutate_seed's cache does not. Opposite seeds are
+    # the table's too, one per seed whose codegree side is worked
     mutate_seed.cache_clear()
     seed_module._interned.cache_clear()
-    graph = build_exchange_graph(cli.load_seed(str(BENCH_SEEDS / "a4p.json"))[0])
+    seed = cli.load_seed(str(BENCH_SEEDS / "a4p.json"))[0]
+    graph = build_exchange_graph(seed)
     returned = {id(s): s for s in (mutate_seed(ts.seed, k) for ts in graph.nodes.values()
                                    for k in ts.seed.unfrozen)}
     assert mutate_seed.cache_info().currsize == 168
     interned = seed_module._interned.cache_info().currsize
-    assert interned == len(returned) == 114
+    assert interned == len(returned) == 114 and id(seed) in returned
     assert all(seed_module._interned(s.n, s.unfrozen, s.B, s.Lambda, s.D) is s
                for s in returned.values())
     assert seed_module._interned.cache_info().currsize == interned
+    opposites = {id(opposite_seed(ts.seed)) for ts in graph.nodes.values()}
+    assert seed_module._interned.cache_info().currsize == interned + len(opposites) == 114 + 42
 
 
 @pytest.mark.parametrize("name, build, pairs", [

@@ -778,3 +778,28 @@ def test_a_tampered_verdict_case_fails_the_common_node_oracle():
         tampered = keyed[:i] + [(r_spec, g, v._replace(case=flipped))] + keyed[i + 1:]
         assert oracles.common_node_mismatches(basis, tampered) == [
             (r_spec, g, flipped, v.case)]
+
+
+def test_two_tail_middles_match_the_exchange_partner_oracle():
+    # on A3-principal cap1 a two-tail product has an empty middle exactly
+    # when V has one factor no node holds with R, of exponent 1, that an
+    # edge swaps R with (219 two-tail pairs; the rule fails on B2, G2,
+    # B3-principal cap1 and A3-principal cap2, so it is not asserted there)
+    basis, keyed = _keyed_sweep("a3p-cap1")
+    two_tail = [v for _, _, v in keyed if v.case == "two_tail"]
+    assert len(two_tail) == 219
+    assert {bool(v.middle) for v in two_tail} == {False, True}
+    assert oracles.empty_middle_mismatches(basis, keyed) == []
+
+
+def test_a_tampered_middle_fails_the_exchange_partner_oracle():
+    basis, keyed = _keyed_sweep("a3p-cap1")
+    some = next(v.middle for _, _, v in keyed if v.middle)
+    for empty in (True, False):
+        # fill the first empty middle, or empty the first nonempty one
+        i = next(i for i, (_, _, v) in enumerate(keyed)
+                 if v.case == "two_tail" and (not v.middle) == empty)
+        r_spec, g, v = keyed[i]
+        flipped = v._replace(middle=some if empty else ())
+        tampered = keyed[:i] + [(r_spec, g, flipped)] + keyed[i + 1:]
+        assert oracles.empty_middle_mismatches(basis, tampered) == [(r_spec, g, not empty, empty)]

@@ -19,6 +19,7 @@ from conftest import (
 from qcluster import (
     QuantumSeed,
     _linalg,
+    build_exchange_graph,
     check_compatible,
     find_compatible_lambda,
     make_seed,
@@ -28,6 +29,7 @@ from qcluster import (
     principal_framing,
 )
 from qcluster import seed as seed_module
+from qcluster.leclerc import CandidateBasis, verify_theorem
 from qcluster.qtorus import unit_vec
 from qcluster.seed import IncompatiblePair, IncompatibleResult, NoCompatibleLambda
 
@@ -141,13 +143,54 @@ def test_opposite_seed(a2_seed):
 
 
 def test_seeds_built_apart_from_equal_data_are_equal_and_share_caches():
-    # every per-seed cache is keyed by the seed's value, not its identity
+    # every seed is the seed constructor's one object of its fields, and
+    # every per-seed cache is keyed by the seed's value
     a, b = principal_framing(A3_B), principal_framing([list(row) for row in A3_B])
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and hash(a) == hash(QuantumSeed(a.n, a.unfrozen, a.B, a.Lambda, a.D))
     assert opposite_seed(b) is opposite_seed(a)
-    assert pointed._dominance_data(b) is pointed._dominance_data(a)
+    assert pointed._seed_data(b) is pointed._seed_data(a)
     assert a != (a.n, a.unfrozen, a.B, a.Lambda, a.D)
-    assert a != mutate_seed(a, 0) and mutate_seed(mutate_seed(a, 0), 0) == a
+    assert a != mutate_seed(a, 0) and mutate_seed(mutate_seed(a, 0), 0) is a
+
+
+def test_every_seed_is_the_constructors_one_checked_object(monkeypatch):
+    # make_seed, mutate_seed and opposite_seed all return the seed
+    # constructor's object (seed._interned), a refused pair is not kept,
+    # and pointed's per-seed record has one entry per seed worked
+    mutate_seed.cache_clear()
+    seed_module._interned.cache_clear()
+    pointed._seed_data.cache_clear()
+
+    def constructed(s):
+        return seed_module._interned(s.n, s.unfrozen, s.B, s.Lambda, s.D) is s
+
+    a = make_seed(B2_B)
+    assert make_seed([list(row) for row in B2_B]) is a and constructed(a)
+    assert make_seed(a.B, a.Lambda) is a and make_seed(a.B, d=a.D) is a
+    op = opposite_seed(a)
+    assert op is not a and opposite_seed(op) is a and constructed(op)
+    assert seed_module._interned.cache_info().currsize == 2
+    for _ in range(2):  # a refused call is not cached: it raises again
+        with pytest.raises(IncompatiblePair, match="expected 1"):
+            make_seed(A2_B, ((0, 0), (0, 0)), d=(1, 1))
+    assert seed_module._interned.cache_info().currsize == 2
+
+    worked, real = [], pointed._seed_data
+    monkeypatch.setattr(pointed, "_seed_data", lambda s: worked.append(s) or real(s))
+    graph = build_exchange_graph(principal_framing(A3_B))
+    retracked, forget = {}, graph.forget
+    monkeypatch.setattr(graph, "forget", lambda torus: retracked.update(
+        {torus: [ts.seed for ts in graph._cross[torus].values()]}) or forget(torus))
+    assert verify_theorem(CandidateBasis(graph, unfrozen_cap=1)).ok
+    seeds = [ts.seed for ts in graph.nodes.values()]
+    assert len(seeds) == 14 and len(retracked) == 7  # the R homes, each read before forget
+    assert all(len(held) == 14 and all(map(constructed, held)) for held in retracked.values())
+    assert all(map(constructed, seeds))
+    assert {id(s) for held in retracked.values() for s in held} == {id(s) for s in seeds}
+    # the build's torus and the sweep's home tori: one record per seed
+    homes = {id(graph.nodes[home].seed) for home in retracked}
+    assert {id(s) for s in worked} == homes
+    assert real.cache_info().currsize == len(homes) == 7
 
 
 def test_a_labeled_seed_is_mutated_once_per_vertex(monkeypatch):
