@@ -10,6 +10,11 @@ without Lambda is honored (Lambda is solved for exactly that D); a
 Lambda given without D determines D, the diagonal of B^T Lambda, and
 the pair is incompatible when that is not positive.
 
+leclerc --json writes the bytes json.dump(doc, indent=2, sort_keys=True)
+would, without building doc: each pair is encoded as the sweep makes it
+(encode_verdict) onto a spool, copied into the file after the sweep
+(sweep_to_json).
+
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
 3 internal assertion failure or out of memory.
 """
@@ -20,7 +25,9 @@ import errno
 import json
 import os
 import random
+import shutil
 import sys
+import tempfile
 
 from . import expansion, leclerc, tropical
 from .expansion import apply_word, build_exchange_graph, emit_dot, initial_tracked
@@ -215,33 +222,83 @@ def cmd_shift(args):
     return 0
 
 
-def _verdict_json(v, node):
+# Line starts of the --json report by depth (two spaces a level): the
+# top-level keys sit at depth 1, pairs at 2, a pair's keys at 3.
+_PAD = tuple("\n" + "  " * depth for depth in range(7))
+_string = json.encoder.encode_basestring_ascii
+
+
+def _ints(xs, depth):
+    """An int list at depth, as json.dump(indent=2) writes it."""
+    if not xs:
+        return "[]"
+    pad = _PAD[depth + 1]
+    return "[" + pad + ("," + pad).join(map(str, xs)) + _PAD[depth] + "]"
+
+
+def encode_verdict(v, node):
     """One pair of the --json report, R's home given as node, its index in
-    graph order: the verdict's fields as they are, an optional one only
-    when set, and each middle coefficient as its text."""
-    out = {"R": {"node": node, "m": v.r_spec[1]}, "V": v.v_degree, "verdict": v.case,
-           "checks": v.checks}
-    for name in ("reason", "s", "h", "S", "H"):
-        if getattr(v, name) is not None:
-            out[name] = getattr(v, name)
+    graph order, as json.dump(doc, indent=2, sort_keys=True) writes it in
+    doc's pairs: the verdict's fields as they are, keys sorted, an
+    optional one only when set, checks as booleans, and each middle
+    coefficient as its text; strings escaped as json escapes them."""
+    p3, p4, p5 = _PAD[3], _PAD[4], _PAD[5]
+    items = [] if v.H is None else ['"H": ' + _ints(v.H, 3)]
+    items.append(f'"R": {{{p4}"m": {_ints(v.r_spec[1], 4)},{p4}"node": {node}{p3}}}')
+    if v.S is not None:
+        items.append('"S": ' + _ints(v.S, 3))
+    items.append('"V": ' + _ints(v.v_degree, 3))
+    checks = ",".join(p4 + _string(k) + (": true" if ok else ": false")
+                      for k, ok in sorted(v.checks.items()))
+    items.append(f'"checks": {{{checks}{p3}}}' if checks else '"checks": {}')
+    if v.h is not None:
+        items.append(f'"h": {v.h}')
     if v.middle:
-        out["middle"] = [[g, str(c)] for g, c in v.middle]
-    return out
+        terms = ",".join(f"{p4}[{p5}{_ints(g, 5)},{p5}{_string(str(c))}{p4}]"
+                         for g, c in v.middle)
+        items.append(f'"middle": [{terms}{p3}]')
+    if v.reason is not None:
+        items.append('"reason": ' + _string(v.reason))
+    if v.s is not None:
+        items.append(f'"s": {v.s}')
+    items.append('"verdict": ' + _string(v.case))
+    return "{" + p3 + ("," + p3).join(items) + _PAD[2] + "}"
 
 
-def _report_json(graph, basis, report):
-    """The --json report document: its pairs in the report's order, by
-    R's node, R's m and V's degree."""
+def sweep_to_json(path, graph, basis, r_specs):
+    """Run the sweep and write its --json report to path: the bytes of
+    json.dump(doc, fh, indent=2, sort_keys=True) and a newline, where doc
+    has the keys basis_size, conflicts, counts, nodes, pairs (one per
+    verdict, in the report's order) and variables. Neither doc nor the
+    report's text is built. Each pair is encoded as the sweep makes it
+    (encode_verdict) onto an anonymous spool file; the keys before pairs
+    need the finished sweep, so path is opened after it: the head, the
+    spool's pairs, then variables. A sweep that raises leaves no file,
+    the spool vanishing as it is closed; an OSError of the spool or the
+    file is write_file's usage error."""
     node_ids = {key: i for i, key in enumerate(graph.order)}
-    pairs = [_verdict_json(v, node_ids[v.r_spec[0]]) for v in report.verdicts]
-    return {
-        "nodes": len(graph.order),
-        "variables": len(graph.distinct_variables()),
-        "basis_size": len(basis.by_degree),
-        "counts": report.counts(),
-        "conflicts": [str(c) for c in report.conflicts],
-        "pairs": pairs,
-    }
+    try:
+        with tempfile.TemporaryFile("w+") as spool:
+            report = leclerc.verify_theorem(basis, r_specs, lambda v: spool.write(
+                "," + _PAD[2] + encode_verdict(v, node_ids[v.r_spec[0]])))
+            head = json.dumps({"basis_size": len(basis.by_degree),
+                               "conflicts": [str(c) for c in report.conflicts],
+                               "counts": report.counts(), "nodes": len(graph.order)},
+                              indent=2, sort_keys=True)
+            variables = len(graph.distinct_variables())
+            with open(path, "w") as fh:
+                fh.write(head[:-2] + ',\n  "pairs": ')
+                spool.seek(0)
+                if spool.read(1):  # the first pair's comma
+                    fh.write("[")
+                    shutil.copyfileobj(spool, fh)
+                    fh.write(_PAD[1] + "]")
+                else:
+                    fh.write("[]")
+                fh.write(f',\n  "variables": {variables}\n}}\n')
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
+    return report
 
 
 def parse_scope(text):
@@ -293,19 +350,17 @@ def cmd_leclerc(args):
     except leclerc.EnumerationTooLarge as exc:
         raise UsageError(f"--cap {args.cap} with --frozen-window {args.frozen_window} keys "
                          f"{exc.size} (node, m) pairs, over {leclerc.ENUMERATION_LIMIT}")
-    if args.json_out is not None:
+    if args.json_out is None:
+        report = leclerc.verify_theorem(basis, r_specs=r_specs)
+    else:
         check_writable(args.json_out)  # fail now, not after the sweep
-    report = leclerc.verify_theorem(basis, r_specs=r_specs)
-    if args.json_out is not None:
-        doc = _report_json(graph, basis, report)  # streamed: no whole-report string
-        write_file(args.json_out,
-                   lambda fh: json.dump(doc, fh, indent=2, sort_keys=True) or fh.write("\n"))
+        report = sweep_to_json(args.json_out, graph, basis, r_specs)
     tally = ", ".join(f"{case} {count}" for case, count in report.counts().items())
     print(f"basis {len(basis.by_degree)} elements; {tally}, conflicts {len(report.conflicts)}")
-    for v in report.verdicts:
+    for v in report.failures:
         if v.case == "indeterminate":
             print(f"INDETERMINATE R={v.r_spec[1]} V@{v.v_degree}: {v.reason}")
-        elif not v.passed:
+        else:
             bad = [k for k, b in v.checks.items() if not b]
             print(f"FAIL R={v.r_spec[1]} V@{v.v_degree}: {bad}")
     return 0 if report.ok else 1

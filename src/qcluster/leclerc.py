@@ -81,6 +81,12 @@ independently, on exponents (the chains by pointed.dominance_n), and
 recorded. Each pair is decomposed once: bar-consistency is read off the
 basis elements of the expansion, each of which must equal its bar (see
 verify_pair).
+
+verify_theorem sweeps verify_pair over R specs and keys and hands each
+verdict, in report order, to a caller's sink as it is made (the CLI
+encodes it onto its --json spool there). Its report keeps the tally by
+case, the verdicts that did not pass and the conflicts, so the memory a
+sweep holds does not grow with its pair count.
 """
 from __future__ import annotations
 
@@ -555,27 +561,23 @@ def _record_n_criterion(checks, t_seed, r_m, n_v, in_basis):
     checks["in_basis_iff_n_zero"] = in_basis == (ni == 0)
 
 
-class LeclercReport(namedtuple("LeclercReport", "verdicts conflicts")):
-    """verify_theorem's verdicts, in sweep order, and the basis's
-    conflicts. Built once, by verify_theorem."""
+class LeclercReport(namedtuple("LeclercReport", "tally failures conflicts")):
+    """verify_theorem's tally of its verdicts by case (a two-tailed one by
+    whether it passed), the verdicts that did not pass, in sweep order, and
+    the basis's conflicts. Built once, by verify_theorem; it holds no
+    verdict that passed."""
 
     __slots__ = ()
 
     @property
     def ok(self):
         """No conflict, and every verdict passed (LeclercVerdict.passed)."""
-        return not self.conflicts and all(v.passed for v in self.verdicts)
+        return not self.conflicts and not self.failures
 
     def counts(self):
-        """The verdicts tallied by case, a two-tailed one by whether it
-        passed."""
-        out = dict.fromkeys(("in_basis", "two_tail_pass", "two_tail_fail", "indeterminate"), 0)
-        for v in self.verdicts:
-            if v.case == "two_tail":
-                out["two_tail_pass" if v.passed else "two_tail_fail"] += 1
-            else:
-                out[v.case] += 1
-        return out
+        """The tally, keyed in_basis, two_tail_pass, two_tail_fail and
+        indeterminate, in that order."""
+        return dict(self.tally)
 
 
 def default_r_specs(graph: ExchangeGraph):
@@ -593,23 +595,38 @@ def default_r_specs(graph: ExchangeGraph):
     return specs
 
 
-def verify_theorem(basis: CandidateBasis, r_specs=None) -> LeclercReport:
+def verify_theorem(basis: CandidateBasis, r_specs=None, sink=None) -> LeclercReport:
     """Sweep verify_pair over R specs and all keyed basis elements, one
     home torus at a time: R specs by (index of R's home in graph.order,
     m), each R's verdicts by V's degree (stably; an indeterminate one's
     is ()). After a home's last R, one basis.forget drops all that the
     basis and the graph keep of its torus, the reference's too, so a
     sweep holds one torus's data at a time.
+
+    Each verdict is tallied and handed to sink(verdict), when given, in
+    that order, as soon as its R's verdicts are sorted; the report keeps
+    only the tally, the verdicts that did not pass and the conflicts, so
+    a sweep holds one R's verdicts at a time.
     """
     graph = basis.graph
     if r_specs is None:
         r_specs = default_r_specs(graph)
     index = {key: i for i, key in enumerate(graph.order)}
-    verdicts = []
+    tally = dict.fromkeys(("in_basis", "two_tail_pass", "two_tail_fail", "indeterminate"), 0)
+    failures = []
     specs = sorted(r_specs, key=lambda rs: (index[rs[0]], tuple(rs[1])))
     for r_home, group in groupby(specs, key=lambda rs: rs[0]):
         for _, r_m in group:
-            verdicts += sorted((verify_pair(basis, r_home, r_m, *basis.by_degree[g])
-                                for g in basis.degree_keys()), key=lambda v: v.v_degree)
+            for v in sorted((verify_pair(basis, r_home, r_m, *basis.by_degree[g])
+                             for g in basis.degree_keys()), key=lambda v: v.v_degree):
+                passed = v.passed
+                if v.case == "two_tail":
+                    tally["two_tail_pass" if passed else "two_tail_fail"] += 1
+                else:
+                    tally[v.case] += 1
+                if not passed:
+                    failures.append(v)
+                if sink is not None:
+                    sink(v)
         basis.forget(r_home)
-    return LeclercReport(verdicts, list(basis.conflicts))
+    return LeclercReport(tally, failures, list(basis.conflicts))

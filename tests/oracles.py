@@ -98,12 +98,20 @@ The positivity oracle reads digits off a sweep's own records and
 verdicts, and shares nothing else with the library: what it checks is
 that, for a skew-symmetric seed, no element the sweep resolved and no
 middle coefficient of a two-tailed product has a negative digit.
+The report document (report_json, verdict_json) is the --json report
+the CLI built before it streamed the report: one dict per pair, the
+whole document serialized by json.dumps(indent=2, sort_keys=True). What
+it checks is that the streamed file, each pair encoded on its own as
+the sweep makes it, has those bytes. The report-order sweep reuses
+verify_pair through keyed_verdicts: what it checks is that
+verify_theorem hands its sink every verdict, once, in report order.
 """
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from math import lcm
 from operator import mul
 
@@ -111,7 +119,7 @@ import sympy as sp
 
 from qcluster import _linalg, pointed
 from qcluster.expansion import apply_word, cluster_monomial, initial_tracked
-from qcluster.leclerc import default_r_specs, verify_pair
+from qcluster.leclerc import default_r_specs, verify_pair, verify_theorem
 from qcluster.qtorus import (
     NotDivisible, QTElem, VCoeff, exact_divide, pos_part, twisted_mul, unit_vec, vec_add,
     vec_sub)
@@ -872,6 +880,61 @@ def keyed_verdicts(basis, r_specs=None, leaving=None):
             if leaving is not None:
                 leaving(r_home)
             basis.forget(r_home)
+
+
+def report_order_verdicts(basis, r_specs=None):
+    """Every verdict of a sweep over r_specs (default_r_specs when None),
+    in verify_theorem's report order: R specs by (index of R's home in
+    graph order, m), each R's verdicts by V's degree, stably; each made
+    by keyed_verdicts, which forgets as verify_theorem does."""
+    graph = basis.graph
+    specs = default_r_specs(graph) if r_specs is None else r_specs
+    specs = sorted(specs, key=lambda rs: (graph.order.index(rs[0]), tuple(rs[1])))
+    out = []
+    for _, group in groupby(keyed_verdicts(basis, specs), key=lambda kv: kv[0]):
+        out += sorted((v for _, _, v in group), key=lambda v: v.v_degree)
+    return out
+
+
+def sweep(basis, r_specs=None):
+    """verify_theorem's report and the verdicts its sink received, in order."""
+    verdicts = []
+    return verify_theorem(basis, r_specs, sink=verdicts.append), verdicts
+
+
+def verdict_json(v, node):
+    """One pair of the --json report document, R's home given as node, its
+    index in graph order: the verdict's fields as they are, an optional one
+    only when set, and each middle coefficient as its text."""
+    out = {"R": {"node": node, "m": v.r_spec[1]}, "V": v.v_degree, "verdict": v.case,
+           "checks": v.checks}
+    for name in ("reason", "s", "h", "S", "H"):
+        if getattr(v, name) is not None:
+            out[name] = getattr(v, name)
+    if v.middle:
+        out["middle"] = [[g, str(c)] for g, c in v.middle]
+    return out
+
+
+def report_json(basis, report, verdicts):
+    """The --json report document of a sweep's report and all its verdicts,
+    in the report's order."""
+    graph = basis.graph
+    node_ids = {key: i for i, key in enumerate(graph.order)}
+    return {
+        "nodes": len(graph.order),
+        "variables": len(graph.distinct_variables()),
+        "basis_size": len(basis.by_degree),
+        "counts": report.counts(),
+        "conflicts": [str(c) for c in report.conflicts],
+        "pairs": [verdict_json(v, node_ids[v.r_spec[0]]) for v in verdicts],
+    }
+
+
+def report_text(basis, report, verdicts):
+    """The bytes the --json report file must hold: report_json's document
+    serialized whole, then a newline."""
+    return json.dumps(report_json(basis, report, verdicts), indent=2, sort_keys=True) + "\n"
 
 
 def negative_digits(coeffs):

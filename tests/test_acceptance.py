@@ -12,7 +12,7 @@ from conftest import a2_gold
 from oracles import Bidegree, bidegree, normalize_deg
 from qcluster import opposite_seed
 from qcluster.expansion import mutate_tracked
-from qcluster.leclerc import CandidateBasis, default_r_specs, verify_theorem
+from qcluster.leclerc import CandidateBasis, default_r_specs
 from qcluster.pointed import codegree, degree, dominance_leq
 from qcluster.qtorus import QTElem, VCoeff, exact_divide, twisted_mul, unit_vec
 from qcluster.seed import mutate_seed
@@ -163,10 +163,10 @@ def test_criterion_4_tropical_suites(a2_graph, b2_graph, a3_graph):
 
 def _sweep(graph, cap):
     basis = CandidateBasis(graph, unfrozen_cap=cap)
-    report = verify_theorem(basis)
+    report, verdicts = oracles.sweep(basis)
     assert report.counts()["two_tail_fail"] == 0
     assert not report.conflicts
-    for v in report.verdicts:
+    for v in verdicts:
         if v.case == "two_tail":
             assert v.s > v.h
             assert v.checks["s_matches_lambda"] and v.checks["h_matches_lambda"]
@@ -174,17 +174,17 @@ def _sweep(graph, cap):
             assert v.checks["coeff_window"] and v.checks["bar_consistency"]
         if "in_basis_iff_n_zero" in v.checks:
             assert v.checks["in_basis_iff_n_zero"]
-    return basis, report
+    return basis, report, verdicts
 
 
 def test_criterion_5_leclerc_verification(a2_graph, b2_graph, a3_graph):
     t0 = time.perf_counter()
-    _, rep_a2 = _sweep(a2_graph, 3)
+    _, rep_a2, _ = _sweep(a2_graph, 3)
     assert rep_a2.counts()["indeterminate"] == 0
-    _, rep_b2 = _sweep(b2_graph, 2)
+    _, rep_b2, _ = _sweep(b2_graph, 2)
     assert rep_b2.counts()["indeterminate"] == 0
-    _, rep_a3 = _sweep(a3_graph, 1)
-    for v in rep_a3.verdicts:
+    _, _, a3_verdicts = _sweep(a3_graph, 1)
+    for v in a3_verdicts:
         assert v.case != "indeterminate", (v.r_spec, v.v_degree, v.reason)
     _report(5, "product structure on A2 cap3 / B2 cap2 / A3 cap1", t0, 120.0)
 

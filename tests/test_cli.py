@@ -4,11 +4,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from qcluster import cli, expansion, leclerc
 from qcluster.cli import main
+from qcluster.qtorus import VCoeff
 
 DATA = pathlib.Path(__file__).parent / "data"
 ROOT = DATA.parent.parent
@@ -474,26 +479,169 @@ def test_leclerc_output_is_written_only_after_the_sweep(a2_file, tmp_path, monke
     assert json.loads(path.read_text())["pairs"]
 
 
+def _reference_report(seed_file, cap, frozen_window=0, scope=None):
+    """The --json report's bytes for a seed file, from the report document
+    built whole and serialized by json.dumps (oracles.report_text) over an
+    in-process sweep of R spec scope (every R spec when None)."""
+    graph = expansion.build_exchange_graph(cli.load_seed(seed_file)[0])
+    basis = leclerc.CandidateBasis(graph, unfrozen_cap=cap, frozen_window=frozen_window)
+    specs = None if scope is None else [leclerc.default_r_specs(graph)[scope]]
+    return oracles.report_text(basis, *oracles.sweep(basis, specs))
+
+
 def test_leclerc_report_is_serialized_only_for_json(a2_file, tmp_path, monkeypatch, capsys):
-    # without --json no report document is built and nothing is
-    # serialized; with it, the file is the document as indented JSON
-    # streamed to it, byte for byte, and the summary line is the same
+    # without --json nothing is encoded, spooled or serialized; with it,
+    # json.dumps serializes the head alone (no whole-report document or
+    # string), json.dump nothing, and the file is the reference document
+    # as json.dump writes it, byte for byte; the summary line is the same
     with monkeypatch.context() as m:
-        m.setattr(cli, "_report_json", lambda *a: pytest.fail("document built"))
+        m.setattr(cli, "encode_verdict", lambda *a: pytest.fail("encoded"))
+        m.setattr(tempfile, "TemporaryFile", lambda *a, **k: pytest.fail("spooled"))
         m.setattr(json, "dump", lambda *a, **k: pytest.fail("serialized"))
         m.setattr(json, "dumps", lambda *a, **k: pytest.fail("serialized"))
         assert main(["leclerc", a2_file, "--cap", "2"]) == 0
     plain = capsys.readouterr().out
-    docs = []
-    real = cli._report_json
-    monkeypatch.setattr(cli, "_report_json", lambda *a: docs.append(real(*a)) or docs[-1])
+    heads, real_dumps = [], json.dumps
     path = tmp_path / "report.json"
     with monkeypatch.context() as m:
-        m.setattr(json, "dumps", lambda *a, **k: pytest.fail("serialized in one string"))
+        m.setattr(json, "dump", lambda *a, **k: pytest.fail("serialized whole"))
+        m.setattr(json, "dumps", lambda obj, **k: heads.append(obj) or real_dumps(obj, **k))
         assert main(["leclerc", a2_file, "--cap", "2", "--json", str(path)]) == 0
     assert capsys.readouterr().out == plain
-    assert len(docs) == 1
-    assert path.read_text() == json.dumps(docs[0], indent=2, sort_keys=True) + "\n"
+    assert [sorted(head) for head in heads] == [["basis_size", "conflicts", "counts", "nodes"]]
+    assert path.read_text() == _reference_report(a2_file, 2)
+
+
+# the five ladder-small rungs and sweep-a4, at their benchmark options
+BENCH_RUNS = {
+    "a2-cap3": ("a2", 3, 0, None),
+    "b2-cap2": ("b2", 2, 0, None),
+    "g2-cap1": ("g2", 1, 0, None),
+    "frozen-cap2-w1": ("frozen", 2, 1, None),
+    "a3p-cap1": ("a3p", 1, 0, None),
+    "a4p-cap1-r13": ("a4p", 1, 0, 13),
+}
+
+
+@pytest.mark.parametrize("run", sorted(BENCH_RUNS))
+def test_the_streamed_report_is_the_whole_document_serialized(tmp_path, run):
+    name, cap, window, scope = BENCH_RUNS[run]
+    seed_file = str(ROOT / "bench" / "seeds" / f"{name}.json")
+    path = tmp_path / "report.json"
+    options = ["--cap", str(cap), "--frozen-window", str(window)]
+    options += [] if scope is None else ["--scope", str(scope)]
+    assert main(["leclerc", seed_file, *options, "--json", str(path)]) == 0
+    assert path.read_text() == _reference_report(seed_file, cap, window, scope)
+
+
+def test_a_sweep_of_no_pair_writes_an_empty_pairs_list(tmp_path):
+    # a seed of no vertex has one basis element and no R spec
+    seed_file = tmp_path / "empty.json"
+    seed_file.write_text(json.dumps({"n": 0, "B": []}))
+    path = tmp_path / "report.json"
+    assert main(["leclerc", str(seed_file), "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["pairs"] == []
+    assert path.read_text() == _reference_report(str(seed_file), 3)
+
+
+_ints = st.lists(st.one_of(st.integers(-9, 9), st.integers(-2 ** 70, 2 ** 70)),
+                 max_size=4).map(tuple)
+# any character, with the ones json escapes drawn often
+_escaped = '"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'
+_text = st.text(st.one_of(st.characters(), st.sampled_from(_escaped)), max_size=8)
+
+
+@st.composite
+def _verdicts(draw):
+    """A LeclercVerdict with every field drawn, each optional one unset or
+    set, and R's node index."""
+    middle = draw(st.lists(st.tuples(_ints, st.dictionaries(
+        st.integers(-6, 6), st.integers(-3, 3)).map(VCoeff)), max_size=4))
+    optional = [draw(st.none() | field) for field in (_text, st.integers(-2 ** 70, 2 ** 70),
+                                                      st.integers(-9, 9), _ints, _ints)]
+    verdict = leclerc.LeclercVerdict(
+        draw(st.sampled_from(("in_basis", "two_tail", "indeterminate"))),
+        (draw(st.integers(0, 9)), draw(_ints)), draw(_ints),
+        draw(st.dictionaries(_text, st.booleans(), max_size=5)), middle, *optional)
+    return verdict, draw(st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_verdicts())
+def test_the_verdict_encoder_writes_what_json_dumps_writes(drawn):
+    # a pair as json.dumps writes it inside a document's pairs, the
+    # reference dict serialized with the report's options
+    verdict, node = drawn
+    doc = json.dumps({"pairs": [oracles.verdict_json(verdict, node)]}, indent=2, sort_keys=True)
+    head, tail = '{\n  "pairs": [\n    ', "\n  ]\n}"
+    assert doc.startswith(head) and doc.endswith(tail)
+    assert cli.encode_verdict(verdict, node) == doc[len(head):-len(tail)]
+
+
+def _watch_spools(monkeypatch, tmp_path):
+    """Send every spool to a fresh directory and record the files opened:
+    (the spools, the directory)."""
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    spools, real = [], tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *a, **k: spools.append(real(*a, **k)) or spools[-1])
+    return spools, spool_dir
+
+
+def _failing_sweep(monkeypatch, error, after):
+    """verify_pair raises error once after pairs have been verified; the
+    number of pairs encoded so far is kept in the list returned."""
+    calls, encoded = [], []
+    real_pair, real_encode = leclerc.verify_pair, cli.encode_verdict
+
+    def verify_pair(*a):
+        calls.append(a)
+        if len(calls) > after:
+            raise error
+        return real_pair(*a)
+
+    monkeypatch.setattr(leclerc, "verify_pair", verify_pair)
+    monkeypatch.setattr(cli, "encode_verdict",
+                        lambda *a: encoded.append(a) or real_encode(*a))
+    return encoded
+
+
+@pytest.mark.parametrize("error, message", [
+    (RuntimeError("pair 26"), "internal error: pair 26\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_a_sweep_that_fails_leaves_no_report_and_no_spool(a2_file, tmp_path, monkeypatch,
+                                                          capsys, error, message):
+    # A2 cap1: 11 keys per R, so two R's pairs are spooled before the 26th
+    spools, spool_dir = _watch_spools(monkeypatch, tmp_path)
+    encoded = _failing_sweep(monkeypatch, error, 25)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["leclerc", a2_file, "--cap", "1", "--json", str(out / "report.json")]) == 3
+    assert capsys.readouterr().err == message
+    assert len(encoded) == 22
+    assert len(spools) == 1 and spools[0].closed
+    assert not any(out.iterdir()) and not any(spool_dir.iterdir())
+
+
+@pytest.mark.parametrize("after", [0, 25])
+def test_a_base_exception_passes_through_the_sweep_with_the_spool_closed(
+        a2_file, tmp_path, monkeypatch, after):
+    # as bench/tracer.py's SetupDone does at the first pair of a run timed
+    # for its set-up only, or later, with pairs spooled
+    class Stop(BaseException):
+        pass
+
+    spools, spool_dir = _watch_spools(monkeypatch, tmp_path)
+    encoded = _failing_sweep(monkeypatch, Stop(), after)
+    path = tmp_path / "report.json"
+    with pytest.raises(Stop):
+        main(["leclerc", a2_file, "--cap", "1", "--json", str(path)])
+    assert len(encoded) == 11 * (after // 11)
+    assert len(spools) == 1 and spools[0].closed
+    assert not path.exists() and not any(spool_dir.iterdir())
 
 
 def test_leclerc_visits_each_home_once_whatever_the_scope_order(tmp_path, monkeypatch):
@@ -526,9 +674,9 @@ def test_leclerc_visits_each_home_once_whatever_the_scope_order(tmp_path, monkey
 def _tampered_a3p_run(monkeypatch, capsys, tamper, *options):
     """An A3-principal cap1 leclerc run, given options too, with the first
     in_basis verdict replaced by tamper(verdict): (exit status, printed
-    lines, report)."""
+    lines, (report, the verdicts the sweep's sink received, basis))."""
     real_pair, real_theorem = leclerc.verify_pair, leclerc.verify_theorem
-    tampered, reports = [], []
+    tampered, runs = [], []
 
     def verify_pair(*a):
         v = real_pair(*a)
@@ -537,35 +685,51 @@ def _tampered_a3p_run(monkeypatch, capsys, tamper, *options):
         tampered.append(tamper(v))
         return tampered[-1]
 
+    def verify_theorem(basis, r_specs=None, sink=None):
+        verdicts = []
+
+        def tee(v):
+            verdicts.append(v)
+            if sink is not None:
+                sink(v)
+
+        runs.append((real_theorem(basis, r_specs, tee), verdicts, basis))
+        return runs[-1][0]
+
     monkeypatch.setattr(leclerc, "verify_pair", verify_pair)
-    monkeypatch.setattr(leclerc, "verify_theorem",
-                        lambda *a, **k: reports.append(real_theorem(*a, **k)) or reports[-1])
+    monkeypatch.setattr(leclerc, "verify_theorem", verify_theorem)
     seed_file = str(pathlib.Path(__file__).parent.parent / "bench" / "seeds" / "a3p.json")
     status = main(["leclerc", seed_file, "--cap", "1", *options])
-    assert len(tampered) == 1 and len(reports) == 1
-    return status, capsys.readouterr().out.splitlines(), reports[0]
+    assert len(tampered) == 1 and len(runs) == 1
+    return status, capsys.readouterr().out.splitlines(), runs[0]
 
 
-def test_an_in_basis_pair_with_a_false_check_fails_the_run(monkeypatch, capsys):
+def test_an_in_basis_pair_with_a_false_check_fails_the_run(tmp_path, monkeypatch, capsys):
     # the one pass/fail rule: an in_basis verdict whose check is false
     # fails like a two-tail one, with its FAIL line, and is tallied as
-    # before
+    # before; the report keeps it, and its file is the whole document
+    # serialized
     status, plain, _ = _tampered_a3p_run(monkeypatch, capsys, lambda v: v)
     assert status == 0 and len(plain) == 1
-    status, lines, report = _tampered_a3p_run(
+    path = tmp_path / "report.json"
+    status, lines, (report, verdicts, basis) = _tampered_a3p_run(
         monkeypatch, capsys,
-        lambda v: v._replace(checks={**v.checks, "pivot_is_one": False}))
+        lambda v: v._replace(checks={**v.checks, "pivot_is_one": False}), "--json", str(path))
     assert status == 1 and not report.ok
     assert lines[0] == plain[0]
     assert len(lines) == 2 and lines[1].startswith("FAIL R=")
     assert lines[1].endswith(": ['pivot_is_one']")
+    [v] = report.failures
+    assert v.case == "in_basis" and not v.checks["pivot_is_one"] and v in verdicts
+    assert path.read_text() == oracles.report_text(basis, report, verdicts)
 
 
 def test_an_indeterminate_pair_fails_the_run(tmp_path, monkeypatch, capsys):
     # its line gives the reason, and so does its pair in the report, next
-    # to the verdict's other set fields; no other pair has a reason
+    # to the verdict's other set fields; no other pair has a reason, and
+    # the file is the whole document serialized
     path = tmp_path / "report.json"
-    status, lines, report = _tampered_a3p_run(
+    status, lines, (report, verdicts, basis) = _tampered_a3p_run(
         monkeypatch, capsys,
         lambda v: v._replace(case="indeterminate", reason="tampered"), "--json", str(path))
     assert status == 1 and not report.ok
@@ -575,10 +739,12 @@ def test_an_indeterminate_pair_fails_the_run(tmp_path, monkeypatch, capsys):
     doc = json.loads(path.read_text())
     assert doc["counts"] == report.counts()
     [pair] = [p for p in doc["pairs"] if "reason" in p]
-    [v] = [v for v in report.verdicts if v.case == "indeterminate"]
+    [v] = report.failures
+    assert v.case == "indeterminate" and v in verdicts
     assert pair == {"R": {"node": 0, "m": list(v.r_spec[1])}, "V": list(v.v_degree),
                     "verdict": "indeterminate", "checks": v.checks, "reason": "tampered",
                     "s": v.s, "h": v.h, "S": list(v.S)}
+    assert path.read_text() == oracles.report_text(basis, report, verdicts)
 
 
 def test_leclerc_out_of_memory_exits_3(a2_file, monkeypatch, capsys):

@@ -30,7 +30,7 @@ from qcluster import (
 from qcluster import cli, expansion, pointed, qtorus
 from qcluster import seed as seed_module
 from qcluster.expansion import degree_key
-from qcluster.leclerc import CandidateBasis, _exponent_box, verify_theorem
+from qcluster.leclerc import CandidateBasis, _exponent_box
 from qcluster.pointed import degree
 from qcluster.qtorus import QTElem, lam_pair, twisted_mul, unit_vec
 
@@ -802,10 +802,10 @@ def test_a_sweep_mutates_no_seed_the_build_did_not(name, build, pairs, monkeypat
     retracked, forget = [], graph.forget
     monkeypatch.setattr(graph, "forget", lambda torus: retracked.extend(
         (torus, home, ts.seed) for home, ts in graph._cross[torus].items()) or forget(torus))
-    report = verify_theorem(basis)
-    assert report.ok and len(report.verdicts) == pairs
+    report, verdicts = oracles.sweep(basis)
+    assert report.ok and len(verdicts) == pairs
     assert len(conjugations) == 2 * build
-    homes = {v.r_spec[0] for v in report.verdicts}
+    homes = {v.r_spec[0] for v in verdicts}
     assert {torus for torus, _, _ in retracked} == homes and len(homes) > 1
     assert len(retracked) == len(homes) * len(graph.order)
     assert all(seed is graph.nodes[home].seed for _, home, seed in retracked)

@@ -406,10 +406,10 @@ def test_each_pair_is_decomposed_once(a3_graph, monkeypatch):
     calls = []
     real = pointed.decompose
     monkeypatch.setattr(pointed, "decompose", lambda *a: calls.append(a) or real(*a))
-    report = verify_theorem(CandidateBasis(a3_graph, unfrozen_cap=1))
+    report, verdicts = oracles.sweep(CandidateBasis(a3_graph, unfrozen_cap=1))
     assert report.ok and report.counts()["two_tail_pass"] > 0
     # an indeterminate verdict with no V degree stopped before decomposing
-    assert len(calls) == sum(v.v_degree != () for v in report.verdicts) == 540
+    assert len(calls) == sum(v.v_degree != () for v in verdicts) == 540
 
 
 @pytest.mark.parametrize("graph_name, cap", [("a2_graph", 2), ("pa2_graph", 1)])
@@ -440,11 +440,11 @@ def test_sweep_measures_each_codegree_once(a3_graph, monkeypatch):
     monkeypatch.setattr(basis, "forget",
                         lambda torus: records.extend(hit for side in basis._resolved.values()
                                                      for hit in side.values()) or forget(torus))
-    report = verify_theorem(basis)
+    report, verdicts = oracles.sweep(basis)
     assert report.ok and report.counts()["two_tail_pass"] > 0
     assert len(calls) == len(records)
     assert all(hit is not None and hit[2] is not None for hit in records)
-    assert len(calls) < sum(len(v.middle) + 2 for v in report.verdicts)
+    assert len(calls) < sum(len(v.middle) + 2 for v in verdicts)
 
 
 def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
@@ -479,12 +479,12 @@ def test_a_sweep_projects_only_to_make_variables_and_check_pairs(monkeypatch):
 
     monkeypatch.setattr(pointed, "add", counted_add)
     graph = build_exchange_graph(principal_framing(A3_B))
-    report = verify_theorem(CandidateBasis(graph, unfrozen_cap=1))
-    assert report.ok and len(report.verdicts) == 540
+    report, verdicts = oracles.sweep(CandidateBasis(graph, unfrozen_cap=1))
+    assert report.ok and len(verdicts) == 540
     assert set(seen) == {"add", "verify_pair"}
     assert per_add and set(per_add) <= {1, 2}
     assert seen["verify_pair"] == sum(2 + 2 * len(v.middle) if v.case == "two_tail" else 0
-                                      for v in report.verdicts)
+                                      for v in verdicts)
 
 
 @pytest.mark.parametrize("name", ["a3p-cap1", "frozen-cap2-w1"])
@@ -505,16 +505,16 @@ def test_a_sweep_forgets_every_torus_it_leaves(name, monkeypatch):
         real_forget(torus)
 
     monkeypatch.setattr(graph, "forget", forgetting)
-    first = verify_theorem(basis)
-    assert len({v.r_spec[0] for v in first.verdicts}) > 1
-    assert [torus for torus, _, _ in left] == sorted({v.r_spec[0] for v in first.verdicts},
+    first, first_verdicts = oracles.sweep(basis)
+    assert len({v.r_spec[0] for v in first_verdicts}) > 1
+    assert [torus for torus, _, _ in left] == sorted({v.r_spec[0] for v in first_verdicts},
                                                      key=graph.order.index)
     assert all(table and products for _, table, products in left)
     assert not _tori_kept(graph, basis)
     assert_reference_retracked_again(graph, monkeypatch)
-    second = verify_theorem(basis)
+    second, second_verdicts = oracles.sweep(basis)
     assert first.ok and second.counts() == first.counts()
-    assert second.verdicts == first.verdicts
+    assert second_verdicts == first_verdicts
 
 
 def test_a_second_pass_in_the_reference_torus_interns_nothing(monkeypatch):
@@ -581,16 +581,33 @@ def test_a_planted_negative_digit_fails_the_positivity_check(monkeypatch):
 
 def test_verify_theorem_a2(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
-    report = verify_theorem(basis)
+    report, verdicts = oracles.sweep(basis)
     assert report.ok
     counts = report.counts()
     assert counts["two_tail_fail"] == 0
     assert counts["indeterminate"] == 0
     assert counts["in_basis"] > 0 and counts["two_tail_pass"] > 0
-    for v in report.verdicts:
+    for v in verdicts:
         if v.case == "two_tail":
             assert v.s > v.h
             assert all(v.checks.values()), v.checks
+
+
+def test_a_clean_sweep_holds_no_verdict():
+    # the report keeps the tally, the verdicts that did not pass and the
+    # conflicts, so a clean A3-principal cap1 sweep's holds no verdict;
+    # its counts are the tally of the 540 verdicts its sink received, and
+    # those are the report-order sweep's, in order
+    graph = build_exchange_graph(principal_framing(A3_B))
+    report, verdicts = oracles.sweep(CandidateBasis(graph, unfrozen_cap=1))
+    assert tuple(report) == (report.counts(), [], [])
+    tally = Counter(v.case if v.case != "two_tail" else
+                    "two_tail_pass" if v.passed else "two_tail_fail" for v in verdicts)
+    assert report.counts() == {case: tally[case] for case in report.counts()}
+    assert list(report.counts()) == ["in_basis", "two_tail_pass", "two_tail_fail",
+                                     "indeterminate"]
+    assert len(verdicts) == 540 and report.ok
+    assert verdicts == oracles.report_order_verdicts(CandidateBasis(graph, unfrozen_cap=1))
 
 
 def test_records_are_immutable(a2_graph):
@@ -598,14 +615,14 @@ def test_records_are_immutable(a2_graph):
     # a field assignment: a record is built once and handed out as is
     t0 = a2_graph.order[0]
     basis = CandidateBasis(a2_graph, unfrozen_cap=1)
-    report = verify_theorem(basis)
+    report, verdicts = oracles.sweep(basis)
     seed = a2_graph.nodes[t0].seed
     x = a2_graph.nodes[t0].vars[0]
     records = [
-        (report.verdicts[0], "checks"),
+        (verdicts[0], "checks"),
         (pointed.decompose(seed, x, {x.g: x}.get, (0,) * seed.n), "terms"),
         (detect_shift(a2_graph, t0, 1), "sigma"),
-        (report, "verdicts"),
+        (report, "tally"),
         (check_triangular(basis, t0), "passes"),
     ]
     for record, field in records:
@@ -616,17 +633,17 @@ def test_records_are_immutable(a2_graph):
 def test_verify_theorem_scope_subset(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=1)
     specs = default_r_specs(a2_graph)[:2]
-    report = verify_theorem(basis, r_specs=specs)
-    assert len(report.verdicts) == 2 * len(basis.by_degree)
+    report, verdicts = oracles.sweep(basis, specs)
+    assert len(verdicts) == sum(report.counts().values()) == 2 * len(basis.by_degree)
 
 
 def test_two_tail_extremal_coefficients(a2_graph):
     # every two-tail product has coefficient v^s at the top degree and
     # v^h at the bottom codegree, with middles strictly inside
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
-    report = verify_theorem(basis)
+    _, verdicts = oracles.sweep(basis)
     seen_middle = False
-    for v in report.verdicts:
+    for v in verdicts:
         if v.case != "two_tail":
             continue
         assert v.checks["s_matches_lambda"] and v.checks["h_matches_lambda"]
@@ -642,11 +659,11 @@ def test_verify_theorem_monomial_r(a2_graph):
     basis = CandidateBasis(a2_graph, unfrozen_cap=2)
     specs = list(CandidateBasis(a2_graph, unfrozen_cap=1).by_degree.values())
     assert len(specs) == 11
-    report = verify_theorem(basis, r_specs=specs)
+    report, verdicts = oracles.sweep(basis, specs)
     assert report.ok
     assert report.counts()["two_tail_fail"] == 0
     assert report.counts()["indeterminate"] == 0
-    for v in report.verdicts:
+    for v in verdicts:
         if v.case == "two_tail":
             assert v.s > v.h
 
@@ -687,10 +704,10 @@ def test_v_codegree_n_is_read_off_its_record(name, monkeypatch):
         return record
 
     monkeypatch.setattr(basis, "_resolve", checked)
-    report = verify_theorem(basis)
+    report, verdicts = oracles.sweep(basis)
     assert report.ok
-    assert all((v.r_spec[0], v.v_degree) in seen for v in report.verdicts)
-    assert sum(v.v_degree != () for v in report.verdicts) == len(report.verdicts)
+    assert all((v.r_spec[0], v.v_degree) in seen for v in verdicts)
+    assert sum(v.v_degree != () for v in verdicts) == len(verdicts)
 
 
 def test_verify_pair_reads_each_record_once(a3_graph, monkeypatch):
@@ -724,12 +741,12 @@ def test_bar_invariance_is_computed_once_per_element(monkeypatch):
     monkeypatch.setattr(pointed, "_bar", lambda c: barred.append(c) or real(c))
     monkeypatch.setattr(NForm, "is_bar_invariant",
                         lambda self: read.setdefault(id(self), self) and real_read(self))
-    report = verify_theorem(CandidateBasis(build_exchange_graph(principal_framing(A3_B)),
-                                           unfrozen_cap=1))
+    report, verdicts = oracles.sweep(
+        CandidateBasis(build_exchange_graph(principal_framing(A3_B)), unfrozen_cap=1))
     assert report.ok and report.counts()["two_tail_pass"] > 0
     first = len(barred)
     assert first == sum(len(e.terms) for e in read.values()) > 0
-    assert sum(len(v.middle) + 2 for v in report.verdicts if v.case == "two_tail") > len(read)
+    assert sum(len(v.middle) + 2 for v in verdicts if v.case == "two_tail") > len(read)
     elem = NForm.of((0,) * 6, {(0, 0, 0): VCoeff.one(), (1, 0, 0): VCoeff({-1: 1, 1: 1})})
     assert elem.is_bar_invariant() and len(barred) == first + 2
     assert elem.is_bar_invariant() and len(barred) == first + 2
