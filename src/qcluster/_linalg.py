@@ -11,9 +11,9 @@ form a Z-basis of the lattice (Fomin-Zelevinsky, Cluster algebras IV,
 arXiv:math/0602259; Gross-Hacking-Keel-Kontsevich, arXiv:1411.1394).
 combine is the one kernel that forms a linear combination of columns
 the caller already holds, base + sum_j c_j col_j, one vector sum per
-nonzero c_j: every exponent g + B n over B's columns, and every degree
-of a cluster monomial over its variables' degrees. No floating point
-anywhere.
+nonzero c_j: every exponent g + B n over B's columns, every degree of
+a cluster monomial over its variables' degrees, and row k of a mutated
+Lambda over Lambda's rows. No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -41,8 +41,9 @@ def mat_vec(mat, vec):
 def combine(base, cols, coeffs):
     """base + sum_j coeffs[j] cols[j], as a tuple: one vector sum per
     nonzero coefficient, the column scaled first unless its coefficient
-    is 1. The one way to form an exponent g + B n over B's columns, or
-    a cluster monomial's degree over its variables' degrees."""
+    is 1. The one way to form an exponent g + B n over B's columns, a
+    cluster monomial's degree over its variables' degrees, or row k of a
+    mutated Lambda over Lambda's rows."""
     for col, c in zip(cols, coeffs):
         if c:
             base = tuple(map(add, base, col if c == 1 else map(mul, col, repeat(c))))

@@ -185,13 +185,14 @@ def cmd_graph(args):
     if not_finite_type(graph, "no graph written"):
         return 1
     nvars = len(graph.distinct_variables())
+    edges = graph.undirected_edges()
     # DOT on stdout stays valid DOT: the summary goes to stderr then
-    print(f"{len(graph.order)} nodes, {len(graph.undirected_edges())} edges, "
+    print(f"{len(graph.order)} nodes, {len(edges)} edges, "
           f"{nvars} distinct cluster variables"
           + (" (truncated)" if graph.truncated else ""),
           file=sys.stderr if args.dot == "-" else sys.stdout)
     if args.dot is not None:
-        text = emit_dot(graph)
+        text = emit_dot(graph, edges)
         if args.dot == "-":
             sys.stdout.write(text)
         else:

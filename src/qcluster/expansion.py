@@ -87,10 +87,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
-from operator import mul as _times
+from operator import mul as _times, sub
 
 from . import pointed
-from .qtorus import pos_part, unit_vec, vec_sub
+from .qtorus import unit_vec, vec_sub
 from .seed import QuantumSeed, mutate_seed
 
 # Most nodes an exchange graph holds, read when a build runs: a safety
@@ -155,13 +155,14 @@ def mutate_tracked(ts: TrackedSeed, k, exchange=None) -> TrackedSeed:
 
 def _exchange(ts: TrackedSeed, k):
     """(a-, lam(a-, f_k), a+, lam(a+, f_k)) of the exchange relation at k,
-    each lam(a, f_k) one dot product of a with column k of Lambda."""
+    each lam(a, f_k) one dot product of a with column k of Lambda, read
+    as -Lambda[k] since Lambda is skew (checked on construction)."""
     s = ts.seed
     ck = s.col(k)
-    col = tuple(row[ck] for row in s.B)
-    lam_k = tuple(row[k] for row in s.Lambda)
-    aminus, aplus = pos_part(tuple(-x for x in col)), pos_part(col)
-    return aminus, sum(map(_times, aminus, lam_k)), aplus, sum(map(_times, aplus, lam_k))
+    lam_k = s.Lambda[k]
+    aplus = tuple(row[ck] if row[ck] > 0 else 0 for row in s.B)
+    aminus = tuple(-row[ck] if row[ck] < 0 else 0 for row in s.B)
+    return aminus, -sum(map(_times, aminus, lam_k)), aplus, -sum(map(_times, aplus, lam_k))
 
 
 def _identity(degs, m):
@@ -211,7 +212,8 @@ def _new_variable(monomials, relations, degs, new_deg, ts, k, relation) -> point
     degrees degs. monomials and relations are the torus's stores: its
     cluster monomials (_monomial) and its relation table, which keeps
     the new variable by the relation's reference degrees: X_k's, and
-    each exchange monomial's identity with its v-power.
+    the exchange monomials' factors, as one identity of a+ - a- (their
+    supports are disjoint), with the monomials' v-powers.
 
     A relation not in the table is formed once, each exchange monomial
     being the torus's cluster monomial. When the store already holds a
@@ -223,7 +225,7 @@ def _new_variable(monomials, relations, degs, new_deg, ts, k, relation) -> point
     gives way to it. So the table holds the store's objects, and a
     stored variable that disagrees still reaches _intern's check."""
     seed, (aminus, lminus, aplus, lplus) = ts.ref, relation
-    key = (degs[k], _identity(degs, aminus), lminus, _identity(degs, aplus), lplus)
+    key = (degs[k], _identity(degs, map(sub, aplus, aminus)), lminus, lplus)
     z = relations.get(key)
     if z is None:
         monomial = partial(_monomial, seed, monomials, degs, ts.vars)
@@ -490,16 +492,21 @@ class ExchangeGraph:
         return {ts.vars[i].g: ts.vars[i] for ts in self.nodes.values() for i in ts.seed.unfrozen}
 
     def undirected_edges(self):
-        """One edge per node pair; the two endpoints may label the exchanged
-        vertex differently, so keep the label seen from the smaller node."""
+        """One edge (a, k, b) per node pair, a < b, in sorted order; the two
+        endpoints may label the exchanged vertex differently, so keep the
+        label seen from the smaller node. The node keys are sorted once
+        and compared by their ranks there, integers."""
+        keys = sorted(set(self.order).union(b for _, _, b in self.edges))
+        rank = {key: i for i, key in enumerate(keys)}
         pairs = {}
         for a, k, b in self.edges:
-            key = (min(a, b), max(a, b))
-            cand = (0 if a == key[0] else 1, k)
-            cur = pairs.get(key)
+            ra, rb = rank[a], rank[b]
+            pair, cand = ((ra, rb), (0, k)) if ra <= rb else ((rb, ra), (1, k))
+            cur = pairs.get(pair)
             if cur is None or cand < cur:
-                pairs[key] = cand
-        return sorted((a, kk, b) for (a, b), (_, kk) in pairs.items())
+                pairs[pair] = cand
+        edges = sorted((a, k, b) for (a, b), (_, k) in pairs.items())
+        return [(keys[a], k, keys[b]) for a, k, b in edges]
 
 
 def build_exchange_graph(seed) -> ExchangeGraph:
@@ -507,14 +514,16 @@ def build_exchange_graph(seed) -> ExchangeGraph:
     return ExchangeGraph(seed)
 
 
-def emit_dot(graph: ExchangeGraph) -> str:
-    """DOT text: node labels are sorted degree vectors, edges the vertex."""
+def emit_dot(graph: ExchangeGraph, edges=None) -> str:
+    """DOT text: node labels are sorted degree vectors, edges the vertex.
+    edges are graph.undirected_edges(), formed here unless the caller
+    holds them."""
     ids = {key: i for i, key in enumerate(graph.order)}
     lines = ["graph exchange {"]
     for key in graph.order:
         label = "; ".join("(" + ",".join(map(str, g)) + ")" for g in key)
         lines.append(f'  n{ids[key]} [label="{label}"];')
-    for a, k, b in graph.undirected_edges():
+    for a, k, b in graph.undirected_edges() if edges is None else edges:
         if a in ids and b in ids:
             lines.append(f'  n{ids[a]} -- n{ids[b]} [label="{k + 1}"];')
     lines.append("}")

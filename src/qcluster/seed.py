@@ -6,6 +6,13 @@ n x n integer form Lambda, subject to B^T Lambda = (D 0) for a strictly
 positive integer diagonal D indexed by the unfrozen vertices. D is
 stored once at construction and treated as mutation-invariant.
 
+Mutation (mutate_seed) changes B in row k and the rows with b_ik != 0,
+and Lambda in row and column k. Row k of Lambda is formed once per sign
+convention, one _linalg.combine over Lambda's rows each, and the two
+are compared; column k is read off as -(row k), by skew-symmetry. Every
+mutated seed is then checked whole, once per distinct seed: its shapes,
+the skew-symmetry of its Lambda and B^T Lambda = (D 0).
+
 Vertices are 0-based throughout the library; the CLI converts to the
 1-based labels used in files and reports.
 """
@@ -142,25 +149,22 @@ def check_compatible(seed):
     return True, ""
 
 
-def _conjugated_lambda(seed, k, eps, lam_t):
-    """Row k and column k of E^T Lambda E, for the elementary matrix E of
-    the mutation at k with sign choice eps; the rest of it is Lambda's.
+def _conjugated_lambda(seed, k, eps):
+    """Row k of E^T Lambda E, for the elementary matrix E of the mutation
+    at k with sign choice eps: the one part of the conjugation formed.
 
     E is the identity except in column k, which is e: -1 at k and
-    max(0, -eps * b_ik) elsewhere. So E^T Lambda E differs from Lambda
-    only in row k, which is e^T Lambda, and column k, which is Lambda e:
-    combinations of the rows of Lambda and of its transpose lam_t over
-    the nonzero entries of e. They meet in e^T Lambda e. No symmetry of
-    Lambda is assumed.
+    max(0, -eps * b_ik) elsewhere (b_kk is 0 in a compatible seed). So
+    E^T Lambda E is Lambda but in row and column k. Row k is e^T Lambda
+    off k, one combine over Lambda's rows from base -Lambda[k]; at k it
+    is e^T Lambda e, which is 0 since Lambda is skew (checked on
+    construction). E^T Lambda E is skew too, so mutate_seed reads its
+    column k as -(row k).
     """
-    ck, n = seed.col(k), seed.n
-    e = [(k, -1)] + [(i, -eps * row[ck]) for i, row in enumerate(seed.B) if eps * row[ck] < 0]
-    row = col = (0,) * n
-    for i, x in e:
-        row = tuple(map(add, row, map(mul, seed.Lambda[i], repeat(x, n))))
-        col = tuple(map(add, col, map(mul, lam_t[i], repeat(x, n))))
-    corner = sum(x * col[i] for i, x in e)
-    return row[:k] + (corner,) + row[k + 1:], col[:k] + (corner,) + col[k + 1:]
+    ck = seed.col(k)
+    row = _linalg.combine(tuple(map(neg, seed.Lambda[k])), seed.Lambda,
+                          [-eps * b[ck] if eps * b[ck] < 0 else 0 for b in seed.B])
+    return row[:k] + (0,) + row[k + 1:]
 
 
 @lru_cache(maxsize=None)
@@ -184,10 +188,12 @@ def mutate_seed(seed, k):
 
     B mutates by the standard matrix rule, which changes only row k and
     the rows with b_ik != 0. Lambda is conjugated by the elementary
-    matrix of the mutation, of which only row and column k differ from
-    Lambda and are formed. Both sign conventions are computed and must
-    agree, and compatibility with the unchanged D is checked once per
-    distinct result, so convention drift shows up as a hard error.
+    matrix of the mutation, E^T Lambda E, which differs from Lambda only
+    in row and column k. Row k is formed under both sign conventions
+    (_conjugated_lambda), which must agree; column k is read as -(row k),
+    since E^T Lambda E is skew. The result is checked whole, shapes,
+    skew-symmetry and compatibility with the unchanged D, once per
+    distinct seed, so convention drift shows up as a hard error.
 
     Cached per (seed, k): a labeled seed is mutated once per vertex in a
     process, and every later call (the exchange graph's re-tracking
@@ -214,12 +220,10 @@ def mutate_seed(seed, k):
             row[ck] = -bik
             row = tuple(row)
         newb.append(row)
-    lam_t = tuple(zip(*seed.Lambda))
-    conventions = [_conjugated_lambda(seed, k, eps, lam_t) for eps in (1, -1)]
-    if conventions[0] != conventions[1]:
+    row = _conjugated_lambda(seed, k, 1)
+    if _conjugated_lambda(seed, k, -1) != row:
         raise IncompatibleResult(f"Lambda mutation at {k}: sign conventions disagree")
-    row, col = conventions[0]
-    lam = [r[:k] + (x,) + r[k + 1:] for r, x in zip(seed.Lambda, col)]
+    lam = [r if r[k] == -x else r[:k] + (-x,) + r[k + 1:] for r, x in zip(seed.Lambda, row)]
     lam[k] = row
     try:
         return _interned(seed.n, seed.unfrozen, tuple(newb), tuple(lam), seed.D)
@@ -277,31 +281,34 @@ def _minimal_symmetrizers(principal):
     Returns one (vertices, d0 over those vertices) per connected
     component of the principal part, in order of smallest vertex.
     Raises NoCompatibleLambda when no positive symmetrizer exists.
+    Each d_i / d_root is an integer pair (numerator, denominator) in
+    lowest terms, the denominator positive, so equal ratios are equal
+    pairs.
     """
-    # imported in its one use: a seed given with its Lambda loads no fractions or decimal
-    from fractions import Fraction
-
     nuf = len(principal)
     ratio = [None] * nuf
     components = []
     for root in range(nuf):
         if ratio[root] is not None:
             continue
-        ratio[root], members = Fraction(1), [root]
+        ratio[root], members = (1, 1), [root]
         for i in members:
             for j in range(nuf):
                 bij, bji = principal[i][j], principal[j][i]
                 if bij == bji == 0:
                     continue
-                want = ratio[i] * -bij / bji if bij * bji < 0 else None
+                # d_j / d_i = -b_ij / b_ji, which must be positive
+                num, den = ratio[i][0] * abs(bij), ratio[i][1] * abs(bji)
+                g = gcd(num, den)
+                want = (num // g, den // g) if bij * bji < 0 else None
                 if want is not None and ratio[j] is None:
                     ratio[j] = want
                     members.append(j)
                 elif want is None or ratio[j] != want:
                     raise NoCompatibleLambda(
                         f"principal part is not skew-symmetrizable at ({i}, {j})")
-        scale = lcm(*(ratio[i].denominator for i in members))
-        d0 = [int(ratio[i] * scale) for i in members]
+        scale = lcm(*(ratio[i][1] for i in members))
+        d0 = [ratio[i][0] * scale // ratio[i][1] for i in members]
         components.append((members, [x // gcd(*d0) for x in d0]))
     return components
 

@@ -288,6 +288,20 @@ def dense_mutated_lambda(seed, k, eps):
     return _linalg.mat_mul(_linalg.mat_mul(_linalg.transpose(e), seed.Lambda), e)
 
 
+def dense_mutation_mismatch(seed, k):
+    """None when mutate_seed(seed, k) is what the dense references make:
+    B as _mutate_b mutates it, Lambda as dense_mutated_lambda conjugates
+    it under each sign convention, and D unchanged; else the first field
+    that differs, with the sign convention for Lambda."""
+    got = mutate_seed(seed, k)
+    if got.B != tuple(map(tuple, _mutate_b([list(row) for row in seed.B], seed.unfrozen, k))):
+        return "B"
+    for eps in (1, -1):
+        if got.Lambda != dense_mutated_lambda(seed, k, eps):
+            return f"Lambda (eps = {eps})"
+    return None if got.D == seed.D else "D"
+
+
 def laurent_dict(expr, gens):
     """Canonical {exponent vector: Rational} of a Laurent polynomial."""
     num, den = sp.fraction(sp.cancel(sp.together(expr)))

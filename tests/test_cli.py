@@ -164,6 +164,22 @@ def test_the_cli_imports_no_code_generation_or_exact_decimals():
     assert proc.stdout == "[]\n"
 
 
+def test_lambda_synthesis_loads_no_fractions(b2_file_no_lambda):
+    # a seed file without Lambda is completed by find_compatible_lambda,
+    # whose symmetrizer ratios are integer pairs: neither fractions nor
+    # the decimal module it pulls in is loaded
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys; from qcluster.cli import load_seed; "
+             f"seed, synthesized = load_seed({str(b2_file_no_lambda)!r}); "
+             "print(seed.D, synthesized, sorted({'fractions', 'decimal', 'numbers'} "
+             "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(1, 2) True []\n"
+
+
 def test_mutate(a2_file, capsys):
     assert main(["mutate", a2_file, "--word", "1"]) == 0
     out = capsys.readouterr().out

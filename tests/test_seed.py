@@ -1,9 +1,10 @@
+import pathlib
 import random
 import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,9 +30,13 @@ from qcluster import (
     principal_framing,
 )
 from qcluster import seed as seed_module
+from qcluster.cli import load_seed
 from qcluster.leclerc import CandidateBasis, verify_theorem
 from qcluster.qtorus import unit_vec
 from qcluster.seed import IncompatiblePair, IncompatibleResult, NoCompatibleLambda
+
+DATA = pathlib.Path(__file__).parent / "data"
+BENCH_SEEDS = DATA.parent.parent / "bench" / "seeds"
 
 
 def test_a2_compatible(a2_seed):
@@ -369,11 +374,69 @@ def test_mutation_is_an_involution(seed, data):
 @settings(max_examples=60, deadline=None)
 @given(principal_framings(), st.data())
 def test_mutated_lambda_matches_dense_conjugation(seed, data):
+    # Lambda' = E^T Lambda E by two dense products under each sign
+    # convention, B' by the matrix rule written apart, D unchanged
     for k in data.draw(st.lists(st.sampled_from(seed.unfrozen), min_size=1, max_size=4)):
-        want = oracles.dense_mutated_lambda(seed, k, 1)
-        assert oracles.dense_mutated_lambda(seed, k, -1) == want
+        assert oracles.dense_mutation_mismatch(seed, k) is None
         seed = mutate_seed(seed, k)
-        assert seed.Lambda == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(exchange_matrices(), st.data())
+def test_mutation_with_arbitrary_frozen_rows_matches_the_dense_references(case, data):
+    btilde, unfrozen = case
+    try:
+        seed = make_seed(btilde, unfrozen=unfrozen)
+    except (ValueError, NoCompatibleLambda):
+        assume(False)
+    for k in data.draw(st.lists(st.sampled_from(unfrozen), min_size=1, max_size=4)):
+        assert oracles.dense_mutation_mismatch(seed, k) is None
+        seed = mutate_seed(seed, k)
+
+
+@pytest.mark.parametrize("path, mutations", [
+    pytest.param(BENCH_SEEDS / "c5p.json", 1260, id="c5p-1260"),
+    pytest.param(DATA / "f4p.json", 420, id="f4p-420"),  # D = (1, 1, 2, 2)
+])
+def test_every_mutation_of_a_build_matches_the_dense_references(path, mutations):
+    graph = build_exchange_graph(load_seed(str(path))[0])
+    made = [(ts.seed, k) for ts in graph.nodes.values() for k in ts.seed.unfrozen]
+    assert len(made) == mutations and not graph.truncated
+    assert [(s, k) for s, k in made if oracles.dense_mutation_mismatch(s, k)] == []
+
+
+@st.composite
+def perturbed_pairs(draw):
+    """A compatible seed with one entry of B, or one pair Lambda[i][j] =
+    -Lambda[j][i], moved by a nonzero amount: (seed, perturbed)."""
+    seed = draw(principal_framings(max_word=3))
+    b, lam = [list(row) for row in seed.B], [list(row) for row in seed.Lambda]
+    delta = draw(st.integers(-2, 2).filter(bool))
+    if draw(st.booleans()):
+        i, c = draw(st.integers(0, seed.n - 1)), draw(st.integers(0, len(seed.unfrozen) - 1))
+        b[i][c] += delta
+    else:
+        i, j = draw(st.permutations(range(seed.n)))[:2]
+        lam[i][j] += delta
+        lam[j][i] -= delta
+    return seed, QuantumSeed(seed.n, seed.unfrozen, tuple(map(tuple, b)),
+                             tuple(map(tuple, lam)), seed.D)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_pairs())
+def test_check_compatible_names_the_first_bad_entry_of_the_dense_product(pair):
+    seed, bad = pair
+    assert check_compatible(seed) == (True, "")
+    dense = _linalg.mat_mul(_linalg.transpose(bad.B), bad.Lambda)
+    wrong = [(r, j, dense[r][j], d if j == k else 0)
+             for r, (k, d) in enumerate(zip(bad.unfrozen, bad.D))
+             for j in range(bad.n) if dense[r][j] != (d if j == k else 0)]
+    if not wrong:
+        assert check_compatible(bad) == (True, "")
+    else:
+        r, j, got, want = wrong[0]
+        assert check_compatible(bad) == (False, f"(B^T Lambda)[{r}][{j}] = {got}, expected {want}")
 
 
 @settings(max_examples=60, deadline=None)
